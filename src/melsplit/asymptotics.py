@@ -25,20 +25,10 @@ from typing import Optional
 
 from .config import CentralConfiguration
 from .harmonics import c_coeffs, d_coeffs
-from .quadrature import eval_Ik
+from .quadrature import _double_factorial, eval_Ik
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
-
-
-def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def ik_asymptotic(k: int, delta: float) -> float:

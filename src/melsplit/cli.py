@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -408,7 +407,6 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    os.environ.setdefault("MELNIKOV_THREADS", "1")  # evaluation is serial; cap honored
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,25 +2,32 @@
 
 Evaluates integrals of the form
 
-    integral over R of [P(z) cos(d (z + z^3/3)) + Q(z) sin(d (z + z^3/3))]
-                       / (1 + z^2)^k  dz
+    integral over R of [P(z) cos(d phi(z)) + Q(z) sin(d phi(z))] / (1 + z^2)^k dz,
+    phi(z) = z + z^3/3,
 
-with polynomial numerators P, Q.  The phase is strictly monotone, so the
-integrand oscillates with local frequency d (1 + z^2) and never stalls.
-The strategy:
+with polynomial numerators P, Q.  Odd-in-z parts of the numerators
+integrate to zero and are dropped exactly; for d > 0 the integral is then
+Re of the integral of (P - iQ)(z) exp(i d phi(z)) / (1 + z^2)^k, and d < 0
+is the same with Q -> -Q.  Its value falls like exp(-2d/3), far below the
+size of the integrand on the real line, so the line is moved into the upper
+half plane, where the integrand neither oscillates nor cancels:
 
-* odd-in-z parts of the numerators are dropped exactly and the half-line
-  integral is doubled;
-* the finite part [0, Z] is cut into panels at consecutive phase
-  half-periods (closed-form cubic roots) and integrated with an embedded
-  Gauss(15)/Gauss(7) pair, bisecting panels whose error estimate is large;
-* the tail beyond Z is summed by repeated integration by parts, which
-  produces boundary terms plus a remainder with a rigorous bound; Z grows
-  geometrically until the remainder bound fits the tolerance budget.
+* the contour is the V-shaped path z = ih + t e^(i pi/6), t >= 0, and its
+  mirror image; by symmetry the integral is 2 Re of the right arm's;
+* the vertex height h = max(0, 1 - sqrt(m / 2d)) puts the vertex at the
+  saddle of exp(i d phi) times the pole of order m that P - iQ leaves at
+  z = i (m comes from an exact Taylor shift of P - iQ about i);
+* with t = e^u the integrand decays exponentially at both ends, and the
+  trapezoid rule in u converges exponentially (Trefethen & Weideman, "The
+  exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  The
+  coarsest level is widened until its end terms are negligible, then the
+  step is halved until two levels agree;
+* at each node the numerator is evaluated from its expansion about 0 or
+  about i, whichever has the smaller rounding bound sum |c_j| |w|^j.
 
-Values of interest can sit ten or more orders of magnitude below the size
-of the integrand, so panel evaluation runs in extended precision and the
-phase is reduced modulo 2 pi before any trigonometric call.
+``error_estimate`` adds the difference of the last two levels, the end
+terms standing for the truncated tails, and eps times the rounding bounds
+summed over the nodes.
 
 The same integrals can be reassembled from the half-line basis integrals
 I_k and J_k after an exact partial-fraction decomposition; that second
@@ -28,24 +35,27 @@ pipeline is the cross-check oracle for every named F-function.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
-_LD = np.longdouble
-_PI = _LD("3.14159265358979323846264338327950288")
-_TWO_PI = _LD(2) * _PI
-
-#: largest supported |phase_scale|; beyond this the asymptotic expressions
-#: take over (see the asymptotics module)
-PHASE_SCALE_LIMIT = 1.5e3
 DEFAULT_BUDGET = 10**7
 
 _POINTS_PER_PANEL = 22  # 15 + 7
+_EPS = sys.float_info.epsilon
+_RAY = cmath.exp(1j * math.pi / 6)  # direction of the contour's right arm
+_STEP = 0.5  # trapezoid step in u = log t on the coarsest level
+_WIDEN = 8  # nodes added at an end of the coarsest level while it is not negligible
+_CHUNK = 4096  # largest node array evaluated at once
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -97,172 +107,15 @@ def _degree(coeffs: Sequence[float]) -> int:
     return deg
 
 
-# ---------------------------------------------------------------------------
-# Gauss rules in extended precision
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], Newton-refined in longdouble."""
-    k = np.arange(1, n + 1)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5)).astype(_LD)
-    dp = np.zeros_like(x)
-    for _ in range(12):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        dx = p1 / dp
-        x = x - dx
-        if float(np.max(np.abs(dx))) < 1e-19:
-            break
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    w = 2 / ((1 - x * x) * dp * dp)
-    return x, w
-
-
-def _horner(coeffs: Sequence[float], z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in reversed(coeffs):
-        acc = acc * z + _LD(c)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# phase geometry
-
-
-def _phase_value(z: np.ndarray, delta: np.longdouble) -> np.ndarray:
-    return delta * (z + z * z * z / 3)
-
-
 def solve_cubic_phase(q):
-    """Real root of z^3 + 3 z = q (vectorized, extended precision)."""
-    q = np.asarray(q, dtype=_LD)
-    s = np.cbrt((q + np.sqrt(q * q + 4)) / 2)
-    return s - 1 / s
+    """Real root of z^3 + 3 z = q (vectorized).
 
-
-def _phase_breakpoints(delta: np.longdouble, z_max: np.longdouble) -> np.ndarray:
-    """Panel boundaries 0 = z_0 < z_1 < ... <= z_max at phase multiples of pi."""
-    psi_max = float(_phase_value(np.asarray([z_max], dtype=_LD), delta)[0])
-    n_max = int(psi_max / float(_PI))
-    if n_max >= 1:
-        n = np.arange(1, n_max + 1, dtype=_LD)
-        roots = solve_cubic_phase(3 * n * _PI / delta)
-        roots = roots[roots < z_max * (1 - _LD(1e-12))]
-    else:
-        roots = np.empty(0, dtype=_LD)
-    return np.concatenate(([_LD(0)], roots, [z_max]))
-
-
-def _presplit(bounds: np.ndarray) -> np.ndarray:
-    """Split panels much wider than their distance from the origin.
-
-    Wide low-frequency panels occur at small phase scale, where the rational
-    factor still varies a lot over one half-period.
+    With s^3 = (|q| + sqrt(q^2 + 4))/2 the root is sign(q) (s - 1/s), written
+    as q / (s^2 + 1 + 1/s^2), which does not cancel.
     """
-    out = [bounds[0]]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        cap = max(1.0, 0.5 * float(a))
-        width = float(b - a)
-        if width > cap:
-            parts = min(int(math.ceil(width / cap)), 64)
-            for i in range(1, parts):
-                out.append(a + (b - a) * _LD(i) / _LD(parts))
-        out.append(b)
-    return np.asarray(out, dtype=_LD)
-
-
-# ---------------------------------------------------------------------------
-# integration-by-parts tail
-
-
-def _tail_bound(num: np.ndarray, m: int, z0: float) -> float:
-    """Bound on the integral of |num(z)| / (1+z^2)^m over [z0, inf), z0 >= 1."""
-    total = 0.0
-    for i, c in enumerate(num):
-        if c == 0.0:
-            continue
-        p = 2 * m - 1 - i
-        if p <= 0:
-            return math.inf
-        total += abs(c) * z0 ** (-p) / p
-    return total
-
-
-def _poly_derivative(num: np.ndarray) -> np.ndarray:
-    if len(num) <= 1:
-        return np.zeros(1)
-    return num[1:] * np.arange(1, len(num))
-
-
-def _ibp_step(num: np.ndarray, m: int, delta: float) -> tuple[np.ndarray, int]:
-    """Numerator of (num/(1+z^2)^m / phase_gradient)'; power goes to m + 2."""
-    d = _poly_derivative(num)
-    upper = np.zeros(len(num) + 1)
-    upper[: len(d)] += d
-    upper[2 : 2 + len(d)] += d
-    upper[1 : 1 + len(num)] -= 2.0 * (m + 1) * num
-    return upper / delta, m + 2
-
-
-def _naive_cutoff(cos_num: np.ndarray, sin_num: np.ndarray, k: int, tol_tail: float):
-    """Smallest power-of-two cutoff where the unsigned tail bound fits, or None."""
-    z = 1.0
-    for _ in range(60):
-        if _tail_bound(cos_num, k, z) + _tail_bound(sin_num, k, z) < tol_tail:
-            return z
-        z *= 2.0
-        if z > 1e7:
-            return None
-    return None
-
-
-def _ibp_tail(
-    cos_num: np.ndarray,
-    sin_num: np.ndarray,
-    k: int,
-    delta: float,
-    z0: np.longdouble,
-    tol_tail: float,
-    max_terms: int = 14,
-):
-    """Tail integral over [z0, inf) by repeated integration by parts.
-
-    Returns (value, remainder_bound) or None when the expansion does not
-    reach the requested bound (the caller then enlarges z0).
-    """
-    gc = np.array(cos_num, dtype=float)
-    gs = np.array(sin_num, dtype=float)
-    m = k
-    z0f = float(z0)
-    delta_ld = _LD(delta)
-    phase = float(np.mod(_phase_value(np.asarray([z0], dtype=_LD), delta_ld), _TWO_PI)[0])
-    sin_p, cos_p = math.sin(phase), math.cos(phase)
-    one_plus = _LD(1) + z0 * z0
-    total = _LD(0)
-    best = math.inf
-    for _ in range(max_terms):
-        bound = _tail_bound(gc, m, z0f) + _tail_bound(gs, m, z0f)
-        if bound < tol_tail:
-            return total, bound
-        if bound > 4.0 * best:
-            return None  # asymptotic series started diverging
-        best = min(best, bound)
-        scale = one_plus ** (-m) / (delta_ld * one_plus)
-        boundary = (_horner(gs, np.asarray([z0], dtype=_LD))[0] * _LD(cos_p)
-                    - _horner(gc, np.asarray([z0], dtype=_LD))[0] * _LD(sin_p)) * scale
-        total = total + boundary
-        new_gc, _ = _ibp_step(gs, m, delta)
-        new_gs, m = _ibp_step(gc, m, delta)
-        gc, gs = new_gc, -new_gs
-    return None
+    q = np.asarray(q, dtype=float)
+    s = np.cbrt((np.abs(q) + np.sqrt(q * q + 4.0)) / 2.0)
+    return q / (s * s + 1.0 + 1.0 / (s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +132,16 @@ def _double_factorial(n: int) -> int:
     return out
 
 
+def _ik_zero_ratio(k: int) -> Fraction:
+    """I_k(0) / (pi/2) = (2k-3)!!/(2k-2)!!, exactly."""
+    return Fraction(_double_factorial(2 * k - 3), _double_factorial(2 * k - 2))
+
+
 def ik_zero(k: int) -> float:
     """I_k(0) = integral of (1+z^2)^-k over [0, inf) = pi/2 (2k-3)!!/(2k-2)!!."""
     if k < 1:
         raise ValueError("need k >= 1")
-    frac = Fraction(_double_factorial(2 * k - 3), _double_factorial(2 * k - 2))
-    return float(frac) * math.pi / 2.0
+    return float(_ik_zero_ratio(k)) * math.pi / 2.0
 
 
 def _even_part(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -310,43 +167,38 @@ def _u_basis(even_coeffs: Sequence[float]) -> dict[int, Fraction]:
 
 
 def _exact_zero_phase(integrand: CubicPhaseIntegrand) -> QuadratureResult:
-    # sin(0) = 0, so only the even cosine numerator survives
+    # sin(0) = 0, so only the even cosine numerator survives; the sum is
+    # exact, so a value that vanishes by symmetry comes out as 0.0
     basis = _u_basis(_even_part(integrand.cos_numerator))
     k = integrand.denominator_power
-    value = 2.0 * math.fsum(float(c) * ik_zero(k - i) for i, c in basis.items())
-    return QuadratureResult(value=value, error_estimate=8.0 * abs(value) * 2.3e-16, evaluations=0)
+    total = sum((c * _ik_zero_ratio(k - i) for i, c in basis.items()), Fraction(0))
+    value = math.pi * float(total)
+    return QuadratureResult(value=value, error_estimate=2.0 * _EPS * abs(value), evaluations=0)
 
 
 # ---------------------------------------------------------------------------
-# main evaluator
+# contour trapezoid rule
 
 
-def _panel_sums(
-    a: np.ndarray,
-    b: np.ndarray,
-    cos_num: Sequence[float],
-    sin_num: Sequence[float],
-    k: int,
-    delta: np.longdouble,
-):
-    """Vectorized G15 and G7 sums plus an absolute-value proxy per panel."""
-    x15, w15 = _gauss_rule(15)
-    x7, w7 = _gauss_rule(7)
-    mid = (a + b) / 2
-    half = (b - a) / 2
+@lru_cache(maxsize=128)
+def _pole_expansion(cos_num: tuple, sin_num: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """(c, b, j0) with P - iQ = sum c_j z^j = sum_{j >= j0} b_j (z - i)^j, b_j0 != 0.
 
-    def f(nodes):
-        z = mid[:, None] + half[:, None] * nodes[None, :]
-        phase = np.mod(_phase_value(z, delta), _TWO_PI)
-        val = _horner(cos_num, z) * np.cos(phase) + _horner(sin_num, z) * np.sin(phase)
-        val = val / (1 + z * z) ** k
-        return val
-
-    f15 = f(x15)
-    g15 = half * (f15 @ w15)
-    g7 = half * (f(x7) @ w7)
-    absval = half * (np.abs(f15) @ w15)
-    return g15, g7, absval
+    The Taylor shift about i (repeated synthetic division by z - i) runs on
+    exact Gaussian rationals (re, im), so j0 is the exact order of the zero.
+    """
+    coeffs = [(Fraction(p), -Fraction(q)) for p, q in zip_longest(cos_num, sin_num, fillvalue=0.0)]
+    shifted, rest = [], coeffs[::-1]
+    while rest:
+        acc, quotient = (0, 0), []
+        for re, im in rest:
+            acc = (re - acc[1], im + acc[0])  # acc * i + coefficient
+            quotient.append(acc)
+        shifted.append(quotient.pop())  # remainder: the value at i
+        rest = quotient
+    j0 = next(j for j, v in enumerate(shifted) if v != (0, 0))
+    c, b = (np.array([complex(*v) for v in pairs]) for pairs in (coeffs, shifted[j0:]))
+    return c, b, j0
 
 
 def eval_oscillatory(
@@ -356,105 +208,107 @@ def eval_oscillatory(
 ) -> QuadratureResult:
     """Integrate a cubic-phase integrand over the whole real line.
 
-    ``tol`` is the target absolute error; the reported ``error_estimate``
-    adds the panel-rule discrepancies, the rigorous tail remainder bound and
-    the arithmetic noise floor of the summation.
+    ``tol`` is the target absolute error; ``error_estimate`` adds the last
+    level change, the truncated tails and the rounding bounds of the terms.
+    More than ``budget`` evaluations raise QuadratureBudgetError.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
     delta = float(integrand.phase_scale)
-    cos_num = list(integrand.cos_numerator)
-    sin_num = list(integrand.sin_numerator)
+    sin_num = integrand.sin_numerator
     if delta < 0.0:
-        delta = -delta
-        sin_num = [-c for c in sin_num]
-    if abs(delta) > PHASE_SCALE_LIMIT:
-        raise QuadratureBudgetError(
-            f"phase scale {delta:g} exceeds the supported limit {PHASE_SCALE_LIMIT:g}; "
-            "use the asymptotic expressions instead"
-        )
+        delta, sin_num = -delta, tuple(-c for c in sin_num)
     if delta == 0.0:
         return _exact_zero_phase(integrand)
 
     # odd-in-z parts integrate to zero over R; keep the even combination
-    cos_num = _even_part(cos_num)
-    sin_num = _odd_part(sin_num)
+    cos_num, sin_num = _even_part(integrand.cos_numerator), _odd_part(sin_num)
     k = integrand.denominator_power
     if _degree(cos_num) < 0 and _degree(sin_num) < 0:
         return QuadratureResult(0.0, 0.0, 0)
 
-    # Two tail strategies: integration by parts needs the local frequency
-    # delta (1 + z^2) to be order one at the cutoff, while the plain rational
-    # bound needs no oscillation at all but a larger cutoff.  Pick whichever
-    # route prices out to fewer oscillation panels.
-    def projected_panels(z: float) -> float:
-        z = float(z)
-        if z > 1e6:
-            return math.inf
-        return delta * (z + z**3 / 3.0) / float(_PI) + 1.0
+    c, b, j0 = _pole_expansion(cos_num, sin_num)
+    e = min(j0, k)  # powers of (z - i) that the numerator cancels
+    m = k - e  # order of the pole at i that is left
+    # g = 1 - h; a cancelled pole (m = 0) still keeps the vertex off z = i
+    g = min(1.0, math.sqrt(max(m, 1) / (2.0 * delta)))
+    h = 1.0 - g
+    # the terms are scaled by exp(-d Im phi(ih)) / (g^m (2 - g)^k), the size of
+    # the exponential and the uncancelled poles at the vertex, which is at
+    # most 1: absolute targets below hold for the unscaled value too
+    log_phase = -delta * (h - h**3 / 3.0)
+    log_scale = log_phase - m * math.log(g) - k * math.log(2.0 - g)
+    evaluations = 0
 
-    cos_arr, sin_arr = np.array(cos_num), np.array(sin_num)
-    candidates = []
-    z0 = _LD(max(1.0, math.sqrt(max(0.0, 9.0 / delta - 1.0))))
-    for _ in range(80):
-        if float(z0) > 1e6:
-            break
-        tail = _ibp_tail(cos_arr, sin_arr, k, delta, z0, tol / 4.0)
-        if tail is not None:
-            candidates.append((projected_panels(float(z0)), z0, tail))
-            break
-        z0 = z0 * _LD(1.5)
-    naive_z = _naive_cutoff(cos_arr, sin_arr, k, tol / 4.0)
-    if naive_z is not None:
-        bound = _tail_bound(cos_arr, k, naive_z) + _tail_bound(sin_arr, k, naive_z)
-        candidates.append((projected_panels(naive_z), _LD(naive_z), (_LD(0), bound)))
-    if not candidates:
-        raise QuadratureBudgetError("no tail strategy reaches the tolerance")
-    projected, z0, (tail_value, tail_bound) = min(candidates, key=lambda c: c[0])
-    if _POINTS_PER_PANEL * projected > budget:
-        raise QuadratureBudgetError(
-            f"about {projected:.0f} oscillation panels needed, beyond the "
-            f"evaluation budget {budget}"
-        )
-    bounds = _presplit(_phase_breakpoints(_LD(delta), z0))
-    a = bounds[:-1].copy()
-    b = bounds[1:].copy()
-    vals, g7, absv = _panel_sums(a, b, cos_num, sin_num, k, _LD(delta))
-    errs = np.abs(vals - g7)
-    evaluations = _POINTS_PER_PANEL * len(a)
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled terms G(z) dz/du at z = ih + e^u e^(i pi/6), and their rounding bounds."""
+        nonlocal evaluations
+        if evaluations + len(u) > budget:
+            raise QuadratureBudgetError(f"evaluation budget {budget} exhausted")
+        evaluations += len(u)
+        t = np.exp(u)
+        w0 = t * _RAY  # z - ih
+        z, w = w0 + 1j * h, w0 - 1j * g  # z and z - i
+        # rounding bounds sum |c_j| |z|^j and sum |b_j| |w|^j, over |w|^e;
+        # the expansion with the smaller one is evaluated
+        abs_w = np.abs(w)
+        bound_0 = polyval(np.abs(z), np.abs(c)) / abs_w**e
+        bound_i = polyval(abs_w, np.abs(b)) * abs_w ** (j0 - e)
+        near = bound_i < bound_0
+        num = np.empty_like(z)  # (P - iQ)(z) / (z - i)^e
+        num[near] = polyval(w[near], b) * w[near] ** (j0 - e)
+        num[~near] = polyval(z[~near], c) / w[~near] ** e
+        # i d (phi(z) - phi(ih)), expanded about the vertex
+        psi = 1j * delta * (w0 * (g * (2.0 - g) + w0 * (1j * h + w0 / 3.0)))
+        rest = np.exp(psi) * _RAY * t / ((w / g) ** m * ((w0 + 1j * (2.0 - g)) / (2.0 - g)) ** k)
+        vals = num * rest
+        if not np.isfinite(vals).all():
+            raise QuadratureBudgetError(f"integrand overflows at |z| = {np.abs(z).max():.3g}")
+        bound = _EPS * (2 * len(c) + 2 * k + 2 + np.abs(psi)) * np.abs(rest)
+        return vals, bound * np.minimum(bound_0, bound_i)
 
-    for _ in range(48):
-        total_err = float(errs.astype(float).sum())
-        if total_err <= tol / 2.0:
-            break
-        share = _LD((tol / 2.0) / max(1, len(a)))
-        mask = errs > share
-        if not mask.any():
-            break
-        n_split = int(mask.sum())
-        if evaluations + 2 * _POINTS_PER_PANEL * n_split > budget:
-            raise QuadratureBudgetError(
-                f"evaluation budget {budget} exhausted at error {total_err:g} > {tol:g}"
-            )
-        mid = (a[mask] + b[mask]) / 2
-        new_a = np.concatenate([a[mask], mid])
-        new_b = np.concatenate([mid, b[mask]])
-        nv, n7, nabs = _panel_sums(new_a, new_b, cos_num, sin_num, k, _LD(delta))
-        evaluations += _POINTS_PER_PANEL * len(new_a)
-        a = np.concatenate([a[~mask], new_a])
-        b = np.concatenate([b[~mask], new_b])
-        vals = np.concatenate([vals[~mask], nv])
-        errs = np.concatenate([errs[~mask], np.abs(nv - n7)])
-        absv = np.concatenate([absv[~mask], nabs])
+    # coarsest level: step 1/2 around u = log g, widened at each end until the
+    # end term is negligible.  The tail beyond an end decays at least like
+    # e^-|u|, so its integral is at most the end term; being systematic, the
+    # tails get a small share of the tolerance
+    small = tol / 256.0
+    u = math.log(g) + _STEP * np.arange(-_WIDEN, _WIDEN + 1)
+    vals, noise = evaluate(u)
+    for end, sign in ((0, -1.0), (-1, 1.0)):
+        while abs(vals[end]) > max(small, _EPS * np.abs(vals).max()):
+            more = u[end] + sign * _STEP * np.arange(1, _WIDEN + 1)
+            u, vals, noise = (np.concatenate((x[::-1], a) if end == 0 else (a, x))
+                              for a, x in zip((u, vals, noise), (more, *evaluate(more))))
+    # trim back to one negligible node beyond the outermost large one
+    large = np.flatnonzero(np.abs(vals) > max(small, _EPS * np.abs(vals).max()))
+    if large.size:
+        keep = slice(max(large[0] - 1, 0), large[-1] + 2)
+        u, vals, noise = u[keep], vals[keep], noise[keep]
+    tail = abs(vals[0]) + abs(vals[-1])
+    total, noise_sum = vals.sum(), noise.sum()
 
-    order = np.argsort(a.astype(float), kind="stable")
-    panel_value = np.sum(vals[order])
-    panel_err = float(errs.astype(float).sum())
-    abs_sum = float(absv.astype(float).sum())
-    noise = 8.0 * float(np.finfo(_LD).eps) * abs_sum + 2.3e-16 * abs(float(panel_value))
+    # halve the step until two levels agree, or differ only by rounding
+    intervals, step = len(u) - 1, _STEP
+    previous = step * total
+    while True:
+        step /= 2.0
+        for start in range(0, intervals, _CHUNK):
+            j = np.arange(start, min(intervals, start + _CHUNK))
+            vals, noise = evaluate(u[0] + step * (2 * j + 1))
+            total += vals.sum()
+            noise_sum += noise.sum()
+        intervals *= 2
+        current, rounding = step * total, step * noise_sum
+        change = abs(current - previous)
+        if change <= max(tol / 8.0, rounding):
+            break
+        previous = current
 
-    value = 2.0 * float(panel_value + tail_value)
-    error = 2.0 * (panel_err + tail_bound + noise)
+    scale = math.exp(log_scale)
+    value = 2.0 * scale * float(current.real)
+    error = 2.0 * scale * float(change + tail + rounding)
+    error += _EPS * (4.0 + abs(log_phase) + m * abs(math.log(g)) + k) * abs(value)  # of the scale
     return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
 
 
@@ -689,12 +543,8 @@ def adaptive_quadrature(
     Panel batches are evaluated in single vectorized calls.
     Returns (value, error_estimate, evaluations).
     """
-    x15, w15 = _gauss_rule(15)
-    x7, w7 = _gauss_rule(7)
-    x15 = x15.astype(float)
-    w15 = w15.astype(float)
-    x7 = x7.astype(float)
-    w7 = w7.astype(float)
+    x15, w15 = leggauss(15)
+    x7, w7 = leggauss(7)
 
     def batch(a: np.ndarray, b: np.ndarray):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -60,9 +60,10 @@ class TestBasicContracts:
         with pytest.raises(ValueError):
             eval_oscillatory(f4_integrand(1.0), 1e-2)
 
-    def test_phase_scale_refusal(self):
-        with pytest.raises(QuadratureBudgetError):
-            eval_oscillatory(f4_integrand(12.0), 1e-10)  # phase scale 1728 > 1.5e3
+    def test_large_phase_scale_within_bound_of_zero(self):
+        res = eval_oscillatory(f4_integrand(12.0), 1e-10)  # phase scale 1728
+        assert math.isfinite(res.value)
+        assert abs(res.value) <= res.error_estimate <= 1e-10
 
     def test_error_estimate_honest(self):
         for tt in (0.4, 1.1, 1.9):
@@ -74,7 +75,7 @@ class TestBasicContracts:
 
     def test_budget_error_reported(self):
         with pytest.raises(QuadratureBudgetError):
-            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=500)
+            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=200)  # needs 628
 
     def test_truncation_honesty(self):
         # moving the tail cutoff changes the value by less than the estimate
@@ -240,6 +241,27 @@ class TestPolygonGeneration:
 
     def test_decay(self):
         assert abs(eval_Fpoly(5, 6.0, 1e-6)) <= 1e-3
+
+    @pytest.mark.parametrize("n_total", range(4, 11))
+    def test_backends_agree_on_both_branches(self, n_total):
+        # these points fail an engine that expands the numerator only about
+        # the pole at i, or only about 0
+        for tt in (-2.25, -1.75, -1.25, 1.0, 1.25):
+            direct = eval_oscillatory(polygon_integrand(n_total, tt), 1e-10)
+            via = eval_via_ikjk(polygon_integrand(n_total, tt), 1e-10)
+            assert abs(direct.value - via.value) <= direct.error_estimate + via.error_estimate
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [f61_integrand, f62_integrand] + [
+        (lambda n: lambda tt: polygon_integrand(n, tt))(n) for n in range(4, 11)
+    ],
+    ids=["F61", "F62"] + [f"poly:{n}" for n in range(4, 11)],
+)
+def test_symmetry_zero_at_zero_phase_is_exact(builder):
+    res = eval_oscillatory(builder(0.0), 1e-10)
+    assert res.value == 0.0 and res.error_estimate == 0.0
 
 
 class TestAdaptiveQuadrature:
