@@ -54,16 +54,12 @@ from .quadrature import (
     polygon_prefactor,
 )
 from .melnikov import (
-    M4,
-    M6,
-    M_poly,
-    MelnikovEvaluation,
-    SignBranch,
+    SplittingTerms,
     TransversalityVerdict,
     Witness,
-    assemble_melnikov,
     classify,
     simple_zeros,
+    splitting_terms,
     verdict_to_dict,
 )
 from .dynamics import (
@@ -72,7 +68,6 @@ from .dynamics import (
     IntegrationError,
     McGeheeState,
     PoincareReturnError,
-    PolarState,
     duffing_rhs,
     hd_value,
     homoclinic,

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import CentralConfiguration
+from .dynamics import SQRT2
 from .harmonics import c_coeffs, d_coeffs
 from .quadrature import _double_factorial, eval_Ik
 
 SQRT_PI = math.sqrt(math.pi)
-SQRT2 = math.sqrt(2.0)
 
 
 def ik_asymptotic(k: int, delta: float) -> float:
@@ -151,22 +151,6 @@ def fourier_estimate(
         epsilon_power=-(k + 1.5),
         exponential_rate=k / 3.0,
     )
-
-
-def harmonic_magnitude(
-    est: FourierEstimate, theta0: float, epsilon: float, with_constants: bool = False
-) -> float:
-    """Size proxy eps^power exp(-k Theta0^3/(3 eps^3)) for harmonic k.
-
-    The default compares pure scaling factors, which is what fixes the
-    dominance order across harmonics; ``with_constants`` folds in the leading
-    amplitude norm where available (unit constant otherwise).
-    """
-    const = 1.0
-    if with_constants and est.alpha_leading is not None and est.beta_leading is not None:
-        const = math.hypot(est.alpha_leading, est.beta_leading)
-    rate = est.exponential_rate * theta0**3 / epsilon**3
-    return const * epsilon**est.epsilon_power * math.exp(-rate)
 
 
 def sanders_threshold(k: int, theta0: float) -> float:

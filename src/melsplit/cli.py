@@ -32,7 +32,7 @@ from .dynamics import (
     splitting_measure,
 )
 from .harmonics import c_coeffs, d_coeffs, d_l, harmonic_table
-from .melnikov import M4, M6, M_poly, classify, verdict_to_dict
+from .melnikov import classify, splitting_terms, verdict_to_dict
 from .quadrature import (
     QuadratureBudgetError,
     eval_Ik,
@@ -259,23 +259,10 @@ def _cmd_fplot(args, out) -> int:
 
 
 def _cmd_melnikov(args, out) -> int:
-    rows = []
-    if args.order in ("4", "6"):
-        if args.config is None:
-            raise cfg.ConfigError("orders 4 and 6 need --config")
-        c = _load_config_arg(args.config)
-        fn = M4 if args.order == "4" else M6
-        for i in range(args.points):
-            s0 = 2.0 * math.pi * i / args.points
-            rows.append((s0, fn(s0, args.theta0, args.eps, c, tol=args.tol)))
-    elif args.order.startswith("poly:"):
-        n_total = int(args.order.split(":", 1)[1])
-        for i in range(args.points):
-            s0 = 2.0 * math.pi * i / args.points
-            rows.append((s0, M_poly(n_total, s0, args.theta0, args.eps, tol=args.tol)))
-    else:
-        raise cfg.ConfigError(f"unsupported order {args.order!r}")
-    _write_csv(out, ["s0", "value"], rows)
+    c = _load_config_arg(args.config) if args.config is not None else None
+    terms = splitting_terms(c, args.order, args.theta0, args.eps, tol=args.tol)
+    s0s = (2.0 * math.pi * i / args.points for i in range(args.points))
+    _write_csv(out, ["s0", "value"], ((s0, terms.value(s0)) for s0 in s0s))
     return EXIT_OK
 
 
@@ -303,18 +290,17 @@ def _cmd_integrate(args, out) -> int:
 
 def _cmd_splitting(args, out) -> int:
     c = _load_config_arg(args.config)
-    rows = []
     header = ["s0", "splitting"]
     if args.compare:
         header.append("closed_form")
+        m4 = splitting_terms(c, 4, args.theta0, args.eps)
+        m6 = splitting_terms(c, 6, args.theta0, args.eps)
+    rows = []
     for i in range(args.points):
         s0 = 2.0 * math.pi * i / args.points
         val = splitting_measure(s0, args.theta0, args.eps, c, T=args.T, tol=args.tol)
         if args.compare:
-            closed = args.eps**4 * M4(s0, args.theta0, args.eps, c) + args.eps**6 * M6(
-                s0, args.theta0, args.eps, c
-            )
-            rows.append((s0, val, closed))
+            rows.append((s0, val, args.eps**4 * m4.value(s0) + args.eps**6 * m6.value(s0)))
         else:
             rows.append((s0, val))
     _write_csv(out, header, rows)

@@ -62,40 +62,6 @@ class McGeheeState:
 
 
 @dataclass(frozen=True)
-class PolarState:
-    """Symplectic polar phase point (r, theta_angle, R, Theta)."""
-
-    r: float
-    theta_angle: float
-    R: float
-    Theta: float
-
-    def __post_init__(self):
-        if not self.r > 0.0:
-            raise ValueError(f"radius must be positive, got {self.r!r}")
-
-
-def polar_from_mcgehee(state: McGeheeState, t: float = 0.0) -> PolarState:
-    if state.x == 0.0:
-        raise ValueError("the zero set x = 0 has no polar representative")
-    return PolarState(
-        r=state.x**-2,
-        theta_angle=t - state.s,
-        R=-SQRT2 * state.y,
-        Theta=state.theta,
-    )
-
-
-def mcgehee_from_polar(state: PolarState, t: float = 0.0) -> McGeheeState:
-    return McGeheeState(
-        x=state.r**-0.5,
-        y=-state.R / SQRT2,
-        s=t - state.theta_angle,
-        theta=state.Theta,
-    )
-
-
-@dataclass(frozen=True)
 class FlowParams:
     """Perturbation strength, optional first-integral value, truncation order."""
 
@@ -463,25 +429,17 @@ def splitting_measure(
     config: CentralConfiguration,
     T: float = 15.0,
     tol: float = 1e-9,
-    method: str = "melnikov",
 ) -> float:
     """Flow-side splitting: energy derivative integrated along the separatrix.
 
-    The ``melnikov`` method integrates d(energy)/d tau under the perturbed
-    slow-time field with (x, y) frozen on the separatrix; it matches the
-    closed-form order-4 plus order-6 splitting functions.  The experimental
-    ``shooting`` method instead integrates the perturbed flow from deep on
-    each manifold branch and differences the energies at the section; it is
-    exposed for qualitative cross-checks only.
+    Integrates d(energy)/d tau under the perturbed slow-time field with
+    (x, y) frozen on the separatrix; it matches the closed-form order-4 plus
+    order-6 splitting functions.
     """
     if theta0 == 0.0:
         raise ValueError("splitting needs nonzero angular momentum")
     if T < 15.0:
         raise ValueError("need T >= 15 so the truncation error is negligible")
-    if method == "shooting":
-        return _splitting_by_shooting(s0, theta0, epsilon, config)
-    if method != "melnikov":
-        raise ValueError(f"unknown method {method!r}")
 
     f = _splitting_integrand(s0, theta0, epsilon, config)
     c1, c2, c3 = c_coeffs(config)
@@ -498,36 +456,3 @@ def splitting_measure(
     breaks = _splitting_breakpoints(theta0, epsilon, min(tau_star, T))
     value, _err, _n = adaptive_quadrature(f, breaks, tol)
     return value
-
-
-def _splitting_by_shooting(
-    s0: float,
-    theta0: float,
-    epsilon: float,
-    config: CentralConfiguration,
-    tau_depth: float = 3.5,
-    tol: float = 1e-11,
-) -> float:
-    """Experimental: difference of branch energies at the section by shooting."""
-    params = FlowParams(epsilon=epsilon, config=config, truncation_order=9)
-
-    def rhs(_tau, yv):
-        return rhs_mcgehee_tau(yv, params)
-
-    out = {}
-    for label, tau_from in (("unstable", -tau_depth), ("stable", tau_depth)):
-        x, y = homoclinic(tau_from, theta0)
-        s = s_closed_form(tau_from, s0, theta0, epsilon)
-        res = solve_ivp(
-            rhs,
-            (tau_from, 0.0),
-            np.array([x, y, s, theta0]),
-            method="RK45",
-            rtol=tol,
-            atol=tol / 10.0,
-        )
-        if not res.success:
-            raise IntegrationError(f"shooting branch failed: {res.message}")
-        xf, yf, _sf, thf = res.y[:, -1]
-        out[label] = hd_value(float(xf), float(yf), float(thf))
-    return out["unstable"] - out["stable"]

@@ -9,171 +9,101 @@ coefficient pair with an oscillatory integral of the quadrature module:
                               + F62 (d4 cos 3 s0 - d3 sin 3 s0)]
     polygon:  +-(K/Theta0^(2N)) F_(2N-2) sin((N-1) s0)
 
-The upper sign goes with Theta0 > 0.  A simple zero of the s0-factor forces
-a transversal intersection, so the classifier walks the coefficient
-families in dominance order (harmonic index first, then expansion order)
-until it finds a nonvanishing pair, and reports that pair together with its
-zero set as the witness.
+The upper sign goes with Theta0 > 0.  ``splitting_terms`` returns the
+amplitudes of one order as (k, A, B, error) terms, with each F computed
+once per call from a single quadrature whose error estimate it carries into
+the terms; summing cosines over s0 needs no further quadrature.
+
+A simple zero of the s0-factor forces a transversal intersection, so the
+classifier walks the coefficient families in dominance order (harmonic
+index first, then expansion order) until it finds a nonvanishing pair, and
+reports that pair together with its zero set as the witness.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .config import CentralConfiguration
 from .harmonics import c_coeffs, d_coeffs, d_l, harmonic_table
-from .quadrature import eval_F4, eval_F61, eval_F62, eval_Fpoly, polygon_prefactor
+from .quadrature import (
+    eval_oscillatory,
+    f4_integrand,
+    f61_integrand,
+    f62_integrand,
+    polygon_integrand,
+    polygon_prefactor,
+)
 
 #: coefficients below this magnitude count as exact symmetry zeros
 ZERO_THRESHOLD = 1e-11
 
 
-class SignBranch(enum.Enum):
-    """Which sign branch of the splitting formulas applies."""
-
-    UPPER = 1
-    LOWER = -1
-
-    @classmethod
-    def from_theta0(cls, theta0: float) -> "SignBranch":
-        if theta0 == 0.0:
-            raise ValueError("branch undefined at zero angular momentum")
-        return cls.UPPER if theta0 > 0.0 else cls.LOWER
-
-
-def _require_theta0(theta0: float) -> int:
-    if theta0 == 0.0:
-        raise ValueError("splitting functions need nonzero angular momentum")
-    return 1 if theta0 > 0.0 else -1
-
-
-def M4(
-    s0: float,
-    theta0: float,
-    epsilon: float,
-    config: CentralConfiguration,
-    tol: float = 1e-10,
-) -> float:
-    """Order-4 splitting function at section angle s0."""
-    sign = _require_theta0(theta0)
-    _, c2, c3 = c_coeffs(config)
-    tt = theta0 / epsilon
-    return sign * (2.0 / theta0**6) * eval_F4(tt, tol) * (
-        c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0)
-    )
-
-
-def M6(
-    s0: float,
-    theta0: float,
-    epsilon: float,
-    config: CentralConfiguration,
-    tol: float = 1e-10,
-) -> float:
-    """Order-6 splitting function at section angle s0 (both harmonics)."""
-    sign = _require_theta0(theta0)
-    d1, d2, d3, d4 = d_coeffs(config)
-    tt = theta0 / epsilon
-    term1 = eval_F61(tt, tol) * (d2 * math.cos(s0) - d1 * math.sin(s0))
-    term3 = eval_F62(tt, tol) * (d4 * math.cos(3 * s0) - d3 * math.sin(3 * s0))
-    return sign * (2.0 / theta0**8) * (term1 + term3)
-
-
-def M_poly(
-    n_total: int,
-    s0: float,
-    theta0: float,
-    epsilon: float,
-    tol: float = 1e-10,
-) -> float:
-    """Polygonal splitting function: single harmonic sin((N-1) s0)."""
-    sign = _require_theta0(theta0)
-    k = float(polygon_prefactor(n_total))
-    tt = theta0 / epsilon
-    return sign * (k / theta0 ** (2 * n_total)) * eval_Fpoly(n_total, tt, tol) * math.sin(
-        (n_total - 1) * s0
-    )
-
-
 @dataclass(frozen=True)
-class MelnikovEvaluation:
-    """Assembled splitting term: harmonic amplitudes at one epsilon order."""
+class SplittingTerms:
+    """One order of the splitting function as a trigonometric polynomial.
+
+    ``terms`` lists (harmonic k, cos amplitude A, sin amplitude B, error);
+    the splitting function is sum_k [A cos(k s0) + B sin(k s0)], and a
+    term's ``error`` bounds the quadrature error of its contribution at
+    every s0.
+    """
 
     epsilon_order: int
-    harmonic_terms: tuple[tuple[int, float, float], ...]
-    theta0: float
-    epsilon: float
-    s0_grid_values: Optional[tuple[tuple[float, float], ...]] = None
+    terms: tuple[tuple[int, float, float, float], ...]
 
-    def __post_init__(self):
-        _require_theta0(self.theta0)
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
+    def value(self, s0: float) -> float:
+        return math.fsum(a * math.cos(k * s0) + b * math.sin(k * s0) for k, a, b, _ in self.terms)
 
 
-def assemble_melnikov(
+def _order_rows(config: Optional[CentralConfiguration], order: int | str, theta0: float):
+    """Epsilon order and rows (k, integrand builder, (a, b), prefactor) of one order."""
+    key = str(order)
+    if key in ("4", "6"):
+        if config is None:
+            raise ValueError(f"order {key} needs a configuration")
+        if key == "4":
+            _, c2, c3 = c_coeffs(config)
+            pref = 2.0 / theta0**6
+            return 4, ((2, f4_integrand, (-c3, c2), pref),)
+        d1, d2, d3, d4 = d_coeffs(config)
+        pref = 2.0 / theta0**8
+        return 6, ((1, f61_integrand, (d2, -d1), pref), (3, f62_integrand, (d4, -d3), pref))
+    if not key.startswith("poly:"):
+        raise ValueError(f"unsupported order {order!r}")
+    n_total = int(key.split(":", 1)[1])
+    pref = float(polygon_prefactor(n_total)) / theta0 ** (2 * n_total)
+    return 2 * n_total - 2, ((n_total - 1, partial(polygon_integrand, n_total), (0.0, 1.0), pref),)
+
+
+def splitting_terms(
     config: Optional[CentralConfiguration],
     order: int | str,
     theta0: float,
     epsilon: float,
-    s0_grid: Optional[int] = None,
     tol: float = 1e-10,
-) -> MelnikovEvaluation:
-    """Amplitude decomposition of one splitting order.
+) -> SplittingTerms:
+    """Harmonic amplitudes of one splitting order, each F evaluated once.
 
-    ``order`` is 4, 6 or the string ``"poly:N"``; harmonic_terms lists
-    (harmonic k, cos amplitude, sin amplitude) such that the splitting
-    function equals sum_k [A cos(k s0) + B sin(k s0)].
+    ``order`` is 4, 6 or ``"poly:N"``; orders 4 and 6 need ``config``.  The
+    sign of ``theta0`` selects the branch.  A term's error is
+    |prefactor| F-error (|a| + |b|) for its coefficient pair (a, b).
     """
-    sign = _require_theta0(theta0)
+    if theta0 == 0.0 or not math.isfinite(theta0):
+        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    eps_order, rows = _order_rows(config, order, theta0)
+    sign = 1.0 if theta0 > 0.0 else -1.0
     tt = theta0 / epsilon
-    if order == 4:
-        if config is None:
-            raise ValueError("order-4 assembly needs a configuration")
-        _, c2, c3 = c_coeffs(config)
-        f = eval_F4(tt, tol)
-        pref = sign * 2.0 / theta0**6
-        terms = ((2, -pref * f * c3, pref * f * c2),)
-        eps_order = 4
-    elif order == 6:
-        if config is None:
-            raise ValueError("order-6 assembly needs a configuration")
-        d1, d2, d3, d4 = d_coeffs(config)
-        f1 = eval_F61(tt, tol)
-        f3 = eval_F62(tt, tol)
-        pref = sign * 2.0 / theta0**8
-        terms = (
-            (1, pref * f1 * d2, -pref * f1 * d1),
-            (3, pref * f3 * d4, -pref * f3 * d3),
-        )
-        eps_order = 6
-    else:
-        if not (isinstance(order, str) and order.startswith("poly:")):
-            raise ValueError(f"unsupported order {order!r}")
-        n_total = int(order.split(":", 1)[1])
-        f = eval_Fpoly(n_total, tt, tol)
-        pref = sign * float(polygon_prefactor(n_total)) / theta0 ** (2 * n_total)
-        terms = ((n_total - 1, 0.0, pref * f),)
-        eps_order = 2 * n_total - 2
-    grid = None
-    if s0_grid:
-        pts = []
-        for i in range(s0_grid):
-            s0 = 2.0 * math.pi * i / s0_grid
-            val = math.fsum(
-                a * math.cos(k * s0) + b * math.sin(k * s0) for k, a, b in terms
-            )
-            pts.append((s0, val))
-        grid = tuple(pts)
-    return MelnikovEvaluation(
-        epsilon_order=eps_order,
-        harmonic_terms=terms,
-        theta0=theta0,
-        epsilon=epsilon,
-        s0_grid_values=grid,
-    )
+    terms = []
+    for k, builder, (a, b), pref in rows:
+        f = eval_oscillatory(builder(tt), tol)
+        amp = sign * pref * f.value
+        terms.append((k, amp * a, amp * b, abs(pref) * f.error_estimate * (abs(a) + abs(b))))
+    return SplittingTerms(eps_order, tuple(terms))
 
 
 def simple_zeros(a: float, b: float, k: int) -> Optional[list[float]]:

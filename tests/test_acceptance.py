@@ -10,8 +10,6 @@ import pytest
 
 from melsplit import (
     CubicPhaseIntegrand,
-    M4,
-    M6,
     build_equilateral,
     build_polygon,
     build_rhomboid,
@@ -40,6 +38,7 @@ from melsplit import (
     solve_collinear_equal,
     solve_collinear_equidistant,
     splitting_measure,
+    splitting_terms,
 )
 from melsplit.config import rotate
 from melsplit.dynamics import FlowParams, McGeheeState, duffing_rhs, integrate, integrate_mcgehee
@@ -237,7 +236,7 @@ def test_criterion_7_asymptotics_validation():
         cfg = build_rp3bp(0.5)
         for tt3 in (60.0, 70.0):
             eps = tt3 ** (-1.0 / 3.0)  # theta0 = 1
-            quad = eps**4 * M4(0.7, 1.0, eps, cfg, tol=1e-13)
+            quad = eps**4 * splitting_terms(cfg, 4, 1.0, eps, tol=1e-13).value(0.7)
             lead = m4_leading(0.7, 1.0, eps, cfg)
             assert quad / lead == pytest.approx(1.0, abs=0.1)
     _report(
@@ -303,12 +302,12 @@ def test_criterion_8_dynamics_property_suite():
 
         # flow-side splitting against the closed forms on an 8-point grid
         eps = 0.5
+        m4 = splitting_terms(cfg, 4, theta0, eps, tol=1e-12)
+        m6 = splitting_terms(cfg, 6, theta0, eps, tol=1e-12)
         for i in range(8):
             s0 = 2 * math.pi * (i + 0.5) / 8
             flow = splitting_measure(s0, theta0, eps, cfg, tol=1e-7)
-            closed = eps**4 * M4(s0, theta0, eps, cfg, tol=1e-12) + eps**6 * M6(
-                s0, theta0, eps, cfg, tol=1e-12
-            )
+            closed = eps**4 * m4.value(s0) + eps**6 * m6.value(s0)
             assert flow == pytest.approx(closed, rel=1e-4)
 
         # zero locations bracket the witness predictions within 1e-3

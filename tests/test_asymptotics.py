@@ -3,7 +3,6 @@ import math
 import pytest
 
 from melsplit import (
-    M4,
     build_rp3bp,
     eval_Ik,
     eval_Jk,
@@ -14,8 +13,8 @@ from melsplit import (
     m6_leading,
     sanders_lipschitz,
     sanders_threshold,
+    splitting_terms,
 )
-from melsplit.asymptotics import harmonic_magnitude
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -85,7 +84,7 @@ class TestLeadingSplitting:
         for tt3 in (60.0, 70.0):
             tt = tt3 ** (1.0 / 3.0)
             eps = 1.0 / tt  # theta0 = 1
-            quad = eps**4 * M4(s0, 1.0, eps, rp3bp_half, tol=1e-13)
+            quad = eps**4 * splitting_terms(rp3bp_half, 4, 1.0, eps, tol=1e-13).value(s0)
             assert quad / m4_leading(s0, 1.0, eps, rp3bp_half) == pytest.approx(1.0, abs=0.1)
 
     def test_m4_zero_channel(self, collinear8):
@@ -153,21 +152,6 @@ class TestFourierEstimates:
     def test_constants_unavailable_above_two(self, rp3bp_03):
         est = fourier_estimate(3, 1.0, 0.3, rp3bp_03)
         assert est.alpha_leading is None and est.beta_leading is None
-
-    def test_harmonic_ladder_dominance(self, rp3bp_03):
-        for eps in (0.3, 0.4):
-            mags = [
-                harmonic_magnitude(fourier_estimate(k, 1.0, eps, rp3bp_03), 1.0, eps)
-                for k in (1, 2, 3)
-            ]
-            assert mags[0] > mags[1] > mags[2]
-
-    def test_amplitude_ratio_below_one(self, rp3bp_03):
-        est1 = fourier_estimate(1, 1.0, 0.3, rp3bp_03)
-        est2 = fourier_estimate(2, 1.0, 0.3, rp3bp_03)
-        a1 = harmonic_magnitude(est1, 1.0, 0.3, with_constants=True)
-        a2 = harmonic_magnitude(est2, 1.0, 0.3, with_constants=True)
-        assert a2 / a1 < 1.0
 
 
 class TestSandersBounds:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import melsplit
+from melsplit import cli, melnikov
 from melsplit.cli import main
 
 
@@ -18,6 +24,16 @@ def rp3bp_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     return str(path)
+
+
+@pytest.fixture()
+def quadrature_calls(monkeypatch):
+    """Arguments of every oscillatory quadrature the splitting functions run."""
+    calls = []
+    engine = melnikov.eval_oscillatory
+    monkeypatch.setattr(melnikov, "eval_oscillatory",
+                        lambda *a, **k: calls.append(a) or engine(*a, **k))
+    return calls
 
 
 class TestConfigCommands:
@@ -129,6 +145,37 @@ class TestSampling:
         )
         assert code == 1
 
+    def test_melnikov_epsilon_domain(self, capsys, rp3bp_file):
+        for eps in ("0", "-0.5", "1.5"):
+            code, out, err = run(
+                capsys, "melnikov", "--order", "4", "--theta0", "1.0",
+                "--eps", eps, "--config", rp3bp_file,
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("error: epsilon")
+        # epsilon = 1 is valid
+        code, _, _ = run(capsys, "melnikov", "--order", "poly:5", "--theta0", "1.0",
+                         "--eps", "1.0", "--points", "2")
+        assert code == 0
+
+    def test_melnikov_zero_epsilon_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "melsplit.cli", "melnikov", "--order", "poly:5",
+             "--theta0", "1.0", "--eps", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_melnikov_evaluates_each_f_once(self, capsys, quadrature_calls, rp3bp_file):
+        for order, quadratures in (("4", 1), ("6", 2), ("poly:7", 1)):
+            quadrature_calls.clear()
+            code, out, _ = run(capsys, "melnikov", "--order", order, "--theta0", "-1.0",
+                               "--eps", "0.5", "--config", rp3bp_file, "--points", "64")
+            assert code == 0 and len(out.splitlines()) == 65
+            assert len(quadrature_calls) == quadratures
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "fplot", "F61", "--range", "-1", "1", "--points", "7")
         _, second, _ = run(capsys, "fplot", "F61", "--range", "-1", "1", "--points", "7")
@@ -182,6 +229,15 @@ class TestDynamicsCommands:
         assert lines[0] == "s0,splitting,closed_form"
         row = lines[2].split(",")
         assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-4, abs=1e-12)
+
+    def test_splitting_compare_evaluates_each_f_once(
+        self, capsys, monkeypatch, quadrature_calls, rp3bp_file
+    ):
+        monkeypatch.setattr(cli, "splitting_measure", lambda *a, **k: 0.0)
+        code, out, _ = run(capsys, "splitting", "--config", rp3bp_file, "--eps", "0.5",
+                           "--theta0", "1.0", "--points", "4", "--compare")
+        assert code == 0 and len(out.splitlines()) == 5
+        assert len(quadrature_calls) == 3  # F4, F61 and F62
 
 
 class TestCatalogCommand:

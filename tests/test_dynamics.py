@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from melsplit import (
     ConvergenceRegionError,
     FlowParams,
-    M4,
-    M6,
     McGeheeState,
     PoincareReturnError,
-    PolarState,
     build_polygon,
     build_rp3bp,
     duffing_rhs,
@@ -25,13 +22,12 @@ from melsplit import (
     s_closed_form,
     simple_zeros,
     splitting_measure,
+    splitting_terms,
     theta_from_jacobi,
 )
 from melsplit.dynamics import (
     SQRT2,
     integrate_mcgehee,
-    mcgehee_from_polar,
-    polar_from_mcgehee,
     rhs_mcgehee_tau,
 )
 
@@ -151,19 +147,6 @@ class TestStatesAndFields:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             McGeheeState(-0.1, 0.0, 0.0, 1.0)
-
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            PolarState(0.0, 0.1, 0.1, 1.0)
-
-    def test_polar_round_trip(self):
-        st_ = McGeheeState(0.3, -0.2, 1.1, 0.9)
-        polar = polar_from_mcgehee(st_, t=0.4)
-        assert isinstance(polar, PolarState)
-        back = mcgehee_from_polar(polar, t=0.4)
-        assert (back.x, back.y, back.s, back.theta) == pytest.approx(
-            (st_.x, st_.y, st_.s, st_.theta)
-        )
 
     def test_periodic_orbit_is_fixed_line(self, rp3bp_03):
         params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
@@ -309,24 +292,26 @@ class TestPoincare:
             poincare_numeric(0.5, 0.0, 0.0, self.params(rp3bp_03))
 
 
+def closed_form(cfg, theta0, eps, tol=1e-12):
+    """Order-4 plus order-6 splitting function as a function of s0."""
+    m4 = splitting_terms(cfg, 4, theta0, eps, tol)
+    m6 = splitting_terms(cfg, 6, theta0, eps, tol)
+    return lambda s0: eps**4 * m4.value(s0) + eps**6 * m6.value(s0)
+
+
 class TestSplittingMeasure:
     def test_matches_closed_forms_on_grid(self, rp3bp_03):
         theta0, eps = 1.0, 0.5
+        closed = closed_form(rp3bp_03, theta0, eps)
         for i in range(8):
             s0 = 2 * math.pi * (i + 0.5) / 8
             flow = splitting_measure(s0, theta0, eps, rp3bp_03, tol=1e-8)
-            closed = eps**4 * M4(s0, theta0, eps, rp3bp_03, tol=1e-12) + eps**6 * M6(
-                s0, theta0, eps, rp3bp_03, tol=1e-12
-            )
-            assert flow == pytest.approx(closed, rel=1e-4)
+            assert flow == pytest.approx(closed(s0), rel=1e-4)
 
     def test_negative_branch(self, rp3bp_03):
         theta0, eps, s0 = -1.0, 0.5, 0.9
         flow = splitting_measure(s0, theta0, eps, rp3bp_03, tol=1e-9)
-        closed = eps**4 * M4(s0, theta0, eps, rp3bp_03, tol=1e-12) + eps**6 * M6(
-            s0, theta0, eps, rp3bp_03, tol=1e-12
-        )
-        assert flow == pytest.approx(closed, rel=1e-6)
+        assert flow == pytest.approx(closed_form(rp3bp_03, theta0, eps)(s0), rel=1e-6)
 
     def test_zeros_bracketed(self, rp3bp_03):
         d1, d2, _, _ = (0.252, 0.0, 0.0, 0.0)
@@ -343,9 +328,3 @@ class TestSplittingMeasure:
     def test_t_domain(self, rp3bp_03):
         with pytest.raises(ValueError):
             splitting_measure(0.1, 1.0, 0.5, rp3bp_03, T=5.0)
-
-    def test_experimental_shooting_agrees_roughly(self, rp3bp_03):
-        theta0, eps, s0 = 1.0, 0.5, 0.9
-        shot = splitting_measure(s0, theta0, eps, rp3bp_03, method="shooting")
-        closed = eps**4 * M4(s0, theta0, eps, rp3bp_03) + eps**6 * M6(s0, theta0, eps, rp3bp_03)
-        assert shot == pytest.approx(closed, rel=0.05)

@@ -7,11 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melsplit import (
-    M4,
-    M6,
-    M_poly,
-    SignBranch,
-    assemble_melnikov,
     build_equilateral,
     build_polygon,
     build_rhomboid,
@@ -29,6 +24,7 @@ from melsplit import (
     simple_zeros,
     solve_collinear_equal,
     solve_collinear_equidistant,
+    splitting_terms,
     verdict_to_dict,
 )
 from melsplit.config import rotate
@@ -42,40 +38,32 @@ def refined_rhomboid_ratio(near: float) -> float:
     )[0]
 
 
-class TestSignBranch:
-    def test_from_theta0(self):
-        assert SignBranch.from_theta0(0.4) is SignBranch.UPPER
-        assert SignBranch.from_theta0(-0.4) is SignBranch.LOWER
-        with pytest.raises(ValueError):
-            SignBranch.from_theta0(0.0)
-
-
 class TestSplittingFunctions:
     def test_m4_vanishes_when_quadrupole_pair_vanishes(self):
         ratio = refined_rhomboid_ratio(1.32018439)
-        cfg = build_rhomboid(ratio, 1.0)
+        m4 = splitting_terms(build_rhomboid(ratio, 1.0), 4, 1.0, 0.5)
         for s0 in np.linspace(0.0, 2 * math.pi, 9):
-            assert abs(M4(float(s0), 1.0, 0.5, cfg)) <= 1e-11
+            assert abs(m4.value(float(s0))) <= 1e-11
 
     def test_m4_zero_set_for_collinear(self, collinear8):
+        m4 = splitting_terms(collinear8, 4, 1.0, 0.5)
         for s0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-            assert abs(M4(s0, 1.0, 0.5, collinear8)) <= 1e-12
+            assert abs(m4.value(s0)) <= 1e-12
 
     def test_m4_derived_value(self, rp3bp_half):
-        got = M4(math.pi / 4, 1.0, 0.5, rp3bp_half, tol=1e-12)
+        got = splitting_terms(rp3bp_half, 4, 1.0, 0.5, tol=1e-12).value(math.pi / 4)
         assert got == pytest.approx(2.0 * eval_F4(2.0, 1e-12) * 0.75, rel=1e-9)
 
     def test_m4_requires_nonzero_theta0(self, rp3bp_half):
         with pytest.raises(ValueError):
-            M4(0.0, 0.0, 0.5, rp3bp_half)
+            splitting_terms(rp3bp_half, 4, 0.0, 0.5)
 
     def test_m6_equilateral_only_third_harmonic(self, equilateral_thirds):
         theta0, eps = 1.0, 0.5
         amp = (2.0 / theta0**8) * eval_F62(theta0 / eps, 1e-12) * 5.0 / (3 * math.sqrt(3.0))
+        m6 = splitting_terms(equilateral_thirds, 6, theta0, eps, tol=1e-12)
         for s0 in (0.2, 1.1, 2.9):
-            assert M6(s0, theta0, eps, equilateral_thirds, tol=1e-12) == pytest.approx(
-                amp * math.cos(3 * s0), rel=1e-9
-            )
+            assert m6.value(s0) == pytest.approx(amp * math.cos(3 * s0), rel=1e-9)
 
     def test_m6_rp3bp_sine_channels(self, rp3bp_03):
         # d2 = d4 = 0 leaves only the sine channels with d1 = 0.252, d3 = 0.42
@@ -84,47 +72,46 @@ class TestSplittingFunctions:
         assert (d1, d2, d4) == pytest.approx((0.252, 0.0, 0.0), abs=1e-14)
         amp1 = -(2.0 / theta0**8) * eval_F61(theta0 / eps, 1e-12) * d1
         amp3 = -(2.0 / theta0**8) * eval_F62(theta0 / eps, 1e-12) * d3
+        m6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12)
         for s0 in (0.3, 2.0):
-            assert M6(s0, theta0, eps, rp3bp_03, tol=1e-12) == pytest.approx(
+            assert m6.value(s0) == pytest.approx(
                 amp1 * math.sin(s0) + amp3 * math.sin(3 * s0), rel=1e-9
             )
 
     def test_m6_collinear_is_odd_in_s0(self, collinear8):
+        m6 = splitting_terms(collinear8, 6, 1.0, 0.5, tol=1e-11)
         for s0 in (0.4, 1.3):
-            plus = M6(s0, 1.0, 0.5, collinear8, tol=1e-11)
-            minus = M6(-s0, 1.0, 0.5, collinear8, tol=1e-11)
-            assert plus == pytest.approx(-minus, rel=1e-9)
+            assert m6.value(s0) == pytest.approx(-m6.value(-s0), rel=1e-9)
 
     def test_m_poly_prefactors_and_harmonics(self):
         theta0, eps = 1.0, 0.5
         for n_total in (7, 8):
             k = float(polygon_prefactor(n_total))
             f = eval_Fpoly(n_total, theta0 / eps, 1e-11)
+            m_poly = splitting_terms(None, f"poly:{n_total}", theta0, eps, tol=1e-11)
             for s0 in (0.15, 0.8):
                 expected = k / theta0 ** (2 * n_total) * f * math.sin((n_total - 1) * s0)
-                assert M_poly(n_total, s0, theta0, eps, tol=1e-11) == pytest.approx(
-                    expected, rel=1e-9
-                )
+                assert m_poly.value(s0) == pytest.approx(expected, rel=1e-9)
 
     def test_m_poly_vanishes_at_zero_section(self):
         for n_total in (4, 5, 7):
-            assert M_poly(n_total, 0.0, 1.0, 0.5) == 0.0
+            assert splitting_terms(None, f"poly:{n_total}", 1.0, 0.5).value(0.0) == 0.0
 
     def test_m_poly_four_body_equals_m6_of_triangle(self):
         # the polygon with three vertices carries only the third harmonic
         cfg = build_polygon(4)
         theta0, eps = 1.0, 0.4
+        m_poly = splitting_terms(None, "poly:4", theta0, eps, tol=1e-11)
+        m6 = splitting_terms(cfg, 6, theta0, eps, tol=1e-11)
         for s0 in (0.3, 1.7):
-            assert M_poly(4, s0, theta0, eps, tol=1e-11) == pytest.approx(
-                M6(s0, theta0, eps, cfg, tol=1e-11), rel=1e-8
-            )
+            assert m_poly.value(s0) == pytest.approx(m6.value(s0), rel=1e-8)
 
     def test_scale_consistency_m4_m6_through_tables(self, rp3bp_03):
         # table-normalized coefficients must reproduce the direct values
         theta0, eps, s0 = 1.0, 0.5, 0.9
         t2 = harmonic_table(rp3bp_03, 2)
         a2, b2 = t2.pair(2)
-        direct = M4(s0, theta0, eps, rp3bp_03, tol=1e-12)
+        direct = splitting_terms(rp3bp_03, 4, theta0, eps, tol=1e-12).value(s0)
         via_table = (
             (2.0 / theta0**6)
             * eval_F4(theta0 / eps, 1e-12)
@@ -138,26 +125,82 @@ class TestSplittingFunctions:
             eval_F61(theta0 / eps, 1e-12) * (8 * b1 * math.cos(s0) - 8 * a1 * math.sin(s0))
             + eval_F62(theta0 / eps, 1e-12) * (8 * b3 * math.cos(3 * s0) - 8 * a3 * math.sin(3 * s0))
         )
-        assert via_table6 == pytest.approx(M6(s0, theta0, eps, rp3bp_03, tol=1e-12), rel=1e-10)
+        direct6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12).value(s0)
+        assert via_table6 == pytest.approx(direct6, rel=1e-10)
+
+
+def _coefficient_rows(cfg, order, theta0):
+    """(k, (a, b), prefactor) per term, written out from the module docstring."""
+    if order == 4:
+        _, c2, c3 = c_coeffs(cfg)
+        return [(2, (-c3, c2), 2.0 / theta0**6)]
+    if order == 6:
+        d1, d2, d3, d4 = d_coeffs(cfg)
+        return [(1, (d2, -d1), 2.0 / theta0**8), (3, (d4, -d3), 2.0 / theta0**8)]
+    n_total = int(order.split(":")[1])
+    return [(n_total - 1, (0.0, 1.0), float(polygon_prefactor(n_total)) / theta0 ** (2 * n_total))]
 
 
 class TestAssembleMelnikov:
     def test_order4_consistency(self, rp3bp_half):
-        ev = assemble_melnikov(rp3bp_half, 4, 1.0, 0.5, s0_grid=8)
-        assert ev.epsilon_order == 4
-        ((k, a, b),) = ev.harmonic_terms
+        terms = splitting_terms(rp3bp_half, 4, 1.0, 0.5)
+        assert terms.epsilon_order == 4
+        ((k, _, _, _),) = terms.terms
         assert k == 2
-        for s0, val in ev.s0_grid_values:
-            assert val == pytest.approx(M4(s0, 1.0, 0.5, rp3bp_half), rel=1e-9, abs=1e-15)
+        _, c2, c3 = c_coeffs(rp3bp_half)
+        f4 = eval_F4(2.0)
+        for i in range(8):
+            s0 = 2.0 * math.pi * i / 8
+            want = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
+            assert terms.value(s0) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_sign_branch_from_theta0(self, rp3bp_half):
+        # the upper sign goes with theta0 > 0, the lower with theta0 < 0
+        _, c2, c3 = c_coeffs(rp3bp_half)
+        for theta0, sign in ((0.4, 1.0), (-0.4, -1.0)):
+            ((k, a, b, _),) = splitting_terms(rp3bp_half, 4, theta0, 0.5, 1e-12).terms
+            amp = sign * (2.0 / theta0**6) * eval_F4(theta0 / 0.5, 1e-12)
+            assert k == 2
+            assert (a, b) == pytest.approx((-amp * c3, amp * c2), rel=1e-12, abs=1e-300)
 
     def test_polygon_order(self):
-        ev = assemble_melnikov(None, "poly:7", 1.0, 0.5)
-        assert ev.epsilon_order == 12
-        assert ev.harmonic_terms[0][0] == 6
+        terms = splitting_terms(None, "poly:7", 1.0, 0.5)
+        assert terms.epsilon_order == 12
+        assert terms.terms[0][0] == 6
 
     def test_epsilon_domain(self, rp3bp_half):
-        with pytest.raises(ValueError):
-            assemble_melnikov(rp3bp_half, 4, 1.0, 1.5)
+        for eps in (1.5, 0.0, -0.5, -1e-300):
+            with pytest.raises(ValueError):
+                splitting_terms(rp3bp_half, 4, 1.0, eps)
+        # epsilon = 1 is the edge of the domain and stays valid
+        assert splitting_terms(rp3bp_half, 4, 1.0, 1.0).epsilon_order == 4
+
+    def test_orders_need_their_inputs(self):
+        # orders 4 and 6 without a configuration, then unknown orders
+        for order in (4, "6", 5, "poly:3", "poly:x"):
+            with pytest.raises(ValueError):
+                splitting_terms(None, order, 1.0, 0.5)
+
+    @pytest.mark.parametrize("order", [4, 6, "poly:5", "poly:9"])
+    @pytest.mark.parametrize("theta0", [0.75, -0.75])
+    def test_error_bounded_by_tolerance(self, order, theta0, rp3bp_03):
+        tol = 1e-10
+        got = splitting_terms(rp3bp_03, order, theta0, 0.5, tol).terms
+        rows = _coefficient_rows(rp3bp_03, order, theta0)
+        assert len(got) == len(rows)
+        for (k, _, _, err), (k_want, (a, b), pref) in zip(got, rows):
+            assert k == k_want
+            assert 0.0 <= err <= abs(pref) * tol * (abs(a) + abs(b))
+
+    @pytest.mark.parametrize("order", [4, 6, "poly:7"])
+    @pytest.mark.parametrize("theta0", [1.0, -1.0])
+    def test_tolerances_agree_within_errors(self, order, theta0, rp3bp_03):
+        loose = splitting_terms(rp3bp_03, order, theta0, 0.5, 1e-10).terms
+        tight = splitting_terms(rp3bp_03, order, theta0, 0.5, 1e-13).terms
+        for (k, a1, b1, e1), (k2, a2, b2, e2) in zip(loose, tight, strict=True):
+            assert k == k2
+            assert abs(a1 - a2) <= e1 + e2
+            assert abs(b1 - b2) <= e1 + e2
 
 
 class TestSimpleZeros:
@@ -250,16 +293,14 @@ class TestClassifier:
 
     def test_witness_zeros_bracket_sign_changes(self, rp3bp_03, collinear8):
         # sampled splitting function changes sign across every witness zero
-        cases = [
-            (rp3bp_03, lambda s0: M6(s0, 1.0, 0.5, rp3bp_03, tol=1e-11)),
-            (collinear8, lambda s0: M4(s0, 1.0, 0.5, collinear8, tol=1e-11)),
-        ]
+        cases = [(rp3bp_03, 6), (collinear8, 4)]
         grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-        for cfg, fn in cases:
+        for cfg, order in cases:
             v = classify(cfg)
             zeros = v.witness.zero_locations
             assert len(zeros) == 2 * v.witness.harmonic
-            vals = np.array([fn(float(s)) for s in grid])
+            terms = splitting_terms(cfg, order, 1.0, 0.5, tol=1e-11)
+            vals = np.array([terms.value(float(s)) for s in grid])
             for z in zeros:
                 i = int(np.searchsorted(grid, z) % len(grid))
                 before = vals[(i - 2) % len(grid)]
