@@ -156,7 +156,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--eps", type=float, required=True)
     ps.add_argument("--theta0", type=float, required=True)
     ps.add_argument("--points", type=int, default=16)
-    ps.add_argument("--T", type=float, default=15.0)
     ps.add_argument("--tol", type=float, default=1e-9)
     ps.add_argument("--compare", action="store_true",
                     help="add the closed-form order-4 plus order-6 value")
@@ -291,18 +290,15 @@ def _cmd_integrate(args, out) -> int:
 def _cmd_splitting(args, out) -> int:
     c = _load_config_arg(args.config)
     header = ["s0", "splitting"]
+    sides = [[splitting_measure(c, order, args.theta0, args.eps, tol=args.tol) for order in (4, 6)]]
     if args.compare:
         header.append("closed_form")
-        m4 = splitting_terms(c, 4, args.theta0, args.eps)
-        m6 = splitting_terms(c, 6, args.theta0, args.eps)
+        sides.append([splitting_terms(c, order, args.theta0, args.eps) for order in (4, 6)])
     rows = []
     for i in range(args.points):
         s0 = 2.0 * math.pi * i / args.points
-        val = splitting_measure(s0, args.theta0, args.eps, c, T=args.T, tol=args.tol)
-        if args.compare:
-            rows.append((s0, val, args.eps**4 * m4.value(s0) + args.eps**6 * m6.value(s0)))
-        else:
-            rows.append((s0, val))
+        rows.append((s0, *(args.eps**4 * m4.value(s0) + args.eps**6 * m6.value(s0)
+                           for m4, m6 in sides)))
     _write_csv(out, header, rows)
     return EXIT_OK
 

@@ -15,6 +15,19 @@ Jacobi-like first integral, realizes the numeric return map near x = y = 0,
 and measures the manifold splitting by integrating the energy derivative
 along the separatrix under the perturbed field (the flow-side counterpart
 of the closed-form splitting functions).
+
+For the splitting, sigma = sinh tau turns the separatrix rational,
+
+    x = A (1 + sigma^2)^(-1/2),   y = -A sigma / (1 + sigma^2),   A = sqrt(2)/|Theta0|,
+
+with d tau = d sigma / sqrt(1 + sigma^2), and the fast angle becomes
+s = s0 - 2 sg arctan(sigma) + D (sigma + sigma^3/3), sg = sign Theta0,
+D = |Theta0|^3 / (2 eps^3).  The slow rotation is rational too:
+exp(-2 i sg k arctan sigma) = (1 - i sg sigma)^(2k) / (1 + sigma^2)^k.  So
+each harmonic k of the energy derivative is a polynomial in sigma over a
+power of (1 + sigma^2) times exp(i k D (sigma + sigma^3/3)): a cubic-phase
+integrand of phase scale k D, which the contour engine of the quadrature
+module integrates over the whole line.
 """
 from __future__ import annotations
 
@@ -23,11 +36,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 from scipy.integrate import solve_ivp
 
 from .config import CentralConfiguration
 from .harmonics import c_coeffs, d_coeffs
-from .quadrature import adaptive_quadrature, solve_cubic_phase
+from .melnikov import SplittingTerms, check_splitting_domain
+from .quadrature import CubicPhaseIntegrand, eval_oscillatory
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,7 +247,12 @@ def theta_from_jacobi(x: float, y: float, jacobi_c: float, epsilon: float) -> fl
 
 
 def rhs_mcgehee_tau(state_vec: Sequence[float], params: FlowParams):
-    """Slow-time derivative of (x, y, s, theta); needs x > 0."""
+    """Slow-time derivative of (x, y, s, theta); needs x > 0.
+
+    Nothing in the package integrates this field.  It is the reference the
+    tests check the time-form field and the integrands of
+    ``splitting_measure`` against.
+    """
     x, y, s, theta = state_vec
     if x <= 0.0:
         raise ConvergenceRegionError("slow-time field needs x > 0")
@@ -377,82 +397,53 @@ def poincare_numeric(
 # splitting along the separatrix
 
 
-def _splitting_integrand(
-    s0: float, theta0: float, epsilon: float, config: CentralConfiguration
-) -> Callable[[np.ndarray], np.ndarray]:
-    c1, c2, c3 = c_coeffs(config)
-    d1, d2, d3, d4 = d_coeffs(config)
-    e4, e6 = epsilon**4, epsilon**6
-    amp = SQRT2 / abs(theta0)
+def _field_harmonics(config: CentralConfiguration, order: int):
+    """Perturbation of one order along the separatrix: (n, w_y, w_theta, harmonics).
 
-    def f(tau: np.ndarray) -> np.ndarray:
-        sech = 1.0 / np.cosh(tau)
-        x = amp * sech
-        y = -amp * np.tanh(tau) * sech
-        s = s_closed_form(tau, s0, theta0, epsilon)
-        g = c1 + c2 * np.cos(2 * s) + c3 * np.sin(2 * s)
-        h = d1 * np.cos(s) + d2 * np.sin(s) + d3 * np.cos(3 * s) + d4 * np.sin(3 * s)
-        hp = (
-            d1 * np.sin(s)
-            - d2 * np.cos(s)
-            + 3 * d3 * np.sin(3 * s)
-            - 3 * d4 * np.cos(3 * s)
-        )
-        y_pert = 0.75 * e4 * g * x**5 + 0.5 * e6 * h * x**7
-        theta_pert = -(e4 / SQRT2) * (c3 * np.cos(2 * s) - c2 * np.sin(2 * s)) * x**3
-        theta_pert = theta_pert + (e6 / (4.0 * SQRT2)) * hp * x**5
-        return y * y_pert + 0.5 * theta0 * x**4 * theta_pert
-
-    return f
-
-
-def _splitting_breakpoints(theta0: float, epsilon: float, tau_star: float) -> list[float]:
-    # Panel seeds at the half-periods of the fastest phase (the third
-    # harmonic of the fast angle): (|theta0|^3/(8 eps^3)) (9 sinh + sinh 3 tau).
-    rate = abs(theta0) ** 3 / epsilon**3
-    n_max = int(rate * (9.0 * math.sinh(tau_star) + math.sinh(3.0 * tau_star)) / (8.0 * math.pi))
-    pts = [0.0]
-    if n_max >= 1:
-        n = np.arange(1, n_max + 1, dtype=float)
-        sigma = np.asarray(solve_cubic_phase(2.0 * math.pi * n / rate), dtype=float)
-        taus = np.arcsinh(sigma)
-        pts.extend(float(t) for t in taus if t < tau_star)
-    pts.append(tau_star)
-    pts = sorted(set(pts))
-    return [-p for p in reversed(pts) if p > 0.0] + pts
+    Each harmonic (k, a, b) adds w_y x^n (a cos ks + b sin ks) to y' and
+    w_theta x^(n-2) times minus its s-derivative to theta' (the epsilon
+    power left out), as in ``rhs_mcgehee_tau``.  The c1 term of order 4 is
+    odd along the separatrix and integrates to zero, so it is left out.
+    """
+    if order == 4:
+        _, c2, c3 = c_coeffs(config)
+        return 5, 0.75, 1.0 / (2.0 * SQRT2), ((2, c2, c3),)
+    if order == 6:
+        d1, d2, d3, d4 = d_coeffs(config)
+        return 7, 0.5, 1.0 / (4.0 * SQRT2), ((1, d1, d2), (3, d3, d4))
+    raise ValueError(f"flow-side splitting has orders 4 and 6, got {order!r}")
 
 
 def splitting_measure(
-    s0: float,
+    config: CentralConfiguration,
+    order: int,
     theta0: float,
     epsilon: float,
-    config: CentralConfiguration,
-    T: float = 15.0,
     tol: float = 1e-9,
-) -> float:
-    """Flow-side splitting: energy derivative integrated along the separatrix.
+) -> SplittingTerms:
+    """Flow-side splitting of one order: the energy derivative along the separatrix.
 
-    Integrates d(energy)/d tau under the perturbed slow-time field with
-    (x, y) frozen on the separatrix; it matches the closed-form order-4 plus
-    order-6 splitting functions.
+    Integrates d(energy)/d tau under the order-4 or order-6 part of the
+    slow-time field, with (x, y, s) frozen on the separatrix, harmonic by
+    harmonic in sigma = sinh tau.  Each harmonic takes two calls of the
+    contour engine at absolute tolerance ``tol``; the terms match
+    ``splitting_terms`` of the same order, built from the F closed forms.
     """
-    if theta0 == 0.0:
-        raise ValueError("splitting needs nonzero angular momentum")
-    if T < 15.0:
-        raise ValueError("need T >= 15 so the truncation error is negligible")
-
-    f = _splitting_integrand(s0, theta0, epsilon, config)
-    c1, c2, c3 = c_coeffs(config)
-    d_sum = sum(abs(v) for v in d_coeffs(config))
+    check_splitting_domain(theta0, epsilon)
+    n, w_y, w_theta, harmonics = _field_harmonics(config, order)
     amp = SQRT2 / abs(theta0)
-    scale = (
-        0.75 * epsilon**4 * (abs(c1) + abs(c2) + abs(c3)) * amp**6
-        + 0.5 * epsilon**6 * d_sum * amp**8
-        + abs(theta0) * amp**7 * epsilon**4 * (abs(c2) + abs(c3) + epsilon**2 * d_sum)
-    )
-    tau_star = 2.0
-    while tau_star < T and scale * math.exp(-6.0 * tau_star) > tol / 50.0:
-        tau_star += 0.5
-    breaks = _splitting_breakpoints(theta0, epsilon, min(tau_star, T))
-    value, _err, _n = adaptive_quadrature(f, breaks, tol)
-    return value
+    sign = 1.0 if theta0 > 0.0 else -1.0
+    rate = abs(theta0) ** 3 / (2.0 * epsilon**3)
+    power = (n + 3) // 2  # of (1 + sigma^2) under y x^n and x^(n+2), times d tau/d sigma
+    terms = []
+    for k, a, b in harmonics:
+        # the harmonic times d tau/d sigma is Re[W e^(iks0) e^(ikD(sigma + sigma^3/3))]
+        # over (1 + sigma^2)^(power + k), where W is the polynomial
+        # -(a - ib) A^(n+1) (w_y sigma + i k Theta0 w_theta A/2) (1 - i sg sigma)^(2k);
+        # re and im integrate the real and imaginary parts of W e^(ikD(...))
+        w = P.polymul([0.5j * k * theta0 * w_theta * amp, w_y], P.polypow([1.0, -1j * sign], 2 * k))
+        w *= -(a - 1j * b) * amp ** (n + 1)
+        re = eval_oscillatory(CubicPhaseIntegrand(w.real, -w.imag, power + k, k * rate), tol)
+        im = eval_oscillatory(CubicPhaseIntegrand(w.imag, w.real, power + k, k * rate), tol)
+        terms.append((k, re.value, -im.value, re.error_estimate + im.error_estimate))
+    return SplittingTerms(order, tuple(terms))

@@ -58,6 +58,14 @@ class SplittingTerms:
         return math.fsum(a * math.cos(k * s0) + b * math.sin(k * s0) for k, a, b, _ in self.terms)
 
 
+def check_splitting_domain(theta0: float, epsilon: float) -> None:
+    """Raise ValueError unless theta0 is finite and nonzero and 0 < epsilon <= 1."""
+    if theta0 == 0.0 or not math.isfinite(theta0):
+        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+
+
 def _order_rows(config: Optional[CentralConfiguration], order: int | str, theta0: float):
     """Epsilon order and rows (k, integrand builder, (a, b), prefactor) of one order."""
     key = str(order)
@@ -91,10 +99,7 @@ def splitting_terms(
     sign of ``theta0`` selects the branch.  A term's error is
     |prefactor| F-error (|a| + |b|) for its coefficient pair (a, b).
     """
-    if theta0 == 0.0 or not math.isfinite(theta0):
-        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    check_splitting_domain(theta0, epsilon)
     eps_order, rows = _order_rows(config, order, theta0)
     sign = 1.0 if theta0 > 0.0 else -1.0
     tt = theta0 / epsilon

@@ -45,12 +45,10 @@ from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 DEFAULT_BUDGET = 10**7
 
-_POINTS_PER_PANEL = 22  # 15 + 7
 _EPS = sys.float_info.epsilon
 _RAY = cmath.exp(1j * math.pi / 6)  # direction of the contour's right arm
 _STEP = 0.5  # trapezoid step in u = log t on the coarsest level
@@ -105,17 +103,6 @@ def _degree(coeffs: Sequence[float]) -> int:
         if c != 0.0:
             deg = i
     return deg
-
-
-def solve_cubic_phase(q):
-    """Real root of z^3 + 3 z = q (vectorized).
-
-    With s^3 = (|q| + sqrt(q^2 + 4))/2 the root is sign(q) (s - 1/s), written
-    as q / (s^2 + 1 + 1/s^2), which does not cancel.
-    """
-    q = np.asarray(q, dtype=float)
-    s = np.cbrt((np.abs(q) + np.sqrt(q * q + 4.0)) / 2.0)
-    return q / (s * s + 1.0 + 1.0 / (s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -524,64 +511,3 @@ def find_zeros(
     if fs[-1] == 0.0:
         roots.append(float(xs[-1]))
     return sorted(roots)
-
-
-# ---------------------------------------------------------------------------
-# generic scalar adaptive quadrature (used by the flow-side splitting measure)
-
-
-def adaptive_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: Sequence[float],
-    tol: float,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[float, float, int]:
-    """Adaptive G15/G7 integration of a vectorized scalar function.
-
-    ``breakpoints`` seed the initial panels; panels with a large embedded
-    error estimate are bisected until the total estimate fits ``tol``.
-    Panel batches are evaluated in single vectorized calls.
-    Returns (value, error_estimate, evaluations).
-    """
-    x15, w15 = leggauss(15)
-    x7, w7 = leggauss(7)
-
-    def batch(a: np.ndarray, b: np.ndarray):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        f15 = f((mid[:, None] + half[:, None] * x15[None, :]).ravel()).reshape(len(a), 15)
-        f7 = f((mid[:, None] + half[:, None] * x7[None, :]).ravel()).reshape(len(a), 7)
-        v15 = half * (f15 @ w15)
-        v7 = half * (f7 @ w7)
-        return v15, np.abs(v15 - v7)
-
-    a = np.asarray(breakpoints[:-1], dtype=float)
-    b = np.asarray(breakpoints[1:], dtype=float)
-    if (a >= b).any():
-        raise ValueError("breakpoints must be strictly increasing")
-    evals = _POINTS_PER_PANEL * len(a)
-    if evals > budget:
-        raise QuadratureBudgetError("adaptive quadrature budget exhausted")
-    vals, errs = batch(a, b)
-    for _ in range(60):
-        total_err = float(errs.sum())
-        if total_err <= tol:
-            break
-        share = tol / max(1, len(a))
-        mask = errs > share
-        if not mask.any():
-            break
-        if evals + 2 * _POINTS_PER_PANEL * int(mask.sum()) > budget:
-            raise QuadratureBudgetError("adaptive quadrature budget exhausted")
-        mid = 0.5 * (a[mask] + b[mask])
-        new_a = np.concatenate([a[~mask], a[mask], mid])
-        new_b = np.concatenate([b[~mask], mid, b[mask]])
-        keep_vals, keep_errs = vals[~mask], errs[~mask]
-        split_vals, split_errs = batch(np.concatenate([a[mask], mid]), np.concatenate([mid, b[mask]]))
-        evals += _POINTS_PER_PANEL * 2 * int(mask.sum())
-        a, b = new_a, new_b
-        vals = np.concatenate([keep_vals, split_vals])
-        errs = np.concatenate([keep_errs, split_errs])
-    order = np.argsort(a, kind="stable")
-    value = math.fsum(vals[order])
-    err = float(errs.sum())
-    return value, err, evals

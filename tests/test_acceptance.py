@@ -300,21 +300,22 @@ def test_criterion_8_dynamics_property_suite():
             math.sqrt(2) * math.pi * e3 * x0**4 * (1 - pmap.jacobi_C**2 * x0**2)
         ) == pytest.approx(1.0, abs=0.05)
 
-        # flow-side splitting against the closed forms on an 8-point grid
+        # flow-side splitting against the closed forms, term by term within
+        # the sum of both error bounds, on both branches
         eps = 0.5
-        m4 = splitting_terms(cfg, 4, theta0, eps, tol=1e-12)
-        m6 = splitting_terms(cfg, 6, theta0, eps, tol=1e-12)
-        for i in range(8):
-            s0 = 2 * math.pi * (i + 0.5) / 8
-            flow = splitting_measure(s0, theta0, eps, cfg, tol=1e-7)
-            closed = eps**4 * m4.value(s0) + eps**6 * m6.value(s0)
-            assert flow == pytest.approx(closed, rel=1e-4)
+        for th in (theta0, -theta0):
+            for order in (4, 6):
+                flow = splitting_measure(cfg, order, th, eps, tol=1e-12)
+                closed = splitting_terms(cfg, order, th, eps, tol=1e-12)
+                assert [k for k, *_ in flow.terms] == [k for k, *_ in closed.terms]
+                for (_, a, b, err), (_, a_c, b_c, err_c) in zip(flow.terms, closed.terms):
+                    assert abs(a - a_c) <= err + err_c and abs(b - b_c) <= err + err_c
 
         # zero locations bracket the witness predictions within 1e-3
+        m4, m6 = (splitting_measure(cfg, order, theta0, eps, tol=1e-8) for order in (4, 6))
         d1, d2 = d_coeffs(cfg)[:2]
         for z in simple_zeros(d2, -d1, 1):
-            lo = splitting_measure(z - 1e-3, theta0, eps, cfg, tol=1e-8)
-            hi = splitting_measure(z + 1e-3, theta0, eps, cfg, tol=1e-8)
+            lo, hi = (eps**4 * m4.value(s) + eps**6 * m6.value(s) for s in (z - 1e-3, z + 1e-3))
             assert lo * hi < 0.0
     assert t.elapsed < 120.0
     _report(8, f"flow properties, return map, and splitting agreement in {t.elapsed:.2f}s")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import melsplit
-from melsplit import cli, melnikov
+from melsplit import dynamics, melnikov
 from melsplit.cli import main
 
 
@@ -26,14 +26,24 @@ def rp3bp_file(tmp_path, capsys):
     return str(path)
 
 
-@pytest.fixture()
-def quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature the splitting functions run."""
+def _record_engine_calls(monkeypatch, module):
     calls = []
-    engine = melnikov.eval_oscillatory
-    monkeypatch.setattr(melnikov, "eval_oscillatory",
+    engine = module.eval_oscillatory
+    monkeypatch.setattr(module, "eval_oscillatory",
                         lambda *a, **k: calls.append(a) or engine(*a, **k))
     return calls
+
+
+@pytest.fixture()
+def quadrature_calls(monkeypatch):
+    """Arguments of every oscillatory quadrature the closed-form splitting runs."""
+    return _record_engine_calls(monkeypatch, melnikov)
+
+
+@pytest.fixture()
+def flow_quadrature_calls(monkeypatch):
+    """Arguments of every oscillatory quadrature the flow-side splitting runs."""
+    return _record_engine_calls(monkeypatch, dynamics)
 
 
 class TestConfigCommands:
@@ -220,24 +230,58 @@ class TestDynamicsCommands:
             "--config", rp3bp_file,
             "--eps", "0.5",
             "--theta0", "1.0",
-            "--points", "2",
+            "--points", "4",
             "--tol", "1e-7",
             "--compare",
         )
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "s0,splitting,closed_form"
-        row = lines[2].split(",")
-        assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-4, abs=1e-12)
+        cfg = melsplit.load_configuration(rp3bp_file)
+        flow = [melsplit.splitting_measure(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
+        closed = [melsplit.splitting_terms(cfg, order, 1.0, 0.5) for order in (4, 6)]
+        bound = sum(0.5**m.epsilon_order * err for m in (*flow, *closed) for *_, err in m.terms)
+        for line in lines[1:]:
+            s0, value, closed_value = map(float, line.split(","))
+            assert value == 0.5**4 * flow[0].value(s0) + 0.5**6 * flow[1].value(s0)
+            assert abs(value - closed_value) <= bound + 1e-15 * abs(closed_value)
 
-    def test_splitting_compare_evaluates_each_f_once(
-        self, capsys, monkeypatch, quadrature_calls, rp3bp_file
-    ):
-        monkeypatch.setattr(cli, "splitting_measure", lambda *a, **k: 0.0)
+    def test_splitting_compare_evaluates_each_f_once(self, capsys, quadrature_calls, rp3bp_file):
         code, out, _ = run(capsys, "splitting", "--config", rp3bp_file, "--eps", "0.5",
                            "--theta0", "1.0", "--points", "4", "--compare")
         assert code == 0 and len(out.splitlines()) == 5
         assert len(quadrature_calls) == 3  # F4, F61 and F62
+
+    def test_splitting_engine_calls_do_not_grow_with_points(
+        self, capsys, flow_quadrature_calls, rp3bp_file
+    ):
+        for points in ("1", "16"):
+            flow_quadrature_calls.clear()
+            code, out, _ = run(capsys, "splitting", "--config", rp3bp_file, "--eps", "0.5",
+                               "--theta0", "1.0", "--points", points)
+            assert code == 0 and len(out.splitlines()) == int(points) + 1
+            assert len(flow_quadrature_calls) == 6  # two per harmonic: k = 2; k = 1 and 3
+
+    def test_splitting_domain(self, capsys, rp3bp_file):
+        for theta0, eps, message in (("1.0", "0", "error: epsilon"),
+                                     ("1.0", "-0.5", "error: epsilon"),
+                                     ("1.0", "2", "error: epsilon"),
+                                     ("nan", "0.5", "error: need finite nonzero"),
+                                     ("0", "0.5", "error: need finite nonzero")):
+            code, out, err = run(capsys, "splitting", "--config", rp3bp_file,
+                                 "--eps", eps, "--theta0", theta0, "--points", "2")
+            assert code == 1 and out == ""
+            assert err.startswith(message)
+
+    def test_splitting_zero_epsilon_no_traceback(self, rp3bp_file):
+        env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "melsplit.cli", "splitting", "--config", rp3bp_file,
+             "--eps", "0", "--theta0", "1.0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestCatalogCommand:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from melsplit import (
     FlowParams,
     McGeheeState,
     PoincareReturnError,
+    build_equilateral,
     build_polygon,
     build_rp3bp,
+    c_coeffs,
     duffing_rhs,
     hd_value,
     homoclinic,
@@ -25,6 +28,8 @@ from melsplit import (
     splitting_terms,
     theta_from_jacobi,
 )
+from melsplit import dynamics
+from melsplit.config import rotate
 from melsplit.dynamics import (
     SQRT2,
     integrate_mcgehee,
@@ -292,39 +297,101 @@ class TestPoincare:
             poincare_numeric(0.5, 0.0, 0.0, self.params(rp3bp_03))
 
 
-def closed_form(cfg, theta0, eps, tol=1e-12):
-    """Order-4 plus order-6 splitting function as a function of s0."""
-    m4 = splitting_terms(cfg, 4, theta0, eps, tol)
-    m6 = splitting_terms(cfg, 6, theta0, eps, tol)
+def measure(cfg, theta0, eps, tol=1e-12):
+    """Flow-side order-4 plus order-6 splitting as a function of s0."""
+    m4 = splitting_measure(cfg, 4, theta0, eps, tol)
+    m6 = splitting_measure(cfg, 6, theta0, eps, tol)
     return lambda s0: eps**4 * m4.value(s0) + eps**6 * m6.value(s0)
 
 
+def assert_terms_agree(flow, closed):
+    """Same harmonics, and amplitudes equal within the sum of both errors."""
+    assert flow.epsilon_order == closed.epsilon_order
+    assert [t[0] for t in flow.terms] == [t[0] for t in closed.terms]
+    for (_, a, b, err), (_, a_c, b_c, err_c) in zip(flow.terms, closed.terms):
+        assert abs(a - a_c) <= err + err_c
+        assert abs(b - b_c) <= err + err_c
+
+
+@pytest.fixture(scope="module")
+def rotated_equilateral():
+    return rotate(build_equilateral(0.2, 0.3), 0.7)
+
+
+def integrand_values(integrand, sigma):
+    """Pointwise value of a cubic-phase integrand, odd parts included."""
+    phase = integrand.phase_scale * (sigma + sigma**3 / 3.0)
+    num = (P.polyval(sigma, integrand.cos_numerator) * np.cos(phase)
+           + P.polyval(sigma, integrand.sin_numerator) * np.sin(phase))
+    return num / (1.0 + sigma * sigma) ** integrand.denominator_power
+
+
 class TestSplittingMeasure:
-    def test_matches_closed_forms_on_grid(self, rp3bp_03):
-        theta0, eps = 1.0, 0.5
-        closed = closed_form(rp3bp_03, theta0, eps)
-        for i in range(8):
-            s0 = 2 * math.pi * (i + 0.5) / 8
-            flow = splitting_measure(s0, theta0, eps, rp3bp_03, tol=1e-8)
-            assert flow == pytest.approx(closed(s0), rel=1e-4)
+    def test_matches_closed_forms_on_grid(self, rp3bp_03, rotated_equilateral):
+        for cfg in (rp3bp_03, rotated_equilateral):
+            for theta0 in (1.0, -1.0):
+                for order in (4, 6):
+                    flow = splitting_measure(cfg, order, theta0, 0.5, tol=1e-12)
+                    closed = splitting_terms(cfg, order, theta0, 0.5, tol=1e-12)
+                    assert_terms_agree(flow, closed)
 
     def test_negative_branch(self, rp3bp_03):
-        theta0, eps, s0 = -1.0, 0.5, 0.9
-        flow = splitting_measure(s0, theta0, eps, rp3bp_03, tol=1e-9)
-        assert flow == pytest.approx(closed_form(rp3bp_03, theta0, eps)(s0), rel=1e-6)
+        # default tolerances on both sides, on the branch where the amplitudes are small
+        for order in (4, 6):
+            flow = splitting_measure(rp3bp_03, order, -1.0, 0.8)
+            assert_terms_agree(flow, splitting_terms(rp3bp_03, order, -1.0, 0.8))
 
     def test_zeros_bracketed(self, rp3bp_03):
         d1, d2, _, _ = (0.252, 0.0, 0.0, 0.0)
         predicted = simple_zeros(d2, -d1, 1)
+        flow = measure(rp3bp_03, 1.0, 0.5, tol=1e-9)
         for z in predicted:
-            lo = splitting_measure(z - 1e-3, 1.0, 0.5, rp3bp_03, tol=1e-9)
-            hi = splitting_measure(z + 1e-3, 1.0, 0.5, rp3bp_03, tol=1e-9)
-            assert lo * hi < 0.0
+            assert flow(z - 1e-3) * flow(z + 1e-3) < 0.0
 
     def test_selection_rule_suppression(self):
         pentagon = build_polygon(6)
-        assert abs(splitting_measure(0.7, 1.0, 0.5, pentagon, tol=1e-9)) <= 1e-12
+        assert abs(measure(pentagon, 1.0, 0.5, tol=1e-9)(0.7)) <= 1e-12
 
-    def test_t_domain(self, rp3bp_03):
+    def test_domain(self, rp3bp_03):
+        for theta0, eps in ((0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                            (1.0, 0.0), (1.0, -0.5), (1.0, 1.5), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                splitting_measure(rp3bp_03, 4, theta0, eps)
         with pytest.raises(ValueError):
-            splitting_measure(0.1, 1.0, 0.5, rp3bp_03, T=5.0)
+            splitting_measure(rp3bp_03, 5, 1.0, 0.5)
+
+    @pytest.mark.parametrize("theta0", [1.0, -1.0])
+    def test_integrands_are_the_energy_derivative(
+        self, monkeypatch, rp3bp_03, rotated_equilateral, theta0
+    ):
+        # the harmonics the engine integrates, recombined at a few s0, equal
+        # dH_D/dtau dtau/dsigma from the slow-time field on the separatrix
+        integrands = []
+        engine = dynamics.eval_oscillatory
+        monkeypatch.setattr(dynamics, "eval_oscillatory",
+                            lambda f, tol: integrands.append(f) or engine(f, tol))
+        eps = 0.5
+        sigmas = np.linspace(-2.5, 2.5, 21)
+        for cfg in (rp3bp_03, rotated_equilateral):
+            params = FlowParams(epsilon=eps, config=cfg, truncation_order=9)
+            c1 = c_coeffs(cfg)[0]
+            harmonics = []  # (epsilon power, k, X integrand, Y integrand)
+            for order in (4, 6):
+                integrands.clear()
+                terms = splitting_measure(cfg, order, theta0, eps).terms
+                assert len(integrands) == 2 * len(terms)
+                harmonics += [(eps**order, k, integrands[2 * i], integrands[2 * i + 1])
+                              for i, (k, *_) in enumerate(terms)]
+            for s0 in (0.0, 0.9, 4.1):
+                got = sum(w * (integrand_values(fx, sigmas) * math.cos(k * s0)
+                               - integrand_values(fy, sigmas) * math.sin(k * s0))
+                          for w, k, fx, fy in harmonics)
+                for sigma, value in zip(sigmas, got):
+                    tau = math.asinh(sigma)
+                    x, y = homoclinic(tau, theta0)
+                    s = s_closed_form(tau, s0, theta0, eps)
+                    _, dy, _, dtheta = rhs_mcgehee_tau((x, y, s, theta0), params)
+                    dh = y * (dy - (1.0 - theta0**2 * x * x) * x) + 0.5 * theta0 * x**4 * dtheta
+                    dh -= 0.75 * eps**4 * c1 * x**5 * y  # odd in sigma, left out of the harmonics
+                    assert value == pytest.approx(dh / math.sqrt(1.0 + sigma * sigma),
+                                                  rel=1e-10, abs=1e-14)

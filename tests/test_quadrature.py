@@ -21,7 +21,6 @@ from melsplit import (
     polygon_prefactor,
 )
 from melsplit.quadrature import (
-    adaptive_quadrature,
     f4_integrand,
     f61_integrand,
     f62_integrand,
@@ -262,19 +261,3 @@ class TestPolygonGeneration:
 def test_symmetry_zero_at_zero_phase_is_exact(builder):
     res = eval_oscillatory(builder(0.0), 1e-10)
     assert res.value == 0.0 and res.error_estimate == 0.0
-
-
-class TestAdaptiveQuadrature:
-    def test_polynomial_exact(self):
-        val, err, _ = adaptive_quadrature(lambda x: x**3 - 2 * x + 1.0, [0.0, 0.5, 2.0], 1e-12)
-        assert val == pytest.approx(2.0, abs=1e-12)
-
-    def test_oscillatory_scalar(self):
-        val, err, _ = adaptive_quadrature(
-            lambda x: np.sin(40.0 * x), [0.0, 1.0], 1e-12
-        )
-        assert val == pytest.approx((1 - math.cos(40.0)) / 40.0, abs=1e-11)
-
-    def test_budget(self):
-        with pytest.raises(QuadratureBudgetError):
-            adaptive_quadrature(lambda x: np.sin(5e4 * x) / (1e-4 + x * x), [0.0, 1.0], 1e-13, budget=2000)
