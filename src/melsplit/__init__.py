@@ -27,11 +27,8 @@ from .config import (
     solve_collinear_equidistant,
 )
 from .harmonics import (
-    CoefficientSet,
     HarmonicTable,
-    LegendreCosExpansion,
     c_coeffs,
-    coefficient_set,
     d_coeffs,
     d_l,
     harmonic_table,
@@ -41,10 +38,6 @@ from .quadrature import (
     CubicPhaseIntegrand,
     QuadratureBudgetError,
     QuadratureResult,
-    eval_F4,
-    eval_F61,
-    eval_F62,
-    eval_Fpoly,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
@@ -84,7 +77,6 @@ from .asymptotics import (
     FourierEstimate,
     fourier_estimate,
     ik_asymptotic,
-    jk_from_ik,
     m4_leading,
     m6_leading,
     sanders_lipschitz,

@@ -26,7 +26,7 @@ from typing import Optional
 from .config import CentralConfiguration
 from .dynamics import SQRT2
 from .harmonics import c_coeffs, d_coeffs
-from .quadrature import _double_factorial, eval_Ik
+from .quadrature import _double_factorial
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -44,18 +44,6 @@ def ik_asymptotic(k: int, delta: float) -> float:
         n = k // 2
         lead = SQRT_PI * delta ** (n - 0.5) / (2 ** (n + 1) * _double_factorial(2 * n - 1))
     return math.exp(-2.0 * delta / 3.0) * lead
-
-
-def jk_from_ik(k: int, delta: float, tol: float = 1e-10) -> float:
-    """J_(k+2)(delta) through the exact identity delta/(2(k+1)) I_k(delta).
-
-    I_k is even in delta, so the prefactor alone carries the odd symmetry.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if delta == 0.0:
-        return 0.0
-    return delta / (2.0 * (k + 1)) * eval_Ik(k, abs(delta), tol)
 
 
 def m4_leading(

@@ -84,8 +84,15 @@ def _write_csv(out, header: Sequence[str], rows) -> None:
         out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _load_config_arg(path: str) -> cfg.CentralConfiguration:
-    return cfg.load_configuration(path)
+def _count(text: str) -> int:
+    """A number of sample points: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1, got {text!r}")
+    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +133,7 @@ def _build_parser() -> _Parser:
     pp = sub.add_parser("fplot", help="sample an oscillatory F-function to CSV")
     pp.add_argument("function", help="F4 | F61 | F62 | poly:N")
     pp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0), metavar=("LO", "HI"))
-    pp.add_argument("--points", type=int, default=101)
+    pp.add_argument("--points", type=_count, default=101)
     pp.add_argument("--tol", type=float, default=1e-10)
 
     pm = sub.add_parser("melnikov", help="sample a splitting function over s0 to CSV")
@@ -134,7 +141,7 @@ def _build_parser() -> _Parser:
     pm.add_argument("--theta0", type=float, required=True)
     pm.add_argument("--eps", type=float, required=True)
     pm.add_argument("--config", default=None)
-    pm.add_argument("--points", type=int, default=64)
+    pm.add_argument("--points", type=_count, default=64)
     pm.add_argument("--tol", type=float, default=1e-10)
 
     pcl = sub.add_parser("classify", help="run the transversality decision tree")
@@ -149,13 +156,13 @@ def _build_parser() -> _Parser:
     pi.add_argument("--tspan", nargs=2, type=float, required=True, metavar=("T0", "T1"))
     pi.add_argument("--truncation", type=int, default=9, choices=[3, 7, 9])
     pi.add_argument("--tol", type=float, default=1e-10)
-    pi.add_argument("--samples", type=int, default=200)
+    pi.add_argument("--samples", type=_count, default=200)
 
     ps = sub.add_parser("splitting", help="flow-side splitting over an s0 grid to CSV")
     ps.add_argument("--config", required=True)
     ps.add_argument("--eps", type=float, required=True)
     ps.add_argument("--theta0", type=float, required=True)
-    ps.add_argument("--points", type=int, default=16)
+    ps.add_argument("--points", type=_count, default=16)
     ps.add_argument("--tol", type=float, default=1e-9)
     ps.add_argument("--compare", action="store_true",
                     help="add the closed-form order-4 plus order-6 value")
@@ -167,7 +174,7 @@ def _build_parser() -> _Parser:
     pa.add_argument("--config", default=None)
     pa.add_argument("--theta0", type=float, default=1.0)
     pa.add_argument("--eps", type=float, default=0.3)
-    pa.add_argument("--points", type=int, default=16)
+    pa.add_argument("--points", type=_count, default=16)
     pa.add_argument("--tol", type=float, default=1e-11)
 
     pcat = sub.add_parser("catalog", help="golden-value report; exit 3 on any miss")
@@ -183,7 +190,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_config(args, out) -> int:
     if args.config_command == "validate":
-        c = _load_config_arg(args.path)
+        c = cfg.load_configuration(args.path)
         report = cfg.cc_residual(c, fit_lambda=True)
         _emit_json(
             {
@@ -215,7 +222,7 @@ def _cmd_config(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
-    c = _load_config_arg(args.path)
+    c = cfg.load_configuration(args.path)
     c1, c2, c3 = c_coeffs(c)
     d1, d2, d3, d4 = d_coeffs(c)
     tables = {}
@@ -258,7 +265,7 @@ def _cmd_fplot(args, out) -> int:
 
 
 def _cmd_melnikov(args, out) -> int:
-    c = _load_config_arg(args.config) if args.config is not None else None
+    c = cfg.load_configuration(args.config) if args.config is not None else None
     terms = splitting_terms(c, args.order, args.theta0, args.eps, tol=args.tol)
     s0s = (2.0 * math.pi * i / args.points for i in range(args.points))
     _write_csv(out, ["s0", "value"], ((s0, terms.value(s0)) for s0 in s0s))
@@ -266,14 +273,14 @@ def _cmd_melnikov(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    c = _load_config_arg(args.path)
+    c = cfg.load_configuration(args.path)
     verdict = classify(c, l_max=args.lmax, j_max=args.jmax)
     _emit_json(verdict_to_dict(verdict), out)
     return EXIT_OK
 
 
 def _cmd_integrate(args, out) -> int:
-    c = _load_config_arg(args.config)
+    c = cfg.load_configuration(args.config)
     params = FlowParams(epsilon=args.eps, config=c, truncation_order=args.truncation)
     x, y, s, theta = args.state
     state0 = McGeheeState(x=x, y=y, s=s, theta=theta)
@@ -288,7 +295,7 @@ def _cmd_integrate(args, out) -> int:
 
 
 def _cmd_splitting(args, out) -> int:
-    c = _load_config_arg(args.config)
+    c = cfg.load_configuration(args.config)
     header = ["s0", "splitting"]
     sides = [[splitting_measure(c, order, args.theta0, args.eps, tol=args.tol) for order in (4, 6)]]
     if args.compare:
@@ -324,7 +331,7 @@ def _cmd_asymp(args, out) -> int:
         return EXIT_OK
     if args.config is None:
         raise cfg.ConfigError("the leading table needs --config")
-    c = _load_config_arg(args.config)
+    c = cfg.load_configuration(args.config)
     rows = []
     for i in range(args.points):
         s0 = 2.0 * math.pi * i / args.points

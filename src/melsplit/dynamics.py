@@ -16,6 +16,14 @@ and measures the manifold splitting by integrating the energy derivative
 along the separatrix under the perturbed field (the flow-side counterpart
 of the closed-form splitting functions).
 
+The perturbation is written once, as one table with a row per epsilon
+order: the quadrupole harmonics (c1, c2, c3) at eps^7 and the octupole
+harmonics (d1..d4) at eps^9 of the time-form field, each row with its radial
+power and weights.  The time-form field, the truncated Hamiltonian and the
+splitting integrands are all built from that table.  ``rhs_mcgehee_tau``
+writes the slow-time field out by hand instead; it is the independent
+reference the tests check the table against.
+
 For the splitting, sigma = sinh tau turns the separatrix rational,
 
     x = A (1 + sigma^2)^(-1/2),   y = -A sigma / (1 + sigma^2),   A = sqrt(2)/|Theta0|,
@@ -138,70 +146,74 @@ def s_closed_form(tau: float, s0: float, theta0: float, epsilon: float):
 # vector fields
 
 
-def _convergence_guard(x: float, params: FlowParams) -> None:
+def _series_reach(params: FlowParams) -> float:
+    """eps^2 times the largest body radius; the series converges while this times x^2 < 1."""
     pos = params.config.positions()
-    max_r = float(np.max(np.hypot(pos[:, 0], pos[:, 1])))
-    if x > 0.0 and params.epsilon**2 * max_r * x * x >= 1.0:
+    return params.epsilon**2 * float(np.max(np.hypot(pos[:, 0], pos[:, 1])))
+
+
+def _convergence_guard(x: float, reach: float) -> None:
+    if x > 0.0 and reach * x * x >= 1.0:
         raise ConvergenceRegionError(
             f"x = {x!r} lies outside the series convergence region"
         )
 
 
-def rhs_mcgehee_t(state: McGeheeState, params: FlowParams) -> tuple[float, float, float, float]:
-    """Time derivative of (x, y, s, theta) at the given truncation order."""
-    _convergence_guard(state.x, params)
-    d = _rhs_array(
-        np.array([state.x, state.y, state.s, state.theta]),
-        params.epsilon,
-        params.truncation_order,
-        *_field_coefficients(params),
-    )
-    return float(d[0]), float(d[1]), float(d[2]), float(d[3])
+def _field_harmonics(config: CentralConfiguration, truncation: int):
+    """The perturbation kept at a truncation order, one row per epsilon order.
+
+    A row (order, n, w_y, w_theta, harmonics) adds, for each harmonic
+    (k, a, b), w_y eps^order x^n (a cos ks + b sin ks) to the slow-time y'
+    and w_theta eps^order x^(n-2) times minus its s-derivative,
+    k (a sin ks - b cos ks), to theta', as in ``rhs_mcgehee_tau``.  The
+    time-form field, the truncated energy and the splitting integrands are
+    all built from these rows; k = 0 carries c1.
+    """
+    rows = []
+    if truncation >= 7:
+        c1, c2, c3 = c_coeffs(config)
+        rows.append((4, 5, 0.75, 1.0 / (2.0 * SQRT2), ((0, c1, 0.0), (2, c2, c3))))
+    if truncation >= 9:
+        d1, d2, d3, d4 = d_coeffs(config)
+        rows.append((6, 7, 0.5, 1.0 / (4.0 * SQRT2), ((1, d1, d2), (3, d3, d4))))
+    return tuple(rows)
 
 
-def _field_coefficients(params: FlowParams):
-    if params.truncation_order >= 7:
-        c1, c2, c3 = c_coeffs(params.config)
-    else:
-        c1 = c2 = c3 = 0.0
-    if params.truncation_order >= 9:
-        d1, d2, d3, d4 = d_coeffs(params.config)
-    else:
-        d1 = d2 = d3 = d4 = 0.0
-    return (c1, c2, c3), (d1, d2, d3, d4)
+def _harmonic_sums(harmonics, s: float) -> tuple[float, float]:
+    """sum (a cos ks + b sin ks) and minus its s-derivative, sum k (a sin ks - b cos ks)."""
+    g = gp = 0.0
+    for k, a, b in harmonics:
+        cos_ks, sin_ks = math.cos(k * s), math.sin(k * s)
+        g += a * cos_ks + b * sin_ks
+        gp += k * (a * sin_ks - b * cos_ks)
+    return g, gp
 
 
-def _rhs_array(y_vec, epsilon, order, c, d):
+def _rhs_array(y_vec, epsilon: float, rows):
     x, y, s, theta = y_vec
     e3 = epsilon**3
     dx = e3 * x**3 * y / SQRT2
     dy = e3 * (1.0 - theta**2 * x * x) * x**4 / SQRT2
     ds = 1.0 - e3 * theta * x**4
     dtheta = 0.0
-    if order >= 7:
-        c1, c2, c3 = c
-        e7 = epsilon**7
-        g = c1 + c2 * math.cos(2 * s) + c3 * math.sin(2 * s)
-        dy += 0.75 * e7 * g * x**8 / SQRT2
-        dtheta += -0.5 * e7 * (c3 * math.cos(2 * s) - c2 * math.sin(2 * s)) * x**6
-    if order >= 9:
-        d1, d2, d3, d4 = d
-        e9 = epsilon**9
-        h = (
-            d1 * math.cos(s)
-            + d2 * math.sin(s)
-            + d3 * math.cos(3 * s)
-            + d4 * math.sin(3 * s)
-        )
-        hp = (
-            d1 * math.sin(s)
-            - d2 * math.cos(s)
-            + 3 * d3 * math.sin(3 * s)
-            - 3 * d4 * math.cos(3 * s)
-        )
-        dy += 0.5 * e9 * h * x**10 / SQRT2
-        dtheta += 0.125 * e9 * hp * x**8
+    for order, n, w_y, w_theta, harmonics in rows:
+        # the slow-time terms times d tau/dt = eps^3 x^3 / sqrt(2)
+        scale = epsilon ** (order + 3) / SQRT2
+        g, gp = _harmonic_sums(harmonics, s)
+        dy += scale * w_y * g * x ** (n + 3)
+        dtheta += scale * w_theta * gp * x ** (n + 1)
     return np.array([dx, dy, ds, dtheta])
+
+
+def rhs_mcgehee_t(state: McGeheeState, params: FlowParams) -> tuple[float, float, float, float]:
+    """Time derivative of (x, y, s, theta) at the given truncation order."""
+    _convergence_guard(state.x, _series_reach(params))
+    d = _rhs_array(
+        (state.x, state.y, state.s, state.theta),
+        params.epsilon,
+        _field_harmonics(params.config, params.truncation_order),
+    )
+    return float(d[0]), float(d[1]), float(d[2]), float(d[3])
 
 
 def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
@@ -209,17 +221,9 @@ def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
     x, y, s, theta = state.x, state.y, state.s, state.theta
     e = params.epsilon
     h = e**3 * (y * y + 0.5 * theta**2 * x**4 - x * x)
-    if params.truncation_order >= 7:
-        c1, c2, c3 = c_coeffs(params.config)
-        h -= 0.25 * e**7 * x**6 * (c1 + c2 * math.cos(2 * s) + c3 * math.sin(2 * s))
-    if params.truncation_order >= 9:
-        d1, d2, d3, d4 = d_coeffs(params.config)
-        h -= 0.125 * e**9 * x**8 * (
-            d1 * math.cos(s)
-            + d2 * math.sin(s)
-            + d3 * math.cos(3 * s)
-            + d4 * math.sin(3 * s)
-        )
+    for order, n, w_y, _, harmonics in _field_harmonics(params.config, params.truncation_order):
+        g, _ = _harmonic_sums(harmonics, s)
+        h -= e ** (order + 3) * (2.0 * w_y / (n + 1)) * x ** (n + 1) * g
     return h
 
 
@@ -251,13 +255,15 @@ def rhs_mcgehee_tau(state_vec: Sequence[float], params: FlowParams):
 
     Nothing in the package integrates this field.  It is the reference the
     tests check the time-form field and the integrands of
-    ``splitting_measure`` against.
+    ``splitting_measure`` against, so it is written out term by term rather
+    than built from ``_field_harmonics``.
     """
     x, y, s, theta = state_vec
     if x <= 0.0:
         raise ConvergenceRegionError("slow-time field needs x > 0")
-    _convergence_guard(x, params)
-    (c1, c2, c3), (d1, d2, d3, d4) = _field_coefficients(params)
+    _convergence_guard(x, _series_reach(params))
+    c1, c2, c3 = c_coeffs(params.config)
+    d1, d2, d3, d4 = d_coeffs(params.config)
     e = params.epsilon
     dx = y
     dy = (1.0 - theta**2 * x * x) * x
@@ -329,11 +335,12 @@ def integrate_mcgehee(
     tol: float = 1e-10,
 ) -> Trajectory:
     """Integrate the truncated time-form field from a regularized state."""
-    coeffs = _field_coefficients(params)
+    rows = _field_harmonics(params.config, params.truncation_order)
+    reach = _series_reach(params)
 
     def rhs(_t, yv):
-        _convergence_guard(yv[0], params)
-        return _rhs_array(yv, params.epsilon, params.truncation_order, *coeffs)
+        _convergence_guard(yv[0], reach)
+        return _rhs_array(yv, params.epsilon, rows)
 
     return integrate(rhs, (state0.x, state0.y, state0.s, state0.theta), t_span, tol)
 
@@ -356,16 +363,13 @@ def poincare_numeric(
     if x0 > 0.1:
         raise ValueError("the return map is meant for small x (x0 <= 0.1)")
     c_val = params.jacobi_C
-    coeffs = _field_coefficients(params)
+    rows = _field_harmonics(params.config, params.truncation_order)
     target = s0 + 2.0 * math.pi
 
     def rhs(_t, yv):
         x, y, s = yv
         theta = theta_from_jacobi(x, y, c_val, params.epsilon)
-        d = _rhs_array(
-            np.array([x, y, s, theta]), params.epsilon, params.truncation_order, *coeffs
-        )
-        return d[:3]
+        return _rhs_array((x, y, s, theta), params.epsilon, rows)[:3]
 
     def crossing(_t, yv):
         return yv[2] - target
@@ -397,23 +401,6 @@ def poincare_numeric(
 # splitting along the separatrix
 
 
-def _field_harmonics(config: CentralConfiguration, order: int):
-    """Perturbation of one order along the separatrix: (n, w_y, w_theta, harmonics).
-
-    Each harmonic (k, a, b) adds w_y x^n (a cos ks + b sin ks) to y' and
-    w_theta x^(n-2) times minus its s-derivative to theta' (the epsilon
-    power left out), as in ``rhs_mcgehee_tau``.  The c1 term of order 4 is
-    odd along the separatrix and integrates to zero, so it is left out.
-    """
-    if order == 4:
-        _, c2, c3 = c_coeffs(config)
-        return 5, 0.75, 1.0 / (2.0 * SQRT2), ((2, c2, c3),)
-    if order == 6:
-        d1, d2, d3, d4 = d_coeffs(config)
-        return 7, 0.5, 1.0 / (4.0 * SQRT2), ((1, d1, d2), (3, d3, d4))
-    raise ValueError(f"flow-side splitting has orders 4 and 6, got {order!r}")
-
-
 def splitting_measure(
     config: CentralConfiguration,
     order: int,
@@ -430,13 +417,18 @@ def splitting_measure(
     ``splitting_terms`` of the same order, built from the F closed forms.
     """
     check_splitting_domain(theta0, epsilon)
-    n, w_y, w_theta, harmonics = _field_harmonics(config, order)
+    if order not in (4, 6):
+        raise ValueError(f"flow-side splitting has orders 4 and 6, got {order!r}")
+    # the field truncated at order + 3 ends with this order's row
+    _, n, w_y, w_theta, harmonics = _field_harmonics(config, order + 3)[-1]
     amp = SQRT2 / abs(theta0)
     sign = 1.0 if theta0 > 0.0 else -1.0
     rate = abs(theta0) ** 3 / (2.0 * epsilon**3)
     power = (n + 3) // 2  # of (1 + sigma^2) under y x^n and x^(n+2), times d tau/d sigma
     terms = []
     for k, a, b in harmonics:
+        if k == 0:
+            continue  # the c1 term is odd along the separatrix and integrates to zero
         # the harmonic times d tau/d sigma is Re[W e^(iks0) e^(ikD(sigma + sigma^3/3))]
         # over (1 + sigma^2)^(power + k), where W is the polynomial
         # -(a - ib) A^(n+1) (w_y sigma + i k Theta0 w_theta A/2) (1 - i sg sigma)^(2k);

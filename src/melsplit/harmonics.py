@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping
 
 import numpy as np
 
@@ -46,14 +45,6 @@ def _legendre_power_coeffs(j: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LegendreCosExpansion:
-    """P_j(cos g) = sum over m of coefficients[m] * cos(m g), m = j mod 2."""
-
-    j: int
-    coefficients: Mapping[int, float]
-
-
 @lru_cache(maxsize=None)
 def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
     acc: dict[int, Fraction] = {}
@@ -69,12 +60,11 @@ def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted((m, v) for m, v in acc.items() if v != 0))
 
 
-def legendre_cos_coeffs(j: int) -> LegendreCosExpansion:
-    """Exact cosine-basis coefficients of the degree-j Legendre polynomial."""
+def legendre_cos_coeffs(j: int) -> dict[int, float]:
+    """Cosine-basis coefficients {m: p_jm}: P_j(cos g) = sum p_jm cos(m g), m = j mod 2."""
     if not (0 <= j <= MAX_LEGENDRE_ORDER):
         raise ValueError(f"order must lie in [0, {MAX_LEGENDRE_ORDER}], got {j}")
-    coeffs = {m: float(v) for m, v in _cos_basis_fractions(j)}
-    return LegendreCosExpansion(j=j, coefficients=coeffs)
+    return {m: float(v) for m, v in _cos_basis_fractions(j)}
 
 
 def legendre_pair(j: int, w: float) -> tuple[float, float]:
@@ -127,12 +117,11 @@ def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
     """Per-harmonic amplitudes (A_m, B_m) of the order-j perturbation term."""
     if j < 2:
         raise ValueError(f"harmonic tables start at order 2, got {j}")
-    expansion = legendre_cos_coeffs(j)
     masses = config.masses()
     r, cos_m, sin_m = _angle_multiples(config, j)
     w = masses * r**j
     entries = []
-    for m, p in sorted(expansion.coefficients.items()):
+    for m, p in sorted(legendre_cos_coeffs(j).items()):
         a = p * float(np.dot(w, cos_m[m]))
         b = -p * float(np.dot(w, sin_m[m]))
         entries.append((m, a, b))
@@ -172,26 +161,3 @@ def d_l(config: CentralConfiguration, l: int) -> tuple[float, float]:
     x, y = pos[:, 0], pos[:, 1]
     r2l = (x * x + y * y) ** l
     return float(np.dot(m, x * r2l)), -float(np.dot(m, y * r2l))
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The named low-order perturbation coefficients of a configuration."""
-
-    c1: float
-    c2: float
-    c3: float
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-
-    def __post_init__(self):
-        if self.c1 < 0.0:
-            raise ValueError("c1 is a positively weighted sum and cannot be negative")
-
-
-def coefficient_set(config: CentralConfiguration) -> CoefficientSet:
-    c1, c2, c3 = c_coeffs(config)
-    d1, d2, d3, d4 = d_coeffs(config)
-    return CoefficientSet(c1, c2, c3, d1, d2, d3, d4)

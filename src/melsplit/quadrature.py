@@ -124,13 +124,6 @@ def _ik_zero_ratio(k: int) -> Fraction:
     return Fraction(_double_factorial(2 * k - 3), _double_factorial(2 * k - 2))
 
 
-def ik_zero(k: int) -> float:
-    """I_k(0) = integral of (1+z^2)^-k over [0, inf) = pi/2 (2k-3)!!/(2k-2)!!."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return float(_ik_zero_ratio(k)) * math.pi / 2.0
-
-
 def _even_part(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs))
 
@@ -333,18 +326,6 @@ def f62_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
     )
 
 
-def eval_F4(theta_tilde: float, tol: float = 1e-10) -> float:
-    return eval_oscillatory(f4_integrand(theta_tilde), tol).value
-
-
-def eval_F61(theta_tilde: float, tol: float = 1e-10) -> float:
-    return eval_oscillatory(f61_integrand(theta_tilde), tol).value
-
-
-def eval_F62(theta_tilde: float, tol: float = 1e-10) -> float:
-    return eval_oscillatory(f62_integrand(theta_tilde), tol).value
-
-
 # ---------------------------------------------------------------------------
 # polygonal family
 
@@ -404,10 +385,6 @@ def polygon_integrand(n_total: int, theta_tilde: float) -> CubicPhaseIntegrand:
         denominator_power=2 * n_total,
         phase_scale=(n_total - 1) * theta_tilde**3 / 2.0,
     )
-
-
-def eval_Fpoly(n_total: int, theta_tilde: float, tol: float = 1e-10) -> float:
-    return eval_oscillatory(polygon_integrand(n_total, theta_tilde), tol).value
 
 
 # ---------------------------------------------------------------------------

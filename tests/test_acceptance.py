@@ -17,9 +17,6 @@ from melsplit import (
     c_coeffs,
     classify,
     d_coeffs,
-    eval_F4,
-    eval_F61,
-    eval_F62,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
@@ -101,9 +98,9 @@ def test_criterion_2_configuration_solvers():
 def test_criterion_3_oscillatory_roots_and_signs():
     with Timer() as t:
         tol = 1e-11
-        f4 = lambda tt: eval_F4(tt, tol)
-        f61 = lambda tt: eval_F61(tt, tol)
-        f62 = lambda tt: eval_F62(tt, tol)
+        f4 = lambda tt: eval_oscillatory(f4_integrand(tt), tol).value
+        f61 = lambda tt: eval_oscillatory(f61_integrand(tt), tol).value
+        f62 = lambda tt: eval_oscillatory(f62_integrand(tt), tol).value
 
         roots4 = find_zeros(f4, 0.1, 1.5, grid=64)
         assert len(roots4) == 1 and roots4[0] == pytest.approx(0.61078210, abs=1e-6)

@@ -8,7 +8,6 @@ from melsplit import (
     eval_Jk,
     fourier_estimate,
     ik_asymptotic,
-    jk_from_ik,
     m4_leading,
     m6_leading,
     sanders_lipschitz,
@@ -59,21 +58,28 @@ class TestIkAsymptotic:
 
 
 class TestJkFromIk:
+    """The identity J_(k+2)(delta) = delta/(2(k+1)) I_k(delta)."""
+
     def test_matches_direct_quadrature(self):
-        assert jk_from_ik(2, 5.0, 1e-12) == pytest.approx(
+        assert 5.0 / 6.0 * eval_Ik(2, 5.0, 1e-12) == pytest.approx(
             eval_Jk(4, 5.0, 1e-12), rel=1e-8
         )
 
     def test_zero(self):
-        assert jk_from_ik(3, 0.0) == 0.0
+        assert eval_Jk(5, 0.0) == 0.0
 
     def test_odd_in_delta(self):
-        assert jk_from_ik(2, -5.0, 1e-11) == pytest.approx(-jk_from_ik(2, 5.0, 1e-11), rel=1e-10)
+        # I_k is even, so the prefactor delta carries the odd symmetry of J_(k+2)
+        assert eval_Ik(2, -5.0, 1e-11) == pytest.approx(eval_Ik(2, 5.0, 1e-11), rel=1e-10)
+        assert eval_Jk(4, -5.0, 1e-11) == pytest.approx(-eval_Jk(4, 5.0, 1e-11), rel=1e-10)
+        assert -5.0 / 6.0 * eval_Ik(2, -5.0, 1e-11) == pytest.approx(
+            eval_Jk(4, -5.0, 1e-11), rel=1e-8
+        )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("delta", [0.5, 2.0, 10.0, 30.0])
     def test_identity_across_grid(self, k, delta):
-        assert jk_from_ik(k, delta, 1e-13) == pytest.approx(
+        assert delta / (2.0 * (k + 1)) * eval_Ik(k, delta, 1e-13) == pytest.approx(
             eval_Jk(k + 2, delta, 1e-13), rel=1e-8
         )
 

@@ -207,6 +207,20 @@ class TestSampling:
         assert out.splitlines()[0] == "s0,m4_leading,m6_leading"
 
 
+@pytest.mark.parametrize("argv", [
+    ("melnikov", "--order", "poly:5", "--theta0", "1.0", "--eps", "0.5", "--points", "0"),
+    ("fplot", "F4", "--points", "0"),
+    ("splitting", "--config", "{config}", "--eps", "0.5", "--theta0", "1.0", "--points", "-3"),
+    ("asymp", "leading", "--config", "{config}", "--points", "0"),
+    ("integrate", "--config", "{config}", "--eps", "0.5", "--state", "0.3", "0.05", "0", "1",
+     "--tspan", "0", "5", "--samples", "0"),
+], ids=["melnikov", "fplot", "splitting", "asymp-leading", "integrate"])
+def test_counts_below_one_are_usage_errors(capsys, rp3bp_file, argv):
+    code, out, err = run(capsys, *(a.format(config=rp3bp_file) for a in argv))
+    assert code == 1 and out == ""
+    assert "error: argument" in err and "at least 1" in err
+
+
 class TestDynamicsCommands:
     def test_integrate_csv(self, capsys, rp3bp_file):
         code, out, _ = run(

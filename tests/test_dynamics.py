@@ -178,6 +178,20 @@ class TestStatesAndFields:
         with pytest.raises(ConvergenceRegionError):
             rhs_mcgehee_t(McGeheeState(3.0, 0.0, 0.0, 1.0), params)
 
+    @pytest.mark.parametrize("order", [3, 7, 9])
+    def test_time_form_is_the_rescaled_slow_time_form(self, rp3bp_03, rotated_equilateral, order):
+        # d tau/dt = eps^3 x^3 / sqrt(2) at random states; the rotated
+        # equilateral has every c and d coefficient nonzero, sine channels included
+        rng = np.random.default_rng(5)
+        for cfg in (rp3bp_03, rotated_equilateral):
+            for _ in range(150):
+                x, y, theta = rng.uniform(0.05, 0.6), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
+                s, eps = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.3, 1.0)
+                params = FlowParams(epsilon=eps, config=cfg, truncation_order=order)
+                got = rhs_mcgehee_t(McGeheeState(x, y, s, theta), params)
+                want = rhs_mcgehee_tau((x, y, s, theta), params) * eps**3 * x**3 / SQRT2
+                assert got == pytest.approx(tuple(want), rel=1e-12, abs=0.0)
+
     def test_flow_params_validation(self, rp3bp_03):
         with pytest.raises(ValueError):
             FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=5)
@@ -225,14 +239,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, (1.0,), (0.0, 1.0), tol=1.0)
 
-    def test_jacobi_drift(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
-        st0 = McGeheeState(0.4, 0.1, 0.0, 1.0)
-        traj = integrate_mcgehee(st0, params, (0.0, 50.0), tol=1e-11)
-        c0 = jacobi_constant(st0, params)
-        for i in range(traj.states.shape[1]):
-            st_i = McGeheeState(*(float(v) for v in traj.states[:, i]))
-            assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
+    def test_jacobi_drift(self, rp3bp_03, rotated_equilateral):
+        # the rotated equilateral has every c and d coefficient nonzero
+        for cfg in (rp3bp_03, rotated_equilateral):
+            params = FlowParams(epsilon=0.5, config=cfg, truncation_order=9)
+            st0 = McGeheeState(0.4, 0.1, 0.0, 1.0)
+            traj = integrate_mcgehee(st0, params, (0.0, 50.0), tol=1e-11)
+            c0 = jacobi_constant(st0, params)
+            for i in range(traj.states.shape[1]):
+                st_i = McGeheeState(*(float(v) for v in traj.states[:, i]))
+                assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
 
     def test_time_rescaling_consistency(self, rp3bp_03):
         # the t-form and tau-form flows trace the same curve

@@ -10,7 +10,6 @@ from melsplit import (
     build_rhomboid,
     build_rp3bp,
     c_coeffs,
-    coefficient_set,
     d_coeffs,
     d_l,
     harmonic_table,
@@ -22,10 +21,10 @@ from melsplit.harmonics import legendre_pair
 
 class TestLegendreCosine:
     def test_order_zero(self):
-        assert legendre_cos_coeffs(0).coefficients == {0: 1.0}
+        assert legendre_cos_coeffs(0) == {0: 1.0}
 
     def test_order_two(self):
-        assert legendre_cos_coeffs(2).coefficients == {0: 0.25, 2: 0.75}
+        assert legendre_cos_coeffs(2) == {0: 0.25, 2: 0.75}
 
     def test_order_three_against_fit_oracle(self):
         # brute-force least-squares fit of P_3(cos g) on cos g, cos 3g
@@ -34,20 +33,20 @@ class TestLegendreCosine:
         basis = np.stack([np.cos(angles), np.cos(3 * angles)], axis=1)
         fit, *_ = np.linalg.lstsq(basis, target, rcond=None)
         assert fit == pytest.approx([3.0 / 8.0, 5.0 / 8.0], abs=1e-12)
-        assert legendre_cos_coeffs(3).coefficients == {1: 0.375, 3: 0.625}
+        assert legendre_cos_coeffs(3) == {1: 0.375, 3: 0.625}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=24), st.floats(min_value=-3.1, max_value=3.1))
     def test_pointwise_identity(self, j, gamma):
         direct = legendre_pair(j, math.cos(gamma))[0]
         series = sum(
-            c * math.cos(m * gamma) for m, c in legendre_cos_coeffs(j).coefficients.items()
+            c * math.cos(m * gamma) for m, c in legendre_cos_coeffs(j).items()
         )
         assert series == pytest.approx(direct, abs=1e-12)
 
     def test_pointwise_identity_dense_angles(self):
         for j in range(0, 13):
-            coeffs = legendre_cos_coeffs(j).coefficients
+            coeffs = legendre_cos_coeffs(j)
             for gamma in np.linspace(0.0, 2 * math.pi, 32, endpoint=False):
                 direct = legendre_pair(j, math.cos(gamma))[0]
                 series = sum(c * math.cos(m * gamma) for m, c in coeffs.items())
@@ -55,11 +54,11 @@ class TestLegendreCosine:
 
     def test_all_coefficients_nonnegative_low_orders(self):
         for j in range(0, 13):
-            assert all(v >= 0.0 for v in legendre_cos_coeffs(j).coefficients.values())
+            assert all(v >= 0.0 for v in legendre_cos_coeffs(j).values())
 
     def test_parity_structure(self):
         for j in (4, 7, 10):
-            assert all(m % 2 == j % 2 for m in legendre_cos_coeffs(j).coefficients)
+            assert all(m % 2 == j % 2 for m in legendre_cos_coeffs(j))
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
@@ -116,10 +115,12 @@ class TestNamedCoefficients:
         for l in range(2, 6):
             assert d_l(equilateral_thirds, l) == pytest.approx((0.0, 0.0), abs=1e-14)
 
-    def test_coefficient_set_wrapper(self, rp3bp_03):
-        cs = coefficient_set(rp3bp_03)
-        assert cs.c1 >= 0.0
-        assert (cs.d1, cs.d2) == d_coeffs(rp3bp_03)[:2]
+    def test_c1_is_the_nonnegative_second_moment(self, rp3bp_03, collinear8, hexagon):
+        for config in (rp3bp_03, collinear8, hexagon, rotate(build_rhomboid(1.2, 1.0), 0.4)):
+            c1 = c_coeffs(config)[0]
+            assert c1 >= 0.0
+            pos = config.positions()
+            assert c1 == pytest.approx(float(config.masses() @ (pos**2).sum(axis=1)), rel=1e-14)
 
 
 class TestHarmonicTable:

@@ -14,10 +14,7 @@ from melsplit import (
     c_coeffs,
     classify,
     d_coeffs,
-    eval_F4,
-    eval_F61,
-    eval_F62,
-    eval_Fpoly,
+    eval_oscillatory,
     find_zeros,
     harmonic_table,
     polygon_prefactor,
@@ -29,6 +26,7 @@ from melsplit import (
 )
 from melsplit.config import rotate
 from melsplit.melnikov import TransversalityVerdict, Witness
+from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand, polygon_integrand
 
 
 def refined_rhomboid_ratio(near: float) -> float:
@@ -52,7 +50,8 @@ class TestSplittingFunctions:
 
     def test_m4_derived_value(self, rp3bp_half):
         got = splitting_terms(rp3bp_half, 4, 1.0, 0.5, tol=1e-12).value(math.pi / 4)
-        assert got == pytest.approx(2.0 * eval_F4(2.0, 1e-12) * 0.75, rel=1e-9)
+        f4 = eval_oscillatory(f4_integrand(2.0), 1e-12).value
+        assert got == pytest.approx(2.0 * f4 * 0.75, rel=1e-9)
 
     def test_m4_requires_nonzero_theta0(self, rp3bp_half):
         with pytest.raises(ValueError):
@@ -60,7 +59,8 @@ class TestSplittingFunctions:
 
     def test_m6_equilateral_only_third_harmonic(self, equilateral_thirds):
         theta0, eps = 1.0, 0.5
-        amp = (2.0 / theta0**8) * eval_F62(theta0 / eps, 1e-12) * 5.0 / (3 * math.sqrt(3.0))
+        f62 = eval_oscillatory(f62_integrand(theta0 / eps), 1e-12).value
+        amp = (2.0 / theta0**8) * f62 * 5.0 / (3 * math.sqrt(3.0))
         m6 = splitting_terms(equilateral_thirds, 6, theta0, eps, tol=1e-12)
         for s0 in (0.2, 1.1, 2.9):
             assert m6.value(s0) == pytest.approx(amp * math.cos(3 * s0), rel=1e-9)
@@ -70,8 +70,8 @@ class TestSplittingFunctions:
         theta0, eps = 1.0, 0.5
         d1, d2, d3, d4 = d_coeffs(rp3bp_03)
         assert (d1, d2, d4) == pytest.approx((0.252, 0.0, 0.0), abs=1e-14)
-        amp1 = -(2.0 / theta0**8) * eval_F61(theta0 / eps, 1e-12) * d1
-        amp3 = -(2.0 / theta0**8) * eval_F62(theta0 / eps, 1e-12) * d3
+        amp1 = -(2.0 / theta0**8) * eval_oscillatory(f61_integrand(theta0 / eps), 1e-12).value * d1
+        amp3 = -(2.0 / theta0**8) * eval_oscillatory(f62_integrand(theta0 / eps), 1e-12).value * d3
         m6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12)
         for s0 in (0.3, 2.0):
             assert m6.value(s0) == pytest.approx(
@@ -87,7 +87,7 @@ class TestSplittingFunctions:
         theta0, eps = 1.0, 0.5
         for n_total in (7, 8):
             k = float(polygon_prefactor(n_total))
-            f = eval_Fpoly(n_total, theta0 / eps, 1e-11)
+            f = eval_oscillatory(polygon_integrand(n_total, theta0 / eps), 1e-11).value
             m_poly = splitting_terms(None, f"poly:{n_total}", theta0, eps, tol=1e-11)
             for s0 in (0.15, 0.8):
                 expected = k / theta0 ** (2 * n_total) * f * math.sin((n_total - 1) * s0)
@@ -114,7 +114,7 @@ class TestSplittingFunctions:
         direct = splitting_terms(rp3bp_03, 4, theta0, eps, tol=1e-12).value(s0)
         via_table = (
             (2.0 / theta0**6)
-            * eval_F4(theta0 / eps, 1e-12)
+            * eval_oscillatory(f4_integrand(theta0 / eps), 1e-12).value
             * (4 * a2 * math.sin(2 * s0) - 4 * b2 * math.cos(2 * s0))
         )
         assert via_table == pytest.approx(direct, rel=1e-10)
@@ -122,8 +122,10 @@ class TestSplittingFunctions:
         a1, b1 = t3.pair(1)
         a3, b3 = t3.pair(3)
         via_table6 = (2.0 / theta0**8) * (
-            eval_F61(theta0 / eps, 1e-12) * (8 * b1 * math.cos(s0) - 8 * a1 * math.sin(s0))
-            + eval_F62(theta0 / eps, 1e-12) * (8 * b3 * math.cos(3 * s0) - 8 * a3 * math.sin(3 * s0))
+            eval_oscillatory(f61_integrand(theta0 / eps), 1e-12).value
+            * (8 * b1 * math.cos(s0) - 8 * a1 * math.sin(s0))
+            + eval_oscillatory(f62_integrand(theta0 / eps), 1e-12).value
+            * (8 * b3 * math.cos(3 * s0) - 8 * a3 * math.sin(3 * s0))
         )
         direct6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12).value(s0)
         assert via_table6 == pytest.approx(direct6, rel=1e-10)
@@ -148,7 +150,7 @@ class TestAssembleMelnikov:
         ((k, _, _, _),) = terms.terms
         assert k == 2
         _, c2, c3 = c_coeffs(rp3bp_half)
-        f4 = eval_F4(2.0)
+        f4 = eval_oscillatory(f4_integrand(2.0), 1e-10).value
         for i in range(8):
             s0 = 2.0 * math.pi * i / 8
             want = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
@@ -159,7 +161,8 @@ class TestAssembleMelnikov:
         _, c2, c3 = c_coeffs(rp3bp_half)
         for theta0, sign in ((0.4, 1.0), (-0.4, -1.0)):
             ((k, a, b, _),) = splitting_terms(rp3bp_half, 4, theta0, 0.5, 1e-12).terms
-            amp = sign * (2.0 / theta0**6) * eval_F4(theta0 / 0.5, 1e-12)
+            f4 = eval_oscillatory(f4_integrand(theta0 / 0.5), 1e-12).value
+            amp = sign * (2.0 / theta0**6) * f4
             assert k == 2
             assert (a, b) == pytest.approx((-amp * c3, amp * c2), rel=1e-12, abs=1e-300)
 

@@ -8,10 +8,6 @@ from hypothesis import strategies as st
 from melsplit import (
     CubicPhaseIntegrand,
     QuadratureBudgetError,
-    eval_F4,
-    eval_F61,
-    eval_F62,
-    eval_Fpoly,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
@@ -24,7 +20,6 @@ from melsplit.quadrature import (
     f4_integrand,
     f61_integrand,
     f62_integrand,
-    ik_zero,
     ikjk_decomposition,
     polygon_integrand,
 )
@@ -44,9 +39,10 @@ class TestBasicContracts:
         assert res.value == pytest.approx(math.pi, abs=1e-12)
 
     def test_ik_zero_values(self):
-        assert ik_zero(1) == pytest.approx(math.pi / 2)
-        assert ik_zero(2) == pytest.approx(math.pi / 4)
-        assert eval_Ik(1, 0.0) == pytest.approx(math.pi / 2, abs=1e-13)
+        # I_k(0) = pi/2 (2k-3)!!/(2k-2)!!
+        for k in range(1, 5):
+            ratio = math.prod(range(2 * k - 3, 0, -2)) / math.prod(range(2 * k - 2, 0, -2))
+            assert eval_Ik(k, 0.0) == pytest.approx(math.pi / 2 * ratio, abs=1e-13)
 
     def test_jk_zero_is_zero(self):
         assert eval_Jk(2, 0.0) == 0.0
@@ -116,52 +112,54 @@ class TestRecurrence:
 
 class TestNamedFunctions:
     def test_f4_zero_at_origin(self):
-        assert abs(eval_F4(0.0)) <= 1e-10
+        assert abs(eval_oscillatory(f4_integrand(0.0), 1e-10).value) <= 1e-10
 
     def test_f4_root(self):
-        assert abs(eval_F4(0.61078210, 1e-11)) <= 2e-7
+        assert abs(eval_oscillatory(f4_integrand(0.61078210), 1e-11).value) <= 2e-7
 
     def test_f4_signs(self):
         for tt in (-1.5, -0.5, 0.3, 0.55):
-            assert eval_F4(tt, 1e-11) < 0.0
+            assert eval_oscillatory(f4_integrand(tt), 1e-11).value < 0.0
         for tt in (0.7, 1.0, 2.0):
-            assert eval_F4(tt, 1e-11) > 0.0
+            assert eval_oscillatory(f4_integrand(tt), 1e-11).value > 0.0
 
     def test_f4_frozen_value(self):
-        assert eval_F4(2.0, 1e-12) == pytest.approx(F4_AT_2, abs=1e-9)
+        assert eval_oscillatory(f4_integrand(2.0), 1e-12).value == pytest.approx(F4_AT_2, abs=1e-9)
 
     def test_f61_unique_root_at_origin(self):
-        assert abs(eval_F61(0.0)) <= 1e-10
+        assert abs(eval_oscillatory(f61_integrand(0.0), 1e-10).value) <= 1e-10
         for tt in (-2.0, -1.0, -0.3):
-            assert eval_F61(tt, 1e-11) > 0.0
+            assert eval_oscillatory(f61_integrand(tt), 1e-11).value > 0.0
         for tt in (0.3, 1.0, 2.0):
-            assert eval_F61(tt, 1e-11) < 0.0
+            assert eval_oscillatory(f61_integrand(tt), 1e-11).value < 0.0
 
     def test_f62_roots(self):
-        assert abs(eval_F62(0.0)) <= 1e-10
-        assert abs(eval_F62(0.15745028, 1e-11)) <= 2e-7
-        assert abs(eval_F62(0.87685728, 1e-11)) <= 2e-7
+        assert abs(eval_oscillatory(f62_integrand(0.0), 1e-10).value) <= 1e-10
+        assert abs(eval_oscillatory(f62_integrand(0.15745028), 1e-11).value) <= 2e-7
+        assert abs(eval_oscillatory(f62_integrand(0.87685728), 1e-11).value) <= 2e-7
 
     def test_f62_sign_pattern(self):
         for tt in (-1.5, -0.5, 0.5, 0.7):
-            assert eval_F62(tt, 1e-11) > 0.0
+            assert eval_oscillatory(f62_integrand(tt), 1e-11).value > 0.0
         for tt in (0.08, 0.12, 1.0, 1.5):
-            assert eval_F62(tt, 1e-11) < 0.0
+            assert eval_oscillatory(f62_integrand(tt), 1e-11).value < 0.0
 
     def test_decay_at_large_argument(self):
-        for f in (eval_F4, eval_F61, eval_F62):
-            assert abs(f(10.0, 1e-6)) <= 1e-4
-            assert abs(f(-10.0, 1e-6)) <= 1e-4
+        for builder in (f4_integrand, f61_integrand, f62_integrand):
+            assert abs(eval_oscillatory(builder(10.0), 1e-6).value) <= 1e-4
+            assert abs(eval_oscillatory(builder(-10.0), 1e-6).value) <= 1e-4
 
 
 class TestFindZeros:
     def test_f4_root_location(self):
-        roots = find_zeros(lambda t: eval_F4(t, 1e-11), 0.1, 1.5, grid=64)
+        f4 = lambda t: eval_oscillatory(f4_integrand(t), 1e-11).value
+        roots = find_zeros(f4, 0.1, 1.5, grid=64)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.61078210, abs=1e-6)
 
     def test_f62_root_locations(self):
-        roots = find_zeros(lambda t: eval_F62(t, 1e-11), 0.05, 1.2, grid=128)
+        f62 = lambda t: eval_oscillatory(f62_integrand(t), 1e-11).value
+        roots = find_zeros(f62, 0.05, 1.2, grid=128)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.15745028, abs=1e-6)
         assert roots[1] == pytest.approx(0.87685728, abs=1e-6)
@@ -230,7 +228,8 @@ class TestPolygonGeneration:
 
     def test_four_body_case_matches_third_harmonic_channel(self):
         for tt in (0.5, 1.0, 1.7, -1.3):
-            ratio = eval_Fpoly(4, tt, 1e-11) / eval_F62(tt, 1e-11)
+            poly = eval_oscillatory(polygon_integrand(4, tt), 1e-11)
+            ratio = poly.value / eval_oscillatory(f62_integrand(tt), 1e-11).value
             assert ratio == pytest.approx(-1.0, rel=1e-8)
 
     def test_phase_scale(self):
@@ -239,7 +238,7 @@ class TestPolygonGeneration:
         assert integrand.denominator_power == 14
 
     def test_decay(self):
-        assert abs(eval_Fpoly(5, 6.0, 1e-6)) <= 1e-3
+        assert abs(eval_oscillatory(polygon_integrand(5, 6.0), 1e-6).value) <= 1e-3
 
     @pytest.mark.parametrize("n_total", range(4, 11))
     def test_backends_agree_on_both_branches(self, n_total):
