@@ -43,8 +43,7 @@ from .quadrature import (
     eval_oscillatory,
     eval_via_ikjk,
     find_zeros,
-    polygon_numerators,
-    polygon_prefactor,
+    harmonic_integrand,
 )
 from .melnikov import (
     SplittingTerms,
@@ -70,17 +69,12 @@ from .dynamics import (
     poincare_numeric,
     rhs_mcgehee_t,
     s_closed_form,
-    splitting_measure,
     theta_from_jacobi,
 )
 from .asymptotics import (
-    FourierEstimate,
-    fourier_estimate,
     ik_asymptotic,
     m4_leading,
     m6_leading,
-    sanders_lipschitz,
-    sanders_threshold,
 )
 
 __version__ = "0.1.0"

@@ -7,21 +7,13 @@ For large positive phase scale the half-line basis integrals obey
 
 together with the exact identity J_(k+2)(d) = d/(2(k+1)) I_k(d).  Feeding
 these into the splitting functions gives closed leading-order forms for the
-order-4 and order-6 terms on both sign branches of the angular momentum,
-plus the scaling exponents of the full Fourier ladder: the harmonic k decays
-like exp(-k Theta0^3/(3 eps^3)), which fixes the dominance order used by
-the classifier.
-
-The remainder beyond first order is controlled by a Lipschitz argument: it
-stays below the harmonic-k term once |tau| exceeds k sqrt(2) Theta0 / 3.
+order-4 and order-6 terms on both sign branches of the angular momentum.
 Values here are plain closed-form evaluations; the quadrature module is the
 cross-check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .config import CentralConfiguration
 from .dynamics import SQRT2
@@ -83,79 +75,3 @@ def m6_leading(
     a = -(5.0 * math.pi / 128.0) * theta0**-2.0
     b = (63.0 * math.pi / 64.0) * epsilon**-3.0 * theta0
     return a * math.exp(rate / 3.0) * first + b * math.exp(rate) * third
-
-
-@dataclass(frozen=True)
-class FourierEstimate:
-    """Scaling of the harmonic-k amplitudes of the splitting in epsilon."""
-
-    k: int
-    alpha_leading: Optional[float]
-    beta_leading: Optional[float]
-    epsilon_power: float
-    exponential_rate: float
-
-    def __post_init__(self):
-        if self.exponential_rate != self.k / 3.0:
-            raise ValueError("exponential rate must equal k/3")
-
-
-def fourier_estimate(
-    k: int, theta0: float, epsilon: float, config: CentralConfiguration
-) -> FourierEstimate:
-    """Leading amplitude constants (k <= 2) and scaling exponents of harmonic k.
-
-    For k >= 3 only the exponents are meaningful; the constants are not
-    published, so they are reported as None rather than fabricated.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not theta0 > 0.0:
-        raise ValueError("the Fourier scaling table is stated for positive angular momentum")
-    if k == 1:
-        d1, d2, _, _ = d_coeffs(config)
-        const = SQRT_PI / (12.0 * SQRT2) * theta0**-0.5
-        return FourierEstimate(
-            k=1,
-            alpha_leading=-const * d2,
-            beta_leading=const * d1,
-            epsilon_power=-1.5,
-            exponential_rate=1.0 / 3.0,
-        )
-    if k == 2:
-        _, c2, c3 = c_coeffs(config)
-        const = 4.0 * SQRT_PI / 3.0 * theta0**1.5
-        return FourierEstimate(
-            k=2,
-            alpha_leading=const * c3,
-            beta_leading=-const * c2,
-            epsilon_power=-3.5,
-            exponential_rate=2.0 / 3.0,
-        )
-    return FourierEstimate(
-        k=k,
-        alpha_leading=None,
-        beta_leading=None,
-        epsilon_power=-(k + 1.5),
-        exponential_rate=k / 3.0,
-    )
-
-
-def sanders_threshold(k: int, theta0: float) -> float:
-    """Smallest |tau| where the remainder drops below the harmonic-k term.
-
-    exp(-k Theta0^3/(3 eps^3)) > exp(-Theta0^2 |tau|/(sqrt(2) eps^3)) exactly
-    when |tau| > k sqrt(2) Theta0 / 3.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not theta0 > 0.0:
-        raise ValueError("threshold stated for positive angular momentum")
-    return k * SQRT2 * theta0 / 3.0
-
-
-def sanders_lipschitz(theta0: float) -> float:
-    """Lipschitz constant sqrt(2)/Theta0 of the energy along the separatrix."""
-    if theta0 == 0.0:
-        raise ValueError("need nonzero angular momentum")
-    return SQRT2 / theta0

@@ -1,5 +1,5 @@
-"""Near-infinity flow: regularized coordinates, the reduced oscillator, and
-flow-side verification of the splitting.
+"""Near-infinity flow: regularized coordinates, the reduced oscillator and
+the truncated equations of motion.
 
 The radial variable is x with r = x**-2, the scaled radial velocity is y
 with R = -sqrt(2) y, and s = t - theta is the fast angle.  On the zero set
@@ -11,31 +11,22 @@ oscillator x'' = x - Theta0^2 x^3 with the explicit separatrix
     x = sqrt(2)/|Theta0| sech(tau),   y = -sqrt(2)/|Theta0| tanh(tau) sech(tau).
 
 This module integrates the truncated equations of motion, checks the
-Jacobi-like first integral, realizes the numeric return map near x = y = 0,
-and measures the manifold splitting by integrating the energy derivative
-along the separatrix under the perturbed field (the flow-side counterpart
-of the closed-form splitting functions).
+Jacobi-like first integral and realizes the numeric return map near
+x = y = 0.
 
-The perturbation is written once, as one table with a row per epsilon
-order: the quadrupole harmonics (c1, c2, c3) at eps^7 and the octupole
-harmonics (d1..d4) at eps^9 of the time-form field, each row with its radial
-power and weights.  The time-form field, the truncated Hamiltonian and the
-splitting integrands are all built from that table.  ``rhs_mcgehee_tau``
-writes the slow-time field out by hand instead; it is the independent
-reference the tests check the table against.
+The perturbation is written once, as one table with a row per Legendre
+order j = 2..J, read from ``harmonics.harmonic_table``: at truncation order
+T = 2J + 3 the row j enters the time-form field at eps^(2j+3).  With
+G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
 
-For the splitting, sigma = sinh tau turns the separatrix rational,
+    y'     += eps^(2j+3) (j+1)/sqrt(2) G_j x^(2j+4),
+    theta' += eps^(2j+3) sum k (a sin ks - b cos ks) x^(2j+2),
+    H      -= eps^(2j+3) x^(2j+2) G_j.
 
-    x = A (1 + sigma^2)^(-1/2),   y = -A sigma / (1 + sigma^2),   A = sqrt(2)/|Theta0|,
-
-with d tau = d sigma / sqrt(1 + sigma^2), and the fast angle becomes
-s = s0 - 2 sg arctan(sigma) + D (sigma + sigma^3/3), sg = sign Theta0,
-D = |Theta0|^3 / (2 eps^3).  The slow rotation is rational too:
-exp(-2 i sg k arctan sigma) = (1 - i sg sigma)^(2k) / (1 + sigma^2)^k.  So
-each harmonic k of the energy derivative is a polynomial in sigma over a
-power of (1 + sigma^2) times exp(i k D (sigma + sigma^3/3)): a cubic-phase
-integrand of phase scale k D, which the contour engine of the quadrature
-module integrates over the whole line.
+The time-form field and the truncated Hamiltonian are both built from that
+table.  ``rhs_mcgehee_tau`` writes the slow-time field up to T = 9 out by
+hand instead; it is the independent reference the tests check the table
+and the splitting integrands of ``quadrature.harmonic_integrand`` against.
 """
 from __future__ import annotations
 
@@ -44,17 +35,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as P
-from scipy.integrate import solve_ivp
 
 from .config import CentralConfiguration
-from .harmonics import c_coeffs, d_coeffs
-from .melnikov import SplittingTerms, check_splitting_domain
-from .quadrature import CubicPhaseIntegrand, eval_oscillatory
+from .harmonics import MAX_LEGENDRE_ORDER, c_coeffs, d_coeffs, harmonic_table
 
 SQRT2 = math.sqrt(2.0)
-
-TRUNCATION_ORDERS = (3, 7, 9)
 
 
 class IntegrationError(RuntimeError):
@@ -86,7 +71,11 @@ class McGeheeState:
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Perturbation strength, optional first-integral value, truncation order."""
+    """Perturbation strength, optional first-integral value, truncation order.
+
+    The truncation order is 3 (the Kepler part alone) or an odd 2J + 3 with
+    2 <= J <= 64, which keeps the Legendre orders 2..J.
+    """
 
     epsilon: float
     config: CentralConfiguration
@@ -96,10 +85,10 @@ class FlowParams:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.truncation_order not in TRUNCATION_ORDERS:
+        t = self.truncation_order
+        if not (t == 3 or (isinstance(t, int) and t % 2 and 7 <= t <= 2 * MAX_LEGENDRE_ORDER + 3)):
             raise ValueError(
-                f"truncation order must be one of {TRUNCATION_ORDERS}, "
-                f"got {self.truncation_order}"
+                f"truncation order must be 3 or odd in [7, {2 * MAX_LEGENDRE_ORDER + 3}], got {t!r}"
             )
 
 
@@ -160,23 +149,12 @@ def _convergence_guard(x: float, reach: float) -> None:
 
 
 def _field_harmonics(config: CentralConfiguration, truncation: int):
-    """The perturbation kept at a truncation order, one row per epsilon order.
+    """The perturbation kept at truncation order 2J + 3: rows (j, entries) for j = 2..J.
 
-    A row (order, n, w_y, w_theta, harmonics) adds, for each harmonic
-    (k, a, b), w_y eps^order x^n (a cos ks + b sin ks) to the slow-time y'
-    and w_theta eps^order x^(n-2) times minus its s-derivative,
-    k (a sin ks - b cos ks), to theta', as in ``rhs_mcgehee_tau``.  The
-    time-form field, the truncated energy and the splitting integrands are
-    all built from these rows; k = 0 carries c1.
+    ``entries`` are the (k, a, b) of ``harmonic_table(config, j)``; k = 0
+    carries the radial part.
     """
-    rows = []
-    if truncation >= 7:
-        c1, c2, c3 = c_coeffs(config)
-        rows.append((4, 5, 0.75, 1.0 / (2.0 * SQRT2), ((0, c1, 0.0), (2, c2, c3))))
-    if truncation >= 9:
-        d1, d2, d3, d4 = d_coeffs(config)
-        rows.append((6, 7, 0.5, 1.0 / (4.0 * SQRT2), ((1, d1, d2), (3, d3, d4))))
-    return tuple(rows)
+    return tuple((j, harmonic_table(config, j).entries) for j in range(2, (truncation - 1) // 2))
 
 
 def _harmonic_sums(harmonics, s: float) -> tuple[float, float]:
@@ -196,12 +174,11 @@ def _rhs_array(y_vec, epsilon: float, rows):
     dy = e3 * (1.0 - theta**2 * x * x) * x**4 / SQRT2
     ds = 1.0 - e3 * theta * x**4
     dtheta = 0.0
-    for order, n, w_y, w_theta, harmonics in rows:
-        # the slow-time terms times d tau/dt = eps^3 x^3 / sqrt(2)
-        scale = epsilon ** (order + 3) / SQRT2
+    for j, harmonics in rows:
+        scale = epsilon ** (2 * j + 3)
         g, gp = _harmonic_sums(harmonics, s)
-        dy += scale * w_y * g * x ** (n + 3)
-        dtheta += scale * w_theta * gp * x ** (n + 1)
+        dy += scale * (j + 1) / SQRT2 * g * x ** (2 * j + 4)
+        dtheta += scale * gp * x ** (2 * j + 2)
     return np.array([dx, dy, ds, dtheta])
 
 
@@ -221,9 +198,9 @@ def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
     x, y, s, theta = state.x, state.y, state.s, state.theta
     e = params.epsilon
     h = e**3 * (y * y + 0.5 * theta**2 * x**4 - x * x)
-    for order, n, w_y, _, harmonics in _field_harmonics(params.config, params.truncation_order):
+    for j, harmonics in _field_harmonics(params.config, params.truncation_order):
         g, _ = _harmonic_sums(harmonics, s)
-        h -= e ** (order + 3) * (2.0 * w_y / (n + 1)) * x ** (n + 1) * g
+        h -= e ** (2 * j + 3) * x ** (2 * j + 2) * g
     return h
 
 
@@ -254,9 +231,10 @@ def rhs_mcgehee_tau(state_vec: Sequence[float], params: FlowParams):
     """Slow-time derivative of (x, y, s, theta); needs x > 0.
 
     Nothing in the package integrates this field.  It is the reference the
-    tests check the time-form field and the integrands of
-    ``splitting_measure`` against, so it is written out term by term rather
-    than built from ``_field_harmonics``.
+    tests check the time-form field and the splitting integrands against,
+    so it is written out term by term rather than built from
+    ``_field_harmonics``; it carries the terms up to truncation order 9 and
+    leaves out any higher ones.
     """
     x, y, s, theta = state_vec
     if x <= 0.0:
@@ -314,6 +292,8 @@ def integrate(
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol!r}")
+    from scipy.integrate import solve_ivp  # imported here: it is most of the package's import time
+
     res = solve_ivp(
         rhs,
         t_span,
@@ -377,6 +357,8 @@ def poincare_numeric(
     crossing.terminal = True
     crossing.direction = 1.0
 
+    from scipy.integrate import solve_ivp
+
     res = solve_ivp(
         rhs,
         (0.0, 3.0 * math.pi),
@@ -395,47 +377,3 @@ def poincare_numeric(
     t1 = float(res.t_events[0][0])
     x1, y1, _ = res.y_events[0][0]
     return float(x1), float(y1), t1
-
-
-# ---------------------------------------------------------------------------
-# splitting along the separatrix
-
-
-def splitting_measure(
-    config: CentralConfiguration,
-    order: int,
-    theta0: float,
-    epsilon: float,
-    tol: float = 1e-9,
-) -> SplittingTerms:
-    """Flow-side splitting of one order: the energy derivative along the separatrix.
-
-    Integrates d(energy)/d tau under the order-4 or order-6 part of the
-    slow-time field, with (x, y, s) frozen on the separatrix, harmonic by
-    harmonic in sigma = sinh tau.  Each harmonic takes two calls of the
-    contour engine at absolute tolerance ``tol``; the terms match
-    ``splitting_terms`` of the same order, built from the F closed forms.
-    """
-    check_splitting_domain(theta0, epsilon)
-    if order not in (4, 6):
-        raise ValueError(f"flow-side splitting has orders 4 and 6, got {order!r}")
-    # the field truncated at order + 3 ends with this order's row
-    _, n, w_y, w_theta, harmonics = _field_harmonics(config, order + 3)[-1]
-    amp = SQRT2 / abs(theta0)
-    sign = 1.0 if theta0 > 0.0 else -1.0
-    rate = abs(theta0) ** 3 / (2.0 * epsilon**3)
-    power = (n + 3) // 2  # of (1 + sigma^2) under y x^n and x^(n+2), times d tau/d sigma
-    terms = []
-    for k, a, b in harmonics:
-        if k == 0:
-            continue  # the c1 term is odd along the separatrix and integrates to zero
-        # the harmonic times d tau/d sigma is Re[W e^(iks0) e^(ikD(sigma + sigma^3/3))]
-        # over (1 + sigma^2)^(power + k), where W is the polynomial
-        # -(a - ib) A^(n+1) (w_y sigma + i k Theta0 w_theta A/2) (1 - i sg sigma)^(2k);
-        # re and im integrate the real and imaginary parts of W e^(ikD(...))
-        w = P.polymul([0.5j * k * theta0 * w_theta * amp, w_y], P.polypow([1.0, -1j * sign], 2 * k))
-        w *= -(a - 1j * b) * amp ** (n + 1)
-        re = eval_oscillatory(CubicPhaseIntegrand(w.real, -w.imag, power + k, k * rate), tol)
-        im = eval_oscillatory(CubicPhaseIntegrand(w.imag, w.real, power + k, k * rate), tol)
-        terms.append((k, re.value, -im.value, re.error_estimate + im.error_estimate))
-    return SplittingTerms(order, tuple(terms))

@@ -16,6 +16,7 @@ an exact integer recurrence and only then rounded to floats.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,10 +82,15 @@ def legendre_pair(j: int, w: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class HarmonicTable:
-    """Amplitudes of cos(m s), sin(m s) in the order-j perturbation term."""
+    """Amplitudes of cos(m s), sin(m s) in the order-j perturbation term.
+
+    ``rounding`` bounds the floating-point error of every entry:
+    eps (j + N) sum_i m_i r_i^j for N bodies.
+    """
 
     j: int
     entries: tuple[tuple[int, float, float], ...]
+    rounding: float
 
     def pair(self, m: int) -> tuple[float, float]:
         for mm, a, b in self.entries:
@@ -125,7 +131,8 @@ def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
         a = p * float(np.dot(w, cos_m[m]))
         b = -p * float(np.dot(w, sin_m[m]))
         entries.append((m, a, b))
-    return HarmonicTable(j=j, entries=tuple(entries))
+    rounding = sys.float_info.epsilon * (j + len(r)) * float(np.abs(w).sum())
+    return HarmonicTable(j=j, entries=tuple(entries), rounding=rounding)
 
 
 def c_coeffs(config: CentralConfiguration) -> tuple[float, float, float]:

@@ -1,18 +1,22 @@
 """Splitting functions and the transversality decision tree.
 
 The first-order splitting of the parabolic manifolds is a trigonometric
-polynomial in the section angle s0 whose amplitudes combine a configuration
-coefficient pair with an oscillatory integral of the quadrature module:
+polynomial in the section angle s0.  Its epsilon^(2j) part has one term per
+harmonic k >= 1 of the order-j harmonic table, with entry (a_k, b_k):
 
-    order 4:  +-(2/Theta0^6)  F4  (c2 sin 2 s0 - c3 cos 2 s0)
-    order 6:  +-(2/Theta0^8) [F61 (d2 cos s0 - d1 sin s0)
-                              + F62 (d4 cos 3 s0 - d3 sin 3 s0)]
-    polygon:  +-(K/Theta0^(2N)) F_(2N-2) sin((N-1) s0)
+    +-(2^(j+1)/Theta0^(2j+2)) sum_k F_(j,k) (a_k sin k s0 - b_k cos k s0),
 
-The upper sign goes with Theta0 > 0.  ``splitting_terms`` returns the
-amplitudes of one order as (k, A, B, error) terms, with each F computed
-once per call from a single quadrature whose error estimate it carries into
-the terms; summing cosines over s0 needs no further quadrature.
+where F_(j,k) integrates ``quadrature.harmonic_integrand(j, k, theta)``,
+theta = Theta0/eps, and the upper sign goes with Theta0 > 0.  The paper's
+rows are special cases: order 4 is F4 = F_(2,2) with (c2, c3) = 4 (a_2, b_2),
+order 6 is F61 = -F_(3,1) and F62 = -F_(3,3) with (d1, d2) = 8 (a_1, b_1)
+and (d3, d4) = 8 (a_3, b_3), and poly:N is the (N-1, N-1) term with the
+entry (p_(N-1,N-1), 0) of ``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the
+published constant K.  ``splitting_terms`` returns one order as
+(k, A, B, error) terms, each F computed once per call by a single
+quadrature; a term's error carries the quadrature's error estimate and the
+table's rounding bound, and summing cosines over s0 needs no further
+quadrature.
 
 A simple zero of the s0-factor forces a transversal intersection, so the
 classifier walks the coefficient families in dominance order (harmonic
@@ -23,19 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .config import CentralConfiguration
-from .harmonics import c_coeffs, d_coeffs, d_l, harmonic_table
-from .quadrature import (
-    eval_oscillatory,
-    f4_integrand,
-    f61_integrand,
-    f62_integrand,
-    polygon_integrand,
-    polygon_prefactor,
+from .harmonics import (
+    MAX_LEGENDRE_ORDER,
+    c_coeffs,
+    d_coeffs,
+    d_l,
+    harmonic_table,
+    legendre_cos_coeffs,
 )
+from .quadrature import eval_oscillatory, harmonic_integrand
 
 #: coefficients below this magnitude count as exact symmetry zeros
 ZERO_THRESHOLD = 1e-11
@@ -58,32 +61,27 @@ class SplittingTerms:
         return math.fsum(a * math.cos(k * s0) + b * math.sin(k * s0) for k, a, b, _ in self.terms)
 
 
-def check_splitting_domain(theta0: float, epsilon: float) -> None:
-    """Raise ValueError unless theta0 is finite and nonzero and 0 < epsilon <= 1."""
-    if theta0 == 0.0 or not math.isfinite(theta0):
-        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+def _polygon_order(name: str) -> int:
+    """Legendre order j = N - 1 of the alias ``poly:N``, for 4 <= N <= 65."""
+    n_total = int(name.split(":", 1)[1])
+    if not (4 <= n_total <= MAX_LEGENDRE_ORDER + 1):
+        raise ValueError(f"need 4 <= N <= {MAX_LEGENDRE_ORDER + 1} in poly:N, got {n_total}")
+    return n_total - 1
 
 
-def _order_rows(config: Optional[CentralConfiguration], order: int | str, theta0: float):
-    """Epsilon order and rows (k, integrand builder, (a, b), prefactor) of one order."""
+def _order_rows(config: Optional[CentralConfiguration], order: int | str):
+    """Legendre order j, harmonics (k, a, b) with k >= 1 and their rounding bound."""
     key = str(order)
-    if key in ("4", "6"):
-        if config is None:
-            raise ValueError(f"order {key} needs a configuration")
-        if key == "4":
-            _, c2, c3 = c_coeffs(config)
-            pref = 2.0 / theta0**6
-            return 4, ((2, f4_integrand, (-c3, c2), pref),)
-        d1, d2, d3, d4 = d_coeffs(config)
-        pref = 2.0 / theta0**8
-        return 6, ((1, f61_integrand, (d2, -d1), pref), (3, f62_integrand, (d4, -d3), pref))
-    if not key.startswith("poly:"):
-        raise ValueError(f"unsupported order {order!r}")
-    n_total = int(key.split(":", 1)[1])
-    pref = float(polygon_prefactor(n_total)) / theta0 ** (2 * n_total)
-    return 2 * n_total - 2, ((n_total - 1, partial(polygon_integrand, n_total), (0.0, 1.0), pref),)
+    if key.startswith("poly:"):
+        j = _polygon_order(key)
+        return j, ((j, legendre_cos_coeffs(j)[j], 0.0),), 0.0
+    if not key.isdigit() or int(key) % 2 or not (2 <= int(key) // 2 <= MAX_LEGENDRE_ORDER):
+        raise ValueError(f"order must be 2j with 2 <= j <= {MAX_LEGENDRE_ORDER} or poly:N, "
+                         f"got {order!r}")
+    if config is None:
+        raise ValueError(f"order {key} needs a configuration")
+    table = harmonic_table(config, int(key) // 2)
+    return table.j, tuple(e for e in table.entries if e[0] >= 1), table.rounding
 
 
 def splitting_terms(
@@ -95,20 +93,27 @@ def splitting_terms(
 ) -> SplittingTerms:
     """Harmonic amplitudes of one splitting order, each F evaluated once.
 
-    ``order`` is 4, 6 or ``"poly:N"``; orders 4 and 6 need ``config``.  The
-    sign of ``theta0`` selects the branch.  A term's error is
-    |prefactor| F-error (|a| + |b|) for its coefficient pair (a, b).
+    ``order`` is 2j for 2 <= j <= 64, which needs ``config``, or the
+    configuration-free ``"poly:N"``.  ``theta0`` must be finite and nonzero,
+    its sign selects the branch, and 0 < ``epsilon`` <= 1.  A term's error
+    is |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table
+    entry (a, b) and the table's rounding bound.
     """
-    check_splitting_domain(theta0, epsilon)
-    eps_order, rows = _order_rows(config, order, theta0)
+    if theta0 == 0.0 or not math.isfinite(theta0):
+        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    j, harmonics, rounding = _order_rows(config, order)
+    pref = 2.0 ** (j + 1) / theta0 ** (2 * j + 2)
     sign = 1.0 if theta0 > 0.0 else -1.0
     tt = theta0 / epsilon
     terms = []
-    for k, builder, (a, b), pref in rows:
-        f = eval_oscillatory(builder(tt), tol)
+    for k, a, b in harmonics:
+        f = eval_oscillatory(harmonic_integrand(j, k, tt), tol)
         amp = sign * pref * f.value
-        terms.append((k, amp * a, amp * b, abs(pref) * f.error_estimate * (abs(a) + abs(b))))
-    return SplittingTerms(eps_order, tuple(terms))
+        err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
+        terms.append((k, -amp * b, amp * a, err))
+    return SplittingTerms(2 * j, tuple(terms))
 
 
 def simple_zeros(a: float, b: float, k: int) -> Optional[list[float]]:

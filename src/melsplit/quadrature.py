@@ -29,6 +29,13 @@ half plane, where the integrand neither oscillates nor cancels:
 terms standing for the truncated tails, and eps times the rounding bounds
 summed over the nodes.
 
+Every splitting integrand is one ``harmonic_integrand(j, k, theta)`` for a
+Legendre order j and a harmonic k: the integer polynomial
+P = ((j+1) z + i k)(1 - i z)^(2k) gives the cos numerator Im P and the sin
+numerator Re P over (1 + z^2)^(j+k+2), with phase scale k theta^3/2.  The
+paper's literal F4, F61 and F62 integrands are kept as the reference for
+it.
+
 The same integrals can be reassembled from the half-line basis integrals
 I_k and J_k after an exact partial-fraction decomposition; that second
 pipeline is the cross-check oracle for every named F-function.
@@ -293,7 +300,7 @@ def eval_oscillatory(
 
 
 # ---------------------------------------------------------------------------
-# the named integrals
+# the paper's integrals, written out
 
 
 def f4_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
@@ -327,64 +334,42 @@ def f62_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
 
 
 # ---------------------------------------------------------------------------
-# polygonal family
+# one integrand per Legendre order and harmonic
 
 
 @lru_cache(maxsize=None)
-def polygon_numerators(n_total: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact integer numerators (cos, sin) of the polygonal splitting integrand.
+def _harmonic_numerators(j: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(Im P, Re P) of P(z) = ((j+1) z + i k)(1 - i z)^(2k), exact integers, ascending."""
+    re, im = [0] * (2 * k + 2), [0] * (2 * k + 2)
+    for m in range(2 * k + 1):
+        # the z^m coefficient of (1 - i z)^(2k) is C(2k, m) (-i)^m = a + i b
+        unit_re, unit_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[m % 4]
+        a, b = math.comb(2 * k, m) * unit_re, math.comb(2 * k, m) * unit_im
+        re[m + 1] += (j + 1) * a
+        im[m + 1] += (j + 1) * b
+        re[m] -= k * b
+        im[m] += k * a
+    for coeffs in (re, im):
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+    return tuple(im), tuple(re)
 
-    For N total bodies the vertex angle enters through the closed form
-    cos(4 chi) = (1 - z^2)/(1 + z^2), sin(4 chi) = 2 z/(1 + z^2); powers of
-    that rotation are binomial expansions of (1 + i z)^(2(N-1)).
+
+def harmonic_integrand(j: int, k: int, theta_tilde: float) -> CubicPhaseIntegrand:
+    """F_(j,k): the splitting integrand of Legendre order j and harmonic k.
+
+    In sigma = sinh tau the harmonic k of the order-j energy derivative along
+    the separatrix is, up to a constant, P(sigma) exp(i d (sigma + sigma^3/3))
+    over (1 + sigma^2)^(j+k+2), with d = k theta^3/2 and the integer
+    polynomial P = ((j+1) sigma + i k)(1 - i sigma)^(2k).  Its part even in
+    sigma is i (Im P cos + Re P sin), so the cos numerator is Im P and the
+    sin numerator Re P.  F4 is F_(2,2), F61 and F62 are -F_(3,1) and
+    -F_(3,3), and poly:N is F_(N-1,N-1).
     """
-    if n_total < 4:
-        raise ValueError(f"need N >= 4, got {n_total}")
-    n = n_total - 1
-    c = [0] * (2 * n + 1)
-    s = [0] * (2 * n + 1)
-    for j in range(2 * n + 1):
-        coeff = math.comb(2 * n, j)
-        r = j % 4
-        if r == 0:
-            c[j] += coeff
-        elif r == 1:
-            s[j] += coeff
-        elif r == 2:
-            c[j] -= coeff
-        else:
-            s[j] -= coeff
-    # cos part: (N-1) C - N z S ; sin part: N z C + (N-1) S
-    p = [0] * (2 * n + 2)
-    q = [0] * (2 * n + 2)
-    for j in range(2 * n + 1):
-        p[j] += n * c[j]
-        q[j] += n * s[j]
-    for j in range(2 * n + 1):
-        p[j + 1] -= n_total * s[j]
-        q[j + 1] += n_total * c[j]
-    while p and p[-1] == 0:
-        p.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return tuple(p), tuple(q)
-
-
-def polygon_prefactor(n_total: int) -> Fraction:
-    """Constant K with M = +-(K / Theta0^(2N)) F(theta) sin((N-1) s0)."""
-    if n_total < 4:
-        raise ValueError(f"need N >= 4, got {n_total}")
-    return Fraction(4 * _double_factorial(2 * n_total - 3), math.factorial(n_total - 1))
-
-
-def polygon_integrand(n_total: int, theta_tilde: float) -> CubicPhaseIntegrand:
-    p, q = polygon_numerators(n_total)
-    return CubicPhaseIntegrand(
-        cos_numerator=tuple(float(x) for x in p),
-        sin_numerator=tuple(float(x) for x in q),
-        denominator_power=2 * n_total,
-        phase_scale=(n_total - 1) * theta_tilde**3 / 2.0,
-    )
+    if j < 1 or k < 1:
+        raise ValueError(f"need j >= 1 and k >= 1, got j={j}, k={k}")
+    cos_num, sin_num = _harmonic_numerators(j, k)
+    return CubicPhaseIntegrand(cos_num, sin_num, j + k + 2, k * theta_tilde**3 / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,18 @@ from melsplit import (
     eval_oscillatory,
     eval_via_ikjk,
     find_zeros,
+    harmonic_integrand,
     harmonic_table,
     hd_value,
     homoclinic,
     ik_asymptotic,
     jacobi_constant,
+    legendre_cos_coeffs,
     m4_leading,
     poincare_numeric,
-    polygon_numerators,
-    polygon_prefactor,
     simple_zeros,
     solve_collinear_equal,
     solve_collinear_equidistant,
-    splitting_measure,
     splitting_terms,
 )
 from melsplit.config import rotate
@@ -166,18 +165,17 @@ def test_criterion_5_polygonal_integrand_generation():
         p2 = (0, 79, 0, -1782, 0, 8217, 0, -11220, 0, 4785, 0, -534, 0, 7)
         p3 = (-7, 0, 749, 0, -9919, 0, 37037, 0, -48477, 0, 23023, 0, -3549, 0, 119)
         p4 = (0, -106, 0, 3276, 0, -22022, 0, 48048, 0, -38038, 0, 10556, 0, -826, 0, 8)
-        gen7 = polygon_numerators(7)
-        assert gen7 == (p1, p2)
-        gen8 = polygon_numerators(8)
+        # poly:N is the (N-1, N-1) harmonic integrand, with constant 2^N p_(N-1,N-1)
+        gen7 = harmonic_integrand(6, 6, 1.0)
+        assert (gen7.cos_numerator, gen7.sin_numerator) == (p1, p2)
+        gen8 = harmonic_integrand(7, 7, 1.0)
         # the published eight-body integrand carries an overall minus sign
-        assert gen8 == (tuple(-c for c in p3), tuple(-c for c in p4))
-        from fractions import Fraction
-
-        assert polygon_prefactor(7) == Fraction(231, 4)
+        assert (gen8.cos_numerator, gen8.sin_numerator) == (tuple(-c for c in p3),
+                                                            tuple(-c for c in p4))
+        assert 2**7 * legendre_cos_coeffs(6)[6] == 231 / 4
         # the general product form gives 429/4; the published display drops
         # the factor 4 and is inconsistent with its own integrand normalization
-        assert polygon_prefactor(8) == Fraction(429, 4)
-        assert 4 * polygon_prefactor(8) == 429
+        assert 2**8 * legendre_cos_coeffs(7)[7] == 429 / 4
     _report(5, f"numerators match coefficientwise; prefactors 231/4 and 429/4 in {t.elapsed:.2f}s")
 
 
@@ -297,19 +295,26 @@ def test_criterion_8_dynamics_property_suite():
             math.sqrt(2) * math.pi * e3 * x0**4 * (1 - pmap.jacobi_C**2 * x0**2)
         ) == pytest.approx(1.0, abs=0.05)
 
-        # flow-side splitting against the closed forms, term by term within
-        # the sum of both error bounds, on both branches
+        # the splitting from the field's harmonic tables against the paper's
+        # rows, term by term within the sum of both error bounds, on both branches
         eps = 0.5
+        _, c2, c3 = c_coeffs(cfg)
+        d1, d2, d3, d4 = d_coeffs(cfg)
+        paper = {4: [(2, f4_integrand, -c3, c2)],
+                 6: [(1, f61_integrand, d2, -d1), (3, f62_integrand, d4, -d3)]}
         for th in (theta0, -theta0):
-            for order in (4, 6):
-                flow = splitting_measure(cfg, order, th, eps, tol=1e-12)
-                closed = splitting_terms(cfg, order, th, eps, tol=1e-12)
-                assert [k for k, *_ in flow.terms] == [k for k, *_ in closed.terms]
-                for (_, a, b, err), (_, a_c, b_c, err_c) in zip(flow.terms, closed.terms):
-                    assert abs(a - a_c) <= err + err_c and abs(b - b_c) <= err + err_c
+            for order, rows in paper.items():
+                terms = splitting_terms(cfg, order, th, eps, tol=1e-12).terms
+                pref = math.copysign(2.0, th) / th ** (order + 2)
+                assert [k for k, *_ in terms] == [k for k, *_ in rows]
+                for (_, a, b, err), (_, builder, a_p, b_p) in zip(terms, rows):
+                    f = eval_oscillatory(builder(th / eps), 1e-12)
+                    err_p = abs(pref) * f.error_estimate * (abs(a_p) + abs(b_p))
+                    assert abs(a - pref * f.value * a_p) <= err + err_p
+                    assert abs(b - pref * f.value * b_p) <= err + err_p
 
         # zero locations bracket the witness predictions within 1e-3
-        m4, m6 = (splitting_measure(cfg, order, theta0, eps, tol=1e-8) for order in (4, 6))
+        m4, m6 = (splitting_terms(cfg, order, theta0, eps, tol=1e-8) for order in (4, 6))
         d1, d2 = d_coeffs(cfg)[:2]
         for z in simple_zeros(d2, -d1, 1):
             lo, hi = (eps**4 * m4.value(s) + eps**6 * m6.value(s) for s in (z - 1e-3, z + 1e-3))

@@ -6,12 +6,9 @@ from melsplit import (
     build_rp3bp,
     eval_Ik,
     eval_Jk,
-    fourier_estimate,
     ik_asymptotic,
     m4_leading,
     m6_leading,
-    sanders_lipschitz,
-    sanders_threshold,
     splitting_terms,
 )
 
@@ -134,51 +131,3 @@ class TestLeadingSplitting:
     def test_theta0_required(self, rp3bp_03):
         with pytest.raises(ValueError):
             m4_leading(0.0, 0.0, 0.3, rp3bp_03)
-
-
-class TestFourierEstimates:
-    def test_scaling_exponents(self, rp3bp_03):
-        assert fourier_estimate(1, 1.0, 0.3, rp3bp_03).epsilon_power == -1.5
-        assert fourier_estimate(2, 1.0, 0.3, rp3bp_03).epsilon_power == -3.5
-        assert fourier_estimate(5, 1.0, 0.3, rp3bp_03).epsilon_power == -6.5
-
-    def test_exponential_rates(self, rp3bp_03):
-        for k in (1, 2, 3, 7):
-            assert fourier_estimate(k, 1.0, 0.3, rp3bp_03).exponential_rate == k / 3.0
-
-    def test_leading_constants(self, rp3bp_03):
-        d1, _, _, _ = (0.252, 0.0, 0.42, 0.0)
-        est1 = fourier_estimate(1, 1.0, 0.3, rp3bp_03)
-        assert est1.alpha_leading == pytest.approx(0.0, abs=1e-15)
-        assert est1.beta_leading == pytest.approx(SQRT_PI / (12 * SQRT2) * d1, rel=1e-12)
-        assert est1.beta_leading > 0.0  # same sign as d1
-        est2 = fourier_estimate(2, 1.0, 0.3, rp3bp_03)
-        assert est2.beta_leading == pytest.approx(-(4 * SQRT_PI / 3) * 0.63, rel=1e-12)
-
-    def test_constants_unavailable_above_two(self, rp3bp_03):
-        est = fourier_estimate(3, 1.0, 0.3, rp3bp_03)
-        assert est.alpha_leading is None and est.beta_leading is None
-
-
-class TestSandersBounds:
-    def test_threshold_base_value(self):
-        assert sanders_threshold(1, 1.0) == pytest.approx(SQRT2 / 3.0)
-        assert sanders_threshold(1, 1.0) == pytest.approx(0.47140452, abs=1e-8)
-
-    def test_threshold_linear_in_k(self):
-        assert sanders_threshold(2, 1.0) == pytest.approx(2 * sanders_threshold(1, 1.0))
-
-    def test_defining_inequality(self):
-        theta0, eps, k = 1.0, 0.4, 1
-        thr = sanders_threshold(k, theta0)
-        for tau, expect in ((1.01 * thr, True), (0.99 * thr, False)):
-            lhs = math.exp(-k * theta0**3 / (3 * eps**3))
-            rhs = math.exp(-(theta0**2) * tau / (SQRT2 * eps**3))
-            assert (lhs > rhs) is expect
-
-    def test_lipschitz(self):
-        assert sanders_lipschitz(1.0) == pytest.approx(SQRT2)
-        assert sanders_lipschitz(2.0) == pytest.approx(SQRT2 / 2.0)
-        assert sanders_lipschitz(-1.0) == pytest.approx(-SQRT2)
-        with pytest.raises(ValueError):
-            sanders_lipschitz(0.0)

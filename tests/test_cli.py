@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import melsplit
-from melsplit import dynamics, melnikov
+from melsplit import cli, melnikov
 from melsplit.cli import main
 
 
@@ -36,14 +36,14 @@ def _record_engine_calls(monkeypatch, module):
 
 @pytest.fixture()
 def quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature the closed-form splitting runs."""
+    """Arguments of every oscillatory quadrature ``splitting_terms`` runs."""
     return _record_engine_calls(monkeypatch, melnikov)
 
 
 @pytest.fixture()
-def flow_quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature the flow-side splitting runs."""
-    return _record_engine_calls(monkeypatch, dynamics)
+def paper_quadrature_calls(monkeypatch):
+    """Arguments of every oscillatory quadrature of the paper's rows in ``splitting --compare``."""
+    return _record_engine_calls(monkeypatch, cli)
 
 
 class TestConfigCommands:
@@ -150,10 +150,20 @@ class TestSampling:
         assert code == 0
 
     def test_melnikov_bad_order(self, capsys):
-        code, _, err = run(
-            capsys, "melnikov", "--order", "5", "--theta0", "1.0", "--eps", "0.5"
-        )
-        assert code == 1
+        for order in ("5", "2", "130", "poly:3"):
+            code, _, err = run(
+                capsys, "melnikov", "--order", order, "--theta0", "1.0", "--eps", "0.5"
+            )
+            assert code == 1 and err.startswith("error:")
+
+    def test_melnikov_higher_order(self, capsys, rp3bp_file):
+        code, out, _ = run(capsys, "melnikov", "--order", "8", "--config", rp3bp_file,
+                           "--theta0", "1", "--eps", "0.5", "--points", "4")
+        assert code == 0
+        terms = melsplit.splitting_terms(melsplit.load_configuration(rp3bp_file), 8, 1.0, 0.5)
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert [value for _, value in rows] == [terms.value(s0) for s0, _ in rows]
+        assert len(rows) == 4
 
     def test_melnikov_epsilon_domain(self, capsys, rp3bp_file):
         for eps in ("0", "-0.5", "1.5"):
@@ -237,6 +247,22 @@ class TestDynamicsCommands:
         assert lines[0] == "t,x,y,s,theta,H_D"
         assert len(lines) == 5
 
+    def test_integrate_truncation_orders(self, capsys, rp3bp_file):
+        argv = ("integrate", "--config", rp3bp_file, "--eps", "0.5", "--state", "0.3", "0.05",
+                "0", "1", "--tspan", "0", "5", "--samples", "3", "--truncation")
+        rows = {}
+        for order in ("9", "13"):
+            code, out, _ = run(capsys, *argv, order)
+            assert code == 0
+            rows[order] = [float(v) for line in out.splitlines()[1:] for v in line.split(",")]
+        # the orders beyond 9 are small corrections: eps^13 x^12 and smaller
+        assert rows["13"] != rows["9"]
+        assert rows["13"] == pytest.approx(rows["9"], rel=1e-6, abs=1e-9)
+        for order in ("5", "8", "133"):
+            code, out, err = run(capsys, *argv, order)
+            assert code == 1 and out == ""
+            assert err.startswith("error: truncation order")
+
     def test_splitting_csv_with_compare(self, capsys, rp3bp_file):
         code, out, _ = run(
             capsys,
@@ -252,29 +278,34 @@ class TestDynamicsCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "s0,splitting,closed_form"
         cfg = melsplit.load_configuration(rp3bp_file)
-        flow = [melsplit.splitting_measure(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
-        closed = [melsplit.splitting_terms(cfg, order, 1.0, 0.5) for order in (4, 6)]
-        bound = sum(0.5**m.epsilon_order * err for m in (*flow, *closed) for *_, err in m.terms)
+        terms = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
+        paper = [cli._paper_terms(cfg, order, 1.0, 0.5) for order in (4, 6)]
+        bound = sum(0.5**m.epsilon_order * err for m in (*terms, *paper) for *_, err in m.terms)
         for line in lines[1:]:
             s0, value, closed_value = map(float, line.split(","))
-            assert value == 0.5**4 * flow[0].value(s0) + 0.5**6 * flow[1].value(s0)
+            assert value == 0.5**4 * terms[0].value(s0) + 0.5**6 * terms[1].value(s0)
+            assert closed_value == 0.5**4 * paper[0].value(s0) + 0.5**6 * paper[1].value(s0)
             assert abs(value - closed_value) <= bound + 1e-15 * abs(closed_value)
 
-    def test_splitting_compare_evaluates_each_f_once(self, capsys, quadrature_calls, rp3bp_file):
+    def test_splitting_compare_evaluates_each_f_once(
+        self, capsys, quadrature_calls, paper_quadrature_calls, rp3bp_file
+    ):
         code, out, _ = run(capsys, "splitting", "--config", rp3bp_file, "--eps", "0.5",
                            "--theta0", "1.0", "--points", "4", "--compare")
         assert code == 0 and len(out.splitlines()) == 5
-        assert len(quadrature_calls) == 3  # F4, F61 and F62
+        assert len(quadrature_calls) == 3  # F_(2,2), F_(3,1) and F_(3,3)
+        assert len(paper_quadrature_calls) == 3  # F4, F61 and F62
 
     def test_splitting_engine_calls_do_not_grow_with_points(
-        self, capsys, flow_quadrature_calls, rp3bp_file
+        self, capsys, quadrature_calls, paper_quadrature_calls, rp3bp_file
     ):
         for points in ("1", "16"):
-            flow_quadrature_calls.clear()
+            quadrature_calls.clear()
             code, out, _ = run(capsys, "splitting", "--config", rp3bp_file, "--eps", "0.5",
                                "--theta0", "1.0", "--points", points)
             assert code == 0 and len(out.splitlines()) == int(points) + 1
-            assert len(flow_quadrature_calls) == 6  # two per harmonic: k = 2; k = 1 and 3
+            assert len(quadrature_calls) == 3  # one per harmonic: k = 2; k = 1 and 3
+            assert paper_quadrature_calls == []  # the paper's rows only with --compare
 
     def test_splitting_domain(self, capsys, rp3bp_file):
         for theta0, eps, message in (("1.0", "0", "error: epsilon"),
@@ -318,3 +349,18 @@ class TestCatalogCommand:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 9
+
+    def test_output_is_byte_identical_between_runs(self, capsys):
+        _, first, _ = run(capsys, "catalog", "all")
+        _, second, _ = run(capsys, "catalog", "all")
+        assert first == second
+
+
+def test_import_leaves_scipy_out():
+    # scipy.integrate is most of the import time; only the ODE runs need it
+    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, melsplit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
@@ -13,9 +14,13 @@ from melsplit import (
     PoincareReturnError,
     build_equilateral,
     build_polygon,
+    build_rhomboid,
     build_rp3bp,
     c_coeffs,
+    d_coeffs,
     duffing_rhs,
+    eval_oscillatory,
+    harmonic_table,
     hd_value,
     homoclinic,
     integrate,
@@ -24,17 +29,19 @@ from melsplit import (
     rhs_mcgehee_t,
     s_closed_form,
     simple_zeros,
-    splitting_measure,
+    solve_collinear_equal,
     splitting_terms,
     theta_from_jacobi,
 )
-from melsplit import dynamics
+from melsplit import melnikov
 from melsplit.config import rotate
 from melsplit.dynamics import (
     SQRT2,
     integrate_mcgehee,
     rhs_mcgehee_tau,
+    truncated_hamiltonian,
 )
+from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
 
 
 class TestClosedForms:
@@ -144,6 +151,31 @@ class TestAngularMomentumBranch:
         assert got == pytest.approx(exact, rel=5e-8)
 
 
+def exact_potential_field(state, eps, config):
+    """(y', theta', H) of the time-form flow under the exact potential, at 40 digits.
+
+    The particle sits at r = x^-2 and angle -s in the rotating frame, so the
+    potential is U = -sum m_i / |q - eps^2 a_i| with q = r (cos s, -sin s), and
+    y' = eps^3 x^3 / (2 sqrt 2) (-2 theta^2 x^3 - dU/dx), theta' = eps^3 dU/ds,
+    H = eps^3 (y^2 + theta^2 x^4 / 2 + U).
+    """
+    with mp.workdps(40):
+        x, y, s, theta = map(mp.mpf, state)
+        eps = mp.mpf(eps)
+        r = 1 / x**2
+        radial, angular = (mp.cos(s), -mp.sin(s)), (-r * mp.sin(s), -r * mp.cos(s))
+        u = du_dr = du_ds = mp.mpf(0)
+        for m, (ax, ay) in zip(config.masses(), config.positions()):
+            d = (r * radial[0] - eps**2 * float(ax), r * radial[1] - eps**2 * float(ay))
+            dist = mp.hypot(*d)
+            u -= float(m) / dist
+            du_dr += float(m) * (d[0] * radial[0] + d[1] * radial[1]) / dist**3
+            du_ds += float(m) * (d[0] * angular[0] + d[1] * angular[1]) / dist**3
+        du_dx = -2 * du_dr / x**3
+        dy = eps**3 * x**3 / (2 * mp.sqrt(2)) * (-2 * theta**2 * x**3 - du_dx)
+        return dy, eps**3 * du_ds, eps**3 * (y**2 + theta**2 * x**4 / 2 + u)
+
+
 class TestStatesAndFields:
     def test_mcgehee_state_normalizes_angle(self):
         st_ = McGeheeState(0.1, 0.0, 7.0, 1.0)
@@ -193,10 +225,40 @@ class TestStatesAndFields:
                 assert got == pytest.approx(tuple(want), rel=1e-12, abs=0.0)
 
     def test_flow_params_validation(self, rp3bp_03):
-        with pytest.raises(ValueError):
-            FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=5)
+        for order in (1, 5, 8, 10, 133, 7.0):
+            with pytest.raises(ValueError):
+                FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
         with pytest.raises(ValueError):
             FlowParams(epsilon=-0.1, config=rp3bp_03)
+        for order in (3, 7, 11, 131):
+            assert FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
+
+    @pytest.mark.parametrize("big_j", [2, 3, 4, 6])
+    def test_generic_field_matches_the_exact_potential(self, rotated_equilateral, big_j):
+        # the field truncated at 2J + 3 leaves the row J + 1 out: the remainder
+        # falls like x^(2J+6) in y' and x^(2J+4) in theta'
+        eps = 0.7
+        params = FlowParams(epsilon=eps, config=rotated_equilateral, truncation_order=2 * big_j + 3)
+        gaps = []
+        for x in (0.4, 0.2):
+            state = (x, 0.13, 1.1, 0.9)
+            _, dy, _, dtheta = rhs_mcgehee_t(McGeheeState(*state), params)
+            want_dy, want_dtheta, _ = exact_potential_field(state, eps, rotated_equilateral)
+            gaps.append((abs(dy - want_dy), abs(dtheta - want_dtheta)))
+        slopes = [float(mp.log(a / b, 2)) for a, b in zip(*gaps)]
+        assert slopes == pytest.approx([2 * big_j + 6, 2 * big_j + 4], abs=0.25)
+
+    @pytest.mark.parametrize("order", [7, 9, 11])
+    def test_truncated_energy_is_the_exact_potential_energy(self, rotated_equilateral, order):
+        # the energy truncated at 2J + 3 misses the exact one by the row J + 1, of size x^(2J+4)
+        eps, big_j = 0.7, (order - 3) // 2
+        params = FlowParams(epsilon=eps, config=rotated_equilateral, truncation_order=order)
+        gaps = []
+        for x in (0.4, 0.2):
+            state = (x, 0.13, 1.1, 0.9)
+            _, _, want = exact_potential_field(state, eps, rotated_equilateral)
+            gaps.append(abs(truncated_hamiltonian(McGeheeState(*state), params) - want))
+        assert float(mp.log(gaps[0] / gaps[1], 2)) == pytest.approx(2 * big_j + 4, abs=0.25)
 
 
 class TestIntegrate:
@@ -314,19 +376,35 @@ class TestPoincare:
 
 
 def measure(cfg, theta0, eps, tol=1e-12):
-    """Flow-side order-4 plus order-6 splitting as a function of s0."""
-    m4 = splitting_measure(cfg, 4, theta0, eps, tol)
-    m6 = splitting_measure(cfg, 6, theta0, eps, tol)
+    """Order-4 plus order-6 splitting as a function of s0."""
+    m4 = splitting_terms(cfg, 4, theta0, eps, tol)
+    m6 = splitting_terms(cfg, 6, theta0, eps, tol)
     return lambda s0: eps**4 * m4.value(s0) + eps**6 * m6.value(s0)
 
 
-def assert_terms_agree(flow, closed):
+def paper_terms(cfg, order, theta0, eps, tol=1e-10):
+    """The paper's rows: the literal F4, F61, F62 with the c and d pairs, as (k, A, B, error)."""
+    if order == 4:
+        _, c2, c3 = c_coeffs(cfg)
+        pref, rows = 2.0 / theta0**6, [(2, f4_integrand, -c3, c2)]
+    else:
+        d1, d2, d3, d4 = d_coeffs(cfg)
+        pref, rows = 2.0 / theta0**8, [(1, f61_integrand, d2, -d1), (3, f62_integrand, d4, -d3)]
+    sign = math.copysign(1.0, theta0)
+    terms = []
+    for k, builder, a, b in rows:
+        f = eval_oscillatory(builder(theta0 / eps), tol)
+        amp = sign * pref * f.value
+        terms.append((k, amp * a, amp * b, abs(pref) * f.error_estimate * (abs(a) + abs(b))))
+    return terms
+
+
+def assert_terms_agree(terms, paper):
     """Same harmonics, and amplitudes equal within the sum of both errors."""
-    assert flow.epsilon_order == closed.epsilon_order
-    assert [t[0] for t in flow.terms] == [t[0] for t in closed.terms]
-    for (_, a, b, err), (_, a_c, b_c, err_c) in zip(flow.terms, closed.terms):
-        assert abs(a - a_c) <= err + err_c
-        assert abs(b - b_c) <= err + err_c
+    assert [t[0] for t in terms.terms] == [t[0] for t in paper]
+    for (_, a, b, err), (_, a_p, b_p, err_p) in zip(terms.terms, paper):
+        assert abs(a - a_p) <= err + err_p
+        assert abs(b - b_p) <= err + err_p
 
 
 @pytest.fixture(scope="module")
@@ -343,19 +421,31 @@ def integrand_values(integrand, sigma):
 
 
 class TestSplittingMeasure:
+    """The generic splitting terms against the paper's rows and the flow."""
+
     def test_matches_closed_forms_on_grid(self, rp3bp_03, rotated_equilateral):
         for cfg in (rp3bp_03, rotated_equilateral):
             for theta0 in (1.0, -1.0):
                 for order in (4, 6):
-                    flow = splitting_measure(cfg, order, theta0, 0.5, tol=1e-12)
-                    closed = splitting_terms(cfg, order, theta0, 0.5, tol=1e-12)
-                    assert_terms_agree(flow, closed)
+                    terms = splitting_terms(cfg, order, theta0, 0.5, tol=1e-12)
+                    assert terms.epsilon_order == order
+                    assert_terms_agree(terms, paper_terms(cfg, order, theta0, 0.5, tol=1e-12))
+
+    @pytest.mark.parametrize("theta0", [1.0, -1.0, 0.7])
+    def test_paper_rows_on_symmetric_configurations(self, theta0):
+        # the rhombus and the collinear chain have harmonics that vanish by
+        # symmetry; they agree only with the tables' rounding bound in the error
+        for cfg in (build_rp3bp(0.3), rotate(build_equilateral(0.2, 0.3), 0.7),
+                    build_rhomboid(1.2, 1.0), solve_collinear_equal(7)):
+            for order in (4, 6):
+                assert_terms_agree(splitting_terms(cfg, order, theta0, 0.5),
+                                   paper_terms(cfg, order, theta0, 0.5))
 
     def test_negative_branch(self, rp3bp_03):
         # default tolerances on both sides, on the branch where the amplitudes are small
         for order in (4, 6):
-            flow = splitting_measure(rp3bp_03, order, -1.0, 0.8)
-            assert_terms_agree(flow, splitting_terms(rp3bp_03, order, -1.0, 0.8))
+            assert_terms_agree(splitting_terms(rp3bp_03, order, -1.0, 0.8),
+                               paper_terms(rp3bp_03, order, -1.0, 0.8))
 
     def test_zeros_bracketed(self, rp3bp_03):
         d1, d2, _, _ = (0.252, 0.0, 0.0, 0.0)
@@ -372,42 +462,49 @@ class TestSplittingMeasure:
         for theta0, eps in ((0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
                             (1.0, 0.0), (1.0, -0.5), (1.0, 1.5), (1.0, math.nan)):
             with pytest.raises(ValueError):
-                splitting_measure(rp3bp_03, 4, theta0, eps)
-        with pytest.raises(ValueError):
-            splitting_measure(rp3bp_03, 5, 1.0, 0.5)
+                splitting_terms(rp3bp_03, 4, theta0, eps)
+        for order in (5, 2, 130, "8.0", "-4"):
+            with pytest.raises(ValueError):
+                splitting_terms(rp3bp_03, order, 1.0, 0.5)
 
     @pytest.mark.parametrize("theta0", [1.0, -1.0])
     def test_integrands_are_the_energy_derivative(
         self, monkeypatch, rp3bp_03, rotated_equilateral, theta0
     ):
-        # the harmonics the engine integrates, recombined at a few s0, equal
-        # dH_D/dtau dtau/dsigma from the slow-time field on the separatrix
+        # the integrands F_(j,k), weighted by the table entries and recombined
+        # at a few s0, equal the sigma-even part of dH_D/dtau dtau/dsigma from
+        # the slow-time field on the separatrix (the odd part integrates to 0)
         integrands = []
-        engine = dynamics.eval_oscillatory
-        monkeypatch.setattr(dynamics, "eval_oscillatory",
+        engine = melnikov.eval_oscillatory
+        monkeypatch.setattr(melnikov, "eval_oscillatory",
                             lambda f, tol: integrands.append(f) or engine(f, tol))
         eps = 0.5
         sigmas = np.linspace(-2.5, 2.5, 21)
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(epsilon=eps, config=cfg, truncation_order=9)
-            c1 = c_coeffs(cfg)[0]
-            harmonics = []  # (epsilon power, k, X integrand, Y integrand)
+            harmonics = []  # (weight, k, a, b, integrand)
             for order in (4, 6):
                 integrands.clear()
-                terms = splitting_measure(cfg, order, theta0, eps).terms
-                assert len(integrands) == 2 * len(terms)
-                harmonics += [(eps**order, k, integrands[2 * i], integrands[2 * i + 1])
-                              for i, (k, *_) in enumerate(terms)]
+                terms = splitting_terms(cfg, order, theta0, eps).terms
+                assert len(integrands) == len(terms)
+                j = order // 2
+                weight = math.copysign(2.0 ** (j + 1), theta0) / theta0**order * eps**order
+                table = harmonic_table(cfg, j)
+                harmonics += [(weight, k, *table.pair(k), f)
+                              for (k, *_), f in zip(terms, integrands)]
+
+            def dh(sigma, s0):
+                tau = math.asinh(sigma)
+                x, y = homoclinic(tau, theta0)
+                s = s_closed_form(tau, s0, theta0, eps)
+                _, dy, _, dtheta = rhs_mcgehee_tau((x, y, s, theta0), params)
+                return y * (dy - (1.0 - theta0**2 * x * x) * x) + 0.5 * theta0 * x**4 * dtheta
+
             for s0 in (0.0, 0.9, 4.1):
-                got = sum(w * (integrand_values(fx, sigmas) * math.cos(k * s0)
-                               - integrand_values(fy, sigmas) * math.sin(k * s0))
-                          for w, k, fx, fy in harmonics)
+                got = sum(w * integrand_values(f, sigmas)
+                          * (a * math.sin(k * s0) - b * math.cos(k * s0))
+                          for w, k, a, b, f in harmonics)
                 for sigma, value in zip(sigmas, got):
-                    tau = math.asinh(sigma)
-                    x, y = homoclinic(tau, theta0)
-                    s = s_closed_form(tau, s0, theta0, eps)
-                    _, dy, _, dtheta = rhs_mcgehee_tau((x, y, s, theta0), params)
-                    dh = y * (dy - (1.0 - theta0**2 * x * x) * x) + 0.5 * theta0 * x**4 * dtheta
-                    dh -= 0.75 * eps**4 * c1 * x**5 * y  # odd in sigma, left out of the harmonics
-                    assert value == pytest.approx(dh / math.sqrt(1.0 + sigma * sigma),
+                    even = 0.5 * (dh(sigma, s0) + dh(-sigma, s0))
+                    assert value == pytest.approx(even / math.sqrt(1.0 + sigma * sigma),
                                                   rel=1e-10, abs=1e-14)

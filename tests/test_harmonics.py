@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melsplit import (
+    build_equilateral,
     build_polygon,
     build_rhomboid,
     build_rp3bp,
@@ -14,9 +16,10 @@ from melsplit import (
     d_l,
     harmonic_table,
     legendre_cos_coeffs,
+    solve_collinear_equal,
 )
-from melsplit.config import rotate
-from melsplit.harmonics import legendre_pair
+from melsplit.config import rotate, scale
+from melsplit.harmonics import _cos_basis_fractions, legendre_pair
 
 
 class TestLegendreCosine:
@@ -194,3 +197,42 @@ class TestHarmonicTable:
     def test_order_domain(self, rp3bp_03):
         with pytest.raises(ValueError):
             harmonic_table(rp3bp_03, 1)
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("name", ["polygon7", "polygon13", "collinear7", "rhombus",
+                                      "rp3bp", "equilateral"])
+    def test_rounding_bounds_every_entry(self, name):
+        # every entry up to j = 64, recomputed at 30 digits from the same float positions
+        base = {
+            "polygon7": lambda: build_polygon(7),
+            "polygon13": lambda: build_polygon(13),
+            "collinear7": lambda: solve_collinear_equal(7),
+            "rhombus": lambda: build_rhomboid(1.2, 1.0),
+            "rp3bp": lambda: build_rp3bp(0.3),
+            "equilateral": lambda: build_equilateral(0.2, 0.3),
+        }[name]()
+        worst = 0.0
+        with mp.workdps(30):
+            for c in (0.5, 1.0, 2.0, 3.0):
+                cfg = scale(base, c)
+                masses, radii, cos_m, sin_m = [], [], [], []
+                for m, (x, y) in zip(cfg.masses(), cfg.positions()):
+                    al = mp.atan2(float(y), float(x))
+                    masses.append(mp.mpf(float(m)))
+                    radii.append(mp.hypot(float(x), float(y)))
+                    cos_m.append([mp.cos(k * al) for k in range(65)])
+                    sin_m.append([mp.sin(k * al) for k in range(65)])
+                cos_m, sin_m = list(zip(*cos_m)), list(zip(*sin_m))  # indexed [m][body]
+                for j in range(2, 65):
+                    table = harmonic_table(cfg, j)
+                    weights = [w * r**j for w, r in zip(masses, radii)]
+                    for (m, p), (mm, a, b) in zip(_cos_basis_fractions(j), table.entries):
+                        assert m == mm
+                        p = mp.mpf(p.numerator) / p.denominator
+                        want_a = p * mp.fdot(weights, cos_m[m])
+                        want_b = -p * mp.fdot(weights, sin_m[m])
+                        err = max(abs(a - want_a), abs(b - want_b))
+                        assert err <= table.rounding, (c, j, m)
+                        worst = max(worst, float(err / table.rounding))
+        assert worst > 0.0  # the recomputation sees the rounding at all

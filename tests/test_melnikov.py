@@ -16,8 +16,9 @@ from melsplit import (
     d_coeffs,
     eval_oscillatory,
     find_zeros,
+    harmonic_integrand,
     harmonic_table,
-    polygon_prefactor,
+    legendre_cos_coeffs,
     simple_zeros,
     solve_collinear_equal,
     solve_collinear_equidistant,
@@ -26,7 +27,12 @@ from melsplit import (
 )
 from melsplit.config import rotate
 from melsplit.melnikov import TransversalityVerdict, Witness
-from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand, polygon_integrand
+from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+
+
+def polygon_prefactor(n_total):
+    """The published constant K of poly:N, 2^N p_(N-1,N-1)."""
+    return 2.0**n_total * legendre_cos_coeffs(n_total - 1)[n_total - 1]
 
 
 def refined_rhomboid_ratio(near: float) -> float:
@@ -86,8 +92,9 @@ class TestSplittingFunctions:
     def test_m_poly_prefactors_and_harmonics(self):
         theta0, eps = 1.0, 0.5
         for n_total in (7, 8):
-            k = float(polygon_prefactor(n_total))
-            f = eval_oscillatory(polygon_integrand(n_total, theta0 / eps), 1e-11).value
+            k = polygon_prefactor(n_total)
+            f = eval_oscillatory(harmonic_integrand(n_total - 1, n_total - 1, theta0 / eps),
+                                 1e-11).value
             m_poly = splitting_terms(None, f"poly:{n_total}", theta0, eps, tol=1e-11)
             for s0 in (0.15, 0.8):
                 expected = k / theta0 ** (2 * n_total) * f * math.sin((n_total - 1) * s0)
@@ -140,7 +147,7 @@ def _coefficient_rows(cfg, order, theta0):
         d1, d2, d3, d4 = d_coeffs(cfg)
         return [(1, (d2, -d1), 2.0 / theta0**8), (3, (d4, -d3), 2.0 / theta0**8)]
     n_total = int(order.split(":")[1])
-    return [(n_total - 1, (0.0, 1.0), float(polygon_prefactor(n_total)) / theta0 ** (2 * n_total))]
+    return [(n_total - 1, (0.0, 1.0), polygon_prefactor(n_total) / theta0 ** (2 * n_total))]
 
 
 class TestAssembleMelnikov:
@@ -180,9 +187,39 @@ class TestAssembleMelnikov:
 
     def test_orders_need_their_inputs(self):
         # orders 4 and 6 without a configuration, then unknown orders
-        for order in (4, "6", 5, "poly:3", "poly:x"):
+        for order in (4, "6", 5, "poly:3", "poly:x", "poly:66", 2, 130, "x"):
             with pytest.raises(ValueError):
                 splitting_terms(None, order, 1.0, 0.5)
+
+    @pytest.mark.parametrize("theta0", [1.0, -1.0, 0.8, -0.8])
+    @pytest.mark.parametrize("n_total", range(4, 11))
+    def test_poly_alias_is_the_polygon_diagonal_term(self, n_total, theta0):
+        # poly:N is the (N-1, N-1) term of the polygon's order 2N - 2; the
+        # polygon's other harmonics at that order vanish by its symmetry
+        (alias,) = splitting_terms(None, f"poly:{n_total}", theta0, 0.5).terms
+        terms = splitting_terms(build_polygon(n_total), 2 * n_total - 2, theta0, 0.5)
+        assert terms.epsilon_order == 2 * n_total - 2
+        assert [k for k, *_ in terms.terms] == list(range(2 - (n_total - 1) % 2, n_total, 2))
+        for k, a, b, err in terms.terms:
+            if k == n_total - 1:
+                assert abs(a - alias[1]) <= err + alias[3]
+                assert abs(b - alias[2]) <= err + alias[3]
+            else:
+                assert abs(a) <= err and abs(b) <= err
+
+    def test_high_orders_carry_every_harmonic(self, rp3bp_03):
+        # order 2j has the harmonics k = j, j - 2, ... >= 1 of the order-j table
+        for j in (4, 5, 8):
+            table = harmonic_table(rp3bp_03, j)
+            terms = splitting_terms(rp3bp_03, 2 * j, 1.0, 0.5)
+            assert terms.epsilon_order == 2 * j
+            assert [k for k, *_ in terms.terms] == [k for k, *_ in table.entries if k >= 1]
+            for (k, a, b, err), (_, ta, tb) in zip(terms.terms, table.entries[-len(terms.terms):]):
+                f = eval_oscillatory(harmonic_integrand(j, k, 2.0), 1e-10)
+                amp = 2.0 ** (j + 1) * f.value
+                assert a == pytest.approx(-amp * tb, abs=err)
+                assert b == pytest.approx(amp * ta, abs=err)
+                assert err >= 2.0 ** (j + 1) * 2.0 * abs(f.value) * table.rounding
 
     @pytest.mark.parametrize("order", [4, 6, "poly:5", "poly:9"])
     @pytest.mark.parametrize("theta0", [0.75, -0.75])

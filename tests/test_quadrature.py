@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,15 +14,14 @@ from melsplit import (
     eval_oscillatory,
     eval_via_ikjk,
     find_zeros,
-    polygon_numerators,
-    polygon_prefactor,
+    harmonic_integrand,
+    legendre_cos_coeffs,
 )
 from melsplit.quadrature import (
     f4_integrand,
     f61_integrand,
     f62_integrand,
     ikjk_decomposition,
-    polygon_integrand,
 )
 
 # frozen dual-backend value, cross-checked against the I/J pipeline
@@ -208,23 +208,78 @@ class TestDualBackend:
         )
 
 
+def polygon_integrand(n_total, tt):
+    """poly:N is the (N-1, N-1) harmonic integrand."""
+    return harmonic_integrand(n_total - 1, n_total - 1, tt)
+
+
+def _binomial_numerators(n_total):
+    """(cos, sin) numerators of poly:N from the binomial expansion of its rotation.
+
+    cos(4 chi) = (1 - z^2)/(1 + z^2), sin(4 chi) = 2 z/(1 + z^2), so the
+    rotation's powers are (1 + i z)^(2(N-1)) = C + i S; the cos numerator is
+    (N-1) C - N z S and the sin numerator N z C + (N-1) S.
+    """
+    n = n_total - 1
+    c = [math.comb(2 * n, j) * (1, 0, -1, 0)[j % 4] for j in range(2 * n + 1)] + [0]
+    s = [math.comb(2 * n, j) * (0, 1, 0, -1)[j % 4] for j in range(2 * n + 1)] + [0]
+    p = [n * c[j] - n_total * (s[j - 1] if j else 0) for j in range(2 * n + 2)]
+    q = [n_total * (c[j - 1] if j else 0) + n * s[j] for j in range(2 * n + 2)]
+    while p[-1] == 0:
+        p.pop()
+    while q[-1] == 0:
+        q.pop()
+    return tuple(p), tuple(q)
+
+
+class TestHarmonicIntegrand:
+    def test_named_integrands_are_special_cases(self):
+        # F4 = F_(2,2); F61 and F62 are -F_(3,1) and -F_(3,3)
+        for tt in (-1.3, 0.0, 0.7, 2.0):
+            assert harmonic_integrand(2, 2, tt) == f4_integrand(tt)
+            for k, named in ((1, f61_integrand(tt)), (3, f62_integrand(tt))):
+                f = harmonic_integrand(3, k, tt)
+                assert tuple(-c for c in f.cos_numerator) == named.cos_numerator
+                assert tuple(-c for c in f.sin_numerator) == named.sin_numerator
+                assert (f.denominator_power, f.phase_scale) == (
+                    named.denominator_power, named.phase_scale)
+
+    @pytest.mark.parametrize("n_total", range(4, 11))
+    def test_polygon_is_the_diagonal_harmonic(self, n_total):
+        f = polygon_integrand(n_total, 1.0)
+        assert (f.cos_numerator, f.sin_numerator) == _binomial_numerators(n_total)
+
+    @pytest.mark.parametrize("j, k", [(2, 1), (4, 2), (5, 3), (9, 9), (12, 5)])
+    def test_numerators_are_the_complex_polynomial(self, j, k):
+        # small enough that every coefficient of the float product is exact
+        f = harmonic_integrand(j, k, 1.5)
+        want = P.polymul([1j * k, j + 1], P.polypow([1.0, -1j], 2 * k))
+        for got, part in ((f.cos_numerator, want.imag), (f.sin_numerator, want.real)):
+            assert np.array_equal(np.pad(got, (0, len(want) - len(got))), part)
+        assert f.denominator_power == j + k + 2
+        assert f.phase_scale == k * 1.5**3 / 2.0
+
+    def test_domain(self):
+        for j, k in ((0, 1), (2, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                harmonic_integrand(j, k, 1.0)
+
+
 class TestPolygonGeneration:
     def test_numerators_seven(self):
-        p, q = polygon_numerators(7)
-        assert p == P1_COEFFS
-        assert q == P2_COEFFS
+        f = polygon_integrand(7, 1.0)
+        assert f.cos_numerator == P1_COEFFS
+        assert f.sin_numerator == P2_COEFFS
 
     def test_numerators_eight(self):
-        p, q = polygon_numerators(8)
-        assert p == tuple(-c for c in P3_COEFFS)
-        assert q == tuple(-c for c in P4_COEFFS)
+        f = polygon_integrand(8, 1.0)
+        assert f.cos_numerator == tuple(-c for c in P3_COEFFS)
+        assert f.sin_numerator == tuple(-c for c in P4_COEFFS)
 
     def test_prefactors(self):
-        from fractions import Fraction
-
-        assert polygon_prefactor(7) == Fraction(231, 4)
-        assert polygon_prefactor(8) == Fraction(429, 4)
-        assert polygon_prefactor(4) == Fraction(10)
+        # the published constant K of poly:N is 2^N p_(N-1,N-1)
+        for n_total, k in ((7, 231 / 4), (8, 429 / 4), (4, 10.0)):
+            assert 2.0**n_total * legendre_cos_coeffs(n_total - 1)[n_total - 1] == k
 
     def test_four_body_case_matches_third_harmonic_channel(self):
         for tt in (0.5, 1.0, 1.7, -1.3):
