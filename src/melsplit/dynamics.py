@@ -12,7 +12,12 @@ oscillator x'' = x - Theta0^2 x^3 with the explicit separatrix
 
 This module integrates the truncated equations of motion, checks the
 Jacobi-like first integral and realizes the numeric return map near
-x = y = 0.
+x = y = 0.  Both runs use one stepper, the Dormand-Prince 5(4) pair
+(Dormand & Prince 1980) with local extrapolation: the step is scaled by
+0.9 err^(-1/5), clipped to [0.2, 10], from the RMS error norm; the first
+step follows Hairer, Norsett & Wanner; Shampine's quartic interpolant
+gives the dense output.  It takes the same steps as scipy's RK45, which
+the tests use as its oracle; the package itself needs numpy only.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from ``harmonics.harmonic_table``: at truncation order
@@ -30,6 +35,7 @@ and the splitting integrands of ``quadrature.harmonic_integrand`` against.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -43,7 +49,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed (step-size underflow or solver breakdown)."""
+    """The adaptive step size fell below 10 ulp of t (a blow-up or a non-finite field)."""
 
 
 class ConvergenceRegionError(ValueError):
@@ -272,6 +278,105 @@ def rhs_mcgehee_tau(state_vec: Sequence[float], params: FlowParams):
 # ---------------------------------------------------------------------------
 # integration
 
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes, stage weights, the
+# fifth-order weights B, the error weights E (fifth minus fourth order, with
+# the FSAL stage last) and Shampine's fourth-order dense-output matrix P.
+_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _rms(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v)) / v.size**0.5
+
+
+def _step_interpolant(t_old: float, h: float, y_old: np.ndarray, q: np.ndarray):
+    """The step's quartic y_old + h Q (x, x^2, x^3, x^4), x = (t - t_old)/h; exact at t_old."""
+
+    def y_at(t: float) -> np.ndarray:
+        return y_old + h * q.dot(np.cumprod(np.full(4, (t - t_old) / h)))
+
+    return y_at
+
+
+def _dormand_prince(rhs, t0: float, y0: np.ndarray, t_bound: float, tol: float,
+                    max_step: float = math.inf):
+    """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
+
+    The error of each step is measured in the RMS norm against
+    tol/10 + tol max(|y|, |y_new|), and the step size is scaled by
+    0.9 err^(-1/5), clipped to [0.2, 10] (at most 1 right after a rejection).
+    The first step follows Hairer, Norsett & Wanner (Sec. II.4).  A step
+    below 10 ulp of t raises ``IntegrationError``.  A zero-length span
+    yields nothing.
+    """
+    rtol, atol = tol, tol / 10.0
+
+    def fun(t, y):
+        return np.asarray(rhs(t, y), dtype=float)
+
+    t, y = t0, y0
+    f = fun(t, y)
+    if t == t_bound:
+        return
+    direction = 1.0 if t_bound > t0 else -1.0
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    d2 = _rms((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval, max_step)
+
+    k = np.empty((7, y.size))
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size fell below 10 ulp of t = {t!r}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _B)
+            f_new = fun(t + h, y_new)
+            k[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(k.T, _E) * h / scale)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            rejected = True
+        yield t_new, y_new, _step_interpolant(t, h, y, k.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -286,26 +391,36 @@ def integrate(
     t_span: tuple[float, float],
     tol: float,
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta 5(4) run with dense output.
+    """Adaptive Dormand-Prince 5(4) run with fourth-order dense output.
 
-    Tolerances are split 10:1 relative:absolute around ``tol``.
+    Tolerances are split 10:1 relative:absolute around ``tol``; the step
+    controller and first step are those of ``_dormand_prince``.  ``t`` is
+    the accepted mesh (two copies of t0 for a zero-length span) and
+    ``states`` the solution on it.  ``sol(t)`` evaluates the quartic
+    interpolant of the step that contains t (at a mesh point, the step that
+    ends there; ``sol(t0)`` is ``state0`` exactly).  A span may run
+    backwards.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol!r}")
-    from scipy.integrate import solve_ivp  # imported here: it is most of the package's import time
+    t0, t1 = map(float, t_span)
+    y0 = np.array(state0, dtype=float)
+    ts, ys, pieces = [t0], [y0], []
+    for t, y, piece in _dormand_prince(rhs, t0, y0, t1, tol):
+        ts.append(t)
+        ys.append(y)
+        pieces.append(piece)
+    if not pieces:
+        ts.append(t0)
+        ys.append(y0)
+        pieces.append(lambda _t: y0.copy())
+    sign = 1.0 if t1 >= t0 else -1.0
+    inner = [sign * t for t in ts[1:-1]]
 
-    res = solve_ivp(
-        rhs,
-        t_span,
-        np.asarray(state0, dtype=float),
-        method="RK45",
-        rtol=tol,
-        atol=tol / 10.0,
-        dense_output=True,
-    )
-    if not res.success:
-        raise IntegrationError(f"integrator failed: {res.message}")
-    return Trajectory(t=res.t, states=res.y, sol=res.sol)
+    def sol(t: float) -> np.ndarray:
+        return pieces[bisect.bisect_left(inner, sign * t)](t)
+
+    return Trajectory(t=np.array(ts), states=np.column_stack(ys), sol=sol)
 
 
 def integrate_mcgehee(
@@ -335,8 +450,9 @@ def poincare_numeric(
     """One turn of the return map of the reduced (x, y, s) flow.
 
     The angular momentum is eliminated through the first integral; the
-    section is the next crossing of s = s0 + 2 pi, located by dense-output
-    root solving.  Returns (x1, y1, return_time).
+    section is the first upward crossing of s = s0 + 2 pi, found by
+    bisection on the interpolant of the step that crosses it (steps of at
+    most 0.5).  Returns (x1, y1, return_time).
     """
     if params.jacobi_C is None:
         raise ValueError("the return map needs the first-integral value jacobi_C")
@@ -351,29 +467,24 @@ def poincare_numeric(
         theta = theta_from_jacobi(x, y, c_val, params.epsilon)
         return _rhs_array((x, y, s, theta), params.epsilon, rows)[:3]
 
-    def crossing(_t, yv):
-        return yv[2] - target
+    t_old, g_old = 0.0, s0 - target
+    for t, yv, y_at in _dormand_prince(rhs, 0.0, np.array([x0, y0, s0]), 3.0 * math.pi, tol,
+                                       max_step=0.5):
+        g = yv[2] - target
+        if g_old <= 0.0 <= g:
+            t1 = _section_time(lambda tt: y_at(tt)[2] - target, t_old, t)
+            x1, y1, _ = y_at(t1)
+            return float(x1), float(y1), t1
+        t_old, g_old = t, g
+    raise PoincareReturnError("no section crossing within 3 pi of time")
 
-    crossing.terminal = True
-    crossing.direction = 1.0
 
-    from scipy.integrate import solve_ivp
-
-    res = solve_ivp(
-        rhs,
-        (0.0, 3.0 * math.pi),
-        np.array([x0, y0, s0]),
-        method="RK45",
-        rtol=tol,
-        atol=tol / 10.0,
-        dense_output=True,
-        events=crossing,
-        max_step=0.5,
-    )
-    if not res.success:
-        raise IntegrationError(f"integrator failed: {res.message}")
-    if not res.t_events[0].size:
-        raise PoincareReturnError("no section crossing within 3 pi of time")
-    t1 = float(res.t_events[0][0])
-    x1, y1, _ = res.y_events[0][0]
-    return float(x1), float(y1), t1
+def _section_time(g, a: float, b: float) -> float:
+    """Bisect g(a) < 0 <= g(b) to a bracket of 4 eps (1 + |b|); returns its upper end."""
+    while b - a > 4.0 * _EPS * (1.0 + abs(b)):
+        m = 0.5 * (a + b)
+        if g(m) < 0.0:
+            a = m
+        else:
+            b = m
+    return b

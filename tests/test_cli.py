@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import melsplit
-from melsplit import cli, melnikov
+from melsplit import cli, dynamics, melnikov
 from melsplit.cli import main
 
 
@@ -247,6 +248,27 @@ class TestDynamicsCommands:
         assert lines[0] == "t,x,y,s,theta,H_D"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("tspan", [("5", "0"), ("0", "0")], ids=["backward", "zero-length"])
+    def test_integrate_span_direction(self, capsys, rp3bp_file, tspan):
+        code, out, _ = run(capsys, "integrate", "--config", rp3bp_file, "--eps", "0.5", "--state",
+                           "0.3", "0.05", "0.5", "1", "--tspan", *tspan, "--samples", "3")
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        t0, t1 = map(float, tspan)
+        assert [r[0] for r in rows] == [t0, 0.5 * (t0 + t1), t1]
+        assert rows[0][1:5] == [0.3, 0.05, 0.5, 1.0]
+        if tspan[0] == tspan[1]:
+            assert all(r == rows[0] for r in rows)
+
+    def test_integrate_blow_up_is_a_numerical_failure(self, capsys, monkeypatch, rp3bp_file):
+        # y' = y^2 from y = 1 blows up at t = 1, with x (and the series guard) held fixed
+        monkeypatch.setattr(dynamics, "_rhs_array",
+                            lambda yv, _eps, _rows: np.array([0.0, yv[1] ** 2, 0.0, 0.0]))
+        code, out, err = run(capsys, "integrate", "--config", rp3bp_file, "--eps", "0.5",
+                             "--state", "0.3", "1", "0", "1", "--tspan", "0", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: step size fell below 10 ulp")
+
     def test_integrate_truncation_orders(self, capsys, rp3bp_file):
         argv = ("integrate", "--config", rp3bp_file, "--eps", "0.5", "--state", "0.3", "0.05",
                 "0", "1", "--tspan", "0", "5", "--samples", "3", "--truncation")
@@ -356,11 +378,20 @@ class TestCatalogCommand:
         assert first == second
 
 
-def test_import_leaves_scipy_out():
-    # scipy.integrate is most of the import time; only the ODE runs need it
-    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, melsplit.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+def test_import_leaves_scipy_out(rp3bp_file):
+    # the package integrates the flow with its own stepper; scipy is only the tests' oracle
+    script = (
+        "import contextlib, io, sys\n"
+        "from melsplit import FlowParams, build_rp3bp, cli, poincare_numeric\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['integrate', '--config', {rp3bp_file!r}, '--eps', '0.5',\n"
+        "                     '--state', '0.3', '0.05', '0', '1', '--tspan', '0', '5'])\n"
+        "params = FlowParams(epsilon=0.5, config=build_rp3bp(0.3), jacobi_C=-1.0)\n"
+        "poincare_numeric(0.02, 0.01, 0.3, params)\n"
+        "print(code, 'scipy' in sys.modules)\n"
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+    for source in ("import sys, melsplit.cli; print(0, 'scipy' in sys.modules)", script):
+        proc = subprocess.run([sys.executable, "-c", source],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "0 False", proc.stderr

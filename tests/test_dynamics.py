@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from melsplit import (
     ConvergenceRegionError,
     FlowParams,
+    IntegrationError,
     McGeheeState,
     PoincareReturnError,
     build_equilateral,
@@ -33,7 +34,7 @@ from melsplit import (
     splitting_terms,
     theta_from_jacobi,
 )
-from melsplit import melnikov
+from melsplit import dynamics, melnikov
 from melsplit.config import rotate
 from melsplit.dynamics import (
     SQRT2,
@@ -301,6 +302,37 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, (1.0,), (0.0, 1.0), tol=1.0)
 
+    def test_backward_span_retraces_the_forward_run(self):
+        def rhs(_t, yv):
+            return duffing_rhs(yv[0], yv[1], 0.8)
+
+        forward = integrate(rhs, (0.9, 0.0), (0.0, 5.0), tol=1e-11)
+        back = integrate(rhs, forward.states[:, -1], (5.0, 0.0), tol=1e-11)
+        assert back.t[0] == 5.0 and back.t[-1] == 0.0 and np.all(np.diff(back.t) < 0)
+        for t in np.linspace(0.0, 5.0, 11):
+            assert np.max(np.abs(back.sol(float(t)) - forward.sol(float(t)))) <= 1e-9
+
+    def test_zero_length_span_is_the_initial_state(self):
+        state0 = (0.3, 0.05, 1.0, 0.8)
+        traj = integrate(lambda t, y: -y, state0, (2.0, 2.0), tol=1e-10)
+        assert list(traj.t) == [2.0, 2.0]
+        assert np.array_equal(traj.states, np.column_stack([state0, state0]))
+        assert list(traj.sol(2.0)) == list(state0)
+
+    def test_dense_output_starts_at_the_initial_state_exactly(self, rp3bp_03):
+        rng = np.random.default_rng(17)
+        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
+        for t_span in ((0.0, 20.0), (20.0, 0.0)):
+            state = McGeheeState(rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1),
+                                 rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+            traj = integrate_mcgehee(state, params, t_span, tol=1e-11)
+            assert list(traj.sol(t_span[0])) == [state.x, state.y, state.s, state.theta]
+
+    def test_blow_up_raises_integration_error(self):
+        # y' = y^2, y(0) = 1 leaves every step size behind at t = 1
+        with pytest.raises(IntegrationError, match="10 ulp"):
+            integrate(lambda t, y: y * y, (1.0,), (0.0, 2.0), tol=1e-10)
+
     def test_jacobi_drift(self, rp3bp_03, rotated_equilateral):
         # the rotated equilateral has every c and d coefficient nonzero
         for cfg in (rp3bp_03, rotated_equilateral):
@@ -373,6 +405,53 @@ class TestPoincare:
     def test_requires_small_x(self, rp3bp_03):
         with pytest.raises(ValueError):
             poincare_numeric(0.5, 0.0, 0.0, self.params(rp3bp_03))
+
+
+class TestScipyOracle:
+    """The stepper reproduces scipy's RK45, the integrator it replaces."""
+
+    def test_integrate_matches_rk45(self, monkeypatch, rp3bp_03, rotated_equilateral):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        fields = []
+        monkeypatch.setattr(dynamics, "integrate",
+                            lambda rhs, *args: fields.append(rhs) or integrate(rhs, *args))
+        rng = np.random.default_rng(2018)
+        for i in range(10):
+            params = FlowParams(epsilon=0.5, config=(rp3bp_03, rotated_equilateral)[i % 2])
+            state = (rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1),
+                     rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+            traj = integrate_mcgehee(McGeheeState(*state), params, (0.0, 20.0), tol=1e-11)
+            ref = solve_ivp(fields[-1], (0.0, 20.0), np.array(state), method="RK45",
+                            rtol=1e-11, atol=1e-12, dense_output=True)
+            assert np.array_equal(traj.t, ref.t)
+            assert np.max(np.abs(traj.states - ref.y)) <= 1e-13
+            for t in np.linspace(0.0, 20.0, 41):
+                assert np.max(np.abs(traj.sol(float(t)) - ref.sol(float(t)))) <= 1e-13
+
+    @pytest.mark.parametrize("trunc", [3, 9])
+    def test_return_map_matches_an_event_run(self, rp3bp_03, rotated_equilateral, trunc):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        rng = np.random.default_rng(trunc)
+        for cfg in (rp3bp_03, rotated_equilateral):
+            params = FlowParams(epsilon=0.5, config=cfg, jacobi_C=-1.0, truncation_order=trunc)
+            for tol in (1e-12, 1e-10):
+                x0, y0 = rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02)
+                s0 = rng.uniform(0.0, 2.0 * math.pi)
+                target = s0 + 2.0 * math.pi
+
+                def rhs(_t, v):
+                    theta = theta_from_jacobi(v[0], v[1], params.jacobi_C, params.epsilon)
+                    return rhs_mcgehee_t(McGeheeState(v[0], v[1], v[2], theta), params)[:3]
+
+                def crossing(_t, v):
+                    return v[2] - target
+
+                crossing.terminal, crossing.direction = True, 1.0
+                ref = solve_ivp(rhs, (0.0, 3.0 * math.pi), [x0, y0, s0], method="RK45",
+                                rtol=tol, atol=tol / 10.0, events=crossing, max_step=0.5)
+                got = poincare_numeric(x0, y0, s0, params, tol=tol)
+                want = (*ref.y_events[0][0][:2], ref.t_events[0][0])
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def measure(cfg, theta0, eps, tol=1e-12):
