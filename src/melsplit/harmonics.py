@@ -61,11 +61,19 @@ def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted((m, v) for m, v in acc.items() if v != 0))
 
 
+#: float cosine-basis coefficients per order j as arrays (harmonics m, coefficients p_jm)
+_COS_BASIS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def legendre_cos_coeffs(j: int) -> dict[int, float]:
     """Cosine-basis coefficients {m: p_jm}: P_j(cos g) = sum p_jm cos(m g), m = j mod 2."""
     if not (0 <= j <= MAX_LEGENDRE_ORDER):
         raise ValueError(f"order must lie in [0, {MAX_LEGENDRE_ORDER}], got {j}")
-    return {m: float(v) for m, v in _cos_basis_fractions(j)}
+    if j not in _COS_BASIS:
+        pairs = _cos_basis_fractions(j)
+        _COS_BASIS[j] = (np.array([m for m, _ in pairs]), np.array([float(p) for _, p in pairs]))
+    ms, ps = _COS_BASIS[j]
+    return dict(zip(ms.tolist(), ps.tolist()))
 
 
 def legendre_pair(j: int, w: float) -> tuple[float, float]:
@@ -99,40 +107,35 @@ class HarmonicTable:
         raise KeyError(f"no harmonic m={m} at order j={self.j}")
 
 
-def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(m alpha_k), sin(m alpha_k) for m = 0..m_max via the angle-addition recurrence.
+def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r_k and e^(i m alpha_k) for m = 0..m_max as one running product of unit vectors.
 
-    Using the recurrence instead of atan2 keeps axis-aligned bodies exactly
-    on the sine-kill locus (a_k2 = 0 gives sin(m alpha_k) = 0 identically).
+    The product does the angle-addition recurrence's arithmetic, and unlike
+    atan2 it keeps axis-aligned bodies exactly on the sine-kill locus
+    (a_k2 = 0 gives sin(m alpha_k) = 0 identically).
     """
     pos = config.positions()
     r = np.hypot(pos[:, 0], pos[:, 1])
     safe = np.where(r > 0.0, r, 1.0)  # a body at the origin has zero weight r**j
-    ca, sa = pos[:, 0] / safe, np.where(r > 0.0, pos[:, 1] / safe, 0.0)
-    n = len(r)
-    cos_m = np.empty((m_max + 1, n))
-    sin_m = np.empty((m_max + 1, n))
-    cos_m[0], sin_m[0] = 1.0, 0.0
-    for m in range(1, m_max + 1):
-        cos_m[m] = cos_m[m - 1] * ca - sin_m[m - 1] * sa
-        sin_m[m] = sin_m[m - 1] * ca + cos_m[m - 1] * sa
-    return r, cos_m, sin_m
+    unit = np.ones((m_max + 1, len(r)), dtype=complex)
+    unit.real[1:] = pos[:, 0] / safe
+    unit.imag[1:] = np.where(r > 0.0, pos[:, 1] / safe, 0.0)
+    return r, np.cumprod(unit, axis=0)
 
 
 def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
     """Per-harmonic amplitudes (A_m, B_m) of the order-j perturbation term."""
     if j < 2:
         raise ValueError(f"harmonic tables start at order 2, got {j}")
-    masses = config.masses()
-    r, cos_m, sin_m = _angle_multiples(config, j)
-    w = masses * r**j
-    entries = []
-    for m, p in sorted(legendre_cos_coeffs(j).items()):
-        a = p * float(np.dot(w, cos_m[m]))
-        b = -p * float(np.dot(w, sin_m[m]))
-        entries.append((m, a, b))
+    if j not in _COS_BASIS:
+        legendre_cos_coeffs(j)  # checks j <= 64 and caches the order's coefficients
+    ms, ps = _COS_BASIS[j]
+    r, powers = _angle_multiples(config, j)
+    w = config.masses() * r**j
+    sums = powers[ms] @ w.astype(complex)  # sum_k w_k e^(i m alpha_k) for every m at once
     rounding = sys.float_info.epsilon * (j + len(r)) * float(np.abs(w).sum())
-    return HarmonicTable(j=j, entries=tuple(entries), rounding=rounding)
+    entries = tuple(zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist()))
+    return HarmonicTable(j=j, entries=entries, rounding=rounding)
 
 
 def c_coeffs(config: CentralConfiguration) -> tuple[float, float, float]:

@@ -18,29 +18,29 @@ quadrature; a term's error carries the quadrature's error estimate and the
 table's rounding bound, and summing cosines over s0 needs no further
 quadrature.
 
-A simple zero of the s0-factor forces a transversal intersection, so the
-classifier walks the coefficient families in dominance order (harmonic
-index first, then expansion order) until it finds a nonvanishing pair, and
-reports that pair together with its zero set as the witness.
+A simple zero of the s0-factor forces a transversal intersection, so
+``classify`` reads the harmonic table entries in dominance order (harmonic
+index k first, then Legendre order j) until one does not vanish, and reports
+it with its zero set as the witness.  The paper's families are entries of
+the same scan: (d1, d2) is (j, k) = (3, 1), the higher first-harmonic
+weights d_l are (2l + 1, 1) and (c2, c3) is (2, 2).  An entry counts as an
+exact symmetry zero relative to the weight sum_i m_i r_i^j it scales with,
+so scaling the configuration does not change the verdict.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .config import CentralConfiguration
-from .harmonics import (
-    MAX_LEGENDRE_ORDER,
-    c_coeffs,
-    d_coeffs,
-    d_l,
-    harmonic_table,
-    legendre_cos_coeffs,
-)
+from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTable, harmonic_table, legendre_cos_coeffs
 from .quadrature import eval_oscillatory, harmonic_integrand
 
-#: coefficients below this magnitude count as exact symmetry zeros
+#: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
 
 
@@ -142,9 +142,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class TransversalityVerdict:
+    """Classifier outcome with one (stage, pair, decision, margin) entry per table entry read."""
+
     status: str  # "transversal" | "inconclusive"
     witness: Optional[Witness]
-    search_trace: tuple[tuple[str, tuple[float, ...], str], ...]
+    search_trace: tuple[tuple[str, tuple[float, float], str, float], ...]
 
     def __post_init__(self):
         if self.status == "transversal":
@@ -152,71 +154,56 @@ class TransversalityVerdict:
                 raise ValueError("transversal verdict needs a nonzero witness pair")
 
 
-def _factor_zeros(a_cos: float, b_sin: float, k: int) -> tuple[float, ...]:
-    zeros = simple_zeros(a_cos, b_sin, k)
-    return tuple(zeros) if zeros is not None else ()
-
-
 def classify(
     config: CentralConfiguration,
     l_max: int = 8,
     j_max: Optional[int] = None,
 ) -> TransversalityVerdict:
-    """Walk the coefficient families in dominance order and report a witness.
+    """Scan the harmonic tables in dominance order and report the first nonzero pair.
 
-    Stages: (i) the first-harmonic pair (d1, d2); (ii) its higher radial
-    weights for l = 2..l_max; (iii) the second-harmonic pair (c2, c3);
-    (iv) the general harmonic scan with harmonic index ascending and, within
-    a harmonic, expansion order ascending.  Absolute threshold
-    ``ZERO_THRESHOLD`` decides what counts as a symmetry zero.
+    The scan reads the entry (a, b) of harmonic k in the order-j table, k
+    ascending and, within a harmonic, j = k mod 2 ascending: k = 1 runs over
+    j = 3, 5, ..., 2 l_max + 1, and k >= 2 over j = k, k + 2, ..., j_max
+    (default min(2N + 4, 64) for N bodies).  An entry is an exact symmetry
+    zero when max(|a|, |b|) <= ZERO_THRESHOLD sum_i m_i r_i^j, the weight the
+    entries scale with, so the verdict does not depend on the size of the
+    configuration; each trace entry records max(|a|, |b|) over that bound as
+    its margin.  The first entry with margin > 1 is the witness, reported in
+    the paper's units: (d1, d2) = 8 (a, b) at (3, 1), (a, b) / p_(j,1) for the
+    other k = 1 entries, (c2, c3) = 4 (a, b) at (2, 2), and (a, b) elsewhere.
     """
     if not (2 <= l_max <= 16):
         raise ValueError(f"l_max must lie in [2, 16], got {l_max}")
     if j_max is None:
-        j_max = 2 * config.n_bodies + 4
-    if not (4 <= j_max <= 64):
-        raise ValueError(f"j_max must lie in [4, 64], got {j_max}")
+        j_max = min(2 * config.n_bodies + 4, MAX_LEGENDRE_ORDER)
+    if not (4 <= j_max <= MAX_LEGENDRE_ORDER):
+        raise ValueError(f"j_max must lie in [4, {MAX_LEGENDRE_ORDER}], got {j_max}")
 
-    trace: list[tuple[str, tuple[float, ...], str]] = []
-
-    def nonzero(*vals: float) -> bool:
-        return any(abs(v) > ZERO_THRESHOLD for v in vals)
-
-    d1, d2, _, _ = d_coeffs(config)
-    if nonzero(d1, d2):
-        trace.append(("d", (d1, d2), "nonzero"))
-        witness = Witness(1, 6, (d1, d2), _factor_zeros(d2, -d1, 1))
-        return TransversalityVerdict("transversal", witness, tuple(trace))
-    trace.append(("d", (d1, d2), "zero"))
-
-    for l in range(2, l_max + 1):
-        d1l, d2l = d_l(config, l)
-        if nonzero(d1l, d2l):
-            trace.append((f"d_l(l={l})", (d1l, d2l), "nonzero"))
-            witness = Witness(1, 2 * (2 * l + 1), (d1l, d2l), _factor_zeros(d2l, -d1l, 1))
+    masses, radii = config.masses(), np.hypot(*config.positions().T)
+    tables: dict[int, tuple[HarmonicTable, float]] = {}
+    scan = itertools.chain(
+        ((j, 1) for j in range(3, 2 * l_max + 2, 2)),
+        ((j, k) for k in range(2, j_max + 1) for j in range(k, j_max + 1, 2)),
+    )
+    trace: list[tuple[str, tuple[float, float], str, float]] = []
+    for j, k in scan:
+        if j not in tables:
+            tables[j] = (harmonic_table(config, j), ZERO_THRESHOLD * float(masses @ radii**j))
+        table, bound = tables[j]
+        a, b = table.pair(k)
+        size = max(abs(a), abs(b))
+        # a weight that underflows leaves nothing to resolve: read it as a zero
+        margin = size / bound if bound > 0.0 else 0.0
+        if k == 1:
+            unit = 8.0 if j == 3 else 1.0 / legendre_cos_coeffs(j)[1]
+        else:
+            unit = 4.0 if j == 2 else 1.0
+        pair = (unit * a, unit * b)
+        decision = "nonzero" if margin > 1.0 else "zero"
+        trace.append((f"harmonic(j={j}, k={k})", pair, decision, margin))
+        if margin > 1.0:
+            witness = Witness(k, 2 * j, pair, tuple(simple_zeros(pair[1], -pair[0], k)))
             return TransversalityVerdict("transversal", witness, tuple(trace))
-        trace.append((f"d_l(l={l})", (d1l, d2l), "zero"))
-
-    _, c2, c3 = c_coeffs(config)
-    if nonzero(c2, c3):
-        trace.append(("c", (c2, c3), "nonzero"))
-        witness = Witness(2, 4, (c2, c3), _factor_zeros(-c3, c2, 2))
-        return TransversalityVerdict("transversal", witness, tuple(trace))
-    trace.append(("c", (c2, c3), "zero"))
-
-    tables = {j: harmonic_table(config, j) for j in range(2, j_max + 1)}
-    for k in range(2, j_max + 1):
-        j_start = 4 if k == 2 else k  # (j=2, k=2) is the stage-(iii) pair
-        for j in range(j_start, j_max + 1, 2):
-            try:
-                a, b = tables[j].pair(k)
-            except KeyError:
-                continue
-            if nonzero(a, b):
-                trace.append((f"harmonic(j={j}, k={k})", (a, b), "nonzero"))
-                witness = Witness(k, 2 * j, (a, b), _factor_zeros(b, -a, k))
-                return TransversalityVerdict("transversal", witness, tuple(trace))
-            trace.append((f"harmonic(j={j}, k={k})", (a, b), "zero"))
 
     return TransversalityVerdict("inconclusive", None, tuple(trace))
 
@@ -234,7 +221,7 @@ def verdict_to_dict(verdict: TransversalityVerdict) -> dict:
     else:
         out["witness"] = None
     out["trace"] = [
-        {"stage": stage, "coefficients": list(coeffs), "decision": decision}
-        for stage, coeffs, decision in verdict.search_trace
+        {"stage": stage, "coefficients": list(coeffs), "decision": decision, "margin": margin}
+        for stage, coeffs, decision, margin in verdict.search_trace
     ]
     return out

@@ -112,6 +112,19 @@ class TestCoeffsAndClassify:
         payload = json.loads(out)
         assert payload["witness"]["k"] == 6
         assert payload["witness"]["epsilon_order"] == 12
+        *zeros, last = payload["trace"]
+        assert last["decision"] == "nonzero" and last["margin"] > 1.0
+        assert all(t["decision"] == "zero" and t["margin"] <= 1.0 for t in zeros)
+
+    def test_classify_default_cutoff_needs_no_jmax(self, tmp_path, capsys):
+        # 2N + 4 would be 66 for 31 bodies; the default is clamped to 64
+        path = tmp_path / "polygon32.json"
+        assert main(["config", "build", "polygon", "--n", "32", "-o", str(path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["witness"]["k"], payload["witness"]["epsilon_order"]) == (31, 62)
 
 
 class TestSampling:

@@ -19,7 +19,7 @@ from melsplit import (
     solve_collinear_equal,
 )
 from melsplit.config import rotate, scale
-from melsplit.harmonics import _cos_basis_fractions, legendre_pair
+from melsplit.harmonics import _angle_multiples, _cos_basis_fractions, legendre_pair
 
 
 class TestLegendreCosine:
@@ -197,6 +197,29 @@ class TestHarmonicTable:
     def test_order_domain(self, rp3bp_03):
         with pytest.raises(ValueError):
             harmonic_table(rp3bp_03, 1)
+
+    @pytest.mark.parametrize("name", ["rp3bp", "collinear8", "polygon7", "rotated"])
+    def test_angle_multiples_match_the_addition_recurrence_bitwise(self, name):
+        # the running complex product does the recurrence's arithmetic, so exact
+        # zeros (and their signs) on the axes survive
+        config = {
+            "rp3bp": lambda: build_rp3bp(0.3),
+            "collinear8": lambda: solve_collinear_equal(7),
+            "polygon7": lambda: build_polygon(7),
+            "rotated": lambda: rotate(build_rhomboid(1.2, 1.0), 0.7),
+        }[name]()
+        pos = config.positions()
+        r = np.hypot(pos[:, 0], pos[:, 1])
+        safe = np.where(r > 0.0, r, 1.0)
+        ca, sa = pos[:, 0] / safe, np.where(r > 0.0, pos[:, 1] / safe, 0.0)
+        cos_ref, sin_ref = [np.ones(len(r))], [np.zeros(len(r))]
+        for _ in range(64):
+            cos_ref.append(cos_ref[-1] * ca - sin_ref[-1] * sa)
+            sin_ref.append(sin_ref[-1] * ca + cos_ref[-2] * sa)
+        _, powers = _angle_multiples(config, 64)
+        for got, want in ((powers.real, np.array(cos_ref)), (powers.imag, np.array(sin_ref))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRoundingBound:

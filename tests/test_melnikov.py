@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melsplit import (
+    CentralConfiguration,
+    PrimaryBody,
     build_equilateral,
     build_polygon,
     build_rhomboid,
@@ -14,18 +16,21 @@ from melsplit import (
     c_coeffs,
     classify,
     d_coeffs,
+    d_l,
     eval_oscillatory,
     find_zeros,
     harmonic_integrand,
     harmonic_table,
     legendre_cos_coeffs,
+    normalize_omega,
     simple_zeros,
     solve_collinear_equal,
     solve_collinear_equidistant,
     splitting_terms,
     verdict_to_dict,
 )
-from melsplit.config import rotate
+from melsplit import melnikov
+from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
 
@@ -275,6 +280,13 @@ class TestSimpleZeros:
         assert np.allclose(diffs, spacing, atol=1e-9)
 
 
+def scan_stages(l_max, j_max):
+    """Stage names of a full scan: the k = 1 column, then k >= 2 with j = k mod 2 ascending."""
+    pairs = [(j, 1) for j in range(3, 2 * l_max + 2, 2)]
+    pairs += [(j, k) for k in range(2, j_max + 1) for j in range(k, j_max + 1, 2)]
+    return [f"harmonic(j={j}, k={k})" for j, k in pairs]
+
+
 class TestClassifier:
     def test_rp3bp_below_half(self, rp3bp_03):
         v = classify(rp3bp_03)
@@ -348,11 +360,12 @@ class TestClassifier:
                 assert before * after < 0.0
 
     def test_trace_records_stages(self, rp3bp_half):
+        # the whole k = 1 column (j = 3..2 l_max + 1) is zero, then (2, 2) decides
         v = classify(rp3bp_half)
-        stages = [s for s, _, _ in v.search_trace]
-        assert stages[0] == "d"
-        assert any(s.startswith("d_l") for s in stages)
-        assert stages[-1] == "c"
+        stages = [s for s, _, _, _ in v.search_trace]
+        assert stages == [f"harmonic(j={j}, k=1)" for j in range(3, 18, 2)] + ["harmonic(j=2, k=2)"]
+        assert [d for _, _, d, _ in v.search_trace] == ["zero"] * 8 + ["nonzero"]
+        assert v.search_trace[-1][1] == v.witness.coefficient_pair
 
     def test_inconclusive_requires_no_witness(self):
         v = TransversalityVerdict("inconclusive", None, ())
@@ -371,6 +384,8 @@ class TestClassifier:
             classify(rp3bp_03, l_max=1)
         with pytest.raises(ValueError):
             classify(rp3bp_03, j_max=2)
+        with pytest.raises(ValueError):
+            classify(rp3bp_03, j_max=65)
 
     def test_inconclusive_is_a_value_with_full_trace(self):
         # an 11-gon's first surviving harmonic is k = 11; cutting the scan at
@@ -378,15 +393,77 @@ class TestClassifier:
         v = classify(build_polygon(12), j_max=8)
         assert v.status == "inconclusive"
         assert v.witness is None
-        stages = [s for s, _, _ in v.search_trace]
-        assert stages[0] == "d" and "c" in stages
-        assert any(s.startswith("harmonic(") for s in stages)
-        assert all(d == "zero" for _, _, d in v.search_trace)
+        stages = [s for s, _, _, _ in v.search_trace]
+        assert stages == scan_stages(8, 8)
+        assert all(d == "zero" for _, _, d, _ in v.search_trace)
 
     def test_default_cutoff_reaches_large_polygons(self):
         v = classify(build_polygon(12))
         assert v.witness.harmonic == 11
         assert v.witness.epsilon_order == 22
+
+    def test_default_cutoff_is_clamped_to_the_largest_table(self):
+        # 2N + 4 = 66 for the 31 bodies of build_polygon(32): the default stops at 64
+        v = classify(build_polygon(32))
+        assert (v.witness.harmonic, v.witness.epsilon_order) == (31, 62)
+        # the 65-gon's witness (65, 130) lies beyond every table: a full scan, all zero
+        v = classify(build_polygon(66))
+        assert v.status == "inconclusive"
+        assert [s for s, _, _, _ in v.search_trace] == scan_stages(8, 64)
+        assert all(d == "zero" for _, _, d, _ in v.search_trace)
+
+    def test_underflowing_weights_read_as_zeros(self):
+        # at scale 1e-6 the weight sum m r^64 underflows to 0: the scan ends
+        # inconclusive instead of dividing by a zero bound
+        v = classify(scale(build_polygon(66), 1e-6), j_max=64)
+        assert v.status == "inconclusive"
+        assert v.search_trace[-1][3] == 0.0
+
+    def test_scaled_polygon_keeps_its_witness(self):
+        # entries grow like sum m r^j = 2^j here; an absolute zero test took a
+        # roundoff residue at (j, k) = (40, 2) for the witness
+        v = classify(scale(build_polygon(13), 2.0))
+        assert (v.witness.harmonic, v.witness.epsilon_order) == (12, 24)
+
+    def test_first_harmonic_units_beyond_the_octupole(self):
+        # collinear masses (0.4, 0.5, 0.1) at x = (2, -1, -3) cancel sum m x and
+        # sum m x^3 but not sum m x^5, so the witness is the (5, 1) entry in d_l units
+        cfg = CentralConfiguration(tuple(PrimaryBody(m, (x, 0.0))
+                                         for m, x in ((0.4, 2.0), (0.5, -1.0), (0.1, -3.0))))
+        v = classify(cfg)
+        assert (v.witness.harmonic, v.witness.epsilon_order) == (1, 10)
+        assert v.witness.coefficient_pair == pytest.approx(d_l(cfg, 2), rel=1e-14)
+        assert v.witness.coefficient_pair[0] == pytest.approx(-12.0, rel=1e-14)
+        assert [s for s, *_ in v.search_trace] == ["harmonic(j=3, k=1)", "harmonic(j=5, k=1)"]
+
+    def test_margins_decide_and_do_not_scale(self, collinear8):
+        high = refined_rhomboid_ratio(1.32018439)
+        for base in (build_polygon(13), collinear8, build_rhomboid(high, 1.0)):
+            witness_margins = []
+            for c in (0.5, 1.0, 3.0):
+                trace = classify(scale(base, c)).search_trace
+                *zeros, (_, _, decision, margin) = trace
+                assert decision == "nonzero" and margin > 1.0
+                assert all(d == "zero" and 0.0 <= m <= 1.0 for _, _, d, m in zeros)
+                witness_margins.append(margin)
+            assert witness_margins == pytest.approx([witness_margins[1]] * 3, rel=1e-9)
+
+    def test_tables_are_built_lazily_once(self, monkeypatch, rp3bp_03, rp3bp_half):
+        built = []
+
+        def counting(config, j):
+            built.append(j)
+            return harmonic_table(config, j)
+
+        monkeypatch.setattr(melnikov, "harmonic_table", counting)
+        classify(rp3bp_03)
+        assert built == [3]
+        built.clear()
+        classify(rp3bp_half)
+        assert built == [3, 5, 7, 9, 11, 13, 15, 17, 2]
+        built.clear()
+        classify(build_polygon(12), j_max=8)
+        assert sorted(built) == list(range(2, 9)) + [9, 11, 13, 15, 17]
 
     def test_lambda_of_handles_body_at_origin(self, collinear8):
         from melsplit import lambda_of
@@ -401,4 +478,62 @@ class TestClassifier:
         assert back["witness"]["k"] == 1
         assert back["witness"]["epsilon_order"] == 6
         assert len(back["witness"]["zeros"]) == 2
-        assert back["trace"][0]["stage"] == "d"
+        (first,) = back["trace"]
+        assert first["stage"] == "harmonic(j=3, k=1)"
+        assert first["decision"] == "nonzero"
+        assert first["coefficients"] == [back["witness"]["A"], back["witness"]["B"]]
+        assert first["margin"] > 1.0
+
+
+def _invariance_groups():
+    groups = {f"polygon-{n}": lambda n=n: build_polygon(n) for n in range(4, 17)}
+    for n in range(3, 9):
+        groups[f"collinear-equal-{n}"] = lambda n=n: solve_collinear_equal(n)
+        groups[f"collinear-equidistant-{n}"] = lambda n=n: solve_collinear_equidistant(n)
+    groups["rhombus-1-1"] = lambda: build_rhomboid(1.0, 1.0)
+    groups["rhomboid-1.2-1"] = lambda: build_rhomboid(1.2, 1.0)
+    groups["rp3bp-0.3"] = lambda: build_rp3bp(0.3)
+    groups["rp3bp-0.5"] = lambda: build_rp3bp(0.5)
+    groups["equilateral"] = lambda: build_equilateral(1.0 / 3.0, 1.0 / 3.0)
+    groups["equilateral-0.2-0.3"] = lambda: build_equilateral(0.2, 0.3)
+    return groups
+
+
+INVARIANCE_GROUPS = _invariance_groups()
+
+
+def _witness(config, j_max):
+    v = classify(config, j_max=j_max)
+    assert v.status == "transversal"
+    return v.witness.harmonic, v.witness.epsilon_order
+
+
+class TestClassifierInvariance:
+    """(k, order) of the witness under the symmetries of the problem."""
+
+    @pytest.mark.parametrize("j_max", [None, 64])
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_GROUPS))
+    def test_witness_is_invariant(self, name, j_max):
+        base = INVARIANCE_GROUPS[name]()
+        want = _witness(base, j_max)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        perm = rng.permutation(base.n_bodies)
+        if list(perm) == sorted(perm):
+            perm = perm[::-1]
+        variants = [scale(base, c) for c in (0.5, 0.75, 1.25, 1.5, 2.0, 3.0)]
+        variants += [
+            rotate(base, float(rng.uniform(0.0, 2.0 * math.pi))),
+            CentralConfiguration(tuple(base.bodies[i] for i in perm)),
+            normalize_omega(base),
+        ]
+        assert [_witness(v, j_max) for v in variants] == [want] * len(variants)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(["polygon-13", "polygon-16", "collinear-equidistant-8", "rhombus-1-1"]),
+        st.floats(min_value=0.5, max_value=3.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_scaled_rotated_witness_property(self, name, c, phi):
+        base = INVARIANCE_GROUPS[name]()
+        assert _witness(rotate(scale(base, c), phi), 64) == _witness(base, 64)
