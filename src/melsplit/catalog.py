@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import config as cfg
 from .harmonics import c_coeffs, d_coeffs, harmonic_table, legendre_cos_coeffs
-from .melnikov import classify
+from .melnikov import TransversalityVerdict, classify
 from .quadrature import find_zeros, harmonic_integrand
 
 P1_COEFFS = (6, 0, -480, 0, 4510, 0, -11088, 0, 8514, 0, -1936, 0, 90)
@@ -45,6 +45,20 @@ class CatalogReport:
     passed: bool
 
 
+def _witness_keys(verdict: TransversalityVerdict) -> dict[str, float]:
+    """witness_k and witness_order of a transversal verdict; none when inconclusive.
+
+    A missing key reads as NaN in ``run_case``, so an inconclusive verdict
+    shows as a MISS instead of an exception.
+    """
+    if verdict.witness is None:
+        return {}
+    return {
+        "witness_k": float(verdict.witness.harmonic),
+        "witness_order": float(verdict.witness.epsilon_order),
+    }
+
+
 def _case_rp3bp(mu: float) -> CatalogCase:
     def compute() -> dict[str, float]:
         c = cfg.build_rp3bp(mu)
@@ -57,8 +71,7 @@ def _case_rp3bp(mu: float) -> CatalogCase:
             "c3": c3,
             "d1": d1,
             "d2": d2,
-            "witness_k": float(verdict.witness.harmonic),
-            "witness_order": float(verdict.witness.epsilon_order),
+            **_witness_keys(verdict),
         }
 
     if mu == 0.5:
@@ -87,15 +100,14 @@ def _case_equilateral(m1: float, m2: float) -> CatalogCase:
         c = cfg.build_equilateral(m1, m2)
         d1, d2, d3, d4 = d_coeffs(c)
         verdict = classify(c)
-        out = {
+        return {
             "residual": cfg.cc_residual(c).max_norm,
             "d1": d1,
             "d2": d2,
             "d3": d3,
             "d4": d4,
-            "witness_k": float(verdict.witness.harmonic),
+            **_witness_keys(verdict),
         }
-        return out
 
     if abs(m1 - 1.0 / 3.0) < 1e-15 and abs(m2 - 1.0 / 3.0) < 1e-15:
         expected = (
@@ -156,11 +168,13 @@ def _case_rhomboid_roots() -> CatalogCase:
             out["root_low"] = roots[0]
             out["root_mid"] = roots[1]
             out["root_high"] = roots[2]
-            va = classify(cfg.build_rhomboid(roots[2], 1.0))
-            vb = classify(cfg.build_rhomboid(roots[0], 1.0))
-            out["sign_high"] = math.copysign(1.0, va.witness.coefficient_pair[0])
-            out["sign_low"] = math.copysign(1.0, vb.witness.coefficient_pair[0])
-            out["scaled_pair_high"] = 16.0 * va.witness.coefficient_pair[0]
+            high = classify(cfg.build_rhomboid(roots[2], 1.0)).witness
+            low = classify(cfg.build_rhomboid(roots[0], 1.0)).witness
+            if high is not None:
+                out["sign_high"] = math.copysign(1.0, high.coefficient_pair[0])
+                out["scaled_pair_high"] = 16.0 * high.coefficient_pair[0]
+            if low is not None:
+                out["sign_low"] = math.copysign(1.0, low.coefficient_pair[0])
         return out
 
     expected = (
@@ -189,8 +203,7 @@ def _case_collinear8() -> CatalogCase:
             "a41": xs[3],
             "c2": c2,
             "c3": c3,
-            "witness_k": float(verdict.witness.harmonic),
-            "witness_order": float(verdict.witness.epsilon_order),
+            **_witness_keys(verdict),
         }
 
     expected = (
@@ -221,7 +234,7 @@ def _case_collinear11() -> CatalogCase:
             "m4": ms[3],
             "m5": ms[4],
             "c2": c_coeffs(c)[1],
-            "witness_k": float(verdict.witness.harmonic),
+            **_witness_keys(verdict),
         }
 
     expected = (
@@ -245,8 +258,7 @@ def _case_polygon(n_total: int) -> CatalogCase:
         table = harmonic_table(c, n_total - 1)
         a, b = table.pair(n_total - 1)
         out = {
-            "witness_k": float(verdict.witness.harmonic),
-            "witness_order": float(verdict.witness.epsilon_order),
+            **_witness_keys(verdict),
             "selection_rule": max(
                 abs(v)
                 for j in range(2, 2 * n_total - 2)

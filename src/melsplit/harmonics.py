@@ -11,8 +11,9 @@ polynomial in s whose amplitudes (A_m, B_m) drive the splitting analysis:
 
 The named low-order families are exposed directly: the quadrupole triple
 (c1, c2, c3), the octupole quadruple (d1..d4), and the (d1, d2) analogues at
-arbitrary odd order.  Legendre cosine coefficients p_{j,m} are produced by
-an exact integer recurrence and only then rounded to floats.
+arbitrary odd order.  Legendre cosine coefficients p_{j,m} come exactly from
+the closed form P_j(cos g) = 4^-j sum_i C(2i,i) C(2j-2i,j-i) cos((j-2i) g)
+and only then are rounded to floats.
 """
 from __future__ import annotations
 
@@ -30,35 +31,14 @@ MAX_LEGENDRE_ORDER = 64
 
 
 @lru_cache(maxsize=None)
-def _legendre_power_coeffs(j: int) -> tuple[Fraction, ...]:
-    # Three-term recurrence in the monomial basis, exact rationals.
-    if j == 0:
-        return (Fraction(1),)
-    if j == 1:
-        return (Fraction(0), Fraction(1))
-    p0 = _legendre_power_coeffs(j - 2)
-    p1 = _legendre_power_coeffs(j - 1)
-    out = [Fraction(0)] * (j + 1)
-    for i, c in enumerate(p1):
-        out[i + 1] += Fraction(2 * j - 1, j) * c
-    for i, c in enumerate(p0):
-        out[i] -= Fraction(j - 1, j) * c
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
-    acc: dict[int, Fraction] = {}
-    for n, c in enumerate(_legendre_power_coeffs(j)):
-        if c == 0:
-            continue
-        # cos^n g = 2^(1-n) sum_{m>0, m = n mod 2} C(n,(n-m)/2) cos(m g)
-        #           + [n even] 2^(-n) C(n, n/2)
-        for i in range(n // 2 + 1):
-            m = n - 2 * i
-            w = Fraction(comb(n, i), 2**n)
-            acc[m] = acc.get(m, Fraction(0)) + c * w * (1 if m == 0 else 2)
-    return tuple(sorted((m, v) for m, v in acc.items() if v != 0))
+    """Exact (m, p_jm), m ascending: P_j(cos g) = 4^-j sum_i C(2i,i) C(2j-2i,j-i) cos((j-2i) g)."""
+    pairs = []
+    for i in range(j // 2, -1, -1):
+        # the terms i and j - i both give cos(m g), m = j - 2i, except at m = 0
+        weight = comb(2 * i, i) * comb(2 * j - 2 * i, j - i)
+        pairs.append((j - 2 * i, Fraction(weight if 2 * i == j else 2 * weight, 4**j)))
+    return tuple(pairs)
 
 
 #: float cosine-basis coefficients per order j as arrays (harmonics m, coefficients p_jm)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import melsplit
-from melsplit import cli, dynamics, melnikov
+from melsplit import catalog, cli, dynamics, melnikov
 from melsplit.cli import main
 
 
@@ -178,6 +178,18 @@ class TestSampling:
         rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
         assert [value for _, value in rows] == [terms.value(s0) for s0, _ in rows]
         assert len(rows) == 4
+
+    def test_highest_orders_evaluate(self, capsys, rp3bp_file):
+        # the pole factor of the order-128 terms overflows far out on the contour
+        code, out, _ = run(capsys, "melnikov", "--order", "128", "--config", rp3bp_file,
+                           "--theta0", "1", "--eps", "0.5", "--points", "4")
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == 4 and all(np.isfinite(rows).all(axis=1))
+        code, out, _ = run(capsys, "fplot", "poly:65", "--range", "-2", "3", "--points", "6")
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == 6 and all(np.isfinite(rows).all(axis=1))
 
     def test_melnikov_epsilon_domain(self, capsys, rp3bp_file):
         for eps in ("0", "-0.5", "1.5"):
@@ -384,6 +396,18 @@ class TestCatalogCommand:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 9
+
+    def test_inconclusive_verdict_reads_as_a_miss(self, capsys, monkeypatch):
+        inconclusive = melnikov.TransversalityVerdict("inconclusive", None, ())
+        monkeypatch.setattr(catalog, "classify", lambda *a, **k: inconclusive)
+        code, out, err = run(capsys, "catalog", "all")
+        assert code == cli.EXIT_GOLDEN
+        assert err == ""
+        # every case that reads a witness fails on its witness rows only
+        misses = [line.split(",")[0] for line in out.splitlines() if line.endswith(",MISS")]
+        assert set(misses) == {"witness_k", "witness_order", "sign_high", "sign_low",
+                               "scaled_pair_high"}
+        assert out.count("FAIL") == 8
 
     def test_output_is_byte_identical_between_runs(self, capsys):
         _, first, _ = run(capsys, "catalog", "all")

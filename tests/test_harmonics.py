@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,12 @@ from melsplit import (
     solve_collinear_equal,
 )
 from melsplit.config import rotate, scale
-from melsplit.harmonics import _angle_multiples, _cos_basis_fractions, legendre_pair
+from melsplit.harmonics import (
+    MAX_LEGENDRE_ORDER,
+    _angle_multiples,
+    _cos_basis_fractions,
+    legendre_pair,
+)
 
 
 class TestLegendreCosine:
@@ -68,6 +74,29 @@ class TestLegendreCosine:
             legendre_cos_coeffs(65)
         with pytest.raises(ValueError):
             legendre_cos_coeffs(-1)
+
+    def test_closed_form_equals_power_expansion(self):
+        # oracle: the monomial coefficients of P_j from the three-term
+        # recurrence, each cos^n g expanded in cos(m g), all in exact rationals
+        prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+        for j in range(MAX_LEGENDRE_ORDER + 1):
+            if j >= 2:
+                nxt = [Fraction(0)] * (j + 1)
+                for i, c in enumerate(cur):
+                    nxt[i + 1] += Fraction(2 * j - 1, j) * c
+                for i, c in enumerate(prev):
+                    nxt[i] -= Fraction(j - 1, j) * c
+                prev, cur = cur, nxt
+            power = prev if j == 0 else cur
+            acc: dict[int, Fraction] = {}
+            for n, c in enumerate(power):
+                # cos^n g = 2^-n sum_i C(n, i) cos((n - 2i) g)
+                for i in range(n // 2 + 1):
+                    m = n - 2 * i
+                    weight = Fraction(math.comb(n, i), 2**n) * (1 if m == 0 else 2)
+                    acc[m] = acc.get(m, Fraction(0)) + c * weight
+            want = tuple(sorted((m, v) for m, v in acc.items() if v != 0))
+            assert _cos_basis_fractions(j) == want, j
 
 
 class TestNamedCoefficients:

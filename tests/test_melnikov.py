@@ -226,6 +226,15 @@ class TestAssembleMelnikov:
                 assert b == pytest.approx(amp * ta, abs=err)
                 assert err >= 2.0 ** (j + 1) * 2.0 * abs(f.value) * table.rounding
 
+    def test_highest_orders_are_finite(self, rp3bp_03):
+        # from j = 51 on the pole factor overflows far out on the contour,
+        # where the terms are far below the tolerance
+        for j in (51, 52, 58, 64):
+            for theta0 in (1.0, -1.0):
+                terms = splitting_terms(rp3bp_03, 2 * j, theta0, 0.5).terms
+                assert len(terms) == (j + 1) // 2
+                assert np.isfinite(terms).all(), (j, theta0)
+
     @pytest.mark.parametrize("order", [4, 6, "poly:5", "poly:9"])
     @pytest.mark.parametrize("theta0", [0.75, -0.75])
     def test_error_bounded_by_tolerance(self, order, theta0, rp3bp_03):

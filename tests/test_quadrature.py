@@ -1,5 +1,10 @@
+import json
 import math
+from fractions import Fraction
+from itertools import zip_longest
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
@@ -18,6 +23,7 @@ from melsplit import (
     legendre_cos_coeffs,
 )
 from melsplit.quadrature import (
+    _pole_expansion,
     f4_integrand,
     f61_integrand,
     f62_integrand,
@@ -70,7 +76,7 @@ class TestBasicContracts:
 
     def test_budget_error_reported(self):
         with pytest.raises(QuadratureBudgetError):
-            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=200)  # needs 628
+            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=200)  # needs 623
 
     def test_truncation_honesty(self):
         # moving the tail cutoff changes the value by less than the estimate
@@ -79,6 +85,30 @@ class TestBasicContracts:
         a = ev(f61_integrand(1.3), 1e-11)
         b = ev(f61_integrand(1.3), 1e-9)
         assert abs(a.value - b.value) <= max(a.error_estimate, b.error_estimate)
+
+
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.json"
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_oracle_lattice_within_own_estimate(tol):
+    # 30-digit mpmath references (bench/make_oracle.py) on the 31-point lattice
+    oracle = json.loads(ORACLE.read_text())
+    builders = {"F4": f4_integrand, "F61": f61_integrand, "F62": f62_integrand}
+    for n in range(4, 11):
+        builders[f"poly:{n}"] = lambda tt, j=n - 1: harmonic_integrand(j, j, tt)
+    misses, above_tol = [], 0
+    for name, builder in builders.items():
+        for tt, ref in zip(oracle["lattice"], oracle["F"][name]):
+            res = eval_oscillatory(builder(tt), tol)
+            with mp.workdps(40):
+                if abs(mp.mpf(res.value) - mp.mpf(ref)) > res.error_estimate:
+                    misses.append((name, tt))
+            above_tol += res.error_estimate > tol
+    assert misses == []
+    # the rounding term overstates the error at tol 1e-13 (48 of 310 points
+    # report more than tol); it must not grow looser
+    assert above_tol <= (48 if tol == 1e-13 else 0)
 
 
 class TestSymmetries:
@@ -230,6 +260,37 @@ def _binomial_numerators(n_total):
     while q[-1] == 0:
         q.pop()
     return tuple(p), tuple(q)
+
+
+def _fraction_taylor_shift(cos_num, sin_num):
+    """Reference Taylor shift of P - iQ about i on Fraction pairs: (shifted, j0)."""
+    coeffs = [(Fraction(p), -Fraction(q)) for p, q in zip_longest(cos_num, sin_num, fillvalue=0.0)]
+    shifted, rest = [], coeffs[::-1]
+    while rest:
+        acc, quotient = (0, 0), []
+        for re, im in rest:
+            acc = (re - acc[1], im + acc[0])
+            quotient.append(acc)
+        shifted.append(quotient.pop())
+        rest = quotient
+    j0 = next(j for j, v in enumerate(shifted) if v != (0, 0))
+    return [complex(*v) for v in coeffs], [complex(*v) for v in shifted[j0:]], j0
+
+
+@pytest.mark.parametrize("integrand", [
+    f4_integrand(1.0), f62_integrand(1.0), harmonic_integrand(9, 9, 1.0),
+    harmonic_integrand(30, 17, -1.0), harmonic_integrand(64, 64, 1.0),
+    CubicPhaseIntegrand((0.1, 0.0, 0.3), (0.0, 1e-300, 0.0, 2.5), 4, 1.0),
+])
+def test_pole_expansion_is_the_exact_taylor_shift(integrand):
+    # integer arithmetic on the scaled coefficients gives the Fraction result bit for bit
+    cos_num = tuple(c if i % 2 == 0 else 0.0 for i, c in enumerate(integrand.cos_numerator))
+    sin_num = tuple(c if i % 2 == 1 else 0.0 for i, c in enumerate(integrand.sin_numerator))
+    c, b, j0 = _fraction_taylor_shift(cos_num, sin_num)
+    table, got_j0 = _pole_expansion(cos_num, sin_num)
+    assert got_j0 == j0
+    assert table[0].tolist() == c
+    assert table[1].tolist() == b + [0j] * (len(c) - len(b))
 
 
 class TestHarmonicIntegrand:
