@@ -30,7 +30,7 @@ from .dynamics import (
     hd_value,
     integrate_mcgehee,
 )
-from .harmonics import c_coeffs, d_coeffs, d_l, harmonic_table
+from .harmonics import _harmonic_tables, c_coeffs, d_coeffs, d_l
 from .melnikov import SplittingTerms, _polygon_order, classify, splitting_terms, verdict_to_dict
 from .quadrature import (
     QuadratureBudgetError,
@@ -49,32 +49,58 @@ EXIT_NUMERICAL = 2
 EXIT_GOLDEN = 3
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
 def _emit_json(obj, out) -> None:
-    """Serialize with every float rendered at 17 significant digits."""
+    """Serialize with every float rendered at 17 significant digits, in one pass."""
+    parts: list[str] = []
+    append = parts.append
 
-    def render(o) -> str:
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, float):
-            return _fmt(o)
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if o is None:
-            return "null"
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, dict):
-            inner = ", ".join(f"{json.dumps(str(k))}: {render(v)}" for k, v in o.items())
-            return "{" + inner + "}"
-        if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(render(v) for v in o) + "]"
-        raise TypeError(f"cannot serialize {type(o)!r}")
+    def render(o) -> None:
+        t = type(o)  # exact types first; subclasses and numpy scalars fall through
+        if t is float:
+            append("%.16e" % o)
+        elif t is str:
+            append(_quote(o))
+        elif isinstance(o, dict):
+            sep = "{"
+            for k, v in o.items():
+                append(sep)
+                append(_quote(k if type(k) is str else str(k)))
+                append(": ")
+                render(v)
+                sep = ", "
+            append("}" if sep == ", " else "{}")
+        elif isinstance(o, (list, tuple)):
+            sep = "["
+            for v in o:
+                append(sep)
+                render(v)
+                sep = ", "
+            append("]" if sep == ", " else "[]")
+        elif t is int:
+            append(str(o))
+        elif t is bool:
+            append("true" if o else "false")
+        elif o is None:
+            append("null")
+        elif isinstance(o, float):
+            append(_fmt(o))
+        elif isinstance(o, (int, np.integer)):
+            append(str(int(o)))
+        elif isinstance(o, str):
+            append(_quote(o))
+        else:
+            raise TypeError(f"cannot serialize {type(o)!r}")
 
-    out.write(render(obj) + "\n")
+    render(obj)
+    append("\n")
+    out.write("".join(parts))
 
 
 def _write_csv(out, header: Sequence[str], rows) -> None:
@@ -145,8 +171,12 @@ def _build_parser() -> _Parser:
 
     pcl = sub.add_parser("classify", help="run the transversality decision tree")
     pcl.add_argument("path")
-    pcl.add_argument("--lmax", type=int, default=8)
-    pcl.add_argument("--jmax", type=int, default=None)
+    pcl.add_argument("--lmax", type=int, default=8,
+                     help="the first-harmonic scan runs over j = 3, 5, ..., 2 lmax + 1 "
+                          "(default 8)")
+    pcl.add_argument("--jmax", type=int, default=None,
+                     help="highest Legendre order of the k >= 2 scan "
+                          "(default min(2N + 4, 64) for N bodies)")
 
     pi = sub.add_parser("integrate", help="integrate the near-infinity flow to CSV")
     pi.add_argument("--config", required=True)
@@ -224,10 +254,8 @@ def _cmd_coeffs(args, out) -> int:
     c = cfg.load_configuration(args.path)
     c1, c2, c3 = c_coeffs(c)
     d1, d2, d3, d4 = d_coeffs(c)
-    tables = {}
-    for j in range(2, max(2, args.jmax) + 1):
-        t = harmonic_table(c, j)
-        tables[str(j)] = [[m, a, b] for m, a, b in t.entries]
+    tables = {str(t.j): [[m, a, b] for m, a, b in t.entries]
+              for t in _harmonic_tables(c, max(2, args.jmax))}
     payload = {
         "label": c.label,
         "c": [c1, c2, c3],

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import CentralConfiguration
-from .harmonics import MAX_LEGENDRE_ORDER, c_coeffs, d_coeffs, harmonic_table
+from .harmonics import MAX_LEGENDRE_ORDER, _harmonic_tables, c_coeffs, d_coeffs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -160,7 +160,7 @@ def _field_harmonics(config: CentralConfiguration, truncation: int):
     ``entries`` are the (k, a, b) of ``harmonic_table(config, j)``; k = 0
     carries the radial part.
     """
-    return tuple((j, harmonic_table(config, j).entries) for j in range(2, (truncation - 1) // 2))
+    return tuple((t.j, t.entries) for t in _harmonic_tables(config, (truncation - 3) // 2))
 
 
 def _harmonic_sums(harmonics, s: float) -> tuple[float, float]:

@@ -9,6 +9,12 @@ polynomial in s whose amplitudes (A_m, B_m) drive the splitting analysis:
     A_m = p_{j,m} sum_k m_k |a_k|^j cos(m alpha_k)
     B_m = -p_{j,m} sum_k m_k |a_k|^j sin(m alpha_k)
 
+The angle multiples e^(i m alpha_k) come from one running product per call:
+``harmonic_table`` builds them up to m = j, and a caller that reads many
+orders (``classify``, ``coeffs``, the flow's field) builds one table up to
+its largest order and contracts each order it reads from it.  Every order
+gets the same entries bit for bit either way.
+
 The named low-order families are exposed directly: the quadrupole triple
 (c1, c2, c3), the octupole quadruple (d1..d4), and the (d1, d2) analogues at
 arbitrary odd order.  Legendre cosine coefficients p_{j,m} come exactly from
@@ -81,9 +87,11 @@ class HarmonicTable:
     rounding: float
 
     def pair(self, m: int) -> tuple[float, float]:
-        for mm, a, b in self.entries:
-            if mm == m:
-                return a, b
+        # entries run over m = j mod 2, j mod 2 + 2, ..., j
+        i, odd = divmod(m - self.j % 2, 2)
+        if not odd and 0 <= i < len(self.entries) and self.entries[i][0] == m:
+            _, a, b = self.entries[i]
+            return a, b
         raise KeyError(f"no harmonic m={m} at order j={self.j}")
 
 
@@ -103,19 +111,44 @@ def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarr
     return r, np.cumprod(unit, axis=0)
 
 
-def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
-    """Per-harmonic amplitudes (A_m, B_m) of the order-j perturbation term."""
+def _cos_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonics m and float p_jm of a table order j, checked to lie in [2, 64]."""
     if j < 2:
         raise ValueError(f"harmonic tables start at order 2, got {j}")
     if j not in _COS_BASIS:
         legendre_cos_coeffs(j)  # checks j <= 64 and caches the order's coefficients
-    ms, ps = _COS_BASIS[j]
-    r, powers = _angle_multiples(config, j)
-    w = config.masses() * r**j
-    sums = powers[ms] @ w.astype(complex)  # sum_k w_k e^(i m alpha_k) for every m at once
+    return _COS_BASIS[j]
+
+
+def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) -> HarmonicTable:
+    """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j.
+
+    The running product's first j + 1 rows do not depend on m_max, so every
+    j <= m_max gets the entries ``harmonic_table`` computes, bit for bit.
+    """
+    ms, ps = _cos_basis(j)
+    w = masses * r**j
+    sums = multiples[ms] @ w.astype(complex)  # sum_k w_k e^(i m alpha_k) for every m at once
     rounding = sys.float_info.epsilon * (j + len(r)) * float(np.abs(w).sum())
     entries = tuple(zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist()))
     return HarmonicTable(j=j, entries=entries, rounding=rounding)
+
+
+def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
+    """Per-harmonic amplitudes (A_m, B_m) of the order-j perturbation term."""
+    _cos_basis(j)  # checks the order before sizing the angle multiples
+    r, multiples = _angle_multiples(config, j)
+    return _contract(config.masses(), r, multiples, j)
+
+
+def _harmonic_tables(config: CentralConfiguration, j_max: int):
+    """``harmonic_table(config, j)`` for j = 2..j_max, from one angle-multiple table."""
+    if j_max < 2:
+        return
+    masses = config.masses()
+    r, multiples = _angle_multiples(config, min(j_max, MAX_LEGENDRE_ORDER))
+    for j in range(2, j_max + 1):
+        yield _contract(masses, r, multiples, j)
 
 
 def c_coeffs(config: CentralConfiguration) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -413,6 +414,101 @@ class TestCatalogCommand:
         _, first, _ = run(capsys, "catalog", "all")
         _, second, _ = run(capsys, "catalog", "all")
         assert first == second
+
+
+def _reference_json(o) -> str:
+    """The writer's recursive reference: one nested join per value."""
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, float):
+        return format(float(o), ".16e")
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    if o is None:
+        return "null"
+    if isinstance(o, str):
+        return json.dumps(o)
+    if isinstance(o, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {_reference_json(v)}" for k, v in o.items())
+        return "{" + inner + "}"
+    if isinstance(o, (list, tuple)):
+        return "[" + ", ".join(_reference_json(v) for v in o) + "]"
+    raise TypeError(f"cannot serialize {type(o)!r}")
+
+
+def _emitted(obj) -> str:
+    buf = io.StringIO()
+    cli._emit_json(obj, buf)
+    return buf.getvalue()
+
+
+def _verdict_configs():
+    configs = {f"polygon-{n}": melsplit.build_polygon(n) for n in range(4, 17)}
+    configs.update({f"collinear-{n}": melsplit.solve_collinear_equal(n) for n in range(3, 9)})
+    configs["rhomboid-1-1"] = melsplit.build_rhomboid(1.0, 1.0)
+    configs["rhomboid-1.2-1"] = melsplit.build_rhomboid(1.2, 1.0)
+    configs["rp3bp-0.3"] = melsplit.build_rp3bp(0.3)
+    configs["rp3bp-0.5"] = melsplit.build_rp3bp(0.5)
+    configs["equilateral"] = melsplit.build_equilateral(1.0 / 3.0, 1.0 / 3.0)
+    configs["equilateral-0.2-0.3"] = melsplit.build_equilateral(0.2, 0.3)
+    return configs
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("j_max", [None, 64])
+    def test_verdicts_match_the_reference_byte_for_byte(self, j_max):
+        for name, config in _verdict_configs().items():
+            payload = melnikov.verdict_to_dict(melnikov.classify(config, j_max=j_max))
+            assert _emitted(payload) == _reference_json(payload) + "\n", name
+
+    def test_coeffs_payload_matches_the_reference(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "p16.json"
+        assert main(["config", "build", "polygon", "--n", "16", "-o", str(path)]) == 0
+        payloads = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json", lambda obj, out: payloads.append(obj) or emit(obj, out))
+        capsys.readouterr()
+        code, out, _ = run(capsys, "coeffs", str(path), "--jmax", "64")
+        assert code == 0
+        (payload,) = payloads
+        assert len(payload["harmonic_tables"]) == 63
+        assert out == _reference_json(payload) + "\n"
+
+    def test_edge_values_match_the_reference(self):
+        class Label(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        payload = {
+            "np": [np.float64(0.1), np.int64(-7), np.uint8(255), np.float64("-0.0")],
+            "flags": [True, False, None],
+            "floats": [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+                       1.7976931348623157e308, 1.0, Ratio(2.5)],
+            "label": "μ = 0.3 \"α\"\n\t\u0001 ☃ 𝄞",
+            Label("sub"): Label("ç"),
+            7: {2: [], 3: {}},
+            True: None,
+            2.5: "key",
+            None: (),
+            "nested": ((1, (2.0, (None, ("x",)))), [[], [{}]], (np.float64(3.0),)),
+            "empty": ["", {}, []],
+            "big": 2**70,
+        }
+        assert _emitted(payload) == _reference_json(payload) + "\n"
+        for value in (np.float64(1e-300), -1, False, None, "plain", 0.1, [], {}):
+            assert _emitted(value) == _reference_json(value) + "\n"
+
+    @pytest.mark.parametrize("value", [np.float32(1.0), np.bool_(True), {1, 2}, object(),
+                                       [1.0, np.float32(2.0)], {"a": {"b": b"bytes"}}])
+    def test_unserializable_values_raise_and_write_nothing(self, value):
+        out = io.StringIO()
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._emit_json(value, out)
+        with pytest.raises(TypeError):
+            _reference_json(value)
+        assert out.getvalue() == ""
 
 
 def test_import_leaves_scipy_out(rp3bp_file):

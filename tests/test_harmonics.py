@@ -22,8 +22,11 @@ from melsplit import (
 from melsplit.config import rotate, scale
 from melsplit.harmonics import (
     MAX_LEGENDRE_ORDER,
+    HarmonicTable,
     _angle_multiples,
+    _contract,
     _cos_basis_fractions,
+    _harmonic_tables,
     legendre_pair,
 )
 
@@ -249,6 +252,68 @@ class TestHarmonicTable:
         for got, want in ((powers.real, np.array(cos_ref)), (powers.imag, np.array(sin_ref))):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+    _SHARED = {
+        "rp3bp": lambda: build_rp3bp(0.3),
+        "equilateral": lambda: build_equilateral(0.2, 0.3),
+        "rotated-equilateral": lambda: rotate(build_equilateral(0.2, 0.3), 0.7),
+        "rhomboid": lambda: build_rhomboid(1.2, 1.0),  # bodies on the axes
+        "polygon16x2": lambda: scale(build_polygon(16), 2.0),
+        "collinear5": lambda: solve_collinear_equal(5),  # a body at the origin
+    }
+
+    @staticmethod
+    def _assert_same_table(got, want):
+        assert (got.j, got.rounding) == (want.j, want.rounding)
+        assert [m for m, _, _ in got.entries] == [m for m, _, _ in want.entries]
+        g, w = np.array(got.entries)[:, 1:], np.array(want.entries)[:, 1:]
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    @pytest.mark.parametrize("name", sorted(_SHARED))
+    def test_one_angle_table_gives_every_order_bitwise(self, name):
+        # the running product's first j + 1 rows do not depend on how far it runs
+        config = self._SHARED[name]()
+        r, multiples = _angle_multiples(config, 64)
+        for j in range(2, 65):
+            self._assert_same_table(_contract(config.masses(), r, multiples, j),
+                                    harmonic_table(config, j))
+
+    @pytest.mark.parametrize("name", sorted(_SHARED))
+    def test_tables_up_to_an_order_match_the_single_order_calls(self, name):
+        config = self._SHARED[name]()
+        for j_max in (2, 7, 64):
+            tables = list(_harmonic_tables(config, j_max))
+            assert [t.j for t in tables] == list(range(2, j_max + 1))
+            for t in tables:
+                self._assert_same_table(t, harmonic_table(config, t.j))
+
+    def test_tables_up_to_an_order_check_it_as_the_single_order_call(self, rp3bp_03):
+        assert list(_harmonic_tables(rp3bp_03, 1)) == []
+        tables = _harmonic_tables(rp3bp_03, 10**9)  # sized to order 64, not to j_max
+        assert [next(tables).j for _ in range(63)] == list(range(2, 65))
+        with pytest.raises(ValueError) as shared:
+            next(tables)
+        with pytest.raises(ValueError) as single:
+            harmonic_table(rp3bp_03, 65)
+        assert str(shared.value) == str(single.value)
+
+    @pytest.mark.parametrize("j", [2, 3, 16, 17, 64])
+    def test_pair_indexes_the_ascending_harmonics(self, j):
+        table = harmonic_table(build_equilateral(0.2, 0.3), j)
+        for m, a, b in table.entries:
+            assert table.pair(m) == (a, b)
+        for m in (-2, -1, j - 1, j + 1, j + 2):
+            with pytest.raises(KeyError, match=f"no harmonic m={m} at order j={j}"):
+                table.pair(m)
+
+    def test_pair_never_returns_another_harmonic(self):
+        # a hand-built table that breaks the layout misses instead of misreading
+        table = HarmonicTable(j=4, entries=((0, 1.0, 0.0), (4, 2.0, 0.0)), rounding=0.0)
+        assert table.pair(0) == (1.0, 0.0)
+        with pytest.raises(KeyError):
+            table.pair(2)
 
 
 class TestRoundingBound:

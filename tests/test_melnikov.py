@@ -458,21 +458,36 @@ class TestClassifier:
             assert witness_margins == pytest.approx([witness_margins[1]] * 3, rel=1e-9)
 
     def test_tables_are_built_lazily_once(self, monkeypatch, rp3bp_03, rp3bp_half):
-        built = []
+        # one angle-multiple table per call; each order contracted from it at most once
+        built, multiples = [], []
+        contract, angle_multiples = melnikov._contract, melnikov._angle_multiples
 
-        def counting(config, j):
+        def counting(masses, r, powers, j):
             built.append(j)
-            return harmonic_table(config, j)
+            return contract(masses, r, powers, j)
 
-        monkeypatch.setattr(melnikov, "harmonic_table", counting)
+        def counting_multiples(config, m_max):
+            multiples.append(m_max)
+            return angle_multiples(config, m_max)
+
+        monkeypatch.setattr(melnikov, "_contract", counting)
+        monkeypatch.setattr(melnikov, "_angle_multiples", counting_multiples)
         classify(rp3bp_03)
         assert built == [3]
+        assert multiples == [17]  # max(j_max = 2N + 4 = 8, 2 l_max + 1 = 17)
         built.clear()
+        multiples.clear()
         classify(rp3bp_half)
         assert built == [3, 5, 7, 9, 11, 13, 15, 17, 2]
+        assert multiples == [17]
         built.clear()
+        multiples.clear()
         classify(build_polygon(12), j_max=8)
         assert sorted(built) == list(range(2, 9)) + [9, 11, 13, 15, 17]
+        assert multiples == [17]
+        multiples.clear()
+        classify(build_polygon(16), j_max=64)
+        assert multiples == [64]
 
     def test_lambda_of_handles_body_at_origin(self, collinear8):
         from melsplit import lambda_of
