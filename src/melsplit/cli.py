@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or invalid input, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -439,6 +440,23 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        return _run(argv)
+    finally:
+        # The argparse tree is cyclic (each action points back at its
+        # container, each validation formatter at its root section), so each
+        # call leaves some 360 objects that only the cycle collector frees.
+        # The automatic collector runs while a call's objects are still live
+        # and promotes them, which soon triggers a collection of the oldest
+        # generation: a scan of the whole heap (6-16 ms in a long-lived
+        # process) inside some later call.  Collecting the young generations
+        # once the call's objects are dead costs about 0.1 ms and keeps
+        # in-process call times steady.
+        if gc.isenabled():
+            gc.collect(1)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -528,3 +529,26 @@ def test_import_leaves_scipy_out(rp3bp_file):
         proc = subprocess.run([sys.executable, "-c", source],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0 and proc.stdout.strip() == "0 False", proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "{cfg}", "--jmax", "16"),
+    ("config", "validate", "{cfg}"),
+    ("classify", "{cfg}.missing"),
+    ("classify", "--bogus"),
+])
+def test_main_frees_the_cycles_it_makes(capsys, rp3bp_file, argv):
+    # every call builds a cyclic argparse tree; main collects it before returning
+    gc.collect()
+    main([a.format(cfg=rp3bp_file) for a in argv])
+    assert gc.collect() == 0
+
+
+def test_main_leaves_a_disabled_collector_alone(capsys, rp3bp_file):
+    gc.collect()
+    gc.disable()
+    try:
+        main(["config", "validate", rp3bp_file])
+        assert gc.collect() > 0
+    finally:
+        gc.enable()
