@@ -41,7 +41,6 @@ from .quadrature import (
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
-    eval_via_ikjk,
     find_zeros,
     harmonic_integrand,
 )

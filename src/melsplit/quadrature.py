@@ -20,19 +20,33 @@ half plane, where the integrand neither oscillates nor cancels:
 * with t = e^u the integrand decays exponentially at both ends, and the
   trapezoid rule in u converges exponentially (Trefethen & Weideman, "The
   exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  The
-  coarsest level is widened until its end terms are negligible, then the
-  step is halved until two levels agree.  The tails decay at least like
-  e^-|u|, so each widening is sized in one step from the end term: it adds
-  max(8, ceil(log(end / floor) / step) + 1) nodes, and widens again only if
-  the new end is still above the floor;
+  coarsest level (step 1/2) is made wide enough for its end terms to be
+  negligible, then the step is halved until two levels agree;
+* the scaled terms are at most about 1 and their tails decay at least like
+  e^-|u|, so a tail is at most its end term.  The coarsest level starts
+  ceil(log(1 / floor) / step) + 1 nodes left of u = log g, which reaches the
+  floor of the left tail at once, and 8 nodes right of it.  An end whose
+  term is still above the floor is widened, sized in one step from that
+  term: max(8, ceil(log(end / floor) / step) + 1) more nodes, again only if
+  the new end is still above the floor.  The level is then trimmed to one
+  negligible node beyond its outermost large term;
+* the error of the rule roughly squares per halving (level changes of about
+  1e-2, 1e-6, 1e-14), so below tol 1e-6 the third halving is the first that
+  can pass.  The first refinement therefore evaluates the new nodes of steps
+  1/4, 1/8 and 1/16 in one call, cut to the levels that fit in the budget;
+  later ones add one level each.  Each level is summed over its own nodes
+  and the stopping rule is applied level by level, so the rule stops at the
+  level, and returns the value and error, that one level per call would;
 * at each node the numerator is evaluated from its expansion about 0 or
   about i, whichever has the smaller rounding bound sum |c_j| |w|^j.  The
   powers x^0 .. x^(n-1) of |z|, |w| and the chosen variable come from
-  running products (one ``np.cumprod`` per table), and each table is
-  contracted with its coefficients in one matrix product, so a call costs
-  the same number of numpy operations at every degree.  x^j formed by
-  j - 1 products carries at most j roundings: that is Horner's error
-  class, which the rounding term below (eps (2 len(c) + ...)) covers;
+  running products, one ``np.multiply`` of the previous row per row (in
+  place, which is faster than ``np.cumprod`` down the strided axis), and
+  each table is contracted with its coefficients in one matrix product.  A
+  table holds at most 2^16 entries (1 MB), so a call evaluates at most
+  2^16 / n nodes.  x^j formed by j - 1 products carries at most j
+  roundings: that is Horner's error class, which the rounding term below
+  (eps (2 len(c) + ...)) covers;
 * where the pole factor (z - i)^m (z + i)^k, scaled by its size at the
   vertex, overflows, the term is set to 0, not to the NaN of a complex
   division by inf.  That happens only far out on the arm, where
@@ -42,7 +56,9 @@ half plane, where the integrand neither oscillates nor cancels:
 
 ``error_estimate`` adds the difference of the last two levels, the end
 terms standing for the truncated tails, and eps times the rounding bounds
-summed over the nodes.
+summed over the nodes.  ``evaluations`` counts every node evaluated: the
+coarsest level before its trim, and every level of a batch, including those
+past the level where the rule stopped.
 
 Every splitting integrand is one ``harmonic_integrand(j, k, theta)`` for a
 Legendre order j and a harmonic k: the integer polynomial
@@ -51,9 +67,9 @@ numerator Re P over (1 + z^2)^(j+k+2), with phase scale k theta^3/2.  The
 paper's literal F4, F61 and F62 integrands are kept as the reference for
 it.
 
-The same integrals can be reassembled from the half-line basis integrals
-I_k and J_k after an exact partial-fraction decomposition; that second
-pipeline is the cross-check oracle for every named F-function.
+By Cauchy's theorem the value does not depend on the angle of the arms,
+while every node and rounding error does; the tests check the engine by
+turning the arms to other angles in (0, pi/3).
 """
 from __future__ import annotations
 
@@ -212,11 +228,14 @@ def _pole_expansion(cos_num: tuple, sin_num: tuple) -> tuple[np.ndarray, int]:
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """The (n, len(x)) table of x^0, ..., x^(n-1), as running products."""
+    """The (n, len(x)) table of x^0, ..., x^(n-1), as running products, row by row."""
     table = np.empty((n, len(x)), dtype=x.dtype)
     table[0] = 1.0
-    table[1:] = x
-    return np.cumprod(table, axis=0, out=table)
+    if n > 1:
+        table[1] = x
+    for j in range(2, n):
+        np.multiply(table[j - 1], x, out=table[j])
+    return table
 
 
 def eval_oscillatory(
@@ -292,13 +311,15 @@ def eval_oscillatory(
         bound = _EPS * (2 * n + 2 * k + 2 + np.abs(psi)) * np.abs(rest)
         return vals, np.where(finite, bound * np.minimum(bound_0, bound_i), 0.0)
 
-    # coarsest level: step 1/2 around u = log g, widened at each end until the
-    # end term is negligible.  The tail beyond an end decays at least like
-    # e^-|u|, so its integral is at most the end term, and that decay sizes
-    # each widening in one step; being systematic, the tails get a small
-    # share of the tolerance
+    # coarsest level: step 1/2 around u = log g.  The tails decay at least
+    # like e^-|u| from terms of at most about 1, so the tail beyond an end is
+    # at most the end term: the level starts wide enough on the left for its
+    # end term to be negligible, and an end still above the floor is widened
+    # by as many nodes as that decay needs.  Being systematic, the tails get
+    # a small share of the tolerance
     small = tol / 256.0
-    u = math.log(g) + _STEP * np.arange(-_WIDEN, _WIDEN + 1)
+    left = max(_WIDEN, math.ceil(math.log(1.0 / small) / _STEP) + 1)
+    u = math.log(g) + _STEP * np.arange(-left, _WIDEN + 1)
     vals, noise = evaluate(u)
     for end, sign in ((0, -1.0), (-1, 1.0)):
         while abs(vals[end]) > (floor := max(small, _EPS * np.abs(vals).max())):
@@ -314,22 +335,38 @@ def eval_oscillatory(
     tail = abs(vals[0]) + abs(vals[-1])
     total, noise_sum = vals.sum(), noise.sum()
 
-    # halve the step until two levels agree, or differ only by rounding
+    # halve the step until two levels agree, or differ only by rounding; the
+    # first call evaluates three levels (as many as the budget holds), later
+    # calls one level each
     intervals, step = len(u) - 1, _STEP
-    previous = step * total
-    while True:
-        step /= 2.0
-        for start in range(0, intervals, chunk):
-            j = np.arange(start, min(intervals, start + chunk))
-            vals, noise = evaluate(u[0] + step * (2 * j + 1))
-            total += vals.sum()
-            noise_sum += noise.sum()
-        intervals *= 2
-        current, rounding = step * total, step * noise_sum
-        change = abs(current - previous)
-        if change <= max(tol / 8.0, rounding):
-            break
-        previous = current
+    previous, levels, converged = step * total, 3, False
+    while not converged:
+        sizes = [intervals << i for i in range(levels)]  # new nodes per level
+        while sizes and sum(sizes) > budget - evaluations:
+            sizes.pop()
+        if not sizes:
+            raise QuadratureBudgetError(f"evaluation budget {budget} exhausted")
+        nodes = np.concatenate([u[0] + (step / 2**i) * (2 * np.arange(size) + 1)
+                                for i, size in enumerate(sizes, 1)])
+        vals, noise = (np.concatenate(parts) for parts in zip(
+            *(evaluate(nodes[s:s + chunk]) for s in range(0, len(nodes), chunk))))
+        first = 0
+        for size in sizes:
+            step /= 2.0
+            # summed in blocks of chunk nodes, as one level evaluated on its own
+            for s in range(first, first + size, chunk):
+                block = slice(s, min(s + chunk, first + size))
+                total += vals[block].sum()
+                noise_sum += noise[block].sum()
+            first += size
+            intervals *= 2
+            current, rounding = step * total, step * noise_sum
+            change = abs(current - previous)
+            converged = change <= max(tol / 8.0, rounding)
+            if converged:
+                break
+            previous = current
+        levels = 1
 
     scale = math.exp(log_scale)
     value = 2.0 * scale * float(current.real)
@@ -412,7 +449,7 @@ def harmonic_integrand(j: int, k: int, theta_tilde: float) -> CubicPhaseIntegran
 
 
 # ---------------------------------------------------------------------------
-# half-line basis integrals and the partial-fraction backend
+# half-line basis integrals
 
 
 def eval_Ik(k: int, delta: float, tol: float = 1e-10) -> float:
@@ -429,46 +466,6 @@ def eval_Jk(k: int, delta: float, tol: float = 1e-10) -> float:
         raise ValueError(f"need k >= 2 for absolute convergence, got {k}")
     integrand = CubicPhaseIntegrand((), (0.0, 1.0), k, delta)
     return 0.5 * eval_oscillatory(integrand, tol).value
-
-
-def ikjk_decomposition(
-    integrand: CubicPhaseIntegrand,
-) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """Exact coefficients of the I/J basis: value = 2 sum a_k I_k + 2 sum b_k J_k."""
-    k = integrand.denominator_power
-    i_terms: dict[int, Fraction] = {}
-    for i, c in _u_basis(_even_part(integrand.cos_numerator)).items():
-        i_terms[k - i] = i_terms.get(k - i, Fraction(0)) + c
-    j_terms: dict[int, Fraction] = {}
-    odd = _odd_part(integrand.sin_numerator)
-    stripped = tuple(odd[1:])  # divide by z; remaining polynomial is even
-    for i, c in _u_basis(stripped).items():
-        j_terms[k - i] = j_terms.get(k - i, Fraction(0)) + c
-    return ({i: v for i, v in i_terms.items() if v != 0},
-            {i: v for i, v in j_terms.items() if v != 0})
-
-
-def eval_via_ikjk(integrand: CubicPhaseIntegrand, tol: float = 1e-10) -> QuadratureResult:
-    """Reassemble the integral from I_k/J_k values; independent of the direct route."""
-    i_terms, j_terms = ikjk_decomposition(integrand)
-    delta = integrand.phase_scale
-    n_terms = max(1, len(i_terms) + len(j_terms))
-    total = 0.0
-    err = 0.0
-    evals = 0
-    for kk, coeff in sorted(i_terms.items()):
-        sub_tol = max(1e-13, tol / (4.0 * n_terms * max(1.0, abs(float(coeff)))))
-        res = eval_oscillatory(CubicPhaseIntegrand((1.0,), (), kk, delta), sub_tol)
-        total += float(coeff) * res.value
-        err += abs(float(coeff)) * res.error_estimate
-        evals += res.evaluations
-    for kk, coeff in sorted(j_terms.items()):
-        sub_tol = max(1e-13, tol / (4.0 * n_terms * max(1.0, abs(float(coeff)))))
-        res = eval_oscillatory(CubicPhaseIntegrand((), (0.0, 1.0), kk, delta), sub_tol)
-        total += float(coeff) * res.value
-        err += abs(float(coeff)) * res.error_estimate
-        evals += res.evaluations
-    return QuadratureResult(value=total, error_estimate=err, evaluations=evals)
 
 
 # ---------------------------------------------------------------------------

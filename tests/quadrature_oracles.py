@@ -1,0 +1,83 @@
+"""Reference routes for the oscillatory engine, kept beside the tests that use them.
+
+* ``on_ray`` runs ``eval_oscillatory`` with the contour's arms turned to
+  another angle.  By Cauchy's theorem the integral does not depend on the
+  angle (any ray in (0, pi/3) leaves the integrand decaying at infinity), but
+  every node, term and rounding error does, so two angles that agree within
+  the sum of their error estimates check both the value and the estimate
+  (Trefethen & Weideman, SIAM Rev. 56, 2014).
+* ``ikjk_decomposition`` rewrites an integrand exactly in the half-line
+  basis integrals I_k and J_k, and ``eval_via_ikjk`` reassembles the value
+  from them.  Its partial-fraction coefficients grow with the degree, and
+  each sub-tolerance is clamped at 1e-13, so it is looser than the route it
+  would check for the high-degree integrands.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from fractions import Fraction
+from unittest import mock
+
+from melsplit import quadrature
+from melsplit.quadrature import (
+    CubicPhaseIntegrand,
+    QuadratureResult,
+    _even_part,
+    _odd_part,
+    _u_basis,
+    eval_oscillatory,
+)
+
+
+# the default arm leaves the vertex at pi/6
+SHIFTED_RAYS = (math.pi / 8, math.pi / 5)
+
+
+def on_ray(integrand: CubicPhaseIntegrand, tol: float, angle: float) -> QuadratureResult:
+    """``eval_oscillatory`` on the contour whose right arm leaves the vertex at ``angle``."""
+    with mock.patch.object(quadrature, "_RAY", cmath.exp(1j * angle)):
+        return eval_oscillatory(integrand, tol)
+
+
+def assert_contour_shift_agrees(integrand: CubicPhaseIntegrand, tol: float) -> None:
+    """The default arms and each of SHIFTED_RAYS agree within the sum of both estimates."""
+    direct = eval_oscillatory(integrand, tol)
+    for angle in SHIFTED_RAYS:
+        shifted = on_ray(integrand, tol, angle)
+        assert abs(direct.value - shifted.value) <= direct.error_estimate + shifted.error_estimate, (
+            integrand, angle, direct, shifted)
+
+
+def ikjk_decomposition(
+    integrand: CubicPhaseIntegrand,
+) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Exact coefficients of the I/J basis: value = 2 sum a_k I_k + 2 sum b_k J_k."""
+    k = integrand.denominator_power
+    i_terms: dict[int, Fraction] = {}
+    for i, c in _u_basis(_even_part(integrand.cos_numerator)).items():
+        i_terms[k - i] = i_terms.get(k - i, Fraction(0)) + c
+    j_terms: dict[int, Fraction] = {}
+    odd = _odd_part(integrand.sin_numerator)
+    stripped = tuple(odd[1:])  # divide by z; remaining polynomial is even
+    for i, c in _u_basis(stripped).items():
+        j_terms[k - i] = j_terms.get(k - i, Fraction(0)) + c
+    return ({i: v for i, v in i_terms.items() if v != 0},
+            {i: v for i, v in j_terms.items() if v != 0})
+
+
+def eval_via_ikjk(integrand: CubicPhaseIntegrand, tol: float = 1e-10) -> QuadratureResult:
+    """Reassemble the integral from I_k/J_k values."""
+    i_terms, j_terms = ikjk_decomposition(integrand)
+    delta = integrand.phase_scale
+    n_terms = max(1, len(i_terms) + len(j_terms))
+    total, err, evals = 0.0, 0.0, 0
+    for terms, basis in ((i_terms, lambda kk: CubicPhaseIntegrand((1.0,), (), kk, delta)),
+                         (j_terms, lambda kk: CubicPhaseIntegrand((), (0.0, 1.0), kk, delta))):
+        for kk, coeff in sorted(terms.items()):
+            sub_tol = max(1e-13, tol / (4.0 * n_terms * max(1.0, abs(float(coeff)))))
+            res = eval_oscillatory(basis(kk), sub_tol)
+            total += float(coeff) * res.value
+            err += abs(float(coeff)) * res.error_estimate
+            evals += res.evaluations
+    return QuadratureResult(value=total, error_estimate=err, evaluations=evals)

@@ -17,20 +17,20 @@ from melsplit import (
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
-    eval_via_ikjk,
     find_zeros,
     harmonic_integrand,
     legendre_cos_coeffs,
 )
+from melsplit import quadrature
 from melsplit.quadrature import (
     _pole_expansion,
     f4_integrand,
     f61_integrand,
     f62_integrand,
-    ikjk_decomposition,
 )
+from quadrature_oracles import assert_contour_shift_agrees, eval_via_ikjk, ikjk_decomposition
 
-# frozen dual-backend value, cross-checked against the I/J pipeline
+# frozen value, cross-checked against the I/J pipeline
 F4_AT_2 = 0.8682561381880027
 
 P1_COEFFS = (6, 0, -480, 0, 4510, 0, -11088, 0, 8514, 0, -1936, 0, 90)
@@ -68,15 +68,19 @@ class TestBasicContracts:
 
     def test_error_estimate_honest(self):
         for tt in (0.4, 1.1, 1.9):
-            res = eval_oscillatory(f61_integrand(tt), 1e-11)
-            via = eval_via_ikjk(f61_integrand(tt), 1e-11)
-            assert abs(res.value - via.value) <= 10 * (
-                res.error_estimate + via.error_estimate
-            )
+            assert_contour_shift_agrees(f61_integrand(tt), 1e-11)
 
     def test_budget_error_reported(self):
         with pytest.raises(QuadratureBudgetError):
-            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=200)  # needs 623
+            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=200)  # needs 628
+
+    @pytest.mark.parametrize("tt, tol, budget", [(9.0, 1e-13, 660), (1.0, 1e-3, 140)])
+    def test_budget_clips_the_batched_halvings(self, tt, tol, budget):
+        # 628 and 133 evaluations are enough; the batch of three halvings is
+        # cut to the levels that fit, and the rule stops before the rest
+        res = eval_oscillatory(f4_integrand(tt), tol, budget=budget)
+        assert res.evaluations <= budget
+        assert res.value == eval_oscillatory(f4_integrand(tt), tol).value
 
     def test_truncation_honesty(self):
         # moving the tail cutoff changes the value by less than the estimate
@@ -109,6 +113,49 @@ def test_oracle_lattice_within_own_estimate(tol):
     # the rounding term overstates the error at tol 1e-13 (48 of 310 points
     # report more than tol); it must not grow looser
     assert above_tol <= (48 if tol == 1e-13 else 0)
+
+
+def _lattice_integrands():
+    builders = {"F4": f4_integrand, "F61": f61_integrand, "F62": f62_integrand}
+    for n in range(4, 11):
+        builders[f"poly:{n}"] = lambda tt, j=n - 1: harmonic_integrand(j, j, tt)
+    lattice = json.loads(ORACLE.read_text())["lattice"]
+    return [(name, builder(tt)) for name, builder in builders.items() for tt in lattice]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_contour_shift_on_oracle_lattice(tol):
+    # the value does not depend on the angle of the contour's arms
+    for _, integrand in _lattice_integrands():
+        assert_contour_shift_agrees(integrand, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_evaluate_calls_per_integral(tol, monkeypatch):
+    # each evaluate call builds three power tables: the coarse level, its
+    # widenings and the batched halvings take 3 calls in the median, 4 at most
+    tables, powers = [], quadrature._powers
+
+    def counted(x, n):
+        tables.append(n)
+        return powers(x, n)
+
+    monkeypatch.setattr(quadrature, "_powers", counted)
+    calls = []
+    for _, integrand in _lattice_integrands():
+        tables.clear()
+        eval_oscillatory(integrand, tol)
+        calls.append(len(tables) // 3)
+    assert np.median(calls) <= 3 and max(calls) <= 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_powers_are_running_products(n):
+    x = np.array([0.5 + 0.25j, -3.0 + 1e-3j, 1e10j])
+    want = np.ones((n, len(x)), dtype=complex)
+    for j in range(1, n):
+        want[j] = want[j - 1] * x
+    assert np.array_equal(quadrature._powers(x, n), want)
 
 
 class TestSymmetries:
@@ -210,17 +257,17 @@ class TestDualBackend:
     )
     def test_backends_agree_on_grid(self, builder):
         for tt in np.linspace(-2.0, 2.0, 32):
-            direct = eval_oscillatory(builder(float(tt)), 1e-11)
-            via = eval_via_ikjk(builder(float(tt)), 1e-11)
-            if abs(direct.value) > 1e-2:
-                assert via.value == pytest.approx(direct.value, rel=1e-8)
-            else:
-                assert via.value == pytest.approx(direct.value, abs=1e-10)
+            assert_contour_shift_agrees(builder(float(tt)), 1e-11)
 
     def test_decomposition_is_exact_partial_fractions(self):
         i_terms, j_terms = ikjk_decomposition(f4_integrand(1.0))
         assert {k: float(v) for k, v in i_terms.items()} == {4: 14.0, 5: -52.0, 6: 40.0}
         assert {k: float(v) for k, v in j_terms.items()} == {4: 3.0, 5: -32.0, 6: 40.0}
+        # reassembled from I_k and J_k, F4 is the direct value
+        for tt in (-1.5, 0.5, 1.0, 2.0):
+            direct = eval_oscillatory(f4_integrand(tt), 1e-11)
+            via = eval_via_ikjk(f4_integrand(tt), 1e-11)
+            assert abs(direct.value - via.value) <= direct.error_estimate + via.error_estimate
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -231,11 +278,7 @@ class TestDualBackend:
     )
     def test_backends_agree_on_random_integrands(self, cos_c, sin_c, k, delta):
         integrand = CubicPhaseIntegrand(tuple(map(float, cos_c)), tuple(map(float, sin_c)), k, delta)
-        direct = eval_oscillatory(integrand, 1e-11)
-        via = eval_via_ikjk(integrand, 1e-11)
-        assert via.value == pytest.approx(
-            direct.value, rel=1e-8, abs=10 * (direct.error_estimate + via.error_estimate) + 1e-12
-        )
+        assert_contour_shift_agrees(integrand, 1e-11)
 
 
 def polygon_integrand(n_total, tt):
@@ -361,9 +404,7 @@ class TestPolygonGeneration:
         # these points fail an engine that expands the numerator only about
         # the pole at i, or only about 0
         for tt in (-2.25, -1.75, -1.25, 1.0, 1.25):
-            direct = eval_oscillatory(polygon_integrand(n_total, tt), 1e-10)
-            via = eval_via_ikjk(polygon_integrand(n_total, tt), 1e-10)
-            assert abs(direct.value - via.value) <= direct.error_estimate + via.error_estimate
+            assert_contour_shift_agrees(polygon_integrand(n_total, tt), 1e-10)
 
 
 @pytest.mark.parametrize(
