@@ -59,7 +59,6 @@ from .dynamics import (
     IntegrationError,
     McGeheeState,
     PoincareReturnError,
-    duffing_rhs,
     hd_value,
     homoclinic,
     integrate,
@@ -72,8 +71,7 @@ from .dynamics import (
 )
 from .asymptotics import (
     ik_asymptotic,
-    m4_leading,
-    m6_leading,
+    leading_term,
 )
 
 __version__ = "0.1.0"

@@ -1,77 +1,61 @@
-"""Asymptotic behavior of the oscillatory integrals and the splitting.
+"""Leading large-phase-scale term of the cubic-phase integrals.
 
-For large positive phase scale the half-line basis integrals obey
+For d > 0 the integral over R of (P - iQ)(z) exp(i d phi(z)) / (1 + z^2)^k,
+phi(z) = z + z^3/3, is governed by z = i, where the saddle of the phase
+(phi'(i) = 0) meets the pole.  With w = z - i,
 
-    I_(2n-1)(d) = exp(-2d/3) [ pi d^(n-1) / (2^(n+1) (2n-2)!!) + O(d^(n-3/2)) ]
-    I_(2n)(d)   = exp(-2d/3) [ sqrt(pi) d^(n-1/2) / (2^(n+1) (2n-1)!!) + O(d^(n-1)) ]
+    phi(i + w) = 2i/3 + i w^2 + w^3/3,
+    (P - iQ)(z) / (1 + z^2)^k = b_j0 w^(-p) / (2i)^k (1 + O(w)),
 
-together with the exact identity J_(k+2)(d) = d/(2(k+1)) I_k(d).  Feeding
-these into the splitting functions gives closed leading-order forms for the
-order-4 and order-6 terms on both sign branches of the angular momentum.
-Values here are plain closed-form evaluations; the quadrature module is the
-cross-check.
+where b_j0 is the first nonzero Taylor coefficient of P - iQ about i and
+p = k - j0 the order of the pole left there.  Without the O(w) and the w^3
+term, a Gaussian is integrated below a pole: Hankel's integral for 1/Gamma
+(DLMF 5.9) gives i^p pi d^((p-1)/2) / Gamma((p+1)/2), so the integral of
+the real integrand is, to leading order,
+
+    Re[b_j0 i^p / (2i)^k] pi d^((p-1)/2) / Gamma((p+1)/2) exp(-2d/3),
+
+which is 0 where 1/Gamma vanishes, at p negative and odd.  ``leading_term``
+evaluates it for any ``CubicPhaseIntegrand``, normalized as the quadrature
+normalizes it (d < 0 is d > 0 with Q -> -Q), from the quadrature's exact
+pole expansion.  The dropped terms are a relative O(d^(-1/2)) whose
+coefficient grows with the power k of (1 + z^2), so the formula leads only
+where d >> k^2, roughly.  The half-line integrals I_k and every splitting
+integrand F_(j,k) (power j + k + 2) are special cases.
 """
 from __future__ import annotations
 
 import math
 
-from .config import CentralConfiguration
-from .dynamics import SQRT2
-from .harmonics import c_coeffs, d_coeffs
-from .quadrature import _double_factorial
+from .quadrature import CubicPhaseIntegrand, _degree, _normalized, _pole_expansion
 
-SQRT_PI = math.sqrt(math.pi)
+
+def leading_term(integrand: CubicPhaseIntegrand) -> float:
+    """Leading large-|d| term of the integral of ``integrand`` over R; d = 0 raises."""
+    delta, cos_num, sin_num = _normalized(integrand)
+    if delta == 0.0:
+        raise ValueError("the leading term needs a nonzero phase scale")
+    if _degree(cos_num) < 0 and _degree(sin_num) < 0:
+        return 0.0
+    coeffs, j0 = _pole_expansion(cos_num, sin_num)
+    k = integrand.denominator_power
+    p = k - j0
+    if p < 0 and p % 2:
+        return 0.0
+    # b_j0 i^p / (2i)^k = b_j0 (-i)^j0 / 2^k
+    b = complex(coeffs[1, 0]) * (1, -1j, -1, 1j)[j0 % 4]
+    x = 0.5 * (p + 1)
+    sign = -1.0 if x < 0.0 and math.ceil(-x) % 2 else 1.0  # the sign of Gamma(x)
+    # the powers, 1/Gamma and the exponential in one exponent, so no factor overflows
+    log_size = (math.log(math.pi) - k * math.log(2.0) + 0.5 * (p - 1) * math.log(delta)
+                - math.lgamma(x) - 2.0 * delta / 3.0)
+    return sign * b.real * math.exp(log_size)
 
 
 def ik_asymptotic(k: int, delta: float) -> float:
-    """Leading large-delta term of I_k(delta), delta > 0."""
+    """Leading large-delta term of I_k(delta), delta > 0: half the whole line's."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if not delta > 0.0:
         raise ValueError(f"need delta > 0, got {delta!r}")
-    if k % 2 == 1:
-        n = (k + 1) // 2
-        lead = math.pi * delta ** (n - 1) / (2 ** (n + 1) * _double_factorial(2 * n - 2))
-    else:
-        n = k // 2
-        lead = SQRT_PI * delta ** (n - 0.5) / (2 ** (n + 1) * _double_factorial(2 * n - 1))
-    return math.exp(-2.0 * delta / 3.0) * lead
-
-
-def m4_leading(
-    s0: float, theta0: float, epsilon: float, config: CentralConfiguration
-) -> float:
-    """Leading asymptotic value of the order-4 splitting term (times eps^4)."""
-    if theta0 == 0.0:
-        raise ValueError("need nonzero angular momentum")
-    _, c2, c3 = c_coeffs(config)
-    angular = c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0)
-    rate = theta0**3 / epsilon**3
-    if theta0 > 0.0:
-        pref = (4.0 * SQRT_PI / 3.0) * epsilon**-3.5 * theta0**1.5
-        return pref * math.exp(-2.0 * rate / 3.0) * angular
-    pref = (5.0 * math.pi / 8.0) * epsilon**-2.0
-    return pref * math.exp(2.0 * rate / 3.0) * angular
-
-
-def m6_leading(
-    s0: float, theta0: float, epsilon: float, config: CentralConfiguration
-) -> float:
-    """Leading asymptotic value of the order-6 splitting term (times eps^6).
-
-    Both harmonics are included; their decay rates differ by a factor 3 in
-    the exponent.
-    """
-    if theta0 == 0.0:
-        raise ValueError("need nonzero angular momentum")
-    d1, d2, d3, d4 = d_coeffs(config)
-    first = d2 * math.cos(s0) - d1 * math.sin(s0)
-    third = d4 * math.cos(3 * s0) - d3 * math.sin(3 * s0)
-    rate = theta0**3 / epsilon**3
-    if theta0 > 0.0:
-        a = -(SQRT_PI / (12.0 * SQRT2)) * epsilon**-1.5 * theta0**-0.5
-        b = -(9.0 * math.sqrt(3.0 * math.pi) / (5.0 * SQRT2)) * epsilon**-4.5 * theta0**2.5
-        return a * math.exp(-rate / 3.0) * first + b * math.exp(-rate) * third
-    a = -(5.0 * math.pi / 128.0) * theta0**-2.0
-    b = (63.0 * math.pi / 64.0) * epsilon**-3.0 * theta0
-    return a * math.exp(rate / 3.0) * first + b * math.exp(rate) * third
+    return 0.5 * leading_term(CubicPhaseIntegrand((1.0,), (), k, delta))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from . import config as cfg
-from .asymptotics import ik_asymptotic, m4_leading, m6_leading
+from .asymptotics import ik_asymptotic, leading_term
 from .dynamics import (
     FlowParams,
     IntegrationError,
@@ -32,9 +32,17 @@ from .dynamics import (
     integrate_mcgehee,
 )
 from .harmonics import _harmonic_tables, c_coeffs, d_coeffs, d_l
-from .melnikov import SplittingTerms, _polygon_order, classify, splitting_terms, verdict_to_dict
+from .melnikov import (
+    SplittingTerms,
+    _order_terms,
+    _polygon_order,
+    classify,
+    splitting_terms,
+    verdict_to_dict,
+)
 from .quadrature import (
     QuadratureBudgetError,
+    QuadratureResult,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
@@ -197,7 +205,13 @@ def _build_parser() -> _Parser:
     ps.add_argument("--compare", action="store_true",
                     help="add the paper's rows, from the literal F4, F61 and F62")
 
-    pa = sub.add_parser("asymp", help="asymptotic tables to CSV")
+    pa = sub.add_parser(
+        "asymp", help="asymptotic tables to CSV",
+        description="ik: I_k(delta) by quadrature beside its leading term.  recurrence: "
+                    "J_(k+2) against delta/(2(k+1)) I_k.  leading: eps^4 M4 and eps^6 M6 over s0 "
+                    "(0 < eps <= 1) with each F_(j,k) replaced by its leading term, which leads "
+                    "only where its phase scale k |theta0/eps|^3 / 2 is well above "
+                    "(j + k + 2)^2, roughly.")
     pa.add_argument("table", choices=["ik", "recurrence", "leading"])
     pa.add_argument("--k", type=int, default=2)
     pa.add_argument("--deltas", nargs="+", type=float, default=[10.0, 20.0, 30.0])
@@ -252,16 +266,18 @@ def _cmd_config(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
+    if args.lmax < 1 or args.jmax < 2:
+        raise ValueError(f"need --lmax >= 1 and --jmax >= 2, got {args.lmax} and {args.jmax}")
     c = cfg.load_configuration(args.path)
     c1, c2, c3 = c_coeffs(c)
     d1, d2, d3, d4 = d_coeffs(c)
     tables = {str(t.j): [[m, a, b] for m, a, b in t.entries]
-              for t in _harmonic_tables(c, max(2, args.jmax))}
+              for t in _harmonic_tables(c, args.jmax)}
     payload = {
         "label": c.label,
         "c": [c1, c2, c3],
         "d": [d1, d2, d3, d4],
-        "d_l": {str(l): list(d_l(c, l)) for l in range(1, max(1, args.lmax) + 1)},
+        "d_l": {str(l): list(d_l(c, l)) for l in range(1, args.lmax + 1)},
         "harmonic_tables": tables,
     }
     _emit_json(payload, out)
@@ -377,16 +393,14 @@ def _cmd_asymp(args, out) -> int:
     if args.config is None:
         raise cfg.ConfigError("the leading table needs --config")
     c = cfg.load_configuration(args.config)
+    # each F_(j,k) replaced by its leading term, which has no quadrature error
+    leads = [_order_terms(c, order, args.theta0, args.eps,
+                          lambda f: QuadratureResult(leading_term(f), 0.0, 0))
+             for order in (4, 6)]
     rows = []
     for i in range(args.points):
         s0 = 2.0 * math.pi * i / args.points
-        rows.append(
-            (
-                s0,
-                m4_leading(s0, args.theta0, args.eps, c),
-                m6_leading(s0, args.theta0, args.eps, c),
-            )
-        )
+        rows.append((s0, *(args.eps**m.epsilon_order * m.value(s0) for m in leads)))
     _write_csv(out, ["s0", "m4_leading", "m6_leading"], rows)
     return EXIT_OK
 

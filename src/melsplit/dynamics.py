@@ -111,11 +111,6 @@ def homoclinic(tau: float, theta0: float) -> tuple[float, float]:
     return amp * sech, -amp * math.tanh(tau) * sech
 
 
-def duffing_rhs(x: float, y: float, theta0: float) -> tuple[float, float]:
-    """Reduced oscillator: x' = y, y' = x - theta0^2 x^3."""
-    return y, x - theta0**2 * x**3
-
-
 def hd_value(x: float, y: float, theta0: float) -> float:
     """Energy of the reduced oscillator: y^2/2 - x^2/2 + theta0^2 x^4/4."""
     return 0.5 * y * y - 0.5 * x * x + 0.25 * theta0**2 * x**4

@@ -62,18 +62,6 @@ def legendre_cos_coeffs(j: int) -> dict[int, float]:
     return dict(zip(ms.tolist(), ps.tolist()))
 
 
-def legendre_pair(j: int, w: float) -> tuple[float, float]:
-    """(P_j(w), dP_j/dw) by the standard recurrences."""
-    if j == 0:
-        return 1.0, 0.0
-    p0, p1 = 1.0, w
-    d0, d1 = 0.0, 1.0
-    for m in range(2, j + 1):
-        p0, p1 = p1, ((2 * m - 1) * w * p1 - (m - 1) * p0) / m
-        d0, d1 = d1, ((2 * m - 1) * (p0 + w * d1) - (m - 1) * d0) / m
-    return p1, d1
-
-
 @dataclass(frozen=True)
 class HarmonicTable:
     """Amplitudes of cos(m s), sin(m s) in the order-j perturbation term.

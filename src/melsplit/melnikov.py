@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import CentralConfiguration
 from .harmonics import (
@@ -43,7 +43,7 @@ from .harmonics import (
     harmonic_table,
     legendre_cos_coeffs,
 )
-from .quadrature import eval_oscillatory, harmonic_integrand
+from .quadrature import CubicPhaseIntegrand, QuadratureResult, eval_oscillatory, harmonic_integrand
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
@@ -89,6 +89,31 @@ def _order_rows(config: Optional[CentralConfiguration], order: int | str):
     return table.j, tuple(e for e in table.entries if e[0] >= 1), table.rounding
 
 
+def _order_terms(
+    config: Optional[CentralConfiguration],
+    order: int | str,
+    theta0: float,
+    epsilon: float,
+    integral: Callable[[CubicPhaseIntegrand], QuadratureResult],
+) -> SplittingTerms:
+    """``splitting_terms`` with each F_(j,k) and its error from ``integral(integrand)``."""
+    if theta0 == 0.0 or not math.isfinite(theta0):
+        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    j, harmonics, rounding = _order_rows(config, order)
+    pref = 2.0 ** (j + 1) / theta0 ** (2 * j + 2)
+    sign = 1.0 if theta0 > 0.0 else -1.0
+    tt = theta0 / epsilon
+    terms = []
+    for k, a, b in harmonics:
+        f = integral(harmonic_integrand(j, k, tt))
+        amp = sign * pref * f.value
+        err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
+        terms.append((k, -amp * b, amp * a, err))
+    return SplittingTerms(2 * j, tuple(terms))
+
+
 def splitting_terms(
     config: Optional[CentralConfiguration],
     order: int | str,
@@ -104,21 +129,7 @@ def splitting_terms(
     is |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table
     entry (a, b) and the table's rounding bound.
     """
-    if theta0 == 0.0 or not math.isfinite(theta0):
-        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    j, harmonics, rounding = _order_rows(config, order)
-    pref = 2.0 ** (j + 1) / theta0 ** (2 * j + 2)
-    sign = 1.0 if theta0 > 0.0 else -1.0
-    tt = theta0 / epsilon
-    terms = []
-    for k, a, b in harmonics:
-        f = eval_oscillatory(harmonic_integrand(j, k, tt), tol)
-        amp = sign * pref * f.value
-        err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
-        terms.append((k, -amp * b, amp * a, err))
-    return SplittingTerms(2 * j, tuple(terms))
+    return _order_terms(config, order, theta0, epsilon, lambda f: eval_oscillatory(f, tol))
 
 
 def simple_zeros(a: float, b: float, k: int) -> Optional[list[float]]:

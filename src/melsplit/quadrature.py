@@ -227,6 +227,15 @@ def _pole_expansion(cos_num: tuple, sin_num: tuple) -> tuple[np.ndarray, int]:
     return table, j0
 
 
+def _normalized(integrand: CubicPhaseIntegrand) -> tuple[float, tuple, tuple]:
+    """(|d|, P, Q) of the same integral: Q -> -Q for d < 0, odd-in-z parts dropped."""
+    delta = float(integrand.phase_scale)
+    sin_num = integrand.sin_numerator
+    if delta < 0.0:
+        delta, sin_num = -delta, tuple(-c for c in sin_num)
+    return delta, _even_part(integrand.cos_numerator), _odd_part(sin_num)
+
+
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
     """The (n, len(x)) table of x^0, ..., x^(n-1), as running products, row by row."""
     table = np.empty((n, len(x)), dtype=x.dtype)
@@ -251,15 +260,10 @@ def eval_oscillatory(
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
-    delta = float(integrand.phase_scale)
-    sin_num = integrand.sin_numerator
-    if delta < 0.0:
-        delta, sin_num = -delta, tuple(-c for c in sin_num)
+    delta, cos_num, sin_num = _normalized(integrand)
     if delta == 0.0:
         return _exact_zero_phase(integrand)
 
-    # odd-in-z parts integrate to zero over R; keep the even combination
-    cos_num, sin_num = _even_part(integrand.cos_numerator), _odd_part(sin_num)
     k = integrand.denominator_power
     if _degree(cos_num) < 0 and _degree(sin_num) < 0:
         return QuadratureResult(0.0, 0.0, 0)

@@ -28,7 +28,6 @@ from melsplit import (
     ik_asymptotic,
     jacobi_constant,
     legendre_cos_coeffs,
-    m4_leading,
     poincare_numeric,
     simple_zeros,
     solve_collinear_equal,
@@ -36,10 +35,11 @@ from melsplit import (
     splitting_terms,
 )
 from melsplit.config import rotate
-from melsplit.dynamics import FlowParams, McGeheeState, duffing_rhs, integrate, integrate_mcgehee
+from melsplit.dynamics import FlowParams, McGeheeState, integrate, integrate_mcgehee
 from melsplit.harmonics import d_l
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
 from quadrature_oracles import assert_contour_shift_agrees
+from references import duffing_rhs, leading_splitting
 
 
 def _report(n: int, detail: str) -> None:
@@ -228,7 +228,7 @@ def test_criterion_7_asymptotics_validation():
         for tt3 in (60.0, 70.0):
             eps = tt3 ** (-1.0 / 3.0)  # theta0 = 1
             quad = eps**4 * splitting_terms(cfg, 4, 1.0, eps, tol=1e-13).value(0.7)
-            lead = m4_leading(0.7, 1.0, eps, cfg)
+            lead = leading_splitting(cfg, 4, 1.0, eps, 0.7)
             assert quad / lead == pytest.approx(1.0, abs=0.1)
     _report(
         7,

@@ -1,16 +1,22 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from melsplit import (
-    build_rp3bp,
+    CubicPhaseIntegrand,
+    build_equilateral,
+    c_coeffs,
+    d_coeffs,
     eval_Ik,
     eval_Jk,
+    eval_oscillatory,
+    harmonic_integrand,
     ik_asymptotic,
-    m4_leading,
-    m6_leading,
+    leading_term,
     splitting_terms,
 )
+from references import leading_splitting
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -53,6 +59,15 @@ class TestIkAsymptotic:
         with pytest.raises(ValueError):
             ik_asymptotic(2, -1.0)
 
+    @pytest.mark.parametrize("k, delta", [(300, 10.0), (300, 1000.0), (60, 5000.0)])
+    def test_large_orders_do_not_overflow(self, k, delta):
+        # pi d^((k-1)/2) / (2^(k+1) Gamma((k+1)/2)) exp(-2d/3), in 50 digits
+        with mp.workdps(50):
+            d = mp.mpf(delta)
+            want = mp.pi * d ** (mp.mpf(k - 1) / 2) * mp.exp(-2 * d / 3) / (
+                2 ** (k + 1) * mp.gamma(mp.mpf(k + 1) / 2))
+        assert ik_asymptotic(k, delta) == pytest.approx(float(want), rel=1e-12)
+
 
 class TestJkFromIk:
     """The identity J_(k+2)(delta) = delta/(2(k+1)) I_k(delta)."""
@@ -81,6 +96,41 @@ class TestJkFromIk:
         )
 
 
+class TestLeadingTerm:
+    """``leading_term`` against the contour engine, which stays accurate far below 1e-300."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("j, k", [(2, 2), (3, 1), (3, 3), (5, 3), (6, 2), (9, 9)])
+    def test_ratio_to_the_engine_tends_to_one(self, j, k, sign):
+        gaps = []
+        for tt in (4.0, 6.0):
+            f = harmonic_integrand(j, k, sign * tt)
+            gaps.append(abs(eval_oscillatory(f, 1e-13).value / leading_term(f) - 1.0))
+        assert gaps[1] < gaps[0] < 1.0
+
+    def test_numerator_zero_of_odd_excess_gives_zero(self):
+        # (z - i)^4 over (1 + z^2)^3 leaves (z - i)/(z + i)^3: p = -1, 1/Gamma(0) = 0
+        f = CubicPhaseIntegrand((1.0, 0.0, -6.0, 0.0, 1.0), (0.0, -4.0, 0.0, 4.0), 3, 20.0)
+        assert leading_term(f) == 0.0
+
+    def test_numerator_zero_of_even_excess(self):
+        # (z - i)^6 over (1 + z^2)^4: p = -2, Gamma(-1/2) < 0
+        cos_num = (-1.0, 0.0, 15.0, 0.0, -15.0, 0.0, 1.0)
+        sin_num = (0.0, 6.0, 0.0, -20.0, 0.0, 6.0)
+        gaps = []
+        for delta in (20.0, 80.0):
+            f = CubicPhaseIntegrand(cos_num, sin_num, 4, delta)
+            gaps.append(abs(eval_oscillatory(f, 1e-13).value / leading_term(f) - 1.0))
+        assert gaps[1] < gaps[0] < 0.5
+
+    def test_zero_numerator(self):
+        assert leading_term(CubicPhaseIntegrand((0.0, 1.0), (2.0,), 2, 5.0)) == 0.0
+
+    def test_zero_phase_scale_raises(self):
+        with pytest.raises(ValueError):
+            leading_term(harmonic_integrand(2, 2, 0.0))
+
+
 class TestLeadingSplitting:
     def test_positive_branch_agreement(self, rp3bp_half):
         s0 = 0.7
@@ -88,22 +138,28 @@ class TestLeadingSplitting:
             tt = tt3 ** (1.0 / 3.0)
             eps = 1.0 / tt  # theta0 = 1
             quad = eps**4 * splitting_terms(rp3bp_half, 4, 1.0, eps, tol=1e-13).value(s0)
-            assert quad / m4_leading(s0, 1.0, eps, rp3bp_half) == pytest.approx(1.0, abs=0.1)
+            lead = leading_splitting(rp3bp_half, 4, 1.0, eps, s0)
+            assert quad / lead == pytest.approx(1.0, abs=0.1)
 
     def test_m4_zero_channel(self, collinear8):
         # c3 = 0 makes the leading form vanish with sin(2 s0)
-        assert m4_leading(0.0, 1.0, 0.3, collinear8) == 0.0
+        assert leading_splitting(collinear8, 4, 1.0, 0.3, 0.0) == 0.0
 
-    def test_negative_branch_closed_form(self, rp3bp_half):
-        s0, eps, theta0 = 0.7, 0.4, -1.0
-        expected = (
-            (5 * math.pi / 8)
-            * eps**-2
-            * math.exp(2 * theta0**3 / (3 * eps**3))
-            * 0.75
-            * math.sin(2 * s0)
-        )
-        assert m4_leading(s0, theta0, eps, rp3bp_half) == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("theta0, eps", [(1.0, 0.3), (1.2, 0.4), (0.8, 0.25), (2.0, 0.9)])
+    def test_positive_branch_is_the_paper_form(self, rp3bp_03, theta0, eps):
+        # the paper's Theta0 > 0 leading forms in (c2, c3) and (d1, .., d4)
+        _, c2, c3 = c_coeffs(rp3bp_03)
+        d1, d2, d3, d4 = d_coeffs(rp3bp_03)
+        rate = theta0**3 / eps**3
+        for s0 in (0.3, 0.7, 2.0):
+            m4 = ((4 * SQRT_PI / 3) * eps**-3.5 * theta0**1.5 * math.exp(-2 * rate / 3)
+                  * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0)))
+            first = -(SQRT_PI / (12 * SQRT2)) * eps**-1.5 * theta0**-0.5 * math.exp(-rate / 3)
+            third = -(9 * math.sqrt(3 * math.pi) / (5 * SQRT2)) * eps**-4.5 * theta0**2.5
+            m6 = (first * (d2 * math.cos(s0) - d1 * math.sin(s0))
+                  + third * math.exp(-rate) * (d4 * math.cos(3 * s0) - d3 * math.sin(3 * s0)))
+            assert leading_splitting(rp3bp_03, 4, theta0, eps, s0) == pytest.approx(m4, rel=1e-13)
+            assert leading_splitting(rp3bp_03, 6, theta0, eps, s0) == pytest.approx(m6, rel=1e-13)
 
     def test_m6_first_harmonic_amplitude(self, rp3bp_03):
         # cos s0 amplitude equals -(sqrt(pi)/(12 sqrt(2))) eps^-3/2 theta0^-1/2 e^-r d2
@@ -112,22 +168,30 @@ class TestLeadingSplitting:
         rate = theta0**3 / eps**3
         d1 = 0.252
         pref = (SQRT_PI / (12 * SQRT2)) * eps**-1.5 * theta0**-0.5 * math.exp(-rate / 3)
-        got = m6_leading(math.pi / 2, theta0, eps, rp3bp_03)
+        got = leading_splitting(rp3bp_03, 6, theta0, eps, math.pi / 2)
         # at s0 = pi/2 only sine channels survive: -d3 sin(3 pi/2) = +d3
         third = -(9 * math.sqrt(3 * math.pi) / (5 * SQRT2)) * eps**-4.5 * theta0**2.5
         third *= math.exp(-rate) * 0.42
         assert got == pytest.approx(pref * d1 + third, rel=1e-10)
 
-    def test_m6_negative_branch_closed_form(self, rp3bp_03):
-        theta0, eps, s0 = -1.1, 0.5, 0.3
-        rate = theta0**3 / eps**3
-        d1, d3 = 0.252, 0.42
-        first = -(5 * math.pi / 128) * theta0**-2 * math.exp(rate / 3) * (-d1 * math.sin(s0))
-        third = (63 * math.pi / 64) * eps**-3 * theta0 * math.exp(rate) * (
-            -d3 * math.sin(3 * s0)
-        )
-        assert m6_leading(s0, theta0, eps, rp3bp_03) == pytest.approx(first + third, rel=1e-12)
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_negative_branch_tends_to_quadrature(self, order):
+        # the relative error of a leading term falls like d^(-1/2), d ~ theta^3/2
+        config, s0 = build_equilateral(0.2, 0.3), 0.7
+        gaps = []
+        for tt in (4.0, 5.5, 7.0):
+            eps = 1.0 / tt  # theta0 = -1
+            quad = eps**order * splitting_terms(config, order, -1.0, eps, tol=1e-13).value(s0)
+            gap = abs(quad / leading_splitting(config, order, -1.0, eps, s0) - 1.0)
+            assert gap <= 3.0 / math.sqrt(tt**3 / 2.0)
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2]
 
     def test_theta0_required(self, rp3bp_03):
         with pytest.raises(ValueError):
-            m4_leading(0.0, 0.0, 0.3, rp3bp_03)
+            leading_splitting(rp3bp_03, 4, 0.0, 0.3, 0.0)
+
+    def test_domain_is_that_of_the_splitting(self, rp3bp_03):
+        for theta0, eps in ((1.0, 0.0), (1.0, 1.5), (math.nan, 0.3)):
+            with pytest.raises(ValueError):
+                leading_splitting(rp3bp_03, 4, theta0, eps, 0.0)

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 import melsplit
 from melsplit import catalog, cli, dynamics, melnikov
 from melsplit.cli import main
+from melsplit.config import load_configuration
+from references import leading_splitting
 
 
 def run(capsys, *argv):
@@ -243,6 +246,41 @@ class TestSampling:
         )
         assert code == 0
         assert out.splitlines()[0] == "s0,m4_leading,m6_leading"
+
+    @pytest.mark.parametrize("theta0", ["1.0", "-1.0"])
+    def test_asymp_leading_columns_are_the_leading_terms(self, capsys, rp3bp_file, theta0):
+        code, out, _ = run(capsys, "asymp", "leading", "--config", rp3bp_file,
+                           "--theta0", theta0, "--eps", "0.25", "--points", "8")
+        assert code == 0
+        config = load_configuration(rp3bp_file)
+        for line in out.splitlines()[1:]:
+            s0, m4, m6 = (float(v) for v in line.split(","))
+            assert m4 == leading_splitting(config, 4, float(theta0), 0.25, s0)
+            assert m6 == leading_splitting(config, 6, float(theta0), 0.25, s0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("asymp", "ik", "--k", "300", "--deltas", "10"), 0),
+    (("asymp", "leading", "--config", "{config}", "--eps", "0"), 1),
+], ids=["ik-large-order", "leading-zero-epsilon"])
+def test_asymp_exits_without_traceback(rp3bp_file, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "melsplit.cli", *(a.format(config=rp3bp_file) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert all(math.isfinite(float(v)) for v in proc.stdout.splitlines()[1].split(","))
+
+
+@pytest.mark.parametrize("bounds", [("-3", "0"), ("0", "6"), ("4", "1")],
+                         ids=["both", "lmax", "jmax"])
+def test_coeffs_bounds_are_usage_errors(capsys, rp3bp_file, bounds):
+    code, out, err = run(capsys, "coeffs", rp3bp_file, "--lmax", bounds[0], "--jmax", bounds[1])
+    assert code == 1 and out == ""
+    assert err.startswith("error: need --lmax >= 1 and --jmax >= 2")
 
 
 @pytest.mark.parametrize("argv", [

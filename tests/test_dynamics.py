@@ -19,7 +19,6 @@ from melsplit import (
     build_rp3bp,
     c_coeffs,
     d_coeffs,
-    duffing_rhs,
     eval_oscillatory,
     harmonic_table,
     hd_value,
@@ -43,6 +42,7 @@ from melsplit.dynamics import (
     truncated_hamiltonian,
 )
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+from references import duffing_rhs
 
 
 class TestClosedForms:

@@ -27,8 +27,8 @@ from melsplit.harmonics import (
     _contract,
     _cos_basis_fractions,
     _harmonic_tables,
-    legendre_pair,
 )
+from references import legendre_pair
 
 
 class TestLegendreCosine:
