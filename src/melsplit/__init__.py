@@ -1,7 +1,7 @@
 """Transversality of parabolic invariant manifolds in planar restricted
 N-body problems whose primaries form a central configuration.
 
-The packages builds configurations, extracts the harmonic content of the
+The package builds configurations, extracts the harmonic content of the
 gravitational perturbation, evaluates the oscillatory splitting integrals,
 runs the transversality decision tree, and cross-checks everything against
 direct integration of the near-infinity flow and against closed-form

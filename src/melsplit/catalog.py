@@ -295,36 +295,36 @@ def _case_polygon(n_total: int) -> CatalogCase:
     return CatalogCase(f"polygon({n_total})", tuple(expected), compute)
 
 
+#: each case's builder by name, from the command line's keyword parameters
+CASES: dict[str, Callable[..., CatalogCase]] = {
+    "rp3bp": lambda mu=0.5, **_: _case_rp3bp(float(mu)),
+    "equilateral": lambda m1=1.0 / 3.0, m2=1.0 / 3.0, **_: _case_equilateral(float(m1), float(m2)),
+    "rhomboid": lambda a=1.0, b=1.0, **_: _case_rhomboid(float(a), float(b)),
+    "rhomboid-roots": lambda **_: _case_rhomboid_roots(),
+    "collinear8": lambda **_: _case_collinear8(),
+    "collinear11": lambda **_: _case_collinear11(),
+    "polygon": lambda n=7, **_: _case_polygon(int(n)),
+}
+
+#: the (name, parameters) of every case ``catalog all`` runs, in order
+ALL_CASES = (
+    ("rp3bp", {"mu": 0.3}),
+    ("rp3bp", {"mu": 0.5}),
+    ("equilateral", {}),
+    ("rhomboid", {}),
+    ("rhomboid-roots", {}),
+    ("collinear8", {}),
+    ("collinear11", {}),
+    ("polygon", {"n": 7}),
+    ("polygon", {"n": 8}),
+)
+
+
 def build_case(name: str, **params) -> CatalogCase:
     """Construct a catalog case by name; numeric parameters where applicable."""
-    if name == "rp3bp":
-        return _case_rp3bp(float(params.get("mu", 0.5)))
-    if name == "equilateral":
-        return _case_equilateral(
-            float(params.get("m1", 1.0 / 3.0)), float(params.get("m2", 1.0 / 3.0))
-        )
-    if name == "rhomboid":
-        return _case_rhomboid(float(params.get("a", 1.0)), float(params.get("b", 1.0)))
-    if name == "rhomboid-roots":
-        return _case_rhomboid_roots()
-    if name == "collinear8":
-        return _case_collinear8()
-    if name == "collinear11":
-        return _case_collinear11()
-    if name == "polygon":
-        return _case_polygon(int(params.get("n", 7)))
-    raise ValueError(f"unknown catalog case {name!r}")
-
-
-CASE_NAMES = (
-    "rp3bp",
-    "equilateral",
-    "rhomboid",
-    "rhomboid-roots",
-    "collinear8",
-    "collinear11",
-    "polygon",
-)
+    if name not in CASES:
+        raise ValueError(f"unknown catalog case {name!r}")
+    return CASES[name](**params)
 
 
 def run_case(case: CatalogCase) -> CatalogReport:

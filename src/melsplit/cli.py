@@ -222,7 +222,7 @@ def _build_parser() -> _Parser:
     pa.add_argument("--tol", type=float, default=1e-11)
 
     pcat = sub.add_parser("catalog", help="golden-value report; exit 3 on any miss")
-    pcat.add_argument("case", help="|".join(catalog_mod.CASE_NAMES) + " | all")
+    pcat.add_argument("case", help="|".join(catalog_mod.CASES) + " | all")
     pcat.add_argument("--mu", type=float, default=0.5)
     pcat.add_argument("--m1", type=float, default=1.0 / 3.0)
     pcat.add_argument("--m2", type=float, default=1.0 / 3.0)
@@ -407,17 +407,7 @@ def _cmd_asymp(args, out) -> int:
 
 def _cmd_catalog(args, out) -> int:
     if args.case == "all":
-        cases = [
-            catalog_mod.build_case("rp3bp", mu=0.3),
-            catalog_mod.build_case("rp3bp", mu=0.5),
-            catalog_mod.build_case("equilateral"),
-            catalog_mod.build_case("rhomboid"),
-            catalog_mod.build_case("rhomboid-roots"),
-            catalog_mod.build_case("collinear8"),
-            catalog_mod.build_case("collinear11"),
-            catalog_mod.build_case("polygon", n=7),
-            catalog_mod.build_case("polygon", n=8),
-        ]
+        cases = [catalog_mod.build_case(name, **params) for name, params in catalog_mod.ALL_CASES]
     else:
         cases = [
             catalog_mod.build_case(
@@ -486,7 +476,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         IntegrationError,
         PoincareReturnError,
         cfg.NewtonConvergenceError,
-        FloatingPointError,
+        ArithmeticError,  # overflow, division by zero, floating-point errors
     ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL

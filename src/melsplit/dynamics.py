@@ -29,9 +29,7 @@ G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
     H      -= eps^(2j+3) x^(2j+2) G_j.
 
 The time-form field and the truncated Hamiltonian are both built from that
-table.  ``rhs_mcgehee_tau`` writes the slow-time field up to T = 9 out by
-hand instead; it is the independent reference the tests check the table
-and the splitting integrands of ``quadrature.harmonic_integrand`` against.
+table.
 """
 from __future__ import annotations
 
@@ -43,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import CentralConfiguration
-from .harmonics import MAX_LEGENDRE_ORDER, _harmonic_tables, c_coeffs, d_coeffs
+from .harmonics import MAX_LEGENDRE_ORDER, _harmonic_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -213,61 +211,16 @@ def jacobi_constant(state: McGeheeState, params: FlowParams) -> float:
 def theta_from_jacobi(x: float, y: float, jacobi_c: float, epsilon: float) -> float:
     """Angular momentum branch determined by the first-integral value.
 
-    Takes the branch that stays bounded as x -> 0 (value -C on the zero set);
-    a series expansion replaces the radical for tiny eps^3 x^4 to avoid
-    cancellation.
+    Takes the branch that stays bounded as x -> 0 (value -C on the zero
+    set): (1 - sqrt(1 + 2 v g)) / v with v = eps^3 x^4, written as
+    -2 g / (1 + sqrt(1 + 2 v g)) so that nothing cancels for small v.
     """
     v = epsilon**3 * x**4
     g = jacobi_c + epsilon**3 * (x * x - y * y)
-    if v < 1e-6:
-        # (1 - sqrt(1 + 2 v g))/v = -g + v g^2/2 - v^2 g^3/2 + 5 v^3 g^4/8 + ...
-        return -g + 0.5 * v * g * g - 0.5 * v * v * g**3 + 0.625 * v**3 * g**4
     radicand = 1.0 + 2.0 * v * g
     if radicand < 0.0:
         raise ValueError(f"negative radicand {radicand!r} in the angular momentum branch")
-    return (1.0 - math.sqrt(radicand)) / v
-
-
-def rhs_mcgehee_tau(state_vec: Sequence[float], params: FlowParams):
-    """Slow-time derivative of (x, y, s, theta); needs x > 0.
-
-    Nothing in the package integrates this field.  It is the reference the
-    tests check the time-form field and the splitting integrands against,
-    so it is written out term by term rather than built from
-    ``_field_harmonics``; it carries the terms up to truncation order 9 and
-    leaves out any higher ones.
-    """
-    x, y, s, theta = state_vec
-    if x <= 0.0:
-        raise ConvergenceRegionError("slow-time field needs x > 0")
-    _convergence_guard(x, _series_reach(params))
-    c1, c2, c3 = c_coeffs(params.config)
-    d1, d2, d3, d4 = d_coeffs(params.config)
-    e = params.epsilon
-    dx = y
-    dy = (1.0 - theta**2 * x * x) * x
-    ds = SQRT2 * (e**-3 - theta * x**4) / x**3
-    dtheta = 0.0
-    if params.truncation_order >= 7:
-        g = c1 + c2 * math.cos(2 * s) + c3 * math.sin(2 * s)
-        dy += 0.75 * e**4 * g * x**5
-        dtheta += -(e**4 / SQRT2) * (c3 * math.cos(2 * s) - c2 * math.sin(2 * s)) * x**3
-    if params.truncation_order >= 9:
-        h = (
-            d1 * math.cos(s)
-            + d2 * math.sin(s)
-            + d3 * math.cos(3 * s)
-            + d4 * math.sin(3 * s)
-        )
-        hp = (
-            d1 * math.sin(s)
-            - d2 * math.cos(s)
-            + 3 * d3 * math.sin(3 * s)
-            - 3 * d4 * math.cos(3 * s)
-        )
-        dy += 0.5 * e**6 * h * x**7
-        dtheta += (e**6 / (4.0 * SQRT2)) * hp * x**5
-    return np.array([dx, dy, ds, dtheta])
+    return -2.0 * g / (1.0 + math.sqrt(radicand))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ summed over the nodes.  ``evaluations`` counts every node evaluated: the
 coarsest level before its trim, and every level of a batch, including those
 past the level where the rule stopped.
 
+At d = 0 nothing oscillates and the value is exact: closed in the upper
+half plane, the integral is Re[2 pi i Res_{z=i}] of P / (1 + z^2)^k, and the
+residue comes from the same exact Taylor shift about i (``_taylor_shift``)
+that places the vertex.  It is pi times a correctly rounded rational, with
+error estimate 2 eps |value| and 0 evaluations.
+
 Every splitting integrand is one ``harmonic_integrand(j, k, theta)`` for a
 Legendre order j and a harmonic k: the integer polynomial
 P = ((j+1) z + i k)(1 - i z)^(2k) gives the cos numerator Im P and the sin
@@ -142,25 +148,6 @@ def _degree(coeffs: Sequence[float]) -> int:
     return deg
 
 
-# ---------------------------------------------------------------------------
-# exact evaluation at zero phase scale
-
-
-def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _ik_zero_ratio(k: int) -> Fraction:
-    """I_k(0) / (pi/2) = (2k-3)!!/(2k-2)!!, exactly."""
-    return Fraction(_double_factorial(2 * k - 3), _double_factorial(2 * k - 2))
-
-
 def _even_part(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs))
 
@@ -169,43 +156,16 @@ def _odd_part(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(c if i % 2 == 1 else 0.0 for i, c in enumerate(coeffs))
 
 
-def _u_basis(even_coeffs: Sequence[float]) -> dict[int, Fraction]:
-    """Rewrite an even polynomial sum c_{2j} z^{2j} as sum e_i (1+z^2)^i, exactly."""
-    out: dict[int, Fraction] = {}
-    for j in range(0, len(even_coeffs), 2):
-        c = Fraction(even_coeffs[j])
-        if c == 0:
-            continue
-        jj = j // 2
-        # z^2 = u - 1 with u = 1 + z^2
-        for i in range(jj + 1):
-            out[i] = out.get(i, Fraction(0)) + c * math.comb(jj, i) * (-1) ** (jj - i)
-    return {i: v for i, v in out.items() if v != 0}
-
-
-def _exact_zero_phase(integrand: CubicPhaseIntegrand) -> QuadratureResult:
-    # sin(0) = 0, so only the even cosine numerator survives; the sum is
-    # exact, so a value that vanishes by symmetry comes out as 0.0
-    basis = _u_basis(_even_part(integrand.cos_numerator))
-    k = integrand.denominator_power
-    total = sum((c * _ik_zero_ratio(k - i) for i, c in basis.items()), Fraction(0))
-    value = math.pi * float(total)
-    return QuadratureResult(value=value, error_estimate=2.0 * _EPS * abs(value), evaluations=0)
-
-
 # ---------------------------------------------------------------------------
-# contour trapezoid rule
+# the exact Taylor shift about the pole z = i
 
 
-@lru_cache(maxsize=128)
-def _pole_expansion(cos_num: tuple, sin_num: tuple) -> tuple[np.ndarray, int]:
-    """(coeffs, j0): P - iQ = sum c_j z^j = sum_{j >= j0} b_j (z - i)^j, b_j0 != 0.
+def _taylor_shift(cos_num: Sequence[float], sin_num: Sequence[float]) -> tuple[int, list, list]:
+    """(unit, c, b): P - iQ = sum c_j z^j / unit = sum b_j (z - i)^j / unit, exactly.
 
-    ``coeffs`` stacks c (row 0) over b_j0, b_j0+1, ... zero-padded to len(c)
-    (row 1).  The Taylor shift about i (repeated synthetic division by
-    z - i) runs exactly: the float coefficients are dyadic rationals, so one
-    power of two turns them into Gaussian integers (re, im), and j0 is the
-    exact order of the zero.
+    The float coefficients are dyadic rationals, so one power of two, unit,
+    turns them into Gaussian integers c_j = (re, im); the shift about i
+    (repeated synthetic division by z - i) keeps them integers.
     """
     ratios = [(x.as_integer_ratio(), (-y).as_integer_ratio())
               for x, y in zip_longest(cos_num, sin_num, fillvalue=0.0)]
@@ -219,12 +179,51 @@ def _pole_expansion(cos_num: tuple, sin_num: tuple) -> tuple[np.ndarray, int]:
             quotient.append(acc)
         shifted.append(quotient.pop())  # remainder: the value at i
         rest = quotient
+    return unit, coeffs, shifted
+
+
+@lru_cache(maxsize=128)
+def _pole_expansion(cos_num: tuple, sin_num: tuple) -> tuple[np.ndarray, int]:
+    """(coeffs, j0): P - iQ = sum c_j z^j = sum_{j >= j0} b_j (z - i)^j, b_j0 != 0.
+
+    ``coeffs`` stacks c (row 0) over b_j0, b_j0+1, ... zero-padded to len(c)
+    (row 1).  Both come from the exact ``_taylor_shift``, so j0 is the exact
+    order of the zero.
+    """
+    unit, coeffs, shifted = _taylor_shift(cos_num, sin_num)
     j0 = next(j for j, v in enumerate(shifted) if v != (0, 0))
     table = np.zeros((2, len(coeffs)), dtype=complex)
     for row, pairs in enumerate((coeffs, shifted[j0:])):
         # int / int is correctly rounded, as a Fraction's float would be
         table[row, :len(pairs)] = [complex(re / unit, im / unit) for re, im in pairs]
     return table, j0
+
+
+def _exact_zero_phase(cos_num: tuple, k: int) -> QuadratureResult:
+    """The d = 0 integral, Re[2 pi i Res_{z=i}] of P / (1 + z^2)^k, exactly.
+
+    sin(0) = 0, so only the even cos numerator P (``cos_num``) is left.
+    With w = z - i, P = sum b_j w^j from ``_taylor_shift`` and
+    (z + i)^-k = sum_n C(k-1+n, n) (-1)^n w^n / (2i)^(k+n); the residue is
+    the w^(k-1) coefficient.  The sum is exact, so a value that vanishes by
+    symmetry comes out as 0.0.
+    """
+    if _degree(cos_num) < 0:
+        return QuadratureResult(0.0, 0.0, 0)
+    unit, _, shifted = _taylor_shift(cos_num, ())
+    # value / pi = 2 sum_j Re[b_j i^(1-k-n)] C(k-1+n, n) (-1)^n / 2^(k+n), n = k-1-j,
+    # summed over the common denominator unit 2^(2k-1)
+    total = 0
+    for j, (re, im) in enumerate(shifted[:k]):
+        n = k - 1 - j
+        real = (re, -im, -re, im)[(1 - k - n) % 4]  # Re[(re + i im) i^(1-k-n)]
+        total += ((-1) ** n * real * math.comb(k - 1 + n, n)) << (k - 1 - n)
+    value = math.pi * float(Fraction(2 * total, unit << (2 * k - 1)))
+    return QuadratureResult(value=value, error_estimate=2.0 * _EPS * abs(value), evaluations=0)
+
+
+# ---------------------------------------------------------------------------
+# contour trapezoid rule
 
 
 def _normalized(integrand: CubicPhaseIntegrand) -> tuple[float, tuple, tuple]:
@@ -261,10 +260,10 @@ def eval_oscillatory(
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
     delta, cos_num, sin_num = _normalized(integrand)
-    if delta == 0.0:
-        return _exact_zero_phase(integrand)
-
     k = integrand.denominator_power
+    if delta == 0.0:
+        return _exact_zero_phase(cos_num, k)
+
     if _degree(cos_num) < 0 and _degree(sin_num) < 0:
         return QuadratureResult(0.0, 0.0, 0)
 

@@ -11,12 +11,17 @@
   from them.  Its partial-fraction coefficients grow with the degree, and
   each sub-tolerance is clamped at 1e-13, so it is looser than the route it
   would check for the high-degree integrands.
+* ``zero_phase_by_u_basis`` evaluates a d = 0 integral exactly in the same
+  basis, sum e_i (1 + z^2)^i with I_k(0) = pi/2 (2k-3)!!/(2k-2)!!: a second
+  exact route beside the engine's residue at z = i.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 from melsplit import quadrature
@@ -25,7 +30,6 @@ from melsplit.quadrature import (
     QuadratureResult,
     _even_part,
     _odd_part,
-    _u_basis,
     eval_oscillatory,
 )
 
@@ -47,6 +51,37 @@ def assert_contour_shift_agrees(integrand: CubicPhaseIntegrand, tol: float) -> N
         shifted = on_ray(integrand, tol, angle)
         assert abs(direct.value - shifted.value) <= direct.error_estimate + shifted.error_estimate, (
             integrand, angle, direct, shifted)
+
+
+def _u_basis(even_coeffs) -> dict[int, Fraction]:
+    """Rewrite an even polynomial sum c_{2j} z^{2j} as sum e_i (1+z^2)^i, exactly."""
+    # dyadic floats: one power of two makes every coefficient an integer
+    ratios = [float(c).as_integer_ratio() for c in even_coeffs[::2]]
+    unit = max((d for _, d in ratios), default=1)
+    out = [0] * len(ratios)
+    for jj, (n, d) in enumerate(ratios):
+        # z^2 = u - 1 with u = 1 + z^2: the u^i coefficient of c (u - 1)^jj
+        term = n * (unit // d) * (-1) ** jj
+        for i in range(jj + 1 if n else 0):
+            out[i] += term * math.comb(jj, i)
+            term = -term
+    return {i: Fraction(v, unit) for i, v in enumerate(out) if v != 0}
+
+
+@lru_cache(maxsize=None)
+def _ik_zero_ratio(k: int) -> Fraction:
+    """I_k(0) / (pi/2) = (2k-3)!!/(2k-2)!!, exactly."""
+    return Fraction(math.prod(range(2 * k - 3, 0, -2)), math.prod(range(2 * k - 2, 0, -2)))
+
+
+def zero_phase_by_u_basis(integrand: CubicPhaseIntegrand) -> QuadratureResult:
+    """The d = 0 integral from the u-basis: pi sum e_i (I_(k-i)(0) / (pi/2)), exactly."""
+    k = integrand.denominator_power
+    basis = _u_basis(_even_part(integrand.cos_numerator))
+    total = sum((c * _ik_zero_ratio(k - i) for i, c in basis.items()), Fraction(0))
+    value = math.pi * float(total)
+    return QuadratureResult(value=value, error_estimate=2.0 * sys.float_info.epsilon * abs(value),
+                            evaluations=0)
 
 
 def ikjk_decomposition(

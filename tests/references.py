@@ -1,6 +1,18 @@
 """References that only the tests use."""
 
+import math
+
+import numpy as np
+
 from melsplit.asymptotics import leading_term
+from melsplit.dynamics import (
+    SQRT2,
+    ConvergenceRegionError,
+    FlowParams,
+    _convergence_guard,
+    _series_reach,
+)
+from melsplit.harmonics import c_coeffs, d_coeffs
 from melsplit.melnikov import _order_terms
 from melsplit.quadrature import QuadratureResult
 
@@ -30,3 +42,44 @@ def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: flo
     terms = _order_terms(config, order, theta0, epsilon,
                          lambda f: QuadratureResult(leading_term(f), 0.0, 0))
     return epsilon**order * terms.value(s0)
+
+
+def rhs_mcgehee_tau(state_vec, params: FlowParams):
+    """Slow-time derivative of (x, y, s, theta); needs x > 0.
+
+    The reference the tests check the time-form field and the splitting
+    integrands against, so it is written out term by term rather than built
+    from ``dynamics._field_harmonics``; it carries the terms up to truncation
+    order 9 and leaves out any higher ones.
+    """
+    x, y, s, theta = state_vec
+    if x <= 0.0:
+        raise ConvergenceRegionError("slow-time field needs x > 0")
+    _convergence_guard(x, _series_reach(params))
+    c1, c2, c3 = c_coeffs(params.config)
+    d1, d2, d3, d4 = d_coeffs(params.config)
+    e = params.epsilon
+    dx = y
+    dy = (1.0 - theta**2 * x * x) * x
+    ds = SQRT2 * (e**-3 - theta * x**4) / x**3
+    dtheta = 0.0
+    if params.truncation_order >= 7:
+        g = c1 + c2 * math.cos(2 * s) + c3 * math.sin(2 * s)
+        dy += 0.75 * e**4 * g * x**5
+        dtheta += -(e**4 / SQRT2) * (c3 * math.cos(2 * s) - c2 * math.sin(2 * s)) * x**3
+    if params.truncation_order >= 9:
+        h = (
+            d1 * math.cos(s)
+            + d2 * math.sin(s)
+            + d3 * math.cos(3 * s)
+            + d4 * math.sin(3 * s)
+        )
+        hp = (
+            d1 * math.sin(s)
+            - d2 * math.cos(s)
+            + 3 * d3 * math.sin(3 * s)
+            - 3 * d4 * math.cos(3 * s)
+        )
+        dy += 0.5 * e**6 * h * x**7
+        dtheta += (e**6 / (4.0 * SQRT2)) * hp * x**5
+    return np.array([dx, dy, ds, dtheta])

@@ -275,6 +275,29 @@ def test_asymp_exits_without_traceback(rp3bp_file, argv, code):
         assert all(math.isfinite(float(v)) for v in proc.stdout.splitlines()[1].split(","))
 
 
+@pytest.mark.parametrize("argv", [
+    ("melnikov", "--order", "poly:4", "--theta0", "1e-100", "--eps", "1", "--points", "2"),
+    ("melnikov", "--order", "4", "--config", "{config}", "--theta0", "1e-100", "--eps", "1",
+     "--points", "2"),
+    ("splitting", "--config", "{config}", "--theta0", "1e-100", "--eps", "1", "--points", "2"),
+    ("asymp", "leading", "--config", "{config}", "--theta0", "1e-100", "--eps", "1"),
+    ("melnikov", "--order", "poly:4", "--theta0", "1e300", "--eps", "1", "--points", "2"),
+    ("fplot", "F4", "--range", "1e200", "1e200", "--points", "1"),
+    ("integrate", "--config", "{config}", "--eps", "1e300", "--state", "0.3", "0.05", "0", "1",
+     "--tspan", "0", "1"),
+], ids=["melnikov-poly-tiny-theta0", "melnikov-tiny-theta0", "splitting-tiny-theta0",
+        "leading-tiny-theta0", "melnikov-huge-theta0", "fplot-huge-theta", "integrate-huge-eps"])
+def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
+    # division by zero and overflow are arithmetic errors: exit 2, not a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "melsplit.cli", *(a.format(config=rp3bp_file) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("bounds", [("-3", "0"), ("0", "6"), ("4", "1")],
                          ids=["both", "lmax", "jmax"])
 def test_coeffs_bounds_are_usage_errors(capsys, rp3bp_file, bounds):

@@ -38,11 +38,10 @@ from melsplit.config import rotate
 from melsplit.dynamics import (
     SQRT2,
     integrate_mcgehee,
-    rhs_mcgehee_tau,
     truncated_hamiltonian,
 )
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
-from references import duffing_rhs
+from references import duffing_rhs, rhs_mcgehee_tau
 
 
 class TestClosedForms:
@@ -127,12 +126,11 @@ class TestAngularMomentumBranch:
         assert d1 / d2 == pytest.approx(16.0, rel=1e-3)
 
     def test_series_matches_radical(self):
+        # v = 1.00001e-6, where the double-precision radical itself is 1e-10 off
         c, eps = 1.2, 0.8
-        x = (1.00001e-6 / eps**3) ** 0.25  # just above the series switch point
+        x = (1.00001e-6 / eps**3) ** 0.25
         direct = theta_from_jacobi(x, 0.1, c, eps)
-        v = eps**3 * x**4
-        g = c + eps**3 * (x * x - 0.01)
-        assert direct == pytest.approx((1.0 - math.sqrt(1.0 + 2 * v * g)) / v, rel=1e-10)
+        assert direct == pytest.approx(_theta_reference(x, 0.1, c, eps), rel=1e-13)
 
     def test_negative_radicand(self):
         with pytest.raises(ValueError):
@@ -141,15 +139,19 @@ class TestAngularMomentumBranch:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=2.5e-3, max_value=0.05), st.floats(min_value=-1.0, max_value=1.0))
     def test_series_continuity_property(self, x, y):
-        # reference radical in extended precision; the double-precision radical
-        # itself loses ~7 digits to cancellation in this regime
+        # the double-precision radical loses ~7 digits to cancellation here
         c, eps = 1.0, 0.5
         got = theta_from_jacobi(x, y, c, eps)
-        ld = np.longdouble
-        v = ld(eps) ** 3 * ld(x) ** 4
-        g = ld(c) + ld(eps) ** 3 * (ld(x) * ld(x) - ld(y) * ld(y))
-        exact = float((1.0 - np.sqrt(1.0 + 2.0 * v * g)) / v)
-        assert got == pytest.approx(exact, rel=5e-8)
+        assert got == pytest.approx(_theta_reference(x, y, c, eps), rel=1e-13)
+
+
+def _theta_reference(x, y, c, eps):
+    """The branch (1 - sqrt(1 + 2 v g)) / v at 40 digits, v = eps^3 x^4."""
+    with mp.workdps(40):
+        x, y, c, eps = (mp.mpf(a) for a in (x, y, c, eps))
+        v = eps**3 * x**4
+        g = c + eps**3 * (x * x - y * y)
+        return float((1 - mp.sqrt(1 + 2 * v * g)) / v)
 
 
 def exact_potential_field(state, eps, config):

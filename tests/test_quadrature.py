@@ -28,7 +28,12 @@ from melsplit.quadrature import (
     f61_integrand,
     f62_integrand,
 )
-from quadrature_oracles import assert_contour_shift_agrees, eval_via_ikjk, ikjk_decomposition
+from quadrature_oracles import (
+    assert_contour_shift_agrees,
+    eval_via_ikjk,
+    ikjk_decomposition,
+    zero_phase_by_u_basis,
+)
 
 # frozen value, cross-checked against the I/J pipeline
 F4_AT_2 = 0.8682561381880027
@@ -417,3 +422,48 @@ class TestPolygonGeneration:
 def test_symmetry_zero_at_zero_phase_is_exact(builder):
     res = eval_oscillatory(builder(0.0), 1e-10)
     assert res.value == 0.0 and res.error_estimate == 0.0
+
+
+def _bits(res):
+    """A result's value, sign of zero, error estimate and evaluation count."""
+    return res.value, math.copysign(1.0, res.value), res.error_estimate, res.evaluations
+
+
+def _numerators(max_len):
+    return st.lists(st.one_of(st.integers(-9, 9).map(float),
+                              st.floats(min_value=-1e100, max_value=1e100)), max_size=max_len)
+
+
+class TestZeroPhaseResidue:
+    """The d = 0 residue at z = i is the u-basis route's value bit for bit."""
+
+    def test_harmonic_grid(self):
+        differ = [(j, k) for j in range(1, 65) for k in range(1, 65)
+                  if _bits(eval_oscillatory(f := harmonic_integrand(j, k, 0.0), 1e-10))
+                  != _bits(zero_phase_by_u_basis(f))]
+        assert not differ
+
+    @pytest.mark.parametrize("tt", [0.0, -0.0])
+    @pytest.mark.parametrize(
+        "builder", [f4_integrand, f61_integrand, f62_integrand], ids=["F4", "F61", "F62"]
+    )
+    def test_named_integrands(self, builder, tt):
+        f = builder(tt)
+        assert _bits(eval_oscillatory(f, 1e-10)) == _bits(zero_phase_by_u_basis(f))
+
+    @pytest.mark.parametrize("k", range(1, 60))
+    def test_ik_jk(self, k):
+        basis = [CubicPhaseIntegrand((1.0,), (), k, 0.0)]
+        if k >= 2:
+            basis.append(CubicPhaseIntegrand((), (0.0, 1.0), k, 0.0))
+        for f in basis:
+            assert _bits(eval_oscillatory(f, 1e-10)) == _bits(zero_phase_by_u_basis(f))
+        assert eval_Ik(k, 0.0) == 0.5 * zero_phase_by_u_basis(basis[0]).value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(k), _numerators(2 * k - 1), _numerators(2 * k - 1), st.sampled_from([0.0, -0.0]))))
+    def test_random_numerators(self, case):
+        k, cos_c, sin_c, delta = case
+        f = CubicPhaseIntegrand(tuple(cos_c), tuple(sin_c), k, delta)
+        assert _bits(eval_oscillatory(f, 1e-10)) == _bits(zero_phase_by_u_basis(f))
