@@ -28,6 +28,7 @@ from .config import (
 )
 from .harmonics import (
     HarmonicTable,
+    HarmonicTables,
     c_coeffs,
     d_coeffs,
     d_l,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import config as cfg
-from .harmonics import c_coeffs, d_coeffs, harmonic_table, legendre_cos_coeffs
+from .harmonics import HarmonicTables, c_coeffs, d_coeffs, legendre_cos_coeffs
 from .melnikov import TransversalityVerdict, classify
 from .quadrature import find_zeros, harmonic_integrand
 
@@ -255,14 +255,14 @@ def _case_polygon(n_total: int) -> CatalogCase:
     def compute() -> dict[str, float]:
         c = cfg.build_polygon(n_total)
         verdict = classify(c)
-        table = harmonic_table(c, n_total - 1)
-        a, b = table.pair(n_total - 1)
+        tables = HarmonicTables(c, 2 * n_total - 3)
+        a, b = tables[n_total - 1].pair(n_total - 1)
         out = {
             **_witness_keys(verdict),
             "selection_rule": max(
                 abs(v)
                 for j in range(2, 2 * n_total - 2)
-                for m, av, bv in harmonic_table(c, j).entries
+                for m, av, bv in tables[j].entries
                 if 1 <= m < n_total - 1
                 for v in (av, bv)
             ),

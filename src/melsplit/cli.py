@@ -31,7 +31,7 @@ from .dynamics import (
     hd_value,
     integrate_mcgehee,
 )
-from .harmonics import _harmonic_tables, c_coeffs, d_coeffs, d_l
+from .harmonics import HarmonicTables, c_coeffs, d_coeffs, d_l
 from .melnikov import (
     SplittingTerms,
     _order_terms,
@@ -271,8 +271,8 @@ def _cmd_coeffs(args, out) -> int:
     c = cfg.load_configuration(args.path)
     c1, c2, c3 = c_coeffs(c)
     d1, d2, d3, d4 = d_coeffs(c)
-    tables = {str(t.j): [[m, a, b] for m, a, b in t.entries]
-              for t in _harmonic_tables(c, args.jmax)}
+    owner = HarmonicTables(c, args.jmax)
+    tables = {str(j): [[m, a, b] for m, a, b in owner[j].entries] for j in range(2, args.jmax + 1)}
     payload = {
         "label": c.label,
         "c": [c1, c2, c3],
@@ -386,7 +386,9 @@ def _cmd_asymp(args, out) -> int:
             i_val = eval_Ik(args.k, d, args.tol)
             j_val = eval_Jk(args.k + 2, d, args.tol)
             identity = d / (2.0 * (args.k + 1)) * i_val
-            rel = abs(j_val - identity) / abs(identity) if identity != 0 else math.nan
+            # both values exactly 0 agree; a nonzero J against a zero identity has no ratio
+            rel = (abs(j_val - identity) / abs(identity) if identity != 0
+                   else 0.0 if j_val == 0 else math.nan)
             rows.append((d, j_val, identity, rel))
         _write_csv(out, ["delta", "jk_quadrature", "identity_value", "rel_error"], rows)
         return EXIT_OK

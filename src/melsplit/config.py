@@ -25,6 +25,9 @@ import numpy as np
 MASS_SUM_TOL = 1e-12
 CENTER_OF_MASS_TOL = 1e-10
 MIN_SEPARATION = 1e-9
+LAMBDA_FIT_TOL = 1e-7
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
 
 
 class ConfigError(ValueError):
@@ -154,7 +157,7 @@ def _lambda_fit(config: CentralConfiguration) -> tuple[float, float]:
     return lam, float(np.max(np.hypot(fit[:, 0], fit[:, 1])))
 
 
-def lambda_of(config: CentralConfiguration, fit_tol: float = 1e-7) -> float:
+def lambda_of(config: CentralConfiguration) -> float:
     """Least-squares multiplier lambda with g_k + lambda a_k = 0 for all k.
 
     lambda equals 1 exactly when the configuration rotates with unit angular
@@ -162,9 +165,9 @@ def lambda_of(config: CentralConfiguration, fit_tol: float = 1e-7) -> float:
     :class:`NotCentralError` when no single multiplier fits the shape.
     """
     lam, fit_residual = _lambda_fit(config)
-    if fit_residual > fit_tol:
+    if fit_residual > LAMBDA_FIT_TOL:
         raise NotCentralError(
-            f"no common multiplier fits: residual {fit_residual:.3e} > {fit_tol:.3e}"
+            f"no common multiplier fits: residual {fit_residual:.3e} > {LAMBDA_FIT_TOL:.3e}"
         )
     return lam
 
@@ -259,9 +262,7 @@ def build_rhomboid(a: float, b: float) -> CentralConfiguration:
     return CentralConfiguration(bodies, label=f"rhomboid(a={a:g}, b={b:g})")
 
 
-def solve_collinear_equal(
-    n: int, tol: float = 1e-12, max_iter: int = 200
-) -> CentralConfiguration:
+def solve_collinear_equal(n: int) -> CentralConfiguration:
     """n equal masses on the axis, positions solved by damped Newton.
 
     Starts from equally spaced points on [-1, 1]; each step is halved until
@@ -290,8 +291,8 @@ def solve_collinear_equal(
 
     f = residual(a)
     norm = np.linalg.norm(f)
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL:
             break
         step = np.linalg.solve(jacobian(a), -f)
         lam = 1.0
@@ -310,7 +311,7 @@ def solve_collinear_equal(
         else:
             raise NewtonConvergenceError("damping failed to reduce the residual")
     else:
-        raise NewtonConvergenceError(f"no convergence after {max_iter} iterations")
+        raise NewtonConvergenceError(f"no convergence after {NEWTON_MAX_ITER} iterations")
     a = np.sort(a)
     bodies = tuple(PrimaryBody(m, (float(x), 0.0)) for x in a)
     return CentralConfiguration(bodies, label=f"collinear-equal-{n}")

@@ -20,8 +20,8 @@ gives the dense output.  It takes the same steps as scipy's RK45, which
 the tests use as its oracle; the package itself needs numpy only.
 
 The perturbation is written once, as one table with a row per Legendre
-order j = 2..J, read from ``harmonics.harmonic_table``: at truncation order
-T = 2J + 3 the row j enters the time-form field at eps^(2j+3).  With
+order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
+order T = 2J + 3 the row j enters the time-form field at eps^(2j+3).  With
 G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
 
     y'     += eps^(2j+3) (j+1)/sqrt(2) G_j x^(2j+4),
@@ -36,12 +36,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import CentralConfiguration
-from .harmonics import MAX_LEGENDRE_ORDER, _harmonic_tables
+from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,7 +75,7 @@ class McGeheeState:
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Perturbation strength, optional first-integral value, truncation order.
+    """Perturbation strength 0 < epsilon <= 1, configuration, truncation order.
 
     The truncation order is 3 (the Kepler part alone) or an odd 2J + 3 with
     2 <= J <= 64, which keeps the Legendre orders 2..J.
@@ -83,12 +83,11 @@ class FlowParams:
 
     epsilon: float
     config: CentralConfiguration
-    jacobi_C: Optional[float] = None
     truncation_order: int = 9
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon <= 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
         t = self.truncation_order
         if not (t == 3 or (isinstance(t, int) and t % 2 and 7 <= t <= 2 * MAX_LEGENDRE_ORDER + 3)):
             raise ValueError(
@@ -153,7 +152,8 @@ def _field_harmonics(config: CentralConfiguration, truncation: int):
     ``entries`` are the (k, a, b) of ``harmonic_table(config, j)``; k = 0
     carries the radial part.
     """
-    return tuple((t.j, t.entries) for t in _harmonic_tables(config, (truncation - 3) // 2))
+    tables = HarmonicTables(config, (truncation - 3) // 2)
+    return tuple((j, tables[j].entries) for j in range(2, tables.j_max + 1))
 
 
 def _harmonic_sums(harmonics, s: float) -> tuple[float, float]:
@@ -393,26 +393,25 @@ def poincare_numeric(
     y0: float,
     s0: float,
     params: FlowParams,
+    jacobi_c: float,
     tol: float = 1e-12,
 ) -> tuple[float, float, float]:
     """One turn of the return map of the reduced (x, y, s) flow.
 
-    The angular momentum is eliminated through the first integral; the
-    section is the first upward crossing of s = s0 + 2 pi, found by
-    bisection on the interpolant of the step that crosses it (steps of at
-    most 0.5).  Returns (x1, y1, return_time).
+    The angular momentum is eliminated through the first integral, whose
+    value on the orbit is ``jacobi_c``; the section is the first upward
+    crossing of s = s0 + 2 pi, found by bisection on the interpolant of the
+    step that crosses it (steps of at most 0.5).  Returns (x1, y1,
+    return_time).
     """
-    if params.jacobi_C is None:
-        raise ValueError("the return map needs the first-integral value jacobi_C")
     if x0 > 0.1:
         raise ValueError("the return map is meant for small x (x0 <= 0.1)")
-    c_val = params.jacobi_C
     rows = _field_harmonics(params.config, params.truncation_order)
     target = s0 + 2.0 * math.pi
 
     def rhs(_t, yv):
         x, y, s = yv
-        theta = theta_from_jacobi(x, y, c_val, params.epsilon)
+        theta = theta_from_jacobi(x, y, jacobi_c, params.epsilon)
         return _rhs_array((x, y, s, theta), params.epsilon, rows)[:3]
 
     t_old, g_old = 0.0, s0 - target

@@ -9,11 +9,13 @@ polynomial in s whose amplitudes (A_m, B_m) drive the splitting analysis:
     A_m = p_{j,m} sum_k m_k |a_k|^j cos(m alpha_k)
     B_m = -p_{j,m} sum_k m_k |a_k|^j sin(m alpha_k)
 
-The angle multiples e^(i m alpha_k) come from one running product per call:
-``harmonic_table`` builds them up to m = j, and a caller that reads many
-orders (``classify``, ``coeffs``, the flow's field) builds one table up to
-its largest order and contracts each order it reads from it.  Every order
-gets the same entries bit for bit either way.
+``HarmonicTables(config, j_max)`` owns the tables of one configuration:
+it builds the angle multiples e^(i m alpha_k) once, as one running product
+up to m = min(j_max, 64), and contracts order j the first time it is read.
+Every reader of many orders (``classify``, ``coeffs``, the flow's field,
+the catalog's polygon cases) holds one owner, and ``harmonic_table(config,
+j)`` is a one-order owner; every order gets the same entries bit for bit
+either way.
 
 The named low-order families are exposed directly: the quadrupole triple
 (c1, c2, c3), the octupole quadruple (d1..d4), and the (d1, d2) analogues at
@@ -36,7 +38,6 @@ from .config import CentralConfiguration
 MAX_LEGENDRE_ORDER = 64
 
 
-@lru_cache(maxsize=None)
 def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
     """Exact (m, p_jm), m ascending: P_j(cos g) = 4^-j sum_i C(2i,i) C(2j-2i,j-i) cos((j-2i) g)."""
     pairs = []
@@ -47,18 +48,20 @@ def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple(pairs)
 
 
-#: float cosine-basis coefficients per order j as arrays (harmonics m, coefficients p_jm)
-_COS_BASIS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=None)
+def _cos_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonics m and the float p_jm of order j, checked to lie in [0, 64]."""
+    if not (0 <= j <= MAX_LEGENDRE_ORDER):
+        raise ValueError(f"order must lie in [0, {MAX_LEGENDRE_ORDER}], got {j}")
+    pairs = _cos_basis_fractions(j)
+    ms, ps = np.array([m for m, _ in pairs]), np.array([float(p) for _, p in pairs])
+    ms.flags.writeable = ps.flags.writeable = False  # the cache hands them to every caller
+    return ms, ps
 
 
 def legendre_cos_coeffs(j: int) -> dict[int, float]:
     """Cosine-basis coefficients {m: p_jm}: P_j(cos g) = sum p_jm cos(m g), m = j mod 2."""
-    if not (0 <= j <= MAX_LEGENDRE_ORDER):
-        raise ValueError(f"order must lie in [0, {MAX_LEGENDRE_ORDER}], got {j}")
-    if j not in _COS_BASIS:
-        pairs = _cos_basis_fractions(j)
-        _COS_BASIS[j] = (np.array([m for m, _ in pairs]), np.array([float(p) for _, p in pairs]))
-    ms, ps = _COS_BASIS[j]
+    ms, ps = _cos_basis(j)
     return dict(zip(ms.tolist(), ps.tolist()))
 
 
@@ -66,6 +69,7 @@ def legendre_cos_coeffs(j: int) -> dict[int, float]:
 class HarmonicTable:
     """Amplitudes of cos(m s), sin(m s) in the order-j perturbation term.
 
+    ``weight`` is sum_i m_i r_i^j, the size the entries scale with, and
     ``rounding`` bounds the floating-point error of every entry:
     eps (j + N) sum_i m_i r_i^j for N bodies.
     """
@@ -73,6 +77,7 @@ class HarmonicTable:
     j: int
     entries: tuple[tuple[int, float, float], ...]
     rounding: float
+    weight: float
 
     def pair(self, m: int) -> tuple[float, float]:
         # entries run over m = j mod 2, j mod 2 + 2, ..., j
@@ -99,44 +104,45 @@ def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarr
     return r, np.cumprod(unit, axis=0)
 
 
-def _cos_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Harmonics m and float p_jm of a table order j, checked to lie in [2, 64]."""
-    if j < 2:
-        raise ValueError(f"harmonic tables start at order 2, got {j}")
-    if j not in _COS_BASIS:
-        legendre_cos_coeffs(j)  # checks j <= 64 and caches the order's coefficients
-    return _COS_BASIS[j]
-
-
 def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) -> HarmonicTable:
-    """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j.
-
-    The running product's first j + 1 rows do not depend on m_max, so every
-    j <= m_max gets the entries ``harmonic_table`` computes, bit for bit.
-    """
+    """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j."""
     ms, ps = _cos_basis(j)
     w = masses * r**j
     sums = multiples[ms] @ w.astype(complex)  # sum_k w_k e^(i m alpha_k) for every m at once
     rounding = sys.float_info.epsilon * (j + len(r)) * float(np.abs(w).sum())
     entries = tuple(zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist()))
-    return HarmonicTable(j=j, entries=entries, rounding=rounding)
+    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=float(masses @ r**j))
+
+
+class HarmonicTables:
+    """The order-j tables of one configuration for 2 <= j <= j_max.
+
+    The angle multiples are built once, up to m = min(j_max, 64); order j
+    is contracted from them the first time ``tables[j]`` reads it.  The
+    running product's first j + 1 rows do not depend on how far it runs,
+    so every order gets the same table whatever j_max is.
+    """
+
+    def __init__(self, config: CentralConfiguration, j_max: int):
+        self.j_max = j_max
+        self._masses = config.masses()
+        self._radii, self._multiples = _angle_multiples(
+            config, min(max(j_max, 2), MAX_LEGENDRE_ORDER))
+        self._tables: dict[int, HarmonicTable] = {}
+
+    def __getitem__(self, j: int) -> HarmonicTable:
+        if j not in self._tables:
+            if j < 2:
+                raise ValueError(f"harmonic tables start at order 2, got {j}")
+            if j > self.j_max:
+                raise ValueError(f"these tables stop at order {self.j_max}, got {j}")
+            self._tables[j] = _contract(self._masses, self._radii, self._multiples, j)
+        return self._tables[j]
 
 
 def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
     """Per-harmonic amplitudes (A_m, B_m) of the order-j perturbation term."""
-    _cos_basis(j)  # checks the order before sizing the angle multiples
-    r, multiples = _angle_multiples(config, j)
-    return _contract(config.masses(), r, multiples, j)
-
-
-def _harmonic_tables(config: CentralConfiguration, j_max: int):
-    """``harmonic_table(config, j)`` for j = 2..j_max, from one angle-multiple table."""
-    if j_max < 2:
-        return
-    masses = config.masses()
-    r, multiples = _angle_multiples(config, min(j_max, MAX_LEGENDRE_ORDER))
-    for j in range(2, j_max + 1):
-        yield _contract(masses, r, multiples, j)
+    return HarmonicTables(config, j)[j]
 
 
 def c_coeffs(config: CentralConfiguration) -> tuple[float, float, float]:

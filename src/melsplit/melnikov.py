@@ -35,14 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .config import CentralConfiguration
-from .harmonics import (
-    MAX_LEGENDRE_ORDER,
-    HarmonicTable,
-    _angle_multiples,
-    _contract,
-    harmonic_table,
-    legendre_cos_coeffs,
-)
+from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
 from .quadrature import CubicPhaseIntegrand, QuadratureResult, eval_oscillatory, harmonic_integrand
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
@@ -187,9 +180,8 @@ def classify(
     its margin.  The first entry with margin > 1 is the witness, reported in
     the paper's units: (d1, d2) = 8 (a, b) at (3, 1), (a, b) / p_(j,1) for the
     other k = 1 entries, (c2, c3) = 4 (a, b) at (2, 2), and (a, b) elsewhere.
-    The angle multiples are built once per call, up to m = max(j_max,
-    2 l_max + 1), and the scan contracts an order's table from them when it
-    first reads the order.
+    The scan reads one ``HarmonicTables`` up to order max(j_max, 2 l_max + 1),
+    which contracts an order's table when the scan first reads it.
     """
     if not (2 <= l_max <= 16):
         raise ValueError(f"l_max must lie in [2, 16], got {l_max}")
@@ -198,19 +190,15 @@ def classify(
     if not (4 <= j_max <= MAX_LEGENDRE_ORDER):
         raise ValueError(f"j_max must lie in [4, {MAX_LEGENDRE_ORDER}], got {j_max}")
 
-    masses = config.masses()
-    radii, multiples = _angle_multiples(config, max(j_max, 2 * l_max + 1))
-    tables: dict[int, tuple[HarmonicTable, float]] = {}
+    tables = HarmonicTables(config, max(j_max, 2 * l_max + 1))
     scan = itertools.chain(
         ((j, 1) for j in range(3, 2 * l_max + 2, 2)),
         ((j, k) for k in range(2, j_max + 1) for j in range(k, j_max + 1, 2)),
     )
     trace: list[tuple[str, tuple[float, float], str, float]] = []
     for j, k in scan:
-        if j not in tables:
-            tables[j] = (_contract(masses, radii, multiples, j),
-                         ZERO_THRESHOLD * float(masses @ radii**j))
-        table, bound = tables[j]
+        table = tables[j]
+        bound = ZERO_THRESHOLD * table.weight
         a, b = table.pair(k)
         size = max(abs(a), abs(b))
         # a weight that underflows leaves nothing to resolve: read it as a zero

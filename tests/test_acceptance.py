@@ -280,15 +280,15 @@ def test_criterion_8_dynamics_property_suite():
             assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
 
         # return-map leading terms
-        pmap = FlowParams(epsilon=0.5, config=cfg, jacobi_C=-1.0, truncation_order=3)
+        pmap, jacobi_c = FlowParams(epsilon=0.5, config=cfg, truncation_order=3), -1.0
         x0, y0 = 0.02, 0.01
-        x1, y1, _ = poincare_numeric(x0, y0, 0.3, pmap, tol=1e-12)
+        x1, y1, _ = poincare_numeric(x0, y0, 0.3, pmap, jacobi_c, tol=1e-12)
         e3 = 0.5**3
         assert (x1 - x0) / (math.sqrt(2) * math.pi * e3 * x0**3 * y0) == pytest.approx(
             1.0, abs=0.05
         )
         assert (y1 - y0) / (
-            math.sqrt(2) * math.pi * e3 * x0**4 * (1 - pmap.jacobi_C**2 * x0**2)
+            math.sqrt(2) * math.pi * e3 * x0**4 * (1 - jacobi_c**2 * x0**2)
         ) == pytest.approx(1.0, abs=0.05)
 
         # the splitting from the field's harmonic tables against the paper's

@@ -209,6 +209,13 @@ class TestSampling:
                          "--eps", "1.0", "--points", "2")
         assert code == 0
 
+    def test_integrate_epsilon_domain(self, capsys, rp3bp_file):
+        for eps in ("2", "1e300", "0"):
+            code, out, err = run(capsys, "integrate", "--config", rp3bp_file, "--eps", eps,
+                                 "--state", "0.3", "0.05", "0", "1", "--tspan", "0", "1")
+            assert code == 1 and out == ""
+            assert err.startswith("error: epsilon must lie in (0, 1]")
+
     def test_melnikov_zero_epsilon_no_traceback(self):
         env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
         proc = subprocess.run(
@@ -246,6 +253,17 @@ class TestSampling:
         )
         assert code == 0
         assert out.splitlines()[0] == "s0,m4_leading,m6_leading"
+
+    def test_asymp_recurrence_reads_two_exact_zeros_as_agreement(self, capsys, monkeypatch):
+        # at delta = 0 both J_(k+2) and the identity value are exactly 0
+        code, out, _ = run(capsys, "asymp", "recurrence", "--k", "40", "--deltas", "0")
+        assert code == 0
+        assert out.splitlines()[1].split(",") == ["0.0000000000000000e+00"] * 4
+        # a nonzero J against a zero identity value has no relative error
+        monkeypatch.setattr(cli, "eval_Ik", lambda k, d, tol: 0.0)
+        code, out, _ = run(capsys, "asymp", "recurrence", "--k", "40", "--deltas", "1")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[-1] == "nan"
 
     @pytest.mark.parametrize("theta0", ["1.0", "-1.0"])
     def test_asymp_leading_columns_are_the_leading_terms(self, capsys, rp3bp_file, theta0):
@@ -288,13 +306,15 @@ def test_asymp_exits_without_traceback(rp3bp_file, argv, code):
 ], ids=["melnikov-poly-tiny-theta0", "melnikov-tiny-theta0", "splitting-tiny-theta0",
         "leading-tiny-theta0", "melnikov-huge-theta0", "fplot-huge-theta", "integrate-huge-eps"])
 def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
-    # division by zero and overflow are arithmetic errors: exit 2, not a traceback
+    # division by zero and overflow are arithmetic errors: exit 2, not a traceback;
+    # the flow's epsilon outside (0, 1] is refused up front, a usage error
     env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "melsplit.cli", *(a.format(config=rp3bp_file) for a in argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == cli.EXIT_NUMERICAL
+    want = cli.EXIT_USAGE if argv[0] == "integrate" else cli.EXIT_NUMERICAL
+    assert proc.returncode == want
     assert "Traceback" not in proc.stderr
 
 
@@ -304,6 +324,12 @@ def test_coeffs_bounds_are_usage_errors(capsys, rp3bp_file, bounds):
     code, out, err = run(capsys, "coeffs", rp3bp_file, "--lmax", bounds[0], "--jmax", bounds[1])
     assert code == 1 and out == ""
     assert err.startswith("error: need --lmax >= 1 and --jmax >= 2")
+
+
+def test_coeffs_beyond_the_largest_order_fail_at_order_65(capsys, rp3bp_file):
+    code, out, err = run(capsys, "coeffs", rp3bp_file, "--jmax", "70")
+    assert code == 1 and out == ""
+    assert err == "error: order must lie in [0, 64], got 65\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -581,8 +607,8 @@ def test_import_leaves_scipy_out(rp3bp_file):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['integrate', '--config', {rp3bp_file!r}, '--eps', '0.5',\n"
         "                     '--state', '0.3', '0.05', '0', '1', '--tspan', '0', '5'])\n"
-        "params = FlowParams(epsilon=0.5, config=build_rp3bp(0.3), jacobi_C=-1.0)\n"
-        "poincare_numeric(0.02, 0.01, 0.3, params)\n"
+        "params = FlowParams(epsilon=0.5, config=build_rp3bp(0.3))\n"
+        "poincare_numeric(0.02, 0.01, 0.3, params, -1.0)\n"
         "print(code, 'scipy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))

@@ -231,8 +231,10 @@ class TestStatesAndFields:
         for order in (1, 5, 8, 10, 133, 7.0):
             with pytest.raises(ValueError):
                 FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
-        with pytest.raises(ValueError):
-            FlowParams(epsilon=-0.1, config=rp3bp_03)
+        for eps in (-0.1, 0.0, 1.5, 1e300, math.nan):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+                FlowParams(epsilon=eps, config=rp3bp_03)
+        assert FlowParams(epsilon=1.0, config=rp3bp_03)
         for order in (3, 7, 11, 131):
             assert FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
 
@@ -380,33 +382,31 @@ class TestIntegrate:
 
 
 class TestPoincare:
+    JACOBI_C = -1.0
+
     def params(self, config, trunc=3):
-        return FlowParams(epsilon=0.5, config=config, jacobi_C=-1.0, truncation_order=trunc)
+        return FlowParams(epsilon=0.5, config=config, truncation_order=trunc)
 
     def test_leading_term_ratios(self, rp3bp_03):
         params = self.params(rp3bp_03)
         x0, y0, s0 = 0.02, 0.01, 0.3
-        x1, y1, rt = poincare_numeric(x0, y0, s0, params, tol=1e-12)
+        x1, y1, rt = poincare_numeric(x0, y0, s0, params, self.JACOBI_C, tol=1e-12)
         eps3 = 0.5**3
         lead_x = SQRT2 * math.pi * eps3 * x0**3 * y0
-        lead_y = SQRT2 * math.pi * eps3 * x0**4 * (1.0 - params.jacobi_C**2 * x0**2)
+        lead_y = SQRT2 * math.pi * eps3 * x0**4 * (1.0 - self.JACOBI_C**2 * x0**2)
         assert (x1 - x0) / lead_x == pytest.approx(1.0, abs=0.05)
         assert (y1 - y0) / lead_y == pytest.approx(1.0, abs=0.05)
         assert rt == pytest.approx(2 * math.pi, abs=0.5)
 
     def test_fixed_point(self, rp3bp_03):
-        x1, y1, rt = poincare_numeric(0.0, 0.0, 0.7, self.params(rp3bp_03), tol=1e-12)
+        x1, y1, rt = poincare_numeric(0.0, 0.0, 0.7, self.params(rp3bp_03), self.JACOBI_C,
+                                      tol=1e-12)
         assert x1 == 0.0 and y1 == 0.0
         assert rt == pytest.approx(2 * math.pi, abs=1e-10)
 
-    def test_requires_jacobi_constant(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03)
-        with pytest.raises(ValueError):
-            poincare_numeric(0.01, 0.0, 0.0, params)
-
     def test_requires_small_x(self, rp3bp_03):
         with pytest.raises(ValueError):
-            poincare_numeric(0.5, 0.0, 0.0, self.params(rp3bp_03))
+            poincare_numeric(0.5, 0.0, 0.0, self.params(rp3bp_03), self.JACOBI_C)
 
 
 class TestScipyOracle:
@@ -433,16 +433,16 @@ class TestScipyOracle:
     @pytest.mark.parametrize("trunc", [3, 9])
     def test_return_map_matches_an_event_run(self, rp3bp_03, rotated_equilateral, trunc):
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-        rng = np.random.default_rng(trunc)
+        rng, jacobi_c = np.random.default_rng(trunc), -1.0
         for cfg in (rp3bp_03, rotated_equilateral):
-            params = FlowParams(epsilon=0.5, config=cfg, jacobi_C=-1.0, truncation_order=trunc)
+            params = FlowParams(epsilon=0.5, config=cfg, truncation_order=trunc)
             for tol in (1e-12, 1e-10):
                 x0, y0 = rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02)
                 s0 = rng.uniform(0.0, 2.0 * math.pi)
                 target = s0 + 2.0 * math.pi
 
                 def rhs(_t, v):
-                    theta = theta_from_jacobi(v[0], v[1], params.jacobi_C, params.epsilon)
+                    theta = theta_from_jacobi(v[0], v[1], jacobi_c, params.epsilon)
                     return rhs_mcgehee_t(McGeheeState(v[0], v[1], v[2], theta), params)[:3]
 
                 def crossing(_t, v):
@@ -451,7 +451,7 @@ class TestScipyOracle:
                 crossing.terminal, crossing.direction = True, 1.0
                 ref = solve_ivp(rhs, (0.0, 3.0 * math.pi), [x0, y0, s0], method="RK45",
                                 rtol=tol, atol=tol / 10.0, events=crossing, max_step=0.5)
-                got = poincare_numeric(x0, y0, s0, params, tol=tol)
+                got = poincare_numeric(x0, y0, s0, params, jacobi_c, tol=tol)
                 want = (*ref.y_events[0][0][:2], ref.t_events[0][0])
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 

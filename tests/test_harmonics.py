@@ -23,10 +23,9 @@ from melsplit.config import rotate, scale
 from melsplit.harmonics import (
     MAX_LEGENDRE_ORDER,
     HarmonicTable,
+    HarmonicTables,
     _angle_multiples,
-    _contract,
     _cos_basis_fractions,
-    _harmonic_tables,
 )
 from references import legendre_pair
 
@@ -265,7 +264,7 @@ class TestHarmonicTable:
 
     @staticmethod
     def _assert_same_table(got, want):
-        assert (got.j, got.rounding) == (want.j, want.rounding)
+        assert (got.j, got.rounding, got.weight) == (want.j, want.rounding, want.weight)
         assert [m for m, _, _ in got.entries] == [m for m, _, _ in want.entries]
         g, w = np.array(got.entries)[:, 1:], np.array(want.entries)[:, 1:]
         assert np.array_equal(g, w)
@@ -275,26 +274,32 @@ class TestHarmonicTable:
     def test_one_angle_table_gives_every_order_bitwise(self, name):
         # the running product's first j + 1 rows do not depend on how far it runs
         config = self._SHARED[name]()
-        r, multiples = _angle_multiples(config, 64)
+        tables = HarmonicTables(config, 64)
+        masses, r = config.masses(), np.hypot(*config.positions().T)
         for j in range(2, 65):
-            self._assert_same_table(_contract(config.masses(), r, multiples, j),
-                                    harmonic_table(config, j))
+            self._assert_same_table(tables[j], harmonic_table(config, j))
+            assert tables[j].weight == float(masses @ r**j)
+            assert tables[j] is tables[j]  # contracted once, then kept
 
     @pytest.mark.parametrize("name", sorted(_SHARED))
     def test_tables_up_to_an_order_match_the_single_order_calls(self, name):
         config = self._SHARED[name]()
         for j_max in (2, 7, 64):
-            tables = list(_harmonic_tables(config, j_max))
-            assert [t.j for t in tables] == list(range(2, j_max + 1))
-            for t in tables:
-                self._assert_same_table(t, harmonic_table(config, t.j))
+            tables = HarmonicTables(config, j_max)
+            for j in reversed(range(2, j_max + 1)):  # the order of reads does not matter
+                self._assert_same_table(tables[j], harmonic_table(config, j))
 
     def test_tables_up_to_an_order_check_it_as_the_single_order_call(self, rp3bp_03):
-        assert list(_harmonic_tables(rp3bp_03, 1)) == []
-        tables = _harmonic_tables(rp3bp_03, 10**9)  # sized to order 64, not to j_max
-        assert [next(tables).j for _ in range(63)] == list(range(2, 65))
+        for j in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"start at order 2, got {j}"):
+                HarmonicTables(rp3bp_03, 8)[j]
+        with pytest.raises(ValueError, match="these tables stop at order 7, got 8"):
+            HarmonicTables(rp3bp_03, 7)[8]
+        tables = HarmonicTables(rp3bp_03, 10**9)  # sized to order 64, not to j_max
+        assert tables._multiples.shape[0] == 65
+        assert [tables[j].j for j in range(2, 65)] == list(range(2, 65))
         with pytest.raises(ValueError) as shared:
-            next(tables)
+            tables[65]
         with pytest.raises(ValueError) as single:
             harmonic_table(rp3bp_03, 65)
         assert str(shared.value) == str(single.value)
@@ -310,7 +315,8 @@ class TestHarmonicTable:
 
     def test_pair_never_returns_another_harmonic(self):
         # a hand-built table that breaks the layout misses instead of misreading
-        table = HarmonicTable(j=4, entries=((0, 1.0, 0.0), (4, 2.0, 0.0)), rounding=0.0)
+        table = HarmonicTable(j=4, entries=((0, 1.0, 0.0), (4, 2.0, 0.0)), rounding=0.0,
+                              weight=1.0)
         assert table.pair(0) == (1.0, 0.0)
         with pytest.raises(KeyError):
             table.pair(2)

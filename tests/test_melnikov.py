@@ -29,7 +29,7 @@ from melsplit import (
     splitting_terms,
     verdict_to_dict,
 )
-from melsplit import melnikov
+from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
@@ -460,7 +460,7 @@ class TestClassifier:
     def test_tables_are_built_lazily_once(self, monkeypatch, rp3bp_03, rp3bp_half):
         # one angle-multiple table per call; each order contracted from it at most once
         built, multiples = [], []
-        contract, angle_multiples = melnikov._contract, melnikov._angle_multiples
+        contract, angle_multiples = harmonics._contract, harmonics._angle_multiples
 
         def counting(masses, r, powers, j):
             built.append(j)
@@ -470,8 +470,8 @@ class TestClassifier:
             multiples.append(m_max)
             return angle_multiples(config, m_max)
 
-        monkeypatch.setattr(melnikov, "_contract", counting)
-        monkeypatch.setattr(melnikov, "_angle_multiples", counting_multiples)
+        monkeypatch.setattr(harmonics, "_contract", counting)
+        monkeypatch.setattr(harmonics, "_angle_multiples", counting_multiples)
         classify(rp3bp_03)
         assert built == [3]
         assert multiples == [17]  # max(j_max = 2N + 4 = 8, 2 l_max + 1 = 17)
