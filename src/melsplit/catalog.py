@@ -1,20 +1,24 @@
 """Golden fixtures for the application families.
 
-Each case packages a configuration builder with the published or closed-form
-values it must reproduce, each carrying a tolerance and a provenance tag:
+A configuration case is a configuration builder, the published or
+closed-form values it must reproduce and, where the paper tabulates more
+than ``_measure`` reads off every configuration (centrality residual, c and
+d coefficients, abscissas, masses and the ``classify`` witness), a few extra
+keys.  Each golden value carries a tolerance and a provenance tag:
 ``tabulated`` for published 8-digit decimals, ``closed-form`` for exact
 expressions, ``derived`` for values fixed by an independent computation in
-this package's test suite.
+this package's test suite.  ``rhomboid-roots`` measures a family of rhombi
+rather than one configuration and computes its own keys.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import config as cfg
 from .harmonics import HarmonicTables, c_coeffs, d_coeffs, legendre_cos_coeffs
-from .melnikov import TransversalityVerdict, classify
+from .melnikov import classify
 from .quadrature import find_zeros, harmonic_integrand
 
 P1_COEFFS = (6, 0, -480, 0, 4510, 0, -11088, 0, 8514, 0, -1936, 0, 90)
@@ -45,35 +49,50 @@ class CatalogReport:
     passed: bool
 
 
-def _witness_keys(verdict: TransversalityVerdict) -> dict[str, float]:
-    """witness_k and witness_order of a transversal verdict; none when inconclusive.
+def _measure(config: cfg.CentralConfiguration) -> dict[str, float]:
+    """Every key a configuration case can expect of ``config``.
 
-    A missing key reads as NaN in ``run_case``, so an inconclusive verdict
-    shows as a MISS instead of an exception.
+    The centrality residual, c2, c3, d1..d4 and d_abs_sum, each body's
+    abscissa a{k}1 and mass m{k}, and witness_k and witness_order of one
+    ``classify`` verdict.  An inconclusive verdict leaves the witness keys
+    out; a missing key reads as NaN in ``run_case``, so it shows as a MISS
+    instead of an exception.
     """
-    if verdict.witness is None:
-        return {}
-    return {
-        "witness_k": float(verdict.witness.harmonic),
-        "witness_order": float(verdict.witness.epsilon_order),
+    _, c2, c3 = c_coeffs(config)
+    d = d_coeffs(config)
+    out = {
+        "residual": cfg.cc_residual(config).max_norm,
+        "c2": c2,
+        "c3": c3,
+        **{f"d{i}": v for i, v in enumerate(d, 1)},
+        "d_abs_sum": sum(abs(v) for v in d),
     }
+    for k, body in enumerate(config.bodies, 1):
+        out[f"a{k}1"] = body.position[0]
+        out[f"m{k}"] = body.mass
+    witness = classify(config).witness
+    if witness is not None:
+        out["witness_k"] = float(witness.harmonic)
+        out["witness_order"] = float(witness.epsilon_order)
+    return out
+
+
+def _case(
+    name: str,
+    build: Callable[[], cfg.CentralConfiguration],
+    expected: Sequence[GoldenValue],
+    extra: Callable[[cfg.CentralConfiguration], dict[str, float]] = lambda config: {},
+) -> CatalogCase:
+    """A configuration case: ``_measure`` of the built configuration and its ``extra`` keys."""
+
+    def compute() -> dict[str, float]:
+        config = build()
+        return {**_measure(config), **extra(config)}
+
+    return CatalogCase(name, tuple(expected), compute)
 
 
 def _case_rp3bp(mu: float) -> CatalogCase:
-    def compute() -> dict[str, float]:
-        c = cfg.build_rp3bp(mu)
-        _, c2, c3 = c_coeffs(c)
-        d1, d2, _, _ = d_coeffs(c)
-        verdict = classify(c)
-        return {
-            "residual": cfg.cc_residual(c).max_norm,
-            "c2": c2,
-            "c3": c3,
-            "d1": d1,
-            "d2": d2,
-            **_witness_keys(verdict),
-        }
-
     if mu == 0.5:
         expected = (
             GoldenValue("residual", 0.0, 1e-12, "closed-form"),
@@ -92,23 +111,10 @@ def _case_rp3bp(mu: float) -> CatalogCase:
             GoldenValue("witness_k", 1.0, 0.0, "tabulated"),
             GoldenValue("witness_order", 6.0, 0.0, "tabulated"),
         )
-    return CatalogCase(f"rp3bp(mu={mu:g})", expected, compute)
+    return _case(f"rp3bp(mu={mu:g})", lambda: cfg.build_rp3bp(mu), expected)
 
 
 def _case_equilateral(m1: float, m2: float) -> CatalogCase:
-    def compute() -> dict[str, float]:
-        c = cfg.build_equilateral(m1, m2)
-        d1, d2, d3, d4 = d_coeffs(c)
-        verdict = classify(c)
-        return {
-            "residual": cfg.cc_residual(c).max_norm,
-            "d1": d1,
-            "d2": d2,
-            "d3": d3,
-            "d4": d4,
-            **_witness_keys(verdict),
-        }
-
     if abs(m1 - 1.0 / 3.0) < 1e-15 and abs(m2 - 1.0 / 3.0) < 1e-15:
         expected = (
             GoldenValue("residual", 0.0, 1e-12, "closed-form"),
@@ -129,23 +135,14 @@ def _case_equilateral(m1: float, m2: float) -> CatalogCase:
             GoldenValue("d2", e2, 1e-12, "tabulated"),
             GoldenValue("witness_k", 1.0, 0.0, "tabulated"),
         )
-    return CatalogCase(f"equilateral(m1={m1:g}, m2={m2:g})", expected, compute)
+    return _case(f"equilateral(m1={m1:g}, m2={m2:g})", lambda: cfg.build_equilateral(m1, m2),
+                 expected)
 
 
 def _case_rhomboid(a: float, b: float) -> CatalogCase:
-    def compute() -> dict[str, float]:
-        c = cfg.build_rhomboid(a, b)
+    def extra(config: cfg.CentralConfiguration) -> dict[str, float]:
         x, y, mu = cfg.rhomboid_parameters(a, b)
-        _, c2, c3 = c_coeffs(c)
-        d_sum = sum(abs(v) for v in d_coeffs(c))
-        return {
-            "residual": cfg.cc_residual(c).max_norm,
-            "mu": mu,
-            "c2": c2,
-            "c2_closed": -3.0 * y * y + 6.0 * mu * (x * x + y * y),
-            "c3": c3,
-            "d_abs_sum": d_sum,
-        }
+        return {"mu": mu, "c2_closed": -3.0 * y * y + 6.0 * mu * (x * x + y * y)}
 
     expected = [
         GoldenValue("residual", 0.0, 1e-9, "closed-form"),
@@ -155,7 +152,7 @@ def _case_rhomboid(a: float, b: float) -> CatalogCase:
     if a == b:
         expected.append(GoldenValue("mu", 0.25, 1e-12, "tabulated"))
         expected.append(GoldenValue("c2", 0.0, 1e-12, "tabulated"))
-    return CatalogCase(f"rhomboid(a={a:g}, b={b:g})", tuple(expected), compute)
+    return _case(f"rhomboid(a={a:g}, b={b:g})", lambda: cfg.build_rhomboid(a, b), expected, extra)
 
 
 def _case_rhomboid_roots() -> CatalogCase:
@@ -190,22 +187,6 @@ def _case_rhomboid_roots() -> CatalogCase:
 
 
 def _case_collinear8() -> CatalogCase:
-    def compute() -> dict[str, float]:
-        c = cfg.solve_collinear_equal(7)
-        xs = [b.position[0] for b in c.bodies]
-        _, c2, c3 = c_coeffs(c)
-        verdict = classify(c)
-        return {
-            "residual": cfg.cc_residual(c).max_norm,
-            "a11": xs[0],
-            "a21": xs[1],
-            "a31": xs[2],
-            "a41": xs[3],
-            "c2": c2,
-            "c3": c3,
-            **_witness_keys(verdict),
-        }
-
     expected = (
         GoldenValue("residual", 0.0, 1e-10, "closed-form"),
         GoldenValue("a11", -1.17858061, 1e-6, "tabulated"),
@@ -217,26 +198,10 @@ def _case_collinear8() -> CatalogCase:
         GoldenValue("witness_k", 2.0, 0.0, "tabulated"),
         GoldenValue("witness_order", 4.0, 0.0, "tabulated"),
     )
-    return CatalogCase("collinear8", expected, compute)
+    return _case("collinear8", lambda: cfg.solve_collinear_equal(7), expected)
 
 
 def _case_collinear11() -> CatalogCase:
-    def compute() -> dict[str, float]:
-        c = cfg.solve_collinear_equidistant(10)
-        ms = [b.mass for b in c.bodies]
-        verdict = classify(c)
-        return {
-            "residual": cfg.cc_residual(c).max_norm,
-            "a11": c.bodies[0].position[0],
-            "m1": ms[0],
-            "m2": ms[1],
-            "m3": ms[2],
-            "m4": ms[3],
-            "m5": ms[4],
-            "c2": c_coeffs(c)[1],
-            **_witness_keys(verdict),
-        }
-
     expected = (
         GoldenValue("residual", 0.0, 1e-9, "closed-form"),
         GoldenValue("a11", -1.44194062, 1e-6, "tabulated"),
@@ -248,17 +213,13 @@ def _case_collinear11() -> CatalogCase:
         GoldenValue("c2", 1.95579995, 1e-6, "tabulated"),
         GoldenValue("witness_k", 2.0, 0.0, "tabulated"),
     )
-    return CatalogCase("collinear11", expected, compute)
+    return _case("collinear11", lambda: cfg.solve_collinear_equidistant(10), expected)
 
 
 def _case_polygon(n_total: int) -> CatalogCase:
-    def compute() -> dict[str, float]:
-        c = cfg.build_polygon(n_total)
-        verdict = classify(c)
-        tables = HarmonicTables(c, 2 * n_total - 3)
-        a, b = tables[n_total - 1].pair(n_total - 1)
+    def extra(config: cfg.CentralConfiguration) -> dict[str, float]:
+        tables = HarmonicTables(config, 2 * n_total - 3)
         out = {
-            **_witness_keys(verdict),
             "selection_rule": max(
                 abs(v)
                 for j in range(2, 2 * n_total - 2)
@@ -266,7 +227,7 @@ def _case_polygon(n_total: int) -> CatalogCase:
                 if 1 <= m < n_total - 1
                 for v in (av, bv)
             ),
-            "leading_pair_b": b,
+            "leading_pair_b": tables[n_total - 1].pair(n_total - 1)[1],
         }
         if n_total in (7, 8):
             j = n_total - 1  # poly:N is the (j, j) term, with constant 2^(j+1) p_jj
@@ -292,7 +253,7 @@ def _case_polygon(n_total: int) -> CatalogCase:
     elif n_total == 8:
         expected.append(GoldenValue("prefactor", 107.25, 0.0, "derived"))
         expected.append(GoldenValue("numerators_match", 1.0, 0.0, "tabulated"))
-    return CatalogCase(f"polygon({n_total})", tuple(expected), compute)
+    return _case(f"polygon({n_total})", lambda: cfg.build_polygon(n_total), expected, extra)
 
 
 #: each case's builder by name, from the command line's keyword parameters

@@ -47,7 +47,11 @@ SQRT2 = math.sqrt(2.0)
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive step size fell below 10 ulp of t (a blow-up or a non-finite field)."""
+    """An integration run failed part-way.
+
+    The adaptive step size fell below 10 ulp of t (a blow-up or a non-finite
+    field), or the trajectory left the region where the series converges.
+    """
 
 
 class ConvergenceRegionError(ValueError):
@@ -142,7 +146,7 @@ def _series_reach(params: FlowParams) -> float:
 def _convergence_guard(x: float, reach: float) -> None:
     if x > 0.0 and reach * x * x >= 1.0:
         raise ConvergenceRegionError(
-            f"x = {x!r} lies outside the series convergence region"
+            f"x = {float(x)!r} lies outside the series convergence region"
         )
 
 
@@ -377,12 +381,21 @@ def integrate_mcgehee(
     t_span: tuple[float, float],
     tol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate the truncated time-form field from a regularized state."""
+    """Integrate the truncated time-form field from a regularized state.
+
+    A start outside the series convergence region raises
+    ``ConvergenceRegionError``; a trajectory that leaves it raises
+    ``IntegrationError``.
+    """
     rows = _field_harmonics(params.config, params.truncation_order)
     reach = _series_reach(params)
+    _convergence_guard(state0.x, reach)
 
-    def rhs(_t, yv):
-        _convergence_guard(yv[0], reach)
+    def rhs(t, yv):
+        try:
+            _convergence_guard(yv[0], reach)
+        except ConvergenceRegionError as exc:
+            raise IntegrationError(f"{exc} at t = {float(t)!r}") from exc
         return _rhs_array(yv, params.epsilon, rows)
 
     return integrate(rhs, (state0.x, state0.y, state0.s, state0.theta), t_span, tol)

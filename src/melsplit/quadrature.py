@@ -90,7 +90,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEFAULT_BUDGET = 10**7
+EVALUATION_BUDGET = 10**7  # most integrand evaluations per integral
 
 _EPS = sys.float_info.epsilon
 _RAY = cmath.exp(1j * math.pi / 6)  # direction of the contour's right arm
@@ -249,13 +249,12 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 def eval_oscillatory(
     integrand: CubicPhaseIntegrand,
     tol: float,
-    budget: int = DEFAULT_BUDGET,
 ) -> QuadratureResult:
     """Integrate a cubic-phase integrand over the whole real line.
 
     ``tol`` is the target absolute error; ``error_estimate`` adds the last
     level change, the truncated tails and the rounding bounds of the terms.
-    More than ``budget`` evaluations raise QuadratureBudgetError.
+    More than ``EVALUATION_BUDGET`` evaluations raise QuadratureBudgetError.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
@@ -281,7 +280,7 @@ def eval_oscillatory(
     # most 1: absolute targets below hold for the unscaled value too
     log_phase = -delta * (h - h**3 / 3.0)
     log_scale = log_phase - m * math.log(g) - k * math.log(2.0 - g)
-    evaluations = 0
+    budget, evaluations = EVALUATION_BUDGET, 0
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

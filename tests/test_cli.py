@@ -383,6 +383,23 @@ class TestDynamicsCommands:
         assert code == 2 and out == ""
         assert err.startswith("numerical failure: step size fell below 10 ulp")
 
+    @pytest.mark.parametrize("state, code, message", [
+        (("0.5", "0.5", "0", "1"), 2, "numerical failure: x = 1.19"),
+        (("3", "0", "0", "1"), 1, "error: x = 3.0 lies outside the series convergence region"),
+    ], ids=["escape-mid-run", "start-outside"])
+    def test_integrate_outside_the_convergence_region(self, rp3bp_file, state, code, message):
+        # at eps = 1 the series for rp3bp(0.3) converges for x < 1/sqrt(0.7): a valid
+        # start that runs out of it is a numerical failure, a start beyond it bad input
+        env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "melsplit.cli", "integrate", "--config", rp3bp_file,
+             "--eps", "1", "--state", *state, "--tspan", "0", "50"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code and proc.stdout == ""
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
+
     def test_integrate_truncation_orders(self, capsys, rp3bp_file):
         argv = ("integrate", "--config", rp3bp_file, "--eps", "0.5", "--state", "0.3", "0.05",
                 "0", "1", "--tspan", "0", "5", "--samples", "3", "--truncation")
@@ -475,6 +492,21 @@ class TestCatalogCommand:
         code, out, _ = run(capsys, "catalog", "polygon", "--n", "7")
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("equilateral", "--m1", "0.2", "--m2", "0.3"),
+        ("rhomboid", "--a", "1.2", "--b", "1.0"),
+        ("rp3bp", "--mu", "0.1"),
+        ("polygon", "--n", "5"),
+        ("polygon", "--n", "12"),
+        ("rhomboid-roots",),
+        ("collinear11",),
+    ], ids=["equilateral-unequal", "rhomboid-unequal", "rp3bp-0.1", "polygon-5", "polygon-12",
+            "rhomboid-roots", "collinear11"])
+    def test_non_default_cases_pass(self, capsys, argv):
+        code, out, _ = run(capsys, "catalog", *argv)
+        assert code == 0
+        assert out.count("PASS") == 1 and "FAIL" not in out
 
     def test_unknown_case(self, capsys):
         code, _, err = run(capsys, "catalog", "nonsense")

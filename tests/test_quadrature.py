@@ -75,17 +75,20 @@ class TestBasicContracts:
         for tt in (0.4, 1.1, 1.9):
             assert_contour_shift_agrees(f61_integrand(tt), 1e-11)
 
-    def test_budget_error_reported(self):
+    def test_budget_error_reported(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 200)
         with pytest.raises(QuadratureBudgetError):
-            eval_oscillatory(f4_integrand(9.0), 1e-13, budget=200)  # needs 628
+            eval_oscillatory(f4_integrand(9.0), 1e-13)  # needs 628
 
     @pytest.mark.parametrize("tt, tol, budget", [(9.0, 1e-13, 660), (1.0, 1e-3, 140)])
-    def test_budget_clips_the_batched_halvings(self, tt, tol, budget):
+    def test_budget_clips_the_batched_halvings(self, monkeypatch, tt, tol, budget):
         # 628 and 133 evaluations are enough; the batch of three halvings is
         # cut to the levels that fit, and the rule stops before the rest
-        res = eval_oscillatory(f4_integrand(tt), tol, budget=budget)
+        unclipped = eval_oscillatory(f4_integrand(tt), tol).value
+        monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", budget)
+        res = eval_oscillatory(f4_integrand(tt), tol)
         assert res.evaluations <= budget
-        assert res.value == eval_oscillatory(f4_integrand(tt), tol).value
+        assert res.value == unclipped
 
     def test_truncation_honesty(self):
         # moving the tail cutoff changes the value by less than the estimate
