@@ -29,9 +29,6 @@ from .config import (
 from .harmonics import (
     HarmonicTable,
     HarmonicTables,
-    c_coeffs,
-    d_coeffs,
-    d_l,
     harmonic_table,
     legendre_cos_coeffs,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import config as cfg
-from .harmonics import HarmonicTables, c_coeffs, d_coeffs, legendre_cos_coeffs
+from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, legendre_cos_coeffs
 from .melnikov import classify
 from .quadrature import find_zeros, harmonic_integrand
 
@@ -49,17 +49,19 @@ class CatalogReport:
     passed: bool
 
 
-def _measure(config: cfg.CentralConfiguration) -> dict[str, float]:
-    """Every key a configuration case can expect of ``config``.
+def _measure(config: cfg.CentralConfiguration) -> tuple[dict[str, float], HarmonicTables]:
+    """Every key a configuration case can expect of ``config``, and the tables it read.
 
     The centrality residual, c2, c3, d1..d4 and d_abs_sum, each body's
     abscissa a{k}1 and mass m{k}, and witness_k and witness_order of one
     ``classify`` verdict.  An inconclusive verdict leaves the witness keys
     out; a missing key reads as NaN in ``run_case``, so it shows as a MISS
-    instead of an exception.
+    instead of an exception.  The constants come from one table owner,
+    which a case's extra keys read too.
     """
-    _, c2, c3 = c_coeffs(config)
-    d = d_coeffs(config)
+    tables = HarmonicTables(config, MAX_LEGENDRE_ORDER)
+    c2, c3 = tables.paper(2, 2)["c2, c3"]
+    d = (*tables.paper(3, 1)["d1, d2"], *tables.paper(3, 3)["d3, d4"])
     out = {
         "residual": cfg.cc_residual(config).max_norm,
         "c2": c2,
@@ -74,20 +76,20 @@ def _measure(config: cfg.CentralConfiguration) -> dict[str, float]:
     if witness is not None:
         out["witness_k"] = float(witness.harmonic)
         out["witness_order"] = float(witness.epsilon_order)
-    return out
+    return out, tables
 
 
 def _case(
     name: str,
     build: Callable[[], cfg.CentralConfiguration],
     expected: Sequence[GoldenValue],
-    extra: Callable[[cfg.CentralConfiguration], dict[str, float]] = lambda config: {},
+    extra: Callable[[HarmonicTables], dict[str, float]] = lambda tables: {},
 ) -> CatalogCase:
     """A configuration case: ``_measure`` of the built configuration and its ``extra`` keys."""
 
     def compute() -> dict[str, float]:
-        config = build()
-        return {**_measure(config), **extra(config)}
+        out, tables = _measure(build())
+        return {**out, **extra(tables)}
 
     return CatalogCase(name, tuple(expected), compute)
 
@@ -140,25 +142,25 @@ def _case_equilateral(m1: float, m2: float) -> CatalogCase:
 
 
 def _case_rhomboid(a: float, b: float) -> CatalogCase:
-    def extra(config: cfg.CentralConfiguration) -> dict[str, float]:
-        x, y, mu = cfg.rhomboid_parameters(a, b)
-        return {"mu": mu, "c2_closed": -3.0 * y * y + 6.0 * mu * (x * x + y * y)}
-
+    x, y, mu = cfg.rhomboid_parameters(a, b)
     expected = [
         GoldenValue("residual", 0.0, 1e-9, "closed-form"),
+        GoldenValue("c2", -3.0 * y * y + 6.0 * mu * (x * x + y * y), 1e-12, "closed-form"),
         GoldenValue("c3", 0.0, 1e-12, "tabulated"),
         GoldenValue("d_abs_sum", 0.0, 1e-12, "tabulated"),
     ]
     if a == b:
         expected.append(GoldenValue("mu", 0.25, 1e-12, "tabulated"))
         expected.append(GoldenValue("c2", 0.0, 1e-12, "tabulated"))
-    return _case(f"rhomboid(a={a:g}, b={b:g})", lambda: cfg.build_rhomboid(a, b), expected, extra)
+    return _case(f"rhomboid(a={a:g}, b={b:g})", lambda: cfg.build_rhomboid(a, b), expected,
+                 lambda tables: {"mu": mu})
 
 
 def _case_rhomboid_roots() -> CatalogCase:
     def compute() -> dict[str, float]:
         roots = find_zeros(
-            lambda t: c_coeffs(cfg.build_rhomboid(t, 1.0))[1], 0.6, 1.7, grid=256, xtol=1e-13
+            lambda t: HarmonicTables(cfg.build_rhomboid(t, 1.0), 2).paper(2, 2)["c2, c3"][0],
+            0.6, 1.7, grid=256, xtol=1e-13,
         )
         out = {"n_roots": float(len(roots))}
         if len(roots) == 3:
@@ -217,8 +219,7 @@ def _case_collinear11() -> CatalogCase:
 
 
 def _case_polygon(n_total: int) -> CatalogCase:
-    def extra(config: cfg.CentralConfiguration) -> dict[str, float]:
-        tables = HarmonicTables(config, 2 * n_total - 3)
+    def extra(tables: HarmonicTables) -> dict[str, float]:
         out = {
             "selection_rule": max(
                 abs(v)

@@ -31,9 +31,8 @@ from .dynamics import (
     hd_value,
     integrate_mcgehee,
 )
-from .harmonics import HarmonicTables, c_coeffs, d_coeffs, d_l
+from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
 from .melnikov import (
-    SplittingTerms,
     _order_terms,
     _polygon_order,
     classify,
@@ -266,18 +265,20 @@ def _cmd_config(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
-    if args.lmax < 1 or args.jmax < 2:
-        raise ValueError(f"need --lmax >= 1 and --jmax >= 2, got {args.lmax} and {args.jmax}")
+    l_max = (MAX_LEGENDRE_ORDER - 1) // 2  # d_l is read at order 2l + 1
+    if not (1 <= args.lmax <= l_max) or args.jmax < 2:
+        raise ValueError(f"need --lmax >= 1 and --jmax >= 2, and --lmax <= {l_max}, "
+                         f"got {args.lmax} and {args.jmax}")
     c = cfg.load_configuration(args.path)
-    c1, c2, c3 = c_coeffs(c)
-    d1, d2, d3, d4 = d_coeffs(c)
-    owner = HarmonicTables(c, args.jmax)
+    owner = HarmonicTables(c, max(args.jmax, 2 * args.lmax + 1))
+    (c1, _), c23 = owner.paper(2, 0)["c1"], owner.paper(2, 2)["c2, c3"]
+    d12, d34 = owner.paper(3, 1)["d1, d2"], owner.paper(3, 3)["d3, d4"]
     tables = {str(j): [[m, a, b] for m, a, b in owner[j].entries] for j in range(2, args.jmax + 1)}
     payload = {
         "label": c.label,
-        "c": [c1, c2, c3],
-        "d": [d1, d2, d3, d4],
-        "d_l": {str(l): list(d_l(c, l)) for l in range(1, args.lmax + 1)},
+        "c": [c1, *c23],
+        "d": [*d12, *d34],
+        "d_l": {str(l): list(owner.paper(2 * l + 1, 1)["d_l"]) for l in range(1, args.lmax + 1)},
         "harmonic_tables": tables,
     }
     _emit_json(payload, out)
@@ -338,21 +339,12 @@ def _cmd_integrate(args, out) -> int:
     return EXIT_OK
 
 
-def _paper_terms(config, order: int, theta0: float, epsilon: float) -> SplittingTerms:
-    """The paper's order-4 or order-6 rows, from the literal F4, F61 and F62 at tol 1e-10."""
-    if order == 4:
-        _, c2, c3 = c_coeffs(config)
-        pref, rows = 2.0 / theta0**6, ((2, f4_integrand, -c3, c2),)
-    else:
-        d1, d2, d3, d4 = d_coeffs(config)
-        pref, rows = 2.0 / theta0**8, ((1, f61_integrand, d2, -d1), (3, f62_integrand, d4, -d3))
-    sign = 1.0 if theta0 > 0.0 else -1.0
-    terms = []
-    for k, builder, a, b in rows:
-        f = eval_oscillatory(builder(theta0 / epsilon), 1e-10)
-        amp = sign * pref * f.value
-        terms.append((k, amp * a, amp * b, abs(pref) * f.error_estimate * (abs(a) + abs(b))))
-    return SplittingTerms(order, tuple(terms))
+def _literal_f(j: int, k: int, theta: float) -> QuadratureResult:
+    """F_(j,k) of the paper's rows from the literal F4 = F_(2,2), F61 = -F_(3,1), F62 = -F_(3,3)."""
+    builder, sign = {(2, 2): (f4_integrand, 1.0), (3, 1): (f61_integrand, -1.0),
+                     (3, 3): (f62_integrand, -1.0)}[(j, k)]
+    f = eval_oscillatory(builder(theta), 1e-10)
+    return QuadratureResult(sign * f.value, f.error_estimate, f.evaluations)
 
 
 def _cmd_splitting(args, out) -> int:
@@ -361,7 +353,8 @@ def _cmd_splitting(args, out) -> int:
     sides = [[splitting_terms(c, order, args.theta0, args.eps, tol=args.tol) for order in (4, 6)]]
     if args.compare:
         header.append("closed_form")
-        sides.append([_paper_terms(c, order, args.theta0, args.eps) for order in (4, 6)])
+        sides.append([_order_terms(c, order, args.theta0, args.eps, _literal_f)
+                      for order in (4, 6)])
     rows = []
     for i in range(args.points):
         s0 = 2.0 * math.pi * i / args.points
@@ -397,7 +390,8 @@ def _cmd_asymp(args, out) -> int:
     c = cfg.load_configuration(args.config)
     # each F_(j,k) replaced by its leading term, which has no quadrature error
     leads = [_order_terms(c, order, args.theta0, args.eps,
-                          lambda f: QuadratureResult(leading_term(f), 0.0, 0))
+                          lambda j, k, tt: QuadratureResult(
+                              leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
              for order in (4, 6)]
     rows = []
     for i in range(args.points):

@@ -13,15 +13,17 @@ polynomial in s whose amplitudes (A_m, B_m) drive the splitting analysis:
 it builds the angle multiples e^(i m alpha_k) once, as one running product
 up to m = min(j_max, 64), and contracts order j the first time it is read.
 Every reader of many orders (``classify``, ``coeffs``, the flow's field,
-the catalog's polygon cases) holds one owner, and ``harmonic_table(config,
-j)`` is a one-order owner; every order gets the same entries bit for bit
-either way.
+the catalog) holds one owner, and ``harmonic_table(config, j)`` is a
+one-order owner; every order gets the same entries bit for bit either way.
 
-The named low-order families are exposed directly: the quadrupole triple
-(c1, c2, c3), the octupole quadruple (d1..d4), and the (d1, d2) analogues at
-arbitrary odd order.  Legendre cosine coefficients p_{j,m} come exactly from
-the closed form P_j(cos g) = 4^-j sum_i C(2i,i) C(2j-2i,j-i) cos((j-2i) g)
-and only then are rounded to floats.
+The paper's constants are table entries: the quadrupole triple
+(c1, c2, c3) at j = 2, the octupole quadruple (d1..d4) at j = 3 and the
+first-harmonic weights d_l at j = 2l + 1.  ``HarmonicTables.units(j, k)``
+is the one map from an entry to the paper's names and factors, and
+``HarmonicTables.paper(j, k)`` reads an entry under those names.  Legendre
+cosine coefficients p_{j,m} come exactly from the closed form
+P_j(cos g) = 4^-j sum_i C(2i,i) C(2j-2i,j-i) cos((j-2i) g) and only then are
+rounded to floats.
 """
 from __future__ import annotations
 
@@ -139,42 +141,37 @@ class HarmonicTables:
             self._tables[j] = _contract(self._masses, self._radii, self._multiples, j)
         return self._tables[j]
 
+    @staticmethod
+    def units(j: int, k: int) -> dict[str, float]:
+        """The paper's names for the entry (a, b) of harmonic k at order j, each with its factor.
+
+        The named pair is the factor times (a, b):
+
+            (j, k)        name      factor
+            (2, 0)        c1        4            (b = 0)
+            (2, 2)        c2, c3    4
+            (3, 1)        d1, d2    8
+            (3, 3)        d3, d4    8
+            (2l + 1, 1)   d_l       1 / p_(2l+1,1)
+
+        so (3, 1) is both (d1, d2) and d_1 = (d1, d2) / 3.  ``classify``
+        reports an entry under its first name; any other entry has none.
+        """
+        units = {}
+        if j == 2:
+            units["c1" if k == 0 else "c2, c3"] = 4.0
+        elif j == 3:
+            units["d1, d2" if k == 1 else "d3, d4"] = 8.0
+        if k == 1:
+            units["d_l"] = 1.0 / legendre_cos_coeffs(j)[1]
+        return units
+
+    def paper(self, j: int, k: int) -> dict[str, tuple[float, float]]:
+        """The entry (a, b) of harmonic k at order j under each of its ``units`` names."""
+        a, b = self[j].pair(k)
+        return {name: (unit * a, unit * b) for name, unit in self.units(j, k).items()}
+
 
 def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:
     """Per-harmonic amplitudes (A_m, B_m) of the order-j perturbation term."""
     return HarmonicTables(config, j)[j]
-
-
-def c_coeffs(config: CentralConfiguration) -> tuple[float, float, float]:
-    """Quadrupole coefficients: c1 = sum m|a|^2, c2 = 3 sum m(x^2 - y^2), c3 = -6 sum m x y."""
-    m = config.masses()
-    pos = config.positions()
-    x, y = pos[:, 0], pos[:, 1]
-    c1 = float(np.dot(m, x * x + y * y))
-    c2 = 3.0 * float(np.dot(m, x * x - y * y))
-    c3 = -6.0 * float(np.dot(m, x * y))
-    return c1, c2, c3
-
-
-def d_coeffs(config: CentralConfiguration) -> tuple[float, float, float, float]:
-    """Octupole coefficients d1..d4 of the cos s, sin s, cos 3s, sin 3s channels."""
-    m = config.masses()
-    pos = config.positions()
-    x, y = pos[:, 0], pos[:, 1]
-    r2 = x * x + y * y
-    d1 = 3.0 * float(np.dot(m, x * r2))
-    d2 = -3.0 * float(np.dot(m, y * r2))
-    d3 = 5.0 * float(np.dot(m, x * (x * x - 3.0 * y * y)))
-    d4 = -5.0 * float(np.dot(m, y * (3.0 * x * x - y * y)))
-    return d1, d2, d3, d4
-
-
-def d_l(config: CentralConfiguration, l: int) -> tuple[float, float]:
-    """First-harmonic pair at radial weight |a|^(2l): (sum m x r^2l, -sum m y r^2l)."""
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    m = config.masses()
-    pos = config.positions()
-    x, y = pos[:, 0], pos[:, 1]
-    r2l = (x * x + y * y) ** l
-    return float(np.dot(m, x * r2l)), -float(np.dot(m, y * r2l))

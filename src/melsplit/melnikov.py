@@ -8,24 +8,27 @@ harmonic k >= 1 of the order-j harmonic table, with entry (a_k, b_k):
 
 where F_(j,k) integrates ``quadrature.harmonic_integrand(j, k, theta)``,
 theta = Theta0/eps, and the upper sign goes with Theta0 > 0.  The paper's
-rows are special cases: order 4 is F4 = F_(2,2) with (c2, c3) = 4 (a_2, b_2),
-order 6 is F61 = -F_(3,1) and F62 = -F_(3,3) with (d1, d2) = 8 (a_1, b_1)
-and (d3, d4) = 8 (a_3, b_3), and poly:N is the (N-1, N-1) term with the
-entry (p_(N-1,N-1), 0) of ``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the
-published constant K.  ``splitting_terms`` returns one order as
-(k, A, B, error) terms, each F computed once per call by a single
-quadrature; a term's error carries the quadrature's error estimate and the
-table's rounding bound, and summing cosines over s0 needs no further
-quadrature.
+rows are special cases: order 4 is F4 = F_(2,2) with the entry (c2, c3),
+order 6 is F61 = -F_(3,1) and F62 = -F_(3,3) with the entries (d1, d2) and
+(d3, d4) (``HarmonicTables.units`` names the entries and holds the factors),
+and poly:N is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
+``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the published constant K.
+``splitting_terms`` returns one order as (k, A, B, error) terms, each F
+computed once per call by a single quadrature; a term's error carries the
+quadrature's error estimate and the table's rounding bound, and summing
+cosines over s0 needs no further quadrature.  ``_order_terms`` writes that
+sum once for every source of F_(j,k): the quadrature, the leading
+asymptotic term, or the paper's literal F4, F61 and F62.
 
 A simple zero of the s0-factor forces a transversal intersection, so
 ``classify`` reads the harmonic table entries in dominance order (harmonic
 index k first, then Legendre order j) until one does not vanish, and reports
-it with its zero set as the witness.  The paper's families are entries of
-the same scan: (d1, d2) is (j, k) = (3, 1), the higher first-harmonic
-weights d_l are (2l + 1, 1) and (c2, c3) is (2, 2).  An entry counts as an
-exact symmetry zero relative to the weight sum_i m_i r_i^j it scales with,
-so scaling the configuration does not change the verdict.
+it with its zero set as the witness, in the paper's units where the entry
+has a name there: (c2, c3) at (j, k) = (2, 2), (d1, d2) at (3, 1), (d3, d4)
+at (3, 3) and the higher first-harmonic weights d_l at (2l + 1, 1).  An
+entry counts as an exact symmetry zero relative to the weight
+sum_i m_i r_i^j it scales with, so scaling the configuration does not
+change the verdict.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from typing import Callable, Optional
 
 from .config import CentralConfiguration
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
-from .quadrature import CubicPhaseIntegrand, QuadratureResult, eval_oscillatory, harmonic_integrand
+from .quadrature import QuadratureResult, eval_oscillatory, harmonic_integrand
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
@@ -87,9 +90,9 @@ def _order_terms(
     order: int | str,
     theta0: float,
     epsilon: float,
-    integral: Callable[[CubicPhaseIntegrand], QuadratureResult],
+    integral: Callable[[int, int, float], QuadratureResult],
 ) -> SplittingTerms:
-    """``splitting_terms`` with each F_(j,k) and its error from ``integral(integrand)``."""
+    """``splitting_terms`` with each F_(j,k)(theta) and its error from ``integral(j, k, theta)``."""
     if theta0 == 0.0 or not math.isfinite(theta0):
         raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
     if not (0.0 < epsilon <= 1.0):
@@ -100,7 +103,7 @@ def _order_terms(
     tt = theta0 / epsilon
     terms = []
     for k, a, b in harmonics:
-        f = integral(harmonic_integrand(j, k, tt))
+        f = integral(j, k, tt)
         amp = sign * pref * f.value
         err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
         terms.append((k, -amp * b, amp * a, err))
@@ -122,7 +125,8 @@ def splitting_terms(
     is |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table
     entry (a, b) and the table's rounding bound.
     """
-    return _order_terms(config, order, theta0, epsilon, lambda f: eval_oscillatory(f, tol))
+    return _order_terms(config, order, theta0, epsilon,
+                        lambda j, k, tt: eval_oscillatory(harmonic_integrand(j, k, tt), tol))
 
 
 def simple_zeros(a: float, b: float, k: int) -> Optional[list[float]]:
@@ -177,9 +181,9 @@ def classify(
     zero when max(|a|, |b|) <= ZERO_THRESHOLD sum_i m_i r_i^j, the weight the
     entries scale with, so the verdict does not depend on the size of the
     configuration; each trace entry records max(|a|, |b|) over that bound as
-    its margin.  The first entry with margin > 1 is the witness, reported in
-    the paper's units: (d1, d2) = 8 (a, b) at (3, 1), (a, b) / p_(j,1) for the
-    other k = 1 entries, (c2, c3) = 4 (a, b) at (2, 2), and (a, b) elsewhere.
+    its margin.  The first entry with margin > 1 is the witness.  Every pair
+    is reported under the first name ``HarmonicTables.units`` gives its
+    entry, and as the table entry (a, b) where it has none.
     The scan reads one ``HarmonicTables`` up to order max(j_max, 2 l_max + 1),
     which contracts an order's table when the scan first reads it.
     """
@@ -203,10 +207,7 @@ def classify(
         size = max(abs(a), abs(b))
         # a weight that underflows leaves nothing to resolve: read it as a zero
         margin = size / bound if bound > 0.0 else 0.0
-        if k == 1:
-            unit = 8.0 if j == 3 else 1.0 / legendre_cos_coeffs(j)[1]
-        else:
-            unit = 4.0 if j == 2 else 1.0
+        unit = next(iter(tables.units(j, k).values()), 1.0)
         pair = (unit * a, unit * b)
         decision = "nonzero" if margin > 1.0 else "zero"
         trace.append((f"harmonic(j={j}, k={k})", pair, decision, margin))

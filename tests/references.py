@@ -1,4 +1,9 @@
-"""References that only the tests use."""
+"""References that only the tests use.
+
+``c_coeffs``, ``d_coeffs`` and ``d_l`` are the paper's constants as direct
+sums over the bodies: the oracle that ``HarmonicTables.paper`` is checked
+against.
+"""
 
 import math
 
@@ -12,9 +17,8 @@ from melsplit.dynamics import (
     _convergence_guard,
     _series_reach,
 )
-from melsplit.harmonics import c_coeffs, d_coeffs
 from melsplit.melnikov import _order_terms
-from melsplit.quadrature import QuadratureResult
+from melsplit.quadrature import QuadratureResult, harmonic_integrand
 
 
 def duffing_rhs(x: float, y: float, theta0: float) -> tuple[float, float]:
@@ -40,8 +44,44 @@ def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: flo
     The column that ``asymp leading`` prints for order 4 or 6.
     """
     terms = _order_terms(config, order, theta0, epsilon,
-                         lambda f: QuadratureResult(leading_term(f), 0.0, 0))
+                         lambda j, k, tt: QuadratureResult(
+                             leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
     return epsilon**order * terms.value(s0)
+
+
+def c_coeffs(config) -> tuple[float, float, float]:
+    """Quadrupole coefficients: c1 = sum m|a|^2, c2 = 3 sum m(x^2 - y^2), c3 = -6 sum m x y."""
+    m = config.masses()
+    pos = config.positions()
+    x, y = pos[:, 0], pos[:, 1]
+    c1 = float(np.dot(m, x * x + y * y))
+    c2 = 3.0 * float(np.dot(m, x * x - y * y))
+    c3 = -6.0 * float(np.dot(m, x * y))
+    return c1, c2, c3
+
+
+def d_coeffs(config) -> tuple[float, float, float, float]:
+    """Octupole coefficients d1..d4 of the cos s, sin s, cos 3s, sin 3s channels."""
+    m = config.masses()
+    pos = config.positions()
+    x, y = pos[:, 0], pos[:, 1]
+    r2 = x * x + y * y
+    d1 = 3.0 * float(np.dot(m, x * r2))
+    d2 = -3.0 * float(np.dot(m, y * r2))
+    d3 = 5.0 * float(np.dot(m, x * (x * x - 3.0 * y * y)))
+    d4 = -5.0 * float(np.dot(m, y * (3.0 * x * x - y * y)))
+    return d1, d2, d3, d4
+
+
+def d_l(config, l: int) -> tuple[float, float]:
+    """First-harmonic pair at radial weight |a|^(2l): (sum m x r^2l, -sum m y r^2l)."""
+    if l < 1:
+        raise ValueError(f"need l >= 1, got {l}")
+    m = config.masses()
+    pos = config.positions()
+    x, y = pos[:, 0], pos[:, 1]
+    r2l = (x * x + y * y) ** l
+    return float(np.dot(m, x * r2l)), -float(np.dot(m, y * r2l))
 
 
 def rhs_mcgehee_tau(state_vec, params: FlowParams):

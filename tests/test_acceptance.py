@@ -14,9 +14,7 @@ from melsplit import (
     build_polygon,
     build_rhomboid,
     build_rp3bp,
-    c_coeffs,
     classify,
-    d_coeffs,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
@@ -36,10 +34,10 @@ from melsplit import (
 )
 from melsplit.config import rotate
 from melsplit.dynamics import FlowParams, McGeheeState, integrate, integrate_mcgehee
-from melsplit.harmonics import d_l
+from melsplit.harmonics import HarmonicTables
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
 from quadrature_oracles import assert_contour_shift_agrees
-from references import duffing_rhs, leading_splitting
+from references import c_coeffs, d_coeffs, d_l, duffing_rhs, leading_splitting
 
 
 def _report(n: int, detail: str) -> None:
@@ -56,17 +54,24 @@ class Timer:
         return False
 
 
+def _paper(config, j, k, name):
+    """The paper's pair ``name`` read from the harmonic tables."""
+    return HarmonicTables(config, j).paper(j, k)[name]
+
+
+def _c2(config):
+    return _paper(config, 2, 2, "c2, c3")[0]
+
+
 def test_criterion_1_coefficient_golden_suite():
     with Timer() as t:
-        assert c_coeffs(solve_collinear_equal(7))[1] == pytest.approx(1.76876487, abs=1e-6)
-        assert c_coeffs(solve_collinear_equidistant(10))[1] == pytest.approx(
-            1.95579995, abs=1e-6
-        )
-        assert c_coeffs(build_rp3bp(0.5))[1] == pytest.approx(0.75, abs=1e-6)
-        d4 = d_coeffs(build_equilateral(1.0 / 3.0, 1.0 / 3.0))[3]
+        assert _c2(solve_collinear_equal(7)) == pytest.approx(1.76876487, abs=1e-6)
+        assert _c2(solve_collinear_equidistant(10)) == pytest.approx(1.95579995, abs=1e-6)
+        assert _c2(build_rp3bp(0.5)) == pytest.approx(0.75, abs=1e-6)
+        d4 = _paper(build_equilateral(1.0 / 3.0, 1.0 / 3.0), 3, 3, "d3, d4")[1]
         assert d4 == pytest.approx(5.0 / (3.0 * math.sqrt(3.0)), abs=1e-6)
         for mu in (0.1, 0.3, 0.49):
-            d1 = d_coeffs(build_rp3bp(mu))[0]
+            d1 = _paper(build_rp3bp(mu), 3, 1, "d1, d2")[0]
             assert d1 == pytest.approx(3 * mu * (1 - mu) * (1 - 2 * mu), abs=1e-6)
     assert t.elapsed < 5.0
     _report(1, f"coefficient golden values reproduced in {t.elapsed:.2f}s")
@@ -85,7 +90,7 @@ def test_criterion_2_configuration_solvers():
         assert col10.bodies[0].position[0] == pytest.approx(-1.44194062, abs=1e-6)
 
         roots = find_zeros(
-            lambda r: c_coeffs(build_rhomboid(r, 1.0))[1], 0.6, 1.7, grid=256, xtol=1e-13
+            lambda r: _c2(build_rhomboid(r, 1.0)), 0.6, 1.7, grid=256, xtol=1e-13
         )
         assert len(roots) == 3
         assert roots[0] == pytest.approx(0.75746994, abs=1e-6)
@@ -197,10 +202,10 @@ def test_criterion_6_classifier_suite():
             assert v.witness.harmonic == n_total - 1
 
         ratio_high = find_zeros(
-            lambda r: c_coeffs(build_rhomboid(r, 1.0))[1], 1.30, 1.34, grid=16, xtol=1e-14
+            lambda r: _c2(build_rhomboid(r, 1.0)), 1.30, 1.34, grid=16, xtol=1e-14
         )[0]
         ratio_low = find_zeros(
-            lambda r: c_coeffs(build_rhomboid(r, 1.0))[1], 0.74, 0.78, grid=16, xtol=1e-14
+            lambda r: _c2(build_rhomboid(r, 1.0)), 0.74, 0.78, grid=16, xtol=1e-14
         )[0]
         vh = classify(build_rhomboid(ratio_high, 1.0))
         vl = classify(build_rhomboid(ratio_low, 1.0))

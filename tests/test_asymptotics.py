@@ -6,8 +6,6 @@ import pytest
 from melsplit import (
     CubicPhaseIntegrand,
     build_equilateral,
-    c_coeffs,
-    d_coeffs,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
@@ -16,7 +14,7 @@ from melsplit import (
     leading_term,
     splitting_terms,
 )
-from references import leading_splitting
+from references import c_coeffs, d_coeffs, leading_splitting
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import melsplit
-from melsplit import catalog, cli, dynamics, melnikov
+from melsplit import catalog, cli, dynamics, harmonics, melnikov
 from melsplit.cli import main
 from melsplit.config import load_configuration
-from references import leading_splitting
+from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+from references import c_coeffs, d_coeffs, leading_splitting
+from references import d_l as reference_d_l
 
 
 def run(capsys, *argv):
@@ -318,12 +320,39 @@ def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("bounds", [("-3", "0"), ("0", "6"), ("4", "1")],
-                         ids=["both", "lmax", "jmax"])
-def test_coeffs_bounds_are_usage_errors(capsys, rp3bp_file, bounds):
-    code, out, err = run(capsys, "coeffs", rp3bp_file, "--lmax", bounds[0], "--jmax", bounds[1])
+@pytest.fixture()
+def collinear11_file(tmp_path, capsys):
+    path = tmp_path / "collinear11.json"
+    assert main(["config", "build", "collinear-equidistant", "--n", "10", "-o", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+@pytest.mark.parametrize("bounds", [("-3", "0"), ("0", "6"), ("4", "1"), ("32", "6"),
+                                    ("1200", "6")],
+                         ids=["both", "lmax", "jmax", "lmax-32", "lmax-1200"])
+def test_coeffs_bounds_are_usage_errors(capsys, collinear11_file, bounds):
+    # d_l is read at order 2l + 1 <= 64, so --lmax stops at 31
+    code, out, err = run(capsys, "coeffs", collinear11_file,
+                         "--lmax", bounds[0], "--jmax", bounds[1])
     assert code == 1 and out == ""
-    assert err.startswith("error: need --lmax >= 1 and --jmax >= 2")
+    assert err.startswith("error: need --lmax >= 1 and --jmax >= 2, and --lmax <= 31")
+
+
+def test_coeffs_reads_d_l_up_to_order_63(capsys, collinear11_file):
+    code, out, _ = run(capsys, "coeffs", collinear11_file, "--lmax", "31")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    d_l = json.loads(out, parse_constant=reject)["d_l"]
+    assert list(d_l) == [str(l) for l in range(1, 32)]
+    config = load_configuration(collinear11_file)
+    for l in (1, 2, 31):
+        # the chain is symmetric, so each d_l is a rounding residue of its weight sum m r^(2l+1)
+        weight = sum(b.mass * abs(b.position[0]) ** (2 * l + 1) for b in config.bodies)
+        assert d_l[str(l)] == pytest.approx(list(reference_d_l(config, l)), abs=1e-14 * weight)
 
 
 def test_coeffs_beyond_the_largest_order_fail_at_order_65(capsys, rp3bp_file):
@@ -432,12 +461,22 @@ class TestDynamicsCommands:
         assert lines[0] == "s0,splitting,closed_form"
         cfg = melsplit.load_configuration(rp3bp_file)
         terms = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
-        paper = [cli._paper_terms(cfg, order, 1.0, 0.5) for order in (4, 6)]
+        paper = [melnikov._order_terms(cfg, order, 1.0, 0.5, cli._literal_f) for order in (4, 6)]
         bound = sum(0.5**m.epsilon_order * err for m in (*terms, *paper) for *_, err in m.terms)
+        # the paper's rows written out: 2/Theta0^6 F4 (c2 sin 2s - c3 cos 2s) and
+        # 2/Theta0^8 [F61 (d2 cos s - d1 sin s) + F62 (d4 cos 3s - d3 sin 3s)], Theta0 = 1
+        f4, f61, f62 = (melsplit.eval_oscillatory(build(2.0), 1e-10).value
+                        for build in (f4_integrand, f61_integrand, f62_integrand))
+        _, c2, c3 = c_coeffs(cfg)
+        d1, d2, d3, d4 = d_coeffs(cfg)
         for line in lines[1:]:
             s0, value, closed_value = map(float, line.split(","))
             assert value == 0.5**4 * terms[0].value(s0) + 0.5**6 * terms[1].value(s0)
             assert closed_value == 0.5**4 * paper[0].value(s0) + 0.5**6 * paper[1].value(s0)
+            m4 = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
+            m6 = 2.0 * (f61 * (d2 * math.cos(s0) - d1 * math.sin(s0))
+                        + f62 * (d4 * math.cos(3 * s0) - d3 * math.sin(3 * s0)))
+            assert closed_value == pytest.approx(0.5**4 * m4 + 0.5**6 * m6, rel=1e-13, abs=1e-16)
             assert abs(value - closed_value) <= bound + 1e-15 * abs(closed_value)
 
     def test_splitting_compare_evaluates_each_f_once(
@@ -507,6 +546,22 @@ class TestCatalogCommand:
         code, out, _ = run(capsys, "catalog", *argv)
         assert code == 0
         assert out.count("PASS") == 1 and "FAIL" not in out
+
+    def test_rhombus_c2_meets_its_closed_form(self, capsys):
+        code, out, _ = run(capsys, "catalog", "rhomboid", "--a", "1.2", "--b", "1.0")
+        assert code == 0
+        (row,) = [line.split(",") for line in out.splitlines() if line.startswith("c2,")]
+        assert float(row[3]) == 1e-12 and row[4] == "ok"
+
+    def test_a_polygon_case_builds_two_table_owners(self, monkeypatch):
+        # one in classify and one that the constants and the polygon keys share
+        calls = []
+        angle_multiples = harmonics._angle_multiples
+        monkeypatch.setattr(harmonics, "_angle_multiples",
+                            lambda config, m_max: calls.append(m_max)
+                            or angle_multiples(config, m_max))
+        catalog.build_case("polygon", n=8).compute()
+        assert len(calls) == 2
 
     def test_unknown_case(self, capsys):
         code, _, err = run(capsys, "catalog", "nonsense")

@@ -17,8 +17,6 @@ from melsplit import (
     build_polygon,
     build_rhomboid,
     build_rp3bp,
-    c_coeffs,
-    d_coeffs,
     eval_oscillatory,
     harmonic_table,
     hd_value,
@@ -41,7 +39,7 @@ from melsplit.dynamics import (
     truncated_hamiltonian,
 )
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
-from references import duffing_rhs, rhs_mcgehee_tau
+from references import c_coeffs, d_coeffs, duffing_rhs, rhs_mcgehee_tau
 
 
 class TestClosedForms:

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melsplit import (
+    CentralConfiguration,
     build_equilateral,
     build_polygon,
     build_rhomboid,
     build_rp3bp,
-    c_coeffs,
-    d_coeffs,
-    d_l,
     harmonic_table,
     legendre_cos_coeffs,
     solve_collinear_equal,
@@ -27,7 +25,25 @@ from melsplit.harmonics import (
     _angle_multiples,
     _cos_basis_fractions,
 )
-from references import legendre_pair
+from references import c_coeffs, d_coeffs, d_l, legendre_pair
+
+
+def paper_c(config):
+    """(c1, c2, c3) read from the order-2 table."""
+    tables = HarmonicTables(config, 2)
+    (c1, _), (c2, c3) = tables.paper(2, 0)["c1"], tables.paper(2, 2)["c2, c3"]
+    return c1, c2, c3
+
+
+def paper_d(config):
+    """(d1, d2, d3, d4) read from the order-3 table."""
+    tables = HarmonicTables(config, 3)
+    return (*tables.paper(3, 1)["d1, d2"], *tables.paper(3, 3)["d3, d4"])
+
+
+def paper_d_l(config, l):
+    """d_l read from the order-(2l + 1) table."""
+    return HarmonicTables(config, 2 * l + 1).paper(2 * l + 1, 1)["d_l"]
 
 
 class TestLegendreCosine:
@@ -103,55 +119,55 @@ class TestLegendreCosine:
 
 class TestNamedCoefficients:
     def test_rp3bp_half_c2(self, rp3bp_half):
-        c1, c2, c3 = c_coeffs(rp3bp_half)
+        c1, c2, c3 = paper_c(rp3bp_half)
         assert c2 == pytest.approx(0.75, abs=1e-15)
         assert c3 == pytest.approx(0.0, abs=1e-15)
 
     def test_rp3bp_d_closed_form(self):
         for mu in (0.1, 0.3, 0.49):
-            d1, d2, _, _ = d_coeffs(build_rp3bp(mu))
+            d1, d2, _, _ = paper_d(build_rp3bp(mu))
             assert d1 == pytest.approx(3 * mu * (1 - mu) * (1 - 2 * mu), abs=1e-14)
             assert d2 == pytest.approx(0.0, abs=1e-15)
 
     def test_equilateral_thirds_d4(self, equilateral_thirds):
-        d1, d2, d3, d4 = d_coeffs(equilateral_thirds)
+        d1, d2, d3, d4 = paper_d(equilateral_thirds)
         assert (d1, d2, d3) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
         assert d4 == pytest.approx(5.0 / (3.0 * math.sqrt(3.0)), abs=1e-14)
 
     def test_collinear8_c2(self, collinear8):
-        _, c2, c3 = c_coeffs(collinear8)
+        _, c2, c3 = paper_c(collinear8)
         assert c2 == pytest.approx(1.76876487, abs=1e-6)
         assert c3 == 0.0
 
     def test_collinear11_c2(self, collinear11):
-        assert c_coeffs(collinear11)[1] == pytest.approx(1.95579995, abs=1e-6)
+        assert paper_c(collinear11)[1] == pytest.approx(1.95579995, abs=1e-6)
 
     def test_rhomboid_c2_closed_form(self):
         from melsplit.config import rhomboid_parameters
 
         for a, b in ((1.0, 1.0), (1.2, 1.0), (0.8, 1.0)):
             x, y, mu = rhomboid_parameters(a, b)
-            _, c2, c3 = c_coeffs(build_rhomboid(a, b))
+            _, c2, c3 = paper_c(build_rhomboid(a, b))
             assert c2 == pytest.approx(-3 * y * y + 6 * mu * (x * x + y * y), abs=1e-13)
             assert c3 == 0.0
-            assert sum(abs(v) for v in d_coeffs(build_rhomboid(a, b))) <= 1e-14
+            assert sum(abs(v) for v in paper_d(build_rhomboid(a, b))) <= 1e-14
 
     def test_d_l_reduces_to_d_over_three(self, rp3bp_03):
-        d1, d2, _, _ = d_coeffs(rp3bp_03)
-        d1l, d2l = d_l(rp3bp_03, 1)
+        d1, d2, _, _ = paper_d(rp3bp_03)
+        d1l, d2l = paper_d_l(rp3bp_03, 1)
         assert d1l == pytest.approx(d1 / 3.0, abs=1e-15)
         assert d2l == pytest.approx(d2 / 3.0, abs=1e-15)
         assert d1l == pytest.approx(0.084, abs=1e-15)
 
     def test_d_l_vanishes_for_symmetric_pairs(self, rp3bp_half, equilateral_thirds):
         for l in range(1, 6):
-            assert d_l(rp3bp_half, l) == pytest.approx((0.0, 0.0), abs=1e-15)
+            assert paper_d_l(rp3bp_half, l) == pytest.approx((0.0, 0.0), abs=1e-15)
         for l in range(2, 6):
-            assert d_l(equilateral_thirds, l) == pytest.approx((0.0, 0.0), abs=1e-14)
+            assert paper_d_l(equilateral_thirds, l) == pytest.approx((0.0, 0.0), abs=1e-14)
 
     def test_c1_is_the_nonnegative_second_moment(self, rp3bp_03, collinear8, hexagon):
         for config in (rp3bp_03, collinear8, hexagon, rotate(build_rhomboid(1.2, 1.0), 0.4)):
-            c1 = c_coeffs(config)[0]
+            c1 = paper_c(config)[0]
             assert c1 >= 0.0
             pos = config.positions()
             assert c1 == pytest.approx(float(config.masses() @ (pos**2).sum(axis=1)), rel=1e-14)
@@ -159,22 +175,28 @@ class TestNamedCoefficients:
 
 class TestHarmonicTable:
     def test_normalization_ladder(self):
+        # the paper's constants read from the tables against the direct body sums
+        relabelled = build_equilateral(0.2, 0.3)
+        relabelled = CentralConfiguration(relabelled.bodies[::-1])
         for config in (
             build_rp3bp(0.23),
             build_rhomboid(1.1, 1.0),
+            build_equilateral(0.2, 0.3),
             rotate(build_rp3bp(0.4), 0.9),
+            relabelled,
         ):
-            c1, c2, c3 = c_coeffs(config)
-            t2 = harmonic_table(config, 2)
-            assert 4.0 * t2.pair(0)[0] == pytest.approx(c1, abs=1e-12)
-            assert 4.0 * t2.pair(2)[0] == pytest.approx(c2, abs=1e-12)
-            assert 4.0 * t2.pair(2)[1] == pytest.approx(c3, abs=1e-12)
-            d1, d2, d3, d4 = d_coeffs(config)
-            t3 = harmonic_table(config, 3)
-            assert 8.0 * t3.pair(1)[0] == pytest.approx(d1, abs=1e-12)
-            assert 8.0 * t3.pair(1)[1] == pytest.approx(d2, abs=1e-12)
-            assert 8.0 * t3.pair(3)[0] == pytest.approx(d3, abs=1e-12)
-            assert 8.0 * t3.pair(3)[1] == pytest.approx(d4, abs=1e-12)
+            assert paper_c(config) == pytest.approx(c_coeffs(config), abs=1e-12)
+            assert paper_d(config) == pytest.approx(d_coeffs(config), abs=1e-12)
+            for l in range(1, 6):
+                assert paper_d_l(config, l) == pytest.approx(d_l(config, l), abs=1e-12)
+
+    def test_units_name_each_entry(self):
+        units = HarmonicTables.units
+        assert units(2, 0) == {"c1": 4.0} and units(2, 2) == {"c2, c3": 4.0}
+        assert units(3, 1) == {"d1, d2": 8.0, "d_l": 8.0 / 3.0}
+        assert units(3, 3) == {"d3, d4": 8.0}
+        assert units(11, 1) == {"d_l": 1.0 / legendre_cos_coeffs(11)[1]}
+        assert units(4, 2) == units(5, 3) == {}
 
     def test_rp3bp_half_j2_entry(self, rp3bp_half):
         assert harmonic_table(rp3bp_half, 2).pair(2)[0] == pytest.approx(3.0 / 16.0, abs=1e-15)

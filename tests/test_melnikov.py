@@ -13,10 +13,7 @@ from melsplit import (
     build_polygon,
     build_rhomboid,
     build_rp3bp,
-    c_coeffs,
     classify,
-    d_coeffs,
-    d_l,
     eval_oscillatory,
     find_zeros,
     harmonic_integrand,
@@ -33,6 +30,7 @@ from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+from references import c_coeffs, d_coeffs, d_l
 
 
 def polygon_prefactor(n_total):
@@ -444,6 +442,15 @@ class TestClassifier:
         assert v.witness.coefficient_pair == pytest.approx(d_l(cfg, 2), rel=1e-14)
         assert v.witness.coefficient_pair[0] == pytest.approx(-12.0, rel=1e-14)
         assert [s for s, *_ in v.search_trace] == ["harmonic(j=3, k=1)", "harmonic(j=5, k=1)"]
+
+    def test_equal_mass_equilateral_witness_is_the_tabulated_d4(self, equilateral_thirds):
+        # the (3, 3) entry in the paper's units (d3, d4)
+        v = classify(equilateral_thirds)
+        assert (v.witness.harmonic, v.witness.epsilon_order) == (3, 6)
+        d3, d4 = v.witness.coefficient_pair
+        assert abs(d3) <= 1e-14
+        assert d4 == pytest.approx(5.0 / (3.0 * math.sqrt(3.0)), abs=1e-14)
+        assert v.search_trace[-1][:2] == ("harmonic(j=3, k=3)", (d3, d4))
 
     def test_margins_decide_and_do_not_scale(self, collinear8):
         high = refined_rhomboid_ratio(1.32018439)
