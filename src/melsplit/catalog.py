@@ -60,8 +60,8 @@ def _measure(config: cfg.CentralConfiguration) -> tuple[dict[str, float], Harmon
     which a case's extra keys read too.
     """
     tables = HarmonicTables(config, MAX_LEGENDRE_ORDER)
-    c2, c3 = tables.paper(2, 2)["c2, c3"]
-    d = (*tables.paper(3, 1)["d1, d2"], *tables.paper(3, 3)["d3, d4"])
+    c2, c3 = tables.paper("c2, c3")
+    d = (*tables.paper("d1, d2"), *tables.paper("d3, d4"))
     out = {
         "residual": cfg.cc_residual(config).max_norm,
         "c2": c2,
@@ -159,7 +159,7 @@ def _case_rhomboid(a: float, b: float) -> CatalogCase:
 def _case_rhomboid_roots() -> CatalogCase:
     def compute() -> dict[str, float]:
         roots = find_zeros(
-            lambda t: HarmonicTables(cfg.build_rhomboid(t, 1.0), 2).paper(2, 2)["c2, c3"][0],
+            lambda t: HarmonicTables(cfg.build_rhomboid(t, 1.0), 2).paper("c2, c3")[0],
             0.6, 1.7, grid=256, xtol=1e-13,
         )
         out = {"n_roots": float(len(roots))}

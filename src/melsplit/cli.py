@@ -271,14 +271,12 @@ def _cmd_coeffs(args, out) -> int:
                          f"got {args.lmax} and {args.jmax}")
     c = cfg.load_configuration(args.path)
     owner = HarmonicTables(c, max(args.jmax, 2 * args.lmax + 1))
-    (c1, _), c23 = owner.paper(2, 0)["c1"], owner.paper(2, 2)["c2, c3"]
-    d12, d34 = owner.paper(3, 1)["d1, d2"], owner.paper(3, 3)["d3, d4"]
     tables = {str(j): [[m, a, b] for m, a, b in owner[j].entries] for j in range(2, args.jmax + 1)}
     payload = {
         "label": c.label,
-        "c": [c1, *c23],
-        "d": [*d12, *d34],
-        "d_l": {str(l): list(owner.paper(2 * l + 1, 1)["d_l"]) for l in range(1, args.lmax + 1)},
+        "c": [owner.paper("c1")[0], *owner.paper("c2, c3")],
+        "d": [*owner.paper("d1, d2"), *owner.paper("d3, d4")],
+        "d_l": {str(l): list(owner.d_weight(l)) for l in range(1, args.lmax + 1)},
         "harmonic_tables": tables,
     }
     _emit_json(payload, out)

@@ -18,10 +18,11 @@ one-order owner; every order gets the same entries bit for bit either way.
 
 The paper's constants are table entries: the quadrupole triple
 (c1, c2, c3) at j = 2, the octupole quadruple (d1..d4) at j = 3 and the
-first-harmonic weights d_l at j = 2l + 1.  ``HarmonicTables.units(j, k)``
-is the one map from an entry to the paper's names and factors, and
-``HarmonicTables.paper(j, k)`` reads an entry under those names.  Legendre
-cosine coefficients p_{j,m} come exactly from the closed form
+first-harmonic weights d_l at j = 2l + 1.  ``HarmonicTables`` holds the
+one map from the paper's names to entries and factors: ``paper(name)``
+reads a named constant, ``d_weight(l)`` the weight d_l, and ``unit(j, k)``
+is the factor ``classify`` reports an entry in.  Legendre cosine
+coefficients p_{j,m} come exactly from the closed form
 P_j(cos g) = 4^-j sum_i C(2i,i) C(2j-2i,j-i) cos((j-2i) g) and only then are
 rounded to floats.
 """
@@ -99,21 +100,23 @@ def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarr
     """
     pos = config.positions()
     r = np.hypot(pos[:, 0], pos[:, 1])
-    safe = np.where(r > 0.0, r, 1.0)  # a body at the origin has zero weight r**j
+    off_origin = r > 0.0
+    safe = np.where(off_origin, r, 1.0)  # a body at the origin has zero weight r**j
     unit = np.ones((m_max + 1, len(r)), dtype=complex)
     unit.real[1:] = pos[:, 0] / safe
-    unit.imag[1:] = np.where(r > 0.0, pos[:, 1] / safe, 0.0)
+    unit.imag[1:] = np.where(off_origin, pos[:, 1] / safe, 0.0)
     return r, np.cumprod(unit, axis=0)
 
 
 def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) -> HarmonicTable:
     """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j."""
     ms, ps = _cos_basis(j)
-    w = masses * r**j
-    sums = multiples[ms] @ w.astype(complex)  # sum_k w_k e^(i m alpha_k) for every m at once
-    rounding = sys.float_info.epsilon * (j + len(r)) * float(np.abs(w).sum())
+    rj = r**j
+    w = masses * rj
+    sums = multiples[ms] @ w  # sum_k w_k e^(i m alpha_k) for every m at once
+    rounding = sys.float_info.epsilon * (j + len(r)) * float(w.sum())  # masses are positive
     entries = tuple(zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist()))
-    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=float(masses @ r**j))
+    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=float(masses @ rj))
 
 
 class HarmonicTables:
@@ -141,35 +144,39 @@ class HarmonicTables:
             self._tables[j] = _contract(self._masses, self._radii, self._multiples, j)
         return self._tables[j]
 
+    # The paper's constants by name: each is the factor times (a, b), the
+    # entry of harmonic k at order j.  Beyond them, the first-harmonic weight
+    # d_l is (a, b) / p_(2l+1,1) at (2l + 1, 1), so d_1 = (d1, d2) / 3.
+    _PAPER = {"c1": (2, 0, 4.0), "c2, c3": (2, 2, 4.0),
+              "d1, d2": (3, 1, 8.0), "d3, d4": (3, 3, 8.0)}
+
     @staticmethod
-    def units(j: int, k: int) -> dict[str, float]:
-        """The paper's names for the entry (a, b) of harmonic k at order j, each with its factor.
+    def _d_unit(j: int) -> float:
+        return 1.0 / legendre_cos_coeffs(j)[1]
 
-        The named pair is the factor times (a, b):
+    @classmethod
+    def unit(cls, j: int, k: int) -> float:
+        """The factor from the entry of harmonic k at order j to the paper's units.
 
-            (j, k)        name      factor
-            (2, 0)        c1        4            (b = 0)
-            (2, 2)        c2, c3    4
-            (3, 1)        d1, d2    8
-            (3, 3)        d3, d4    8
-            (2l + 1, 1)   d_l       1 / p_(2l+1,1)
-
-        so (3, 1) is both (d1, d2) and d_1 = (d1, d2) / 3.  ``classify``
-        reports an entry under its first name; any other entry has none.
+        The named constant's factor where ``_PAPER`` places one there, d_l's
+        at any other k = 1, and 1 elsewhere; (3, 1) is thus (d1, d2), not d_1.
         """
-        units = {}
-        if j == 2:
-            units["c1" if k == 0 else "c2, c3"] = 4.0
-        elif j == 3:
-            units["d1, d2" if k == 1 else "d3, d4"] = 8.0
-        if k == 1:
-            units["d_l"] = 1.0 / legendre_cos_coeffs(j)[1]
-        return units
+        for jn, kn, factor in cls._PAPER.values():
+            if (jn, kn) == (j, k):
+                return factor
+        return cls._d_unit(j) if k == 1 else 1.0
 
-    def paper(self, j: int, k: int) -> dict[str, tuple[float, float]]:
-        """The entry (a, b) of harmonic k at order j under each of its ``units`` names."""
+    def paper(self, name: str) -> tuple[float, float]:
+        """The named constant: "c1" (with b = 0), "c2, c3", "d1, d2" or "d3, d4"."""
+        j, k, factor = self._PAPER[name]
         a, b = self[j].pair(k)
-        return {name: (unit * a, unit * b) for name, unit in self.units(j, k).items()}
+        return factor * a, factor * b
+
+    def d_weight(self, l: int) -> tuple[float, float]:
+        """The first-harmonic weight d_l, read at order 2l + 1."""
+        a, b = self[2 * l + 1].pair(1)
+        unit = self._d_unit(2 * l + 1)
+        return unit * a, unit * b
 
 
 def harmonic_table(config: CentralConfiguration, j: int) -> HarmonicTable:

@@ -10,7 +10,7 @@ where F_(j,k) integrates ``quadrature.harmonic_integrand(j, k, theta)``,
 theta = Theta0/eps, and the upper sign goes with Theta0 > 0.  The paper's
 rows are special cases: order 4 is F4 = F_(2,2) with the entry (c2, c3),
 order 6 is F61 = -F_(3,1) and F62 = -F_(3,3) with the entries (d1, d2) and
-(d3, d4) (``HarmonicTables.units`` names the entries and holds the factors),
+(d3, d4) (``HarmonicTables`` names the entries and holds the factors),
 and poly:N is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
 ``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the published constant K.
 ``splitting_terms`` returns one order as (k, A, B, error) terms, each F
@@ -182,8 +182,8 @@ def classify(
     entries scale with, so the verdict does not depend on the size of the
     configuration; each trace entry records max(|a|, |b|) over that bound as
     its margin.  The first entry with margin > 1 is the witness.  Every pair
-    is reported under the first name ``HarmonicTables.units`` gives its
-    entry, and as the table entry (a, b) where it has none.
+    is reported in the paper's units, ``HarmonicTables.unit(j, k)`` times
+    the table entry (a, b), which is the entry itself where it has no name.
     The scan reads one ``HarmonicTables`` up to order max(j_max, 2 l_max + 1),
     which contracts an order's table when the scan first reads it.
     """
@@ -207,7 +207,7 @@ def classify(
         size = max(abs(a), abs(b))
         # a weight that underflows leaves nothing to resolve: read it as a zero
         margin = size / bound if bound > 0.0 else 0.0
-        unit = next(iter(tables.units(j, k).values()), 1.0)
+        unit = tables.unit(j, k)
         pair = (unit * a, unit * b)
         decision = "nonzero" if margin > 1.0 else "zero"
         trace.append((f"harmonic(j={j}, k={k})", pair, decision, margin))

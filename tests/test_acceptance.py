@@ -37,7 +37,7 @@ from melsplit.dynamics import FlowParams, McGeheeState, integrate, integrate_mcg
 from melsplit.harmonics import HarmonicTables
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
 from quadrature_oracles import assert_contour_shift_agrees
-from references import c_coeffs, d_coeffs, d_l, duffing_rhs, leading_splitting
+from references import c_coeffs, d_coeffs, duffing_rhs, leading_splitting
 
 
 def _report(n: int, detail: str) -> None:
@@ -54,13 +54,13 @@ class Timer:
         return False
 
 
-def _paper(config, j, k, name):
+def _paper(config, name):
     """The paper's pair ``name`` read from the harmonic tables."""
-    return HarmonicTables(config, j).paper(j, k)[name]
+    return HarmonicTables(config, 3).paper(name)
 
 
 def _c2(config):
-    return _paper(config, 2, 2, "c2, c3")[0]
+    return _paper(config, "c2, c3")[0]
 
 
 def test_criterion_1_coefficient_golden_suite():
@@ -68,10 +68,10 @@ def test_criterion_1_coefficient_golden_suite():
         assert _c2(solve_collinear_equal(7)) == pytest.approx(1.76876487, abs=1e-6)
         assert _c2(solve_collinear_equidistant(10)) == pytest.approx(1.95579995, abs=1e-6)
         assert _c2(build_rp3bp(0.5)) == pytest.approx(0.75, abs=1e-6)
-        d4 = _paper(build_equilateral(1.0 / 3.0, 1.0 / 3.0), 3, 3, "d3, d4")[1]
+        d4 = _paper(build_equilateral(1.0 / 3.0, 1.0 / 3.0), "d3, d4")[1]
         assert d4 == pytest.approx(5.0 / (3.0 * math.sqrt(3.0)), abs=1e-6)
         for mu in (0.1, 0.3, 0.49):
-            d1 = _paper(build_rp3bp(mu), 3, 1, "d1, d2")[0]
+            d1 = _paper(build_rp3bp(mu), "d1, d2")[0]
             assert d1 == pytest.approx(3 * mu * (1 - mu) * (1 - 2 * mu), abs=1e-6)
     assert t.elapsed < 5.0
     _report(1, f"coefficient golden values reproduced in {t.elapsed:.2f}s")
@@ -372,6 +372,7 @@ def test_criterion_9_symmetry_property_suite():
 
         # symmetric-pair vanishing of the higher radial weights
         for l in range(2, 9):
-            assert d_l(build_rp3bp(0.5), l) == pytest.approx((0.0, 0.0), abs=1e-15)
+            d_l = HarmonicTables(build_rp3bp(0.5), 2 * l + 1).d_weight(l)
+            assert d_l == pytest.approx((0.0, 0.0), abs=1e-15)
     assert t.elapsed < 10.0
     _report(9, f"selection rules, covariance, and normalization ladder in {t.elapsed:.2f}s")

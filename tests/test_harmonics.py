@@ -31,19 +31,18 @@ from references import c_coeffs, d_coeffs, d_l, legendre_pair
 def paper_c(config):
     """(c1, c2, c3) read from the order-2 table."""
     tables = HarmonicTables(config, 2)
-    (c1, _), (c2, c3) = tables.paper(2, 0)["c1"], tables.paper(2, 2)["c2, c3"]
-    return c1, c2, c3
+    return tables.paper("c1")[0], *tables.paper("c2, c3")
 
 
 def paper_d(config):
     """(d1, d2, d3, d4) read from the order-3 table."""
     tables = HarmonicTables(config, 3)
-    return (*tables.paper(3, 1)["d1, d2"], *tables.paper(3, 3)["d3, d4"])
+    return (*tables.paper("d1, d2"), *tables.paper("d3, d4"))
 
 
 def paper_d_l(config, l):
     """d_l read from the order-(2l + 1) table."""
-    return HarmonicTables(config, 2 * l + 1).paper(2 * l + 1, 1)["d_l"]
+    return HarmonicTables(config, 2 * l + 1).d_weight(l)
 
 
 class TestLegendreCosine:
@@ -190,13 +189,18 @@ class TestHarmonicTable:
             for l in range(1, 6):
                 assert paper_d_l(config, l) == pytest.approx(d_l(config, l), abs=1e-12)
 
-    def test_units_name_each_entry(self):
-        units = HarmonicTables.units
-        assert units(2, 0) == {"c1": 4.0} and units(2, 2) == {"c2, c3": 4.0}
-        assert units(3, 1) == {"d1, d2": 8.0, "d_l": 8.0 / 3.0}
-        assert units(3, 3) == {"d3, d4": 8.0}
-        assert units(11, 1) == {"d_l": 1.0 / legendre_cos_coeffs(11)[1]}
-        assert units(4, 2) == units(5, 3) == {}
+    def test_unit_of_each_entry(self):
+        unit = HarmonicTables.unit
+        assert unit(2, 0) == unit(2, 2) == 4.0
+        # (3, 1) is reported as (d1, d2), not as d_1 = (d1, d2) / 3
+        assert unit(3, 1) == unit(3, 3) == 8.0
+        assert unit(11, 1) == 1.0 / legendre_cos_coeffs(11)[1]
+        assert unit(4, 2) == unit(5, 3) == 1.0
+
+    def test_d_1_is_a_third_of_d1_d2(self):
+        tables = HarmonicTables(build_equilateral(0.2, 0.3), 3)
+        d1, d2 = tables.paper("d1, d2")
+        assert tables.d_weight(1) == pytest.approx((d1 / 3.0, d2 / 3.0), rel=1e-15)
 
     def test_rp3bp_half_j2_entry(self, rp3bp_half):
         assert harmonic_table(rp3bp_half, 2).pair(2)[0] == pytest.approx(3.0 / 16.0, abs=1e-15)
