@@ -25,6 +25,7 @@ from .config import (
     normalize_omega,
     solve_collinear_equal,
     solve_collinear_equidistant,
+    symmetry_order,
 )
 from .harmonics import (
     HarmonicTable,

@@ -53,10 +53,10 @@ def _measure(config: cfg.CentralConfiguration) -> tuple[dict[str, float], Harmon
     """Every key a configuration case can expect of ``config``, and the tables it read.
 
     The centrality residual, c2, c3, d1..d4 and d_abs_sum, each body's
-    abscissa a{k}1 and mass m{k}, and witness_k and witness_order of one
-    ``classify`` verdict.  An inconclusive verdict leaves the witness keys
-    out; a missing key reads as NaN in ``run_case``, so it shows as a MISS
-    instead of an exception.  The constants come from one table owner,
+    abscissa a{k}1 and mass m{k}, the symmetry order, and witness_k and
+    witness_order of one ``classify`` verdict.  An inconclusive verdict
+    leaves the witness keys out; a missing key reads as NaN in ``run_case``,
+    so it shows as a MISS instead of an exception.  The constants come from one table owner,
     which a case's extra keys read too.
     """
     tables = HarmonicTables(config, MAX_LEGENDRE_ORDER)
@@ -68,6 +68,7 @@ def _measure(config: cfg.CentralConfiguration) -> tuple[dict[str, float], Harmon
         "c3": c3,
         **{f"d{i}": v for i, v in enumerate(d, 1)},
         "d_abs_sum": sum(abs(v) for v in d),
+        "symmetry_order": float(cfg.symmetry_order(config)),
     }
     for k, body in enumerate(config.bodies, 1):
         out[f"a{k}1"] = body.position[0]
@@ -218,7 +219,15 @@ def _case_collinear11() -> CatalogCase:
     return _case("collinear11", lambda: cfg.solve_collinear_equidistant(10), expected)
 
 
+#: the largest N whose polygon case fits the tables: its selection rule reads orders up to 2N - 3
+MAX_POLYGON = (MAX_LEGENDRE_ORDER + 3) // 2
+
+
 def _case_polygon(n_total: int) -> CatalogCase:
+    if not (4 <= n_total <= MAX_POLYGON):
+        raise ValueError(f"the polygon case reads orders up to 2N - 3 <= {MAX_LEGENDRE_ORDER}, "
+                         f"so it needs 4 <= N <= {MAX_POLYGON}, got N = {n_total}")
+
     def extra(tables: HarmonicTables) -> dict[str, float]:
         out = {
             "selection_rule": max(
@@ -243,6 +252,7 @@ def _case_polygon(n_total: int) -> CatalogCase:
     expected = [
         GoldenValue("witness_k", float(n_total - 1), 0.0, "tabulated"),
         GoldenValue("witness_order", float(2 * n_total - 2), 0.0, "tabulated"),
+        GoldenValue("symmetry_order", float(n_total - 1), 0.0, "closed-form"),
         GoldenValue("selection_rule", 0.0, 1e-12, "closed-form"),
         GoldenValue("leading_pair_b", 0.0, 1e-12, "closed-form"),
     ]

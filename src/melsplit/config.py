@@ -14,6 +14,7 @@ polygons on the unit circle.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -28,6 +29,9 @@ MIN_SEPARATION = 1e-9
 LAMBDA_FIT_TOL = 1e-7
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
+#: bodies match under a rotation within this fraction of the largest radius, and masses
+#: within this fraction of the larger one
+SYMMETRY_TOL = 1e-13
 
 
 class ConfigError(ValueError):
@@ -170,6 +174,39 @@ def lambda_of(config: CentralConfiguration) -> float:
             f"no common multiplier fits: residual {fit_residual:.3e} > {LAMBDA_FIT_TOL:.3e}"
         )
     return lam
+
+
+def symmetry_order(config: CentralConfiguration) -> int:
+    """The largest n such that turning by 2 pi/n maps each body onto a body of equal mass.
+
+    The turn is about the origin, and bodies at the origin are fixed.  Every
+    other orbit of the turn has n bodies, so n divides their number.
+    Positions match within ``SYMMETRY_TOL`` times the largest radius, so the
+    order does not depend on the size of the configuration.  The tolerance
+    is strict: about a hundred times the rounding that the builders,
+    rotations and scalings leave (1.6e-15 at most on the polygons, chains,
+    rhombi and triangles), so a rhombus with legs 1 + 1e-6 and 1 has order
+    2, not 4.  An asymmetry it lets through moves an entry of the order-j
+    harmonic table by at most about (j + 1) SYMMETRY_TOL r_max^j, that is
+    6.5e-12 r_max^j at j = 64.
+    """
+    pos = config.positions()
+    z = pos[:, 0] + 1j * pos[:, 1]
+    masses = config.masses()
+    r = np.abs(z)
+    tol = SYMMETRY_TOL * float(r.max())
+    off_origin = r > tol
+    z, masses = z[off_origin], masses[off_origin]
+    same_mass = np.abs(np.subtract.outer(masses, masses)) <= SYMMETRY_TOL * np.maximum.outer(
+        masses, masses)
+    for n in range(len(z), 1, -1):
+        if len(z) % n:
+            continue
+        hits = same_mass & (np.abs(np.subtract.outer(z * cmath.exp(2j * math.pi / n), z)) <= tol)
+        # a permutation: each turned body lands on exactly one body, and each body is hit once
+        if (hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all():
+            return n
+    return 1
 
 
 def scale(config: CentralConfiguration, c: float) -> CentralConfiguration:

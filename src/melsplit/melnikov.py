@@ -25,8 +25,10 @@ A simple zero of the s0-factor forces a transversal intersection, so
 index k first, then Legendre order j) until one does not vanish, and reports
 it with its zero set as the witness, in the paper's units where the entry
 has a name there: (c2, c3) at (j, k) = (2, 2), (d1, d2) at (3, 1), (d3, d4)
-at (3, 3) and the higher first-harmonic weights d_l at (2l + 1, 1).  An
-entry counts as an exact symmetry zero relative to the weight
+at (3, 3) and the higher first-harmonic weights d_l at (2l + 1, 1).  A
+configuration that turning by 2 pi/n maps onto itself (``symmetry_order``)
+has every entry with n not dividing k exactly 0, so the scan reads only
+k = n, 2n, ....  An entry it reads counts as zero relative to the weight
 sum_i m_i r_i^j it scales with, so scaling the configuration does not
 change the verdict.
 """
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import CentralConfiguration
+from .config import CentralConfiguration, symmetry_order
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
 from .quadrature import QuadratureResult, eval_oscillatory, harmonic_integrand
 
@@ -155,13 +157,20 @@ class Witness:
 
 @dataclass(frozen=True)
 class TransversalityVerdict:
-    """Classifier outcome with one (stage, pair, decision, margin) entry per table entry read."""
+    """Classifier outcome with one (stage, pair, decision, margin) entry per table entry read.
+
+    ``symmetry_order`` is the n of ``symmetry_order(config)``: every entry of
+    a harmonic k that n does not divide is 0 and left out of the trace.
+    """
 
     status: str  # "transversal" | "inconclusive"
     witness: Optional[Witness]
     search_trace: tuple[tuple[str, tuple[float, float], str, float], ...]
+    symmetry_order: int = 1
 
     def __post_init__(self):
+        if self.symmetry_order < 1:
+            raise ValueError(f"symmetry order must be at least 1, got {self.symmetry_order}")
         if self.status == "transversal":
             if self.witness is None or self.witness.coefficient_pair == (0.0, 0.0):
                 raise ValueError("transversal verdict needs a nonzero witness pair")
@@ -174,18 +183,24 @@ def classify(
 ) -> TransversalityVerdict:
     """Scan the harmonic tables in dominance order and report the first nonzero pair.
 
-    The scan reads the entry (a, b) of harmonic k in the order-j table, k
-    ascending and, within a harmonic, j = k mod 2 ascending: k = 1 runs over
-    j = 3, 5, ..., 2 l_max + 1, and k >= 2 over j = k, k + 2, ..., j_max
-    (default min(2N + 4, 64) for N bodies).  An entry is an exact symmetry
-    zero when max(|a|, |b|) <= ZERO_THRESHOLD sum_i m_i r_i^j, the weight the
-    entries scale with, so the verdict does not depend on the size of the
+    Turning the configuration by 2 pi/n, n = ``symmetry_order(config)``,
+    multiplies the entry of harmonic k by e^(2 pi i k/n) and leaves it
+    unchanged, so every entry with n not dividing k is exactly 0 and the
+    scan skips it.  The scan reads the entry (a, b) of harmonic k in the
+    order-j table, k ascending and, within a harmonic, j = k mod 2
+    ascending: k = 1 over j = 3, 5, ..., 2 l_max + 1 when n = 1, and every
+    multiple k >= 2 of n over j = k, k + 2, ..., j_max (default
+    min(2N + 4, 64) for N bodies).  An entry read is zero when
+    max(|a|, |b|) <= ZERO_THRESHOLD sum_i m_i r_i^j, the weight the entries
+    scale with, so the verdict does not depend on the size of the
     configuration; each trace entry records max(|a|, |b|) over that bound as
     its margin.  The first entry with margin > 1 is the witness.  Every pair
     is reported in the paper's units, ``HarmonicTables.unit(j, k)`` times
     the table entry (a, b), which is the entry itself where it has no name.
-    The scan reads one ``HarmonicTables`` up to order max(j_max, 2 l_max + 1),
-    which contracts an order's table when the scan first reads it.
+    The trace lists only the entries read, and the verdict carries n in
+    their place.  The scan reads one ``HarmonicTables`` up to order j_max,
+    or max(j_max, 2 l_max + 1) when n = 1, which contracts an order's table
+    when the scan first reads it.
     """
     if not (2 <= l_max <= 16):
         raise ValueError(f"l_max must lie in [2, 16], got {l_max}")
@@ -194,10 +209,12 @@ def classify(
     if not (4 <= j_max <= MAX_LEGENDRE_ORDER):
         raise ValueError(f"j_max must lie in [4, {MAX_LEGENDRE_ORDER}], got {j_max}")
 
-    tables = HarmonicTables(config, max(j_max, 2 * l_max + 1))
+    n = symmetry_order(config)
+    first_harmonic = range(3, 2 * l_max + 2, 2) if n == 1 else range(0)
+    tables = HarmonicTables(config, max([j_max, *first_harmonic]))
     scan = itertools.chain(
-        ((j, 1) for j in range(3, 2 * l_max + 2, 2)),
-        ((j, k) for k in range(2, j_max + 1) for j in range(k, j_max + 1, 2)),
+        ((j, 1) for j in first_harmonic),
+        ((j, k) for k in range(max(n, 2), j_max + 1, n) for j in range(k, j_max + 1, 2)),
     )
     trace: list[tuple[str, tuple[float, float], str, float]] = []
     for j, k in scan:
@@ -213,13 +230,13 @@ def classify(
         trace.append((f"harmonic(j={j}, k={k})", pair, decision, margin))
         if margin > 1.0:
             witness = Witness(k, 2 * j, pair, tuple(simple_zeros(pair[1], -pair[0], k)))
-            return TransversalityVerdict("transversal", witness, tuple(trace))
+            return TransversalityVerdict("transversal", witness, tuple(trace), n)
 
-    return TransversalityVerdict("inconclusive", None, tuple(trace))
+    return TransversalityVerdict("inconclusive", None, tuple(trace), n)
 
 
 def verdict_to_dict(verdict: TransversalityVerdict) -> dict:
-    out: dict = {"status": verdict.status}
+    out: dict = {"status": verdict.status, "symmetry_order": verdict.symmetry_order}
     if verdict.witness is not None:
         out["witness"] = {
             "k": verdict.witness.harmonic,

@@ -2,10 +2,14 @@
 
 ``c_coeffs``, ``d_coeffs`` and ``d_l`` are the paper's constants as direct
 sums over the bodies: the oracle that ``HarmonicTables.paper`` is checked
-against.
+against.  ``classify_full_scan`` reads every table entry in dominance
+order, as ``classify`` did before it skipped the entries that rotational
+symmetry forces to vanish: the oracle for its witnesses and zeros.
 """
 
+import itertools
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +21,15 @@ from melsplit.dynamics import (
     _convergence_guard,
     _series_reach,
 )
-from melsplit.melnikov import _order_terms
+from melsplit.config import CentralConfiguration
+from melsplit.harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
+from melsplit.melnikov import (
+    ZERO_THRESHOLD,
+    TransversalityVerdict,
+    Witness,
+    _order_terms,
+    simple_zeros,
+)
 from melsplit.quadrature import QuadratureResult, harmonic_integrand
 
 
@@ -47,6 +59,57 @@ def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: flo
                          lambda j, k, tt: QuadratureResult(
                              leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
     return epsilon**order * terms.value(s0)
+
+
+def classify_full_scan(
+    config: CentralConfiguration,
+    l_max: int = 8,
+    j_max: Optional[int] = None,
+) -> TransversalityVerdict:
+    """Scan the harmonic tables in dominance order and report the first nonzero pair.
+
+    The scan reads the entry (a, b) of harmonic k in the order-j table, k
+    ascending and, within a harmonic, j = k mod 2 ascending: k = 1 runs over
+    j = 3, 5, ..., 2 l_max + 1, and k >= 2 over j = k, k + 2, ..., j_max
+    (default min(2N + 4, 64) for N bodies).  An entry is an exact symmetry
+    zero when max(|a|, |b|) <= ZERO_THRESHOLD sum_i m_i r_i^j, the weight the
+    entries scale with, so the verdict does not depend on the size of the
+    configuration; each trace entry records max(|a|, |b|) over that bound as
+    its margin.  The first entry with margin > 1 is the witness.  Every pair
+    is reported in the paper's units, ``HarmonicTables.unit(j, k)`` times
+    the table entry (a, b), which is the entry itself where it has no name.
+    The scan reads one ``HarmonicTables`` up to order max(j_max, 2 l_max + 1),
+    which contracts an order's table when the scan first reads it.
+    """
+    if not (2 <= l_max <= 16):
+        raise ValueError(f"l_max must lie in [2, 16], got {l_max}")
+    if j_max is None:
+        j_max = min(2 * config.n_bodies + 4, MAX_LEGENDRE_ORDER)
+    if not (4 <= j_max <= MAX_LEGENDRE_ORDER):
+        raise ValueError(f"j_max must lie in [4, {MAX_LEGENDRE_ORDER}], got {j_max}")
+
+    tables = HarmonicTables(config, max(j_max, 2 * l_max + 1))
+    scan = itertools.chain(
+        ((j, 1) for j in range(3, 2 * l_max + 2, 2)),
+        ((j, k) for k in range(2, j_max + 1) for j in range(k, j_max + 1, 2)),
+    )
+    trace: list[tuple[str, tuple[float, float], str, float]] = []
+    for j, k in scan:
+        table = tables[j]
+        bound = ZERO_THRESHOLD * table.weight
+        a, b = table.pair(k)
+        size = max(abs(a), abs(b))
+        # a weight that underflows leaves nothing to resolve: read it as a zero
+        margin = size / bound if bound > 0.0 else 0.0
+        unit = tables.unit(j, k)
+        pair = (unit * a, unit * b)
+        decision = "nonzero" if margin > 1.0 else "zero"
+        trace.append((f"harmonic(j={j}, k={k})", pair, decision, margin))
+        if margin > 1.0:
+            witness = Witness(k, 2 * j, pair, tuple(simple_zeros(pair[1], -pair[0], k)))
+            return TransversalityVerdict("transversal", witness, tuple(trace))
+
+    return TransversalityVerdict("inconclusive", None, tuple(trace))
 
 
 def c_coeffs(config) -> tuple[float, float, float]:

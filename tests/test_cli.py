@@ -119,6 +119,9 @@ class TestCoeffsAndClassify:
         payload = json.loads(out)
         assert payload["witness"]["k"] == 6
         assert payload["witness"]["epsilon_order"] == 12
+        # the hexagon's order 6 leaves only k = 6, 12, ...: the first entry read decides
+        assert payload["symmetry_order"] == 6
+        assert len(payload["trace"]) == 1
         *zeros, last = payload["trace"]
         assert last["decision"] == "nonzero" and last["margin"] > 1.0
         assert all(t["decision"] == "zero" and t["margin"] <= 1.0 for t in zeros)
@@ -538,10 +541,11 @@ class TestCatalogCommand:
         ("rp3bp", "--mu", "0.1"),
         ("polygon", "--n", "5"),
         ("polygon", "--n", "12"),
+        ("polygon", "--n", "33"),
         ("rhomboid-roots",),
         ("collinear11",),
     ], ids=["equilateral-unequal", "rhomboid-unequal", "rp3bp-0.1", "polygon-5", "polygon-12",
-            "rhomboid-roots", "collinear11"])
+            "polygon-33", "rhomboid-roots", "collinear11"])
     def test_non_default_cases_pass(self, capsys, argv):
         code, out, _ = run(capsys, "catalog", *argv)
         assert code == 0
@@ -562,6 +566,16 @@ class TestCatalogCommand:
                             or angle_multiples(config, m_max))
         catalog.build_case("polygon", n=8).compute()
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", ["34", "40"])
+    def test_polygon_beyond_the_tables_is_refused_before_any_work(self, capsys, monkeypatch, n):
+        # the selection rule reads orders up to 2N - 3, and the tables stop at 64
+        monkeypatch.setattr(catalog.cfg, "build_polygon", lambda *a, **k: pytest.fail("built"))
+        monkeypatch.setattr(catalog, "classify", lambda *a, **k: pytest.fail("classified"))
+        code, out, err = run(capsys, "catalog", "polygon", "--n", n)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "4 <= N <= 33" in err and f"N = {n}" in err
 
     def test_unknown_case(self, capsys):
         code, _, err = run(capsys, "catalog", "nonsense")

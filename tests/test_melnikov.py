@@ -24,13 +24,14 @@ from melsplit import (
     solve_collinear_equal,
     solve_collinear_equidistant,
     splitting_terms,
+    symmetry_order,
     verdict_to_dict,
 )
 from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
-from references import c_coeffs, d_coeffs, d_l
+from references import c_coeffs, classify_full_scan, d_coeffs, d_l
 
 
 def polygon_prefactor(n_total):
@@ -287,10 +288,14 @@ class TestSimpleZeros:
         assert np.allclose(diffs, spacing, atol=1e-9)
 
 
-def scan_stages(l_max, j_max):
-    """Stage names of a full scan: the k = 1 column, then k >= 2 with j = k mod 2 ascending."""
-    pairs = [(j, 1) for j in range(3, 2 * l_max + 2, 2)]
-    pairs += [(j, k) for k in range(2, j_max + 1) for j in range(k, j_max + 1, 2)]
+def scan_stages(l_max, j_max, n=1):
+    """Stage names of the scan at symmetry order n, j = k mod 2 ascending in each harmonic.
+
+    The k = 1 column comes first when n = 1, then k = n, 2n, ... from k = 2
+    on; n = 1 gives the full scan.
+    """
+    pairs = [(j, 1) for j in range(3, 2 * l_max + 2, 2)] if n == 1 else []
+    pairs += [(j, k) for k in range(max(n, 2), j_max + 1, n) for j in range(k, j_max + 1, 2)]
     return [f"harmonic(j={j}, k={k})" for j, k in pairs]
 
 
@@ -367,11 +372,18 @@ class TestClassifier:
                 assert before * after < 0.0
 
     def test_trace_records_stages(self, rp3bp_half):
-        # the whole k = 1 column (j = 3..2 l_max + 1) is zero, then (2, 2) decides
+        # two equal masses have symmetry order 2: the odd harmonics, the k = 1
+        # column among them, vanish unread, and (2, 2) decides
         v = classify(rp3bp_half)
-        stages = [s for s, _, _, _ in v.search_trace]
-        assert stages == [f"harmonic(j={j}, k=1)" for j in range(3, 18, 2)] + ["harmonic(j=2, k=2)"]
-        assert [d for _, _, d, _ in v.search_trace] == ["zero"] * 8 + ["nonzero"]
+        assert v.symmetry_order == 2
+        assert [s for s, _, _, _ in v.search_trace] == ["harmonic(j=2, k=2)"]
+        assert [d for _, _, d, _ in v.search_trace] == ["nonzero"]
+        assert v.search_trace[-1][1] == v.witness.coefficient_pair
+        # at a root of c2 the rhombus reads (2, 2) as a zero, and (4, 2) decides
+        v = classify(build_rhomboid(refined_rhomboid_ratio(1.32018439), 1.0))
+        assert v.symmetry_order == 2
+        assert [s for s, _, _, _ in v.search_trace] == ["harmonic(j=2, k=2)", "harmonic(j=4, k=2)"]
+        assert [d for _, _, d, _ in v.search_trace] == ["zero", "nonzero"]
         assert v.search_trace[-1][1] == v.witness.coefficient_pair
 
     def test_inconclusive_requires_no_witness(self):
@@ -385,6 +397,8 @@ class TestClassifier:
                 Witness(1, 6, (0.0, 0.0), ()),
                 (),
             )
+        with pytest.raises(ValueError):
+            TransversalityVerdict("inconclusive", None, (), 0)
 
     def test_cutoff_domains(self, rp3bp_03):
         with pytest.raises(ValueError):
@@ -396,13 +410,18 @@ class TestClassifier:
 
     def test_inconclusive_is_a_value_with_full_trace(self):
         # an 11-gon's first surviving harmonic is k = 11; cutting the scan at
-        # j_max = 8 must end inconclusive, not raise
+        # j_max = 8 leaves no entry its symmetry allows, and must end
+        # inconclusive, not raise
         v = classify(build_polygon(12), j_max=8)
         assert v.status == "inconclusive"
         assert v.witness is None
-        stages = [s for s, _, _, _ in v.search_trace]
-        assert stages == scan_stages(8, 8)
-        assert all(d == "zero" for _, _, d, _ in v.search_trace)
+        assert v.symmetry_order == 11
+        assert v.search_trace == ()
+        # the full scan reads every entry up to order 8 and finds each one zero
+        full = classify_full_scan(build_polygon(12), j_max=8)
+        assert full.status == "inconclusive"
+        assert [s for s, _, _, _ in full.search_trace] == scan_stages(8, 8)
+        assert all(d == "zero" for _, _, d, _ in full.search_trace)
 
     def test_default_cutoff_reaches_large_polygons(self):
         v = classify(build_polygon(12))
@@ -413,18 +432,24 @@ class TestClassifier:
         # 2N + 4 = 66 for the 31 bodies of build_polygon(32): the default stops at 64
         v = classify(build_polygon(32))
         assert (v.witness.harmonic, v.witness.epsilon_order) == (31, 62)
-        # the 65-gon's witness (65, 130) lies beyond every table: a full scan, all zero
+        assert [s for s, _, _, _ in v.search_trace] == ["harmonic(j=31, k=31)"]
+        # the 65-gon's witness (65, 130) lies beyond every table, and so does
+        # every other harmonic its order 65 allows: nothing is read
         v = classify(build_polygon(66))
         assert v.status == "inconclusive"
-        assert [s for s, _, _, _ in v.search_trace] == scan_stages(8, 64)
-        assert all(d == "zero" for _, _, d, _ in v.search_trace)
+        assert v.symmetry_order == 65
+        assert v.search_trace == ()
 
     def test_underflowing_weights_read_as_zeros(self):
-        # at scale 1e-6 the weight sum m r^64 underflows to 0: the scan ends
-        # inconclusive instead of dividing by a zero bound
-        v = classify(scale(build_polygon(66), 1e-6), j_max=64)
+        # at scale 1e-8 the 40-gon's weight sum m r^j is below 1e-320 from its
+        # first allowed entry (40, 40) on, so every bound underflows to 0: the
+        # scan reads each entry as a zero and ends inconclusive instead of
+        # dividing by a zero bound
+        v = classify(scale(build_polygon(41), 1e-8), j_max=64)
         assert v.status == "inconclusive"
-        assert v.search_trace[-1][3] == 0.0
+        assert v.symmetry_order == 40
+        assert [s for s, _, _, _ in v.search_trace] == scan_stages(8, 64, 40)
+        assert [(d, m) for _, _, d, m in v.search_trace] == [("zero", 0.0)] * 13
 
     def test_scaled_polygon_keeps_its_witness(self):
         # entries grow like sum m r^j = 2^j here; an absolute zero test took a
@@ -484,16 +509,20 @@ class TestClassifier:
         assert multiples == [17]  # max(j_max = 2N + 4 = 8, 2 l_max + 1 = 17)
         built.clear()
         multiples.clear()
+        # symmetry order 2 skips the k = 1 column, so the tables stop at j_max = 8
         classify(rp3bp_half)
-        assert built == [3, 5, 7, 9, 11, 13, 15, 17, 2]
-        assert multiples == [17]
+        assert built == [2]
+        assert multiples == [8]
         built.clear()
         multiples.clear()
+        # order 11 allows no harmonic up to j_max = 8: no order is contracted
         classify(build_polygon(12), j_max=8)
-        assert sorted(built) == list(range(2, 9)) + [9, 11, 13, 15, 17]
-        assert multiples == [17]
+        assert built == []
+        assert multiples == [8]
+        built.clear()
         multiples.clear()
         classify(build_polygon(16), j_max=64)
+        assert built == [15]
         assert multiples == [64]
 
     def test_lambda_of_handles_body_at_origin(self, collinear8):
@@ -506,6 +535,7 @@ class TestClassifier:
         txt = json.dumps(payload)
         back = json.loads(txt)
         assert back["status"] == "transversal"
+        assert back["symmetry_order"] == 1
         assert back["witness"]["k"] == 1
         assert back["witness"]["epsilon_order"] == 6
         assert len(back["witness"]["zeros"]) == 2
@@ -532,11 +562,46 @@ def _invariance_groups():
 
 INVARIANCE_GROUPS = _invariance_groups()
 
+#: the rotation order of each group: an (N - 1)-gon turns by 2 pi/(N - 1), a
+#: symmetric chain, rhombus or pair of equal masses by pi, and unequal masses not at all
+GROUP_ORDERS = {
+    **{f"polygon-{n}": n - 1 for n in range(4, 17)},
+    **{name: 2 for name in INVARIANCE_GROUPS if name.startswith("collinear-")},
+    "rhombus-1-1": 4,
+    "rhomboid-1.2-1": 2,
+    "rp3bp-0.3": 1,
+    "rp3bp-0.5": 2,
+    "equilateral": 3,
+    "equilateral-0.2-0.3": 1,
+}
+
+VARIANT_SCALES = (0.5, 0.75, 1.25, 1.5, 2.0, 3.0)
+
+
+def _variants(name, base, scales=VARIANT_SCALES):
+    """``base`` at each scale, turned by a seeded angle, relabelled and normalized."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    perm = rng.permutation(base.n_bodies)
+    if list(perm) == sorted(perm):
+        perm = perm[::-1]
+    variants = [scale(base, c) for c in scales]
+    variants += [
+        rotate(base, float(rng.uniform(0.0, 2.0 * math.pi))),
+        CentralConfiguration(tuple(base.bodies[i] for i in perm)),
+        normalize_omega(base),
+    ]
+    return variants
+
 
 def _witness(config, j_max):
     v = classify(config, j_max=j_max)
     assert v.status == "transversal"
     return v.witness.harmonic, v.witness.epsilon_order
+
+
+def _harmonic(stage):
+    """The k of a trace stage "harmonic(j=.., k=..)"."""
+    return int(stage.rsplit("k=", 1)[1].rstrip(")"))
 
 
 class TestClassifierInvariance:
@@ -547,17 +612,29 @@ class TestClassifierInvariance:
     def test_witness_is_invariant(self, name, j_max):
         base = INVARIANCE_GROUPS[name]()
         want = _witness(base, j_max)
-        rng = np.random.default_rng(sum(map(ord, name)))
-        perm = rng.permutation(base.n_bodies)
-        if list(perm) == sorted(perm):
-            perm = perm[::-1]
-        variants = [scale(base, c) for c in (0.5, 0.75, 1.25, 1.5, 2.0, 3.0)]
-        variants += [
-            rotate(base, float(rng.uniform(0.0, 2.0 * math.pi))),
-            CentralConfiguration(tuple(base.bodies[i] for i in perm)),
-            normalize_omega(base),
-        ]
+        variants = _variants(name, base)
         assert [_witness(v, j_max) for v in variants] == [want] * len(variants)
+
+    @pytest.mark.parametrize("j_max", [None, 64])
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_GROUPS))
+    def test_pruned_scan_matches_the_full_scan(self, name, j_max):
+        # the same witness entry bit for bit, the same zeros, and a trace that
+        # is the full one without the harmonics the symmetry order forces to 0
+        base = INVARIANCE_GROUPS[name]()
+        for config in (base, *_variants(name, base)):
+            got, want = classify(config, j_max=j_max), classify_full_scan(config, j_max=j_max)
+            n = got.symmetry_order
+            assert got.status == want.status == "transversal"
+            assert (got.witness.harmonic, got.witness.epsilon_order) == (
+                want.witness.harmonic, want.witness.epsilon_order)
+            assert [x.hex() for x in got.witness.coefficient_pair] == [
+                x.hex() for x in want.witness.coefficient_pair]
+            assert got.witness.zero_locations == want.witness.zero_locations
+            assert got.search_trace == tuple(t for t in want.search_trace
+                                             if _harmonic(t[0]) % n == 0)
+            assert all(d == "zero" for s, _, d, _ in want.search_trace if _harmonic(s) % n)
+            if n >= 2:
+                assert len(got.search_trace) == 1  # every witness sits at (n, n)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -568,3 +645,41 @@ class TestClassifierInvariance:
     def test_scaled_rotated_witness_property(self, name, c, phi):
         base = INVARIANCE_GROUPS[name]()
         assert _witness(rotate(scale(base, c), phi), 64) == _witness(base, 64)
+
+
+class TestSymmetryOrder:
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_GROUPS))
+    def test_order_is_invariant(self, name):
+        base = INVARIANCE_GROUPS[name]()
+        variants = _variants(name, base, scales=(1e-6, 0.5, 2.0))
+        assert [symmetry_order(c) for c in (base, *variants)] == [GROUP_ORDERS[name]] * 7
+
+    def test_a_near_square_rhombus_keeps_order_two(self):
+        # legs 1 + 1e-6 and 1 move the bodies and masses by about 1e-7
+        assert symmetry_order(build_rhomboid(1.0, 1.0)) == 4
+        assert symmetry_order(build_rhomboid(1.0 + 1e-6, 1.0)) == 2
+
+    def test_unequal_masses_break_the_symmetry(self):
+        # the (0.2, 0.3) triangle and the mu = 0.3 pair have no turn onto themselves
+        assert symmetry_order(build_equilateral(0.2, 0.3)) == 1
+        assert symmetry_order(build_rp3bp(0.3)) == 1
+
+    def test_collinear_chains_with_a_body_at_the_origin(self):
+        # an odd equal-mass chain keeps its middle body at the origin, which every turn fixes
+        for n in (3, 5, 7):
+            chain = solve_collinear_equal(n)
+            assert chain.bodies[n // 2].position == (0.0, 0.0)
+            assert symmetry_order(chain) == 2
+        # the body at the origin is fixed whatever its mass, but unequal end masses do not swap
+        bodies = ((0.25, -1.0), (0.5, 0.0), (0.25, 1.0))
+        assert symmetry_order(CentralConfiguration(
+            tuple(PrimaryBody(m, (x, 0.0)) for m, x in bodies))) == 2
+        bodies = ((0.2, -3.0), (0.5, 0.0), (0.3, 2.0))
+        assert symmetry_order(CentralConfiguration(
+            tuple(PrimaryBody(m, (x, 0.0)) for m, x in bodies))) == 1
+
+    def test_a_square_around_a_central_body_has_order_four(self):
+        square = [PrimaryBody(0.2, (math.cos(a), math.sin(a)))
+                  for a in (0.3, 0.3 + math.pi / 2, 0.3 + math.pi, 0.3 + 1.5 * math.pi)]
+        config = CentralConfiguration((PrimaryBody(0.2, (0.0, 0.0)), *square))
+        assert symmetry_order(config) == 4
