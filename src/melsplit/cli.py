@@ -186,7 +186,10 @@ def _build_parser() -> _Parser:
                      help="highest Legendre order of the k >= 2 scan "
                           "(default min(2N + 4, 64) for N bodies)")
 
-    pi = sub.add_parser("integrate", help="integrate the near-infinity flow to CSV")
+    pi = sub.add_parser(
+        "integrate", help="integrate the near-infinity flow to CSV",
+        description="Integrate the truncated near-infinity flow from --state over --tspan and "
+                    "sample it to CSV.  The state and the span must be finite.")
     pi.add_argument("--config", required=True)
     pi.add_argument("--eps", type=float, required=True)
     pi.add_argument("--state", nargs=4, type=float, required=True, metavar=("X", "Y", "S", "THETA"))

@@ -16,8 +16,11 @@ x = y = 0.  Both runs use one stepper, the Dormand-Prince 5(4) pair
 (Dormand & Prince 1980) with local extrapolation: the step is scaled by
 0.9 err^(-1/5), clipped to [0.2, 10], from the RMS error norm; the first
 step follows Hairer, Norsett & Wanner; Shampine's quartic interpolant
-gives the dense output.  It takes the same steps as scipy's RK45, which
-the tests use as its oracle; the package itself needs numpy only.
+gives the dense output.  Method and controller are those of scipy's RK45,
+which the tests use as its oracle: the stepper sums in Python floats where
+RK45 takes BLAS dot products, so it takes as many steps on a mesh within
+1e-7 of RK45's, with states and dense output within 1e-13 of RK45's
+interpolant.  The package itself needs numpy only.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
@@ -28,8 +31,8 @@ G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
     theta' += eps^(2j+3) sum k (a sin ks - b cos ks) x^(2j+2),
     H      -= eps^(2j+3) x^(2j+2) G_j.
 
-The time-form field and the truncated Hamiltonian are both built from that
-table.
+The time-form field and the truncated Hamiltonian are both built by
+``_field`` from that table.
 """
 from __future__ import annotations
 
@@ -49,8 +52,9 @@ SQRT2 = math.sqrt(2.0)
 class IntegrationError(RuntimeError):
     """An integration run failed part-way.
 
-    The adaptive step size fell below 10 ulp of t (a blow-up or a non-finite
-    field), or the trajectory left the region where the series converges.
+    The adaptive step size fell below 10 ulp of t (a blow-up), a step size or
+    error norm was not finite (a non-finite field), or the trajectory left
+    the region where the series converges.
     """
 
 
@@ -160,51 +164,68 @@ def _field_harmonics(config: CentralConfiguration, truncation: int):
     return tuple((j, tables[j].entries) for j in range(2, tables.j_max + 1))
 
 
-def _harmonic_sums(harmonics, s: float) -> tuple[float, float]:
-    """sum (a cos ks + b sin ks) and minus its s-derivative, sum k (a sin ks - b cos ks)."""
-    g = gp = 0.0
-    for k, a, b in harmonics:
-        cos_ks, sin_ks = math.cos(k * s), math.sin(k * s)
-        g += a * cos_ks + b * sin_ks
-        gp += k * (a * sin_ks - b * cos_ks)
-    return g, gp
+def _field(params: FlowParams):
+    """The time-form field and the truncated energy, from one read of the harmonic table.
 
+    Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
+    (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
+    Hamiltonian, both on Python floats.  Each call computes cos ks and
+    sin ks once for every k up to J and the powers of x as running products
+    of x^2; the rows are consecutive, j = 2..J.
+    """
+    e = params.epsilon
+    e3 = e**3
+    rows = [(e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, entries)
+            for j, entries in _field_harmonics(params.config, params.truncation_order)]
+    ks = range((params.truncation_order - 3) // 2 + 1)  # row j has the harmonics k <= j
+    cos, sin = math.cos, math.sin
 
-def _rhs_array(y_vec, epsilon: float, rows):
-    x, y, s, theta = y_vec
-    e3 = epsilon**3
-    dx = e3 * x**3 * y / SQRT2
-    dy = e3 * (1.0 - theta**2 * x * x) * x**4 / SQRT2
-    ds = 1.0 - e3 * theta * x**4
-    dtheta = 0.0
-    for j, harmonics in rows:
-        scale = epsilon ** (2 * j + 3)
-        g, gp = _harmonic_sums(harmonics, s)
-        dy += scale * (j + 1) / SQRT2 * g * x ** (2 * j + 4)
-        dtheta += scale * gp * x ** (2 * j + 2)
-    return np.array([dx, dy, ds, dtheta])
+    def field(x, y, s, theta):
+        cos_ks = [cos(k * s) for k in ks]
+        sin_ks = [sin(k * s) for k in ks]
+        x2 = x * x
+        x4 = x2 * x2
+        dx = e3 * (x2 * x) * y / SQRT2
+        dy = e3 * (1.0 - theta * theta * x * x) * x4 / SQRT2
+        ds = 1.0 - e3 * theta * x4
+        dtheta = 0.0
+        xp = x4  # x^(2j+2) once the row's factor x^2 is in
+        for scale, dy_scale, entries in rows:
+            g = gp = 0.0
+            for k, a, b in entries:
+                c, sn = cos_ks[k], sin_ks[k]
+                g += a * c + b * sn
+                gp += k * (a * sn - b * c)
+            xp *= x2
+            dy += dy_scale * g * (xp * x2)
+            dtheta += scale * gp * xp
+        return dx, dy, ds, dtheta
+
+    def energy(x, y, s, theta):
+        cos_ks = [cos(k * s) for k in ks]
+        sin_ks = [sin(k * s) for k in ks]
+        x2 = x * x
+        xp = x2 * x2
+        h = e3 * (y * y + 0.5 * theta * theta * xp - x2)
+        for scale, _, entries in rows:
+            xp *= x2
+            h -= scale * xp * sum(a * cos_ks[k] + b * sin_ks[k] for k, a, b in entries)
+        return h
+
+    return field, energy
 
 
 def rhs_mcgehee_t(state: McGeheeState, params: FlowParams) -> tuple[float, float, float, float]:
     """Time derivative of (x, y, s, theta) at the given truncation order."""
     _convergence_guard(state.x, _series_reach(params))
-    d = _rhs_array(
-        (state.x, state.y, state.s, state.theta),
-        params.epsilon,
-        _field_harmonics(params.config, params.truncation_order),
-    )
-    return float(d[0]), float(d[1]), float(d[2]), float(d[3])
+    field, _ = _field(params)
+    return field(state.x, state.y, state.s, state.theta)
 
 
 def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
     """Value of the truncated energy in the regularized variables."""
-    x, y, s, theta = state.x, state.y, state.s, state.theta
-    e = params.epsilon
-    h = e**3 * (y * y + 0.5 * theta**2 * x**4 - x * x)
-    for j, harmonics in _field_harmonics(params.config, params.truncation_order):
-        g, _ = _harmonic_sums(harmonics, s)
-        h -= e ** (2 * j + 3) * x ** (2 * j + 2) * g
-    return h
+    _, energy = _field(params)
+    return energy(state.x, state.y, state.s, state.theta)
 
 
 def jacobi_constant(state: McGeheeState, params: FlowParams) -> float:
@@ -230,61 +251,64 @@ def theta_from_jacobi(x: float, y: float, jacobi_c: float, epsilon: float) -> fl
 # ---------------------------------------------------------------------------
 # integration
 
-# Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes, stage weights, the
-# fifth-order weights B, the error weights E (fifth minus fourth order, with
-# the FSAL stage last) and Shampine's fourth-order dense-output matrix P.
-_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-])
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980), written out in the stages
+# below: nodes and stage weights, the fifth-order weights, the error weights
+# (fifth minus fourth order, with the FSAL stage last) and Shampine's
+# fourth-order dense output.  The fractions are folded to constants when the
+# module is compiled.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _rms(v: np.ndarray) -> float:
-    return math.sqrt(v.dot(v)) / v.size**0.5
+def _rms(v: Sequence[float]) -> float:
+    return math.hypot(*v) / len(v) ** 0.5
 
 
-def _step_interpolant(t_old: float, h: float, y_old: np.ndarray, q: np.ndarray):
-    """The step's quartic y_old + h Q (x, x^2, x^3, x^4), x = (t - t_old)/h; exact at t_old."""
+def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
+    """The step's quartic y_old + h sum_i w_i(x) k_i, x = (t - t_old)/h; exact at t_old.
 
-    def y_at(t: float) -> np.ndarray:
-        return y_old + h * q.dot(np.cumprod(np.full(4, (t - t_old) / h)))
+    The weights w_i are Shampine's quartics in x, each vanishing at x = 0
+    (the second stage has none).
+    """
+
+    def y_at(t: float) -> list[float]:
+        x = (t - t_old) / h
+        w1 = x * (1.0 + x * (-8048581381 / 2820520608 + x * (
+            8663915743 / 2820520608 + x * (-12715105075 / 11282082432))))
+        w3 = x * x * (131558114200 / 32700410799 + x * (
+            -68118460800 / 10900136933 + x * (87487479700 / 32700410799)))
+        w4 = x * x * (-1754552775 / 470086768 + x * (
+            14199869525 / 1410260304 + x * (-10690763975 / 1880347072)))
+        w5 = x * x * (127303824393 / 49829197408 + x * (
+            -318862633887 / 49829197408 + x * (701980252875 / 199316789632)))
+        w6 = x * x * (-282668133 / 205662961 + x * (
+            2019193451 / 616988883 + x * (-1453857185 / 822651844)))
+        w7 = x * x * (40617522 / 29380423 + x * (
+            -110615467 / 29380423 + x * (69997945 / 29380423)))
+        return [yi + h * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * f + w7 * g)
+                for yi, a, c, d, e, f, g in zip(y_old, k1, k3, k4, k5, k6, k7)]
 
     return y_at
 
 
-def _dormand_prince(rhs, t0: float, y0: np.ndarray, t_bound: float, tol: float,
+def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
                     max_step: float = math.inf):
     """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
 
-    The error of each step is measured in the RMS norm against
-    tol/10 + tol max(|y|, |y_new|), and the step size is scaled by
-    0.9 err^(-1/5), clipped to [0.2, 10] (at most 1 right after a rejection).
-    The first step follows Hairer, Norsett & Wanner (Sec. II.4).  A step
-    below 10 ulp of t raises ``IntegrationError``.  A zero-length span
-    yields nothing.
+    The state and the slopes are lists of Python floats; ``rhs(t, y)`` may
+    return any sequence, an ndarray included.  The error of each step is
+    measured in the RMS norm against tol/10 + tol max(|y|, |y_new|), and the
+    step size is scaled by 0.9 err^(-1/5), clipped to [0.2, 10] (at most 1
+    right after a rejection).  The first step follows Hairer, Norsett &
+    Wanner (Sec. II.4).  A step below 10 ulp of t, or a step size or error
+    norm that is not finite, raises ``IntegrationError``.  A zero-length
+    span yields nothing.
     """
     rtol, atol = tol, tol / 10.0
 
     def fun(t, y):
-        return np.asarray(rhs(t, y), dtype=float)
+        f = rhs(t, y)
+        return f.tolist() if isinstance(f, np.ndarray) else f
 
     t, y = t0, y0
     f = fun(t, y)
@@ -292,16 +316,19 @@ def _dormand_prince(rhs, t0: float, y0: np.ndarray, t_bound: float, tol: float,
         return
     direction = 1.0 if t_bound > t0 else -1.0
     interval = abs(t_bound - t0)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    scale = [atol + abs(yi) * rtol for yi in y]
+    d0 = _rms([yi / sc for yi, sc in zip(y, scale)])
+    d1 = _rms([fi / sc for fi, sc in zip(f, scale)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    d2 = _rms((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    f1 = fun(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
+    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval, max_step)
+    if not math.isfinite(h_abs):
+        raise IntegrationError(f"first step size {h_abs!r} at t = {t!r} is not finite")
 
-    k = np.empty((7, y.size))
     while direction * (t - t_bound) < 0:
-        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
@@ -312,22 +339,39 @@ def _dormand_prince(rhs, t0: float, y0: np.ndarray, t_bound: float, tol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            k[0] = f
-            for s in range(1, 6):
-                k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:-1].T, _B)
-            f_new = fun(t + h, y_new)
-            k[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(k.T, _E) * h / scale)
+            k1 = f
+            k2 = fun(t + 1 / 5 * h, [yi + (1 / 5 * a) * h for yi, a in zip(y, k1)])
+            k3 = fun(t + 3 / 10 * h, [yi + (3 / 40 * a + 9 / 40 * b) * h
+                                      for yi, a, b in zip(y, k1, k2)])
+            k4 = fun(t + 4 / 5 * h, [yi + (44 / 45 * a + -56 / 15 * b + 32 / 9 * c) * h
+                                     for yi, a, b, c in zip(y, k1, k2, k3)])
+            k5 = fun(t + 8 / 9 * h,
+                     [yi + (19372 / 6561 * a + -25360 / 2187 * b + 64448 / 6561 * c
+                            + -212 / 729 * d) * h
+                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = fun(t + h,
+                     [yi + (9017 / 3168 * a + -355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d
+                            + -5103 / 18656 * e) * h
+                      for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [yi + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                               + -2187 / 6784 * e + 11 / 84 * f)
+                     for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+            k7 = fun(t + h, y_new)
+            err = _rms([(-71 / 57600 * a + 71 / 16695 * c + -71 / 1920 * d + 17253 / 339200 * e
+                         + -22 / 525 * f + 1 / 40 * g) * h
+                        / (atol + max(abs(yi), abs(yn)) * rtol)
+                        for yi, yn, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if not math.isfinite(err):
+                raise IntegrationError(f"error norm {err!r} of the step from t = {t!r} "
+                                       "is not finite")
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             rejected = True
-        yield t_new, y_new, _step_interpolant(t, h, y, k.T.dot(_P))
-        t, y, f = t_new, y_new, f_new
+        yield t_new, y_new, _step_interpolant(t, h, y, k1, k3, k4, k5, k6, k7)
+        t, y, f = t_new, y_new, k7
 
 
 @dataclass(frozen=True)
@@ -338,25 +382,30 @@ class Trajectory:
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, Sequence[float]], Sequence[float]],
     state0: Sequence[float],
     t_span: tuple[float, float],
     tol: float,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) run with fourth-order dense output.
 
-    Tolerances are split 10:1 relative:absolute around ``tol``; the step
-    controller and first step are those of ``_dormand_prince``.  ``t`` is
-    the accepted mesh (two copies of t0 for a zero-length span) and
-    ``states`` the solution on it.  ``sol(t)`` evaluates the quartic
-    interpolant of the step that contains t (at a mesh point, the step that
-    ends there; ``sol(t0)`` is ``state0`` exactly).  A span may run
-    backwards.
+    ``rhs(t, y)`` receives the state as a sequence of floats and returns the
+    derivative as a sequence (an ndarray is accepted).  Tolerances are split
+    10:1 relative:absolute around ``tol``; the step controller and first
+    step are those of ``_dormand_prince``.  ``t`` is the accepted mesh (two
+    copies of t0 for a zero-length span) and ``states`` the solution on it.
+    ``sol(t)`` evaluates the quartic interpolant of the step that contains t
+    (at a mesh point, the step that ends there; ``sol(t0)`` is ``state0``
+    exactly).  A span may run backwards.  A state or span that is not
+    finite raises ``ValueError``.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol!r}")
     t0, t1 = map(float, t_span)
-    y0 = np.array(state0, dtype=float)
+    y0 = [float(v) for v in state0]
+    if not all(map(math.isfinite, (*y0, t0, t1))):
+        raise ValueError(f"state and span must be finite, got state {y0!r} "
+                         f"and span {(t0, t1)!r}")
     ts, ys, pieces = [t0], [y0], []
     for t, y, piece in _dormand_prince(rhs, t0, y0, t1, tol):
         ts.append(t)
@@ -365,14 +414,14 @@ def integrate(
     if not pieces:
         ts.append(t0)
         ys.append(y0)
-        pieces.append(lambda _t: y0.copy())
+        pieces.append(lambda _t: y0)
     sign = 1.0 if t1 >= t0 else -1.0
     inner = [sign * t for t in ts[1:-1]]
 
     def sol(t: float) -> np.ndarray:
-        return pieces[bisect.bisect_left(inner, sign * t)](t)
+        return np.array(pieces[bisect.bisect_left(inner, sign * t)](t))
 
-    return Trajectory(t=np.array(ts), states=np.column_stack(ys), sol=sol)
+    return Trajectory(t=np.array(ts), states=np.array(ys).T, sol=sol)
 
 
 def integrate_mcgehee(
@@ -387,16 +436,16 @@ def integrate_mcgehee(
     ``ConvergenceRegionError``; a trajectory that leaves it raises
     ``IntegrationError``.
     """
-    rows = _field_harmonics(params.config, params.truncation_order)
+    field, _ = _field(params)
     reach = _series_reach(params)
     _convergence_guard(state0.x, reach)
 
-    def rhs(t, yv):
+    def rhs(t, v):
         try:
-            _convergence_guard(yv[0], reach)
+            _convergence_guard(v[0], reach)
         except ConvergenceRegionError as exc:
             raise IntegrationError(f"{exc} at t = {float(t)!r}") from exc
-        return _rhs_array(yv, params.epsilon, rows)
+        return field(*v)
 
     return integrate(rhs, (state0.x, state0.y, state0.s, state0.theta), t_span, tol)
 
@@ -419,22 +468,21 @@ def poincare_numeric(
     """
     if x0 > 0.1:
         raise ValueError("the return map is meant for small x (x0 <= 0.1)")
-    rows = _field_harmonics(params.config, params.truncation_order)
+    field, _ = _field(params)
     target = s0 + 2.0 * math.pi
 
-    def rhs(_t, yv):
-        x, y, s = yv
-        theta = theta_from_jacobi(x, y, jacobi_c, params.epsilon)
-        return _rhs_array((x, y, s, theta), params.epsilon, rows)[:3]
+    def rhs(_t, v):
+        x, y, s = v
+        return field(x, y, s, theta_from_jacobi(x, y, jacobi_c, params.epsilon))[:3]
 
     t_old, g_old = 0.0, s0 - target
-    for t, yv, y_at in _dormand_prince(rhs, 0.0, np.array([x0, y0, s0]), 3.0 * math.pi, tol,
-                                       max_step=0.5):
+    for t, yv, y_at in _dormand_prince(rhs, 0.0, [float(x0), float(y0), float(s0)],
+                                       3.0 * math.pi, tol, max_step=0.5):
         g = yv[2] - target
         if g_old <= 0.0 <= g:
             t1 = _section_time(lambda tt: y_at(tt)[2] - target, t_old, t)
             x1, y1, _ = y_at(t1)
-            return float(x1), float(y1), t1
+            return x1, y1, t1
         t_old, g_old = t, g
     raise PoincareReturnError("no section crossing within 3 pi of time")
 

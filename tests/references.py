@@ -5,6 +5,9 @@ sums over the bodies: the oracle that ``HarmonicTables.paper`` is checked
 against.  ``classify_full_scan`` reads every table entry in dominance
 order, as ``classify`` did before it skipped the entries that rotational
 symmetry forces to vanish: the oracle for its witnesses and zeros.
+``rhs_array`` and ``hamiltonian`` evaluate the time-form field and the
+truncated energy order by order, with cos ks and sin ks taken afresh for
+every entry and each power of x by ``**``: the oracle for ``dynamics._field``.
 """
 
 import itertools
@@ -18,7 +21,9 @@ from melsplit.dynamics import (
     SQRT2,
     ConvergenceRegionError,
     FlowParams,
+    McGeheeState,
     _convergence_guard,
+    _field_harmonics,
     _series_reach,
 )
 from melsplit.config import CentralConfiguration
@@ -186,3 +191,40 @@ def rhs_mcgehee_tau(state_vec, params: FlowParams):
         dy += 0.5 * e**6 * h * x**7
         dtheta += (e**6 / (4.0 * SQRT2)) * hp * x**5
     return np.array([dx, dy, ds, dtheta])
+
+
+def harmonic_sums(harmonics, s: float) -> tuple[float, float]:
+    """sum (a cos ks + b sin ks) and minus its s-derivative, sum k (a sin ks - b cos ks)."""
+    g = gp = 0.0
+    for k, a, b in harmonics:
+        cos_ks, sin_ks = math.cos(k * s), math.sin(k * s)
+        g += a * cos_ks + b * sin_ks
+        gp += k * (a * sin_ks - b * cos_ks)
+    return g, gp
+
+
+def rhs_array(y_vec, epsilon: float, rows):
+    """Time-form field at (x, y, s, theta) from the rows of ``dynamics._field_harmonics``."""
+    x, y, s, theta = y_vec
+    e3 = epsilon**3
+    dx = e3 * x**3 * y / SQRT2
+    dy = e3 * (1.0 - theta**2 * x * x) * x**4 / SQRT2
+    ds = 1.0 - e3 * theta * x**4
+    dtheta = 0.0
+    for j, harmonics in rows:
+        scale = epsilon ** (2 * j + 3)
+        g, gp = harmonic_sums(harmonics, s)
+        dy += scale * (j + 1) / SQRT2 * g * x ** (2 * j + 4)
+        dtheta += scale * gp * x ** (2 * j + 2)
+    return np.array([dx, dy, ds, dtheta])
+
+
+def hamiltonian(state: McGeheeState, params: FlowParams) -> float:
+    """Truncated energy at a regularized state, order by order."""
+    x, y, s, theta = state.x, state.y, state.s, state.theta
+    e = params.epsilon
+    h = e**3 * (y * y + 0.5 * theta**2 * x**4 - x * x)
+    for j, harmonics in _field_harmonics(params.config, params.truncation_order):
+        g, _ = harmonic_sums(harmonics, s)
+        h -= e ** (2 * j + 3) * x ** (2 * j + 2) * g
+    return h

@@ -408,8 +408,8 @@ class TestDynamicsCommands:
 
     def test_integrate_blow_up_is_a_numerical_failure(self, capsys, monkeypatch, rp3bp_file):
         # y' = y^2 from y = 1 blows up at t = 1, with x (and the series guard) held fixed
-        monkeypatch.setattr(dynamics, "_rhs_array",
-                            lambda yv, _eps, _rows: np.array([0.0, yv[1] ** 2, 0.0, 0.0]))
+        monkeypatch.setattr(dynamics, "_field",
+                            lambda _params: (lambda x, y, s, theta: (0.0, y * y, 0.0, 0.0), None))
         code, out, err = run(capsys, "integrate", "--config", rp3bp_file, "--eps", "0.5",
                              "--state", "0.3", "1", "0", "1", "--tspan", "0", "2")
         assert code == 2 and out == ""
@@ -431,6 +431,31 @@ class TestDynamicsCommands:
         assert proc.returncode == code and proc.stdout == ""
         assert proc.stderr.startswith(message)
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("state, tspan, code, message", [
+        (("nan", "0", "0", "1"), ("0", "1"), 1, "error: state and span must be finite"),
+        (("0.3", "0", "0", "inf"), ("0", "1"), 1, "error: state and span must be finite"),
+        (("0.3", "0", "0", "1"), ("0", "nan"), 1, "error: state and span must be finite"),
+        (("0.3", "0", "0", "1"), ("0", "inf"), 1, "error: state and span must be finite"),
+        (("0.3", "0", "0", "1"), ("0", "1e300"), 2, "numerical failure: x = "),
+    ], ids=["nan-x", "inf-theta", "nan-end", "inf-end", "huge-end"])
+    def test_integrate_non_finite_input(self, rp3bp_file, state, tspan, code, message):
+        # a NaN start once gave a NaN first step that the retry loop never left;
+        # in a subprocess, so that a hang fails the test instead of stalling it
+        env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "melsplit.cli", "integrate", "--config", rp3bp_file,
+             "--eps", "0.5", "--state", *state, "--tspan", *tspan],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code and proc.stdout == ""
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
+
+    def test_integrate_help_asks_for_finite_input(self, capsys):
+        code, out, _ = run(capsys, "integrate", "--help")
+        assert code == 0
+        assert "state and the span must be finite" in " ".join(out.split())
 
     def test_integrate_truncation_orders(self, capsys, rp3bp_file):
         argv = ("integrate", "--config", rp3bp_file, "--eps", "0.5", "--state", "0.3", "0.05",

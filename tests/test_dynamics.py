@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import melsplit
 from melsplit import (
     ConvergenceRegionError,
     FlowParams,
@@ -35,11 +40,19 @@ from melsplit import dynamics, melnikov
 from melsplit.config import rotate
 from melsplit.dynamics import (
     SQRT2,
+    _field_harmonics,
     integrate_mcgehee,
     truncated_hamiltonian,
 )
 from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
-from references import c_coeffs, d_coeffs, duffing_rhs, rhs_mcgehee_tau
+from references import (
+    c_coeffs,
+    d_coeffs,
+    duffing_rhs,
+    hamiltonian,
+    rhs_array,
+    rhs_mcgehee_tau,
+)
 
 
 class TestClosedForms:
@@ -177,6 +190,21 @@ def exact_potential_field(state, eps, config):
         return dy, eps**3 * du_ds, eps**3 * (y**2 + theta**2 * x**4 / 2 + u)
 
 
+def _term_sizes(state, params):
+    """Bounds on the terms that x', y', s', theta' and the energy each sum."""
+    x, y, theta, e = state.x, state.y, state.theta, params.epsilon
+    size_dy = e**3 * (1.0 + theta * theta * x * x) * x**4 / SQRT2
+    size_dtheta = 0.0
+    size_h = e**3 * (y * y + 0.5 * theta**2 * x**4 + x * x)
+    for j, entries in _field_harmonics(params.config, params.truncation_order):
+        amplitude = sum(abs(a) + abs(b) for _, a, b in entries)
+        size_dy += e ** (2 * j + 3) * (j + 1) / SQRT2 * amplitude * x ** (2 * j + 4)
+        size_dtheta += e ** (2 * j + 3) * j * amplitude * x ** (2 * j + 2)
+        size_h += e ** (2 * j + 3) * amplitude * x ** (2 * j + 2)
+    return (abs(e**3 * x**3 * y / SQRT2), size_dy, 1.0 + e**3 * abs(theta) * x**4,
+            size_dtheta, size_h)
+
+
 class TestStatesAndFields:
     def test_mcgehee_state_normalizes_angle(self):
         st_ = McGeheeState(0.1, 0.0, 7.0, 1.0)
@@ -235,6 +263,27 @@ class TestStatesAndFields:
         assert FlowParams(epsilon=1.0, config=rp3bp_03)
         for order in (3, 7, 11, 131):
             assert FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
+
+    @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
+    def test_field_matches_the_order_by_order_reference(self, rp3bp_03, rotated_equilateral,
+                                                        order):
+        # the field takes cos ks and sin ks once per call and the powers of x as
+        # running products; against the reference that recomputes them for every
+        # order and entry, each component agrees within 4 ulp of the size of the
+        # terms it sums (2.05 at most here).  Not of the value itself: where the
+        # rows cancel, theta' differs by hundreds of its own ulp.
+        rng = np.random.default_rng(order)
+        for cfg in (rp3bp_03, rotated_equilateral):
+            for _ in range(100):
+                x, y, theta = rng.uniform(0.05, 0.6), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
+                s, eps = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.3, 1.0)
+                params = FlowParams(epsilon=eps, config=cfg, truncation_order=order)
+                state = McGeheeState(x, y, s, theta)
+                got = (*rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params))
+                want = (*rhs_array((x, y, state.s, theta), eps, _field_harmonics(cfg, order)),
+                        hamiltonian(state, params))
+                for g, w, size in zip(got, want, _term_sizes(state, params)):
+                    assert abs(g - w) <= 4 * np.finfo(float).eps * size
 
     @pytest.mark.parametrize("big_j", [2, 3, 4, 6])
     def test_generic_field_matches_the_exact_potential(self, rotated_equilateral, big_j):
@@ -302,7 +351,7 @@ class TestIntegrate:
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
-            integrate(lambda t, y: -y, (1.0,), (0.0, 1.0), tol=1.0)
+            integrate(lambda t, y: [-y[0]], (1.0,), (0.0, 1.0), tol=1.0)
 
     def test_backward_span_retraces_the_forward_run(self):
         def rhs(_t, yv):
@@ -316,7 +365,7 @@ class TestIntegrate:
 
     def test_zero_length_span_is_the_initial_state(self):
         state0 = (0.3, 0.05, 1.0, 0.8)
-        traj = integrate(lambda t, y: -y, state0, (2.0, 2.0), tol=1e-10)
+        traj = integrate(lambda t, y: [-v for v in y], state0, (2.0, 2.0), tol=1e-10)
         assert list(traj.t) == [2.0, 2.0]
         assert np.array_equal(traj.states, np.column_stack([state0, state0]))
         assert list(traj.sol(2.0)) == list(state0)
@@ -333,18 +382,49 @@ class TestIntegrate:
     def test_blow_up_raises_integration_error(self):
         # y' = y^2, y(0) = 1 leaves every step size behind at t = 1
         with pytest.raises(IntegrationError, match="10 ulp"):
-            integrate(lambda t, y: y * y, (1.0,), (0.0, 2.0), tol=1e-10)
+            integrate(lambda t, y: [y[0] * y[0]], (1.0,), (0.0, 2.0), tol=1e-10)
+
+    @pytest.mark.parametrize("call, message", [
+        ("integrate(lambda t, y: [-y[0]], (math.nan,), (0.0, 1.0), 1e-10)",
+         "ValueError: state and span must be finite"),
+        ("integrate(lambda t, y: [math.nan], (1.0,), (0.0, 1.0), 1e-10)",
+         "IntegrationError: first step size nan"),
+    ], ids=["nan-state", "nan-field"])
+    def test_non_finite_start_fails_at_once(self, call, message):
+        # a NaN first step once kept the retry loop going forever; in a
+        # subprocess, so that a hang fails the test instead of stalling it
+        code = ("import math\nfrom melsplit import IntegrationError, integrate\ntry:\n"
+                f"    {call}\nexcept (ValueError, IntegrationError) as exc:\n"
+                "    print(f'{type(exc).__name__}: {exc}')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.startswith(message), proc
+
+    def test_field_turning_nan_mid_run_fails_at_once(self):
+        # not after shrinking the step down to 10 ulp
+        with pytest.raises(IntegrationError, match=r"error norm nan of the step from t = 0\.\d+ "):
+            integrate(lambda t, y: [-y[0] if t < 0.5 else math.nan], (1.0,), (0.0, 1.0),
+                      tol=1e-10)
 
     def test_jacobi_drift(self, rp3bp_03, rotated_equilateral):
-        # the rotated equilateral has every c and d coefficient nonzero
+        # the rotated equilateral has every c and d coefficient nonzero; beside
+        # one long run, the RK45 oracle's ten seeded starts, which draw x, t and
+        # the tolerance as the benchmark's integrate ops do and are held to the
+        # drift bound its check applies
+        rng = np.random.default_rng(2018)
+        runs = [((0.4, 0.1, 0.0, 1.0), 50.0)] + [
+            ((rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1), rng.uniform(0.0, 2.0 * math.pi),
+              rng.uniform(0.5, 1.5)), 20.0) for _ in range(10)]
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(epsilon=0.5, config=cfg, truncation_order=9)
-            st0 = McGeheeState(0.4, 0.1, 0.0, 1.0)
-            traj = integrate_mcgehee(st0, params, (0.0, 50.0), tol=1e-11)
-            c0 = jacobi_constant(st0, params)
-            for i in range(traj.states.shape[1]):
-                st_i = McGeheeState(*(float(v) for v in traj.states[:, i]))
-                assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
+            for state, t1 in runs:
+                st0 = McGeheeState(*state)
+                traj = integrate_mcgehee(st0, params, (0.0, t1), tol=1e-11)
+                c0 = jacobi_constant(st0, params)
+                for i in range(traj.states.shape[1]):
+                    st_i = McGeheeState(*(float(v) for v in traj.states[:, i]))
+                    assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
 
     def test_time_rescaling_consistency(self, rp3bp_03):
         # the t-form and tau-form flows trace the same curve
@@ -408,9 +488,14 @@ class TestPoincare:
 
 
 class TestScipyOracle:
-    """The stepper reproduces scipy's RK45, the integrator it replaces."""
+    """The stepper agrees with scipy's RK45, the integrator it replaces."""
 
     def test_integrate_matches_rk45(self, monkeypatch, rp3bp_03, rotated_equilateral):
+        # Same method and controller, but the stepper sums its stages and error
+        # norm in Python floats, which round differently from the BLAS dot
+        # products scipy uses; the controller turns that into mesh shifts of
+        # about 1e-8 (9.2e-9 at most over these runs).  So: as many steps, a
+        # mesh within 1e-7, and every state on scipy's interpolant.
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         fields = []
         monkeypatch.setattr(dynamics, "integrate",
@@ -423,8 +508,10 @@ class TestScipyOracle:
             traj = integrate_mcgehee(McGeheeState(*state), params, (0.0, 20.0), tol=1e-11)
             ref = solve_ivp(fields[-1], (0.0, 20.0), np.array(state), method="RK45",
                             rtol=1e-11, atol=1e-12, dense_output=True)
-            assert np.array_equal(traj.t, ref.t)
-            assert np.max(np.abs(traj.states - ref.y)) <= 1e-13
+            assert len(traj.t) == len(ref.t)
+            assert np.max(np.abs(traj.t - ref.t)) <= 1e-7
+            for i, t in enumerate(traj.t):
+                assert np.max(np.abs(traj.states[:, i] - ref.sol(t))) <= 1e-13
             for t in np.linspace(0.0, 20.0, 41):
                 assert np.max(np.abs(traj.sol(float(t)) - ref.sol(float(t)))) <= 1e-13
 
