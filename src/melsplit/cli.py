@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -32,23 +33,16 @@ from .dynamics import (
     integrate_mcgehee,
 )
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
-from .melnikov import (
-    _order_terms,
-    _polygon_order,
-    classify,
-    splitting_terms,
-    verdict_to_dict,
-)
+from .melnikov import _order_terms, classify, splitting_terms, verdict_to_dict
 from .quadrature import (
+    F_NAMES,
     QuadratureBudgetError,
     QuadratureResult,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
-    f4_integrand,
-    f61_integrand,
-    f62_integrand,
     harmonic_integrand,
+    named_integrand,
 )
 
 EXIT_OK = 0
@@ -129,6 +123,12 @@ def _count(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1e-1 as an option flag; a negative number in any
+        # decimal form is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -164,7 +164,7 @@ def _build_parser() -> _Parser:
     pf.add_argument("--jmax", type=int, default=6)
 
     pp = sub.add_parser("fplot", help="sample an oscillatory F-function to CSV")
-    pp.add_argument("function", help="F4 | F61 | F62 | poly:N")
+    pp.add_argument("function", help=F_NAMES)
     pp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0), metavar=("LO", "HI"))
     pp.add_argument("--points", type=_count, default=101)
     pp.add_argument("--tol", type=float, default=1e-10)
@@ -205,7 +205,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--points", type=_count, default=16)
     ps.add_argument("--tol", type=float, default=1e-9)
     ps.add_argument("--compare", action="store_true",
-                    help="add the paper's rows, from the literal F4, F61 and F62")
+                    help="add a closed_form column: the same sum with every F_(j,k) at tol "
+                         "1e-10 (F4, F61 and F62 are F_(2,2), -F_(3,1) and -F_(3,3))")
 
     pa = sub.add_parser(
         "asymp", help="asymptotic tables to CSV",
@@ -286,25 +287,12 @@ def _cmd_coeffs(args, out) -> int:
     return EXIT_OK
 
 
-def _fplot_builder(name: str):
-    if name == "F4":
-        return f4_integrand
-    if name == "F61":
-        return f61_integrand
-    if name == "F62":
-        return f62_integrand
-    if name.startswith("poly:"):
-        j = _polygon_order(name)
-        return lambda tt: harmonic_integrand(j, j, tt)
-    raise cfg.ConfigError(f"unknown F-function {name!r}")
-
-
 def _cmd_fplot(args, out) -> int:
-    builder = _fplot_builder(args.function)
+    integrand = named_integrand(args.function)
     lo, hi = args.range
     rows = []
     for tt in np.linspace(lo, hi, args.points):
-        res = eval_oscillatory(builder(float(tt)), args.tol)
+        res = eval_oscillatory(integrand(float(tt)), args.tol)
         rows.append((float(tt), res.value, res.error_estimate))
     _write_csv(out, ["theta_tilde", "value", "error_estimate"], rows)
     return EXIT_OK
@@ -340,22 +328,15 @@ def _cmd_integrate(args, out) -> int:
     return EXIT_OK
 
 
-def _literal_f(j: int, k: int, theta: float) -> QuadratureResult:
-    """F_(j,k) of the paper's rows from the literal F4 = F_(2,2), F61 = -F_(3,1), F62 = -F_(3,3)."""
-    builder, sign = {(2, 2): (f4_integrand, 1.0), (3, 1): (f61_integrand, -1.0),
-                     (3, 3): (f62_integrand, -1.0)}[(j, k)]
-    f = eval_oscillatory(builder(theta), 1e-10)
-    return QuadratureResult(sign * f.value, f.error_estimate, f.evaluations)
-
-
 def _cmd_splitting(args, out) -> int:
     c = cfg.load_configuration(args.config)
     header = ["s0", "splitting"]
-    sides = [[splitting_terms(c, order, args.theta0, args.eps, tol=args.tol) for order in (4, 6)]]
+    tols = [args.tol]
     if args.compare:
         header.append("closed_form")
-        sides.append([_order_terms(c, order, args.theta0, args.eps, _literal_f)
-                      for order in (4, 6)])
+        tols.append(1e-10)
+    sides = [[splitting_terms(c, order, args.theta0, args.eps, tol=tol) for order in (4, 6)]
+             for tol in tols]
     rows = []
     for i in range(args.points):
         s0 = 2.0 * math.pi * i / args.points

@@ -32,13 +32,14 @@ G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
     H      -= eps^(2j+3) x^(2j+2) G_j.
 
 The time-form field and the truncated Hamiltonian are both built by
-``_field`` from that table.
+``_field`` from that table, once per ``FlowParams``.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,6 +102,11 @@ class FlowParams:
             raise ValueError(
                 f"truncation order must be 3 or odd in [7, {2 * MAX_LEGENDRE_ORDER + 3}], got {t!r}"
             )
+
+    @cached_property
+    def _flow(self):
+        """(field, energy, reach) from ``_field`` and ``_series_reach``, built on first use."""
+        return (*_field(self), _series_reach(self))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +223,14 @@ def _field(params: FlowParams):
 
 def rhs_mcgehee_t(state: McGeheeState, params: FlowParams) -> tuple[float, float, float, float]:
     """Time derivative of (x, y, s, theta) at the given truncation order."""
-    _convergence_guard(state.x, _series_reach(params))
-    field, _ = _field(params)
+    field, _, reach = params._flow
+    _convergence_guard(state.x, reach)
     return field(state.x, state.y, state.s, state.theta)
 
 
 def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
     """Value of the truncated energy in the regularized variables."""
-    _, energy = _field(params)
+    _, energy, _ = params._flow
     return energy(state.x, state.y, state.s, state.theta)
 
 
@@ -436,8 +442,7 @@ def integrate_mcgehee(
     ``ConvergenceRegionError``; a trajectory that leaves it raises
     ``IntegrationError``.
     """
-    field, _ = _field(params)
-    reach = _series_reach(params)
+    field, _, reach = params._flow
     _convergence_guard(state0.x, reach)
 
     def rhs(t, v):
@@ -468,7 +473,7 @@ def poincare_numeric(
     """
     if x0 > 0.1:
         raise ValueError("the return map is meant for small x (x0 <= 0.1)")
-    field, _ = _field(params)
+    field, _, _ = params._flow
     target = s0 + 2.0 * math.pi
 
     def rhs(_t, v):

@@ -12,13 +12,14 @@ rows are special cases: order 4 is F4 = F_(2,2) with the entry (c2, c3),
 order 6 is F61 = -F_(3,1) and F62 = -F_(3,3) with the entries (d1, d2) and
 (d3, d4) (``HarmonicTables`` names the entries and holds the factors),
 and poly:N is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
-``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the published constant K.
+``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the published constant K
+(``quadrature.f_name`` maps each name to its signed (j, k)).
 ``splitting_terms`` returns one order as (k, A, B, error) terms, each F
 computed once per call by a single quadrature; a term's error carries the
 quadrature's error estimate and the table's rounding bound, and summing
 cosines over s0 needs no further quadrature.  ``_order_terms`` writes that
-sum once for every source of F_(j,k): the quadrature, the leading
-asymptotic term, or the paper's literal F4, F61 and F62.
+sum once for every source of F_(j,k): the quadrature or the leading
+asymptotic term.
 
 A simple zero of the s0-factor forces a transversal intersection, so
 ``classify`` reads the harmonic table entries in dominance order (harmonic
@@ -41,7 +42,7 @@ from typing import Callable, Optional
 
 from .config import CentralConfiguration, symmetry_order
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
-from .quadrature import QuadratureResult, eval_oscillatory, harmonic_integrand
+from .quadrature import QuadratureResult, eval_oscillatory, f_name, harmonic_integrand
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
@@ -64,27 +65,23 @@ class SplittingTerms:
         return math.fsum(a * math.cos(k * s0) + b * math.sin(k * s0) for k, a, b, _ in self.terms)
 
 
-def _polygon_order(name: str) -> int:
-    """Legendre order j = N - 1 of the alias ``poly:N``, for 4 <= N <= 65."""
-    n_total = int(name.split(":", 1)[1])
-    if not (4 <= n_total <= MAX_LEGENDRE_ORDER + 1):
-        raise ValueError(f"need 4 <= N <= {MAX_LEGENDRE_ORDER + 1} in poly:N, got {n_total}")
-    return n_total - 1
-
-
 def _order_rows(config: Optional[CentralConfiguration], order: int | str):
     """Legendre order j, harmonics (k, a, b) with k >= 1 and their rounding bound."""
     key = str(order)
     if key.startswith("poly:"):
-        j = _polygon_order(key)
-        return j, ((j, legendre_cos_coeffs(j)[j], 0.0),), 0.0
-    if not key.isdigit() or int(key) % 2 or not (2 <= int(key) // 2 <= MAX_LEGENDRE_ORDER):
-        raise ValueError(f"order must be 2j with 2 <= j <= {MAX_LEGENDRE_ORDER} or poly:N, "
-                         f"got {order!r}")
-    if config is None:
-        raise ValueError(f"order {key} needs a configuration")
-    table = harmonic_table(config, int(key) // 2)
-    return table.j, tuple(e for e in table.entries if e[0] >= 1), table.rounding
+        try:
+            j, _, _ = f_name(key)
+        except ValueError:
+            pass
+        else:
+            return j, ((j, legendre_cos_coeffs(j)[j], 0.0),), 0.0
+    elif key.isdigit() and not int(key) % 2 and 2 <= int(key) // 2 <= MAX_LEGENDRE_ORDER:
+        if config is None:
+            raise ValueError(f"order {key} needs a configuration")
+        table = harmonic_table(config, int(key) // 2)
+        return table.j, tuple(e for e in table.entries if e[0] >= 1), table.rounding
+    raise ValueError(f"order must be 2j with 2 <= j <= {MAX_LEGENDRE_ORDER} or poly:N with "
+                     f"4 <= N <= {MAX_LEGENDRE_ORDER + 1}, got {order!r}")
 
 
 def _order_terms(

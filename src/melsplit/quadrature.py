@@ -70,8 +70,9 @@ Every splitting integrand is one ``harmonic_integrand(j, k, theta)`` for a
 Legendre order j and a harmonic k: the integer polynomial
 P = ((j+1) z + i k)(1 - i z)^(2k) gives the cos numerator Im P and the sin
 numerator Re P over (1 + z^2)^(j+k+2), with phase scale k theta^3/2.  The
-paper's literal F4, F61 and F62 integrands are kept as the reference for
-it.
+paper's names are signs and indices of it (``f_name``): F4, F61 and F62 are
+F_(2,2), -F_(3,1) and -F_(3,3), and poly:N is F_(N-1,N-1); the paper's
+printed numerators are the tests' oracle for them.
 
 By Cauchy's theorem the value does not depend on the angle of the arms,
 while every node and rounding error does; the tests check the engine by
@@ -89,6 +90,8 @@ from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .harmonics import MAX_LEGENDRE_ORDER
 
 EVALUATION_BUDGET = 10**7  # most integrand evaluations per integral
 
@@ -378,40 +381,6 @@ def eval_oscillatory(
 
 
 # ---------------------------------------------------------------------------
-# the paper's integrals, written out
-
-
-def f4_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
-    """Second-order splitting integrand (numerators of degree 4 and 5, power 6)."""
-    return CubicPhaseIntegrand(
-        cos_numerator=(2.0, 0.0, -24.0, 0.0, 14.0),
-        sin_numerator=(0.0, 11.0, 0.0, -26.0, 0.0, 3.0),
-        denominator_power=6,
-        phase_scale=theta_tilde**3,
-    )
-
-
-def f61_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
-    """First-harmonic third-order integrand (power 6, half-rate phase)."""
-    return CubicPhaseIntegrand(
-        cos_numerator=(-1.0, 0.0, 9.0),
-        sin_numerator=(0.0, -6.0, 0.0, 4.0),
-        denominator_power=6,
-        phase_scale=theta_tilde**3 / 2.0,
-    )
-
-
-def f62_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
-    """Third-harmonic third-order integrand (power 8, 3/2-rate phase)."""
-    return CubicPhaseIntegrand(
-        cos_numerator=(-3.0, 0.0, 69.0, 0.0, -125.0, 0.0, 27.0),
-        sin_numerator=(0.0, -22.0, 0.0, 120.0, 0.0, -78.0, 0.0, 4.0),
-        denominator_power=8,
-        phase_scale=1.5 * theta_tilde**3,
-    )
-
-
-# ---------------------------------------------------------------------------
 # one integrand per Legendre order and harmonic
 
 
@@ -441,13 +410,47 @@ def harmonic_integrand(j: int, k: int, theta_tilde: float) -> CubicPhaseIntegran
     over (1 + sigma^2)^(j+k+2), with d = k theta^3/2 and the integer
     polynomial P = ((j+1) sigma + i k)(1 - i sigma)^(2k).  Its part even in
     sigma is i (Im P cos + Re P sin), so the cos numerator is Im P and the
-    sin numerator Re P.  F4 is F_(2,2), F61 and F62 are -F_(3,1) and
-    -F_(3,3), and poly:N is F_(N-1,N-1).
+    sin numerator Re P.  ``f_name`` gives the paper's names for it.
     """
     if j < 1 or k < 1:
         raise ValueError(f"need j >= 1 and k >= 1, got j={j}, k={k}")
     cos_num, sin_num = _harmonic_numerators(j, k)
     return CubicPhaseIntegrand(cos_num, sin_num, j + k + 2, k * theta_tilde**3 / 2.0)
+
+
+# the paper's F-functions as signed harmonic integrands: name -> (j, k, sign)
+_PAPER_NAMES = {"F4": (2, 2, 1), "F61": (3, 1, -1), "F62": (3, 3, -1)}
+F_NAMES = f"F4 | F61 | F62 | poly:N with 4 <= N <= {MAX_LEGENDRE_ORDER + 1}"
+
+
+def f_name(name: str) -> tuple[int, int, int]:
+    """(j, k, sign) of a named F-function, which is sign F_(j,k).
+
+    F4, F61 and F62 are F_(2,2), -F_(3,1) and -F_(3,3); poly:N is the
+    polygon's F_(N-1,N-1).  Any other name raises ``ValueError``.
+    """
+    if name in _PAPER_NAMES:
+        return _PAPER_NAMES[name]
+    if name.startswith("poly:"):
+        try:
+            n_total = int(name[len("poly:"):])
+        except ValueError:
+            n_total = 0
+        if 4 <= n_total <= MAX_LEGENDRE_ORDER + 1:
+            return n_total - 1, n_total - 1, 1
+    raise ValueError(f"unknown F-function {name!r}: expected {F_NAMES}")
+
+
+def named_integrand(name: str) -> Callable[[float], CubicPhaseIntegrand]:
+    """theta -> the integrand of the F-function ``name`` (see ``f_name``).
+
+    The sign is carried by both numerators, not applied to the value, so a
+    value that vanishes exactly stays 0.0 rather than -0.0.
+    """
+    j, k, sign = f_name(name)
+    cos_num, sin_num = (tuple(sign * c for c in num) for num in _harmonic_numerators(j, k))
+    return lambda theta_tilde: CubicPhaseIntegrand(cos_num, sin_num, j + k + 2,
+                                                   k * theta_tilde**3 / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@
 * ``zero_phase_by_u_basis`` evaluates a d = 0 integral exactly in the same
   basis, sum e_i (1 + z^2)^i with I_k(0) = pi/2 (2k-3)!!/(2k-2)!!: a second
   exact route beside the engine's residue at z = i.
+* ``f4_integrand``, ``f61_integrand`` and ``f62_integrand`` are the paper's
+  F4, F61 and F62 with their numerators as printed: the oracle for the
+  names ``quadrature.named_integrand`` gives F_(2,2), -F_(3,1) and -F_(3,3).
 """
 from __future__ import annotations
 
@@ -116,3 +119,37 @@ def eval_via_ikjk(integrand: CubicPhaseIntegrand, tol: float = 1e-10) -> Quadrat
             err += abs(float(coeff)) * res.error_estimate
             evals += res.evaluations
     return QuadratureResult(value=total, error_estimate=err, evaluations=evals)
+
+
+def f4_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
+    """Second-order splitting integrand (numerators of degree 4 and 5, power 6)."""
+    return CubicPhaseIntegrand(
+        cos_numerator=(2.0, 0.0, -24.0, 0.0, 14.0),
+        sin_numerator=(0.0, 11.0, 0.0, -26.0, 0.0, 3.0),
+        denominator_power=6,
+        phase_scale=theta_tilde**3,
+    )
+
+
+def f61_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
+    """First-harmonic third-order integrand (power 6, half-rate phase)."""
+    return CubicPhaseIntegrand(
+        cos_numerator=(-1.0, 0.0, 9.0),
+        sin_numerator=(0.0, -6.0, 0.0, 4.0),
+        denominator_power=6,
+        phase_scale=theta_tilde**3 / 2.0,
+    )
+
+
+def f62_integrand(theta_tilde: float) -> CubicPhaseIntegrand:
+    """Third-harmonic third-order integrand (power 8, 3/2-rate phase)."""
+    return CubicPhaseIntegrand(
+        cos_numerator=(-3.0, 0.0, 69.0, 0.0, -125.0, 0.0, 27.0),
+        sin_numerator=(0.0, -22.0, 0.0, 120.0, 0.0, -78.0, 0.0, 4.0),
+        denominator_power=8,
+        phase_scale=1.5 * theta_tilde**3,
+    )
+
+
+#: the paper's names and their literal integrands
+PAPER_INTEGRANDS = {"F4": f4_integrand, "F61": f61_integrand, "F62": f62_integrand}

@@ -35,8 +35,12 @@ from melsplit import (
 from melsplit.config import rotate
 from melsplit.dynamics import FlowParams, McGeheeState, integrate, integrate_mcgehee
 from melsplit.harmonics import HarmonicTables
-from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
-from quadrature_oracles import assert_contour_shift_agrees
+from quadrature_oracles import (
+    assert_contour_shift_agrees,
+    f4_integrand,
+    f61_integrand,
+    f62_integrand,
+)
 from references import c_coeffs, d_coeffs, duffing_rhs, leading_splitting
 
 

@@ -14,7 +14,7 @@ import melsplit
 from melsplit import catalog, cli, dynamics, harmonics, melnikov
 from melsplit.cli import main
 from melsplit.config import load_configuration
-from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+from quadrature_oracles import PAPER_INTEGRANDS, f4_integrand, f61_integrand, f62_integrand
 from references import c_coeffs, d_coeffs, leading_splitting
 from references import d_l as reference_d_l
 
@@ -49,8 +49,8 @@ def quadrature_calls(monkeypatch):
 
 
 @pytest.fixture()
-def paper_quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature of the paper's rows in ``splitting --compare``."""
+def cli_quadrature_calls(monkeypatch):
+    """Arguments of every oscillatory quadrature that ``cli`` runs itself."""
     return _record_engine_calls(monkeypatch, cli)
 
 
@@ -144,6 +144,18 @@ class TestSampling:
         lines = out.strip().splitlines()
         assert lines[0] == "theta_tilde,value,error_estimate"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("name", ["F4", "F61", "F62"])
+    def test_fplot_names_print_the_literal_oracle(self, capsys, name):
+        # the paper's printed integrand, byte for byte, on a grid with theta = 0 as a node
+        code, out, _ = run(capsys, "fplot", name, "--range", "-1", "2", "--points", "7")
+        assert code == 0
+        rows = ["theta_tilde,value,error_estimate"]
+        for tt in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0):
+            res = melsplit.eval_oscillatory(PAPER_INTEGRANDS[name](tt), 1e-10)
+            rows.append(",".join(format(v, ".16e") for v in (tt, res.value, res.error_estimate)))
+        assert out == "\n".join(rows) + "\n"
+        assert out.splitlines()[3] == ",".join(["0.0000000000000000e+00"] * 3)
 
     def test_fplot_polygon(self, capsys):
         code, out, _ = run(
@@ -378,6 +390,40 @@ def test_counts_below_one_are_usage_errors(capsys, rp3bp_file, argv):
     assert "error: argument" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("argv, exponent, plain", [
+    (("melnikov", "--order", "poly:5", "--eps", "0.5", "--points", "4", "--theta0"),
+     ("-1e-1",), ("-0.1",)),
+    (("splitting", "--config", "{config}", "--eps", "0.5", "--points", "4", "--theta0"),
+     ("-1E0",), ("-1.0",)),
+    (("integrate", "--config", "{config}", "--eps", "0.5", "--tspan", "0", "1", "--samples", "3",
+      "--state"), ("0.3", "-1e-3", "0", "1"), ("0.3", "-0.001", "0", "1")),
+    (("fplot", "F4", "--points", "3", "--range"), ("-1e6", "1e6"), ("-1000000", "1000000")),
+], ids=["melnikov", "splitting", "integrate", "fplot"])
+def test_negative_numbers_in_exponent_form_are_values(capsys, rp3bp_file, argv, exponent, plain):
+    argv = [a.format(config=rp3bp_file) for a in argv]
+    code, out, err = run(capsys, *argv, *exponent)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv, *plain)
+
+
+def test_negative_infinity_is_still_a_usage_error(capsys, rp3bp_file):
+    code, out, _ = run(capsys, "integrate", "--config", rp3bp_file, "--eps", "0.5",
+                       "--state", "0.3", "0.05", "0", "1", "--tspan", "0", "-inf")
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("argv, forms", [
+    (("fplot", "poly:x"), "F4 | F61 | F62 | poly:N with 4 <= N <= 65"),
+    (("fplot", "G7"), "F4 | F61 | F62 | poly:N with 4 <= N <= 65"),
+    (("melnikov", "--order", "poly:x", "--theta0", "1", "--eps", "0.5"),
+     "2j with 2 <= j <= 64 or poly:N with 4 <= N <= 65"),
+], ids=["fplot-poly-x", "fplot-G7", "melnikov-poly-x"])
+def test_unknown_names_list_the_accepted_forms(capsys, argv, forms):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and forms in err and "invalid literal" not in err
+
+
 class TestDynamicsCommands:
     def test_integrate_csv(self, capsys, rp3bp_file):
         code, out, _ = run(
@@ -489,7 +535,7 @@ class TestDynamicsCommands:
         assert lines[0] == "s0,splitting,closed_form"
         cfg = melsplit.load_configuration(rp3bp_file)
         terms = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
-        paper = [melnikov._order_terms(cfg, order, 1.0, 0.5, cli._literal_f) for order in (4, 6)]
+        paper = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-10) for order in (4, 6)]
         bound = sum(0.5**m.epsilon_order * err for m in (*terms, *paper) for *_, err in m.terms)
         # the paper's rows written out: 2/Theta0^6 F4 (c2 sin 2s - c3 cos 2s) and
         # 2/Theta0^8 [F61 (d2 cos s - d1 sin s) + F62 (d4 cos 3s - d3 sin 3s)], Theta0 = 1
@@ -508,16 +554,18 @@ class TestDynamicsCommands:
             assert abs(value - closed_value) <= bound + 1e-15 * abs(closed_value)
 
     def test_splitting_compare_evaluates_each_f_once(
-        self, capsys, quadrature_calls, paper_quadrature_calls, rp3bp_file
+        self, capsys, quadrature_calls, cli_quadrature_calls, rp3bp_file
     ):
         code, out, _ = run(capsys, "splitting", "--config", rp3bp_file, "--eps", "0.5",
                            "--theta0", "1.0", "--points", "4", "--compare")
         assert code == 0 and len(out.splitlines()) == 5
-        assert len(quadrature_calls) == 3  # F_(2,2), F_(3,1) and F_(3,3)
-        assert len(paper_quadrature_calls) == 3  # F4, F61 and F62
+        # F_(2,2), F_(3,1) and F_(3,3), at --tol for splitting and at 1e-10 for closed_form
+        assert len(quadrature_calls) == 6
+        assert sorted(tol for _, tol in quadrature_calls) == [1e-10] * 3 + [1e-9] * 3
+        assert cli_quadrature_calls == []  # closed_form has no route of its own
 
     def test_splitting_engine_calls_do_not_grow_with_points(
-        self, capsys, quadrature_calls, paper_quadrature_calls, rp3bp_file
+        self, capsys, quadrature_calls, cli_quadrature_calls, rp3bp_file
     ):
         for points in ("1", "16"):
             quadrature_calls.clear()
@@ -525,7 +573,7 @@ class TestDynamicsCommands:
                                "--theta0", "1.0", "--points", points)
             assert code == 0 and len(out.splitlines()) == int(points) + 1
             assert len(quadrature_calls) == 3  # one per harmonic: k = 2; k = 1 and 3
-            assert paper_quadrature_calls == []  # the paper's rows only with --compare
+            assert cli_quadrature_calls == []
 
     def test_splitting_domain(self, capsys, rp3bp_file):
         for theta0, eps, message in (("1.0", "0", "error: epsilon"),

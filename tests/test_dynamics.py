@@ -44,7 +44,7 @@ from melsplit.dynamics import (
     integrate_mcgehee,
     truncated_hamiltonian,
 )
-from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+from quadrature_oracles import f4_integrand, f61_integrand, f62_integrand
 from references import (
     c_coeffs,
     d_coeffs,
@@ -263,6 +263,21 @@ class TestStatesAndFields:
         assert FlowParams(epsilon=1.0, config=rp3bp_03)
         for order in (3, 7, 11, 131):
             assert FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
+
+    def test_field_is_built_once_per_flow_params(self, monkeypatch, rp3bp_03):
+        builds = []
+        build = dynamics._field
+        monkeypatch.setattr(dynamics, "_field", lambda p: builds.append(p) or build(p))
+        params = FlowParams(epsilon=0.5, config=rp3bp_03)
+        state = McGeheeState(0.3, 0.05, 0.5, 1.0)
+        values = [(rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params),
+                   jacobi_constant(state, params)) for _ in range(3)]
+        integrate_mcgehee(state, params, (0.0, 1.0))
+        poincare_numeric(0.05, 0.0, 0.0, params, values[0][2])
+        assert builds == [params] and values[1:] == values[:-1]
+        # equal parameters are a separate object with their own field
+        assert jacobi_constant(state, FlowParams(epsilon=0.5, config=rp3bp_03)) == values[0][2]
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
     def test_field_matches_the_order_by_order_reference(self, rp3bp_03, rotated_equilateral,

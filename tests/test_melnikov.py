@@ -30,7 +30,7 @@ from melsplit import (
 from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
-from melsplit.quadrature import f4_integrand, f61_integrand, f62_integrand
+from quadrature_oracles import f4_integrand, f61_integrand, f62_integrand
 from references import c_coeffs, classify_full_scan, d_coeffs, d_l
 
 

@@ -22,15 +22,14 @@ from melsplit import (
     legendre_cos_coeffs,
 )
 from melsplit import quadrature
-from melsplit.quadrature import (
-    _pole_expansion,
+from melsplit.quadrature import _pole_expansion, f_name, named_integrand
+from quadrature_oracles import (
+    PAPER_INTEGRANDS,
+    assert_contour_shift_agrees,
+    eval_via_ikjk,
     f4_integrand,
     f61_integrand,
     f62_integrand,
-)
-from quadrature_oracles import (
-    assert_contour_shift_agrees,
-    eval_via_ikjk,
     ikjk_decomposition,
     zero_phase_by_u_basis,
 )
@@ -106,7 +105,7 @@ ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.json"
 def test_oracle_lattice_within_own_estimate(tol):
     # 30-digit mpmath references (bench/make_oracle.py) on the 31-point lattice
     oracle = json.loads(ORACLE.read_text())
-    builders = {"F4": f4_integrand, "F61": f61_integrand, "F62": f62_integrand}
+    builders = dict(PAPER_INTEGRANDS)
     for n in range(4, 11):
         builders[f"poly:{n}"] = lambda tt, j=n - 1: harmonic_integrand(j, j, tt)
     misses, above_tol = [], 0
@@ -124,7 +123,7 @@ def test_oracle_lattice_within_own_estimate(tol):
 
 
 def _lattice_integrands():
-    builders = {"F4": f4_integrand, "F61": f61_integrand, "F62": f62_integrand}
+    builders = dict(PAPER_INTEGRANDS)
     for n in range(4, 11):
         builders[f"poly:{n}"] = lambda tt, j=n - 1: harmonic_integrand(j, j, tt)
     lattice = json.loads(ORACLE.read_text())["lattice"]
@@ -355,6 +354,25 @@ class TestHarmonicIntegrand:
                 assert tuple(-c for c in f.sin_numerator) == named.sin_numerator
                 assert (f.denominator_power, f.phase_scale) == (
                     named.denominator_power, named.phase_scale)
+
+    @pytest.mark.parametrize("name", sorted(PAPER_INTEGRANDS))
+    def test_named_integrand_is_the_literal_oracle(self, name):
+        # field for field, phase scale included; repr tells -0.0 from 0.0
+        named = named_integrand(name)
+        for tt in (*json.loads(ORACLE.read_text())["lattice"], 0.0, -0.0, 1e-3, 0.61078210, 7.5):
+            literal = PAPER_INTEGRANDS[name](tt)
+            assert named(tt) == literal and repr(named(tt)) == repr(literal), (name, tt)
+            if tt == 0.0:
+                assert repr(eval_oscillatory(named(tt), 1e-10).value) == "0.0"
+
+    def test_names_map_to_signed_harmonics(self):
+        assert [f_name(n) for n in ("F4", "F61", "F62")] == [(2, 2, 1), (3, 1, -1), (3, 3, -1)]
+        for n_total in (4, 10, 65):
+            assert f_name(f"poly:{n_total}") == (n_total - 1, n_total - 1, 1)
+            assert named_integrand(f"poly:{n_total}")(0.7) == polygon_integrand(n_total, 0.7)
+        for name in ("poly:3", "poly:66", "poly:x", "poly:", "F5", "f4", "G7", ""):
+            with pytest.raises(ValueError, match=r"expected F4 \| F61 \| F62 \| poly:N"):
+                f_name(name)
 
     @pytest.mark.parametrize("n_total", range(4, 11))
     def test_polygon_is_the_diagonal_harmonic(self, n_total):
