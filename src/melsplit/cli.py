@@ -135,12 +135,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="melsplit", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("config", help="build or validate configurations")
-    csub = pc.add_subparsers(dest="config_command", required=True)
+def _config_arguments(p: _Parser) -> None:
+    csub = p.add_subparsers(dest="config_command", required=True)
     pv = csub.add_parser("validate", help="validate a configuration JSON file")
     pv.add_argument("path")
     pb = csub.add_parser("build", help="build a named configuration")
@@ -158,81 +154,87 @@ def _build_parser() -> _Parser:
     pb.add_argument("--normalize", action="store_true")
     pb.add_argument("-o", "--output", default=None)
 
-    pf = sub.add_parser("coeffs", help="print perturbation coefficients as JSON")
-    pf.add_argument("path")
-    pf.add_argument("--lmax", type=int, default=4)
-    pf.add_argument("--jmax", type=int, default=6)
 
-    pp = sub.add_parser("fplot", help="sample an oscillatory F-function to CSV")
-    pp.add_argument("function", help=F_NAMES)
-    pp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0), metavar=("LO", "HI"))
-    pp.add_argument("--points", type=_count, default=101)
-    pp.add_argument("--tol", type=float, default=1e-10)
+def _coeffs_arguments(p: _Parser) -> None:
+    p.add_argument("path")
+    p.add_argument("--lmax", type=int, default=4)
+    p.add_argument("--jmax", type=int, default=6)
 
-    pm = sub.add_parser("melnikov", help="sample a splitting function over s0 to CSV")
-    pm.add_argument("--order", required=True, help="2j with 2 <= j <= 64, or poly:N")
-    pm.add_argument("--theta0", type=float, required=True)
-    pm.add_argument("--eps", type=float, required=True)
-    pm.add_argument("--config", default=None)
-    pm.add_argument("--points", type=_count, default=64)
-    pm.add_argument("--tol", type=float, default=1e-10)
 
-    pcl = sub.add_parser("classify", help="run the transversality decision tree")
-    pcl.add_argument("path")
-    pcl.add_argument("--lmax", type=int, default=8,
-                     help="the first-harmonic scan runs over j = 3, 5, ..., 2 lmax + 1 "
-                          "(default 8)")
-    pcl.add_argument("--jmax", type=int, default=None,
-                     help="highest Legendre order of the k >= 2 scan "
-                          "(default min(2N + 4, 64) for N bodies)")
+def _fplot_arguments(p: _Parser) -> None:
+    p.add_argument("function", help=F_NAMES)
+    p.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0), metavar=("LO", "HI"))
+    p.add_argument("--points", type=_count, default=101)
+    p.add_argument("--tol", type=float, default=1e-10)
 
-    pi = sub.add_parser(
-        "integrate", help="integrate the near-infinity flow to CSV",
-        description="Integrate the truncated near-infinity flow from --state over --tspan and "
-                    "sample it to CSV.  The state and the span must be finite.")
-    pi.add_argument("--config", required=True)
-    pi.add_argument("--eps", type=float, required=True)
-    pi.add_argument("--state", nargs=4, type=float, required=True, metavar=("X", "Y", "S", "THETA"))
-    pi.add_argument("--tspan", nargs=2, type=float, required=True, metavar=("T0", "T1"))
-    pi.add_argument("--truncation", type=int, default=9, help="3, or odd 2J+3 with 2 <= J <= 64")
-    pi.add_argument("--tol", type=float, default=1e-10)
-    pi.add_argument("--samples", type=_count, default=200)
 
-    ps = sub.add_parser("splitting", help="order-4 plus order-6 splitting over an s0 grid to CSV")
-    ps.add_argument("--config", required=True)
-    ps.add_argument("--eps", type=float, required=True)
-    ps.add_argument("--theta0", type=float, required=True)
-    ps.add_argument("--points", type=_count, default=16)
-    ps.add_argument("--tol", type=float, default=1e-9)
-    ps.add_argument("--compare", action="store_true",
-                    help="add a closed_form column: the same sum with every F_(j,k) at tol "
-                         "1e-10 (F4, F61 and F62 are F_(2,2), -F_(3,1) and -F_(3,3))")
+def _melnikov_arguments(p: _Parser) -> None:
+    p.add_argument("--order", required=True, help="2j with 2 <= j <= 64, or poly:N")
+    p.add_argument("--theta0", type=float, required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--config", default=None)
+    p.add_argument("--points", type=_count, default=64)
+    p.add_argument("--tol", type=float, default=1e-10)
 
-    pa = sub.add_parser(
-        "asymp", help="asymptotic tables to CSV",
-        description="ik: I_k(delta) by quadrature beside its leading term.  recurrence: "
-                    "J_(k+2) against delta/(2(k+1)) I_k.  leading: eps^4 M4 and eps^6 M6 over s0 "
-                    "(0 < eps <= 1) with each F_(j,k) replaced by its leading term, which leads "
-                    "only where its phase scale k |theta0/eps|^3 / 2 is well above "
-                    "(j + k + 2)^2, roughly.")
-    pa.add_argument("table", choices=["ik", "recurrence", "leading"])
-    pa.add_argument("--k", type=int, default=2)
-    pa.add_argument("--deltas", nargs="+", type=float, default=[10.0, 20.0, 30.0])
-    pa.add_argument("--config", default=None)
-    pa.add_argument("--theta0", type=float, default=1.0)
-    pa.add_argument("--eps", type=float, default=0.3)
-    pa.add_argument("--points", type=_count, default=16)
-    pa.add_argument("--tol", type=float, default=1e-11)
 
-    pcat = sub.add_parser("catalog", help="golden-value report; exit 3 on any miss")
-    pcat.add_argument("case", help="|".join(catalog_mod.CASES) + " | all")
-    pcat.add_argument("--mu", type=float, default=0.5)
-    pcat.add_argument("--m1", type=float, default=1.0 / 3.0)
-    pcat.add_argument("--m2", type=float, default=1.0 / 3.0)
-    pcat.add_argument("--a", type=float, default=1.0)
-    pcat.add_argument("--b", type=float, default=1.0)
-    pcat.add_argument("--n", type=int, default=7)
-    return p
+def _classify_arguments(p: _Parser) -> None:
+    p.add_argument("path")
+    p.add_argument("--lmax", type=int, default=8,
+                   help="the first-harmonic scan runs over j = 3, 5, ..., 2 lmax + 1 "
+                        "(default 8)")
+    p.add_argument("--jmax", type=int, default=None,
+                   help="highest Legendre order of the k >= 2 scan "
+                        "(default min(2N + 4, 64) for N bodies)")
+
+
+def _integrate_arguments(p: _Parser) -> None:
+    p.description = ("Integrate the truncated near-infinity flow from --state over --tspan and "
+                     "sample it to CSV.  The state and the span must be finite.")
+    p.add_argument("--config", required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--state", nargs=4, type=float, required=True, metavar=("X", "Y", "S", "THETA"))
+    p.add_argument("--tspan", nargs=2, type=float, required=True, metavar=("T0", "T1"))
+    p.add_argument("--truncation", type=int, default=9, help="3, or odd 2J+3 with 2 <= J <= 64")
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--samples", type=_count, default=200)
+
+
+def _splitting_arguments(p: _Parser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--theta0", type=float, required=True)
+    p.add_argument("--points", type=_count, default=16)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--compare", action="store_true",
+                   help="add a closed_form column: the same sum with every F_(j,k) at tol "
+                        "1e-10 (F4, F61 and F62 are F_(2,2), -F_(3,1) and -F_(3,3))")
+
+
+def _asymp_arguments(p: _Parser) -> None:
+    p.description = (
+        "ik: I_k(delta) by quadrature beside its leading term.  recurrence: "
+        "J_(k+2) against delta/(2(k+1)) I_k.  leading: eps^4 M4 and eps^6 M6 over s0 "
+        "(0 < eps <= 1) with each F_(j,k) replaced by its leading term, which leads "
+        "only where its phase scale k |theta0/eps|^3 / 2 is well above "
+        "(j + k + 2)^2, roughly.")
+    p.add_argument("table", choices=["ik", "recurrence", "leading"])
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--deltas", nargs="+", type=float, default=[10.0, 20.0, 30.0])
+    p.add_argument("--config", default=None)
+    p.add_argument("--theta0", type=float, default=1.0)
+    p.add_argument("--eps", type=float, default=0.3)
+    p.add_argument("--points", type=_count, default=16)
+    p.add_argument("--tol", type=float, default=1e-11)
+
+
+def _catalog_arguments(p: _Parser) -> None:
+    p.add_argument("case", help="|".join(catalog_mod.CASES) + " | all")
+    p.add_argument("--mu", type=float, default=0.5)
+    p.add_argument("--m1", type=float, default=1.0 / 3.0)
+    p.add_argument("--m2", type=float, default=1.0 / 3.0)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=7)
 
 
 def _cmd_config(args, out) -> int:
@@ -408,17 +410,37 @@ def _cmd_catalog(args, out) -> int:
     return EXIT_OK if all_ok else EXIT_GOLDEN
 
 
-_DISPATCH = {
-    "config": _cmd_config,
-    "coeffs": _cmd_coeffs,
-    "fplot": _cmd_fplot,
-    "melnikov": _cmd_melnikov,
-    "classify": _cmd_classify,
-    "integrate": _cmd_integrate,
-    "splitting": _cmd_splitting,
-    "asymp": _cmd_asymp,
-    "catalog": _cmd_catalog,
+# name -> (help, the function that adds the command's arguments, handler)
+_COMMANDS = {
+    "config": ("build or validate configurations", _config_arguments, _cmd_config),
+    "coeffs": ("print perturbation coefficients as JSON", _coeffs_arguments, _cmd_coeffs),
+    "fplot": ("sample an oscillatory F-function to CSV", _fplot_arguments, _cmd_fplot),
+    "melnikov": ("sample a splitting function over s0 to CSV", _melnikov_arguments,
+                 _cmd_melnikov),
+    "classify": ("run the transversality decision tree", _classify_arguments, _cmd_classify),
+    "integrate": ("integrate the near-infinity flow to CSV", _integrate_arguments,
+                  _cmd_integrate),
+    "splitting": ("order-4 plus order-6 splitting over an s0 grid to CSV", _splitting_arguments,
+                  _cmd_splitting),
+    "asymp": ("asymptotic tables to CSV", _asymp_arguments, _cmd_asymp),
+    "catalog": ("golden-value report; exit 3 on any miss", _catalog_arguments, _cmd_catalog),
 }
+
+
+def _build_parser(command: Optional[str]) -> _Parser:
+    """Every command registered by name and help; only ``command`` gets its arguments.
+
+    The top level's help and usage lines read only the names and help, so
+    they are the same whichever command is built.
+    """
+    p = _Parser(prog="melsplit", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        # a command that does not run is never parsed: it needs no -h either
+        sp = sub.add_parser(name, help=help_text, add_help=name == command)
+        if name == command:
+            add_arguments(sp)
+    return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -427,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         # The argparse tree is cyclic (each action points back at its
         # container, each validation formatter at its root section), so each
-        # call leaves some 360 objects that only the cycle collector frees.
+        # call leaves some 210-300 objects that only the cycle collector frees.
         # The automatic collector runs while a call's objects are still live
         # and promotes them, which soon triggers a collection of the oldest
         # generation: a scan of the whole heap (6-16 ms in a long-lived
@@ -439,13 +461,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse runs the first argument that names a command: the top level has
+    # no option that takes a value, and refuses any other positional argument
+    # before it as an invalid choice, before a subparser runs
+    parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return _DISPATCH[args.command](args, sys.stdout)
+        return _COMMANDS[args.command][2](args, sys.stdout)
     except (cfg.ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

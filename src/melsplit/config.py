@@ -142,7 +142,7 @@ def cc_residual(config: CentralConfiguration, fit_lambda: bool = False) -> Centr
     if fit_lambda:
         lam, _ = _lambda_fit(config)
     return CentralityReport(
-        residuals=tuple((float(x), float(y)) for x, y in res),
+        residuals=tuple([(float(x), float(y)) for x, y in res]),
         max_norm=max_norm,
         lam=lam,
     )
@@ -431,10 +431,10 @@ def configuration_to_dict(config: CentralConfiguration) -> dict:
 
 def configuration_from_dict(data: dict) -> CentralConfiguration:
     try:
-        bodies = tuple(
+        bodies = tuple([
             PrimaryBody(float(b["mass"]), (float(b["position"][0]), float(b["position"][1])))
             for b in data["bodies"]
-        )
+        ])
         label = str(data.get("label", ""))
     except (KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"malformed configuration object: {exc}") from exc

@@ -167,7 +167,7 @@ def _field_harmonics(config: CentralConfiguration, truncation: int):
     carries the radial part.
     """
     tables = HarmonicTables(config, (truncation - 3) // 2)
-    return tuple((j, tables[j].entries) for j in range(2, tables.j_max + 1))
+    return tuple([(j, tables[j].entries) for j in range(2, tables.j_max + 1)])
 
 
 def _field(params: FlowParams):

@@ -115,7 +115,7 @@ def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) 
     w = masses * rj
     sums = multiples[ms] @ w  # sum_k w_k e^(i m alpha_k) for every m at once
     rounding = sys.float_info.epsilon * (j + len(r)) * float(w.sum())  # masses are positive
-    entries = tuple(zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist()))
+    entries = tuple([*zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist())])
     return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=float(masses @ rj))
 
 

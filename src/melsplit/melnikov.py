@@ -79,7 +79,7 @@ def _order_rows(config: Optional[CentralConfiguration], order: int | str):
         if config is None:
             raise ValueError(f"order {key} needs a configuration")
         table = harmonic_table(config, int(key) // 2)
-        return table.j, tuple(e for e in table.entries if e[0] >= 1), table.rounding
+        return table.j, tuple([e for e in table.entries if e[0] >= 1]), table.rounding
     raise ValueError(f"order must be 2j with 2 <= j <= {MAX_LEGENDRE_ORDER} or poly:N with "
                      f"4 <= N <= {MAX_LEGENDRE_ORDER + 1}, got {order!r}")
 

@@ -128,8 +128,12 @@ class CubicPhaseIntegrand:
     phase_scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cos_numerator", tuple(float(c) for c in self.cos_numerator))
-        object.__setattr__(self, "sin_numerator", tuple(float(c) for c in self.sin_numerator))
+        # per-call tuples are built from lists, at their final length: CPython
+        # allocates a tuple of unknown length at 10 slots and resizes it, which
+        # moves one tuple per call between its per-length free lists, memory
+        # that only a full collection gives back
+        object.__setattr__(self, "cos_numerator", tuple([float(c) for c in self.cos_numerator]))
+        object.__setattr__(self, "sin_numerator", tuple([float(c) for c in self.sin_numerator]))
         if self.denominator_power < 1:
             raise ValueError("denominator power must be at least 1")
         lim = 2 * self.denominator_power - 2
@@ -152,11 +156,11 @@ def _degree(coeffs: Sequence[float]) -> int:
 
 
 def _even_part(coeffs: Sequence[float]) -> tuple[float, ...]:
-    return tuple(c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs))
+    return tuple([c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs)])
 
 
 def _odd_part(coeffs: Sequence[float]) -> tuple[float, ...]:
-    return tuple(c if i % 2 == 1 else 0.0 for i, c in enumerate(coeffs))
+    return tuple([c if i % 2 == 1 else 0.0 for i, c in enumerate(coeffs)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +177,7 @@ def _taylor_shift(cos_num: Sequence[float], sin_num: Sequence[float]) -> tuple[i
     ratios = [(x.as_integer_ratio(), (-y).as_integer_ratio())
               for x, y in zip_longest(cos_num, sin_num, fillvalue=0.0)]
     unit = max(d for pair in ratios for _, d in pair)  # a power of two
-    coeffs = [tuple(n * (unit // d) for n, d in pair) for pair in ratios]
+    coeffs = [(x * (unit // dx), y * (unit // dy)) for (x, dx), (y, dy) in ratios]
     shifted, rest = [], coeffs[::-1]
     while rest:
         acc, quotient = (0, 0), []
@@ -234,7 +238,7 @@ def _normalized(integrand: CubicPhaseIntegrand) -> tuple[float, tuple, tuple]:
     delta = float(integrand.phase_scale)
     sin_num = integrand.sin_numerator
     if delta < 0.0:
-        delta, sin_num = -delta, tuple(-c for c in sin_num)
+        delta, sin_num = -delta, tuple([-c for c in sin_num])
     return delta, _even_part(integrand.cos_numerator), _odd_part(sin_num)
 
 
@@ -415,7 +419,20 @@ def harmonic_integrand(j: int, k: int, theta_tilde: float) -> CubicPhaseIntegran
     if j < 1 or k < 1:
         raise ValueError(f"need j >= 1 and k >= 1, got j={j}, k={k}")
     cos_num, sin_num = _harmonic_numerators(j, k)
-    return CubicPhaseIntegrand(cos_num, sin_num, j + k + 2, k * theta_tilde**3 / 2.0)
+    return CubicPhaseIntegrand(cos_num, sin_num, j + k + 2, _phase_scale(k, theta_tilde))
+
+
+def _phase_scale(k: int, theta_tilde: float) -> float:
+    """k theta^3 / 2; OverflowError where it overflows for a finite theta.
+
+    A theta that is not finite passes through, and the integrand refuses it
+    as a ``ValueError``.
+    """
+    d = k * theta_tilde**3 / 2.0  # theta^3 itself raises OverflowError beyond about 5.6e102
+    if math.isinf(d) and math.isfinite(theta_tilde):
+        raise OverflowError(f"phase scale k theta^3 / 2 overflows at k = {k}, "
+                            f"theta = {theta_tilde!r}")
+    return d
 
 
 # the paper's F-functions as signed harmonic integrands: name -> (j, k, sign)
@@ -448,9 +465,9 @@ def named_integrand(name: str) -> Callable[[float], CubicPhaseIntegrand]:
     value that vanishes exactly stays 0.0 rather than -0.0.
     """
     j, k, sign = f_name(name)
-    cos_num, sin_num = (tuple(sign * c for c in num) for num in _harmonic_numerators(j, k))
+    cos_num, sin_num = (tuple([sign * c for c in num]) for num in _harmonic_numerators(j, k))
     return lambda theta_tilde: CubicPhaseIntegrand(cos_num, sin_num, j + k + 2,
-                                                   k * theta_tilde**3 / 2.0)
+                                                   _phase_scale(k, theta_tilde))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -318,10 +319,12 @@ def test_asymp_exits_without_traceback(rp3bp_file, argv, code):
     ("asymp", "leading", "--config", "{config}", "--theta0", "1e-100", "--eps", "1"),
     ("melnikov", "--order", "poly:4", "--theta0", "1e300", "--eps", "1", "--points", "2"),
     ("fplot", "F4", "--range", "1e200", "1e200", "--points", "1"),
+    ("fplot", "F4", "--range", "5e102", "5e102", "--points", "1"),
     ("integrate", "--config", "{config}", "--eps", "1e300", "--state", "0.3", "0.05", "0", "1",
      "--tspan", "0", "1"),
 ], ids=["melnikov-poly-tiny-theta0", "melnikov-tiny-theta0", "splitting-tiny-theta0",
-        "leading-tiny-theta0", "melnikov-huge-theta0", "fplot-huge-theta", "integrate-huge-eps"])
+        "leading-tiny-theta0", "melnikov-huge-theta0", "fplot-huge-theta",
+        "fplot-overflowing-phase-scale", "integrate-huge-eps"])
 def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     # division by zero and overflow are arithmetic errors: exit 2, not a traceback;
     # the flow's epsilon outside (0, 1] is refused up front, a usage error
@@ -813,3 +816,31 @@ def test_main_leaves_a_disabled_collector_alone(capsys, rp3bp_file):
         assert gc.collect() > 0
     finally:
         gc.enable()
+
+
+# stdout, stderr and exit code of the usage surface with COLUMNS=80, in
+# CPython 3.11's argparse wording: -h of the top level and of every command, no
+# arguments, an unknown command or option, and one missing-argument and one
+# extra-argument call per command
+_SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
+
+
+@pytest.mark.parametrize("argv, code, out, err", _SURFACE,
+                         ids=[" ".join(argv) or "no-arguments" for argv, *_ in _SURFACE])
+def test_usage_surface_is_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_a_call_builds_only_the_arguments_of_its_command(capsys, monkeypatch, rp3bp_file):
+    parsers = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command: parsers.append(build(command)) or parsers[-1])
+    assert run(capsys, "classify", rp3bp_file)[0] == 0
+    (parser,) = parsers
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == list(cli._COMMANDS)
+    built = {name: [a.dest for a in sp._actions] for name, sp in commands.items() if sp._actions}
+    assert built == {"classify": ["help", "path", "lmax", "jmax"]}

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -154,6 +156,28 @@ def test_evaluate_calls_per_integral(tol, monkeypatch):
         eval_oscillatory(integrand, tol)
         calls.append(len(tables) // 3)
     assert np.median(calls) <= 3 and max(calls) <= 4
+
+
+def test_calls_leave_the_tuple_free_lists_alone():
+    # a tuple of unknown length is allocated at 10 slots and resized, so each
+    # call would move tuples from the 10-slot free list to those of their own
+    # lengths, up to 2000 per length, and only a full collection empties them;
+    # cli.main collects the young generations after each call, as here
+    names = ("F4", "F61", "F62") + tuple(f"poly:{n}" for n in range(4, 11))
+    builders = [named_integrand(name) for name in names]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(3200):
+            if i == 200:
+                tracemalloc.start()
+            eval_oscillatory(builders[i % 10](0.5 + 0.5 * (i % 7)), 1e-3)
+            gc.collect(1)
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 0.5 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -393,6 +417,19 @@ class TestHarmonicIntegrand:
         for j, k in ((0, 1), (2, 0), (-1, 3)):
             with pytest.raises(ValueError):
                 harmonic_integrand(j, k, 1.0)
+
+    @pytest.mark.parametrize("build", [lambda tt: harmonic_integrand(2, 2, tt),
+                                       named_integrand("F4"), named_integrand("poly:10")],
+                             ids=["harmonic", "F4", "poly:10"])
+    def test_an_overflowing_phase_scale_is_an_overflow(self, build):
+        # k theta^3 / 2 is inf at theta = 5e102 while theta^3 is not; a theta
+        # that is not finite stays a domain error
+        for tt in (5e102, -5e102, 1e200):
+            with pytest.raises(OverflowError):
+                build(tt)
+        for tt in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="phase scale must be finite"):
+                build(tt)
 
 
 class TestPolygonGeneration:
