@@ -338,6 +338,62 @@ def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     assert "Traceback" not in proc.stderr
 
 
+def _fplot_process(*bounds, points="3"):
+    # a subprocess, so that anything numpy warns about reaches stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "melsplit.cli", "fplot", "F4", "--range", *bounds,
+         "--points", points],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("lo, hi", [("inf", "inf"), ("0", "inf"), ("nan", "nan"), ("1", "nan")])
+def test_fplot_bounds_that_are_not_finite_are_usage_errors(lo, hi):
+    proc = _fplot_process(lo, hi)
+    message = f"error: --range needs finite bounds, got {float(lo)!r} and {float(hi)!r}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    ("1e308", "-1e308", "3"),
+    ("-1.7976931348623157e308", "1.7976931348623157e308", "7"),
+])
+def test_fplot_ranges_whose_width_overflows_are_numerical_failures(lo, hi, points):
+    proc = _fplot_process(lo, hi, points=points)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_NUMERICAL, "")
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
+def _fplot_nodes(capsys, monkeypatch, lo, hi, points):
+    # the grid alone: every node gets a zero value
+    monkeypatch.setattr(cli, "named_integrand", lambda name: lambda tt: tt)
+    monkeypatch.setattr(cli, "eval_oscillatory",
+                        lambda tt, tol: melsplit.QuadratureResult(0.0, 0.0, 0))
+    code, out, err = run(capsys, "fplot", "F4", "--range", lo, hi, "--points", points)
+    assert (code, err) == (0, "")
+    return [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+
+
+def test_fplot_nodes_stay_finite_when_the_width_overflows(capsys, monkeypatch):
+    m = sys.float_info.max
+    assert _fplot_nodes(capsys, monkeypatch, "1e308", "-1e308", "3") == [1e308, 0.0, -1e308]
+    nodes = _fplot_nodes(capsys, monkeypatch, repr(-m), repr(m), "1001")
+    assert all(map(math.isfinite, nodes)) and nodes[0] == -m and nodes[-1] == m
+    assert nodes == sorted(nodes)
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    ("-2.5", "7", "9"), ("0.1", "0.3", "11"), ("1e-320", "3e-320", "4"), ("3", "-1e300", "6"),
+    ("-8.9e307", "8.9e307", "5"), ("2", "2", "3"),
+])
+def test_fplot_nodes_of_a_finite_width_are_linspace_bit_for_bit(capsys, monkeypatch,
+                                                                 lo, hi, points):
+    want = np.linspace(float(lo), float(hi), int(points))
+    got = _fplot_nodes(capsys, monkeypatch, lo, hi, points)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+
 @pytest.fixture()
 def collinear11_file(tmp_path, capsys):
     path = tmp_path / "collinear11.json"
@@ -820,8 +876,9 @@ def test_main_leaves_a_disabled_collector_alone(capsys, rp3bp_file):
 
 # stdout, stderr and exit code of the usage surface with COLUMNS=80, in
 # CPython 3.11's argparse wording: -h of the top level and of every command, no
-# arguments, an unknown command or option, and one missing-argument and one
-# extra-argument call per command
+# arguments, an unknown command or option, one missing-argument and one
+# extra-argument call per command, and a command name after another top-level
+# argument (-h, --help, an unknown command, -1, --, or fplot's function)
 _SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
 
 
@@ -839,8 +896,11 @@ def test_a_call_builds_only_the_arguments_of_its_command(capsys, monkeypatch, rp
                         lambda command: parsers.append(build(command)) or parsers[-1])
     assert run(capsys, "classify", rp3bp_file)[0] == 0
     (parser,) = parsers
-    (commands,) = [a.choices for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    assert list(commands) == list(cli._COMMANDS)
-    built = {name: [a.dest for a in sp._actions] for name, sp in commands.items() if sp._actions}
-    assert built == {"classify": ["help", "path", "lmax", "jmax"]}
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # every command keeps its name and help line, which the top-level help reads
+    assert [(a.dest, a.help) for a in sub._get_subactions()] == [
+        (name, help_text) for name, (help_text, _, _) in cli._COMMANDS.items()]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    # only the running command has a parser
+    built = {name: sp and [a.dest for a in sp._actions] for name, sp in sub.choices.items()}
+    assert built == {**dict.fromkeys(cli._COMMANDS), "classify": ["help", "path", "lmax", "jmax"]}
