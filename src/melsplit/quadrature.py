@@ -17,26 +17,28 @@ half plane, where the integrand neither oscillates nor cancels:
 * the vertex height h = max(0, 1 - sqrt(m / 2d)) puts the vertex at the
   saddle of exp(i d phi) times the pole of order m that P - iQ leaves at
   z = i (m comes from an exact Taylor shift of P - iQ about i);
-* with t = e^u the integrand decays exponentially at both ends, and the
-  trapezoid rule in u converges exponentially (Trefethen & Weideman, "The
-  exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  The
-  coarsest level (step 1/2) is made wide enough for its end terms to be
-  negligible, then the step is halved until two levels agree;
-* the scaled terms are at most about 1 and their tails decay at least like
-  e^-|u|, so a tail is at most its end term.  The coarsest level starts
-  ceil(log(1 / floor) / step) + 1 nodes left of u = log g, which reaches the
-  floor of the left tail at once, and 8 nodes right of it.  An end whose
-  term is still above the floor is widened, sized in one step from that
-  term: max(8, ceil(log(end / floor) / step) + 1) more nodes, again only if
-  the new end is still above the floor.  The level is then trimmed to one
-  negligible node beyond its outermost large term;
-* the error of the rule roughly squares per halving (level changes of about
-  1e-2, 1e-6, 1e-14), so below tol 1e-6 the third halving is the first that
-  can pass.  The first refinement therefore evaluates the new nodes of steps
-  1/4, 1/8 and 1/16 in one call, cut to the levels that fit in the budget;
-  later ones add one level each.  Each level is summed over its own nodes
-  and the stopping rule is applied level by level, so the rule stops at the
-  level, and returns the value and error, that one level per call would;
+* the trapezoid rule runs in v, with t = g exp((pi/2) sinh v): the
+  double-exponential (exp-sinh) map of Takahasi & Mori (Publ. RIMS 9,
+  1974), under which the terms fall like exp(-(pi/2) sinh|v|) cosh v at both
+  ends, and each term carries the weight dt/dv = t (pi/2) cosh v.  The
+  trapezoid rule then converges exponentially in the step (Trefethen &
+  Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
+  2014).  The window v in [-4, 4] runs from t = 2e-19 g to 4e18 g, where
+  the end terms are usually negligible;
+* the coarsest level has step 1/2 on that window (17 nodes), and the step
+  is halved until two levels agree.  The error of the rule roughly squares
+  per halving, so the first call evaluates the coarsest level and its first
+  four halvings together, down to step 1/32 (17 + 240 = 257 nodes, one
+  table even for 130 coefficients), cut to the levels that fit in the
+  budget; each later call adds one level.  Each level is summed over its
+  own nodes and the stopping rule is applied level by level, so the rule
+  stops at the first pair of levels that agree whatever the call held;
+* the scaled terms are at most about the numerator's size at the vertex,
+  and |P - iQ| there reaches 1.8e5 / g, so an end term of the window is not
+  always negligible.  An end whose term is still above the floor
+  max(tol/256, eps max|term|) is widened, sized from that term by the
+  exp(-(pi/2) sinh|v|) decay, and every level evaluated so far gets its
+  nodes on the new stretch;
 * at each node the numerator is evaluated from its expansion about 0 or
   about i, whichever has the smaller rounding bound sum |c_j| |w|^j.  The
   powers x^0 .. x^(n-1) of |z|, |w| and the chosen variable come from
@@ -48,17 +50,20 @@ half plane, where the integrand neither oscillates nor cancels:
   roundings: that is Horner's error class, which the rounding term below
   (eps (2 len(c) + ...)) covers;
 * where the pole factor (z - i)^m (z + i)^k, scaled by its size at the
-  vertex, overflows, the term is set to 0, not to the NaN of a complex
-  division by inf.  That happens only far out on the arm, where
-  exp(i d phi) has decayed too: over every splitting order up to 2j = 128
-  at |theta| = 0.6 and 2, and every F_(k,k), k <= 64, on the theta lattice
-  -2.5 .. 5, the dropped terms are below 1e-690.
+  vertex, overflows, or the exponential times the weight over the pole
+  factor underflows, the term is set to 0, not to the NaN of a complex
+  division by inf or of 0 times an overflowed numerator.  That happens
+  only far out on the arm: over F_(j,k) for 1 <= k <= j <= 64 at
+  theta = +-0.6 and +-2, and every F_(k,k), k <= 64, on the theta lattice
+  -2.5 .. 5, the dropped terms are below 1e-190, and at least 1e-193 times
+  max(|value|, error estimate) of their integral.
 
 ``error_estimate`` adds the difference of the last two levels, the end
-terms standing for the truncated tails, and eps times the rounding bounds
-summed over the nodes.  ``evaluations`` counts every node evaluated: the
-coarsest level before its trim, and every level of a batch, including those
-past the level where the rule stopped.
+terms of the window standing for the truncated tails (past an end the
+terms fall double-exponentially, so a tail is far below its end term), and
+eps times the rounding bounds summed over the nodes with the step as
+weight.  ``evaluations`` counts every node evaluated, including the levels
+of the first call past the level where the rule stopped.
 
 At d = 0 nothing oscillates and the value is exact: closed in the upper
 half plane, the integral is Re[2 pi i Res_{z=i}] of P / (1 + z^2)^k, and the
@@ -97,8 +102,10 @@ EVALUATION_BUDGET = 10**7  # most integrand evaluations per integral
 
 _EPS = sys.float_info.epsilon
 _RAY = cmath.exp(1j * math.pi / 6)  # direction of the contour's right arm
-_STEP = 0.5  # trapezoid step in u = log t on the coarsest level
-_WIDEN = 8  # fewest nodes added at an end of the coarsest level while it is not negligible
+_HALF_PI = math.pi / 2.0
+_STEP = 0.5  # trapezoid step in v on the coarsest level
+_REACH = 4.0  # the coarsest level spans v in [-_REACH, _REACH] unless an end is widened
+_FIRST_LEVELS = 5  # levels of the first call, steps 1/2 .. 1/32: 17 + 240 nodes
 _TABLE_ENTRIES = 2**16  # entries of the largest power table (1 MB complex)
 
 
@@ -253,6 +260,29 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def _exp_sinh(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = exp(pi/2 sinh v) at the nodes v, and ds/dv: the map t = g s, over g."""
+    s = np.exp(_HALF_PI * np.sinh(v))
+    return s, s * (_HALF_PI * np.cosh(v))
+
+
+def _halving(start: float, intervals: int, level: int) -> np.ndarray:
+    """The nodes that the step _STEP / 2^level adds on ``intervals`` coarse steps from ``start``."""
+    return start + (_STEP / 2**level) * (2 * np.arange(intervals << (level - 1)) + 1)
+
+
+@lru_cache(maxsize=None)
+def _first_pass(reach: float) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The first call's level sizes and ``_exp_sinh`` map: the coarsest level on
+    v in [-reach, reach], then the nodes that each of the next halvings adds."""
+    intervals = round(2 * reach / _STEP)
+    levels = range(1, _FIRST_LEVELS)
+    sizes = (intervals + 1,) + tuple(intervals << (level - 1) for level in levels)
+    v = np.concatenate([-reach + _STEP * np.arange(intervals + 1)]
+                       + [_halving(-reach, intervals, level) for level in levels])
+    return (sizes, *_exp_sinh(v))
+
+
 def eval_oscillatory(
     integrand: CubicPhaseIntegrand,
     tol: float,
@@ -290,14 +320,16 @@ def eval_oscillatory(
     budget, evaluations = EVALUATION_BUDGET, 0
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled terms G(z) dz/du at z = ih + e^u e^(i pi/6), and their rounding bounds."""
+    def evaluate(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled terms G(z) dz/dv at z = ih + g s e^(i pi/6), and their rounding bounds.
+
+        ``s`` is exp(pi/2 sinh v) at the nodes v and ``ds`` its derivative in v.
+        """
         nonlocal evaluations
-        if evaluations + len(u) > budget:
+        if evaluations + len(s) > budget:
             raise QuadratureBudgetError(f"evaluation budget {budget} exhausted")
-        evaluations += len(u)
-        t = np.exp(u)
-        w0 = t * _RAY  # z - ih
+        evaluations += len(s)
+        w0 = (g * _RAY) * s  # z - ih
         z, w = w0 + 1j * h, w0 - 1j * g  # z and z - i
         # rounding bounds sum |c_j| |z|^j and sum |b_j| |w|^j, over |w|^e;
         # the expansion with the smaller one is evaluated
@@ -311,71 +343,73 @@ def eval_oscillatory(
         # i d (phi(z) - phi(ih)), expanded about the vertex
         psi = 1j * delta * (w0 * (g * (2.0 - g) + w0 * (1j * h + w0 / 3.0)))
         pole = (w / g) ** m * ((w0 + 1j * (2.0 - g)) / (2.0 - g)) ** k
-        # the term is 0 where the pole factor overflows (see the module docstring)
-        finite = np.isfinite(pole)
-        rest = np.where(finite, np.exp(psi) * _RAY * t / pole, 0.0)
-        vals = np.where(finite, num * rest, 0.0)
+        # the term is 0 where the pole factor overflows or the rest underflows
+        # (see the module docstring)
+        rest = np.where(np.isfinite(pole), np.exp(psi) * (g * _RAY) * ds / pole, 0.0)
+        live = rest != 0.0
+        vals = np.where(live, num * rest, 0.0)
         if not np.isfinite(vals).all():
             raise QuadratureBudgetError(f"integrand overflows at |z| = {np.abs(z).max():.3g}")
         bound = _EPS * (2 * n + 2 * k + 2 + np.abs(psi)) * np.abs(rest)
-        return vals, np.where(finite, bound * np.minimum(bound_0, bound_i), 0.0)
+        return vals, np.where(live, bound * np.minimum(bound_0, bound_i), 0.0)
 
-    # coarsest level: step 1/2 around u = log g.  The tails decay at least
-    # like e^-|u| from terms of at most about 1, so the tail beyond an end is
-    # at most the end term: the level starts wide enough on the left for its
-    # end term to be negligible, and an end still above the floor is widened
-    # by as many nodes as that decay needs.  Being systematic, the tails get
-    # a small share of the tolerance
-    small = tol / 256.0
-    left = max(_WIDEN, math.ceil(math.log(1.0 / small) / _STEP) + 1)
-    u = math.log(g) + _STEP * np.arange(-left, _WIDEN + 1)
-    vals, noise = evaluate(u)
-    for end, sign in ((0, -1.0), (-1, 1.0)):
-        while abs(vals[end]) > (floor := max(small, _EPS * np.abs(vals).max())):
-            width = max(_WIDEN, math.ceil(math.log(abs(vals[end]) / floor) / _STEP) + 1)
-            more = u[end] + sign * _STEP * np.arange(1, width + 1)
-            u, vals, noise = (np.concatenate((x[::-1], a) if end == 0 else (a, x))
-                              for a, x in zip((u, vals, noise), (more, *evaluate(more))))
-    # trim back to one negligible node beyond the outermost large one
-    large = np.flatnonzero(np.abs(vals) > max(small, _EPS * np.abs(vals).max()))
-    if large.size:
-        keep = slice(max(large[0] - 1, 0), large[-1] + 2)
-        u, vals, noise = u[keep], vals[keep], noise[keep]
-    tail = abs(vals[0]) + abs(vals[-1])
-    total, noise_sum = vals.sum(), noise.sum()
+    def level_sums(s: np.ndarray, ds: np.ndarray, sizes: list[int]) -> tuple[list, list, np.ndarray]:
+        """Per level of ``sizes`` consecutive nodes, the sums of the terms and of
+        their rounding bounds; and the terms.  A call takes at most chunk nodes."""
+        vals, noise = (np.concatenate(x) for x in zip(
+            *(evaluate(s[i:i + chunk], ds[i:i + chunk]) for i in range(0, len(s), chunk))))
+        starts = np.cumsum([0] + sizes[:-1])
+        return list(np.add.reduceat(vals, starts)), list(np.add.reduceat(noise, starts)), vals
 
-    # halve the step until two levels agree, or differ only by rounding; the
-    # first call evaluates three levels (as many as the budget holds), later
-    # calls one level each
-    intervals, step = len(u) - 1, _STEP
-    previous, levels, converged = step * total, 3, False
-    while not converged:
-        sizes = [intervals << i for i in range(levels)]  # new nodes per level
-        while sizes and sum(sizes) > budget - evaluations:
-            sizes.pop()
-        if not sizes:
-            raise QuadratureBudgetError(f"evaluation budget {budget} exhausted")
-        nodes = np.concatenate([u[0] + (step / 2**i) * (2 * np.arange(size) + 1)
-                                for i, size in enumerate(sizes, 1)])
-        vals, noise = (np.concatenate(parts) for parts in zip(
-            *(evaluate(nodes[s:s + chunk]) for s in range(0, len(nodes), chunk))))
-        first = 0
-        for size in sizes:
-            step /= 2.0
-            # summed in blocks of chunk nodes, as one level evaluated on its own
-            for s in range(first, first + size, chunk):
-                block = slice(s, min(s + chunk, first + size))
-                total += vals[block].sum()
-                noise_sum += noise[block].sum()
-            first += size
-            intervals *= 2
-            current, rounding = step * total, step * noise_sum
-            change = abs(current - previous)
-            converged = change <= max(tol / 8.0, rounding)
-            if converged:
-                break
-            previous = current
-        levels = 1
+    # the first call: the coarsest level and its first halvings on v in
+    # [-_REACH, _REACH], as many levels as the budget holds
+    sizes, *first = _first_pass(_REACH)
+    sizes = list(sizes)
+    while len(sizes) > 1 and sum(sizes) > budget:
+        sizes.pop()
+    sums, noises, vals = level_sums(*(x[:sum(sizes)] for x in first), sizes)
+    window, intervals = [-_REACH, _REACH], sizes[0] - 1
+    ends = [vals[0], vals[intervals]]
+
+    # an end still above the floor is widened, and every level evaluated so
+    # far gets its nodes on the new stretch.  Past an end the terms fall at
+    # least like exp(-pi/2 sinh|v|) cosh v, which sizes the widening from the
+    # end term.  Being systematic, the tails get a small share of the tolerance
+    floor = max(tol / 256.0, _EPS * np.abs(vals).max())
+    for side, sign in ((0, -1.0), (1, 1.0)):
+        while abs(ends[side]) > floor:
+            reach = abs(window[side])
+            target = math.asinh(math.sinh(reach) + (math.log(abs(ends[side]) / floor) + 1.0) / _HALF_PI)
+            width = max(1, math.ceil((target - reach) / _STEP))
+            coarse = window[side] + sign * _STEP * np.arange(1, width + 1)  # outermost last
+            start = min(window[side], coarse[-1])
+            parts = [coarse] + [_halving(start, width, level) for level in range(1, len(sums))]
+            more, more_noise, more_vals = level_sums(*_exp_sinh(np.concatenate(parts)),
+                                                     [len(p) for p in parts])
+            sums = [a + b for a, b in zip(sums, more)]
+            noises = [a + b for a, b in zip(noises, more_noise)]
+            ends[side], window[side] = more_vals[width - 1], float(coarse[-1])
+            intervals += width
+    tail = abs(ends[0]) + abs(ends[1])
+
+    # the level rule: stop at the first level that agrees with the one before
+    # it, or differs from it only by rounding; each later call adds one level
+    step, total, noise_sum = _STEP, sums[0], noises[0]
+    previous, level = step * total, 1
+    while True:
+        if level == len(sums):
+            nodes = _halving(window[0], intervals, level)
+            more, more_noise, _ = level_sums(*_exp_sinh(nodes), [len(nodes)])
+            sums += more
+            noises += more_noise
+        step /= 2.0
+        total += sums[level]
+        noise_sum += noises[level]
+        current, rounding = step * total, step * noise_sum
+        change = abs(current - previous)
+        if change <= max(tol / 8.0, rounding):
+            break
+        previous, level = current, level + 1
 
     scale = math.exp(log_scale)
     value = 2.0 * scale * float(current.real)
@@ -423,12 +457,15 @@ def harmonic_integrand(j: int, k: int, theta_tilde: float) -> CubicPhaseIntegran
 
 
 def _phase_scale(k: int, theta_tilde: float) -> float:
-    """k theta^3 / 2; OverflowError where it overflows for a finite theta.
+    """k theta^3 / 2; an OverflowError naming k and theta where it overflows for a finite theta.
 
     A theta that is not finite passes through, and the integrand refuses it
     as a ``ValueError``.
     """
-    d = k * theta_tilde**3 / 2.0  # theta^3 itself raises OverflowError beyond about 5.6e102
+    try:
+        d = k * theta_tilde**3 / 2.0
+    except OverflowError:  # theta^3 itself overflows beyond about 5.6e102
+        d = math.inf
     if math.isinf(d) and math.isfinite(theta_tilde):
         raise OverflowError(f"phase scale k theta^3 / 2 overflows at k = {k}, "
                             f"theta = {theta_tilde!r}")
