@@ -48,6 +48,8 @@ from .melnikov import (
     TransversalityVerdict,
     Witness,
     classify,
+    leading_terms,
+    melnikov_sum,
     simple_zeros,
     splitting_terms,
     verdict_to_dict,

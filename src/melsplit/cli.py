@@ -23,7 +23,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from . import config as cfg
-from .asymptotics import ik_asymptotic, leading_term
+from .asymptotics import ik_asymptotic
 from .dynamics import (
     FlowParams,
     IntegrationError,
@@ -33,15 +33,14 @@ from .dynamics import (
     integrate_mcgehee,
 )
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
-from .melnikov import _order_terms, classify, splitting_terms, verdict_to_dict
+from .melnikov import (SplittingTerms, classify, leading_terms, melnikov_sum, splitting_terms,
+                       verdict_to_dict)
 from .quadrature import (
     F_NAMES,
     QuadratureBudgetError,
-    QuadratureResult,
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
-    harmonic_integrand,
     named_integrand,
 )
 
@@ -109,6 +108,12 @@ def _write_csv(out, header: Sequence[str], rows) -> None:
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _sampled(points: int, *polynomials: SplittingTerms) -> list[tuple[float, ...]]:
+    """Rows of s0 = 2 pi i / points, i < points, and each polynomial's value there."""
+    s0s = [2.0 * math.pi * i / points for i in range(points)]
+    return list(zip(s0s, *[[p.value(s0) for s0 in s0s] for p in polynomials]))
 
 
 def _count(text: str) -> int:
@@ -309,8 +314,7 @@ def _cmd_fplot(args, out) -> int:
 def _cmd_melnikov(args, out) -> int:
     c = cfg.load_configuration(args.config) if args.config is not None else None
     terms = splitting_terms(c, args.order, args.theta0, args.eps, tol=args.tol)
-    s0s = (2.0 * math.pi * i / args.points for i in range(args.points))
-    _write_csv(out, ["s0", "value"], ((s0, terms.value(s0)) for s0 in s0s))
+    _write_csv(out, ["s0", "value"], _sampled(args.points, terms))
     return EXIT_OK
 
 
@@ -343,14 +347,10 @@ def _cmd_splitting(args, out) -> int:
     if args.compare:
         header.append("closed_form")
         tols.append(1e-10)
-    sides = [[splitting_terms(c, order, args.theta0, args.eps, tol=tol) for order in (4, 6)]
-             for tol in tols]
-    rows = []
-    for i in range(args.points):
-        s0 = 2.0 * math.pi * i / args.points
-        rows.append((s0, *(args.eps**4 * m4.value(s0) + args.eps**6 * m6.value(s0)
-                           for m4, m6 in sides)))
-    _write_csv(out, header, rows)
+    sums = [melnikov_sum([splitting_terms(c, order, args.theta0, args.eps, tol=tol)
+                          for order in (4, 6)], args.eps)
+            for tol in tols]
+    _write_csv(out, header, _sampled(args.points, *sums))
     return EXIT_OK
 
 
@@ -378,16 +378,9 @@ def _cmd_asymp(args, out) -> int:
     if args.config is None:
         raise cfg.ConfigError("the leading table needs --config")
     c = cfg.load_configuration(args.config)
-    # each F_(j,k) replaced by its leading term, which has no quadrature error
-    leads = [_order_terms(c, order, args.theta0, args.eps,
-                          lambda j, k, tt: QuadratureResult(
-                              leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
+    leads = [melnikov_sum([leading_terms(c, order, args.theta0, args.eps)], args.eps)
              for order in (4, 6)]
-    rows = []
-    for i in range(args.points):
-        s0 = 2.0 * math.pi * i / args.points
-        rows.append((s0, *(args.eps**m.epsilon_order * m.value(s0) for m in leads)))
-    _write_csv(out, ["s0", "m4_leading", "m6_leading"], rows)
+    _write_csv(out, ["s0", "m4_leading", "m6_leading"], _sampled(args.points, *leads))
     return EXIT_OK
 
 

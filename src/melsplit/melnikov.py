@@ -17,9 +17,11 @@ and poly:N is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
 ``splitting_terms`` returns one order as (k, A, B, error) terms, each F
 computed once per call by a single quadrature; a term's error carries the
 quadrature's error estimate and the table's rounding bound, and summing
-cosines over s0 needs no further quadrature.  ``_order_terms`` writes that
-sum once for every source of F_(j,k): the quadrature or the leading
-asymptotic term.
+cosines over s0 needs no further quadrature.  ``_order_terms`` builds one
+order from either source of F_(j,k): the quadrature (``splitting_terms``)
+or the leading asymptotic term (``leading_terms``).  ``melnikov_sum``
+weights orders by their epsilon^(2j) and merges them by harmonic k into the
+one trigonometric polynomial sum_j epsilon^(2j) M_2j.
 
 A simple zero of the s0-factor forces a transversal intersection, so
 ``classify`` reads the harmonic table entries in dominance order (harmonic
@@ -38,8 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
+from .asymptotics import leading_term
 from .config import CentralConfiguration, symmetry_order
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
 from .quadrature import QuadratureResult, eval_oscillatory, f_name, harmonic_integrand
@@ -55,7 +58,8 @@ class SplittingTerms:
     ``terms`` lists (harmonic k, cos amplitude A, sin amplitude B, error);
     the splitting function is sum_k [A cos(k s0) + B sin(k s0)], and a
     term's ``error`` bounds the quadrature error of its contribution at
-    every s0.
+    every s0.  ``epsilon_order`` is the power of epsilon the amplitudes
+    still need: 2j for one order, 0 for a ``melnikov_sum``.
     """
 
     epsilon_order: int
@@ -105,7 +109,11 @@ def _order_terms(
         f = integral(j, k, tt)
         amp = sign * pref * f.value
         err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
-        terms.append((k, -amp * b, amp * a, err))
+        term = (k, -amp * b, amp * a, err)
+        if not all(map(math.isfinite, term[1:])):  # an overflowing prefactor times 0 is NaN
+            raise OverflowError(f"order {2 * j}, harmonic {k}: not finite at theta0 = {theta0!r}, "
+                                f"where 2^(j+1)/theta0^(2j+2) = {pref!r}")
+        terms.append(term)
     return SplittingTerms(2 * j, tuple(terms))
 
 
@@ -126,6 +134,43 @@ def splitting_terms(
     """
     return _order_terms(config, order, theta0, epsilon,
                         lambda j, k, tt: eval_oscillatory(harmonic_integrand(j, k, tt), tol))
+
+
+def leading_terms(
+    config: Optional[CentralConfiguration],
+    order: int | str,
+    theta0: float,
+    epsilon: float,
+) -> SplittingTerms:
+    """``splitting_terms`` with each F_(j,k) replaced by its leading asymptotic term.
+
+    The leading term has no quadrature error, so a term's error is the
+    table's rounding bound alone.  It leads only where the phase scale
+    k |theta0/epsilon|^3 / 2 is well above (j + k + 2)^2, roughly.
+    """
+    return _order_terms(config, order, theta0, epsilon,
+                        lambda j, k, tt: QuadratureResult(
+                            leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
+
+
+def melnikov_sum(parts: Iterable[SplittingTerms], epsilon: float) -> SplittingTerms:
+    """sum_j epsilon^(2j) M_2j over ``parts`` as one trigonometric polynomial.
+
+    ``epsilon`` is the one the parts were built at.  Each part's amplitudes
+    and errors are weighted by epsilon^epsilon_order, then the terms of one
+    harmonic k are summed, k ascending.  The result's ``epsilon_order`` is 0,
+    so a sum of sums weights nothing twice.
+    """
+    columns: dict[int, tuple[list[float], list[float], list[float]]] = {}
+    for part in parts:
+        weight = epsilon**part.epsilon_order
+        for k, a, b, err in part.terms:
+            cos_amps, sin_amps, errors = columns.setdefault(k, ([], [], []))
+            cos_amps.append(weight * a)
+            sin_amps.append(weight * b)
+            errors.append(weight * err)
+    return SplittingTerms(0, tuple([(k, math.fsum(a), math.fsum(b), math.fsum(e))
+                                    for k, (a, b, e) in sorted(columns.items())]))
 
 
 def simple_zeros(a: float, b: float, k: int) -> Optional[list[float]]:

@@ -58,7 +58,8 @@ def legendre_pair(j: int, w: float) -> tuple[float, float]:
 def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: float) -> float:
     """epsilon^order times one splitting order at s0, each F_(j,k) replaced by its leading term.
 
-    The column that ``asymp leading`` prints for order 4 or 6.
+    The column that ``asymp leading`` prints for order 4 or 6, bit for bit
+    where epsilon is a power of two; the oracle for ``melnikov.leading_terms``.
     """
     terms = _order_terms(config, order, theta0, epsilon,
                          lambda j, k, tt: QuadratureResult(

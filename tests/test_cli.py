@@ -322,12 +322,21 @@ def test_asymp_exits_without_traceback(rp3bp_file, argv, code):
     ("fplot", "F4", "--range", "5e102", "5e102", "--points", "1"),
     ("integrate", "--config", "{config}", "--eps", "1e300", "--state", "0.3", "0.05", "0", "1",
      "--tspan", "0", "1"),
+    ("melnikov", "--order", "6", "--config", "{config}", "--theta0", "1e-40", "--eps", "1",
+     "--points", "2"),
+    ("splitting", "--config", "{config}", "--theta0", "-1e-40", "--eps", "1", "--points", "2"),
+    ("asymp", "leading", "--config", "{config}", "--theta0", "1e-40", "--eps", "1"),
+    ("melnikov", "--order", "poly:10", "--theta0", "1e-16", "--eps", "1", "--points", "2"),
 ], ids=["melnikov-poly-tiny-theta0", "melnikov-tiny-theta0", "splitting-tiny-theta0",
         "leading-tiny-theta0", "melnikov-huge-theta0", "fplot-huge-theta",
-        "fplot-overflowing-phase-scale", "integrate-huge-eps"])
+        "fplot-overflowing-phase-scale", "integrate-huge-eps", "melnikov-subnormal-theta0-power",
+        "splitting-subnormal-theta0-power", "leading-subnormal-theta0-power",
+        "melnikov-poly-subnormal-theta0-power"])
 def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     # division by zero and overflow are arithmetic errors: exit 2, not a traceback;
-    # the flow's epsilon outside (0, 1] is refused up front, a usage error
+    # a prefactor 2^(j+1)/theta0^(2j+2) that overflows to inf is an overflow, not
+    # a row of inf * 0 = nan; the flow's epsilon outside (0, 1] is refused up
+    # front, a usage error
     env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "melsplit.cli", *(a.format(config=rp3bp_file) for a in argv)],
@@ -585,7 +594,7 @@ class TestDynamicsCommands:
             "--config", rp3bp_file,
             "--eps", "0.5",
             "--theta0", "1.0",
-            "--points", "4",
+            "--points", "16",
             "--tol", "1e-7",
             "--compare",
         )
@@ -595,7 +604,13 @@ class TestDynamicsCommands:
         cfg = melsplit.load_configuration(rp3bp_file)
         terms = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
         paper = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-10) for order in (4, 6)]
+        sums = [melsplit.melnikov_sum(parts, 0.5) for parts in (terms, paper)]
         bound = sum(0.5**m.epsilon_order * err for m in (*terms, *paper) for *_, err in m.terms)
+        # the merged sum rounds differently from the sum of the weighted orders
+        rounding = [4.0 * np.finfo(float).eps
+                    * sum(0.5**m.epsilon_order * (abs(a) + abs(b)) for m in parts
+                          for _, a, b, _ in m.terms)
+                    for parts in (terms, paper)]
         # the paper's rows written out: 2/Theta0^6 F4 (c2 sin 2s - c3 cos 2s) and
         # 2/Theta0^8 [F61 (d2 cos s - d1 sin s) + F62 (d4 cos 3s - d3 sin 3s)], Theta0 = 1
         f4, f61, f62 = (melsplit.eval_oscillatory(build(2.0), 1e-10).value
@@ -604,8 +619,10 @@ class TestDynamicsCommands:
         d1, d2, d3, d4 = d_coeffs(cfg)
         for line in lines[1:]:
             s0, value, closed_value = map(float, line.split(","))
-            assert value == 0.5**4 * terms[0].value(s0) + 0.5**6 * terms[1].value(s0)
-            assert closed_value == 0.5**4 * paper[0].value(s0) + 0.5**6 * paper[1].value(s0)
+            assert (value, closed_value) == (sums[0].value(s0), sums[1].value(s0))
+            for got, parts, slack in zip((value, closed_value), (terms, paper), rounding):
+                by_order = 0.5**4 * parts[0].value(s0) + 0.5**6 * parts[1].value(s0)
+                assert abs(got - by_order) <= slack
             m4 = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
             m6 = 2.0 * (f61 * (d2 * math.cos(s0) - d1 * math.sin(s0))
                         + f62 * (d4 * math.cos(3 * s0) - d3 * math.sin(3 * s0)))

@@ -18,7 +18,9 @@ from melsplit import (
     find_zeros,
     harmonic_integrand,
     harmonic_table,
+    leading_terms,
     legendre_cos_coeffs,
+    melnikov_sum,
     normalize_omega,
     simple_zeros,
     solve_collinear_equal,
@@ -31,7 +33,7 @@ from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
 from quadrature_oracles import f4_integrand, f61_integrand, f62_integrand
-from references import c_coeffs, classify_full_scan, d_coeffs, d_l
+from references import c_coeffs, classify_full_scan, d_coeffs, d_l, leading_splitting
 
 
 def polygon_prefactor(n_total):
@@ -254,6 +256,63 @@ class TestAssembleMelnikov:
             assert k == k2
             assert abs(a1 - a2) <= e1 + e2
             assert abs(b1 - b2) <= e1 + e2
+
+
+@pytest.fixture(scope="module")
+def equilateral_orders():
+    """Orders 4, 6 and 8 of the (0.2, 0.3) equilateral, by epsilon: k = 2 is in 4 and 8."""
+    eq = build_equilateral(0.2, 0.3)
+    return {eps: [splitting_terms(eq, order, 1.0, eps) for order in (4, 6, 8)]
+            for eps in (0.25, 0.3, 0.5, 0.8)}
+
+
+def _grid(points):
+    return [2.0 * math.pi * i / points for i in range(points)]
+
+
+class TestMelnikovSum:
+    @pytest.mark.parametrize("eps", [0.3, 0.5])
+    def test_orders_merge_by_harmonic(self, equilateral_orders, eps):
+        parts = equilateral_orders[eps]
+        total = melnikov_sum(parts, eps)
+        assert total.epsilon_order == 0
+        assert [k for k, *_ in total.terms] == [1, 2, 3, 4]
+        for k, a, b, err in total.terms:
+            rows = [(eps**m.epsilon_order, t) for m in parts for t in m.terms if t[0] == k]
+            assert len(rows) == (2 if k == 2 else 1)
+            for column, got in zip((1, 2, 3), (a, b, err)):
+                assert got == math.fsum([w * t[column] for w, t in rows])
+
+    @pytest.mark.parametrize("eps", [0.5, 0.25])
+    def test_one_part_is_its_order_weighted_bit_for_bit(self, equilateral_orders, eps):
+        # a power-of-two weight scales every amplitude and product exactly
+        for part in equilateral_orders[eps]:
+            total = melnikov_sum([part], eps)
+            for s0 in _grid(64):
+                assert total.value(s0) == eps**part.epsilon_order * part.value(s0)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.8])
+    def test_sum_within_rounding_of_the_per_order_sum(self, equilateral_orders, eps):
+        parts = equilateral_orders[eps]
+        total = melnikov_sum(parts, eps)
+        size = sum(eps**m.epsilon_order * (abs(a) + abs(b)) for m in parts for _, a, b, _ in m.terms)
+        for s0 in _grid(64):
+            by_order = sum(eps**m.epsilon_order * m.value(s0) for m in parts)
+            assert abs(total.value(s0) - by_order) <= 4.0 * np.finfo(float).eps * size
+
+    def test_a_sum_of_a_sum_is_the_sum(self, equilateral_orders):
+        merged = melnikov_sum(equilateral_orders[0.3], 0.3)
+        assert melnikov_sum([merged], 0.3) == merged
+
+    @pytest.mark.parametrize("theta0", [2.5, -2.5, 1.0])
+    @pytest.mark.parametrize("eps", [0.25, 0.3])
+    def test_leading_terms_are_the_reference_leading_splitting(self, rp3bp_03, theta0, eps):
+        for order in (4, 6):
+            terms = leading_terms(rp3bp_03, order, theta0, eps)
+            assert terms.epsilon_order == order
+            for s0 in _grid(16):
+                want = leading_splitting(rp3bp_03, order, theta0, eps, s0)
+                assert eps**order * terms.value(s0) == want
 
 
 class TestSimpleZeros:
