@@ -25,20 +25,24 @@ half plane, where the integrand neither oscillates nor cancels:
   Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
   2014).  The window v in [-4, 4] runs from t = 2e-19 g to 4e18 g, where
   the end terms are usually negligible;
-* the coarsest level has step 1/2 on that window (17 nodes), and the step
-  is halved until two levels agree.  The error of the rule roughly squares
-  per halving, so the first call evaluates the coarsest level and its first
-  four halvings together, down to step 1/32 (17 + 240 = 257 nodes, one
-  table even for 130 coefficients), cut to the levels that fit in the
-  budget; each later call adds one level.  Each level is summed over its
-  own nodes and the stopping rule is applied level by level, so the rule
-  stops at the first pair of levels that agree whatever the call held;
+* every node lies on one uniform grid in v, held in v order.  The coarsest
+  level has step 1/2 on that window (17 nodes), and the step is halved
+  until two levels agree; level l, of step 2^-(l+1), is every
+  2^(finest - l)-th node of the finest grid evaluated, so its trapezoid sum
+  is a strided sum.  The error of the rule roughly squares per halving, so
+  the first call evaluates the grid of step 1/32, the coarsest level and its
+  first four halvings (257 nodes, one table even for 130 coefficients), or
+  the finest grid that fits in the budget; each later call evaluates the
+  midpoints of the finest grid, and the next level is half the previous
+  one plus the step times their sum.  The stopping rule is applied level
+  by level, so it stops at the first pair of levels that agree whatever the
+  call held;
 * the scaled terms are at most about the numerator's size at the vertex,
   and |P - iQ| there reaches 1.8e5 / g, so an end term of the window is not
   always negligible.  An end whose term is still above the floor
-  max(tol/256, eps max|term|) is widened, sized from that term by the
-  exp(-(pi/2) sinh|v|) decay, and every level evaluated so far gets its
-  nodes on the new stretch;
+  max(tol/256, eps max|term|) is widened by whole coarse steps, sized from
+  that term by the exp(-(pi/2) sinh|v|) decay, with nodes of the grid's own
+  step, so every level evaluated so far gets its nodes on the new stretch;
 * at each node the numerator is evaluated from its expansion about 0 or
   about i, whichever has the smaller rounding bound sum |c_j| |w|^j.  The
   powers x^0 .. x^(n-1) of |z|, |w| and the chosen variable come from
@@ -56,14 +60,23 @@ half plane, where the integrand neither oscillates nor cancels:
   only far out on the arm: over F_(j,k) for 1 <= k <= j <= 64 at
   theta = +-0.6 and +-2, and every F_(k,k), k <= 64, on the theta lattice
   -2.5 .. 5, the dropped terms are below 1e-190, and at least 1e-193 times
-  max(|value|, error estimate) of their integral.
+  max(|value|, error estimate) of their integral.  A dropped term must be
+  shown negligible: the bound sum |c_j| max(1, |z|)^(n-1) of its numerator,
+  times the rest of the term with |z - i|^2, which is no larger on the
+  contour, for |1 + z^2|, taken in logs on the dropped nodes, must stay below
+  eps tol, or the call raises QuadratureBudgetError.  On those F_(j,k), and
+  at theta = -1.5, 0.1, 0.5, 0.61, 1, 1.5 and 2.5 too, it stays below
+  1e-126 (at F_(64,64), theta = 0.1); it is crossed where the numerator's
+  top powers cancel a pole factor that overflows close in, as for
+  (1 + z^598) / (1 + z^2)^300 at d = 1e-300, whose dropped terms carry half
+  the value.
 
 ``error_estimate`` adds the difference of the last two levels, the end
 terms of the window standing for the truncated tails (past an end the
 terms fall double-exponentially, so a tail is far below its end term), and
 eps times the rounding bounds summed over the nodes with the step as
-weight.  ``evaluations`` counts every node evaluated, including the levels
-of the first call past the level where the rule stopped.
+weight.  ``evaluations`` counts every node evaluated, including those of
+the first call's levels past the level where the rule stopped.
 
 At d = 0 nothing oscillates and the value is exact: closed in the upper
 half plane, the integral is Re[2 pi i Res_{z=i}] of P / (1 + z^2)^k, and the
@@ -266,21 +279,11 @@ def _exp_sinh(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s * (_HALF_PI * np.cosh(v))
 
 
-def _halving(start: float, intervals: int, level: int) -> np.ndarray:
-    """The nodes that the step _STEP / 2^level adds on ``intervals`` coarse steps from ``start``."""
-    return start + (_STEP / 2**level) * (2 * np.arange(intervals << (level - 1)) + 1)
-
-
 @lru_cache(maxsize=None)
-def _first_pass(reach: float) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The first call's level sizes and ``_exp_sinh`` map: the coarsest level on
-    v in [-reach, reach], then the nodes that each of the next halvings adds."""
-    intervals = round(2 * reach / _STEP)
-    levels = range(1, _FIRST_LEVELS)
-    sizes = (intervals + 1,) + tuple(intervals << (level - 1) for level in levels)
-    v = np.concatenate([-reach + _STEP * np.arange(intervals + 1)]
-                       + [_halving(-reach, intervals, level) for level in levels])
-    return (sizes, *_exp_sinh(v))
+def _first_pass(reach: float, finest: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_exp_sinh`` on the first call's grid: v in [-reach, reach], step _STEP / 2^finest."""
+    intervals = round(2 * reach / _STEP) << finest
+    return _exp_sinh(-reach + (_STEP / 2**finest) * np.arange(intervals + 1))
 
 
 def eval_oscillatory(
@@ -291,7 +294,8 @@ def eval_oscillatory(
 
     ``tol`` is the target absolute error; ``error_estimate`` adds the last
     level change, the truncated tails and the rounding bounds of the terms.
-    More than ``EVALUATION_BUDGET`` evaluations raise QuadratureBudgetError.
+    More than ``EVALUATION_BUDGET`` evaluations raise QuadratureBudgetError,
+    and so does a term dropped as overflowed that is not shown negligible.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
@@ -317,6 +321,11 @@ def eval_oscillatory(
     # most 1: absolute targets below hold for the unscaled value too
     log_phase = -delta * (h - h**3 / 3.0)
     log_scale = log_phase - m * math.log(g) - k * math.log(2.0 - g)
+    # a scaled term is at most sum |c_j| max(1, |z|)^(n-1) |e^psi| g ds/dv
+    # g^m (2 - g)^k / |z - i|^(2k), as |z + i| >= |z - i| on the contour; it
+    # is negligible below eps tol, which here is over the constant factor
+    log_negligible = (math.log(_EPS * tol) - math.log(abs_c.sum())
+                      - (m + 1) * math.log(g) - k * math.log(2.0 - g))
     budget, evaluations = EVALUATION_BUDGET, 0
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -333,8 +342,8 @@ def eval_oscillatory(
         z, w = w0 + 1j * h, w0 - 1j * g  # z and z - i
         # rounding bounds sum |c_j| |z|^j and sum |b_j| |w|^j, over |w|^e;
         # the expansion with the smaller one is evaluated
-        abs_w = np.abs(w)
-        bound_0 = abs_c @ _powers(np.abs(z), n) / abs_w**e
+        abs_z, abs_w = np.abs(z), np.abs(w)
+        bound_0 = abs_c @ _powers(abs_z, n) / abs_w**e
         bound_i = abs_b @ _powers(abs_w, n) * abs_w ** (j0 - e)
         near = bound_i < bound_0
         about_0, about_i = coeffs @ _powers(np.where(near, w, z), n)
@@ -347,65 +356,72 @@ def eval_oscillatory(
         # (see the module docstring)
         rest = np.where(np.isfinite(pole), np.exp(psi) * (g * _RAY) * ds / pole, 0.0)
         live = rest != 0.0
+        # a dropped term must be shown negligible by the bound above, taken in
+        # logs.  That is NaN only where s or |z|^3 overflows, so far out that
+        # the term of a convergent integral is negligible
+        at = np.flatnonzero(~live)
+        if len(at):
+            log_bound = ((n - 1) * np.log(np.maximum(abs_z[at], 1.0)) - 2 * k * np.log(abs_w[at])
+                         + psi[at].real + np.log(ds[at]))
+            if (log_bound > log_negligible).any():
+                raise QuadratureBudgetError(f"a term dropped as overflowed is not shown below "
+                                            f"eps tol = {_EPS * tol:.3g}")
         vals = np.where(live, num * rest, 0.0)
         if not np.isfinite(vals).all():
             raise QuadratureBudgetError(f"integrand overflows at |z| = {np.abs(z).max():.3g}")
         bound = _EPS * (2 * n + 2 * k + 2 + np.abs(psi)) * np.abs(rest)
         return vals, np.where(live, bound * np.minimum(bound_0, bound_i), 0.0)
 
-    def level_sums(s: np.ndarray, ds: np.ndarray, sizes: list[int]) -> tuple[list, list, np.ndarray]:
-        """Per level of ``sizes`` consecutive nodes, the sums of the terms and of
-        their rounding bounds; and the terms.  A call takes at most chunk nodes."""
-        vals, noise = (np.concatenate(x) for x in zip(
-            *(evaluate(s[i:i + chunk], ds[i:i + chunk]) for i in range(0, len(s), chunk))))
-        starts = np.cumsum([0] + sizes[:-1])
-        return list(np.add.reduceat(vals, starts)), list(np.add.reduceat(noise, starts)), vals
+    def terms(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The terms and their rounding bounds at the nodes; an evaluate call takes at most chunk."""
+        vals, noise = zip(*(evaluate(s[i:i + chunk], ds[i:i + chunk])
+                            for i in range(0, len(s), chunk)))
+        return np.concatenate(vals), np.concatenate(noise)
 
-    # the first call: the coarsest level and its first halvings on v in
-    # [-_REACH, _REACH], as many levels as the budget holds
-    sizes, *first = _first_pass(_REACH)
-    sizes = list(sizes)
-    while len(sizes) > 1 and sum(sizes) > budget:
-        sizes.pop()
-    sums, noises, vals = level_sums(*(x[:sum(sizes)] for x in first), sizes)
-    window, intervals = [-_REACH, _REACH], sizes[0] - 1
-    ends = [vals[0], vals[intervals]]
+    # every node lies on one uniform grid in v, held in v order; level l,
+    # step _STEP / 2^l, is every 2^(finest - l)-th node of it.  The first call
+    # evaluates the grid of the coarsest level and its first halvings on v in
+    # [-_REACH, _REACH], down to the finest level that the budget holds
+    finest = _FIRST_LEVELS - 1
+    while finest and (round(2 * _REACH / _STEP) << finest) >= budget:
+        finest -= 1
+    vals, noise = terms(*_first_pass(_REACH, finest))
+    window, fine = [-_REACH, _REACH], _STEP / 2**finest
+    ends = [vals[0], vals[-1]]
 
-    # an end still above the floor is widened, and every level evaluated so
-    # far gets its nodes on the new stretch.  Past an end the terms fall at
-    # least like exp(-pi/2 sinh|v|) cosh v, which sizes the widening from the
-    # end term.  Being systematic, the tails get a small share of the tolerance
+    # an end still above the floor is widened by whole coarse steps, with
+    # the grid's own nodes.  Past an end the terms fall at least like
+    # exp(-pi/2 sinh|v|) cosh v, which sizes the widening from the end
+    # term.  Being systematic, the tails get a small share of the tolerance
     floor = max(tol / 256.0, _EPS * np.abs(vals).max())
     for side, sign in ((0, -1.0), (1, 1.0)):
         while abs(ends[side]) > floor:
             reach = abs(window[side])
             target = math.asinh(math.sinh(reach) + (math.log(abs(ends[side]) / floor) + 1.0) / _HALF_PI)
             width = max(1, math.ceil((target - reach) / _STEP))
-            coarse = window[side] + sign * _STEP * np.arange(1, width + 1)  # outermost last
-            start = min(window[side], coarse[-1])
-            parts = [coarse] + [_halving(start, width, level) for level in range(1, len(sums))]
-            more, more_noise, more_vals = level_sums(*_exp_sinh(np.concatenate(parts)),
-                                                     [len(p) for p in parts])
-            sums = [a + b for a, b in zip(sums, more)]
-            noises = [a + b for a, b in zip(noises, more_noise)]
-            ends[side], window[side] = more_vals[width - 1], float(coarse[-1])
-            intervals += width
+            v = window[side] + sign * fine * np.arange(1, (width << finest) + 1)  # outermost last
+            more = terms(*_exp_sinh(v))
+            vals, noise = (np.concatenate((old, new) if side else (new[::-1], old))
+                           for old, new in zip((vals, noise), more))
+            ends[side], window[side] = more[0][-1], float(v[-1])
     tail = abs(ends[0]) + abs(ends[1])
 
     # the level rule: stop at the first level that agrees with the one before
-    # it, or differs from it only by rounding; each later call adds one level
-    step, total, noise_sum = _STEP, sums[0], noises[0]
-    previous, level = step * total, 1
+    # it, or differs from it only by rounding.  Past the finest level, each
+    # later call evaluates the midpoints of the finest grid's intervals
+    step, intervals = _STEP, len(vals) - 1
+    previous, rounding = step * vals[::1 << finest].sum(), step * noise[::1 << finest].sum()
+    level = 1
     while True:
-        if level == len(sums):
-            nodes = _halving(window[0], intervals, level)
-            more, more_noise, _ = level_sums(*_exp_sinh(nodes), [len(nodes)])
-            sums += more
-            noises += more_noise
         step /= 2.0
-        total += sums[level]
-        noise_sum += noises[level]
-        current, rounding = step * total, step * noise_sum
+        if level <= finest:
+            stride = 1 << (finest - level)
+            current, rounding = step * vals[::stride].sum(), step * noise[::stride].sum()
+        else:
+            more, more_noise = terms(*_exp_sinh(window[0] + step * (2 * np.arange(intervals) + 1)))
+            current = previous / 2.0 + step * more.sum()
+            rounding = rounding / 2.0 + step * more_noise.sum()
+            intervals *= 2
         change = abs(current - previous)
         if change <= max(tol / 8.0, rounding):
             break

@@ -86,8 +86,9 @@ class TestBasicContracts:
         (f4_integrand, 1.0, 1e-3, 140), (f61_integrand, 2.0, 1e-3, 70)], ids=["F4", "F61"])
     def test_budget_clips_the_batched_halvings(self, monkeypatch, builder, tt, tol, budget):
         # the rule stops at step 1/16 (129 evaluations) and 1/8 (65): the
-        # first call, 257 nodes down to step 1/32, is cut to the levels that
-        # fit, and the rule stops before the rest
+        # first call's grid, 257 nodes of step 1/32, is coarsened to the
+        # finest step whose grid fits, and the rule stops at that step or
+        # before
         unclipped = eval_oscillatory(builder(tt), tol)
         monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", budget)
         res = eval_oscillatory(builder(tt), tol)
@@ -98,8 +99,8 @@ class TestBasicContracts:
     def test_a_narrow_first_window_is_widened(self, monkeypatch, reach):
         # the end terms at v = -reach and reach are far above the floor, so
         # without widening the tails alone would put the estimate above tol;
-        # widened, with every evaluated level given its nodes on the new
-        # stretch, the value agrees with the default window's
+        # widened, the grid's own nodes on the new stretch giving every
+        # evaluated level its share, the value agrees with the default window's
         for f in (f4_integrand(1.0), harmonic_integrand(9, 9, -1.25),
                   CubicPhaseIntegrand((1.0,), (), 1, 0.01)):
             default = eval_oscillatory(f, 1e-10)
@@ -108,6 +109,17 @@ class TestBasicContracts:
                 widened = eval_oscillatory(f, 1e-10)
             assert widened.error_estimate <= 1e-10
             assert abs(widened.value - default.value) <= widened.error_estimate + default.error_estimate
+
+    @pytest.mark.parametrize("numerator, k, delta", [
+        ((1.0,) + (0.0,) * 597 + (1.0,), 300, 1e-300), ((1.0,) + (0.0,) * 37 + (1.0,), 20, 1e-30)],
+        ids=["k300", "k20"])
+    def test_a_dropped_term_that_is_not_negligible_is_an_error(self, numerator, k, delta):
+        # the top power cancels the pole factor, which overflows from
+        # |z| = 3.3 (k = 300) and 5e7 (k = 20) on: the terms set to 0 there
+        # carry half the value at k = 300 (0.10246 for 0.20492) and 2.2e-8 at
+        # k = 20, both far above an estimate of about 1e-11
+        with pytest.raises(QuadratureBudgetError, match="dropped"):
+            eval_oscillatory(CubicPhaseIntegrand(numerator, (), k, delta), 1e-10)
 
     def test_truncation_honesty(self):
         # moving the tail cutoff changes the value by less than the estimate
@@ -177,10 +189,31 @@ def test_evaluate_calls_per_integral(tol, monkeypatch):
     assert np.median(calls) <= 1 and max(calls) <= (1 if tol == 1e-10 else 2)
 
 
-def test_oracle_lattice_evaluations():
-    # a machine-independent cost: 215,718 evaluations with the trapezoid rule
-    # in u = log t, 77,100 with the exp-sinh map
-    assert sum(eval_oscillatory(f, 1e-10).evaluations for _, f in _lattice_integrands()) <= 90_000
+@pytest.mark.parametrize("tol, total", [(1e-3, 77_100), (1e-6, 77_100), (1e-10, 77_100),
+                                        (1e-13, 85_804)])
+def test_oracle_lattice_evaluations(tol, total):
+    # a machine-independent cost, and the node set pinned: the first call's
+    # 257 nodes for each of the 300 integrals off theta = 0 (exact there, with
+    # none), and 256 more for each of the 34 that refine at tol 1e-13.  The
+    # trapezoid rule in u = log t took 215,718 at tol 1e-10
+    assert sum(eval_oscillatory(f, tol).evaluations for _, f in _lattice_integrands()) == total
+
+
+@pytest.mark.parametrize("first_levels", [2, 6])
+def test_refinement_adds_the_midpoints_of_the_finest_grid(monkeypatch, first_levels):
+    # the 34 lattice integrals that need a second call at tol 1e-13 stop at
+    # step 1/64 whether the first call evaluates one level more (6) or three
+    # fewer, the rest then coming one level per call (2): the same count, and
+    # the same value within both estimates.  Midpoints that miss the finest
+    # grid change the count or the value
+    refined = [(f, res) for _, f in _lattice_integrands()
+               if (res := eval_oscillatory(f, 1e-13)).evaluations > 257]
+    assert len(refined) == 34
+    monkeypatch.setattr(quadrature, "_FIRST_LEVELS", first_levels)
+    for f, res in refined:
+        other = eval_oscillatory(f, 1e-13)
+        assert other.evaluations == res.evaluations
+        assert abs(other.value - res.value) <= other.error_estimate + res.error_estimate
 
 
 @pytest.mark.parametrize("j, k, tt", [(64, 62, 0.5), (64, 64, 0.1)])
