@@ -28,7 +28,6 @@ from .dynamics import (
     FlowParams,
     IntegrationError,
     McGeheeState,
-    PoincareReturnError,
     hd_value,
     integrate_mcgehee,
 )
@@ -246,17 +245,23 @@ def _cmd_config(args, out) -> int:
     if args.config_command == "validate":
         c = cfg.load_configuration(args.path)
         report = cfg.cc_residual(c, fit_lambda=True)
+        # valid: central at some scale, so an unnormalized polygon passes
+        try:
+            cfg.lambda_of(c)
+            valid = True
+        except cfg.NotCentralError:
+            valid = False
         _emit_json(
             {
                 "label": c.label,
                 "n_bodies": c.n_bodies,
-                "valid": True,
+                "valid": valid,
                 "max_norm": report.max_norm,
                 "lambda": report.lam,
             },
             out,
         )
-        return EXIT_OK
+        return EXIT_OK if valid else EXIT_USAGE
     builders = {
         "rp3bp": lambda: cfg.build_rp3bp(args.mu),
         "equilateral": lambda: cfg.build_equilateral(args.m1, args.m2),
@@ -474,13 +479,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return _COMMANDS[args.command][2](args, sys.stdout)
-    except (cfg.ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (
         QuadratureBudgetError,
         IntegrationError,
-        PoincareReturnError,
         cfg.NewtonConvergenceError,
         ArithmeticError,  # overflow, division by zero, floating-point errors
     ) as exc:

@@ -158,7 +158,8 @@ def _lambda_fit(config: CentralConfiguration) -> tuple[float, float]:
         raise ConfigError("all bodies at the origin")
     lam = -float(np.sum(g * pos)) / denom
     fit = g + lam * pos
-    return lam, float(np.max(np.hypot(fit[:, 0], fit[:, 1])))
+    # relative to the largest pull, which scales like c^-2 with the positions
+    return lam, float(np.max(np.hypot(fit[:, 0], fit[:, 1])) / np.max(np.hypot(g[:, 0], g[:, 1])))
 
 
 def lambda_of(config: CentralConfiguration) -> float:
@@ -166,12 +167,14 @@ def lambda_of(config: CentralConfiguration) -> float:
 
     lambda equals 1 exactly when the configuration rotates with unit angular
     velocity.  Scaling all positions by c scales lambda by c**-3.  Raises
-    :class:`NotCentralError` when no single multiplier fits the shape.
+    :class:`NotCentralError` when no single multiplier fits the shape: when
+    max_k |g_k + lambda a_k| exceeds ``LAMBDA_FIT_TOL`` times max_k |g_k|, a
+    test that does not depend on the scale.
     """
     lam, fit_residual = _lambda_fit(config)
     if fit_residual > LAMBDA_FIT_TOL:
         raise NotCentralError(
-            f"no common multiplier fits: residual {fit_residual:.3e} > {LAMBDA_FIT_TOL:.3e}"
+            f"no common multiplier fits: relative residual {fit_residual:.3e} > {LAMBDA_FIT_TOL:.3e}"
         )
     return lam
 
@@ -432,11 +435,11 @@ def configuration_to_dict(config: CentralConfiguration) -> dict:
 def configuration_from_dict(data: dict) -> CentralConfiguration:
     try:
         bodies = tuple([
-            PrimaryBody(float(b["mass"]), (float(b["position"][0]), float(b["position"][1])))
+            PrimaryBody(float(b["mass"]), tuple([float(c) for c in b["position"]]))
             for b in data["bodies"]
         ])
         label = str(data.get("label", ""))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed configuration object: {exc}") from exc
     return CentralConfiguration(bodies, label=label)
 

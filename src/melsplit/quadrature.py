@@ -53,23 +53,25 @@ half plane, where the integrand neither oscillates nor cancels:
   2^16 / n nodes.  x^j formed by j - 1 products carries at most j
   roundings: that is Horner's error class, which the rounding term below
   (eps (2 len(c) + ...)) covers;
-* where the pole factor (z - i)^m (z + i)^k, scaled by its size at the
-  vertex, overflows, or the exponential times the weight over the pole
-  factor underflows, the term is set to 0, not to the NaN of a complex
-  division by inf or of 0 times an overflowed numerator.  That happens
-  only far out on the arm: over F_(j,k) for 1 <= k <= j <= 64 at
+* one rule decides which terms count.  A term is at most the bound
+  sum |c_j| max(1, |z|)^(n-1) of its numerator times the rest of the term
+  with |z - i|^2, which is no larger on the contour, for |1 + z^2|.  That
+  bound is taken in logs at every node, and a term below eps tol by it is
+  0.  Every other term must be finite, and its rest (the exponential times
+  the weight over the pole factor) must not be 0, which it is where the
+  pole factor (z - i)^m (z + i)^k, scaled by its size at the vertex,
+  overflows; else the call raises QuadratureBudgetError.  So no term is the
+  NaN of a complex division by inf or of 0 times an overflowed numerator,
+  and none is dropped that is not shown negligible.  The pole factor
+  overflows only far out on the arm: over F_(j,k) for 1 <= k <= j <= 64 at
   theta = +-0.6 and +-2, and every F_(k,k), k <= 64, on the theta lattice
-  -2.5 .. 5, the dropped terms are below 1e-190, and at least 1e-193 times
-  max(|value|, error estimate) of their integral.  A dropped term must be
-  shown negligible: the bound sum |c_j| max(1, |z|)^(n-1) of its numerator,
-  times the rest of the term with |z - i|^2, which is no larger on the
-  contour, for |1 + z^2|, taken in logs on the dropped nodes, must stay below
-  eps tol, or the call raises QuadratureBudgetError.  On those F_(j,k), and
-  at theta = -1.5, 0.1, 0.5, 0.61, 1, 1.5 and 2.5 too, it stays below
-  1e-126 (at F_(64,64), theta = 0.1); it is crossed where the numerator's
-  top powers cancel a pole factor that overflows close in, as for
-  (1 + z^598) / (1 + z^2)^300 at d = 1e-300, whose dropped terms carry half
-  the value.
+  -2.5 .. 5, the terms there are below 1e-190 and their bound below
+  1e-126, which holds at theta = -1.5, 0.1, 0.5, 0.61, 1, 1.5 and 2.5 too
+  (the largest at F_(64,64), theta = 0.1).  The rule raises where the
+  numerator's top powers cancel a pole factor that overflows close in, as
+  for (1 + z^598) / (1 + z^2)^300 at d = 1e-300, whose zeroed terms would
+  carry half the value, and where the kept terms overflow, as for
+  (1 + 1e200 z^38) / (1 + z^2)^20.
 
 ``error_estimate`` adds the difference of the last two levels, the end
 terms of the window standing for the truncated tails (past an end the
@@ -294,8 +296,10 @@ def eval_oscillatory(
 
     ``tol`` is the target absolute error; ``error_estimate`` adds the last
     level change, the truncated tails and the rounding bounds of the terms.
-    More than ``EVALUATION_BUDGET`` evaluations raise QuadratureBudgetError,
-    and so does a term dropped as overflowed that is not shown negligible.
+    A term shown below eps tol is 0, and every other must be finite with a
+    pole factor that does not overflow (see the module docstring).  More
+    than ``EVALUATION_BUDGET`` evaluations, or a term that breaks that rule,
+    raise QuadratureBudgetError.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
@@ -352,25 +356,20 @@ def eval_oscillatory(
         # i d (phi(z) - phi(ih)), expanded about the vertex
         psi = 1j * delta * (w0 * (g * (2.0 - g) + w0 * (1j * h + w0 / 3.0)))
         pole = (w / g) ** m * ((w0 + 1j * (2.0 - g)) / (2.0 - g)) ** k
-        # the term is 0 where the pole factor overflows or the rest underflows
-        # (see the module docstring)
-        rest = np.where(np.isfinite(pole), np.exp(psi) * (g * _RAY) * ds / pole, 0.0)
-        live = rest != 0.0
-        # a dropped term must be shown negligible by the bound above, taken in
-        # logs.  That is NaN only where s or |z|^3 overflows, so far out that
-        # the term of a convergent integral is negligible
-        at = np.flatnonzero(~live)
-        if len(at):
-            log_bound = ((n - 1) * np.log(np.maximum(abs_z[at], 1.0)) - 2 * k * np.log(abs_w[at])
-                         + psi[at].real + np.log(ds[at]))
-            if (log_bound > log_negligible).any():
-                raise QuadratureBudgetError(f"a term dropped as overflowed is not shown below "
-                                            f"eps tol = {_EPS * tol:.3g}")
-        vals = np.where(live, num * rest, 0.0)
-        if not np.isfinite(vals).all():
-            raise QuadratureBudgetError(f"integrand overflows at |z| = {np.abs(z).max():.3g}")
-        bound = _EPS * (2 * n + 2 * k + 2 + np.abs(psi)) * np.abs(rest)
-        return vals, np.where(live, bound * np.minimum(bound_0, bound_i), 0.0)
+        rest = np.exp(psi) * (g * _RAY) * ds / pole
+        vals = num * rest
+        # one rule for every node: a term below the bound above, taken in logs,
+        # is 0, and every other must be finite, with a rest not set to 0 by an
+        # overflowing pole factor.  The bound is NaN only where s or |z|^3
+        # overflows, so far out that the term is negligible: NaN is below it
+        kept = ((n - 1) * np.log(np.maximum(abs_z, 1.0)) - 2 * k * np.log(abs_w)
+                + psi.real + np.log(ds)) > log_negligible
+        abs_rest = np.abs(rest)
+        if (kept & ~(np.isfinite(vals) & (abs_rest > 0.0))).any():
+            raise QuadratureBudgetError(f"a term not shown below eps tol = {_EPS * tol:.3g} "
+                                        f"overflows or is dropped as underflowed")
+        bound = _EPS * (2 * n + 2 * k + 2 + np.abs(psi)) * abs_rest * np.minimum(bound_0, bound_i)
+        return np.where(kept, vals, 0.0), np.where(kept, bound, 0.0)
 
     def terms(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The terms and their rounding bounds at the nodes; an evaluate call takes at most chunk."""
@@ -387,24 +386,23 @@ def eval_oscillatory(
         finest -= 1
     vals, noise = terms(*_first_pass(_REACH, finest))
     window, fine = [-_REACH, _REACH], _STEP / 2**finest
-    ends = [vals[0], vals[-1]]
 
     # an end still above the floor is widened by whole coarse steps, with
     # the grid's own nodes.  Past an end the terms fall at least like
     # exp(-pi/2 sinh|v|) cosh v, which sizes the widening from the end
     # term.  Being systematic, the tails get a small share of the tolerance
     floor = max(tol / 256.0, _EPS * np.abs(vals).max())
-    for side, sign in ((0, -1.0), (1, 1.0)):
-        while abs(ends[side]) > floor:
+    for side, sign in ((0, -1.0), (-1, 1.0)):
+        while abs(vals[side]) > floor:
             reach = abs(window[side])
-            target = math.asinh(math.sinh(reach) + (math.log(abs(ends[side]) / floor) + 1.0) / _HALF_PI)
+            target = math.asinh(math.sinh(reach) + (math.log(abs(vals[side]) / floor) + 1.0) / _HALF_PI)
             width = max(1, math.ceil((target - reach) / _STEP))
             v = window[side] + sign * fine * np.arange(1, (width << finest) + 1)  # outermost last
             more = terms(*_exp_sinh(v))
             vals, noise = (np.concatenate((old, new) if side else (new[::-1], old))
                            for old, new in zip((vals, noise), more))
-            ends[side], window[side] = more[0][-1], float(v[-1])
-    tail = abs(ends[0]) + abs(ends[1])
+            window[side] = float(v[-1])
+    tail = abs(vals[0]) + abs(vals[-1])
 
     # the level rule: stop at the first level that agrees with the one before
     # it, or differs from it only by rounding.  Past the finest level, each

@@ -14,7 +14,7 @@ import pytest
 import melsplit
 from melsplit import catalog, cli, dynamics, harmonics, melnikov
 from melsplit.cli import main
-from melsplit.config import load_configuration
+from melsplit.config import load_configuration, scale
 from quadrature_oracles import PAPER_INTEGRANDS, f4_integrand, f61_integrand, f62_integrand
 from references import c_coeffs, d_coeffs, leading_splitting
 from references import d_l as reference_d_l
@@ -63,6 +63,30 @@ class TestConfigCommands:
         assert payload["valid"] is True
         assert payload["max_norm"] <= 1e-13
         assert payload["lambda"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bodies, valid", [
+        # not central at any scale: the fit leaves 0.092 of the largest pull
+        ([(0.5, (1.0, 0.0)), (0.25, (-1.0, 1.0)), (0.25, (-1.0, -1.0))], False),
+        # central, scaled so that the pull is 1e10 times that of side 1
+        ([(b.mass, b.position) for b in
+          scale(melsplit.build_equilateral(0.2, 0.3), 1e-5).bodies], True),
+        # a unit square rotates with lambda = (1 + 2 sqrt 2)/16, not 1
+        ([(b.mass, b.position) for b in melsplit.build_polygon(5).bodies], True),
+    ], ids=["not-central", "equilateral-1e-5", "square"])
+    def test_validate_tests_centrality(self, capsys, tmp_path, bodies, valid):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"bodies": [{"mass": m, "position": list(p)} for m, p in bodies]}))
+        code, out, _ = run(capsys, "config", "validate", str(path))
+        assert code == (0 if valid else 1)
+        assert json.loads(out)["valid"] is valid
+
+    def test_validate_refuses_a_position_with_three_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"bodies": [{"mass": 0.5, "position": [0.5, 0.0, 7.0]},
+                                               {"mass": 0.5, "position": [-0.5, 0.0]}]}))
+        code, out, err = run(capsys, "config", "validate", str(path))
+        assert (code, out) == (1, "")
+        assert "2-vector" in err
 
     def test_build_writes_parseable_json(self, capsys):
         code, out, _ = run(capsys, "config", "build", "polygon", "--n", "5")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melsplit import (
@@ -87,7 +87,8 @@ class TestResidualAndLambda:
         for c in (0.5, 2.0):
             assert lambda_of(scale(base, c)) == pytest.approx(lam / c**3, rel=1e-9)
 
-    def test_not_central_error(self):
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_not_central_error(self, c):
         shape = CentralConfiguration(
             (
                 PrimaryBody(0.3, (1.0, 0.0)),
@@ -97,13 +98,17 @@ class TestResidualAndLambda:
             )
         )
         with pytest.raises(NotCentralError):
-            lambda_of(shape)
+            lambda_of(scale(shape, c))
 
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(min_value=0.4, max_value=2.5))
+    @given(st.floats(min_value=1e-6, max_value=1e6))
+    @example(1e-6)
+    @example(1e-5)
+    @example(1e6)
     def test_lambda_homogeneity_property(self, c):
-        base = build_rp3bp(0.3)
-        assert lambda_of(scale(base, c)) == pytest.approx(1.0 / c**3, rel=1e-9)
+        # the fit is judged relative to the pull, which scales like c^-2
+        for base in (build_rp3bp(0.3), build_equilateral(0.2, 0.3)):
+            assert lambda_of(scale(base, c)) == pytest.approx(1.0 / c**3, rel=1e-9)
 
 
 class TestNormalizeOmega:
@@ -298,6 +303,13 @@ class TestJsonInterface:
         path.write_text(json.dumps(configuration_to_dict(rp3bp_03)))
         again = load_configuration(path)
         assert again == rp3bp_03
+
+    @pytest.mark.parametrize("position", [[0.5, 0.0, 7.0], [0.5]])
+    def test_position_must_have_two_coordinates(self, position):
+        data = {"bodies": [{"mass": 0.5, "position": position},
+                           {"mass": 0.5, "position": [-0.5, 0.0]}]}
+        with pytest.raises(ConfigError, match="2-vector"):
+            load_configuration(data)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"

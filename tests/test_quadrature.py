@@ -111,13 +111,15 @@ class TestBasicContracts:
             assert abs(widened.value - default.value) <= widened.error_estimate + default.error_estimate
 
     @pytest.mark.parametrize("numerator, k, delta", [
-        ((1.0,) + (0.0,) * 597 + (1.0,), 300, 1e-300), ((1.0,) + (0.0,) * 37 + (1.0,), 20, 1e-30)],
-        ids=["k300", "k20"])
+        ((1.0,) + (0.0,) * 597 + (1.0,), 300, 1e-300), ((1.0,) + (0.0,) * 37 + (1.0,), 20, 1e-30),
+        ((1.0,) + (0.0,) * 37 + (1e200,), 20, 1e-10)],
+        ids=["k300", "k20", "k20-overflow"])
     def test_a_dropped_term_that_is_not_negligible_is_an_error(self, numerator, k, delta):
         # the top power cancels the pole factor, which overflows from
         # |z| = 3.3 (k = 300) and 5e7 (k = 20) on: the terms set to 0 there
-        # carry half the value at k = 300 (0.10246 for 0.20492) and 2.2e-8 at
-        # k = 20, both far above an estimate of about 1e-11
+        # would carry half the value at k = 300 (0.10246 for 0.20492) and
+        # 2.2e-8 at k = 20, both far above an estimate of about 1e-11.  With
+        # a top coefficient of 1e200 the kept terms themselves overflow
         with pytest.raises(QuadratureBudgetError, match="dropped"):
             eval_oscillatory(CubicPhaseIntegrand(numerator, (), k, delta), 1e-10)
 
