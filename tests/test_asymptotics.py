@@ -107,22 +107,37 @@ class TestLeadingTerm:
         assert gaps[1] < gaps[0] < 1.0
 
     def test_numerator_zero_of_odd_excess_gives_zero(self):
-        # (z - i)^4 over (1 + z^2)^3 leaves (z - i)/(z + i)^3: p = -1, 1/Gamma(0) = 0
-        f = CubicPhaseIntegrand((1.0, 0.0, -6.0, 0.0, 1.0), (0.0, -4.0, 0.0, 4.0), 3, 20.0)
+        # (z - i)^4 over (1 + z^2)^3 is (z - i)/(z + i)^3: p = -1, 1/Gamma(0) = 0
+        f = CubicPhaseIntegrand(1.0, -1j, 3, 0, 20.0)
         assert leading_term(f) == 0.0
 
     def test_numerator_zero_of_even_excess(self):
-        # (z - i)^6 over (1 + z^2)^4: p = -2, Gamma(-1/2) < 0
-        cos_num = (-1.0, 0.0, 15.0, 0.0, -15.0, 0.0, 1.0)
-        sin_num = (0.0, 6.0, 0.0, -20.0, 0.0, 6.0)
+        # (z - i)^6 over (1 + z^2)^4 is (z - i)(z - i)/(z + i)^4: p = -2, Gamma(-1/2) < 0
         gaps = []
         for delta in (20.0, 80.0):
-            f = CubicPhaseIntegrand(cos_num, sin_num, 4, delta)
+            f = CubicPhaseIntegrand(1.0, -1j, 4, -1, delta)
             gaps.append(abs(eval_oscillatory(f, 1e-13).value / leading_term(f) - 1.0))
         assert gaps[1] < gaps[0] < 0.5
 
     def test_zero_numerator(self):
-        assert leading_term(CubicPhaseIntegrand((0.0, 1.0), (2.0,), 2, 5.0)) == 0.0
+        # for a + b even only i Im alpha and Re beta are mirror-symmetric
+        assert leading_term(CubicPhaseIntegrand(1.0, 2j, 2, 2, 5.0)) == 0.0
+
+    @pytest.mark.parametrize("j, k, tt", [(2, 2, 3.0), (64, 64, 2.5), (1, 27, -4.0), (2, 28, -4.0),
+                                          (30, 40, -2.5), (64, 30, -1.5)])
+    def test_high_orders_match_the_formula_in_50_digits(self, j, k, tt):
+        # Re[(alpha i + beta)(2i)^-a i^p] pi d^((p-1)/2) / Gamma((p+1)/2) e^(-2d/3),
+        # with d < 0 conjugated and a, b swapped.  Read off the expanded
+        # numerator, whose coefficients C(2k, m) no longer fit a double from
+        # k = 27, F_(1,27)(-4) came out as -4.7e-228
+        f = harmonic_integrand(j, k, tt)
+        alpha, beta, a, p, d = f.alpha, f.beta, f.a, f.b, f.phase_scale
+        if d < 0:
+            alpha, beta, a, p, d = alpha.conjugate(), beta.conjugate(), p, a, -d
+        with mp.workdps(50):
+            want = mp.re((alpha * 1j + beta) * mp.power(2j, -a) * mp.power(1j, p)) * mp.pi * (
+                mp.mpf(d) ** (mp.mpf(p - 1) / 2) * mp.rgamma(mp.mpf(p + 1) / 2) * mp.exp(-2 * mp.mpf(d) / 3))
+        assert leading_term(f) == pytest.approx(float(want), rel=1e-12)
 
     def test_zero_phase_scale_raises(self):
         with pytest.raises(ValueError):

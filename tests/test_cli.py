@@ -15,7 +15,9 @@ import melsplit
 from melsplit import catalog, cli, dynamics, harmonics, melnikov
 from melsplit.cli import main
 from melsplit.config import load_configuration, scale
-from quadrature_oracles import PAPER_INTEGRANDS, f4_integrand, f61_integrand, f62_integrand
+from melsplit.quadrature import named_integrand
+from quadrature_oracles import (PAPER_INTEGRANDS, eval_polynomial, f4_integrand, f61_integrand,
+                                f62_integrand)
 from references import c_coeffs, d_coeffs, leading_splitting
 from references import d_l as reference_d_l
 
@@ -87,6 +89,17 @@ class TestConfigCommands:
         code, out, err = run(capsys, "config", "validate", str(path))
         assert (code, out) == (1, "")
         assert "2-vector" in err
+
+    @pytest.mark.parametrize("body", [{"mass": 0.5, "position": "12"},
+                                      {"mass": "0.5", "position": [0.5, 0.0]},
+                                      {"mass": True, "position": [0.5, 0.0]}],
+                             ids=["position-string", "mass-string", "mass-bool"])
+    def test_validate_refuses_values_that_are_not_json_numbers(self, capsys, tmp_path, body):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"bodies": [body, {"mass": 0.5, "position": [-0.5, 0.0]}]}))
+        code, out, err = run(capsys, "config", "validate", str(path))
+        assert (code, out) == (1, "")
+        assert "JSON" in err
 
     def test_build_writes_parseable_json(self, capsys):
         code, out, _ = run(capsys, "config", "build", "polygon", "--n", "5")
@@ -172,12 +185,15 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", ["F4", "F61", "F62"])
     def test_fplot_names_print_the_literal_oracle(self, capsys, name):
-        # the paper's printed integrand, byte for byte, on a grid with theta = 0 as a node
+        # the engine's value, byte for byte, on a grid with theta = 0 as a
+        # node, and within both estimates of the paper's printed integrand
         code, out, _ = run(capsys, "fplot", name, "--range", "-1", "2", "--points", "7")
         assert code == 0
         rows = ["theta_tilde,value,error_estimate"]
         for tt in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0):
-            res = melsplit.eval_oscillatory(PAPER_INTEGRANDS[name](tt), 1e-10)
+            res = melsplit.eval_oscillatory(named_integrand(name)(tt), 1e-10)
+            oracle = eval_polynomial(PAPER_INTEGRANDS[name](tt), 1e-10)
+            assert abs(res.value - oracle.value) <= res.error_estimate + oracle.error_estimate
             rows.append(",".join(format(v, ".16e") for v in (tt, res.value, res.error_estimate)))
         assert out == "\n".join(rows) + "\n"
         assert out.splitlines()[3] == ",".join(["0.0000000000000000e+00"] * 3)
@@ -637,7 +653,7 @@ class TestDynamicsCommands:
                     for parts in (terms, paper)]
         # the paper's rows written out: 2/Theta0^6 F4 (c2 sin 2s - c3 cos 2s) and
         # 2/Theta0^8 [F61 (d2 cos s - d1 sin s) + F62 (d4 cos 3s - d3 sin 3s)], Theta0 = 1
-        f4, f61, f62 = (melsplit.eval_oscillatory(build(2.0), 1e-10).value
+        f4, f61, f62 = (eval_polynomial(build(2.0), 1e-10).value
                         for build in (f4_integrand, f61_integrand, f62_integrand))
         _, c2, c3 = c_coeffs(cfg)
         d1, d2, d3, d4 = d_coeffs(cfg)

@@ -311,6 +311,22 @@ class TestJsonInterface:
         with pytest.raises(ConfigError, match="2-vector"):
             load_configuration(data)
 
+    @pytest.mark.parametrize("body, message", [
+        ({"mass": 0.5, "position": "12"}, "JSON array"),
+        ({"mass": 0.5, "position": {"x": 1.0, "y": 2.0}}, "JSON array"),
+        ({"mass": 0.5, "position": ["0.5", 0.0]}, "JSON number"),
+        ({"mass": 0.5, "position": [True, 0.0]}, "JSON number"),
+        ({"mass": "0.5", "position": [0.5, 0.0]}, "JSON number"),
+        ({"mass": True, "position": [0.5, 0.0]}, "JSON number"),
+    ], ids=["position-string", "position-object", "coordinate-string", "coordinate-bool",
+            "mass-string", "mass-bool"])
+    def test_masses_and_positions_must_be_json_numbers(self, body, message):
+        # the string "12" was loaded as the position (1.0, 2.0), and "0.5" or
+        # true as a mass
+        data = {"bodies": [body, {"mass": 0.5, "position": [-0.5, 0.0]}]}
+        with pytest.raises(ConfigError, match=message):
+            load_configuration(data)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"bodies": [{"mass": 1.0}]}))

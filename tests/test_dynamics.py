@@ -6,7 +6,6 @@ from pathlib import Path
 
 import mpmath as mp
 import numpy as np
-import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,6 @@ from melsplit import (
     build_polygon,
     build_rhomboid,
     build_rp3bp,
-    eval_oscillatory,
     harmonic_table,
     hd_value,
     homoclinic,
@@ -44,7 +42,7 @@ from melsplit.dynamics import (
     integrate_mcgehee,
     truncated_hamiltonian,
 )
-from quadrature_oracles import f4_integrand, f61_integrand, f62_integrand
+from quadrature_oracles import eval_polynomial, f4_integrand, f61_integrand, f62_integrand
 from references import (
     c_coeffs,
     d_coeffs,
@@ -574,7 +572,7 @@ def paper_terms(cfg, order, theta0, eps, tol=1e-10):
     sign = math.copysign(1.0, theta0)
     terms = []
     for k, builder, a, b in rows:
-        f = eval_oscillatory(builder(theta0 / eps), tol)
+        f = eval_polynomial(builder(theta0 / eps), tol)
         amp = sign * pref * f.value
         terms.append((k, amp * a, amp * b, abs(pref) * f.error_estimate * (abs(a) + abs(b))))
     return terms
@@ -594,11 +592,10 @@ def rotated_equilateral():
 
 
 def integrand_values(integrand, sigma):
-    """Pointwise value of a cubic-phase integrand, odd parts included."""
-    phase = integrand.phase_scale * (sigma + sigma**3 / 3.0)
-    num = (P.polyval(sigma, integrand.cos_numerator) * np.cos(phase)
-           + P.polyval(sigma, integrand.sin_numerator) * np.sin(phase))
-    return num / (1.0 + sigma * sigma) ** integrand.denominator_power
+    """Pointwise value of a cubic-phase integrand on the real line, odd parts included."""
+    z = np.asarray(sigma, dtype=complex)
+    return ((integrand.alpha * z + integrand.beta) * (z + 1j) ** -integrand.a
+            * (z - 1j) ** -integrand.b * np.exp(1j * integrand.phase_scale * (z + z**3 / 3.0))).real
 
 
 class TestSplittingMeasure:

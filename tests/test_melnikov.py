@@ -32,7 +32,7 @@ from melsplit import (
 from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
-from quadrature_oracles import f4_integrand, f61_integrand, f62_integrand
+from quadrature_oracles import eval_polynomial, f4_integrand, f61_integrand, f62_integrand
 from references import c_coeffs, classify_full_scan, d_coeffs, d_l, leading_splitting
 
 
@@ -62,7 +62,7 @@ class TestSplittingFunctions:
 
     def test_m4_derived_value(self, rp3bp_half):
         got = splitting_terms(rp3bp_half, 4, 1.0, 0.5, tol=1e-12).value(math.pi / 4)
-        f4 = eval_oscillatory(f4_integrand(2.0), 1e-12).value
+        f4 = eval_polynomial(f4_integrand(2.0), 1e-12).value
         assert got == pytest.approx(2.0 * f4 * 0.75, rel=1e-9)
 
     def test_m4_requires_nonzero_theta0(self, rp3bp_half):
@@ -71,7 +71,7 @@ class TestSplittingFunctions:
 
     def test_m6_equilateral_only_third_harmonic(self, equilateral_thirds):
         theta0, eps = 1.0, 0.5
-        f62 = eval_oscillatory(f62_integrand(theta0 / eps), 1e-12).value
+        f62 = eval_polynomial(f62_integrand(theta0 / eps), 1e-12).value
         amp = (2.0 / theta0**8) * f62 * 5.0 / (3 * math.sqrt(3.0))
         m6 = splitting_terms(equilateral_thirds, 6, theta0, eps, tol=1e-12)
         for s0 in (0.2, 1.1, 2.9):
@@ -82,8 +82,8 @@ class TestSplittingFunctions:
         theta0, eps = 1.0, 0.5
         d1, d2, d3, d4 = d_coeffs(rp3bp_03)
         assert (d1, d2, d4) == pytest.approx((0.252, 0.0, 0.0), abs=1e-14)
-        amp1 = -(2.0 / theta0**8) * eval_oscillatory(f61_integrand(theta0 / eps), 1e-12).value * d1
-        amp3 = -(2.0 / theta0**8) * eval_oscillatory(f62_integrand(theta0 / eps), 1e-12).value * d3
+        amp1 = -(2.0 / theta0**8) * eval_polynomial(f61_integrand(theta0 / eps), 1e-12).value * d1
+        amp3 = -(2.0 / theta0**8) * eval_polynomial(f62_integrand(theta0 / eps), 1e-12).value * d3
         m6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12)
         for s0 in (0.3, 2.0):
             assert m6.value(s0) == pytest.approx(
@@ -127,7 +127,7 @@ class TestSplittingFunctions:
         direct = splitting_terms(rp3bp_03, 4, theta0, eps, tol=1e-12).value(s0)
         via_table = (
             (2.0 / theta0**6)
-            * eval_oscillatory(f4_integrand(theta0 / eps), 1e-12).value
+            * eval_polynomial(f4_integrand(theta0 / eps), 1e-12).value
             * (4 * a2 * math.sin(2 * s0) - 4 * b2 * math.cos(2 * s0))
         )
         assert via_table == pytest.approx(direct, rel=1e-10)
@@ -135,9 +135,9 @@ class TestSplittingFunctions:
         a1, b1 = t3.pair(1)
         a3, b3 = t3.pair(3)
         via_table6 = (2.0 / theta0**8) * (
-            eval_oscillatory(f61_integrand(theta0 / eps), 1e-12).value
+            eval_polynomial(f61_integrand(theta0 / eps), 1e-12).value
             * (8 * b1 * math.cos(s0) - 8 * a1 * math.sin(s0))
-            + eval_oscillatory(f62_integrand(theta0 / eps), 1e-12).value
+            + eval_polynomial(f62_integrand(theta0 / eps), 1e-12).value
             * (8 * b3 * math.cos(3 * s0) - 8 * a3 * math.sin(3 * s0))
         )
         direct6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12).value(s0)
@@ -163,7 +163,7 @@ class TestAssembleMelnikov:
         ((k, _, _, _),) = terms.terms
         assert k == 2
         _, c2, c3 = c_coeffs(rp3bp_half)
-        f4 = eval_oscillatory(f4_integrand(2.0), 1e-10).value
+        f4 = eval_polynomial(f4_integrand(2.0), 1e-10).value
         for i in range(8):
             s0 = 2.0 * math.pi * i / 8
             want = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
@@ -174,7 +174,7 @@ class TestAssembleMelnikov:
         _, c2, c3 = c_coeffs(rp3bp_half)
         for theta0, sign in ((0.4, 1.0), (-0.4, -1.0)):
             ((k, a, b, _),) = splitting_terms(rp3bp_half, 4, theta0, 0.5, 1e-12).terms
-            f4 = eval_oscillatory(f4_integrand(theta0 / 0.5), 1e-12).value
+            f4 = eval_polynomial(f4_integrand(theta0 / 0.5), 1e-12).value
             amp = sign * (2.0 / theta0**6) * f4
             assert k == 2
             assert (a, b) == pytest.approx((-amp * c3, amp * c2), rel=1e-12, abs=1e-300)
