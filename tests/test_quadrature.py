@@ -166,7 +166,7 @@ def test_oracle_lattice_within_own_estimate(tol):
                     misses.append((name, tt))
             above_tol += res.error_estimate > tol
     assert misses == []
-    # the rounding bound still overstates the error at tol 1e-13 (34 of 310
+    # the rounding charge still overstates the error at tol 1e-13 (34 of 310
     # points report more than tol, 48 with the expanded numerators); it must
     # not grow looser
     assert above_tol <= (34 if tol == 1e-13 else 0)
@@ -238,6 +238,44 @@ def test_vertex_on_the_real_line_within_own_estimate(j, k, tt, ref, cap):
     # expanded to degree 2k + 1 the estimates were 2.5e2, 3.8e3 and 0.355
     res = eval_oscillatory(harmonic_integrand(j, k, tt), 1e-10)
     assert abs(res.value - ref) <= res.error_estimate <= cap
+
+
+@pytest.mark.parametrize("alpha, beta, a, b, d", [
+    (1j, 0, 80, 130, 100.0), (0, 1, 0, 200, 50.0), (1j, 1, -40, 200, 200.0),
+    (0, 1, 150, 60, 40.0), (1j, 2, 128, 128, 80.0), (1j, 0, 99, 101, -70.0)])
+def test_rounding_charge_covers_the_split_pole_powers(alpha, beta, a, b, d):
+    # the charge of 2 (|a| + |b|) eps for the pole powers is empirical, set
+    # at |a| + |b| <= 132; here _power splits its powers (|n| >= 100).  At
+    # every kept node of the first call, against 40-digit mpmath at the same
+    # s, the pole factor must err by at most 3/4 of that charge, and each
+    # term by at most its whole charge
+    d, alpha, beta, a, b = quadrature._normalized(CubicPhaseIntegrand(alpha, beta, a, b, d))
+    g = min(1.0, math.sqrt(b / (2.0 * d)))
+    h = 1.0 - g
+    # the arm as eval_oscillatory builds it at tol 1e-13
+    log_scale = -d * (h - h**3 / 3.0) - b * math.log(g) - a * math.log(2.0 - g)
+    target = 1e-13 * math.exp(-max(log_scale, 0.0))
+    arm = quadrature._Arm(d, alpha, beta, a, b, g, math.log(quadrature._EPS * target)
+                          - (b + 1) * math.log(g) - a * math.log(2.0 - g))
+    s, ds = quadrature._first_pass(quadrature._REACH, quadrature._FIRST_LEVELS - 1)
+    vals, charge = quadrature._terms(arm, s, ds)
+    w0 = (g * quadrature._RAY) * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        pole = (quadrature._power((w0 - 1j * g) / g, b)
+                * quadrature._power((w0 + 1j * (2.0 - g)) / (2.0 - g), a))
+    kept = np.flatnonzero(charge)
+    assert len(kept) > 100
+    with mp.workdps(40):
+        ray = mp.expjpi(mp.mpf(1) / 6)
+        for i in kept:
+            w0_ = g * ray * mp.mpf(s[i])
+            z = w0_ + 1j * h
+            exact_pole = ((z - 1j) / g) ** b * ((z + 1j) / (2.0 - g)) ** a
+            psi = 1j * d * (w0_ * (g * (2.0 - g) + w0_ * (1j * h + w0_ / 3)))
+            term = (alpha * z + beta) * mp.exp(psi) * g * ray * mp.mpf(ds[i]) / exact_pole
+            pole_error = abs(exact_pole - complex(pole[i])) / abs(exact_pole)
+            assert pole_error <= 1.5 * (abs(a) + abs(b)) * quadrature._EPS
+            assert abs(term - complex(vals[i])) <= charge[i]
 
 
 def test_calls_leave_the_tuple_free_lists_alone():
