@@ -17,31 +17,17 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import catalog as catalog_mod
-from . import config as cfg
-from .asymptotics import ik_asymptotic
-from .dynamics import (
-    FlowParams,
-    IntegrationError,
-    McGeheeState,
-    hd_value,
-    integrate_mcgehee,
-)
-from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
-from .melnikov import (SplittingTerms, classify, leading_terms, melnikov_sum, splitting_terms,
-                       verdict_to_dict)
-from .quadrature import (
-    F_NAMES,
-    QuadratureBudgetError,
-    eval_Ik,
-    eval_Jk,
-    eval_oscillatory,
-    named_integrand,
-)
+from .errors import NumericalFailure
+
+if TYPE_CHECKING:
+    from .melnikov import SplittingTerms
+
+# Each command imports the modules it runs, in its handler, and so does each
+# parser that needs a name from one: a call loads only what its command uses.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,6 +152,8 @@ def _coeffs_arguments(p: _Parser) -> None:
 
 
 def _fplot_arguments(p: _Parser) -> None:
+    from .quadrature import F_NAMES
+
     p.add_argument("function", help=F_NAMES)
     p.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0), metavar=("LO", "HI"))
     p.add_argument("--points", type=_count, default=101)
@@ -232,7 +220,9 @@ def _asymp_arguments(p: _Parser) -> None:
 
 
 def _catalog_arguments(p: _Parser) -> None:
-    p.add_argument("case", help="|".join(catalog_mod.CASES) + " | all")
+    from .catalog import CASES
+
+    p.add_argument("case", help="|".join(CASES) + " | all")
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--m1", type=float, default=1.0 / 3.0)
     p.add_argument("--m2", type=float, default=1.0 / 3.0)
@@ -242,6 +232,8 @@ def _catalog_arguments(p: _Parser) -> None:
 
 
 def _cmd_config(args, out) -> int:
+    from . import config as cfg
+
     if args.config_command == "validate":
         c = cfg.load_configuration(args.path)
         report = cfg.cc_residual(c, fit_lambda=True)
@@ -281,11 +273,14 @@ def _cmd_config(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
+    from .config import load_configuration
+    from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
+
     l_max = (MAX_LEGENDRE_ORDER - 1) // 2  # d_l is read at order 2l + 1
     if not (1 <= args.lmax <= l_max) or args.jmax < 2:
         raise ValueError(f"need --lmax >= 1 and --jmax >= 2, and --lmax <= {l_max}, "
                          f"got {args.lmax} and {args.jmax}")
-    c = cfg.load_configuration(args.path)
+    c = load_configuration(args.path)
     owner = HarmonicTables(c, max(args.jmax, 2 * args.lmax + 1))
     tables = {str(j): [[m, a, b] for m, a, b in owner[j].entries] for j in range(2, args.jmax + 1)}
     payload = {
@@ -300,6 +295,8 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_fplot(args, out) -> int:
+    from .quadrature import eval_oscillatory, named_integrand
+
     integrand = named_integrand(args.function)
     lo, hi = args.range
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -317,21 +314,30 @@ def _cmd_fplot(args, out) -> int:
 
 
 def _cmd_melnikov(args, out) -> int:
-    c = cfg.load_configuration(args.config) if args.config is not None else None
+    from .config import load_configuration
+    from .melnikov import splitting_terms
+
+    c = load_configuration(args.config) if args.config is not None else None
     terms = splitting_terms(c, args.order, args.theta0, args.eps, tol=args.tol)
     _write_csv(out, ["s0", "value"], _sampled(args.points, terms))
     return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
-    c = cfg.load_configuration(args.path)
+    from .config import load_configuration
+    from .melnikov import classify, verdict_to_dict
+
+    c = load_configuration(args.path)
     verdict = classify(c, l_max=args.lmax, j_max=args.jmax)
     _emit_json(verdict_to_dict(verdict), out)
     return EXIT_OK
 
 
 def _cmd_integrate(args, out) -> int:
-    c = cfg.load_configuration(args.config)
+    from .config import load_configuration
+    from .dynamics import FlowParams, McGeheeState, hd_value, integrate_mcgehee
+
+    c = load_configuration(args.config)
     params = FlowParams(epsilon=args.eps, config=c, truncation_order=args.truncation)
     x, y, s, theta = args.state
     state0 = McGeheeState(x=x, y=y, s=s, theta=theta)
@@ -346,7 +352,10 @@ def _cmd_integrate(args, out) -> int:
 
 
 def _cmd_splitting(args, out) -> int:
-    c = cfg.load_configuration(args.config)
+    from .config import load_configuration
+    from .melnikov import melnikov_sum, splitting_terms
+
+    c = load_configuration(args.config)
     header = ["s0", "splitting"]
     tols = [args.tol]
     if args.compare:
@@ -361,6 +370,9 @@ def _cmd_splitting(args, out) -> int:
 
 def _cmd_asymp(args, out) -> int:
     if args.table == "ik":
+        from .asymptotics import ik_asymptotic
+        from .quadrature import eval_Ik
+
         rows = []
         for d in args.deltas:
             exact = eval_Ik(args.k, d, args.tol)
@@ -369,6 +381,8 @@ def _cmd_asymp(args, out) -> int:
         _write_csv(out, ["delta", "ik_quadrature", "ik_asymptotic", "ratio"], rows)
         return EXIT_OK
     if args.table == "recurrence":
+        from .quadrature import eval_Ik, eval_Jk
+
         rows = []
         for d in args.deltas:
             i_val = eval_Ik(args.k, d, args.tol)
@@ -380,9 +394,12 @@ def _cmd_asymp(args, out) -> int:
             rows.append((d, j_val, identity, rel))
         _write_csv(out, ["delta", "jk_quadrature", "identity_value", "rel_error"], rows)
         return EXIT_OK
+    from .config import ConfigError, load_configuration
+    from .melnikov import leading_terms, melnikov_sum
+
     if args.config is None:
-        raise cfg.ConfigError("the leading table needs --config")
-    c = cfg.load_configuration(args.config)
+        raise ConfigError("the leading table needs --config")
+    c = load_configuration(args.config)
     leads = [melnikov_sum([leading_terms(c, order, args.theta0, args.eps)], args.eps)
              for order in (4, 6)]
     _write_csv(out, ["s0", "m4_leading", "m6_leading"], _sampled(args.points, *leads))
@@ -390,17 +407,19 @@ def _cmd_asymp(args, out) -> int:
 
 
 def _cmd_catalog(args, out) -> int:
+    from .catalog import ALL_CASES, build_case, run_case
+
     if args.case == "all":
-        cases = [catalog_mod.build_case(name, **params) for name, params in catalog_mod.ALL_CASES]
+        cases = [build_case(name, **params) for name, params in ALL_CASES]
     else:
         cases = [
-            catalog_mod.build_case(
+            build_case(
                 args.case, mu=args.mu, m1=args.m1, m2=args.m2, a=args.a, b=args.b, n=args.n
             )
         ]
     all_ok = True
     for case in cases:
-        report = catalog_mod.run_case(case)
+        report = run_case(case)
         all_ok = all_ok and report.passed
         out.write(f"# case {report.name}: {'PASS' if report.passed else 'FAIL'}\n")
         _write_csv(
@@ -482,12 +501,8 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (
-        QuadratureBudgetError,
-        IntegrationError,
-        cfg.NewtonConvergenceError,
-        ArithmeticError,  # overflow, division by zero, floating-point errors
-    ) as exc:
+    # a failed quadrature, integration or Newton run; overflow, division by zero
+    except (NumericalFailure, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -23,6 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 MASS_SUM_TOL = 1e-12
 CENTER_OF_MASS_TOL = 1e-10
 MIN_SEPARATION = 1e-9
@@ -46,7 +48,7 @@ class NotCentralError(ConfigError):
     """Configuration is not central at any scale multiplier."""
 
 
-class NewtonConvergenceError(RuntimeError):
+class NewtonConvergenceError(NumericalFailure):
     """Damped Newton iteration did not reach the residual tolerance."""
 
 

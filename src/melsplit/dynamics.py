@@ -45,12 +45,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import CentralConfiguration
+from .errors import NumericalFailure
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
 
 SQRT2 = math.sqrt(2.0)
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalFailure):
     """An integration run failed part-way.
 
     The adaptive step size fell below 10 ulp of t (a blow-up), a step size or

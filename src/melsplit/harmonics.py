@@ -9,9 +9,10 @@ polynomial in s whose amplitudes (A_m, B_m) drive the splitting analysis:
     A_m = p_{j,m} sum_k m_k |a_k|^j cos(m alpha_k)
     B_m = -p_{j,m} sum_k m_k |a_k|^j sin(m alpha_k)
 
-``HarmonicTables(config, j_max)`` owns the tables of one configuration:
-it builds the angle multiples e^(i m alpha_k) once, as one running product
-up to m = min(j_max, 64), and contracts order j the first time it is read.
+``HarmonicTables(config, j_max)``, j_max <= 64, owns the tables of one
+configuration: it builds the angle multiples e^(i m alpha_k) once, as one
+running product up to m = max(j_max, 2), and contracts order j the first
+time it is read.
 Every reader of many orders (``classify``, ``coeffs``, the flow's field,
 the catalog) holds one owner, and ``harmonic_table(config, j)`` is a
 one-order owner; every order gets the same entries bit for bit either way.
@@ -33,10 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import CentralConfiguration
+if TYPE_CHECKING:
+    from .config import CentralConfiguration
 
 MAX_LEGENDRE_ORDER = 64
 
@@ -120,19 +123,22 @@ def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) 
 
 
 class HarmonicTables:
-    """The order-j tables of one configuration for 2 <= j <= j_max.
+    """The order-j tables of one configuration for 2 <= j <= j_max <= 64.
 
-    The angle multiples are built once, up to m = min(j_max, 64); order j
-    is contracted from them the first time ``tables[j]`` reads it.  The
-    running product's first j + 1 rows do not depend on how far it runs,
+    A j_max beyond 64 is refused up front, and one below 2 gives an owner
+    with no orders.  The angle multiples are built once, up to
+    m = max(j_max, 2); order j is contracted from them the first time ``tables[j]`` reads it.
+    The running product's first j + 1 rows do not depend on how far it runs,
     so every order gets the same table whatever j_max is.
     """
 
     def __init__(self, config: CentralConfiguration, j_max: int):
+        if j_max > MAX_LEGENDRE_ORDER:
+            raise ValueError(f"harmonic tables stop at order {MAX_LEGENDRE_ORDER}, "
+                             f"got j_max = {j_max}")
         self.j_max = j_max
         self._masses = config.masses()
-        self._radii, self._multiples = _angle_multiples(
-            config, min(max(j_max, 2), MAX_LEGENDRE_ORDER))
+        self._radii, self._multiples = _angle_multiples(config, max(j_max, 2))
         self._tables: dict[int, HarmonicTable] = {}
 
     def __getitem__(self, j: int) -> HarmonicTable:

@@ -106,6 +106,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .harmonics import MAX_LEGENDRE_ORDER
 
 EVALUATION_BUDGET = 10**7  # most integrand evaluations per integral
@@ -119,7 +120,7 @@ _FIRST_LEVELS = 5  # levels of the first call, steps 1/2 .. 1/32: 17 + 240 nodes
 _CHUNK = 2**16  # most nodes per kernel call, so that its arrays stay near 1 MB
 
 
-class QuadratureBudgetError(RuntimeError):
+class QuadratureBudgetError(NumericalFailure):
     """Requested tolerance is unreachable within the evaluation budget."""
 
 

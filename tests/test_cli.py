@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import melsplit
-from melsplit import catalog, cli, dynamics, harmonics, melnikov
+from melsplit import catalog, cli, dynamics, harmonics, melnikov, quadrature
 from melsplit.cli import main
 from melsplit.config import load_configuration, scale
+from melsplit.errors import NumericalFailure
 from melsplit.quadrature import named_integrand
 from quadrature_oracles import (PAPER_INTEGRANDS, eval_polynomial, f4_integrand, f61_integrand,
                                 f62_integrand)
@@ -53,8 +54,12 @@ def quadrature_calls(monkeypatch):
 
 @pytest.fixture()
 def cli_quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature that ``cli`` runs itself."""
-    return _record_engine_calls(monkeypatch, cli)
+    """Arguments of every oscillatory quadrature that ``cli`` runs itself.
+
+    A handler imports the engine from ``quadrature`` when it runs, so the
+    patch goes there.
+    """
+    return _record_engine_calls(monkeypatch, quadrature)
 
 
 class TestConfigCommands:
@@ -318,7 +323,7 @@ class TestSampling:
         assert code == 0
         assert out.splitlines()[1].split(",") == ["0.0000000000000000e+00"] * 4
         # a nonzero J against a zero identity value has no relative error
-        monkeypatch.setattr(cli, "eval_Ik", lambda k, d, tol: 0.0)
+        monkeypatch.setattr(quadrature, "eval_Ik", lambda k, d, tol: 0.0)
         code, out, _ = run(capsys, "asymp", "recurrence", "--k", "40", "--deltas", "1")
         assert code == 0
         assert out.splitlines()[1].split(",")[-1] == "nan"
@@ -416,8 +421,8 @@ def test_fplot_ranges_whose_width_overflows_are_numerical_failures(lo, hi, point
 
 def _fplot_nodes(capsys, monkeypatch, lo, hi, points):
     # the grid alone: every node gets a zero value
-    monkeypatch.setattr(cli, "named_integrand", lambda name: lambda tt: tt)
-    monkeypatch.setattr(cli, "eval_oscillatory",
+    monkeypatch.setattr(quadrature, "named_integrand", lambda name: lambda tt: tt)
+    monkeypatch.setattr(quadrature, "eval_oscillatory",
                         lambda tt, tol: melsplit.QuadratureResult(0.0, 0.0, 0))
     code, out, err = run(capsys, "fplot", "F4", "--range", lo, hi, "--points", points)
     assert (code, err) == (0, "")
@@ -478,10 +483,12 @@ def test_coeffs_reads_d_l_up_to_order_63(capsys, collinear11_file):
         assert d_l[str(l)] == pytest.approx(list(reference_d_l(config, l)), abs=1e-14 * weight)
 
 
-def test_coeffs_beyond_the_largest_order_fail_at_order_65(capsys, rp3bp_file):
-    code, out, err = run(capsys, "coeffs", rp3bp_file, "--jmax", "70")
+@pytest.mark.parametrize("jmax", ["65", "70", "1000"])
+def test_coeffs_beyond_the_largest_order_name_the_requested_order(capsys, rp3bp_file, jmax):
+    # refused before any table is built, not at the first order past 64
+    code, out, err = run(capsys, "coeffs", rp3bp_file, "--jmax", jmax)
     assert code == 1 and out == ""
-    assert err == "error: order must lie in [0, 64], got 65\n"
+    assert err == f"error: harmonic tables stop at order 64, got j_max = {jmax}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -889,6 +896,14 @@ class TestJsonWriter:
         assert out.getvalue() == ""
 
 
+def _fresh_python(source: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", source],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_import_leaves_scipy_out(rp3bp_file):
     # the package integrates the flow with its own stepper; scipy is only the tests' oracle
     script = (
@@ -901,11 +916,88 @@ def test_import_leaves_scipy_out(rp3bp_file):
         "poincare_numeric(0.02, 0.01, 0.3, params, -1.0)\n"
         "print(code, 'scipy' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
     for source in ("import sys, melsplit.cli; print(0, 'scipy' in sys.modules)", script):
-        proc = subprocess.run([sys.executable, "-c", source],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0 and proc.stdout.strip() == "0 False", proc.stderr
+        assert _fresh_python(source).stdout.strip() == "0 False"
+
+
+# the melsplit modules each command loads in a fresh interpreter, beside the
+# package itself, cli and errors
+_COMMAND_MODULES = [
+    (("fplot", "F4", "--range", "1", "1", "--points", "1"), {"quadrature", "harmonics"}),
+    (("asymp", "ik", "--k", "2", "--deltas", "10"), {"quadrature", "harmonics", "asymptotics"}),
+    (("asymp", "recurrence", "--k", "2", "--deltas", "10"), {"quadrature", "harmonics"}),
+    (("integrate", "--config", "{cfg}", "--eps", "0.5", "--state", "0.3", "0.05", "0", "1",
+      "--tspan", "0", "1", "--samples", "2"), {"config", "harmonics", "dynamics"}),
+    (("config", "validate", "{cfg}"), {"config"}),
+    (("coeffs", "{cfg}"), {"config", "harmonics"}),
+    *[(argv, {"config", "harmonics", "quadrature", "asymptotics", "melnikov"}) for argv in (
+        ("classify", "{cfg}"),
+        ("melnikov", "--order", "4", "--config", "{cfg}", "--theta0", "1", "--eps", "0.5",
+         "--points", "2"),
+        ("splitting", "--config", "{cfg}", "--theta0", "1", "--eps", "0.5", "--points", "2"),
+        ("asymp", "leading", "--config", "{cfg}", "--points", "2"),
+    )],
+    (("catalog", "rp3bp"), {"config", "harmonics", "quadrature", "asymptotics", "melnikov",
+                            "catalog"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _COMMAND_MODULES,
+                         ids=[" ".join(a for a in argv[:2] if a[0] not in "-{")
+                              for argv, _ in _COMMAND_MODULES])
+def test_each_command_imports_only_the_modules_it_runs(rp3bp_file, argv, modules):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from melsplit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({[a.format(cfg=rp3bp_file) for a in argv]!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('melsplit'))]))\n"
+    )
+    code, loaded = json.loads(_fresh_python(script).stdout)
+    assert code == 0
+    assert loaded == sorted({"melsplit", *(f"melsplit.{m}" for m in {"cli", "errors", *modules})})
+
+
+def test_package_names_load_on_first_use():
+    script = (
+        "import importlib, json, sys\n"
+        "import melsplit\n"
+        "before = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('melsplit'))\n"
+        "star = {}\n"
+        "exec('from melsplit import *', star)  # the first read of every name\n"
+        "same = all(getattr(melsplit, name) is getattr(importlib.import_module(\n"
+        "    getattr(melsplit, name).__module__), name) is star[name]\n"
+        "    and name in vars(melsplit) for name in melsplit.__all__)\n"
+        "try:\n"
+        "    melsplit.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({'before': before, 'same': same, 'missing': missing,\n"
+        "                  'all': melsplit.__all__, 'dir': dir(melsplit),\n"
+        "                  'star': sorted(set(star) - {'__builtins__'})}))\n"
+    )
+    got = json.loads(_fresh_python(script).stdout)
+    assert got["before"] == ["melsplit"]  # no numpy and no submodule
+    assert got["same"]  # every name is its module's object, cached in the package
+    assert got["missing"] == "module 'melsplit' has no attribute 'no_such_name'"
+    assert len(got["all"]) == len(set(got["all"])) == 55
+    assert set(got["all"]) <= set(got["dir"]) and got["dir"] == sorted(got["dir"])
+    assert got["star"] == sorted(got["all"])
+
+
+@pytest.mark.parametrize("failure", [
+    melsplit.QuadratureBudgetError, melsplit.IntegrationError, melsplit.NewtonConvergenceError])
+def test_every_numerical_failure_exits_2(capsys, monkeypatch, failure):
+    assert set(NumericalFailure.__subclasses__()) == {
+        melsplit.QuadratureBudgetError, melsplit.IntegrationError,
+        melsplit.NewtonConvergenceError}
+
+    def fail(name):
+        raise failure(f"{failure.__name__} raised")
+
+    monkeypatch.setattr(quadrature, "named_integrand", fail)
+    assert run(capsys, "fplot", "F4") == (
+        cli.EXIT_NUMERICAL, "", f"numerical failure: {failure.__name__} raised\n")
 
 
 @pytest.mark.parametrize("argv", [

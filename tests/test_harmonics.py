@@ -321,14 +321,22 @@ class TestHarmonicTable:
                 HarmonicTables(rp3bp_03, 8)[j]
         with pytest.raises(ValueError, match="these tables stop at order 7, got 8"):
             HarmonicTables(rp3bp_03, 7)[8]
-        tables = HarmonicTables(rp3bp_03, 10**9)  # sized to order 64, not to j_max
+        tables = HarmonicTables(rp3bp_03, 64)
         assert tables._multiples.shape[0] == 65
         assert [tables[j].j for j in range(2, 65)] == list(range(2, 65))
-        with pytest.raises(ValueError) as shared:
+        with pytest.raises(ValueError, match="these tables stop at order 64, got 65"):
             tables[65]
-        with pytest.raises(ValueError) as single:
+        # an order past 64 is refused when the owner is built, naming the request
+        for j_max in (65, 10**9):
+            with pytest.raises(ValueError, match=f"stop at order 64, got j_max = {j_max}$"):
+                HarmonicTables(rp3bp_03, j_max)
+        with pytest.raises(ValueError, match="got j_max = 65$"):
             harmonic_table(rp3bp_03, 65)
-        assert str(shared.value) == str(single.value)
+        # an owner with no orders stays legal: the flow truncated at order 3 builds one
+        for j_max in (1, 0):
+            empty = HarmonicTables(rp3bp_03, j_max)
+            with pytest.raises(ValueError, match=f"these tables stop at order {j_max}, got 2"):
+                empty[2]
 
     @pytest.mark.parametrize("j", [2, 3, 16, 17, 64])
     def test_pair_indexes_the_ascending_harmonics(self, j):
