@@ -90,9 +90,19 @@ def _emit_json(obj, out) -> None:
 
 
 def _write_csv(out, header: Sequence[str], rows) -> None:
-    out.write(",".join(header) + "\n")
+    """Header and rows in one write; each float as ``_fmt`` renders it, anything else by ``str``.
+
+    ``"%.16e" % v`` is ``format(v, ".16e")`` for every float, so a row of
+    floats is rendered in one formatting operation.
+    """
+    lines = [",".join(header)]
     for row in rows:
-        out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        if all([type(v) is float for v in row]):
+            lines.append(",".join(["%.16e"] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
+    lines.append("")
+    out.write("\n".join(lines))
 
 
 def _sampled(points: int, *polynomials: SplittingTerms) -> list[tuple[float, ...]]:
@@ -342,11 +352,10 @@ def _cmd_integrate(args, out) -> int:
     x, y, s, theta = args.state
     state0 = McGeheeState(x=x, y=y, s=s, theta=theta)
     traj = integrate_mcgehee(state0, params, tuple(args.tspan), tol=args.tol)
-    ts = np.linspace(args.tspan[0], args.tspan[1], args.samples)
     rows = []
-    for t in ts:
-        xv, yv, sv, thv = (float(v) for v in traj.sol(float(t)))
-        rows.append((float(t), xv, yv, sv % (2.0 * math.pi), thv, hd_value(xv, yv, thv)))
+    for t in np.linspace(args.tspan[0], args.tspan[1], args.samples).tolist():
+        xv, yv, sv, thv = traj.sol(t).tolist()
+        rows.append((t, xv, yv, sv % (2.0 * math.pi), thv, hd_value(xv, yv, thv)))
     _write_csv(out, ["t", "x", "y", "s", "theta", "H_D"], rows)
     return EXIT_OK
 

@@ -12,15 +12,11 @@ oscillator x'' = x - Theta0^2 x^3 with the explicit separatrix
 
 This module integrates the truncated equations of motion, checks the
 Jacobi-like first integral and realizes the numeric return map near
-x = y = 0.  Both runs use one stepper, the Dormand-Prince 5(4) pair
-(Dormand & Prince 1980) with local extrapolation: the step is scaled by
-0.9 err^(-1/5), clipped to [0.2, 10], from the RMS error norm; the first
-step follows Hairer, Norsett & Wanner; Shampine's quartic interpolant
-gives the dense output.  Method and controller are those of scipy's RK45,
-which the tests use as its oracle: the stepper sums in Python floats where
-RK45 takes BLAS dot products, so it takes as many steps on a mesh within
-1e-7 of RK45's, with states and dense output within 1e-13 of RK45's
-interpolant.  The package itself needs numpy only.
+x = y = 0.  Both runs use one stepper, the Dormand-Prince 5(4) pair with
+scipy RK45's controller, Hairer, Norsett & Wanner's first step and
+Shampine's quartic dense output, on lists of Python floats: it calls the
+right-hand side directly, for the flow the field behind an inline guard.
+The package itself needs numpy only.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
@@ -31,8 +27,8 @@ G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
     theta' += eps^(2j+3) sum k (a sin ks - b cos ks) x^(2j+2),
     H      -= eps^(2j+3) x^(2j+2) G_j.
 
-The time-form field and the truncated Hamiltonian are both built by
-``_field`` from that table, once per ``FlowParams``.
+``_field`` builds the time-form field and the truncated Hamiltonian from
+that table, once per ``FlowParams``.
 """
 from __future__ import annotations
 
@@ -176,20 +172,25 @@ def _field(params: FlowParams):
 
     Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
     (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
-    Hamiltonian, both on Python floats.  Each call computes cos ks and
-    sin ks once for every k up to J and the powers of x as running products
-    of x^2; the rows are consecutive, j = 2..J.
+    Hamiltonian, both on Python floats.  The powers of x are running
+    products of x^2.  Row j holds the harmonics k = j mod 2, ..., j, so the
+    ones a row meets first come last: a call takes cos ks and sin ks there.
+    The k = 0 entry (a, b) is the row's constant 0.0 + a, since cos 0 = 1
+    and sin 0 only adds b * +-0.
     """
-    e = params.epsilon
-    e3 = e**3
-    rows = [(e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, entries)
-            for j, entries in _field_harmonics(params.config, params.truncation_order)]
-    ks = range((params.truncation_order - 3) // 2 + 1)  # row j has the harmonics k <= j
+    e, e3 = params.epsilon, params.epsilon**3
+    ks = range((params.truncation_order - 3) // 2 + 1)  # the energy's harmonics, k <= J
+    rows, slot = [], {}  # slot[k]: where a call keeps cos ks and sin ks, for k > 0
+    for j, entries in _field_harmonics(params.config, params.truncation_order):
+        g0 = 0.0 + entries[0][1] if entries[0][0] == 0 else 0.0
+        read = tuple([(slot[k], float(k), a, b) for k, a, b in entries if k in slot])
+        meet = tuple([(float(k), a, b) for k, a, b in entries if k and k not in slot])
+        slot.update({int(k): len(slot) + i for i, (k, _, _) in enumerate(meet)})
+        rows.append((e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, g0, read, meet, entries))
     cos, sin = math.cos, math.sin
 
     def field(x, y, s, theta):
-        cos_ks = [cos(k * s) for k in ks]
-        sin_ks = [sin(k * s) for k in ks]
+        cos_ks, sin_ks = [], []
         x2 = x * x
         x4 = x2 * x2
         dx = e3 * (x2 * x) * y / SQRT2
@@ -197,10 +198,17 @@ def _field(params: FlowParams):
         ds = 1.0 - e3 * theta * x4
         dtheta = 0.0
         xp = x4  # x^(2j+2) once the row's factor x^2 is in
-        for scale, dy_scale, entries in rows:
-            g = gp = 0.0
-            for k, a, b in entries:
-                c, sn = cos_ks[k], sin_ks[k]
+        for scale, dy_scale, g, read, meet, _ in rows:
+            gp = 0.0
+            for i, k, a, b in read:
+                c, sn = cos_ks[i], sin_ks[i]
+                g += a * c + b * sn
+                gp += k * (a * sn - b * c)
+            for k, a, b in meet:
+                phase = k * s
+                c, sn = cos(phase), sin(phase)
+                cos_ks.append(c)
+                sin_ks.append(sn)
                 g += a * c + b * sn
                 gp += k * (a * sn - b * c)
             xp *= x2
@@ -214,7 +222,7 @@ def _field(params: FlowParams):
         x2 = x * x
         xp = x2 * x2
         h = e3 * (y * y + 0.5 * theta * theta * xp - x2)
-        for scale, _, entries in rows:
+        for scale, *_, entries in rows:
             xp *= x2
             h -= scale * xp * sum(a * cos_ks[k] + b * sin_ks[k] for k, a, b in entries)
         return h
@@ -267,10 +275,6 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _rms(v: Sequence[float]) -> float:
-    return math.hypot(*v) / len(v) ** 0.5
-
-
 def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
     """The step's quartic y_old + h sum_i w_i(x) k_i, x = (t - t_old)/h; exact at t_old.
 
@@ -303,7 +307,7 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
     """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
 
     The state and the slopes are lists of Python floats; ``rhs(t, y)`` may
-    return any sequence, an ndarray included.  The error of each step is
+    return any sequence, or always an ndarray.  The error of each step is
     measured in the RMS norm against tol/10 + tol max(|y|, |y_new|), and the
     step size is scaled by 0.9 err^(-1/5), clipped to [0.2, 10] (at most 1
     right after a rejection).  The first step follows Hairer, Norsett &
@@ -312,23 +316,21 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
     span yields nothing.
     """
     rtol, atol = tol, tol / 10.0
-
-    def fun(t, y):
-        f = rhs(t, y)
-        return f.tolist() if isinstance(f, np.ndarray) else f
-
-    t, y = t0, y0
-    f = fun(t, y)
+    t, y, fun = t0, y0, rhs
+    f = rhs(t, y)
+    if isinstance(f, np.ndarray):  # the type of the first slope decides, once
+        f, fun = f.tolist(), lambda t, y: rhs(t, y).tolist()
     if t == t_bound:
         return
     direction = 1.0 if t_bound > t0 else -1.0
     interval = abs(t_bound - t0)
+    root_n = len(y) ** 0.5  # the RMS norm is hypot(...) / root_n
     scale = [atol + abs(yi) * rtol for yi in y]
-    d0 = _rms([yi / sc for yi, sc in zip(y, scale)])
-    d1 = _rms([fi / sc for fi, sc in zip(f, scale)])
+    d0 = math.hypot(*[yi / sc for yi, sc in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[fi / sc for fi, sc in zip(f, scale)]) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     f1 = fun(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
-    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
+    d2 = math.hypot(*[(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / root_n / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval, max_step)
     if not math.isfinite(h_abs):
@@ -364,10 +366,11 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
                                + -2187 / 6784 * e + 11 / 84 * f)
                      for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
             k7 = fun(t + h, y_new)
-            err = _rms([(-71 / 57600 * a + 71 / 16695 * c + -71 / 1920 * d + 17253 / 339200 * e
-                         + -22 / 525 * f + 1 / 40 * g) * h
-                        / (atol + max(abs(yi), abs(yn)) * rtol)
-                        for yi, yn, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            err = math.hypot(*[(-71 / 57600 * a + 71 / 16695 * c + -71 / 1920 * d
+                                + 17253 / 339200 * e + -22 / 525 * f + 1 / 40 * g) * h
+                               / (atol + max(abs(yi), abs(yn)) * rtol)
+                               for yi, yn, a, c, d, e, f, g
+                               in zip(y, y_new, k1, k3, k4, k5, k6, k7)]) / root_n
             if not math.isfinite(err):
                 raise IntegrationError(f"error norm {err!r} of the step from t = {t!r} "
                                        "is not finite")
@@ -403,8 +406,9 @@ def integrate(
     copies of t0 for a zero-length span) and ``states`` the solution on it.
     ``sol(t)`` evaluates the quartic interpolant of the step that contains t
     (at a mesh point, the step that ends there; ``sol(t0)`` is ``state0``
-    exactly).  A span may run backwards.  A state or span that is not
-    finite raises ``ValueError``.
+    exactly); a t outside the span, or NaN, raises ``ValueError``.  A span
+    may run backwards.  A state or span that is not finite raises
+    ``ValueError``.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol!r}")
@@ -413,22 +417,18 @@ def integrate(
     if not all(map(math.isfinite, (*y0, t0, t1))):
         raise ValueError(f"state and span must be finite, got state {y0!r} "
                          f"and span {(t0, t1)!r}")
-    ts, ys, pieces = [t0], [y0], []
-    for t, y, piece in _dormand_prince(rhs, t0, y0, t1, tol):
-        ts.append(t)
-        ys.append(y)
-        pieces.append(piece)
-    if not pieces:
-        ts.append(t0)
-        ys.append(y0)
-        pieces.append(lambda _t: y0)
+    steps = list(_dormand_prince(rhs, t0, y0, t1, tol)) or [(t0, y0, lambda _t: y0)]
+    ts, ys, pieces = zip(*steps)
     sign = 1.0 if t1 >= t0 else -1.0
-    inner = [sign * t for t in ts[1:-1]]
+    inner = [sign * t for t in ts[:-1]]
+    lo, hi = min(t0, t1), max(t0, t1)
 
     def sol(t: float) -> np.ndarray:
+        if not lo <= t <= hi:  # NaN included
+            raise ValueError(f"t = {float(t)!r} lies outside the span [{t0!r}, {t1!r}]")
         return np.array(pieces[bisect.bisect_left(inner, sign * t)](t))
 
-    return Trajectory(t=np.array(ts), states=np.array(ys).T, sol=sol)
+    return Trajectory(t=np.array((t0, *ts)), states=np.array((y0, *ys)).T, sol=sol)
 
 
 def integrate_mcgehee(
@@ -447,11 +447,11 @@ def integrate_mcgehee(
     _convergence_guard(state0.x, reach)
 
     def rhs(t, v):
-        try:
-            _convergence_guard(v[0], reach)
-        except ConvergenceRegionError as exc:
-            raise IntegrationError(f"{exc} at t = {float(t)!r}") from exc
-        return field(*v)
+        x, y, s, theta = v
+        if x > 0.0 and reach * x * x >= 1.0:  # _convergence_guard, inline
+            raise IntegrationError(f"x = {x!r} lies outside the series convergence region "
+                                   f"at t = {t!r}")
+        return field(x, y, s, theta)
 
     return integrate(rhs, (state0.x, state0.y, state0.s, state0.theta), t_span, tol)
 

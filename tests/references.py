@@ -8,19 +8,28 @@ symmetry forces to vanish: the oracle for its witnesses and zeros.
 ``rhs_array`` and ``hamiltonian`` evaluate the time-form field and the
 truncated energy order by order, with cos ks and sin ks taken afresh for
 every entry and each power of x by ``**``: the oracle for ``dynamics._field``.
+``_field`` below is the field as it was before each row was split into
+its k = 0 constant, the harmonics it reads back and those it meets first,
+and ``_dormand_prince`` with ``_step_interpolant`` the stepper as it was
+before its per-call wrappers went: the bit-for-bit oracles for today's
+field and stepper.
 """
 
 import itertools
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from melsplit.asymptotics import leading_term
 from melsplit.dynamics import (
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _SAFETY,
     SQRT2,
     ConvergenceRegionError,
     FlowParams,
+    IntegrationError,
     McGeheeState,
     _convergence_guard,
     _field_harmonics,
@@ -229,3 +238,172 @@ def hamiltonian(state: McGeheeState, params: FlowParams) -> float:
         g, _ = harmonic_sums(harmonics, s)
         h -= e ** (2 * j + 3) * x ** (2 * j + 2) * g
     return h
+
+
+# ---------------------------------------------------------------------------
+# the field and the Dormand-Prince stepper as they were, verbatim
+
+
+def _field(params: FlowParams):
+    """The time-form field and the truncated energy, from one read of the harmonic table.
+
+    Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
+    (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
+    Hamiltonian, both on Python floats.  Each call computes cos ks and
+    sin ks once for every k up to J and the powers of x as running products
+    of x^2; the rows are consecutive, j = 2..J.
+    """
+    e = params.epsilon
+    e3 = e**3
+    rows = [(e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, entries)
+            for j, entries in _field_harmonics(params.config, params.truncation_order)]
+    ks = range((params.truncation_order - 3) // 2 + 1)  # row j has the harmonics k <= j
+    cos, sin = math.cos, math.sin
+
+    def field(x, y, s, theta):
+        cos_ks = [cos(k * s) for k in ks]
+        sin_ks = [sin(k * s) for k in ks]
+        x2 = x * x
+        x4 = x2 * x2
+        dx = e3 * (x2 * x) * y / SQRT2
+        dy = e3 * (1.0 - theta * theta * x * x) * x4 / SQRT2
+        ds = 1.0 - e3 * theta * x4
+        dtheta = 0.0
+        xp = x4  # x^(2j+2) once the row's factor x^2 is in
+        for scale, dy_scale, entries in rows:
+            g = gp = 0.0
+            for k, a, b in entries:
+                c, sn = cos_ks[k], sin_ks[k]
+                g += a * c + b * sn
+                gp += k * (a * sn - b * c)
+            xp *= x2
+            dy += dy_scale * g * (xp * x2)
+            dtheta += scale * gp * xp
+        return dx, dy, ds, dtheta
+
+    def energy(x, y, s, theta):
+        cos_ks = [cos(k * s) for k in ks]
+        sin_ks = [sin(k * s) for k in ks]
+        x2 = x * x
+        xp = x2 * x2
+        h = e3 * (y * y + 0.5 * theta * theta * xp - x2)
+        for scale, _, entries in rows:
+            xp *= x2
+            h -= scale * xp * sum(a * cos_ks[k] + b * sin_ks[k] for k, a, b in entries)
+        return h
+
+    return field, energy
+
+
+def _rms(v: Sequence[float]) -> float:
+    return math.hypot(*v) / len(v) ** 0.5
+
+
+def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
+    """The step's quartic y_old + h sum_i w_i(x) k_i, x = (t - t_old)/h; exact at t_old.
+
+    The weights w_i are Shampine's quartics in x, each vanishing at x = 0
+    (the second stage has none).
+    """
+
+    def y_at(t: float) -> list[float]:
+        x = (t - t_old) / h
+        w1 = x * (1.0 + x * (-8048581381 / 2820520608 + x * (
+            8663915743 / 2820520608 + x * (-12715105075 / 11282082432))))
+        w3 = x * x * (131558114200 / 32700410799 + x * (
+            -68118460800 / 10900136933 + x * (87487479700 / 32700410799)))
+        w4 = x * x * (-1754552775 / 470086768 + x * (
+            14199869525 / 1410260304 + x * (-10690763975 / 1880347072)))
+        w5 = x * x * (127303824393 / 49829197408 + x * (
+            -318862633887 / 49829197408 + x * (701980252875 / 199316789632)))
+        w6 = x * x * (-282668133 / 205662961 + x * (
+            2019193451 / 616988883 + x * (-1453857185 / 822651844)))
+        w7 = x * x * (40617522 / 29380423 + x * (
+            -110615467 / 29380423 + x * (69997945 / 29380423)))
+        return [yi + h * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * f + w7 * g)
+                for yi, a, c, d, e, f, g in zip(y_old, k1, k3, k4, k5, k6, k7)]
+
+    return y_at
+
+
+def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
+                    max_step: float = math.inf):
+    """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
+
+    The state and the slopes are lists of Python floats; ``rhs(t, y)`` may
+    return any sequence, an ndarray included.  The error of each step is
+    measured in the RMS norm against tol/10 + tol max(|y|, |y_new|), and the
+    step size is scaled by 0.9 err^(-1/5), clipped to [0.2, 10] (at most 1
+    right after a rejection).  The first step follows Hairer, Norsett &
+    Wanner (Sec. II.4).  A step below 10 ulp of t, or a step size or error
+    norm that is not finite, raises ``IntegrationError``.  A zero-length
+    span yields nothing.
+    """
+    rtol, atol = tol, tol / 10.0
+
+    def fun(t, y):
+        f = rhs(t, y)
+        return f.tolist() if isinstance(f, np.ndarray) else f
+
+    t, y = t0, y0
+    f = fun(t, y)
+    if t == t_bound:
+        return
+    direction = 1.0 if t_bound > t0 else -1.0
+    interval = abs(t_bound - t0)
+    scale = [atol + abs(yi) * rtol for yi in y]
+    d0 = _rms([yi / sc for yi, sc in zip(y, scale)])
+    d1 = _rms([fi / sc for fi, sc in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    f1 = fun(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
+    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval, max_step)
+    if not math.isfinite(h_abs):
+        raise IntegrationError(f"first step size {h_abs!r} at t = {t!r} is not finite")
+
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size fell below 10 ulp of t = {t!r}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = f
+            k2 = fun(t + 1 / 5 * h, [yi + (1 / 5 * a) * h for yi, a in zip(y, k1)])
+            k3 = fun(t + 3 / 10 * h, [yi + (3 / 40 * a + 9 / 40 * b) * h
+                                      for yi, a, b in zip(y, k1, k2)])
+            k4 = fun(t + 4 / 5 * h, [yi + (44 / 45 * a + -56 / 15 * b + 32 / 9 * c) * h
+                                     for yi, a, b, c in zip(y, k1, k2, k3)])
+            k5 = fun(t + 8 / 9 * h,
+                     [yi + (19372 / 6561 * a + -25360 / 2187 * b + 64448 / 6561 * c
+                            + -212 / 729 * d) * h
+                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = fun(t + h,
+                     [yi + (9017 / 3168 * a + -355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d
+                            + -5103 / 18656 * e) * h
+                      for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [yi + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                               + -2187 / 6784 * e + 11 / 84 * f)
+                     for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+            k7 = fun(t + h, y_new)
+            err = _rms([(-71 / 57600 * a + 71 / 16695 * c + -71 / 1920 * d + 17253 / 339200 * e
+                         + -22 / 525 * f + 1 / 40 * g) * h
+                        / (atol + max(abs(yi), abs(yn)) * rtol)
+                        for yi, yn, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if not math.isfinite(err):
+                raise IntegrationError(f"error norm {err!r} of the step from t = {t!r} "
+                                       "is not finite")
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            rejected = True
+        yield t_new, y_new, _step_interpolant(t, h, y, k1, k3, k4, k5, k6, k7)
+        t, y, f = t_new, y_new, k7

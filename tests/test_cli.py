@@ -839,6 +839,44 @@ def _verdict_configs():
     return configs
 
 
+class TestCsvWriter:
+    EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   1.7976931348623157e308, 0.1, -2.5, 1e-310, 123456789.0)
+
+    @staticmethod
+    def reference(header, rows) -> str:
+        return "".join(",".join(format(float(v), ".16e") if isinstance(v, float) else str(v)
+                                for v in row) + "\n" for row in [header, *rows])
+
+    def written(self, header, rows) -> str:
+        out = io.StringIO()
+        cli._write_csv(out, header, rows)
+        return out.getvalue()
+
+    def test_every_float_as_format_renders_it(self):
+        values = [*self.EDGE_FLOATS, *map(np.float64, self.EDGE_FLOATS)]
+        rows = [tuple(values[i:i + 6]) for i in range(0, len(values), 6)]
+        rows += [(v,) for v in values] + [list(values)]
+        assert self.written(["a", "b"], rows) == self.reference(["a", "b"], rows)
+        for v in values:
+            assert self.written(["v"], [(v,)]) == f"v\n{format(float(v), '.16e')}\n"
+
+    def test_rows_that_mix_ints_and_strings_with_floats(self):
+        class Ratio(float):
+            pass
+
+        rows = [
+            ("c2", 0.25, -0.0, 1e-12, "ok"),  # the catalog's rows
+            ("d4", np.float64(1.5), math.nan, 1e-10, "MISS"),
+            (100.0, 2.5e-30, math.inf, math.nan),  # asymp's
+            (1, 2.0, True, None, Ratio(0.5), np.float32(0.5), np.int64(3)),
+            (), (7,), ("x",),
+        ]
+        assert self.written(["key", "computed"], rows) == self.reference(["key", "computed"], rows)
+        assert self.written(["h"], []) == "h\n"
+        assert self.written(["h"], iter(rows)) == self.reference(["h"], rows)
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize("j_max", [None, 64])
     def test_verdicts_match_the_reference_byte_for_byte(self, j_max):

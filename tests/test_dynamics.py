@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from melsplit.dynamics import (
     truncated_hamiltonian,
 )
 from quadrature_oracles import eval_polynomial, f4_integrand, f61_integrand, f62_integrand
+import references
 from references import (
     c_coeffs,
     d_coeffs,
@@ -383,6 +385,23 @@ class TestIntegrate:
         assert np.array_equal(traj.states, np.column_stack([state0, state0]))
         assert list(traj.sol(2.0)) == list(state0)
 
+    @pytest.mark.parametrize("t_span, outside", [
+        ((0.0, 1.0), (2.0, -5.0, 1.0 + 1e-15, -1e-300)),
+        ((1.0, 0.0), (2.0, -5.0, 1.0 + 1e-15, -1e-300)),
+        ((2.0, 2.0), (2.0 + 1e-15, 2.0 - 1e-15, 0.0)),
+    ], ids=["forward", "backward", "zero-length"])
+    def test_dense_output_refuses_a_time_outside_the_span(self, t_span, outside):
+        # sol once extrapolated the end step's quartic: sol(2.0) on a [0, 1] run of
+        # y' = -y gave 0.138 for e^-2 = 0.135, and sol(-5.0) gave 65.3 for e^5 = 148
+        traj = integrate(lambda t, y: [-y[0]], (1.0,), t_span, tol=1e-10)
+        for t in (*outside, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"t = {re.escape(repr(t))} lies outside "
+                                                 rf"the span \[{t_span[0]!r}, {t_span[1]!r}\]"):
+                traj.sol(t)
+        for t in t_span:  # both end points stay legal
+            assert traj.sol(t)[0] == pytest.approx(math.exp(t_span[0] - t), rel=1e-9)
+        assert traj.sol(t_span[0])[0] == 1.0
+
     def test_dense_output_starts_at_the_initial_state_exactly(self, rp3bp_03):
         rng = np.random.default_rng(17)
         params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
@@ -552,6 +571,114 @@ class TestScipyOracle:
                 got = poincare_numeric(x0, y0, s0, params, jacobi_c, tol=tol)
                 want = (*ref.y_events[0][0][:2], ref.t_events[0][0])
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def _bits(values) -> list[str]:
+    """Floats by their bits: -0.0 and 0.0 differ, and so does any last-place change."""
+    return [float(v).hex() for v in values]
+
+
+def _steps_of_both(rhs, t0, y0, t1, tol, max_step=math.inf):
+    """Steps of today's stepper, after checking them against the oracle's bit for bit.
+
+    Both steppers see the same rhs; each call's time and state, every accepted
+    step and the dense output at five points of each step must agree.
+    """
+    runs = []
+    for stepper in (dynamics._dormand_prince, references._dormand_prince):
+        calls = []
+
+        def counted(t, y):
+            calls.append(_bits([t, *y]))
+            return rhs(t, y)
+
+        steps = list(stepper(counted, t0, [float(v) for v in y0], t1, tol, max_step))
+        runs.append((steps, calls))
+    (new, new_calls), (old, old_calls) = runs
+    assert len(new_calls) == len(old_calls) and new_calls == old_calls
+    assert [_bits([t, *y]) for t, y, _ in new] == [_bits([t, *y]) for t, y, _ in old]
+    start = t0
+    for (t, _, piece), (_, _, oracle_piece) in zip(new, old):
+        for x in (0.0, 0.25, 0.5, 0.75, 1.0):
+            at = start + x * (t - start)
+            assert _bits(piece(at)) == _bits(oracle_piece(at))
+        start = t
+    return new, new_calls
+
+
+class TestStepperOracle:
+    """The stepper matches, bit for bit, the one before its per-call wrappers went."""
+
+    @pytest.mark.parametrize("order", [3, 9, 13, 131])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_flow_runs_match_the_oracle(self, monkeypatch, rotated_equilateral, order,
+                                        direction):
+        fields = []
+        monkeypatch.setattr(dynamics, "integrate",
+                            lambda rhs, *args: fields.append(rhs) or integrate(rhs, *args))
+        params = FlowParams(epsilon=0.5, config=rotated_equilateral, truncation_order=order)
+        t1 = 5.0 if order == 131 else 20.0
+        t_span = (0.0, t1) if direction == "forward" else (t1, 0.0)
+        state = (0.35, 0.03, 1.0, 1.1)
+        traj = integrate_mcgehee(McGeheeState(*state), params, t_span, tol=1e-11)
+        steps, _ = _steps_of_both(fields[-1], t_span[0], state, t_span[1], 1e-11)
+        # the trajectory is the oracle's mesh and states, and its dense output the oracle's
+        assert _bits(traj.t) == _bits([t_span[0], *[t for t, _, _ in steps]])
+        assert _bits(traj.states.ravel()) == _bits(
+            np.array([state, *[y for _, y, _ in steps]]).T.ravel())
+        mesh = [t_span[0], *[t for t, _, _ in steps]]
+        for i, (t, _, piece) in enumerate(steps):
+            for x in (0.125, 0.5, 0.875, 1.0):
+                at = mesh[i] + x * (t - mesh[i])
+                assert _bits(traj.sol(at)) == _bits(piece(at))
+
+    def test_ndarray_slopes(self):
+        _steps_of_both(lambda t, y: np.array(duffing_rhs(y[0], y[1], 0.8)),
+                       0.0, (0.9, 0.0), 20.0, 1e-10)
+
+    def test_one_dimensional_system(self):
+        _steps_of_both(lambda t, y: [-y[0] + math.sin(t)], 0.0, (1.0,), 10.0, 1e-12)
+
+    def test_five_dimensional_system(self):
+        def rhs(t, y):
+            a, b, c, d, e = y
+            return (b, -a + 0.1 * c, -0.5 * c + 0.2 * d * e, -d + math.sin(t), a * b - e)
+
+        _steps_of_both(rhs, 0.0, (1.0, 0.0, 0.5, -0.2, 1.0), 8.0, 1e-11)
+
+    def test_rejected_steps(self):
+        # van der Pol at mu = 8: each attempt calls the field six times, and
+        # the runs make more attempts than they keep
+        def rhs(t, y):
+            return [y[1], 8.0 * (1.0 - y[0] * y[0]) * y[1] - y[0]]
+
+        steps, calls = _steps_of_both(rhs, 0.0, (2.0, 0.0), 10.0, 1e-8)
+        assert len(calls) > 2 + 6 * len(steps)
+
+    def test_bounded_step_as_the_return_map_runs_it(self):
+        _steps_of_both(lambda t, y: [y[1], -y[0]], 0.0, (0.05, 0.0), 3.0 * math.pi, 1e-12,
+                       max_step=0.5)
+
+    def test_zero_length_span(self):
+        steps, calls = _steps_of_both(lambda t, y: [-v for v in y], 2.0, (0.3, 0.05), 2.0, 1e-10)
+        assert steps == [] and len(calls) == 1
+
+    @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
+    def test_field_and_energy_match_the_oracle(self, rp3bp_03, rotated_equilateral, order):
+        # at eps = 1 and x up to the edge of the convergence region, the rows
+        # beyond the first two still reach the last bits of the sums
+        rng = np.random.default_rng(order)
+        for cfg in (rp3bp_03, rotated_equilateral):
+            params = FlowParams(epsilon=1.0, config=cfg, truncation_order=order)
+            field, energy = dynamics._field(params)
+            oracle_field, oracle_energy = references._field(params)
+            x_edge = dynamics._series_reach(params) ** -0.5
+            for _ in range(50):
+                # s of either sign, as a backward run reaches it
+                state = (rng.uniform(0.0, x_edge), rng.uniform(-1.0, 1.0),
+                         rng.uniform(-7.0, 7.0), rng.uniform(-2.0, 2.0))
+                assert _bits(field(*state)) == _bits(oracle_field(*state))
+                assert _bits([energy(*state)]) == _bits([oracle_energy(*state)])
 
 
 def measure(cfg, theta0, eps, tol=1e-12):
