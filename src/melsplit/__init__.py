@@ -17,7 +17,6 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "config": (
         "CentralConfiguration",
-        "CentralityReport",
         "ConfigError",
         "DegenerateConfigurationError",
         "NewtonConvergenceError",

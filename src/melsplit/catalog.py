@@ -65,7 +65,7 @@ def _measure(config: cfg.CentralConfiguration) -> tuple[dict[str, float], Harmon
     c2, c3 = tables.paper("c2, c3")
     d = (*tables.paper("d1, d2"), *tables.paper("d3, d4"))
     out = {
-        "residual": cfg.cc_residual(config).max_norm,
+        "residual": cfg.cc_residual(config),
         "c2": c2,
         "c3": c3,
         **{f"d{i}": v for i, v in enumerate(d, 1)},

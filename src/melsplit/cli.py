@@ -246,20 +246,16 @@ def _cmd_config(args, out) -> int:
 
     if args.config_command == "validate":
         c = cfg.load_configuration(args.path)
-        report = cfg.cc_residual(c, fit_lambda=True)
+        max_norm, lam, fit_residual = cfg.balance(c)
         # valid: central at some scale, so an unnormalized polygon passes
-        try:
-            cfg.lambda_of(c)
-            valid = True
-        except cfg.NotCentralError:
-            valid = False
+        valid = fit_residual <= cfg.LAMBDA_FIT_TOL
         _emit_json(
             {
                 "label": c.label,
                 "n_bodies": c.n_bodies,
                 "valid": valid,
-                "max_norm": report.max_norm,
-                "lambda": report.lam,
+                "max_norm": max_norm,
+                "lambda": lam,
             },
             out,
         )

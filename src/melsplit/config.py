@@ -2,15 +2,20 @@
 
 A configuration holds the masses and rotating-frame positions of the
 primaries, normalized so the total mass is 1 and the center of mass is at
-the origin.  A configuration is *central* when the gravitational pull on
-each body balances a common multiple of its position vector; with unit
-angular velocity the multiplier is 1 and the residual of that balance
-vanishes.
+the origin.  A configuration is *central* when the gravitational pull
+g_k = sum_{j!=k} m_j (a_j - a_k)/|a_j - a_k|^3 on each body balances a
+common multiple of its position, g_k + lambda a_k = 0; with unit angular
+velocity lambda is 1 and the residual a_k + g_k vanishes.
+
+``_pull`` forms the pairwise pull once, in the plane or on a line, and
+everything else reads it: the balance (``balance``, ``cc_residual`` and
+``lambda_of``, whose one pull also serves ``config validate``), the
+equal-mass Newton's residual and Jacobian, and the equidistant system.
 
 Builders cover the classical families: the two-primary problem, the
-equilateral triangle, the rhombus, collinear chains (equal masses solved by
-damped Newton, equidistant spacing solved by a linear system), and regular
-polygons on the unit circle.
+equilateral triangle, the rhombus (its shape depends on the leg ratio
+alone), collinear chains (equal masses solved by damped Newton, equidistant
+spacing solved by a linear system), and regular polygons on the unit circle.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -106,62 +111,52 @@ class CentralConfiguration:
         return np.array([b.position for b in self.bodies])
 
 
-@dataclass(frozen=True)
-class CentralityReport:
-    """Residuals of the force-balance equations, one 2-vector per body."""
+def _pull(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairwise pull per unit mass, and the inverse cubes it is made of.
 
-    residuals: tuple[tuple[float, float], ...]
-    max_norm: float
-    lam: Optional[float] = None
+    ``pos`` holds one row (x, y) per body, or one coordinate per body on a
+    line.  Returns p with p[..., k, j] = (a_j - a_k)/|a_j - a_k|^3 (a leading
+    axis per coordinate in the plane) and q[k, j] = 1/|a_j - a_k|^3, both 0 at
+    j = k, so the pull on body k is (p @ masses)[..., k].  The bodies must be
+    distinct, as :class:`CentralConfiguration` makes them.
+    """
+    x = pos.T
+    d = x[..., None, :] - x[..., :, None]
+    r = np.abs(d) if x.ndim == 1 else np.hypot(d[0], d[1])
+    np.fill_diagonal(r, np.inf)
+    r2 = r * r
+    # d/r is the unit vector; on a line it is sgn(d) exactly, so p rounds as sgn(d)/d^2
+    return d / r / r2, 1.0 / (r2 * r)
 
 
 def _gravity(masses: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Sum over j != k of m_j (a_j - a_k)/|a_j - a_k|^3, one row per body."""
-    n = len(masses)
-    out = np.zeros((n, 2))
-    for k in range(n):
-        d = pos - pos[k]
-        r = np.hypot(d[:, 0], d[:, 1])
-        r[k] = 1.0
-        if np.any(r[np.arange(n) != k] <= MIN_SEPARATION):
-            raise DegenerateConfigurationError("coincident bodies in gravity sum")
-        w = masses / r**3
-        w[k] = 0.0
-        out[k] = d.T @ w
-    return out
+    return (_pull(pos)[0] @ masses).T
 
 
-def cc_residual(config: CentralConfiguration, fit_lambda: bool = False) -> CentralityReport:
-    """Residual a_k + sum_{j!=k} m_j (a_j - a_k)/|a_j - a_k|^3 per body.
+def _max_norm(v: np.ndarray) -> float:
+    return float(np.max(np.hypot(v[:, 0], v[:, 1])))
 
-    With ``fit_lambda`` the report also carries the least-squares scale
-    multiplier from :func:`lambda_of` (without raising when the fit is poor).
+
+def balance(config: CentralConfiguration) -> tuple[float, float, float]:
+    """The balance a_k + g_k and its fit g_k + lambda a_k, from one pull g.
+
+    Returns max_k |a_k + g_k|, the least-squares multiplier lambda of
+    :func:`lambda_of`, and the fit's relative residual max_k |g_k + lambda a_k|
+    / max_k |g_k|; the relative residual does not depend on the scale, since
+    the pull scales like c^-2 with the positions.
     """
-    m, pos = config.masses(), config.positions()
-    res = pos + _gravity(m, pos)
-    max_norm = float(np.max(np.hypot(res[:, 0], res[:, 1])))
-    lam = None
-    if fit_lambda:
-        lam, _ = _lambda_fit(config)
-    return CentralityReport(
-        residuals=tuple([(float(x), float(y)) for x, y in res]),
-        max_norm=max_norm,
-        lam=lam,
-    )
-
-
-def _lambda_fit(config: CentralConfiguration) -> tuple[float, float]:
     # a body at the origin is fine: it contributes nothing to the normal
     # equations and its own balance residual is position-free
-    m, pos = config.masses(), config.positions()
-    g = _gravity(m, pos)
-    denom = float(np.sum(pos * pos))
-    if denom == 0.0:
-        raise ConfigError("all bodies at the origin")
-    lam = -float(np.sum(g * pos)) / denom
-    fit = g + lam * pos
-    # relative to the largest pull, which scales like c^-2 with the positions
-    return lam, float(np.max(np.hypot(fit[:, 0], fit[:, 1])) / np.max(np.hypot(g[:, 0], g[:, 1])))
+    pos = config.positions()
+    g = _gravity(config.masses(), pos)
+    lam = -float(np.sum(g * pos)) / float(np.sum(pos * pos))
+    return _max_norm(pos + g), lam, _max_norm(g + lam * pos) / _max_norm(g)
+
+
+def cc_residual(config: CentralConfiguration) -> float:
+    """max_k |a_k + sum_{j!=k} m_j (a_j - a_k)/|a_j - a_k|^3|, 0 when central at unit rotation."""
+    return balance(config)[0]
 
 
 def lambda_of(config: CentralConfiguration) -> float:
@@ -173,7 +168,7 @@ def lambda_of(config: CentralConfiguration) -> float:
     max_k |g_k + lambda a_k| exceeds ``LAMBDA_FIT_TOL`` times max_k |g_k|, a
     test that does not depend on the scale.
     """
-    lam, fit_residual = _lambda_fit(config)
+    _, lam, fit_residual = balance(config)
     if fit_residual > LAMBDA_FIT_TOL:
         raise NotCentralError(
             f"no common multiplier fits: relative residual {fit_residual:.3e} > {LAMBDA_FIT_TOL:.3e}"
@@ -274,19 +269,23 @@ def build_equilateral(m1: float, m2: float) -> CentralConfiguration:
 
 
 def rhomboid_parameters(a: float, b: float) -> tuple[float, float, float]:
-    """Half-diagonals (x, y) and mass mu of the central rhombus for legs a, b."""
-    if not (0.0 < b < math.sqrt(3.0) * a < 3.0 * b):
+    """Half-diagonals (x, y) and mass mu of the central rhombus for legs a, b.
+
+    The shape depends only on t = a/b, so the legs may have any size.
+    """
+    if not (b > 0.0 and 1.0 < math.sqrt(3.0) * (a / b) < 3.0):
         raise ConfigError(f"need 0 < b < sqrt(3) a < 3 b, got a={a!r}, b={b!r}")
-    s = a * a + b * b
+    t = a / b
+    s = t * t + 1.0
     s32 = s**1.5
-    num = 64.0 * a**3 * b**3 - s**3
-    den = 16.0 * a**3 * b**3 - (a**3 + b**3) * s32
+    num = 64.0 * t**3 - s**3
+    den = 16.0 * t**3 - (t**3 + 1.0) * s32
     if den == 0.0 or num / den < 0.0:
         raise ConfigError("rhombus shape equations have a negative radicand")
     cbrt = (num / den) ** (1.0 / 3.0)
-    x = a / (2.0 * math.sqrt(s)) * cbrt
-    y = b / (2.0 * math.sqrt(s)) * cbrt
-    mu = a**3 * (8.0 * b**3 - s32) / (2.0 * den)
+    x = t / (2.0 * math.sqrt(s)) * cbrt
+    y = 1.0 / (2.0 * math.sqrt(s)) * cbrt
+    mu = t**3 * (8.0 - s32) / (2.0 * den)
     if not (0.0 < mu < 0.5):
         raise ConfigError(f"mass parameter {mu!r} falls outside (0, 1/2)")
     return x, y, mu
@@ -304,6 +303,14 @@ def build_rhomboid(a: float, b: float) -> CentralConfiguration:
     return CentralConfiguration(bodies, label=f"rhomboid(a={a:g}, b={b:g})")
 
 
+def _collinear_equal_system(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Balance a_k + m sum_j sgn(a_j - a_k)/(a_j - a_k)^2 of equal masses m on a line, and its Jacobian."""
+    p, q = _pull(a)
+    jac = -2.0 * m * q
+    np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
+    return a + m * p.sum(axis=1), jac
+
+
 def solve_collinear_equal(n: int) -> CentralConfiguration:
     """n equal masses on the axis, positions solved by damped Newton.
 
@@ -314,29 +321,12 @@ def solve_collinear_equal(n: int) -> CentralConfiguration:
         raise ConfigError(f"need n >= 2, got {n}")
     m = 1.0 / n
     a = np.linspace(-1.0, 1.0, n)
-
-    def residual(a):
-        d = a[None, :] - a[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.sign(d) / d**2
-        np.fill_diagonal(f, 0.0)
-        return a + m * f.sum(axis=1)
-
-    def jacobian(a):
-        d = a[None, :] - a[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            off = -2.0 * m / np.abs(d) ** 3
-        np.fill_diagonal(off, 0.0)
-        jac = off.copy()
-        np.fill_diagonal(jac, 1.0 - off.sum(axis=1))
-        return jac
-
-    f = residual(a)
+    f, jac = _collinear_equal_system(a, m)
     norm = np.linalg.norm(f)
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL:
             break
-        step = np.linalg.solve(jacobian(a), -f)
+        step = np.linalg.solve(jac, -f)
         lam = 1.0
         for _ in range(60):
             trial = a + lam * step
@@ -344,10 +334,10 @@ def solve_collinear_equal(n: int) -> CentralConfiguration:
             if np.any(np.diff(np.sort(trial)) <= MIN_SEPARATION):
                 lam *= 0.5
                 continue
-            f_trial = residual(trial)
+            f_trial, jac_trial = _collinear_equal_system(trial, m)
             norm_trial = np.linalg.norm(f_trial)
             if norm_trial < norm:
-                a, f, norm = trial, f_trial, norm_trial
+                a, f, jac, norm = trial, f_trial, jac_trial, norm_trial
                 break
             lam *= 0.5
         else:
@@ -371,13 +361,8 @@ def solve_collinear_equidistant(n: int) -> CentralConfiguration:
     s = np.arange(n, dtype=float) - (n - 1) / 2.0
     mat = np.zeros((n + 1, n + 1))
     rhs = np.zeros(n + 1)
-    for k in range(n):
-        d = s - s[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.sign(d) / d**2
-        row[k] = 0.0
-        mat[k, :n] = row
-        mat[k, n] = s[k]
+    mat[:n, :n] = _pull(s)[0]
+    mat[:n, n] = s
     mat[n, :n] = 1.0
     rhs[n] = 1.0
     # n = 3 is rank-deficient (any symmetric mass split balances the middle
@@ -438,7 +423,10 @@ def _json_number(value, what: str) -> float:
     """A JSON number as a float; a string, a bool or anything else is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a JSON number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest double
+        raise ConfigError(f"{what} is an integer beyond the range of a double") from None
 
 
 def _json_position(value) -> tuple[float, ...]:

@@ -106,6 +106,38 @@ class TestConfigCommands:
         assert (code, out) == (1, "")
         assert "JSON" in err
 
+    @pytest.mark.parametrize("command", ["config validate", "classify"])
+    @pytest.mark.parametrize("body", ['{"mass": 1%s, "position": [0.5, 0.0]}' % ("0" * 400),
+                                      '{"mass": 0.5, "position": [1%s, 0.0]}' % ("0" * 400)],
+                             ids=["mass-1e400", "coordinate-1e400"])
+    def test_an_integer_beyond_a_double_is_a_usage_error(self, capsys, tmp_path, command, body):
+        # float(10**400) raised OverflowError, which exited 2 as a numerical failure
+        path = tmp_path / "c.json"
+        path.write_text('{"bodies": [%s, {"mass": 0.5, "position": [-0.5, 0.0]}]}' % body)
+        code, out, err = run(capsys, *command.split(), str(path))
+        assert (code, out) == (1, "")
+        assert "beyond the range of a double" in err
+
+    def test_validate_forms_the_pull_once(self, capsys, monkeypatch, rp3bp_file):
+        from melsplit import config
+
+        calls = []
+        pull = config._pull
+        monkeypatch.setattr(config, "_pull", lambda pos: calls.append(pos) or pull(pos))
+        code, out, _ = run(capsys, "config", "validate", rp3bp_file)
+        assert code == 0 and json.loads(out)["valid"] is True
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("a, b", [(2.0**400, 2.0**400), (1.2 * 2.0**-400, 2.0**-400)],
+                             ids=["legs-2^400", "legs-1.2*2^-400"])
+    def test_rhomboid_at_any_leg_size_builds_the_unit_leg_shape(self, capsys, a, b):
+        # the legs 1e120 overflowed in (a^2 + b^2)^3, and 1e-120 underflowed to
+        # a "negative radicand"
+        code, out, _ = run(capsys, "config", "build", "rhomboid", "--a", repr(a), "--b", repr(b))
+        _, unit, _ = run(capsys, "config", "build", "rhomboid", "--a", repr(a / b), "--b", "1")
+        assert code == 0
+        assert json.loads(out)["bodies"] == json.loads(unit)["bodies"]
+
     def test_build_writes_parseable_json(self, capsys):
         code, out, _ = run(capsys, "config", "build", "polygon", "--n", "5")
         assert code == 0
@@ -1018,7 +1050,7 @@ def test_package_names_load_on_first_use():
     assert got["before"] == ["melsplit"]  # no numpy and no submodule
     assert got["same"]  # every name is its module's object, cached in the package
     assert got["missing"] == "module 'melsplit' has no attribute 'no_such_name'"
-    assert len(got["all"]) == len(set(got["all"])) == 55
+    assert len(got["all"]) == len(set(got["all"])) == 54
     assert set(got["all"]) <= set(got["dir"]) and got["dir"] == sorted(got["dir"])
     assert got["star"] == sorted(got["all"])
 

@@ -23,7 +23,8 @@ from melsplit import (
     solve_collinear_equal,
     solve_collinear_equidistant,
 )
-from melsplit.config import configuration_to_dict, rhomboid_parameters, scale
+from melsplit.config import (_collinear_equal_system, _gravity, configuration_to_dict,
+                             rhomboid_parameters, scale)
 
 
 def polygon_lambda(n: int) -> float:
@@ -65,13 +66,13 @@ class TestTypeInvariants:
 
 class TestResidualAndLambda:
     def test_rp3bp_residual_zero(self):
-        assert cc_residual(build_rp3bp(0.3)).max_norm <= 1e-14
+        assert cc_residual(build_rp3bp(0.3)) <= 1e-14
 
     def test_unit_equilateral_residual(self):
-        assert cc_residual(build_equilateral(0.17, 0.41)).max_norm <= 1e-13
+        assert cc_residual(build_equilateral(0.17, 0.41)) <= 1e-13
 
     def test_collinear7_residual(self, collinear8):
-        assert cc_residual(collinear8).max_norm <= 1e-7
+        assert cc_residual(collinear8) <= 1e-7
 
     def test_rp3bp_lambda_is_one(self):
         assert lambda_of(build_rp3bp(0.3)) == pytest.approx(1.0, abs=1e-12)
@@ -176,10 +177,16 @@ class TestBuilders:
         x, y, mu = rhomboid_parameters(1.0, 1.0)
         assert mu == pytest.approx(0.25, abs=1e-14)
         assert x == pytest.approx(y, abs=1e-14)
-        assert cc_residual(square_rhomboid).max_norm <= 1e-9
+        assert cc_residual(square_rhomboid) <= 1e-9
 
     def test_rhomboid_general_residual(self):
-        assert cc_residual(build_rhomboid(1.2, 0.9)).max_norm <= 1e-9
+        assert cc_residual(build_rhomboid(1.2, 0.9)) <= 1e-9
+
+    @pytest.mark.parametrize("a, b", [(1.2, 1.0), (1.0, 1.0), (0.7, 1.0), (1.6, 1.0)])
+    @pytest.mark.parametrize("c", [2.0**400, 2.0**-400, 2.0])
+    def test_rhomboid_shape_depends_on_the_leg_ratio_alone(self, a, b, c):
+        # legs scaled by a power of two keep a/b exactly, so the shape keeps every bit
+        assert rhomboid_parameters(c * a, c * b) == rhomboid_parameters(a, b)
 
     def test_rhomboid_boundary(self):
         with pytest.raises(ConfigError):
@@ -189,7 +196,7 @@ class TestBuilders:
         # the admissible leg-ratio interval is (1/sqrt(3), sqrt(3))
         for t in np.linspace(0.59, 1.72, 20):
             c = build_rhomboid(float(t), 1.0)
-            assert cc_residual(c).max_norm <= 1e-9
+            assert cc_residual(c) <= 1e-9
         for t in (0.57, 1.74, 3.0):
             with pytest.raises(ConfigError):
                 build_rhomboid(float(t), 1.0)
@@ -215,7 +222,7 @@ class TestCollinearSolvers:
         golden = [-1.17858061, -0.73861375, -0.35910513, 0.0]
         for got, want in zip(xs, golden):
             assert got == pytest.approx(want, abs=1e-7)
-        assert cc_residual(collinear8).max_norm <= 1e-10
+        assert cc_residual(collinear8) <= 1e-10
 
     def test_two_equal_masses(self):
         c = solve_collinear_equal(2)
@@ -250,7 +257,7 @@ class TestCollinearSolvers:
         for got, want in zip(ms, golden):
             assert got == pytest.approx(want, abs=1e-7)
         assert collinear11.bodies[0].position[0] == pytest.approx(-1.44194062, abs=1e-7)
-        assert cc_residual(collinear11).max_norm <= 1e-9
+        assert cc_residual(collinear11) <= 1e-9
 
     def test_equidistant_three_symmetry(self):
         c = solve_collinear_equidistant(3)
@@ -265,7 +272,7 @@ class TestCollinearSolvers:
         assert ms[1] == pytest.approx(85.0 / 296.0, abs=1e-14)
         h = c.bodies[2].position[0] - c.bodies[1].position[0]
         assert h == pytest.approx((151.0 / 592.0) ** (1.0 / 3.0), abs=1e-13)
-        assert cc_residual(c).max_norm <= 1e-12
+        assert cc_residual(c) <= 1e-12
 
     def test_builder_outputs_are_central(self):
         builders = [
@@ -277,7 +284,46 @@ class TestCollinearSolvers:
             build_polygon(6, normalize=True),
         ]
         for c in builders:
-            assert cc_residual(c).max_norm <= 1e-9, c.label
+            assert cc_residual(c) <= 1e-9, c.label
+
+
+class TestPull:
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_newton_jacobian_matches_a_central_difference(self, n):
+        rng = np.random.default_rng(n)
+        a = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.05, 0.05, n)
+        _, jac = _collinear_equal_system(a, 1.0 / n)
+        h = 1e-6
+        fd = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd[:, j] = (_collinear_equal_system(a + e, 1.0 / n)[0]
+                        - _collinear_equal_system(a - e, 1.0 / n)[0]) / (2.0 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+    @staticmethod
+    def direct_pull(masses, pos):
+        out = []
+        for k, ak in enumerate(pos):
+            terms = [m * (aj - ak) / math.dist(aj, ak) ** 3
+                     for j, (m, aj) in enumerate(zip(masses, pos)) if j != k]
+            out.append([math.fsum(t[0] for t in terms), math.fsum(t[1] for t in terms)])
+        return np.array(out)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gravity_matches_a_direct_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        masses = rng.uniform(0.1, 1.0, n)
+        pos = rng.normal(size=(n, 2))
+        if seed == 1:
+            pos[0] = 0.0  # a body at the origin
+        if seed == 2:
+            pos[:, 1] = 0.0  # a collinear configuration
+        want = self.direct_pull(masses, pos)
+        largest = np.max(np.hypot(want[:, 0], want[:, 1]))
+        assert np.max(np.abs(_gravity(masses, pos) - want)) <= 1e-14 * largest
 
 
 class TestReflectionSymmetry:
@@ -325,6 +371,14 @@ class TestJsonInterface:
         # true as a mass
         data = {"bodies": [body, {"mass": 0.5, "position": [-0.5, 0.0]}]}
         with pytest.raises(ConfigError, match=message):
+            load_configuration(data)
+
+    @pytest.mark.parametrize("body", [{"mass": 10**400, "position": [0.5, 0.0]},
+                                      {"mass": 0.5, "position": [-(10**400), 0.0]}],
+                             ids=["mass", "coordinate"])
+    def test_an_integer_beyond_a_double_is_a_config_error(self, body):
+        data = {"bodies": [body, {"mass": 0.5, "position": [-0.5, 0.0]}]}
+        with pytest.raises(ConfigError, match="beyond the range of a double"):
             load_configuration(data)
 
     def test_missing_keys(self, tmp_path):
