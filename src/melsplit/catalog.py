@@ -64,21 +64,21 @@ def _measure(config: cfg.CentralConfiguration) -> tuple[dict[str, float], Harmon
     tables = HarmonicTables(config, MAX_LEGENDRE_ORDER)
     c2, c3 = tables.paper("c2, c3")
     d = (*tables.paper("d1, d2"), *tables.paper("d3, d4"))
+    verdict = classify(config)
     out = {
         "residual": cfg.cc_residual(config),
         "c2": c2,
         "c3": c3,
         **{f"d{i}": v for i, v in enumerate(d, 1)},
         "d_abs_sum": sum(abs(v) for v in d),
-        "symmetry_order": float(cfg.symmetry_order(config)),
+        "symmetry_order": float(verdict.symmetry_order),
     }
     for k, body in enumerate(config.bodies, 1):
         out[f"a{k}1"] = body.position[0]
         out[f"m{k}"] = body.mass
-    witness = classify(config).witness
-    if witness is not None:
-        out["witness_k"] = float(witness.harmonic)
-        out["witness_order"] = float(witness.epsilon_order)
+    if verdict.witness is not None:
+        out["witness_k"] = float(verdict.witness.harmonic)
+        out["witness_order"] = float(verdict.witness.epsilon_order)
     return out, tables
 
 

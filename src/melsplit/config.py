@@ -5,7 +5,9 @@ primaries, normalized so the total mass is 1 and the center of mass is at
 the origin.  A configuration is *central* when the gravitational pull
 g_k = sum_{j!=k} m_j (a_j - a_k)/|a_j - a_k|^3 on each body balances a
 common multiple of its position, g_k + lambda a_k = 0; with unit angular
-velocity lambda is 1 and the residual a_k + g_k vanishes.
+velocity lambda is 1 and the residual a_k + g_k vanishes.  The barycenter
+and the separations are checked relative to the largest body radius, so
+whether a configuration is valid does not depend on its size.
 
 ``_pull`` forms the pairwise pull once, in the plane or on a line, and
 everything else reads it: the balance (``balance``, ``cc_residual`` and
@@ -88,14 +90,15 @@ class CentralConfiguration:
         total = math.fsum(b.mass for b in self.bodies)
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ConfigError(f"masses must sum to 1, got {total!r}")
+        size = max(math.hypot(*b.position) for b in self.bodies)
         cx = math.fsum(b.mass * b.position[0] for b in self.bodies)
         cy = math.fsum(b.mass * b.position[1] for b in self.bodies)
-        if math.hypot(cx, cy) > CENTER_OF_MASS_TOL:
+        if math.hypot(cx, cy) > CENTER_OF_MASS_TOL * size:
             raise ConfigError(f"center of mass must be at the origin, got ({cx!r}, {cy!r})")
         for i in range(n):
             for j in range(i + 1, n):
                 d = math.dist(self.bodies[i].position, self.bodies[j].position)
-                if d <= MIN_SEPARATION:
+                if d <= MIN_SEPARATION * size:
                     raise DegenerateConfigurationError(
                         f"bodies {i} and {j} are separated by {d!r}"
                     )

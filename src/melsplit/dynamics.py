@@ -101,9 +101,13 @@ class FlowParams:
             )
 
     @cached_property
+    def _reach(self) -> float:
+        return _series_reach(self)  # the convergence guard reads it before the field is built
+
+    @cached_property
     def _flow(self):
-        """(field, energy, reach) from ``_field`` and ``_series_reach``, built on first use."""
-        return (*_field(self), _series_reach(self))
+        """(field, energy) from ``_field``, built on first use."""
+        return _field(self)
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +177,20 @@ def _field(params: FlowParams):
     Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
     (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
     Hamiltonian, both on Python floats.  The powers of x are running
-    products of x^2.  Row j holds the harmonics k = j mod 2, ..., j, so the
-    ones a row meets first come last: a call takes cos ks and sin ks there.
-    The k = 0 entry (a, b) is the row's constant 0.0 + a, since cos 0 = 1
-    and sin 0 only adds b * +-0.
+    products of x^2.  Row j holds its k = 0 entry (a, b) as the constant
+    0.0 + a, since cos 0 = 1 and sin 0 only adds b * +-0, and its entries
+    k > 0; both functions take cos ks and sin ks for each entry, in entry
+    order.
     """
     e, e3 = params.epsilon, params.epsilon**3
-    ks = range((params.truncation_order - 3) // 2 + 1)  # the energy's harmonics, k <= J
-    rows, slot = [], {}  # slot[k]: where a call keeps cos ks and sin ks, for k > 0
+    rows = []
     for j, entries in _field_harmonics(params.config, params.truncation_order):
         g0 = 0.0 + entries[0][1] if entries[0][0] == 0 else 0.0
-        read = tuple([(slot[k], float(k), a, b) for k, a, b in entries if k in slot])
-        meet = tuple([(float(k), a, b) for k, a, b in entries if k and k not in slot])
-        slot.update({int(k): len(slot) + i for i, (k, _, _) in enumerate(meet)})
-        rows.append((e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, g0, read, meet, entries))
+        harmonics = tuple([(float(k), a, b) for k, a, b in entries if k])
+        rows.append((e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, g0, harmonics))
     cos, sin = math.cos, math.sin
 
     def field(x, y, s, theta):
-        cos_ks, sin_ks = [], []
         x2 = x * x
         x4 = x2 * x2
         dx = e3 * (x2 * x) * y / SQRT2
@@ -198,17 +198,11 @@ def _field(params: FlowParams):
         ds = 1.0 - e3 * theta * x4
         dtheta = 0.0
         xp = x4  # x^(2j+2) once the row's factor x^2 is in
-        for scale, dy_scale, g, read, meet, _ in rows:
+        for scale, dy_scale, g, harmonics in rows:
             gp = 0.0
-            for i, k, a, b in read:
-                c, sn = cos_ks[i], sin_ks[i]
-                g += a * c + b * sn
-                gp += k * (a * sn - b * c)
-            for k, a, b in meet:
+            for k, a, b in harmonics:
                 phase = k * s
                 c, sn = cos(phase), sin(phase)
-                cos_ks.append(c)
-                sin_ks.append(sn)
                 g += a * c + b * sn
                 gp += k * (a * sn - b * c)
             xp *= x2
@@ -217,14 +211,14 @@ def _field(params: FlowParams):
         return dx, dy, ds, dtheta
 
     def energy(x, y, s, theta):
-        cos_ks = [cos(k * s) for k in ks]
-        sin_ks = [sin(k * s) for k in ks]
         x2 = x * x
         xp = x2 * x2
         h = e3 * (y * y + 0.5 * theta * theta * xp - x2)
-        for scale, *_, entries in rows:
+        for scale, _, g, harmonics in rows:
+            for k, a, b in harmonics:
+                g += a * cos(k * s) + b * sin(k * s)
             xp *= x2
-            h -= scale * xp * sum(a * cos_ks[k] + b * sin_ks[k] for k, a, b in entries)
+            h -= scale * xp * g
         return h
 
     return field, energy
@@ -232,14 +226,14 @@ def _field(params: FlowParams):
 
 def rhs_mcgehee_t(state: McGeheeState, params: FlowParams) -> tuple[float, float, float, float]:
     """Time derivative of (x, y, s, theta) at the given truncation order."""
-    field, _, reach = params._flow
-    _convergence_guard(state.x, reach)
+    _convergence_guard(state.x, params._reach)
+    field, _ = params._flow
     return field(state.x, state.y, state.s, state.theta)
 
 
 def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
     """Value of the truncated energy in the regularized variables."""
-    _, energy, _ = params._flow
+    _, energy = params._flow
     return energy(state.x, state.y, state.s, state.theta)
 
 
@@ -306,20 +300,18 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
                     max_step: float = math.inf):
     """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
 
-    The state and the slopes are lists of Python floats; ``rhs(t, y)`` may
-    return any sequence, or always an ndarray.  The error of each step is
-    measured in the RMS norm against tol/10 + tol max(|y|, |y_new|), and the
-    step size is scaled by 0.9 err^(-1/5), clipped to [0.2, 10] (at most 1
-    right after a rejection).  The first step follows Hairer, Norsett &
+    The state and the slopes are lists of floats; ``rhs(t, y)`` may return
+    any sequence of floats.  The error of each step is measured in the RMS
+    norm against tol/10 + tol max(|y|, |y_new|), and the step size is scaled
+    by 0.9 err^(-1/5), clipped to [0.2, 10] (at most 1 right after a
+    rejection).  The first step follows Hairer, Norsett &
     Wanner (Sec. II.4).  A step below 10 ulp of t, or a step size or error
     norm that is not finite, raises ``IntegrationError``.  A zero-length
     span yields nothing.
     """
     rtol, atol = tol, tol / 10.0
-    t, y, fun = t0, y0, rhs
+    t, y = t0, y0
     f = rhs(t, y)
-    if isinstance(f, np.ndarray):  # the type of the first slope decides, once
-        f, fun = f.tolist(), lambda t, y: rhs(t, y).tolist()
     if t == t_bound:
         return
     direction = 1.0 if t_bound > t0 else -1.0
@@ -329,7 +321,7 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
     d0 = math.hypot(*[yi / sc for yi, sc in zip(y, scale)]) / root_n
     d1 = math.hypot(*[fi / sc for fi, sc in zip(f, scale)]) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = fun(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
+    f1 = rhs(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
     d2 = math.hypot(*[(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / root_n / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval, max_step)
@@ -349,23 +341,23 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
             h = t_new - t
             h_abs = abs(h)
             k1 = f
-            k2 = fun(t + 1 / 5 * h, [yi + (1 / 5 * a) * h for yi, a in zip(y, k1)])
-            k3 = fun(t + 3 / 10 * h, [yi + (3 / 40 * a + 9 / 40 * b) * h
+            k2 = rhs(t + 1 / 5 * h, [yi + (1 / 5 * a) * h for yi, a in zip(y, k1)])
+            k3 = rhs(t + 3 / 10 * h, [yi + (3 / 40 * a + 9 / 40 * b) * h
                                       for yi, a, b in zip(y, k1, k2)])
-            k4 = fun(t + 4 / 5 * h, [yi + (44 / 45 * a + -56 / 15 * b + 32 / 9 * c) * h
+            k4 = rhs(t + 4 / 5 * h, [yi + (44 / 45 * a + -56 / 15 * b + 32 / 9 * c) * h
                                      for yi, a, b, c in zip(y, k1, k2, k3)])
-            k5 = fun(t + 8 / 9 * h,
+            k5 = rhs(t + 8 / 9 * h,
                      [yi + (19372 / 6561 * a + -25360 / 2187 * b + 64448 / 6561 * c
                             + -212 / 729 * d) * h
                       for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h,
+            k6 = rhs(t + h,
                      [yi + (9017 / 3168 * a + -355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d
                             + -5103 / 18656 * e) * h
                       for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
             y_new = [yi + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
                                + -2187 / 6784 * e + 11 / 84 * f)
                      for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
+            k7 = rhs(t + h, y_new)
             err = math.hypot(*[(-71 / 57600 * a + 71 / 16695 * c + -71 / 1920 * d
                                 + 17253 / 339200 * e + -22 / 525 * f + 1 / 40 * g) * h
                                / (atol + max(abs(yi), abs(yn)) * rtol)
@@ -400,9 +392,9 @@ def integrate(
     """Adaptive Dormand-Prince 5(4) run with fourth-order dense output.
 
     ``rhs(t, y)`` receives the state as a sequence of floats and returns the
-    derivative as a sequence (an ndarray is accepted).  Tolerances are split
-    10:1 relative:absolute around ``tol``; the step controller and first
-    step are those of ``_dormand_prince``.  ``t`` is the accepted mesh (two
+    derivative as any sequence of floats, an ndarray included.  Tolerances
+    are split 10:1 relative:absolute around ``tol``; the step controller and
+    first step are those of ``_dormand_prince``.  ``t`` is the accepted mesh (two
     copies of t0 for a zero-length span) and ``states`` the solution on it.
     ``sol(t)`` evaluates the quartic interpolant of the step that contains t
     (at a mesh point, the step that ends there; ``sol(t0)`` is ``state0``
@@ -443,8 +435,9 @@ def integrate_mcgehee(
     ``ConvergenceRegionError``; a trajectory that leaves it raises
     ``IntegrationError``.
     """
-    field, _, reach = params._flow
+    reach = params._reach
     _convergence_guard(state0.x, reach)
+    field, _ = params._flow
 
     def rhs(t, v):
         x, y, s, theta = v
@@ -474,7 +467,7 @@ def poincare_numeric(
     """
     if x0 > 0.1:
         raise ValueError("the return map is meant for small x (x0 <= 0.1)")
-    field, _, _ = params._flow
+    field, _ = params._flow
     target = s0 + 2.0 * math.pi
 
     def rhs(_t, v):

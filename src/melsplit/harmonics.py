@@ -114,20 +114,25 @@ def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarr
 def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) -> HarmonicTable:
     """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j."""
     ms, ps = _cos_basis(j)
-    rj = r**j
+    with np.errstate(over="ignore"):
+        rj = r**j
+    weight = float(masses @ rj)
+    if not np.isfinite(weight):
+        raise OverflowError(f"the order-{j} weight sum_i m_i r_i^{j} overflows")
     w = masses * rj
     sums = multiples[ms] @ w  # sum_k w_k e^(i m alpha_k) for every m at once
     rounding = sys.float_info.epsilon * (j + len(r)) * float(w.sum())  # masses are positive
     entries = tuple([*zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist())])
-    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=float(masses @ rj))
+    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=weight)
 
 
 class HarmonicTables:
     """The order-j tables of one configuration for 2 <= j <= j_max <= 64.
 
     A j_max beyond 64 is refused up front, and one below 2 gives an owner
-    with no orders.  The angle multiples are built once, up to
-    m = max(j_max, 2); order j is contracted from them the first time ``tables[j]`` reads it.
+    with no orders.  The angle multiples are built once, up to m = max(j_max,
+    2); order j is contracted from them the first time ``tables[j]`` reads
+    it, and one whose weight sum_i m_i r_i^j overflows raises OverflowError.
     The running product's first j + 1 rows do not depend on how far it runs,
     so every order gets the same table whatever j_max is.
     """

@@ -36,11 +36,10 @@ the upper half plane, where the integrand neither oscillates nor cancels:
   2^(finest - l)-th node of the finest grid evaluated, so its trapezoid sum
   is a strided sum.  The error of the rule roughly squares per halving, so
   the first call evaluates the grid of step 1/32, the coarsest level and its
-  first four halvings (257 nodes), or the finest grid that fits in the
-  budget; each later call evaluates the midpoints of the finest grid, and
-  the next level is half the previous one plus the step times their sum.
-  The stopping rule is applied level by level, so it stops at the first
-  pair of levels that agree whatever the call held;
+  first four halvings (257 nodes); each later call evaluates the midpoints
+  of the finest grid, and the next level is half the previous one plus the
+  step times their sum.  The stopping rule is applied level by level, so it
+  stops at the first pair of levels that agree whatever the call held;
 * the terms are scaled by the size of the exponential and of both pole
   factors at the vertex, so a node costs the numerator, two integer powers
   (``_power``) and one exp, whatever a and b are.  Where that scale exceeds
@@ -309,13 +308,13 @@ def eval_oscillatory(
     # which here is over the constant factor
     arm = _Arm(delta, alpha, beta, a, b, g,
                math.log(_EPS * target) - (b + 1) * math.log(g) - a * math.log(2.0 - g))
-    budget, evaluations = EVALUATION_BUDGET, 0
+    evaluations = 0
 
     def terms(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The terms and their rounding charges at the nodes, at most _CHUNK per kernel call."""
         nonlocal evaluations
-        if evaluations + len(s) > budget:
-            raise QuadratureBudgetError(f"evaluation budget {budget} exhausted")
+        if evaluations + len(s) > EVALUATION_BUDGET:
+            raise QuadratureBudgetError(f"evaluation budget {EVALUATION_BUDGET} exhausted")
         evaluations += len(s)
         vals, noise = zip(*(_terms(arm, s[i:i + _CHUNK], ds[i:i + _CHUNK])
                             for i in range(0, len(s), _CHUNK)))
@@ -324,10 +323,8 @@ def eval_oscillatory(
     # every node lies on one uniform grid in v, held in v order; level l,
     # step _STEP / 2^l, is every 2^(finest - l)-th node of it.  The first call
     # evaluates the grid of the coarsest level and its first halvings on v in
-    # [-_REACH, _REACH], down to the finest level that the budget holds
+    # [-_REACH, _REACH]
     finest = _FIRST_LEVELS - 1
-    while finest and (round(2 * _REACH / _STEP) << finest) >= budget:
-        finest -= 1
     vals, noise = terms(*_first_pass(_REACH, finest))
     window, fine = [-_REACH, _REACH], _STEP / 2**finest
 

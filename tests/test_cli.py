@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import melsplit
 from melsplit import catalog, cli, dynamics, harmonics, melnikov, quadrature
 from melsplit.cli import main
-from melsplit.config import load_configuration, scale
+from melsplit.config import build_polygon, configuration_to_dict, load_configuration, scale
 from melsplit.errors import NumericalFailure
 from melsplit.quadrature import named_integrand
 from quadrature_oracles import (PAPER_INTEGRANDS, eval_polynomial, f4_integrand, f61_integrand,
@@ -515,6 +516,41 @@ def test_coeffs_reads_d_l_up_to_order_63(capsys, collinear11_file):
         assert d_l[str(l)] == pytest.approx(list(reference_d_l(config, l)), abs=1e-14 * weight)
 
 
+@pytest.fixture()
+def polygon16_1e5_file(tmp_path):
+    # weight sum m r^j = (15/16) 1e(5j): finite up to order 61, not at 62
+    path = tmp_path / "polygon16-1e5.json"
+    path.write_text(json.dumps(configuration_to_dict(scale(build_polygon(16), 1e5))))
+    return str(path)
+
+
+@pytest.mark.parametrize("jmax, code", [("64", 2), ("61", 0)])
+def test_coeffs_refuses_an_overflowing_order(capsys, polygon16_1e5_file, jmax, code):
+    # once printed bare NaN tokens with exit 0, after numpy's overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "coeffs", polygon16_1e5_file, "--jmax", jmax)
+    assert got == code and "RuntimeWarning" not in err
+    if code:
+        assert out == "" and err == ("numerical failure: the order-62 weight sum_i m_i r_i^62 "
+                                     "overflows\n")
+    else:
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        assert list(json.loads(out, parse_constant=reject)["harmonic_tables"])[-1] == "61"
+
+
+def test_integrate_start_outside_is_bad_input_before_an_overflowing_field(
+        capsys, polygon16_1e5_file):
+    # the convergence guard runs before the field reads the tables up to order 64
+    code, out, err = run(capsys, "integrate", "--config", polygon16_1e5_file, "--eps", "1",
+                         "--state", "0.5", "0", "0", "1", "--tspan", "0", "1",
+                         "--truncation", "131")
+    assert code == 1 and out == ""
+    assert err == "error: x = 0.5 lies outside the series convergence region\n"
+
+
 @pytest.mark.parametrize("jmax", ["65", "70", "1000"])
 def test_coeffs_beyond_the_largest_order_name_the_requested_order(capsys, rp3bp_file, jmax):
     # refused before any table is built, not at the first order past 64
@@ -816,8 +852,10 @@ class TestCatalogCommand:
         assert out.count("PASS") == 9
 
     def test_inconclusive_verdict_reads_as_a_miss(self, capsys, monkeypatch):
-        inconclusive = melnikov.TransversalityVerdict("inconclusive", None, ())
-        monkeypatch.setattr(catalog, "classify", lambda *a, **k: inconclusive)
+        # the catalog reads the symmetry order off the verdict, so the stand-in carries it
+        monkeypatch.setattr(catalog, "classify", lambda config, *a, **k:
+                            melnikov.TransversalityVerdict("inconclusive", None, (),
+                                                           melnikov.symmetry_order(config)))
         code, out, err = run(capsys, "catalog", "all")
         assert code == cli.EXIT_GOLDEN
         assert err == ""

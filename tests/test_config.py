@@ -17,6 +17,7 @@ from melsplit import (
     build_rhomboid,
     build_rp3bp,
     cc_residual,
+    classify,
     lambda_of,
     load_configuration,
     normalize_omega,
@@ -62,6 +63,26 @@ class TestTypeInvariants:
                     PrimaryBody(0.5, (-0.5, -5e-13)),
                 )
             )
+
+
+class TestScaleInvariantChecks:
+    # the barycenter and separation tolerances are relative to the largest radius
+    @pytest.mark.parametrize("build", [lambda: build_equilateral(0.2, 0.3),
+                                       lambda: build_polygon(16), lambda: build_rp3bp(0.3)],
+                             ids=["equilateral-0.2-0.3", "16-gon", "rp3bp-0.3"])
+    @pytest.mark.parametrize("c", [1e-10, 1e8, 1e10])
+    def test_a_scaled_configuration_loads_and_keeps_its_witness(self, build, c):
+        base = build()
+        loaded = load_configuration(configuration_to_dict(scale(base, c)))
+        want, got = classify(base).witness, classify(loaded).witness
+        assert (got.harmonic, got.epsilon_order) == (want.harmonic, want.epsilon_order)
+
+    @pytest.mark.parametrize("c", [1.0, 1e8])
+    def test_coincident_bodies_rejected_at_any_scale(self, c):
+        bodies = (PrimaryBody(0.25, (0.5 * c, 0.0)), PrimaryBody(0.25, (0.5 * c, 0.0)),
+                  PrimaryBody(0.5, (-0.5 * c, 0.0)))
+        with pytest.raises(DegenerateConfigurationError, match="bodies 0 and 1 "):
+            CentralConfiguration(bodies)
 
 
 class TestResidualAndLambda:

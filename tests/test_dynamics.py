@@ -282,11 +282,12 @@ class TestStatesAndFields:
     @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
     def test_field_matches_the_order_by_order_reference(self, rp3bp_03, rotated_equilateral,
                                                         order):
-        # the field takes cos ks and sin ks once per call and the powers of x as
-        # running products; against the reference that recomputes them for every
-        # order and entry, each component agrees within 4 ulp of the size of the
-        # terms it sums (2.05 at most here).  Not of the value itself: where the
-        # rows cancel, theta' differs by hundreds of its own ulp.
+        # the field takes cos ks and sin ks for each entry of a row, as the
+        # reference does, but the powers of x as running products; against the
+        # reference that raises x to every order's power, each component agrees
+        # within 4 ulp of the size of the terms it sums (2.05 at most here).  Not
+        # of the value itself: where the rows cancel, theta' differs by hundreds
+        # of its own ulp.
         rng = np.random.default_rng(order)
         for cfg in (rp3bp_03, rotated_equilateral):
             for _ in range(100):

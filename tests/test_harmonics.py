@@ -255,6 +255,14 @@ class TestHarmonicTable:
         with pytest.raises(ValueError):
             harmonic_table(rp3bp_03, 1)
 
+    def test_an_overflowing_weight_is_refused(self):
+        # the 16-gon at radius 1e5 has weight sum m r^j = (15/16) 1e(5j), finite
+        # up to j = 61; order 62 is refused, not read as inf and NaN entries
+        tables = HarmonicTables(scale(build_polygon(16), 1e5), 64)
+        assert all(math.isfinite(v) for _, a, b in tables[61].entries for v in (a, b))
+        with pytest.raises(OverflowError, match="order-62"):
+            tables[62]
+
     @pytest.mark.parametrize("name", ["rp3bp", "collinear8", "polygon7", "rotated"])
     def test_angle_multiples_match_the_addition_recurrence_bitwise(self, name):
         # the running complex product does the recurrence's arithmetic, so exact
