@@ -47,6 +47,7 @@ _EXPORTS = {
         "eval_Ik",
         "eval_Jk",
         "eval_oscillatory",
+        "eval_oscillatory_list",
         "find_zeros",
         "harmonic_integrand",
     ),

@@ -301,7 +301,7 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_fplot(args, out) -> int:
-    from .quadrature import eval_oscillatory, named_integrand
+    from .quadrature import _until_error, eval_oscillatory_list, named_integrand
 
     integrand = named_integrand(args.function)
     lo, hi = args.range
@@ -311,10 +311,12 @@ def _cmd_fplot(args, out) -> int:
         nodes = np.linspace(lo, hi, args.points)
     else:  # the width overflows: the grid a quarter the size, whose steps do not, scaled back
         nodes = 4.0 * np.linspace(0.25 * lo, 0.25 * hi, args.points)
-    rows = []
-    for tt in nodes:
-        res = eval_oscillatory(integrand(float(tt)), args.tol)
-        rows.append((float(tt), res.value, res.error_estimate))
+    thetas, integrands = nodes.tolist(), []
+    failure = _until_error(lambda tt: integrands.append(integrand(tt)), thetas)
+    results = eval_oscillatory_list(integrands, args.tol)
+    if failure is not None:
+        raise failure
+    rows = [(tt, res.value, res.error_estimate) for tt, res in zip(thetas, results)]
     _write_csv(out, ["theta_tilde", "value", "error_estimate"], rows)
     return EXIT_OK
 
@@ -374,24 +376,32 @@ def _cmd_splitting(args, out) -> int:
 
 
 def _cmd_asymp(args, out) -> int:
-    if args.table == "ik":
-        from .asymptotics import ik_asymptotic
-        from .quadrature import eval_Ik
+    if args.table in ("ik", "recurrence"):
+        from .quadrature import _until_error, eval_oscillatory_list, ik_integrand, jk_integrand
 
-        rows = []
-        for d in args.deltas:
-            exact = eval_Ik(args.k, d, args.tol)
-            asym = ik_asymptotic(args.k, d)
-            rows.append((d, exact, asym, exact / asym if asym != 0 else math.nan))
+        if args.table == "ik":
+            from .asymptotics import ik_asymptotic
+        integrands, leads = [], []
+
+        def step(d: float) -> None:  # a delta's I_k beside its leading term or its J_(k+2)
+            integrands.append(ik_integrand(args.k, d))
+            if args.table == "ik":
+                leads.append(ik_asymptotic(args.k, d))
+            else:
+                integrands.append(jk_integrand(args.k + 2, d))
+
+        failure = _until_error(step, args.deltas)
+        halves = [0.5 * res.value for res in eval_oscillatory_list(integrands, args.tol)]
+        if failure is not None:
+            raise failure
+    if args.table == "ik":
+        rows = [(d, exact, asym, exact / asym if asym != 0 else math.nan)
+                for d, exact, asym in zip(args.deltas, halves, leads)]
         _write_csv(out, ["delta", "ik_quadrature", "ik_asymptotic", "ratio"], rows)
         return EXIT_OK
     if args.table == "recurrence":
-        from .quadrature import eval_Ik, eval_Jk
-
         rows = []
-        for d in args.deltas:
-            i_val = eval_Ik(args.k, d, args.tol)
-            j_val = eval_Jk(args.k + 2, d, args.tol)
+        for d, i_val, j_val in zip(args.deltas, halves[::2], halves[1::2]):
             identity = d / (2.0 * (args.k + 1)) * i_val
             # both values exactly 0 agree; a nonzero J against a zero identity has no ratio
             rel = (abs(j_val - identity) / abs(identity) if identity != 0

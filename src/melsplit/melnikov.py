@@ -15,7 +15,8 @@ and poly:N is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
 ``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the published constant K
 (``quadrature.f_name`` maps each name to its signed (j, k)).
 ``splitting_terms`` returns one order as (k, A, B, error) terms, each F
-computed once per call by a single quadrature; a term's error carries the
+computed once per call, all of the order's in one pass of the quadrature
+over their list (``eval_oscillatory_list``); a term's error carries the
 quadrature's error estimate and the table's rounding bound, and summing
 cosines over s0 needs no further quadrature.  ``_order_terms`` builds one
 order from either source of F_(j,k): the quadrature (``splitting_terms``)
@@ -40,12 +41,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .asymptotics import leading_term
 from .config import CentralConfiguration, symmetry_order
+from .errors import NumericalFailure
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
-from .quadrature import QuadratureResult, eval_oscillatory, f_name, harmonic_integrand
+from .quadrature import (CubicPhaseIntegrand, QuadratureResult, _until_error,
+                         eval_oscillatory_list, f_name, harmonic_integrand)
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
@@ -93,20 +96,37 @@ def _order_terms(
     order: int | str,
     theta0: float,
     epsilon: float,
-    integral: Callable[[int, int, float], QuadratureResult],
+    integrals: Callable[[list[CubicPhaseIntegrand]], Sequence[QuadratureResult]],
 ) -> SplittingTerms:
-    """``splitting_terms`` with each F_(j,k)(theta) and its error from ``integral(j, k, theta)``."""
+    """``splitting_terms`` with the F_(j,k)(theta) of all its harmonics from one ``integrals`` call.
+
+    ``integrals`` takes the list of ``harmonic_integrand(j, k, theta)`` and
+    gives each one's value and error.  What fails raises as it would with
+    the harmonics taken one at a time, each F before its term.
+    """
     if theta0 == 0.0 or not math.isfinite(theta0):
         raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     j, harmonics, rounding = _order_rows(config, order)
-    pref = 2.0 ** (j + 1) / theta0 ** (2 * j + 2)
+    power = theta0 ** (2 * j + 2)
+    if power == 0.0:
+        raise OverflowError(f"order {2 * j}: 2^(j+1)/theta0^(2j+2) overflows at theta0 = "
+                            f"{theta0!r}, where theta0^(2j+2) underflows to 0")
+    pref = 2.0 ** (j + 1) / power
     sign = 1.0 if theta0 > 0.0 else -1.0
     tt = theta0 / epsilon
+    integrands: list[CubicPhaseIntegrand] = []
+    failure = _until_error(lambda k: integrands.append(harmonic_integrand(j, k, tt)),
+                           [k for k, _, _ in harmonics])
+    try:
+        fs: Iterable[QuadratureResult] = integrals(integrands)
+    except (NumericalFailure, ArithmeticError, ValueError):
+        # one fails: take them one at a time, so that an earlier term that
+        # fails raises first
+        fs = (integrals([integrand])[0] for integrand in integrands)
     terms = []
-    for k, a, b in harmonics:
-        f = integral(j, k, tt)
+    for (k, a, b), f in zip(harmonics, fs):
         amp = sign * pref * f.value
         err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
         term = (k, -amp * b, amp * a, err)
@@ -114,6 +134,8 @@ def _order_terms(
             raise OverflowError(f"order {2 * j}, harmonic {k}: not finite at theta0 = {theta0!r}, "
                                 f"where 2^(j+1)/theta0^(2j+2) = {pref!r}")
         terms.append(term)
+    if failure is not None:
+        raise failure
     return SplittingTerms(2 * j, tuple(terms))
 
 
@@ -133,7 +155,7 @@ def splitting_terms(
     entry (a, b) and the table's rounding bound.
     """
     return _order_terms(config, order, theta0, epsilon,
-                        lambda j, k, tt: eval_oscillatory(harmonic_integrand(j, k, tt), tol))
+                        lambda integrands: eval_oscillatory_list(integrands, tol))
 
 
 def leading_terms(
@@ -149,8 +171,8 @@ def leading_terms(
     k |theta0/epsilon|^3 / 2 is well above (j + k + 2)^2, roughly.
     """
     return _order_terms(config, order, theta0, epsilon,
-                        lambda j, k, tt: QuadratureResult(
-                            leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
+                        lambda integrands: [QuadratureResult(leading_term(f), 0.0, 0)
+                                            for f in integrands])
 
 
 def melnikov_sum(parts: Iterable[SplittingTerms], epsilon: float) -> SplittingTerms:

@@ -35,11 +35,20 @@ the upper half plane, where the integrand neither oscillates nor cancels:
   until two levels agree; level l, of step 2^-(l+1), is every
   2^(finest - l)-th node of the finest grid evaluated, so its trapezoid sum
   is a strided sum.  The error of the rule roughly squares per halving, so
-  the first call evaluates the grid of step 1/32, the coarsest level and its
-  first four halvings (257 nodes); each later call evaluates the midpoints
-  of the finest grid, and the next level is half the previous one plus the
-  step times their sum.  The stopping rule is applied level by level, so it
-  stops at the first pair of levels that agree whatever the call held;
+  the first pass evaluates the grid of step 1/32, the coarsest level and its
+  first four halvings (257 nodes); each later level evaluates the midpoints
+  of the finest grid, and its sum is half the previous one plus the step
+  times theirs.  The stopping rule is applied level by level, so it stops
+  at the first pair of levels that agree whatever the pass held;
+* the pass runs over a list of integrands at once (``eval_oscillatory_list``):
+  one kernel call (``_terms``) evaluates the first pass of up to 32 of them
+  on the shared grid, each with its own d, alpha, beta, vertex, negligible
+  bound and (a, b) held as columns, and each later level is one call over
+  those that still need it.  A call holds fewer than 2^14 nodes in all,
+  below the size where numpy computes a product in place with its factors
+  swapped, so each result is that of the integrand's own call bit for bit;
+  one whose end is widened goes on alone from its own terms.
+  ``eval_oscillatory`` is the pass over a list of one;
 * the terms are scaled by the size of the exponential and of both pole
   factors at the vertex, so a node costs the numerator, two integer powers
   (``_power``) and one exp, whatever a and b are.  Where that scale exceeds
@@ -70,7 +79,7 @@ pins them at |a| + |b| from 200 to 256, where ``_power`` splits its
 powers.  The worst case is larger: n times the relative rounding of
 w / g, plus about sqrt(5) eps for each complex product of the squaring,
 weighted by the power it feeds.  ``evaluations`` counts every node
-evaluated, including those of the first call's levels past the level where
+evaluated, including those of the first pass's levels past the level where
 the rule stopped.
 
 At d = 0 nothing oscillates and the value is exact: closed in the upper
@@ -96,12 +105,13 @@ turning the arms to other angles in (0, pi/3).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -115,8 +125,17 @@ _RAY = cmath.exp(1j * math.pi / 6)  # direction of the contour's right arm
 _HALF_PI = math.pi / 2.0
 _STEP = 0.5  # trapezoid step in v on the coarsest level
 _REACH = 4.0  # the coarsest level spans v in [-_REACH, _REACH] unless an end is widened
-_FIRST_LEVELS = 5  # levels of the first call, steps 1/2 .. 1/32: 17 + 240 nodes
+_FIRST_LEVELS = 5  # levels of the first pass, steps 1/2 .. 1/32: 17 + 240 nodes; at least 2
 _CHUNK = 2**16  # most nodes per kernel call, so that its arrays stay near 1 MB
+_ROWS = 32  # most integrals per kernel call
+# numpy computes x * y in place in y when y is a temporary of 256 KiB (2^14
+# complex numbers) or more, as y * x, and a complex product with its factors
+# swapped can differ in the last bit; so a kernel call over several
+# integrals holds fewer nodes than that, and its terms are those of one
+# call per integral bit for bit
+_ELISION = 2**14
+
+_T = TypeVar("_T")
 
 
 class QuadratureBudgetError(NumericalFailure):
@@ -210,7 +229,11 @@ def _exact_zero_phase(alpha: complex, beta: complex, a: int, b: int) -> Quadratu
 
 
 class _Arm(NamedTuple):
-    """One integral's right arm: normalized integrand, vertex and negligible-term bound."""
+    """Right arms of one kernel call: normalized integrands, vertices and negligible-term bounds.
+
+    Each field is a number for one integral, or a column with one entry per
+    integral, its rows in the order of the kernel call's rows.
+    """
 
     delta: float
     alpha: complex
@@ -231,20 +254,36 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return x**n if abs(n) < 100 else _power(x, n // 2) * _power(x, n - n // 2)
 
 
+def _pole(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x^b y^a for columns a and b: one ``_power`` per run of rows that share (a, b)."""
+    blocks, lo = [], 0
+    for (na, nb), run in itertools.groupby(zip(a[:, 0].tolist(), b[:, 0].tolist())):
+        hi = lo + len(list(run))
+        blocks.append(_power(x[lo:hi], nb) * _power(y[lo:hi], na))
+        lo = hi
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _terms(arm: _Arm, s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled terms G(z) dz/dv at z = ih + g s e^(i pi/6), and their rounding charges.
 
     ``s`` is exp(pi/2 sinh v) at the nodes v and ``ds`` its derivative in v.
+    With column fields there is one row of terms per integral.  A node
+    that breaks the rule below has a NaN term.
     """
     delta, alpha, beta, a, b, g, log_negligible = arm
     h = 1.0 - g
     w0 = (g * _RAY) * s  # z - ih
     z, w, zp = w0 + 1j * h, w0 - 1j * g, w0 + 1j * (2.0 - g)  # z, z - i and z + i
     num_bound = abs(alpha) * np.abs(z) + abs(beta)
-    # i d (phi(z) - phi(ih)), expanded about the vertex
-    psi = 1j * delta * (w0 * (g * (2.0 - g) + w0 * (1j * h + w0 / 3.0)))
-    pole = _power(w / g, b) * _power(zp / (2.0 - g), a)
+    # i d (phi(z) - phi(ih)), expanded about the vertex.  numpy divides a
+    # complex number by a real one as by a complex one, by Smith's method,
+    # which multiplies by the divisor's reciprocal: so do the products here,
+    # bit for bit, at less cost
+    psi = 1j * delta * (w0 * (g * (2.0 - g) + w0 * (1j * h + w0 * (1.0 / 3.0))))
+    x, y = w * (1.0 / g), zp * (1.0 / (2.0 - g))
+    pole = _pole(x, y, a, b) if isinstance(a, np.ndarray) else _power(x, b) * _power(y, a)
     rest = np.exp(psi) * (g * _RAY) * ds / pole
     vals = (alpha * z + beta) * rest
     # one rule for every node: a term whose log size is below the bound is
@@ -254,11 +293,14 @@ def _terms(arm: _Arm, s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.nda
     kept = (np.log(num_bound) + psi.real + np.log(ds)
             - b * np.log(np.abs(w)) - a * np.log(np.abs(zp))) > log_negligible
     abs_rest = np.abs(rest)
-    if (kept & ~(np.isfinite(vals) & (abs_rest > 0.0))).any():
-        raise QuadratureBudgetError("a term not shown below eps tol overflows "
-                                    "or is dropped as underflowed")
-    charge = _EPS * (2 * (abs(a) + abs(b)) + 8 + 3.0 * np.abs(psi)) * abs_rest * num_bound
-    return np.where(kept, vals, 0.0), np.where(kept, charge, 0.0)
+    terms = np.where(kept, vals, 0.0)
+    broken = kept & ~(np.isfinite(vals) & (abs_rest > 0.0))
+    if np.logical_or.reduce(broken, axis=None):
+        terms[broken] = np.nan
+    # eps (2 (|a| + |b|) + 8 + 3 |psi|) |rest| num_bound, with eps, a power of
+    # two, taken into the sum: the same bits in one product fewer
+    charge = (_EPS * (2 * (abs(a) + abs(b)) + 8) + 3.0 * _EPS * np.abs(psi)) * abs_rest * num_bound
+    return terms, np.where(kept, charge, 0.0)
 
 
 def _exp_sinh(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,9 +311,251 @@ def _exp_sinh(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _first_pass(reach: float, finest: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_exp_sinh`` on the first call's grid: v in [-reach, reach], step _STEP / 2^finest."""
+    """``_exp_sinh`` on the first pass's grid: v in [-reach, reach], step _STEP / 2^finest."""
     intervals = round(2 * reach / _STEP) << finest
     return _exp_sinh(-reach + (_STEP / 2**finest) * np.arange(intervals + 1))
+
+
+class _Row:
+    """One integral of a pass: its arm, scale and target, and the state of its levels."""
+
+    __slots__ = ("index", "arm", "log_phase", "log_scale", "log_g", "target", "evaluations",
+                 "tail", "previous", "rounding")
+
+    def __init__(self, index: int, delta: float, alpha: complex, beta: complex, a: int, b: int,
+                 tol: float):
+        # g = 1 - h; without a pole at i (b <= 0) the vertex still stays off z = i
+        g = min(1.0, math.sqrt(max(b, 1) / (2.0 * delta)))
+        h, log_g, log_2g = 1.0 - g, math.log(g), math.log(2.0 - g)
+        # the terms are scaled by exp(-d Im phi(ih)) / (g^b (2 - g)^a), the size
+        # of the exponential and the pole factors at the vertex; where that
+        # exceeds 1, the targets on the scaled terms are divided by it
+        self.log_phase = -delta * (h - h**3 / 3.0)
+        self.log_scale = self.log_phase - b * log_g - a * log_2g
+        self.target = tol * math.exp(-max(self.log_scale, 0.0))
+        # a scaled term is (|alpha| |z| + |beta|) |e^psi| g ds/dv g^b (2 - g)^a
+        # / (|z - i|^b |z + i|^a) at most; it is negligible below eps target,
+        # which here is over the constant factor
+        self.arm = _Arm(delta, alpha, beta, a, b, g,
+                        math.log(_EPS * self.target) - (b + 1) * log_g - a * log_2g)
+        self.index, self.log_g, self.evaluations = index, log_g, 0
+
+    def result(self, current: complex, change: float, rounding: float) -> QuadratureResult:
+        scale = math.exp(self.log_scale)
+        value = 2.0 * scale * float(current.real)
+        error = 2.0 * scale * float(change + self.tail + rounding)
+        a, b = self.arm.a, self.arm.b
+        error += _EPS * (4.0 + abs(self.log_phase) + abs(b * self.log_g) + abs(a)) * abs(value)
+        return QuadratureResult(value=value, error_estimate=error, evaluations=self.evaluations)
+
+
+def _arms(rows: list[_Row]) -> _Arm:
+    """The arm of a kernel call over several rows: one column per field."""
+    return _Arm(*[np.array(field)[:, None] for field in zip(*[row.arm for row in rows])])
+
+
+def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray, outcomes: list) -> list:
+    """(rows, terms, charges) of each kernel call that evaluates ``rows`` at the nodes.
+
+    A call holds at most _ROWS rows and fewer than _ELISION nodes, or one
+    row, whose nodes are split over calls of _CHUNK.  A row that would pass
+    the evaluation budget is not evaluated, and gets the error its own call
+    raises as its outcome.
+    """
+    n = len(s)
+    going = []
+    for row in rows:
+        if row.evaluations + n > EVALUATION_BUDGET:
+            outcomes[row.index] = QuadratureBudgetError(
+                f"evaluation budget {EVALUATION_BUDGET} exhausted")
+        else:
+            row.evaluations += n
+            going.append(row)
+    per_call = max(1, min(_ROWS, (_ELISION - 1) // n))
+    calls = []
+    for lo in range(0, len(going), per_call):
+        block = going[lo:lo + per_call]
+        arm = block[0].arm if len(block) == 1 else _arms(block)
+        if n <= _CHUNK:
+            vals, noise = _terms(arm, s, ds)
+        else:
+            parts = [_terms(arm, s[i:i + _CHUNK], ds[i:i + _CHUNK]) for i in range(0, n, _CHUNK)]
+            vals, noise = (np.concatenate(part, axis=-1) for part in zip(*parts))
+        calls.append((block, vals.reshape(len(block), n), noise.reshape(len(block), n)))
+    return calls
+
+
+def _broken(row: _Row, outcomes: list) -> None:
+    """Set the outcome of a row with a NaN term, one that breaks the rule of ``_terms``."""
+    outcomes[row.index] = QuadratureBudgetError(
+        "a term not shown below eps tol overflows or is dropped as underflowed")
+
+
+def _first_levels(rows: list, vals: np.ndarray, noise: np.ndarray, outcomes: list) -> list[_Row]:
+    """The levels of the grid the rows are evaluated on; the rows that go on past them.
+
+    ``rows[r]``, its ``tail`` set, has its terms and charges in row r of
+    ``vals`` and ``noise``; it is None where that row is not to be read.
+    Level l, of step _STEP / 2^l, is every 2^(finest - l)-th node, so its
+    trapezoid sum is a strided sum, taken for all the rows when the first
+    of them reaches it.
+    The level rule: a row stops at the first level that agrees with the one
+    before it, or differs from it only by rounding.
+    """
+    finest = _FIRST_LEVELS - 1
+    coarsest = np.add.reduce(vals[:, ::1 << finest], axis=1).tolist()
+    levels = []  # (step, sums, charge sums) of levels 1, 2, ...
+    going = []
+    for r, row in enumerate(rows):
+        if row is None:
+            continue
+        bound, previous = row.target / 8.0, _STEP * coarsest[r]
+        for level in range(1, finest + 1):
+            if level > len(levels):
+                stride = 1 << (finest - level)
+                levels.append((_STEP / 2**level, np.add.reduce(vals[:, ::stride], axis=1).tolist(),
+                               np.add.reduce(noise[:, ::stride], axis=1).tolist()))
+            step, sums, noise_sums = levels[level - 1]
+            current, rounding = step * sums[r], step * noise_sums[r]
+            change = abs(current - previous)
+            if change <= max(bound, rounding):
+                _settle(row, current, change, rounding, outcomes)
+                break
+            previous = current
+        else:
+            row.previous, row.rounding = previous, rounding
+            going.append(row)
+    return going
+
+
+def _settle(row: _Row, current: complex, change: float, rounding: float, outcomes: list) -> None:
+    """Set the outcome of a row the level rule stops."""
+    try:
+        outcomes[row.index] = row.result(current, change, rounding)
+    except OverflowError as exc:  # the scale
+        outcomes[row.index] = exc.with_traceback(None)
+
+
+def _later_levels(rows: list[_Row], start: float, intervals: int, outcomes: list) -> None:
+    """Levels past the evaluated grid, for rows whose grids start at v = ``start``.
+
+    Each level evaluates the midpoints of the finest grid's ``intervals``,
+    one kernel call for all the rows that still go on, and its sum is half
+    the previous one plus the step times theirs.
+    """
+    step = _STEP / 2**(_FIRST_LEVELS - 1)
+    while rows:
+        step /= 2.0
+        s, ds = _exp_sinh(start + step * (2 * np.arange(intervals) + 1))
+        going = []
+        for block, more, more_noise in _kernel_calls(rows, s, ds, outcomes):
+            sums = np.add.reduce(more, axis=1).tolist()
+            noise_sums = np.add.reduce(more_noise, axis=1).tolist()
+            for r, row in enumerate(block):
+                if sums[r] != sums[r] and np.isnan(more[r]).any():  # a NaN sum: a NaN term?
+                    _broken(row, outcomes)
+                    continue
+                current = row.previous / 2.0 + step * sums[r]
+                rounding = row.rounding / 2.0 + step * noise_sums[r]
+                change = abs(current - row.previous)
+                if change <= max(row.target / 8.0, rounding):
+                    _settle(row, current, change, rounding, outcomes)
+                else:
+                    row.previous, row.rounding = current, rounding
+                    going.append(row)
+        rows, intervals = going, 2 * intervals
+
+
+def _widened(row: _Row, vals: np.ndarray, noise: np.ndarray, floor: float, outcomes: list) -> None:
+    """A row with an end term above ``floor``: that end widened, then the row's levels alone.
+
+    Ends are widened by whole coarse steps, with the grid's own nodes.  Past
+    an end the terms fall at least like exp(-pi/2 sinh|v|) cosh v, which
+    sizes the widening from the end term.  Being systematic, the tails get
+    a small share of the tolerance.
+    """
+    finest = _FIRST_LEVELS - 1
+    window, fine = [-_REACH, _REACH], _STEP / 2**finest
+    for side, sign in ((0, -1.0), (-1, 1.0)):
+        while abs(vals[side]) > floor:
+            reach = abs(window[side])
+            try:
+                goal = math.asinh(math.sinh(reach)
+                                  + (math.log(abs(vals[side]) / floor) + 1.0) / _HALF_PI)
+                width = max(1, math.ceil((goal - reach) / _STEP))
+            except OverflowError as exc:  # the end term over the floor overflows
+                outcomes[row.index] = exc.with_traceback(None)
+                return
+            v = window[side] + sign * fine * np.arange(1, (width << finest) + 1)  # outermost last
+            calls = _kernel_calls([row], *_exp_sinh(v), outcomes)
+            if not calls:  # past the budget
+                return
+            _, more, more_noise = calls[0]
+            if np.isnan(more).any():
+                _broken(row, outcomes)
+                return
+            vals, noise = (np.concatenate((old, new) if side else (new[::-1], old))
+                           for old, new in zip((vals, noise), (more[0], more_noise[0])))
+            window[side] = float(v[-1])
+    row.tail = abs(vals[0]) + abs(vals[-1])
+    _later_levels(_first_levels([row], vals[None], noise[None], outcomes),
+                  window[0], len(vals) - 1, outcomes)
+
+
+def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
+    """Each integrand's QuadratureResult, or the error its own ``eval_oscillatory`` call raises.
+
+    The pass: every integral's first-pass grid (``_first_pass``) in kernel
+    calls of up to _ROWS rows, grouped by (a, b) for the pole powers; the
+    levels of that grid, strided sums over each row; then, for the rows not
+    yet settled, one kernel call per level over the midpoints they share.
+    A row whose end term is above the floor is widened and goes on alone
+    from its own terms.
+    """
+    if integrands and not (1e-13 <= tol <= 1e-3):
+        raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
+    outcomes: list = [None] * len(integrands)
+    rows = []
+    for i, integrand in enumerate(integrands):
+        delta, alpha, beta, a, b = _normalized(integrand)
+        try:
+            if alpha == 0 and beta == 0:
+                outcomes[i] = QuadratureResult(0.0, 0.0, 0)
+            elif delta == 0.0:
+                outcomes[i] = _exact_zero_phase(alpha, beta, a, b)
+            else:
+                rows.append(_Row(i, delta, alpha, beta, a, b, tol))
+        except (ArithmeticError, ValueError) as exc:  # e.g. the log of a target that underflows
+            outcomes[i] = exc.with_traceback(None)
+    if len(rows) > 1:
+        rows.sort(key=lambda row: (row.arm.a, row.arm.b))
+
+    # every node lies on one uniform grid in v, held in v order; level l,
+    # step _STEP / 2^l, is every 2^(finest - l)-th node of it.  The first
+    # pass evaluates the grid of the coarsest level and its first halvings
+    # on v in [-_REACH, _REACH]
+    finest = _FIRST_LEVELS - 1
+    s, ds = _first_pass(_REACH, finest)
+    shared = []
+    for block, vals, noise in _kernel_calls(rows, s, ds, outcomes):
+        settle = [None] * len(block)  # the rows whose levels are read from this call's terms
+        peaks = np.maximum.reduce(np.abs(vals), axis=1).tolist()
+        ends = vals[:, ::len(s) - 1].tolist()
+        for r, (row, peak, (first, last)) in enumerate(zip(block, peaks, ends)):
+            if peak != peak:  # NaN: a NaN term
+                _broken(row, outcomes)
+                vals[r] = noise[r] = 0.0  # out of the call's level sums
+                continue
+            floor = max(row.target / 256.0, _EPS * peak)
+            first, last = abs(first), abs(last)
+            if first > floor or last > floor:
+                _widened(row, vals[r], noise[r], floor, outcomes)
+            else:
+                row.tail, settle[r] = first + last, row
+        shared += _first_levels(settle, vals, noise, outcomes)
+    if shared:
+        _later_levels(shared, -_REACH, len(s) - 1, outcomes)
+    return outcomes
 
 
 def eval_oscillatory(
@@ -284,93 +568,45 @@ def eval_oscillatory(
     level change, the truncated tails and the rounding charges of the terms.
     A term shown below eps tol is 0, and every other must be finite (see
     the module docstring).  More than ``EVALUATION_BUDGET`` evaluations, or
-    a term that breaks that rule, raise QuadratureBudgetError.
+    a term that breaks that rule, raise QuadratureBudgetError.  This is the
+    one-integrand case of ``eval_oscillatory_list``.
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
-    delta, alpha, beta, a, b = _normalized(integrand)
-    if alpha == 0 and beta == 0:
-        return QuadratureResult(0.0, 0.0, 0)
-    if delta == 0.0:
-        return _exact_zero_phase(alpha, beta, a, b)
+    (outcome,) = _outcomes([integrand], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    # g = 1 - h; without a pole at i (b <= 0) the vertex still stays off z = i
-    g = min(1.0, math.sqrt(max(b, 1) / (2.0 * delta)))
-    h = 1.0 - g
-    # the terms are scaled by exp(-d Im phi(ih)) / (g^b (2 - g)^a), the size of
-    # the exponential and the pole factors at the vertex; where that exceeds
-    # 1, the targets on the scaled terms are divided by it
-    log_phase = -delta * (h - h**3 / 3.0)
-    log_scale = log_phase - b * math.log(g) - a * math.log(2.0 - g)
-    target = tol * math.exp(-max(log_scale, 0.0))
-    # a scaled term is (|alpha| |z| + |beta|) |e^psi| g ds/dv g^b (2 - g)^a
-    # / (|z - i|^b |z + i|^a) at most; it is negligible below eps target,
-    # which here is over the constant factor
-    arm = _Arm(delta, alpha, beta, a, b, g,
-               math.log(_EPS * target) - (b + 1) * math.log(g) - a * math.log(2.0 - g))
-    evaluations = 0
 
-    def terms(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The terms and their rounding charges at the nodes, at most _CHUNK per kernel call."""
-        nonlocal evaluations
-        if evaluations + len(s) > EVALUATION_BUDGET:
-            raise QuadratureBudgetError(f"evaluation budget {EVALUATION_BUDGET} exhausted")
-        evaluations += len(s)
-        vals, noise = zip(*(_terms(arm, s[i:i + _CHUNK], ds[i:i + _CHUNK])
-                            for i in range(0, len(s), _CHUNK)))
-        return np.concatenate(vals), np.concatenate(noise)
+def eval_oscillatory_list(
+    integrands: Sequence[CubicPhaseIntegrand],
+    tol: float,
+) -> tuple[QuadratureResult, ...]:
+    """``eval_oscillatory`` of each integrand, in one pass over the list.
 
-    # every node lies on one uniform grid in v, held in v order; level l,
-    # step _STEP / 2^l, is every 2^(finest - l)-th node of it.  The first call
-    # evaluates the grid of the coarsest level and its first halvings on v in
-    # [-_REACH, _REACH]
-    finest = _FIRST_LEVELS - 1
-    vals, noise = terms(*_first_pass(_REACH, finest))
-    window, fine = [-_REACH, _REACH], _STEP / 2**finest
+    Every result is the one its own ``eval_oscillatory`` call returns, bit
+    for bit; where integrals fail, the first of them in list order raises
+    the error its own call raises.
+    """
+    outcomes = _outcomes(integrands, tol)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return tuple(outcomes)
 
-    # an end still above the floor is widened by whole coarse steps, with
-    # the grid's own nodes.  Past an end the terms fall at least like
-    # exp(-pi/2 sinh|v|) cosh v, which sizes the widening from the end
-    # term.  Being systematic, the tails get a small share of the tolerance
-    floor = max(target / 256.0, _EPS * np.abs(vals).max())
-    for side, sign in ((0, -1.0), (-1, 1.0)):
-        while abs(vals[side]) > floor:
-            reach = abs(window[side])
-            goal = math.asinh(math.sinh(reach) + (math.log(abs(vals[side]) / floor) + 1.0) / _HALF_PI)
-            width = max(1, math.ceil((goal - reach) / _STEP))
-            v = window[side] + sign * fine * np.arange(1, (width << finest) + 1)  # outermost last
-            more = terms(*_exp_sinh(v))
-            vals, noise = (np.concatenate((old, new) if side else (new[::-1], old))
-                           for old, new in zip((vals, noise), more))
-            window[side] = float(v[-1])
-    tail = abs(vals[0]) + abs(vals[-1])
 
-    # the level rule: stop at the first level that agrees with the one before
-    # it, or differs from it only by rounding.  Past the finest level, each
-    # later call evaluates the midpoints of the finest grid's intervals
-    step, intervals = _STEP, len(vals) - 1
-    previous, rounding = step * vals[::1 << finest].sum(), step * noise[::1 << finest].sum()
-    level = 1
-    while True:
-        step /= 2.0
-        if level <= finest:
-            stride = 1 << (finest - level)
-            current, rounding = step * vals[::stride].sum(), step * noise[::stride].sum()
-        else:
-            more, more_noise = terms(*_exp_sinh(window[0] + step * (2 * np.arange(intervals) + 1)))
-            current = previous / 2.0 + step * more.sum()
-            rounding = rounding / 2.0 + step * more_noise.sum()
-            intervals *= 2
-        change = abs(current - previous)
-        if change <= max(target / 8.0, rounding):
-            break
-        previous, level = current, level + 1
+def _until_error(step: Callable[[_T], object], items: Iterable[_T]) -> Optional[Exception]:
+    """``step(item)`` for the items in order until one raises; that ValueError or ArithmeticError.
 
-    scale = math.exp(log_scale)
-    value = 2.0 * scale * float(current.real)
-    error = 2.0 * scale * float(change + tail + rounding)
-    error += _EPS * (4.0 + abs(log_phase) + abs(b * math.log(g)) + abs(a)) * abs(value)  # of the scale
-    return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
+    A caller whose steps build a list of integrands evaluates the list
+    before it raises the error, so that the error comes after those of the
+    integrals before it, as with one ``eval_oscillatory`` call each.
+    """
+    for item in items:
+        try:
+            step(item)
+        except (ValueError, ArithmeticError) as exc:
+            return exc
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +690,28 @@ def named_integrand(name: str) -> Callable[[float], CubicPhaseIntegrand]:
 # half-line basis integrals
 
 
-def eval_Ik(k: int, delta: float, tol: float = 1e-10) -> float:
-    """I_k(d) = integral of cos(d (z + z^3/3)) / (1+z^2)^k over [0, inf)."""
+def ik_integrand(k: int, delta: float) -> CubicPhaseIntegrand:
+    """The integrand of 2 I_k(d): cos(d (z + z^3/3)) / (1+z^2)^k over R."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return 0.5 * eval_oscillatory(CubicPhaseIntegrand(0.0, 1.0, k, k, delta), tol).value
+    return CubicPhaseIntegrand(0.0, 1.0, k, k, delta)
+
+
+def jk_integrand(k: int, delta: float) -> CubicPhaseIntegrand:
+    """The integrand of 2 J_k(d), Re of -i z e^(i d (z + z^3/3)) / (1+z^2)^k over R."""
+    if k < 2:
+        raise ValueError(f"need k >= 2 for absolute convergence, got {k}")
+    return CubicPhaseIntegrand(-1j, 0.0, k, k, delta)
+
+
+def eval_Ik(k: int, delta: float, tol: float = 1e-10) -> float:
+    """I_k(d) = integral of cos(d (z + z^3/3)) / (1+z^2)^k over [0, inf)."""
+    return 0.5 * eval_oscillatory(ik_integrand(k, delta), tol).value
 
 
 def eval_Jk(k: int, delta: float, tol: float = 1e-10) -> float:
-    """J_k(d) = integral of z sin(d (z + z^3/3)) / (1+z^2)^k over [0, inf): Re of -i z e^(i d phi)."""
-    if k < 2:
-        raise ValueError(f"need k >= 2 for absolute convergence, got {k}")
-    return 0.5 * eval_oscillatory(CubicPhaseIntegrand(-1j, 0.0, k, k, delta), tol).value
+    """J_k(d) = integral of z sin(d (z + z^3/3)) / (1+z^2)^k over [0, inf)."""
+    return 0.5 * eval_oscillatory(jk_integrand(k, delta), tol).value
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from melsplit.melnikov import (
     _order_terms,
     simple_zeros,
 )
-from melsplit.quadrature import QuadratureResult, harmonic_integrand
+from melsplit.quadrature import QuadratureResult
 
 
 def duffing_rhs(x: float, y: float, theta0: float) -> tuple[float, float]:
@@ -71,8 +71,8 @@ def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: flo
     where epsilon is a power of two; the oracle for ``melnikov.leading_terms``.
     """
     terms = _order_terms(config, order, theta0, epsilon,
-                         lambda j, k, tt: QuadratureResult(
-                             leading_term(harmonic_integrand(j, k, tt)), 0.0, 0))
+                         lambda integrands: [QuadratureResult(leading_term(f), 0.0, 0)
+                                             for f in integrands])
     return epsilon**order * terms.value(s0)
 
 

@@ -40,10 +40,11 @@ def rp3bp_file(tmp_path, capsys):
 
 
 def _record_engine_calls(monkeypatch, module):
+    """(integrand, tol) of each integral that ``module`` hands the engine's list pass."""
     calls = []
-    engine = module.eval_oscillatory
-    monkeypatch.setattr(module, "eval_oscillatory",
-                        lambda *a, **k: calls.append(a) or engine(*a, **k))
+    engine = module.eval_oscillatory_list
+    monkeypatch.setattr(module, "eval_oscillatory_list",
+                        lambda fs, tol: calls.extend([(f, tol) for f in fs]) or engine(fs, tol))
     return calls
 
 
@@ -356,7 +357,13 @@ class TestSampling:
         assert code == 0
         assert out.splitlines()[1].split(",") == ["0.0000000000000000e+00"] * 4
         # a nonzero J against a zero identity value has no relative error
-        monkeypatch.setattr(quadrature, "eval_Ik", lambda k, d, tol: 0.0)
+        engine = quadrature.eval_oscillatory_list
+
+        def zero_ik(integrands, tol):  # I_k has no z in its numerator, J_k has
+            return tuple([melsplit.QuadratureResult(0.0, 0.0, 0) if f.alpha == 0 else res
+                          for f, res in zip(integrands, engine(integrands, tol))])
+
+        monkeypatch.setattr(quadrature, "eval_oscillatory_list", zero_ik)
         code, out, _ = run(capsys, "asymp", "recurrence", "--k", "40", "--deltas", "1")
         assert code == 0
         assert out.splitlines()[1].split(",")[-1] == "nan"
@@ -425,6 +432,29 @@ def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, order", [
+    (("melnikov", "--order", "4", "--config", "{config}", "--theta0", "1e-80", "--eps", "1e-80"),
+     4),
+    (("melnikov", "--order", "poly:4", "--theta0", "1e-100", "--eps", "1", "--points", "2"), 6),
+    (("splitting", "--config", "{config}", "--theta0", "1e-100", "--eps", "1", "--points", "2"),
+     4),
+    (("asymp", "leading", "--config", "{config}", "--theta0", "1e-100", "--eps", "1"), 4),
+    (("melnikov", "--order", "6", "--config", "{config}", "--theta0", "1e-40", "--eps", "1",
+      "--points", "2"), 6),
+    (("melnikov", "--order", "poly:10", "--theta0", "1e-16", "--eps", "1", "--points", "2"), 18),
+], ids=["melnikov-theta0-power-underflows", "melnikov-poly-theta0-power-underflows",
+        "splitting-theta0-power-underflows", "leading-theta0-power-underflows",
+        "melnikov-subnormal-theta0-power", "melnikov-poly-subnormal-theta0-power"])
+def test_a_prefactor_out_of_range_names_its_order(capsys, rp3bp_file, argv, order):
+    # 2^(j+1)/theta0^(2j+2) overflows, to inf or, where theta0^(2j+2)
+    # underflows to 0, as a division by zero: either way an overflow that
+    # names the order and theta0
+    code, out, err = run(capsys, *(a.format(config=rp3bp_file) for a in argv))
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err.startswith(f"numerical failure: order {order}") and err.count("\n") == 1
+    assert "theta0 = 1e-" in err
+
+
 def _fplot_process(*bounds, points="3"):
     # a subprocess, so that anything numpy warns about reaches stderr
     env = dict(os.environ, PYTHONPATH=str(Path(melsplit.__file__).parents[1]))
@@ -455,8 +485,8 @@ def test_fplot_ranges_whose_width_overflows_are_numerical_failures(lo, hi, point
 def _fplot_nodes(capsys, monkeypatch, lo, hi, points):
     # the grid alone: every node gets a zero value
     monkeypatch.setattr(quadrature, "named_integrand", lambda name: lambda tt: tt)
-    monkeypatch.setattr(quadrature, "eval_oscillatory",
-                        lambda tt, tol: melsplit.QuadratureResult(0.0, 0.0, 0))
+    monkeypatch.setattr(quadrature, "eval_oscillatory_list",
+                        lambda tts, tol: tuple([melsplit.QuadratureResult(0.0, 0.0, 0)] * len(tts)))
     code, out, err = run(capsys, "fplot", "F4", "--range", lo, hi, "--points", points)
     assert (code, err) == (0, "")
     return [float(row.split(",")[0]) for row in out.splitlines()[1:]]
@@ -1088,7 +1118,7 @@ def test_package_names_load_on_first_use():
     assert got["before"] == ["melsplit"]  # no numpy and no submodule
     assert got["same"]  # every name is its module's object, cached in the package
     assert got["missing"] == "module 'melsplit' has no attribute 'no_such_name'"
-    assert len(got["all"]) == len(set(got["all"])) == 54
+    assert len(got["all"]) == len(set(got["all"])) == 55
     assert set(got["all"]) <= set(got["dir"]) and got["dir"] == sorted(got["dir"])
     assert got["star"] == sorted(got["all"])
 

@@ -781,9 +781,9 @@ class TestSplittingMeasure:
         # at a few s0, equal the sigma-even part of dH_D/dtau dtau/dsigma from
         # the slow-time field on the separatrix (the odd part integrates to 0)
         integrands = []
-        engine = melnikov.eval_oscillatory
-        monkeypatch.setattr(melnikov, "eval_oscillatory",
-                            lambda f, tol: integrands.append(f) or engine(f, tol))
+        engine = melnikov.eval_oscillatory_list
+        monkeypatch.setattr(melnikov, "eval_oscillatory_list",
+                            lambda fs, tol: integrands.extend(fs) or engine(fs, tol))
         eps = 0.5
         sigmas = np.linspace(-2.5, 2.5, 21)
         for cfg in (rp3bp_03, rotated_equilateral):

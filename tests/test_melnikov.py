@@ -258,6 +258,22 @@ class TestAssembleMelnikov:
             assert abs(b1 - b2) <= e1 + e2
 
 
+def test_an_order_fails_as_its_harmonics_would_one_at_a_time():
+    # order 6 of the equilateral has harmonics 1 and 3.  Where F_(3,3) fails
+    # and the term of F_(3,1) overflows, the term raises, as it would with
+    # each F evaluated before its own term; the one-pass list would fail first
+    from melsplit import QuadratureBudgetError, QuadratureResult
+    from melsplit.melnikov import _order_terms
+
+    def integrals(integrands):
+        if any(f.phase_scale > 1.0 for f in integrands):  # k = 3 at theta 1
+            raise QuadratureBudgetError("F_(3,3) fails")
+        return [QuadratureResult(math.inf, 0.0, 0)] * len(integrands)
+
+    with pytest.raises(OverflowError, match="order 6, harmonic 1"):
+        _order_terms(build_equilateral(0.2, 0.3), 6, 1.0, 1.0, integrals)
+
+
 @pytest.fixture(scope="module")
 def equilateral_orders():
     """Orders 4, 6 and 8 of the (0.2, 0.3) equilateral, by epsilon: k = 2 is in 4 and 8."""

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import re
@@ -20,6 +21,7 @@ from melsplit import (
     eval_Ik,
     eval_Jk,
     eval_oscillatory,
+    eval_oscillatory_list,
     find_zeros,
     harmonic_integrand,
     legendre_cos_coeffs,
@@ -285,6 +287,135 @@ def test_calls_leave_the_tuple_free_lists_alone():
         tracemalloc.stop()
         gc.enable()
     assert grown < 0.5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the list pass: one pass over a list is one call per integrand, bit for bit
+
+#: the (j, k) of every F_(j,k) with a harmonic-table entry up to J = 64
+J64_GRID = [(j, k) for j in range(2, 65) for k in range(j % 2 or 2, j + 1, 2)]
+
+
+def _hex(res):
+    """A result's value and estimate in hex, and its evaluation count."""
+    return res.value.hex(), res.error_estimate.hex(), res.evaluations
+
+
+def _assert_list_is_single_calls(integrands, tol):
+    listed = eval_oscillatory_list(integrands, tol)
+    assert type(listed) is tuple and len(listed) == len(integrands)
+    assert [_hex(r) for r in listed] == [_hex(eval_oscillatory(f, tol)) for f in integrands]
+    return listed
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_list_pass_on_the_oracle_lattice(tol):
+    _assert_list_is_single_calls([f for _, f in _lattice_integrands()], tol)
+
+
+def test_list_pass_on_the_fsweep_grids():
+    # the benchmark's fplot grids: 8 nodes from lattice[a] to lattice[a + 28]
+    lattice = json.loads(ORACLE.read_text())["lattice"]
+    for name in LATTICE_NAMES:
+        for a in range(3):
+            nodes = np.linspace(lattice[a], lattice[a + 28], 8).tolist()
+            _assert_list_is_single_calls([named_integrand(name)(tt) for tt in nodes], 1e-10)
+
+
+@pytest.mark.parametrize("tt", [1.0, 1.5, 2.5])
+def test_list_pass_on_the_j64_grid(tt):
+    # 1055 integrals over every (a, b); at these theta some go on past the
+    # first pass's levels, a kernel call per level over all of them
+    listed = _assert_list_is_single_calls([harmonic_integrand(j, k, tt) for j, k in J64_GRID],
+                                          1e-10)
+    assert len(listed) == 1055 and max(r.evaluations for r in listed) > 257
+
+
+def test_list_pass_on_a_mixed_list(monkeypatch):
+    # exact rows (d = 0, and a numerator whose mirror-symmetric part is 0),
+    # negative d, and, with the first window narrowed, rows that widen an end
+    # and go on alone beside rows that do not
+    monkeypatch.setattr(quadrature, "_REACH", 3.75)
+    widened, widen = [], quadrature._widened
+    monkeypatch.setattr(quadrature, "_widened",
+                        lambda row, *args: widened.append(row.index) or widen(row, *args))
+    integrands = [F4(1.0), CubicPhaseIntegrand(0.0, 1.0, 3, 3, 0.0), F61(-1.3),
+                  CubicPhaseIntegrand(1.0, 0.0, 2, 2, 1.0), harmonic_integrand(9, 9, -1.25),
+                  ik_integrand(1, 0.01), F62(2.5), harmonic_integrand(30, 2, 4.0)]
+    for tol, widening in ((1e-10, [7]), (1e-13, [0, 2, 4, 5, 6, 7])):
+        widened.clear()
+        listed = eval_oscillatory_list(integrands, tol)
+        assert sorted(widened) == widening
+        assert [r.evaluations for r in listed[1:4:2]] == [0, 0]
+        _assert_list_is_single_calls(integrands, tol)
+
+
+def test_the_first_failing_integrand_in_the_list_raises(monkeypatch):
+    # three failures: the log of a target that underflows (a ValueError), a
+    # term that overflows and, under a budget of 300, an integral that needs
+    # later levels.  Whatever their order, and that of their (a, b), the list
+    # raises what the first of them raises alone
+    monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 300)
+    failing = [CubicPhaseIntegrand(0.0, 1.0, 2, 2, 1e308),
+               CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0), harmonic_integrand(64, 64, 1.0)]
+    settled = [F4(1.0), F61(0.5), harmonic_integrand(5, 3, 1.5)]
+    for order in itertools.permutations(failing):
+        integrands = [f for pair in zip(settled, order) for f in pair]
+        with pytest.raises((ValueError, QuadratureBudgetError)) as alone:
+            eval_oscillatory(order[0], 1e-10)
+        with pytest.raises(type(alone.value)) as listed:
+            eval_oscillatory_list(integrands, 1e-10)
+        assert str(listed.value) == str(alone.value)
+    assert eval_oscillatory_list([], 1.0) == ()  # no integral, so no tolerance to refuse
+
+
+def test_list_calls_leave_the_tuple_free_lists_alone():
+    # as test_calls_leave_the_tuple_free_lists_alone, with three integrands a call
+    names = ("F4", "F61", "F62") + tuple(f"poly:{n}" for n in range(4, 11))
+    builders = [named_integrand(name) for name in names]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(3200):
+            if i == 200:
+                tracemalloc.start()
+            eval_oscillatory_list([builders[(i + m) % 10](0.5 + 0.5 * ((i + m) % 7))
+                                   for m in range(3)], 1e-3)
+            gc.collect(1)
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 0.5 * 2**20
+
+
+def test_a_long_list_holds_less_than_one_chunk_at_once(monkeypatch):
+    # the 1055 integrals of the J = 64 grid: no kernel call over more than
+    # _CHUNK nodes, and the pass's peak memory below that of one such call
+    s, ds = quadrature._exp_sinh(np.linspace(-4.0, 4.0, quadrature._CHUNK))
+    arm = quadrature._Arm(1.0, 0j, 1 + 0j, 2, 6, 1.0, -40.0)
+    tracemalloc.start()
+    try:
+        quadrature._terms(arm, s, ds)
+        _, chunk = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes, kernel = [], quadrature._terms
+
+    def counted(arm, s, ds):  # the nodes of every integral of the call
+        nodes.append(np.size(arm.g) * len(s))
+        return kernel(arm, s, ds)
+
+    monkeypatch.setattr(quadrature, "_terms", counted)
+    integrands = [harmonic_integrand(j, k, 1.0) for j, k in J64_GRID]
+    tracemalloc.start()
+    try:
+        eval_oscillatory_list(integrands, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) < 100 and max(nodes) <= quadrature._CHUNK
+    assert peak < chunk
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
