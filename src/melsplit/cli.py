@@ -301,7 +301,7 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_fplot(args, out) -> int:
-    from .quadrature import _until_error, eval_oscillatory_list, named_integrand
+    from .quadrature import eval_oscillatory_list, named_integrand
 
     integrand = named_integrand(args.function)
     lo, hi = args.range
@@ -311,11 +311,8 @@ def _cmd_fplot(args, out) -> int:
         nodes = np.linspace(lo, hi, args.points)
     else:  # the width overflows: the grid a quarter the size, whose steps do not, scaled back
         nodes = 4.0 * np.linspace(0.25 * lo, 0.25 * hi, args.points)
-    thetas, integrands = nodes.tolist(), []
-    failure = _until_error(lambda tt: integrands.append(integrand(tt)), thetas)
-    results = eval_oscillatory_list(integrands, args.tol)
-    if failure is not None:
-        raise failure
+    thetas = nodes.tolist()
+    results = eval_oscillatory_list(map(integrand, thetas), args.tol)
     rows = [(tt, res.value, res.error_estimate) for tt, res in zip(thetas, results)]
     _write_csv(out, ["theta_tilde", "value", "error_estimate"], rows)
     return EXIT_OK
@@ -377,23 +374,21 @@ def _cmd_splitting(args, out) -> int:
 
 def _cmd_asymp(args, out) -> int:
     if args.table in ("ik", "recurrence"):
-        from .quadrature import _until_error, eval_oscillatory_list, ik_integrand, jk_integrand
+        from .quadrature import eval_oscillatory_list, ik_integrand, jk_integrand
 
         if args.table == "ik":
             from .asymptotics import ik_asymptotic
-        integrands, leads = [], []
+        leads = []
 
-        def step(d: float) -> None:  # a delta's I_k beside its leading term or its J_(k+2)
-            integrands.append(ik_integrand(args.k, d))
-            if args.table == "ik":
-                leads.append(ik_asymptotic(args.k, d))
-            else:
-                integrands.append(jk_integrand(args.k + 2, d))
+        def integrands():  # each delta's I_k, beside its leading term or its J_(k+2)
+            for d in args.deltas:
+                yield ik_integrand(args.k, d)
+                if args.table == "ik":
+                    leads.append(ik_asymptotic(args.k, d))
+                else:
+                    yield jk_integrand(args.k + 2, d)
 
-        failure = _until_error(step, args.deltas)
-        halves = [0.5 * res.value for res in eval_oscillatory_list(integrands, args.tol)]
-        if failure is not None:
-            raise failure
+        halves = [0.5 * res.value for res in eval_oscillatory_list(integrands(), args.tol)]
     if args.table == "ik":
         rows = [(d, exact, asym, exact / asym if asym != 0 else math.nan)
                 for d, exact, asym in zip(args.deltas, halves, leads)]

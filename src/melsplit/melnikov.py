@@ -41,14 +41,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .asymptotics import leading_term
 from .config import CentralConfiguration, symmetry_order
-from .errors import NumericalFailure
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
-from .quadrature import (CubicPhaseIntegrand, QuadratureResult, _until_error,
-                         eval_oscillatory_list, f_name, harmonic_integrand)
+from .quadrature import CubicPhaseIntegrand, QuadratureResult, _each, f_name, harmonic_integrand
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
@@ -96,13 +94,14 @@ def _order_terms(
     order: int | str,
     theta0: float,
     epsilon: float,
-    integrals: Callable[[list[CubicPhaseIntegrand]], Sequence[QuadratureResult]],
+    integrals: Callable[[Iterable[CubicPhaseIntegrand]], Iterable[QuadratureResult]],
 ) -> SplittingTerms:
     """``splitting_terms`` with the F_(j,k)(theta) of all its harmonics from one ``integrals`` call.
 
-    ``integrals`` takes the list of ``harmonic_integrand(j, k, theta)`` and
-    gives each one's value and error.  What fails raises as it would with
-    the harmonics taken one at a time, each F before its term.
+    ``integrals`` takes a generator of the ``harmonic_integrand(j, k, theta)``
+    and yields each one's value and error in turn, raising where one fails.
+    Each term is formed as its F arrives, so what fails raises as it would
+    with the harmonics taken one at a time, each F before its term.
     """
     if theta0 == 0.0 or not math.isfinite(theta0):
         raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
@@ -116,15 +115,7 @@ def _order_terms(
     pref = 2.0 ** (j + 1) / power
     sign = 1.0 if theta0 > 0.0 else -1.0
     tt = theta0 / epsilon
-    integrands: list[CubicPhaseIntegrand] = []
-    failure = _until_error(lambda k: integrands.append(harmonic_integrand(j, k, tt)),
-                           [k for k, _, _ in harmonics])
-    try:
-        fs: Iterable[QuadratureResult] = integrals(integrands)
-    except (NumericalFailure, ArithmeticError, ValueError):
-        # one fails: take them one at a time, so that an earlier term that
-        # fails raises first
-        fs = (integrals([integrand])[0] for integrand in integrands)
+    fs = integrals(harmonic_integrand(j, k, tt) for k, _, _ in harmonics)
     terms = []
     for (k, a, b), f in zip(harmonics, fs):
         amp = sign * pref * f.value
@@ -134,8 +125,6 @@ def _order_terms(
             raise OverflowError(f"order {2 * j}, harmonic {k}: not finite at theta0 = {theta0!r}, "
                                 f"where 2^(j+1)/theta0^(2j+2) = {pref!r}")
         terms.append(term)
-    if failure is not None:
-        raise failure
     return SplittingTerms(2 * j, tuple(terms))
 
 
@@ -154,8 +143,7 @@ def splitting_terms(
     is |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table
     entry (a, b) and the table's rounding bound.
     """
-    return _order_terms(config, order, theta0, epsilon,
-                        lambda integrands: eval_oscillatory_list(integrands, tol))
+    return _order_terms(config, order, theta0, epsilon, lambda fs: _each(fs, tol))
 
 
 def leading_terms(
@@ -171,8 +159,7 @@ def leading_terms(
     k |theta0/epsilon|^3 / 2 is well above (j + k + 2)^2, roughly.
     """
     return _order_terms(config, order, theta0, epsilon,
-                        lambda integrands: [QuadratureResult(leading_term(f), 0.0, 0)
-                                            for f in integrands])
+                        lambda fs: (QuadratureResult(leading_term(f), 0.0, 0) for f in fs))
 
 
 def melnikov_sum(parts: Iterable[SplittingTerms], epsilon: float) -> SplittingTerms:

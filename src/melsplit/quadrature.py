@@ -41,13 +41,14 @@ the upper half plane, where the integrand neither oscillates nor cancels:
   times theirs.  The stopping rule is applied level by level, so it stops
   at the first pair of levels that agree whatever the pass held;
 * the pass runs over a list of integrands at once (``eval_oscillatory_list``):
-  one kernel call (``_terms``) evaluates the first pass of up to 32 of them
-  on the shared grid, each with its own d, alpha, beta, vertex, negligible
-  bound and (a, b) held as columns, and each later level is one call over
-  those that still need it.  A call holds fewer than 2^14 nodes in all,
-  below the size where numpy computes a product in place with its factors
-  swapped, so each result is that of the integrand's own call bit for bit;
-  one whose end is widened goes on alone from its own terms.
+  one kernel call (``_terms``) evaluates the first pass of as many of them
+  as fit in fewer than 2^14 nodes (63 rows of 257) on the shared grid, each
+  with its own d, alpha, beta, vertex, negligible bound and (a, b) held as
+  columns, and each later level is one call over those that still need it.
+  2^14 nodes is the size where numpy computes a product in place with its
+  factors swapped, so below it each result is that of the integrand's own
+  call bit for bit; one whose end is widened goes on alone from its own
+  terms.
   ``eval_oscillatory`` is the pass over a list of one;
 * the terms are scaled by the size of the exponential and of both pole
   factors at the vertex, so a node costs the numerator, two integer powers
@@ -111,7 +112,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,15 +128,12 @@ _STEP = 0.5  # trapezoid step in v on the coarsest level
 _REACH = 4.0  # the coarsest level spans v in [-_REACH, _REACH] unless an end is widened
 _FIRST_LEVELS = 5  # levels of the first pass, steps 1/2 .. 1/32: 17 + 240 nodes; at least 2
 _CHUNK = 2**16  # most nodes per kernel call, so that its arrays stay near 1 MB
-_ROWS = 32  # most integrals per kernel call
 # numpy computes x * y in place in y when y is a temporary of 256 KiB (2^14
 # complex numbers) or more, as y * x, and a complex product with its factors
 # swapped can differ in the last bit; so a kernel call over several
 # integrals holds fewer nodes than that, and its terms are those of one
 # call per integral bit for bit
 _ELISION = 2**14
-
-_T = TypeVar("_T")
 
 
 class QuadratureBudgetError(NumericalFailure):
@@ -357,10 +355,10 @@ def _arms(rows: list[_Row]) -> _Arm:
 def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray, outcomes: list) -> list:
     """(rows, terms, charges) of each kernel call that evaluates ``rows`` at the nodes.
 
-    A call holds at most _ROWS rows and fewer than _ELISION nodes, or one
-    row, whose nodes are split over calls of _CHUNK.  A row that would pass
-    the evaluation budget is not evaluated, and gets the error its own call
-    raises as its outcome.
+    A call holds fewer than _ELISION nodes, or one row, whose nodes are
+    split over calls of _CHUNK.  A row that would pass the evaluation
+    budget is not evaluated, and gets the error its own call raises as its
+    outcome.
     """
     n = len(s)
     going = []
@@ -371,7 +369,7 @@ def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray, outcomes: lis
         else:
             row.evaluations += n
             going.append(row)
-    per_call = max(1, min(_ROWS, (_ELISION - 1) // n))
+    per_call = max(1, (_ELISION - 1) // n)
     calls = []
     for lo in range(0, len(going), per_call):
         block = going[lo:lo + per_call]
@@ -506,9 +504,10 @@ def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
     """Each integrand's QuadratureResult, or the error its own ``eval_oscillatory`` call raises.
 
     The pass: every integral's first-pass grid (``_first_pass``) in kernel
-    calls of up to _ROWS rows, grouped by (a, b) for the pole powers; the
-    levels of that grid, strided sums over each row; then, for the rows not
-    yet settled, one kernel call per level over the midpoints they share.
+    calls of fewer than _ELISION nodes, grouped by (a, b) for the pole
+    powers; the levels of that grid, strided sums over each row; then, for
+    the rows not yet settled, one kernel call per level over the midpoints
+    they share.
     A row whose end term is above the floor is widened and goes on alone
     from its own terms.
     """
@@ -525,7 +524,7 @@ def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
                 outcomes[i] = _exact_zero_phase(alpha, beta, a, b)
             else:
                 rows.append(_Row(i, delta, alpha, beta, a, b, tol))
-        except (ArithmeticError, ValueError) as exc:  # e.g. the log of a target that underflows
+        except (ArithmeticError, ValueError) as exc:  # e.g. 2 d overflows, g = 0 and log(g) raises
             outcomes[i] = exc.with_traceback(None)
     if len(rows) > 1:
         rows.sort(key=lambda row: (row.arm.a, row.arm.b))
@@ -578,35 +577,40 @@ def eval_oscillatory(
 
 
 def eval_oscillatory_list(
-    integrands: Sequence[CubicPhaseIntegrand],
+    integrands: Iterable[CubicPhaseIntegrand],
     tol: float,
 ) -> tuple[QuadratureResult, ...]:
     """``eval_oscillatory`` of each integrand, in one pass over the list.
 
-    Every result is the one its own ``eval_oscillatory`` call returns, bit
-    for bit; where integrals fail, the first of them in list order raises
-    the error its own call raises.
+    ``integrands`` may be a generator that builds them.  Every result is
+    the one its own ``eval_oscillatory`` call returns, bit for bit, and what
+    fails raises as with one call per integrand, each built in turn: the
+    first failing integral raises its own call's error, unless building an
+    integrand before it raised a ValueError or ArithmeticError, which is
+    then raised instead.
     """
-    outcomes = _outcomes(integrands, tol)
-    for outcome in outcomes:
+    return tuple(_each(integrands, tol))
+
+
+def _each(integrands: Iterable[CubicPhaseIntegrand], tol: float) -> Iterator[QuadratureResult]:
+    """Each integrand's result in turn, from one ``_outcomes`` pass over those built.
+
+    ``integrands`` is consumed until building one raises a ValueError or
+    ArithmeticError.  A failed integral raises its error in its place, and
+    the build error is raised after the results of the integrands built.
+    """
+    built, failure = [], None
+    try:
+        for integrand in integrands:
+            built.append(integrand)
+    except (ValueError, ArithmeticError) as exc:
+        failure = exc
+    for outcome in _outcomes(built, tol):
         if isinstance(outcome, Exception):
             raise outcome
-    return tuple(outcomes)
-
-
-def _until_error(step: Callable[[_T], object], items: Iterable[_T]) -> Optional[Exception]:
-    """``step(item)`` for the items in order until one raises; that ValueError or ArithmeticError.
-
-    A caller whose steps build a list of integrands evaluates the list
-    before it raises the error, so that the error comes after those of the
-    integrals before it, as with one ``eval_oscillatory`` call each.
-    """
-    for item in items:
-        try:
-            step(item)
-        except (ValueError, ArithmeticError) as exc:
-            return exc
-    return None
+        yield outcome
+    if failure is not None:
+        raise failure
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,8 @@ def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: flo
     where epsilon is a power of two; the oracle for ``melnikov.leading_terms``.
     """
     terms = _order_terms(config, order, theta0, epsilon,
-                         lambda integrands: [QuadratureResult(leading_term(f), 0.0, 0)
-                                             for f in integrands])
+                         lambda integrands: (QuadratureResult(leading_term(f), 0.0, 0)
+                                             for f in integrands))
     return epsilon**order * terms.value(s0)
 
 

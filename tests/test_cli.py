@@ -39,29 +39,28 @@ def rp3bp_file(tmp_path, capsys):
     return str(path)
 
 
-def _record_engine_calls(monkeypatch, module):
-    """(integrand, tol) of each integral that ``module`` hands the engine's list pass."""
+@pytest.fixture()
+def quadrature_calls(monkeypatch):
+    """(integrand, tol) of every oscillatory quadrature a command runs, read at the pass."""
     calls = []
-    engine = module.eval_oscillatory_list
-    monkeypatch.setattr(module, "eval_oscillatory_list",
-                        lambda fs, tol: calls.extend([(f, tol) for f in fs]) or engine(fs, tol))
+    outcomes = quadrature._outcomes
+    monkeypatch.setattr(quadrature, "_outcomes",
+                        lambda fs, tol: calls.extend([(f, tol) for f in fs]) or outcomes(fs, tol))
     return calls
 
 
 @pytest.fixture()
-def quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature ``splitting_terms`` runs."""
-    return _record_engine_calls(monkeypatch, melnikov)
-
-
-@pytest.fixture()
 def cli_quadrature_calls(monkeypatch):
-    """Arguments of every oscillatory quadrature that ``cli`` runs itself.
+    """(integrand, tol) of every oscillatory quadrature that ``cli`` runs itself.
 
     A handler imports the engine from ``quadrature`` when it runs, so the
-    patch goes there.
+    patch goes there; it records each integrand as the engine takes it.
     """
-    return _record_engine_calls(monkeypatch, quadrature)
+    calls = []
+    engine = quadrature.eval_oscillatory_list
+    monkeypatch.setattr(quadrature, "eval_oscillatory_list",
+                        lambda fs, tol: engine((calls.append((f, tol)) or f for f in fs), tol))
+    return calls
 
 
 class TestConfigCommands:
@@ -357,13 +356,13 @@ class TestSampling:
         assert code == 0
         assert out.splitlines()[1].split(",") == ["0.0000000000000000e+00"] * 4
         # a nonzero J against a zero identity value has no relative error
-        engine = quadrature.eval_oscillatory_list
+        outcomes = quadrature._outcomes
 
         def zero_ik(integrands, tol):  # I_k has no z in its numerator, J_k has
-            return tuple([melsplit.QuadratureResult(0.0, 0.0, 0) if f.alpha == 0 else res
-                          for f, res in zip(integrands, engine(integrands, tol))])
+            return [melsplit.QuadratureResult(0.0, 0.0, 0) if f.alpha == 0 else res
+                    for f, res in zip(integrands, outcomes(integrands, tol))]
 
-        monkeypatch.setattr(quadrature, "eval_oscillatory_list", zero_ik)
+        monkeypatch.setattr(quadrature, "_outcomes", zero_ik)
         code, out, _ = run(capsys, "asymp", "recurrence", "--k", "40", "--deltas", "1")
         assert code == 0
         assert out.splitlines()[1].split(",")[-1] == "nan"
@@ -485,8 +484,8 @@ def test_fplot_ranges_whose_width_overflows_are_numerical_failures(lo, hi, point
 def _fplot_nodes(capsys, monkeypatch, lo, hi, points):
     # the grid alone: every node gets a zero value
     monkeypatch.setattr(quadrature, "named_integrand", lambda name: lambda tt: tt)
-    monkeypatch.setattr(quadrature, "eval_oscillatory_list",
-                        lambda tts, tol: tuple([melsplit.QuadratureResult(0.0, 0.0, 0)] * len(tts)))
+    monkeypatch.setattr(quadrature, "_outcomes",
+                        lambda tts, tol: [melsplit.QuadratureResult(0.0, 0.0, 0)] * len(tts))
     code, out, err = run(capsys, "fplot", "F4", "--range", lo, hi, "--points", points)
     assert (code, err) == (0, "")
     return [float(row.split(",")[0]) for row in out.splitlines()[1:]]

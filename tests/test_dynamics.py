@@ -35,7 +35,7 @@ from melsplit import (
     splitting_terms,
     theta_from_jacobi,
 )
-from melsplit import dynamics, melnikov
+from melsplit import dynamics, melnikov, quadrature
 from melsplit.config import rotate
 from melsplit.dynamics import (
     SQRT2,
@@ -781,9 +781,9 @@ class TestSplittingMeasure:
         # at a few s0, equal the sigma-even part of dH_D/dtau dtau/dsigma from
         # the slow-time field on the separatrix (the odd part integrates to 0)
         integrands = []
-        engine = melnikov.eval_oscillatory_list
-        monkeypatch.setattr(melnikov, "eval_oscillatory_list",
-                            lambda fs, tol: integrands.extend(fs) or engine(fs, tol))
+        outcomes = quadrature._outcomes
+        monkeypatch.setattr(quadrature, "_outcomes",
+                            lambda fs, tol: integrands.extend(fs) or outcomes(fs, tol))
         eps = 0.5
         sigmas = np.linspace(-2.5, 2.5, 21)
         for cfg in (rp3bp_03, rotated_equilateral):

@@ -261,17 +261,37 @@ class TestAssembleMelnikov:
 def test_an_order_fails_as_its_harmonics_would_one_at_a_time():
     # order 6 of the equilateral has harmonics 1 and 3.  Where F_(3,3) fails
     # and the term of F_(3,1) overflows, the term raises, as it would with
-    # each F evaluated before its own term; the one-pass list would fail first
+    # each F evaluated before its own term, though one pass took both
     from melsplit import QuadratureBudgetError, QuadratureResult
     from melsplit.melnikov import _order_terms
 
-    def integrals(integrands):
-        if any(f.phase_scale > 1.0 for f in integrands):  # k = 3 at theta 1
-            raise QuadratureBudgetError("F_(3,3) fails")
-        return [QuadratureResult(math.inf, 0.0, 0)] * len(integrands)
+    def integrals(integrands):  # all of them at once, then each result in turn
+        for f in list(integrands):
+            if f.phase_scale > 1.0:  # k = 3 at theta 1
+                raise QuadratureBudgetError("F_(3,3) fails")
+            yield QuadratureResult(math.inf, 0.0, 0)
 
     with pytest.raises(OverflowError, match="order 6, harmonic 1"):
         _order_terms(build_equilateral(0.2, 0.3), 6, 1.0, 1.0, integrals)
+
+
+def test_an_order_whose_second_harmonic_fails_runs_one_pass(monkeypatch):
+    # order 6 of the equilateral at theta 2: F_(3,1) settles and F_(3,3),
+    # the second in the pass, fails.  The failure comes from the one pass
+    # over both, which is not run again, in whole or one harmonic at a time
+    from melsplit import QuadratureBudgetError, quadrature
+
+    passes, outcomes, second = [], quadrature._outcomes, harmonic_integrand(3, 3, 2.0)
+
+    def failing_second(integrands, tol):
+        passes.append(len(integrands))
+        return [QuadratureBudgetError("F_(3,3) fails") if f == second else out
+                for f, out in zip(integrands, outcomes(integrands, tol))]
+
+    monkeypatch.setattr(quadrature, "_outcomes", failing_second)
+    with pytest.raises(QuadratureBudgetError, match=r"F_\(3,3\) fails"):
+        splitting_terms(build_equilateral(0.2, 0.3), 6, 1.0, 0.5)
+    assert passes == [2]
 
 
 @pytest.fixture(scope="module")

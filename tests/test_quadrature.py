@@ -351,10 +351,11 @@ def test_list_pass_on_a_mixed_list(monkeypatch):
 
 
 def test_the_first_failing_integrand_in_the_list_raises(monkeypatch):
-    # three failures: the log of a target that underflows (a ValueError), a
-    # term that overflows and, under a budget of 300, an integral that needs
-    # later levels.  Whatever their order, and that of their (a, b), the list
-    # raises what the first of them raises alone
+    # three failures: a d whose 2 d overflows, so that the vertex's g is 0
+    # and its log raises (a ValueError), a term that overflows and, under a
+    # budget of 300, an integral that needs later levels.  Whatever their
+    # order, and that of their (a, b), the list raises what the first of
+    # them raises alone
     monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 300)
     failing = [CubicPhaseIntegrand(0.0, 1.0, 2, 2, 1e308),
                CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0), harmonic_integrand(64, 64, 1.0)]
@@ -367,6 +368,28 @@ def test_the_first_failing_integrand_in_the_list_raises(monkeypatch):
             eval_oscillatory_list(integrands, 1e-10)
         assert str(listed.value) == str(alone.value)
     assert eval_oscillatory_list([], 1.0) == ()  # no integral, so no tolerance to refuse
+
+
+@pytest.mark.parametrize("nodes, error", [
+    ([1.0, 0.5, 1e308, 2.5, 1e200], ValueError),  # the integral at 1e308 fails first
+    ([1.0, 0.5, 1e200, 1e308, 2.5], OverflowError),  # building the one at 1e200 fails first
+])
+def test_a_generator_fails_as_one_call_per_integrand_built_in_turn(nodes, error):
+    # I_2 at d = 1e308 fails in the pass; F4 at theta 1e200, whose phase
+    # scale overflows, fails to build.  The list raises what one call per
+    # integrand, each built in turn, raises first, and yields the same
+    # results before it
+    def built():
+        for x in nodes:
+            yield ik_integrand(2, x) if x == 1e308 else F4(x)
+
+    with pytest.raises(error):
+        eval_oscillatory_list(built(), 1e-10)
+    before = []
+    with pytest.raises(error):
+        for res in quadrature._each(built(), 1e-10):
+            before.append(_hex(res))
+    assert before == [_hex(eval_oscillatory(F4(x), 1e-10)) for x in nodes[:2]]
 
 
 def test_list_calls_leave_the_tuple_free_lists_alone():
