@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import config as cfg
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, legendre_cos_coeffs
 from .melnikov import classify
-from .quadrature import find_zeros, harmonic_integrand
+
+# ``quadrature`` loads only in the cases that run it: ``rhomboid-roots`` and
+# the polygon keys of N = 7, 8.
 
 P1_COEFFS = (6, 0, -480, 0, 4510, 0, -11088, 0, 8514, 0, -1936, 0, 90)
 P2_COEFFS = (0, 79, 0, -1782, 0, 8217, 0, -11220, 0, 4785, 0, -534, 0, 7)
@@ -161,6 +161,8 @@ def _case_rhomboid(a: float, b: float) -> CatalogCase:
 
 def _case_rhomboid_roots() -> CatalogCase:
     def compute() -> dict[str, float]:
+        from .quadrature import find_zeros
+
         roots = find_zeros(
             lambda t: HarmonicTables(cfg.build_rhomboid(t, 1.0), 2).paper("c2, c3")[0],
             0.6, 1.7, grid=256, xtol=1e-13,
@@ -221,6 +223,13 @@ def _case_collinear11() -> CatalogCase:
     return _case("collinear11", lambda: cfg.solve_collinear_equidistant(10), expected)
 
 
+def _trimmed(coeffs: list[float]) -> list[float]:
+    """``coeffs`` without its trailing zeros."""
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
 #: the largest N whose polygon case fits the tables: its selection rule reads orders up to 2N - 3
 MAX_POLYGON = (MAX_LEGENDRE_ORDER + 3) // 2
 
@@ -242,19 +251,21 @@ def _case_polygon(n_total: int) -> CatalogCase:
             "leading_pair_b": tables[n_total - 1].pair(n_total - 1)[1],
         }
         if n_total in (7, 8):
+            from .quadrature import harmonic_integrand
+
             j = n_total - 1  # poly:N is the (j, j) term, with constant 2^(j+1) p_jj
             out["prefactor"] = 2.0 ** (j + 1) * legendre_cos_coeffs(j)[j]
             # over (1 + z^2)^b the numerator is (alpha z + beta)(z + i)^(b-a): its
             # Re is the printed cos numerator and -Im the sin one, all small
             # integers, so the float products are exact
             gen = harmonic_integrand(j, j, 1.0)
-            num = np.array([gen.beta, gen.alpha])  # ascending powers of z
-            for _ in range(gen.b - gen.a):
-                num = np.convolve(num, [1j, 1.0])
+            num = [complex(gen.beta), complex(gen.alpha)]  # ascending powers of z
+            for _ in range(gen.b - gen.a):  # times (z + i)
+                num = [a + 1j * b for a, b in zip([0j, *num], [*num, 0j])]
             ref_cos = P1_COEFFS if n_total == 7 else tuple(-c_ for c_ in P3_COEFFS)
             ref_sin = P2_COEFFS if n_total == 7 else tuple(-c_ for c_ in P4_COEFFS)
-            out["numerators_match"] = float(np.array_equal(np.trim_zeros(num.real, "b"), ref_cos)
-                                            and np.array_equal(np.trim_zeros(-num.imag, "b"), ref_sin))
+            out["numerators_match"] = float(_trimmed([c.real for c in num]) == list(ref_cos)
+                                            and _trimmed([-c.imag for c in num]) == list(ref_sin))
         return out
 
     expected = [

@@ -19,8 +19,6 @@ import re
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
@@ -48,7 +46,7 @@ def _emit_json(obj, out) -> None:
     append = parts.append
 
     def render(o) -> None:
-        t = type(o)  # exact types first; subclasses and numpy scalars fall through
+        t = type(o)  # exact types first; subclasses fall through
         if t is float:
             append("%.16e" % o)
         elif t is str:
@@ -77,7 +75,7 @@ def _emit_json(obj, out) -> None:
             append("null")
         elif isinstance(o, float):
             append(_fmt(o))
-        elif isinstance(o, (int, np.integer)):
+        elif isinstance(o, int):
             append(str(int(o)))
         elif isinstance(o, str):
             append(_quote(o))
@@ -103,6 +101,26 @@ def _write_csv(out, header: Sequence[str], rows) -> None:
             lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
     lines.append("")
     out.write("\n".join(lines))
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num`` >= 1 nodes from lo to hi, bit for bit those of ``numpy.linspace(lo, hi, num)``.
+
+    Node i is i step + lo, with step = (hi - lo)/(num - 1), and the last node
+    is hi; where the step underflows to 0, node i is i/(num - 1) (hi - lo) +
+    lo.  One node is 0 (hi - lo) + lo.
+    """
+    div = num - 1
+    delta = hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0.0:
+        nodes = [i / div * delta + lo for i in range(num)]
+    else:
+        nodes = [i * step + lo for i in range(num)]
+    nodes[-1] = hi
+    return nodes
 
 
 def _sampled(points: int, *polynomials: SplittingTerms) -> list[tuple[float, ...]]:
@@ -308,10 +326,9 @@ def _cmd_fplot(args, out) -> int:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"--range needs finite bounds, got {lo!r} and {hi!r}")
     if math.isfinite(hi - lo):
-        nodes = np.linspace(lo, hi, args.points)
+        thetas = _linspace(lo, hi, args.points)
     else:  # the width overflows: the grid a quarter the size, whose steps do not, scaled back
-        nodes = 4.0 * np.linspace(0.25 * lo, 0.25 * hi, args.points)
-    thetas = nodes.tolist()
+        thetas = [4.0 * t for t in _linspace(0.25 * lo, 0.25 * hi, args.points)]
     results = eval_oscillatory_list(map(integrand, thetas), args.tol)
     rows = [(tt, res.value, res.error_estimate) for tt, res in zip(thetas, results)]
     _write_csv(out, ["theta_tilde", "value", "error_estimate"], rows)
@@ -348,8 +365,8 @@ def _cmd_integrate(args, out) -> int:
     state0 = McGeheeState(x=x, y=y, s=s, theta=theta)
     traj = integrate_mcgehee(state0, params, tuple(args.tspan), tol=args.tol)
     rows = []
-    for t in np.linspace(args.tspan[0], args.tspan[1], args.samples).tolist():
-        xv, yv, sv, thv = traj.sol(t).tolist()
+    for t in _linspace(args.tspan[0], args.tspan[1], args.samples):
+        xv, yv, sv, thv = traj.sol(t)
         rows.append((t, xv, yv, sv % (2.0 * math.pi), thv, hd_value(xv, yv, thv)))
     _write_csv(out, ["t", "x", "y", "s", "theta", "H_D"], rows)
     return EXIT_OK

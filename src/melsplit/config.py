@@ -21,14 +21,14 @@ spacing solved by a linear system), and regular polygons on the unit circle.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
-
-import numpy as np
 
 from .errors import NumericalFailure
 
@@ -107,38 +107,58 @@ class CentralConfiguration:
     def n_bodies(self) -> int:
         return len(self.bodies)
 
-    def masses(self) -> np.ndarray:
+    def masses(self):
+        """The masses as a numpy array, for callers that work on arrays."""
+        import numpy as np
+
         return np.array([b.mass for b in self.bodies])
 
-    def positions(self) -> np.ndarray:
+    def positions(self):
+        """The positions as a numpy array of rows (x, y), for callers that work on arrays."""
+        import numpy as np
+
         return np.array([b.position for b in self.bodies])
 
 
-def _pull(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pull(pos) -> tuple[list, list[list[float]]]:
     """The pairwise pull per unit mass, and the inverse cubes it is made of.
 
-    ``pos`` holds one row (x, y) per body, or one coordinate per body on a
-    line.  Returns p with p[..., k, j] = (a_j - a_k)/|a_j - a_k|^3 (a leading
-    axis per coordinate in the plane) and q[k, j] = 1/|a_j - a_k|^3, both 0 at
-    j = k, so the pull on body k is (p @ masses)[..., k].  The bodies must be
-    distinct, as :class:`CentralConfiguration` makes them.
+    ``pos`` holds a pair (x, y) per body, or one coordinate per body on a
+    line.  Returns p and q as lists of rows with p[k][j] = (a_j - a_k)/|a_j -
+    a_k|^3 and q[k][j] = 1/|a_j - a_k|^3, both 0 at j = k; in the plane p is
+    the pair (p_x, p_y) of such row lists, one per coordinate.  The pull on
+    body k is sum_j m_j p[k][j].  Each pair of bodies is formed once, since
+    p[j][k] = -p[k][j] exactly.  The bodies must be distinct, as
+    :class:`CentralConfiguration` makes them.
     """
-    x = pos.T
-    d = x[..., None, :] - x[..., :, None]
-    r = np.abs(d) if x.ndim == 1 else np.hypot(d[0], d[1])
-    np.fill_diagonal(r, np.inf)
-    r2 = r * r
-    # d/r is the unit vector; on a line it is sgn(d) exactly, so p rounds as sgn(d)/d^2
-    return d / r / r2, 1.0 / (r2 * r)
+    n = len(pos)
+    line = isinstance(pos[0], float)
+    px, py, q = ([[0.0] * n for _ in range(n)] for _ in range(3))
+    for k, ak in enumerate(pos):
+        pxk, pyk, qk = px[k], py[k], q[k]
+        for j in range(k + 1, n):
+            if line:
+                dx = pos[j] - ak
+                r = abs(dx)
+            else:
+                dx, dy = pos[j][0] - ak[0], pos[j][1] - ak[1]
+                r = math.hypot(dx, dy)
+            r2 = r * r
+            qk[j] = q[j][k] = 1.0 / (r2 * r)
+            # d/r is the unit vector; on a line it is sgn(d) exactly, so p rounds as sgn(d)/d^2
+            pxk[j] = v = dx / r / r2
+            px[j][k] = -v
+            if not line:
+                pyk[j] = v = dy / r / r2
+                py[j][k] = -v
+    return (px if line else (px, py)), q
 
 
-def _gravity(masses: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Sum over j != k of m_j (a_j - a_k)/|a_j - a_k|^3, one row per body."""
-    return (_pull(pos)[0] @ masses).T
-
-
-def _max_norm(v: np.ndarray) -> float:
-    return float(np.max(np.hypot(v[:, 0], v[:, 1])))
+def _gravity(masses, pos: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sum over j != k of m_j (a_j - a_k)/|a_j - a_k|^3, one pair (x, y) per body."""
+    px, py = _pull(pos)[0]
+    return [(math.fsum(map(operator.mul, masses, rx)), math.fsum(map(operator.mul, masses, ry)))
+            for rx, ry in zip(px, py)]
 
 
 def balance(config: CentralConfiguration) -> tuple[float, float, float]:
@@ -151,10 +171,13 @@ def balance(config: CentralConfiguration) -> tuple[float, float, float]:
     """
     # a body at the origin is fine: it contributes nothing to the normal
     # equations and its own balance residual is position-free
-    pos = config.positions()
-    g = _gravity(config.masses(), pos)
-    lam = -float(np.sum(g * pos)) / float(np.sum(pos * pos))
-    return _max_norm(pos + g), lam, _max_norm(g + lam * pos) / _max_norm(g)
+    pos = [b.position for b in config.bodies]
+    g = _gravity([b.mass for b in config.bodies], pos)
+    lam = (-math.fsum([v for (x, y), (gx, gy) in zip(pos, g) for v in (gx * x, gy * y)])
+           / math.fsum([v for x, y in pos for v in (x * x, y * y)]))
+    return (max([math.hypot(x + gx, y + gy) for (x, y), (gx, gy) in zip(pos, g)]), lam,
+            max([math.hypot(gx + lam * x, gy + lam * y) for (x, y), (gx, gy) in zip(pos, g)])
+            / max([math.hypot(gx, gy) for gx, gy in g]))
 
 
 def cc_residual(config: CentralConfiguration) -> float:
@@ -193,21 +216,30 @@ def symmetry_order(config: CentralConfiguration) -> int:
     harmonic table by at most about (j + 1) SYMMETRY_TOL r_max^j, that is
     6.5e-12 r_max^j at j = 64.
     """
-    pos = config.positions()
-    z = pos[:, 0] + 1j * pos[:, 1]
-    masses = config.masses()
-    r = np.abs(z)
-    tol = SYMMETRY_TOL * float(r.max())
-    off_origin = r > tol
-    z, masses = z[off_origin], masses[off_origin]
-    same_mass = np.abs(np.subtract.outer(masses, masses)) <= SYMMETRY_TOL * np.maximum.outer(
-        masses, masses)
-    for n in range(len(z), 1, -1):
-        if len(z) % n:
+    zs = [complex(*b.position) for b in config.bodies]
+    tol = SYMMETRY_TOL * max(map(abs, zs))
+    # the bodies off the origin, sorted by abscissa: a turned body can only
+    # land on those in a window of its own abscissa
+    moving = sorted([(z.real, z, b.mass) for z, b in zip(zs, config.bodies) if abs(z) > tol],
+                    key=lambda e: e[0])
+    xs = [x for x, _, _ in moving]
+    count = len(moving)
+    for n in range(count, 1, -1):
+        if count % n:
             continue
-        hits = same_mass & (np.abs(np.subtract.outer(z * cmath.exp(2j * math.pi / n), z)) <= tol)
-        # a permutation: each turned body lands on exactly one body, and each body is hit once
-        if (hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all():
+        turn = cmath.exp(2j * math.pi / n)
+        hit = set()
+        for _, z, mass in moving:
+            w = z * turn
+            lands = [i for i in range(bisect.bisect_left(xs, w.real - 2.0 * tol),
+                                      bisect.bisect_right(xs, w.real + 2.0 * tol))
+                     if abs(w - moving[i][1]) <= tol
+                     and abs(mass - moving[i][2]) <= SYMMETRY_TOL * max(mass, moving[i][2])]
+            # a permutation: each turned body lands on exactly one body, and each body is hit once
+            if len(lands) != 1 or lands[0] in hit:
+                break
+            hit.add(lands[0])
+        else:
             return n
     return 1
 
@@ -306,39 +338,71 @@ def build_rhomboid(a: float, b: float) -> CentralConfiguration:
     return CentralConfiguration(bodies, label=f"rhomboid(a={a:g}, b={b:g})")
 
 
-def _collinear_equal_system(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve(mat: list[list[float]], rhs: list[float]) -> list[float]:
+    """x with mat x = rhs, by Gaussian elimination with partial pivoting on a small square system.
+
+    ``mat`` and ``rhs`` are left as they are; a zero pivot, a singular
+    system, raises ``ZeroDivisionError``.
+    """
+    n = len(rhs)
+    rows = [[*row, b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for row in rows[col + 1:]:
+            f = row[col] / top[col]
+            if f:
+                for i in range(col, n + 1):
+                    row[i] -= f * top[i]
+    x = [0.0] * n
+    for col in range(n - 1, -1, -1):
+        row = rows[col]
+        x[col] = (row[n] - math.fsum([row[i] * x[i] for i in range(col + 1, n)])) / row[col]
+    return x
+
+
+def _collinear_equal_system(a: list[float], m: float) -> tuple[list[float], list[list[float]]]:
     """Balance a_k + m sum_j sgn(a_j - a_k)/(a_j - a_k)^2 of equal masses m on a line, and its Jacobian."""
     p, q = _pull(a)
-    jac = -2.0 * m * q
-    np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
-    return a + m * p.sum(axis=1), jac
+    jac = [[-2.0 * m * v for v in row] for row in q]
+    for k, row in enumerate(jac):
+        row[k] = 1.0 - math.fsum(row)
+    return [ak + m * math.fsum(row) for ak, row in zip(a, p)], jac
 
 
 def solve_collinear_equal(n: int) -> CentralConfiguration:
     """n equal masses on the axis, positions solved by damped Newton.
 
     Starts from equally spaced points on [-1, 1]; each step is halved until
-    the residual norm decreases.
+    the residual norm decreases.  The chain keeps its mirror shape, a_k =
+    -a_(n-1-k), so each step solves for the outer half alone: the Jacobian
+    columns of a body and its mirror image combine, with opposite signs.
     """
     if n < 2:
         raise ConfigError(f"need n >= 2, got {n}")
     m = 1.0 / n
-    a = np.linspace(-1.0, 1.0, n)
+    half = n // 2
+    a = [k * (2.0 / (n - 1)) - 1.0 for k in range(n - 1)] + [1.0]
     f, jac = _collinear_equal_system(a, m)
-    norm = np.linalg.norm(f)
+    norm = math.hypot(*f)
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL:
             break
-        step = np.linalg.solve(jac, -f)
+        outer = _solve([[row[i] - row[n - 1 - i] for i in range(half)] for row in jac[:half]],
+                       [-v for v in f[:half]])
+        step = outer + [0.0] * (n % 2) + [-v for v in reversed(outer)]
         lam = 1.0
         for _ in range(60):
-            trial = a + lam * step
-            trial = 0.5 * (trial - trial[::-1])  # keep the antisymmetric shape
-            if np.any(np.diff(np.sort(trial)) <= MIN_SEPARATION):
+            trial = [x + lam * dx for x, dx in zip(a, step)]
+            # keep the antisymmetric shape
+            trial = [0.5 * (x - y) for x, y in zip(trial, reversed(trial))]
+            ordered = sorted(trial)
+            if any(y - x <= MIN_SEPARATION for x, y in zip(ordered, ordered[1:])):
                 lam *= 0.5
                 continue
             f_trial, jac_trial = _collinear_equal_system(trial, m)
-            norm_trial = np.linalg.norm(f_trial)
+            norm_trial = math.hypot(*f_trial)
             if norm_trial < norm:
                 a, f, jac, norm = trial, f_trial, jac_trial, norm_trial
                 break
@@ -347,43 +411,56 @@ def solve_collinear_equal(n: int) -> CentralConfiguration:
             raise NewtonConvergenceError("damping failed to reduce the residual")
     else:
         raise NewtonConvergenceError(f"no convergence after {NEWTON_MAX_ITER} iterations")
-    a = np.sort(a)
-    bodies = tuple(PrimaryBody(m, (float(x), 0.0)) for x in a)
+    bodies = tuple(PrimaryBody(m, (x, 0.0)) for x in sorted(a))
     return CentralConfiguration(bodies, label=f"collinear-equal-{n}")
 
 
 def solve_collinear_equidistant(n: int) -> CentralConfiguration:
     """n equally spaced collinear bodies; masses and spacing from a linear solve.
 
-    With shape s_k = k - (n+1)/2 at spacing h, the balance equations are
+    With shape s_k = k - (n - 1)/2 at spacing h, the balance equations are
     linear in the masses and in rho = h**3 jointly; the mass normalization
-    closes the square system and rho fixes the scale so the multiplier is 1.
+    closes the system and rho fixes the scale so the multiplier is 1.  Of
+    the solutions, the one of least norm |(m, rho)| is taken.  It is
+    mirror-symmetric, m_k = m_(n-1-k), since the mirror image of a solution
+    is one of the same norm, so the solve runs on the outer half of the
+    masses, the middle mass when n is odd, and rho, with the balance of the
+    outer half and the normalization.  For even n that system is square.
+    For odd n any middle mass balances the middle body, so the solutions
+    form a line, and the point of least norm on it is taken: at n = 3 the
+    masses (12/29, 5/29, 12/29).
     """
     if n < 3:
         raise ConfigError(f"need n >= 3, got {n}")
-    s = np.arange(n, dtype=float) - (n - 1) / 2.0
-    mat = np.zeros((n + 1, n + 1))
-    rhs = np.zeros(n + 1)
-    mat[:n, :n] = _pull(s)[0]
-    mat[:n, n] = s
-    mat[n, :n] = 1.0
-    rhs[n] = 1.0
-    # n = 3 is rank-deficient (any symmetric mass split balances the middle
-    # body), so take the minimum-norm consistent solution
-    sol, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if np.max(np.abs(mat @ sol - rhs)) > 1e-10:
+    s = [k - (n - 1) / 2.0 for k in range(n)]
+    p = _pull(s)[0]
+    half = n // 2
+    # unknowns: the outer masses m_0..m_(half-1), then rho, at middle mass 0
+    mat = [[p[k][i] + p[k][n - 1 - i] for i in range(half)] + [s[k]] for k in range(half)]
+    mat.append([2.0] * half + [0.0])
+    rhs = [0.0] * half + [1.0]
+    x = _solve(mat, rhs)
+    if n % 2:
+        middle = [-p[k][half] for k in range(half)] + [-1.0]
+        v = [*_solve(mat, middle), 1.0]  # the line x + t v, with the middle mass t
+        x.append(0.0)
+        weights = [2.0] * half + [1.0, 1.0]  # each outer mass counts twice in |m|
+        t = (-math.fsum([w * a * b for w, a, b in zip(weights, x, v)])
+             / math.fsum([w * b * b for w, b in zip(weights, v)]))
+        x = [a + t * b for a, b in zip(x, v)]
+    masses = x[:half] + x[half + 1:] + x[half - 1::-1]  # the middle mass, when n is odd
+    rho = x[half]
+    residual = [math.fsum([*map(operator.mul, row, masses), sk * rho]) for row, sk in zip(p, s)]
+    if max(map(abs, [*residual, math.fsum(masses) - 1.0])) > 1e-10:
         raise ConfigError(f"equidistant system is inconsistent for n={n}")
-    masses, rho = sol[:n], sol[n]
-    masses = 0.5 * (masses + masses[::-1])
-    masses /= masses.sum()
-    if np.any(masses <= 0.0):
+    total = math.fsum(masses)
+    masses = [mk / total for mk in masses]
+    if min(masses) <= 0.0:
         raise ConfigError(f"equidistant solve produced a non-positive mass for n={n}")
     if rho <= 0.0:
         raise ConfigError(f"equidistant solve produced a non-positive scale for n={n}")
     h = rho ** (1.0 / 3.0)
-    bodies = tuple(
-        PrimaryBody(float(mk), (float(h * sk), 0.0)) for mk, sk in zip(masses, s)
-    )
+    bodies = tuple(PrimaryBody(mk, (h * sk, 0.0)) for mk, sk in zip(masses, s))
     return CentralConfiguration(bodies, label=f"collinear-equidistant-{n}")
 
 

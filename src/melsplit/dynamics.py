@@ -16,7 +16,9 @@ x = y = 0.  Both runs use one stepper, the Dormand-Prince 5(4) pair with
 scipy RK45's controller, Hairer, Norsett & Wanner's first step and
 Shampine's quartic dense output, on lists of Python floats: it calls the
 right-hand side directly, for the flow the field behind an inline guard.
-The package itself needs numpy only.
+Nothing here needs numpy: ``Trajectory`` builds its arrays ``t`` and
+``states`` only when they are read, and ``s_closed_form`` imports it for
+its array arguments.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
@@ -34,11 +36,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .config import CentralConfiguration
 from .errors import NumericalFailure
@@ -134,6 +135,8 @@ def s_closed_form(tau: float, s0: float, theta0: float, epsilon: float):
     Upper signs for theta0 > 0:
         s = s0 -+ 4 arctan(tanh(tau/2)) +- (theta0^3/(24 eps^3)) (9 sinh tau + sinh 3 tau)
     """
+    import numpy as np
+
     if theta0 == 0.0:
         raise ValueError("fast angle undefined at zero angular momentum")
     sign = 1.0 if theta0 > 0.0 else -1.0
@@ -150,8 +153,7 @@ def s_closed_form(tau: float, s0: float, theta0: float, epsilon: float):
 
 def _series_reach(params: FlowParams) -> float:
     """eps^2 times the largest body radius; the series converges while this times x^2 < 1."""
-    pos = params.config.positions()
-    return params.epsilon**2 * float(np.max(np.hypot(pos[:, 0], pos[:, 1])))
+    return params.epsilon**2 * max([math.hypot(*b.position) for b in params.config.bodies])
 
 
 def _convergence_guard(x: float, reach: float) -> None:
@@ -266,7 +268,7 @@ def theta_from_jacobi(x: float, y: float, jacobi_c: float, epsilon: float) -> fl
 # fourth-order dense output.  The fractions are folded to constants when the
 # module is compiled.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
@@ -376,11 +378,28 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
         t, y, f = t_new, y_new, k7
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    t: np.ndarray
-    states: np.ndarray  # shape (4, n) or (len(state0), n)
-    sol: Callable[[float], np.ndarray]
+    """An accepted mesh, the states on it and ``sol(t)``, the dense output as a list.
+
+    ``t`` and ``states``, of shape (len(state0), len(t)), are numpy arrays
+    built the first time they are read.
+    """
+
+    def __init__(self, ts: Sequence[float], ys: Sequence[Sequence[float]],
+                 sol: Callable[[float], list[float]]):
+        self._ts, self._ys, self.sol = ts, ys, sol
+
+    @cached_property
+    def t(self):
+        import numpy as np
+
+        return np.array(self._ts)
+
+    @cached_property
+    def states(self):
+        import numpy as np
+
+        return np.array(self._ys).T
 
 
 def integrate(
@@ -394,12 +413,12 @@ def integrate(
     ``rhs(t, y)`` receives the state as a sequence of floats and returns the
     derivative as any sequence of floats, an ndarray included.  Tolerances
     are split 10:1 relative:absolute around ``tol``; the step controller and
-    first step are those of ``_dormand_prince``.  ``t`` is the accepted mesh (two
-    copies of t0 for a zero-length span) and ``states`` the solution on it.
-    ``sol(t)`` evaluates the quartic interpolant of the step that contains t
-    (at a mesh point, the step that ends there; ``sol(t0)`` is ``state0``
-    exactly); a t outside the span, or NaN, raises ``ValueError``.  A span
-    may run backwards.  A state or span that is not finite raises
+    first step are those of ``_dormand_prince``.  ``t`` is the accepted mesh
+    (two copies of t0 for a zero-length span) and ``states`` the solution on
+    it.  ``sol(t)`` evaluates the quartic interpolant of the step that
+    contains t, as a list (at a mesh point, the step that ends there;
+    ``sol(t0)`` is ``state0`` exactly); a t outside the span, or NaN, raises
+    ``ValueError``.  A span may run backwards.  A state or span that is not finite raises
     ``ValueError``.
     """
     if not (1e-12 <= tol <= 1e-4):
@@ -409,18 +428,18 @@ def integrate(
     if not all(map(math.isfinite, (*y0, t0, t1))):
         raise ValueError(f"state and span must be finite, got state {y0!r} "
                          f"and span {(t0, t1)!r}")
-    steps = list(_dormand_prince(rhs, t0, y0, t1, tol)) or [(t0, y0, lambda _t: y0)]
+    steps = list(_dormand_prince(rhs, t0, y0, t1, tol)) or [(t0, y0, lambda _t: list(y0))]
     ts, ys, pieces = zip(*steps)
     sign = 1.0 if t1 >= t0 else -1.0
     inner = [sign * t for t in ts[:-1]]
     lo, hi = min(t0, t1), max(t0, t1)
 
-    def sol(t: float) -> np.ndarray:
+    def sol(t: float) -> list[float]:
         if not lo <= t <= hi:  # NaN included
             raise ValueError(f"t = {float(t)!r} lies outside the span [{t0!r}, {t1!r}]")
-        return np.array(pieces[bisect.bisect_left(inner, sign * t)](t))
+        return pieces[bisect.bisect_left(inner, sign * t)](t)
 
-    return Trajectory(t=np.array((t0, *ts)), states=np.array((y0, *ys)).T, sol=sol)
+    return Trajectory((t0, *ts), (y0, *ys), sol)
 
 
 def integrate_mcgehee(

@@ -10,9 +10,9 @@ polynomial in s whose amplitudes (A_m, B_m) drive the splitting analysis:
     B_m = -p_{j,m} sum_k m_k |a_k|^j sin(m alpha_k)
 
 ``HarmonicTables(config, j_max)``, j_max <= 64, owns the tables of one
-configuration: it builds the angle multiples e^(i m alpha_k) once, as one
-running product up to m = max(j_max, 2), and contracts order j the first
-time it is read.
+configuration: it builds the angle multiples e^(i m alpha_k) as one
+running product, run on only as far as the highest order read, and
+contracts order j the first time it is read, each entry one ``math.fsum``.
 Every reader of many orders (``classify``, ``coeffs``, the flow's field,
 the catalog) holds one owner, and ``harmonic_table(config, j)`` is a
 one-order owner; every order gets the same entries bit for bit either way.
@@ -29,14 +29,13 @@ rounded to floats.
 """
 from __future__ import annotations
 
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .config import CentralConfiguration
@@ -49,26 +48,23 @@ def _cos_basis_fractions(j: int) -> tuple[tuple[int, Fraction], ...]:
     pairs = []
     for i in range(j // 2, -1, -1):
         # the terms i and j - i both give cos(m g), m = j - 2i, except at m = 0
-        weight = comb(2 * i, i) * comb(2 * j - 2 * i, j - i)
+        weight = math.comb(2 * i, i) * math.comb(2 * j - 2 * i, j - i)
         pairs.append((j - 2 * i, Fraction(weight if 2 * i == j else 2 * weight, 4**j)))
     return tuple(pairs)
 
 
 @lru_cache(maxsize=None)
-def _cos_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
+def _cos_basis(j: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Harmonics m and the float p_jm of order j, checked to lie in [0, 64]."""
     if not (0 <= j <= MAX_LEGENDRE_ORDER):
         raise ValueError(f"order must lie in [0, {MAX_LEGENDRE_ORDER}], got {j}")
     pairs = _cos_basis_fractions(j)
-    ms, ps = np.array([m for m, _ in pairs]), np.array([float(p) for _, p in pairs])
-    ms.flags.writeable = ps.flags.writeable = False  # the cache hands them to every caller
-    return ms, ps
+    return tuple([m for m, _ in pairs]), tuple([float(p) for _, p in pairs])
 
 
 def legendre_cos_coeffs(j: int) -> dict[int, float]:
     """Cosine-basis coefficients {m: p_jm}: P_j(cos g) = sum p_jm cos(m g), m = j mod 2."""
-    ms, ps = _cos_basis(j)
-    return dict(zip(ms.tolist(), ps.tolist()))
+    return dict(zip(*_cos_basis(j)))
 
 
 @dataclass(frozen=True)
@@ -94,47 +90,64 @@ class HarmonicTable:
         raise KeyError(f"no harmonic m={m} at order j={self.j}")
 
 
-def _angle_multiples(config: CentralConfiguration, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radii r_k and e^(i m alpha_k) for m = 0..m_max as one running product of unit vectors.
+def _angle_multiples(config: CentralConfiguration):
+    """Radii r_k, unit vectors e^(i alpha_k) and row m = 0 of their running product.
 
-    The product does the angle-addition recurrence's arithmetic, and unlike
-    atan2 it keeps axis-aligned bodies exactly on the sine-kill locus
-    (a_k2 = 0 gives sin(m alpha_k) = 0 identically).
+    ``_extend`` runs the product on to the rows e^(i m alpha_k).  The
+    product does the angle-addition recurrence's arithmetic, and unlike
+    atan2 it keeps axis-aligned bodies exactly on the sine-kill locus (a_k2
+    = 0 gives sin(m alpha_k) = 0 identically).  A body at the origin has the
+    unit vector 0, and zero weight r**j.
     """
-    pos = config.positions()
-    r = np.hypot(pos[:, 0], pos[:, 1])
-    off_origin = r > 0.0
-    safe = np.where(off_origin, r, 1.0)  # a body at the origin has zero weight r**j
-    unit = np.ones((m_max + 1, len(r)), dtype=complex)
-    unit.real[1:] = pos[:, 0] / safe
-    unit.imag[1:] = np.where(off_origin, pos[:, 1] / safe, 0.0)
-    return r, np.cumprod(unit, axis=0)
+    radii, units = [], []
+    for x, y in (b.position for b in config.bodies):
+        r = math.hypot(x, y)
+        radii.append(r)
+        units.append(complex(x / r, y / r) if r > 0.0 else 0j)
+    return radii, units, [[1 + 0j] * len(units)]
 
 
-def _contract(masses: np.ndarray, r: np.ndarray, multiples: np.ndarray, j: int) -> HarmonicTable:
-    """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j."""
+def _extend(rows: list[list[complex]], units: list[complex], m_max: int) -> None:
+    """Run the product on to row m_max: row m is row m - 1 times the unit vectors."""
+    for _ in range(len(rows), m_max + 1):
+        rows.append(list(map(operator.mul, rows[-1], units)))
+
+
+def _contract(masses: list[float], r: list[float], multiples: list[list[complex]],
+              j: int) -> HarmonicTable:
+    """The order-j table from radii and angle multiples e^(i m alpha_k) for m = 0..m_max >= j.
+
+    Each entry is the correctly rounded sum (``math.fsum``) of its terms
+    w_k cos(m alpha_k) or w_k sin(m alpha_k), w_k = m_k r_k^j, times p_jm.
+    """
     ms, ps = _cos_basis(j)
-    with np.errstate(over="ignore"):
-        rj = r**j
-    weight = float(masses @ rj)
-    if not np.isfinite(weight):
+    try:
+        w = [mk * rk**j for mk, rk in zip(masses, r)]
+        weight = math.fsum(w)  # masses are positive
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight):
         raise OverflowError(f"the order-{j} weight sum_i m_i r_i^{j} overflows")
-    w = masses * rj
-    sums = multiples[ms] @ w  # sum_k w_k e^(i m alpha_k) for every m at once
-    rounding = sys.float_info.epsilon * (j + len(r)) * float(w.sum())  # masses are positive
-    entries = tuple([*zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist())])
-    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=weight)
+    fsum = math.fsum
+    entries = []
+    for m, p in zip(ms, ps):
+        row = multiples[m]
+        entries.append((m, p * fsum([wk * e.real for wk, e in zip(w, row)]),
+                        -p * fsum([wk * e.imag for wk, e in zip(w, row)])))
+    rounding = sys.float_info.epsilon * (j + len(r)) * weight
+    return HarmonicTable(j=j, entries=tuple(entries), rounding=rounding, weight=weight)
 
 
 class HarmonicTables:
     """The order-j tables of one configuration for 2 <= j <= j_max <= 64.
 
     A j_max beyond 64 is refused up front, and one below 2 gives an owner
-    with no orders.  The angle multiples are built once, up to m = max(j_max,
-    2); order j is contracted from them the first time ``tables[j]`` reads
-    it, and one whose weight sum_i m_i r_i^j overflows raises OverflowError.
-    The running product's first j + 1 rows do not depend on how far it runs,
-    so every order gets the same table whatever j_max is.
+    with no orders.  The angle multiples are one running product, run on
+    only as far as the highest order read; order j is contracted from its
+    first j + 1 rows the first time ``tables[j]`` reads it, and one whose
+    weight sum_i m_i r_i^j overflows raises OverflowError.  The product's
+    first j + 1 rows do not depend on how far it runs, so every order gets
+    the same table whatever j_max is.
     """
 
     def __init__(self, config: CentralConfiguration, j_max: int):
@@ -142,8 +155,8 @@ class HarmonicTables:
             raise ValueError(f"harmonic tables stop at order {MAX_LEGENDRE_ORDER}, "
                              f"got j_max = {j_max}")
         self.j_max = j_max
-        self._masses = config.masses()
-        self._radii, self._multiples = _angle_multiples(config, max(j_max, 2))
+        self._masses = [b.mass for b in config.bodies]
+        self._radii, self._units, self._multiples = _angle_multiples(config)
         self._tables: dict[int, HarmonicTable] = {}
 
     def __getitem__(self, j: int) -> HarmonicTable:
@@ -152,6 +165,7 @@ class HarmonicTables:
                 raise ValueError(f"harmonic tables start at order 2, got {j}")
             if j > self.j_max:
                 raise ValueError(f"these tables stop at order {self.j_max}, got {j}")
+            _extend(self._multiples, self._units, j)
             self._tables[j] = _contract(self._masses, self._radii, self._multiples, j)
         return self._tables[j]
 

@@ -41,12 +41,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .asymptotics import leading_term
 from .config import CentralConfiguration, symmetry_order
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
-from .quadrature import CubicPhaseIntegrand, QuadratureResult, _each, f_name, harmonic_integrand
+
+if TYPE_CHECKING:
+    from .quadrature import CubicPhaseIntegrand, QuadratureResult
+
+# ``quadrature`` and ``asymptotics`` load inside the functions that evaluate
+# F_(j,k): ``classify`` reads the harmonic tables alone and needs neither.
 
 #: a table entry at most this fraction of its weight sum_i m_i r_i^j is an exact symmetry zero
 ZERO_THRESHOLD = 1e-11
@@ -74,6 +78,8 @@ def _order_rows(config: Optional[CentralConfiguration], order: int | str):
     """Legendre order j, harmonics (k, a, b) with k >= 1 and their rounding bound."""
     key = str(order)
     if key.startswith("poly:"):
+        from .quadrature import f_name
+
         try:
             j, _, _ = f_name(key)
         except ValueError:
@@ -107,8 +113,14 @@ def _order_terms(
         raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    from .quadrature import harmonic_integrand
+
     j, harmonics, rounding = _order_rows(config, order)
-    power = theta0 ** (2 * j + 2)
+    try:
+        power = theta0 ** (2 * j + 2)
+    except OverflowError:
+        raise OverflowError(f"order {2 * j}: 2^(j+1)/theta0^(2j+2) underflows at theta0 = "
+                            f"{theta0!r}, where theta0^(2j+2) overflows") from None
     if power == 0.0:
         raise OverflowError(f"order {2 * j}: 2^(j+1)/theta0^(2j+2) overflows at theta0 = "
                             f"{theta0!r}, where theta0^(2j+2) underflows to 0")
@@ -143,6 +155,8 @@ def splitting_terms(
     is |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table
     entry (a, b) and the table's rounding bound.
     """
+    from .quadrature import _each
+
     return _order_terms(config, order, theta0, epsilon, lambda fs: _each(fs, tol))
 
 
@@ -158,6 +172,9 @@ def leading_terms(
     table's rounding bound alone.  It leads only where the phase scale
     k |theta0/epsilon|^3 / 2 is well above (j + k + 2)^2, roughly.
     """
+    from .asymptotics import leading_term
+    from .quadrature import QuadratureResult
+
     return _order_terms(config, order, theta0, epsilon,
                         lambda fs: (QuadratureResult(leading_term(f), 0.0, 0) for f in fs))
 

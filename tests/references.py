@@ -12,11 +12,16 @@ every entry and each power of x by ``**``: the oracle for ``dynamics._field``.
 its k = 0 constant, the harmonics it reads back and those it meets first,
 and ``_dormand_prince`` with ``_step_interpolant`` the stepper as it was
 before its per-call wrappers went: the bit-for-bit oracles for today's
-field and stepper.
+field and stepper.  ``pull_reference``, ``balance_reference``,
+``symmetry_order_reference``, ``table_reference`` and the two
+``collinear_*_reference`` solvers are the configuration and table layers
+as numpy arrays, as they were before those layers went to lists, ``math``
+and ``cmath``: the oracles the list code is pinned against.
 """
 
 import itertools
 import math
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,8 +40,15 @@ from melsplit.dynamics import (
     _field_harmonics,
     _series_reach,
 )
-from melsplit.config import CentralConfiguration
-from melsplit.harmonics import MAX_LEGENDRE_ORDER, HarmonicTables
+from melsplit.config import (
+    MIN_SEPARATION,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    SYMMETRY_TOL,
+    CentralConfiguration,
+    PrimaryBody,
+)
+from melsplit.harmonics import MAX_LEGENDRE_ORDER, HarmonicTable, HarmonicTables, _cos_basis
 from melsplit.melnikov import (
     ZERO_THRESHOLD,
     TransversalityVerdict,
@@ -407,3 +419,123 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
             rejected = True
         yield t_new, y_new, _step_interpolant(t, h, y, k1, k3, k4, k5, k6, k7)
         t, y, f = t_new, y_new, k7
+
+
+def pull_reference(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p[..., k, j] = (a_j - a_k)/|a_j - a_k|^3 and q[k, j] = 1/|a_j - a_k|^3, 0 at j = k.
+
+    ``pos`` holds one row (x, y) per body, or one coordinate per body on a
+    line; in the plane p has a leading axis per coordinate.
+    """
+    x = np.asarray(pos, dtype=float).T
+    d = x[..., None, :] - x[..., :, None]
+    r = np.abs(d) if x.ndim == 1 else np.hypot(d[0], d[1])
+    np.fill_diagonal(r, np.inf)
+    r2 = r * r
+    return d / r / r2, 1.0 / (r2 * r)
+
+
+def _max_norm(v: np.ndarray) -> float:
+    return float(np.max(np.hypot(v[:, 0], v[:, 1])))
+
+
+def balance_reference(config: CentralConfiguration) -> tuple[float, float, float]:
+    """max_k |a_k + g_k|, the least-squares lambda and max_k |g_k + lambda a_k| / max_k |g_k|."""
+    pos = config.positions()
+    g = (pull_reference(pos)[0] @ config.masses()).T
+    lam = -float(np.sum(g * pos)) / float(np.sum(pos * pos))
+    return _max_norm(pos + g), lam, _max_norm(g + lam * pos) / _max_norm(g)
+
+
+def symmetry_order_reference(config: CentralConfiguration) -> int:
+    """The largest n whose turn by 2 pi/n permutes the bodies off the origin, masses kept."""
+    pos = config.positions()
+    z = pos[:, 0] + 1j * pos[:, 1]
+    masses = config.masses()
+    r = np.abs(z)
+    tol = SYMMETRY_TOL * float(r.max())
+    off_origin = r > tol
+    z, masses = z[off_origin], masses[off_origin]
+    same_mass = np.abs(np.subtract.outer(masses, masses)) <= SYMMETRY_TOL * np.maximum.outer(
+        masses, masses)
+    for n in range(len(z), 1, -1):
+        if len(z) % n:
+            continue
+        hits = same_mass & (np.abs(np.subtract.outer(z * np.exp(2j * np.pi / n), z)) <= tol)
+        if (hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all():
+            return n
+    return 1
+
+
+def table_reference(config: CentralConfiguration, j: int) -> HarmonicTable:
+    """The order-j table from one ``np.cumprod`` of angle multiples and one matrix product."""
+    pos = config.positions()
+    masses = config.masses()
+    r = np.hypot(pos[:, 0], pos[:, 1])
+    off_origin = r > 0.0
+    safe = np.where(off_origin, r, 1.0)  # a body at the origin has zero weight r**j
+    unit = np.ones((j + 1, len(r)), dtype=complex)
+    unit.real[1:] = pos[:, 0] / safe
+    unit.imag[1:] = np.where(off_origin, pos[:, 1] / safe, 0.0)
+    multiples = np.cumprod(unit, axis=0)
+    ms, ps = (np.array(v) for v in _cos_basis(j))
+    w = masses * r**j
+    sums = multiples[ms] @ w
+    rounding = sys.float_info.epsilon * (j + len(r)) * float(w.sum())
+    entries = tuple(zip(ms.tolist(), (ps * sums.real).tolist(), (-ps * sums.imag).tolist()))
+    return HarmonicTable(j=j, entries=entries, rounding=rounding, weight=float(w.sum()))
+
+
+def _collinear_equal_system_reference(a: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    p, q = pull_reference(a)
+    jac = -2.0 * m * q
+    np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
+    return a + m * p.sum(axis=1), jac
+
+
+def collinear_equal_reference(n: int) -> CentralConfiguration:
+    """n equal masses on the axis: damped Newton from equal spacing, ``np.linalg.solve`` steps."""
+    m = 1.0 / n
+    a = np.linspace(-1.0, 1.0, n)
+    f, jac = _collinear_equal_system_reference(a, m)
+    norm = np.linalg.norm(f)
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL:
+            break
+        step = np.linalg.solve(jac, -f)
+        lam = 1.0
+        for _ in range(60):
+            trial = a + lam * step
+            trial = 0.5 * (trial - trial[::-1])
+            if np.any(np.diff(np.sort(trial)) <= MIN_SEPARATION):
+                lam *= 0.5
+                continue
+            f_trial, jac_trial = _collinear_equal_system_reference(trial, m)
+            norm_trial = np.linalg.norm(f_trial)
+            if norm_trial < norm:
+                a, f, jac, norm = trial, f_trial, jac_trial, norm_trial
+                break
+            lam *= 0.5
+        else:
+            raise AssertionError("damping failed to reduce the residual")
+    else:
+        raise AssertionError(f"no convergence after {NEWTON_MAX_ITER} iterations")
+    return CentralConfiguration(tuple(PrimaryBody(m, (float(x), 0.0)) for x in np.sort(a)))
+
+
+def collinear_equidistant_reference(n: int) -> CentralConfiguration:
+    """n equally spaced bodies: the full (n + 1)-square system, minimum-norm ``np.linalg.lstsq``."""
+    s = np.arange(n, dtype=float) - (n - 1) / 2.0
+    mat = np.zeros((n + 1, n + 1))
+    rhs = np.zeros(n + 1)
+    mat[:n, :n] = pull_reference(s)[0]
+    mat[:n, n] = s
+    mat[n, :n] = 1.0
+    rhs[n] = 1.0
+    sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    masses, rho = sol[:n], sol[n]
+    masses = 0.5 * (masses + masses[::-1])
+    masses /= masses.sum()
+    h = rho ** (1.0 / 3.0)
+    return CentralConfiguration(tuple(PrimaryBody(float(mk), (float(h * sk), 0.0))
+                                      for mk, sk in zip(masses, s)))

@@ -441,17 +441,21 @@ def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     (("melnikov", "--order", "6", "--config", "{config}", "--theta0", "1e-40", "--eps", "1",
       "--points", "2"), 6),
     (("melnikov", "--order", "poly:10", "--theta0", "1e-16", "--eps", "1", "--points", "2"), 18),
+    (("melnikov", "--order", "6", "--config", "{config}", "--theta0", "1e50", "--eps", "1",
+      "--points", "2"), 6),
+    (("melnikov", "--order", "poly:4", "--theta0", "-1e300", "--eps", "1", "--points", "2"), 6),
 ], ids=["melnikov-theta0-power-underflows", "melnikov-poly-theta0-power-underflows",
         "splitting-theta0-power-underflows", "leading-theta0-power-underflows",
-        "melnikov-subnormal-theta0-power", "melnikov-poly-subnormal-theta0-power"])
+        "melnikov-subnormal-theta0-power", "melnikov-poly-subnormal-theta0-power",
+        "melnikov-theta0-power-overflows", "melnikov-poly-theta0-power-overflows"])
 def test_a_prefactor_out_of_range_names_its_order(capsys, rp3bp_file, argv, order):
     # 2^(j+1)/theta0^(2j+2) overflows, to inf or, where theta0^(2j+2)
-    # underflows to 0, as a division by zero: either way an overflow that
-    # names the order and theta0
+    # underflows to 0, as a division by zero; where theta0^(2j+2) overflows,
+    # it underflows: each an overflow that names the order and theta0
     code, out, err = run(capsys, *(a.format(config=rp3bp_file) for a in argv))
     assert (code, out) == (cli.EXIT_NUMERICAL, "")
     assert err.startswith(f"numerical failure: order {order}") and err.count("\n") == 1
-    assert "theta0 = 1e-" in err
+    assert f"theta0 = {float(argv[argv.index('--theta0') + 1])!r}" in err
 
 
 def _fplot_process(*bounds, points="3"):
@@ -501,7 +505,7 @@ def test_fplot_nodes_stay_finite_when_the_width_overflows(capsys, monkeypatch):
 
 @pytest.mark.parametrize("lo, hi, points", [
     ("-2.5", "7", "9"), ("0.1", "0.3", "11"), ("1e-320", "3e-320", "4"), ("3", "-1e300", "6"),
-    ("-8.9e307", "8.9e307", "5"), ("2", "2", "3"),
+    ("-8.9e307", "8.9e307", "5"), ("2", "2", "3"), ("1", "5", "1"),
 ])
 def test_fplot_nodes_of_a_finite_width_are_linspace_bit_for_bit(capsys, monkeypatch,
                                                                  lo, hi, points):
@@ -663,6 +667,17 @@ class TestDynamicsCommands:
         assert rows[0][1:5] == [0.3, 0.05, 0.5, 1.0]
         if tspan[0] == tspan[1]:
             assert all(r == rows[0] for r in rows)
+
+    @pytest.mark.parametrize("tspan, samples", [(("0", "0.7"), "13"), (("0.9", "0.1"), "7"),
+                                                (("0.25", "0.5"), "1")])
+    def test_integrate_sample_times_are_linspace_bit_for_bit(self, capsys, rp3bp_file, tspan,
+                                                             samples):
+        code, out, _ = run(capsys, "integrate", "--config", rp3bp_file, "--eps", "0.5", "--state",
+                           "0.3", "0.05", "0.5", "1", "--tspan", *tspan, "--samples", samples)
+        assert code == 0
+        got = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        want = np.linspace(float(tspan[0]), float(tspan[1]), int(samples))
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
     def test_integrate_blow_up_is_a_numerical_failure(self, capsys, monkeypatch, rp3bp_file):
         # y' = y^2 from y = 1 blows up at t = 1, with x (and the series guard) held fixed
@@ -855,8 +870,7 @@ class TestCatalogCommand:
         calls = []
         angle_multiples = harmonics._angle_multiples
         monkeypatch.setattr(harmonics, "_angle_multiples",
-                            lambda config, m_max: calls.append(m_max)
-                            or angle_multiples(config, m_max))
+                            lambda config: calls.append(config) or angle_multiples(config))
         catalog.build_case("polygon", n=8).compute()
         assert len(calls) == 2
 
@@ -906,7 +920,7 @@ def _reference_json(o) -> str:
         return "true" if o else "false"
     if isinstance(o, float):
         return format(float(o), ".16e")
-    if isinstance(o, (int, np.integer)):
+    if isinstance(o, int):
         return str(int(o))
     if o is None:
         return "null"
@@ -1004,7 +1018,7 @@ class TestJsonWriter:
             pass
 
         payload = {
-            "np": [np.float64(0.1), np.int64(-7), np.uint8(255), np.float64("-0.0")],
+            "np": [np.float64(0.1), np.float64("-0.0")],
             "flags": [True, False, None],
             "floats": [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
                        1.7976931348623157e308, 1.0, Ratio(2.5)],
@@ -1022,7 +1036,8 @@ class TestJsonWriter:
         for value in (np.float64(1e-300), -1, False, None, "plain", 0.1, [], {}):
             assert _emitted(value) == _reference_json(value) + "\n"
 
-    @pytest.mark.parametrize("value", [np.float32(1.0), np.bool_(True), {1, 2}, object(),
+    @pytest.mark.parametrize("value", [np.float32(1.0), np.bool_(True), np.int64(-7), {1, 2},
+                                       object(),
                                        [1.0, np.float32(2.0)], {"a": {"b": b"bytes"}}])
     def test_unserializable_values_raise_and_write_nothing(self, value):
         out = io.StringIO()
@@ -1058,24 +1073,25 @@ def test_import_leaves_scipy_out(rp3bp_file):
 
 
 # the melsplit modules each command loads in a fresh interpreter, beside the
-# package itself, cli and errors
+# package itself, cli and errors; numpy loads with quadrature and only then
 _COMMAND_MODULES = [
     (("fplot", "F4", "--range", "1", "1", "--points", "1"), {"quadrature", "harmonics"}),
     (("asymp", "ik", "--k", "2", "--deltas", "10"), {"quadrature", "harmonics", "asymptotics"}),
     (("asymp", "recurrence", "--k", "2", "--deltas", "10"), {"quadrature", "harmonics"}),
     (("integrate", "--config", "{cfg}", "--eps", "0.5", "--state", "0.3", "0.05", "0", "1",
       "--tspan", "0", "1", "--samples", "2"), {"config", "harmonics", "dynamics"}),
+    (("config", "build", "rp3bp", "--mu", "0.3"), {"config"}),
     (("config", "validate", "{cfg}"), {"config"}),
     (("coeffs", "{cfg}"), {"config", "harmonics"}),
-    *[(argv, {"config", "harmonics", "quadrature", "asymptotics", "melnikov"}) for argv in (
-        ("classify", "{cfg}"),
+    (("classify", "{cfg}"), {"config", "harmonics", "melnikov"}),
+    *[(argv, {"config", "harmonics", "quadrature", "melnikov"}) for argv in (
         ("melnikov", "--order", "4", "--config", "{cfg}", "--theta0", "1", "--eps", "0.5",
          "--points", "2"),
         ("splitting", "--config", "{cfg}", "--theta0", "1", "--eps", "0.5", "--points", "2"),
-        ("asymp", "leading", "--config", "{cfg}", "--points", "2"),
     )],
-    (("catalog", "rp3bp"), {"config", "harmonics", "quadrature", "asymptotics", "melnikov",
-                            "catalog"}),
+    (("asymp", "leading", "--config", "{cfg}", "--points", "2"),
+     {"config", "harmonics", "quadrature", "asymptotics", "melnikov"}),
+    (("catalog", "rp3bp"), {"config", "harmonics", "melnikov", "catalog"}),
 ]
 
 
@@ -1088,11 +1104,14 @@ def test_each_command_imports_only_the_modules_it_runs(rp3bp_file, argv, modules
         "from melsplit import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({[a.format(cfg=rp3bp_file) for a in argv]!r})\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('melsplit'))]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m == 'numpy' or m.startswith('melsplit'))]))\n"
     )
     code, loaded = json.loads(_fresh_python(script).stdout)
     assert code == 0
-    assert loaded == sorted({"melsplit", *(f"melsplit.{m}" for m in {"cli", "errors", *modules})})
+    numpy = {"numpy"} if "quadrature" in modules else set()
+    assert loaded == sorted({"melsplit", *numpy,
+                             *(f"melsplit.{m}" for m in {"cli", "errors", *modules})})
 
 
 def test_package_names_load_on_first_use():

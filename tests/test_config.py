@@ -24,8 +24,10 @@ from melsplit import (
     solve_collinear_equal,
     solve_collinear_equidistant,
 )
-from melsplit.config import (_collinear_equal_system, _gravity, configuration_to_dict,
-                             rhomboid_parameters, scale)
+from melsplit.config import (_collinear_equal_system, _gravity, _pull, balance,
+                             configuration_to_dict, rhomboid_parameters, rotate, scale)
+from references import (balance_reference, collinear_equal_reference,
+                        collinear_equidistant_reference, pull_reference)
 
 
 def polygon_lambda(n: int) -> float:
@@ -313,14 +315,14 @@ class TestPull:
     def test_newton_jacobian_matches_a_central_difference(self, n):
         rng = np.random.default_rng(n)
         a = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.05, 0.05, n)
-        _, jac = _collinear_equal_system(a, 1.0 / n)
+        jac = np.array(_collinear_equal_system(a.tolist(), 1.0 / n)[1])
         h = 1e-6
         fd = np.empty((n, n))
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            fd[:, j] = (_collinear_equal_system(a + e, 1.0 / n)[0]
-                        - _collinear_equal_system(a - e, 1.0 / n)[0]) / (2.0 * h)
+            fd[:, j] = (np.array(_collinear_equal_system((a + e).tolist(), 1.0 / n)[0])
+                        - np.array(_collinear_equal_system((a - e).tolist(), 1.0 / n)[0])) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
     @staticmethod
@@ -344,7 +346,79 @@ class TestPull:
             pos[:, 1] = 0.0  # a collinear configuration
         want = self.direct_pull(masses, pos)
         largest = np.max(np.hypot(want[:, 0], want[:, 1]))
-        assert np.max(np.abs(_gravity(masses, pos) - want)) <= 1e-14 * largest
+        got = np.array(_gravity(masses.tolist(), [tuple(a) for a in pos.tolist()]))
+        assert np.max(np.abs(got - want)) <= 1e-14 * largest
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pull_matches_the_array_reference(self, seed):
+        # the same formula pair by pair: hypot may round apart by an ulp
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        pos = rng.normal(size=(n, 2))
+        (px, py), q = _pull([tuple(a) for a in pos.tolist()])
+        (want_x, want_y), want_q = pull_reference(pos)
+        for got, want in ((px, want_x), (py, want_y), (q, want_q)):
+            np.testing.assert_allclose(np.array(got), want, rtol=1e-15, atol=0.0)
+        line = np.sort(pos[:, 0])
+        p_line, q_line = _pull(line.tolist())
+        want_p, want_q = pull_reference(line)
+        np.testing.assert_allclose(np.array(p_line), want_p, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(np.array(q_line), want_q, rtol=1e-15, atol=0.0)
+
+
+#: every builder, and a builder's output turned, relabelled and scaled
+_BALANCED = {
+    "rp3bp": lambda: build_rp3bp(0.3),
+    "rp3bp-half": lambda: build_rp3bp(0.5),
+    "equilateral": lambda: build_equilateral(0.2, 0.3),
+    "rhomboid": lambda: build_rhomboid(1.2, 1.0),
+    "collinear-equal": lambda: solve_collinear_equal(7),
+    "collinear-equidistant": lambda: solve_collinear_equidistant(10),
+    "polygon": lambda: build_polygon(16),
+    "polygon-normalized": lambda: build_polygon(7, normalize=True),
+    "turned-relabelled-scaled": lambda: scale(rotate(CentralConfiguration(
+        build_equilateral(0.2, 0.3).bodies[::-1]), 0.7), 3.0),
+}
+
+
+class TestArrayReferences:
+    """The list code against the numpy arrays it replaced, in references.py."""
+
+    @pytest.mark.parametrize("name", sorted(_BALANCED))
+    def test_balance_matches_the_array_reference(self, name):
+        config = _BALANCED[name]()
+        (max_norm, lam, fit), (want_norm, want_lam, want_fit) = balance(config), \
+            balance_reference(config)
+        # the residuals are sums that cancel to rounding: they agree to the rounding of g
+        r_max = max(math.hypot(*b.position) for b in config.bodies)
+        assert lam == pytest.approx(want_lam, rel=1e-14)
+        assert abs(max_norm - want_norm) <= 1e-14 * (r_max + abs(lam) * r_max)
+        assert abs(fit - want_fit) <= 1e-14
+
+    @staticmethod
+    def _assert_same_chain(got, want):
+        # each mass and abscissa within 1e-14 relative; a body at the origin exactly there
+        assert len(got.bodies) == len(want.bodies)
+        for g, w in zip(got.bodies, want.bodies):
+            assert g.mass == pytest.approx(w.mass, rel=1e-14, abs=0.0)
+            assert g.position[0] == pytest.approx(w.position[0], rel=1e-14, abs=0.0)
+            assert g.position[1] == w.position[1] == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_collinear_equal_matches_the_array_reference(self, n):
+        self._assert_same_chain(solve_collinear_equal(n), collinear_equal_reference(n))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_collinear_equidistant_matches_the_array_reference(self, n):
+        self._assert_same_chain(solve_collinear_equidistant(n), collinear_equidistant_reference(n))
+
+    def test_equidistant_three_is_the_minimum_norm_split(self):
+        # any symmetric split balances the middle body; the least-norm one is (12, 5, 12)/29
+        masses = [b.mass for b in solve_collinear_equidistant(3).bodies]
+        assert masses == pytest.approx([12.0 / 29.0, 5.0 / 29.0, 12.0 / 29.0], rel=1e-15)
+        assert masses == pytest.approx([b.mass for b in collinear_equidistant_reference(3).bodies],
+                                       rel=1e-15)
 
 
 class TestReflectionSymmetry:

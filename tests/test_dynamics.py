@@ -377,7 +377,7 @@ class TestIntegrate:
         back = integrate(rhs, forward.states[:, -1], (5.0, 0.0), tol=1e-11)
         assert back.t[0] == 5.0 and back.t[-1] == 0.0 and np.all(np.diff(back.t) < 0)
         for t in np.linspace(0.0, 5.0, 11):
-            assert np.max(np.abs(back.sol(float(t)) - forward.sol(float(t)))) <= 1e-9
+            assert np.max(np.abs(np.subtract(back.sol(float(t)), forward.sol(float(t))))) <= 1e-9
 
     def test_zero_length_span_is_the_initial_state(self):
         state0 = (0.3, 0.05, 1.0, 0.8)

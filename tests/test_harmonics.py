@@ -16,6 +16,7 @@ from melsplit import (
     harmonic_table,
     legendre_cos_coeffs,
     solve_collinear_equal,
+    solve_collinear_equidistant,
 )
 from melsplit.config import rotate, scale
 from melsplit.harmonics import (
@@ -24,8 +25,9 @@ from melsplit.harmonics import (
     HarmonicTables,
     _angle_multiples,
     _cos_basis_fractions,
+    _extend,
 )
-from references import c_coeffs, d_coeffs, d_l, legendre_pair
+from references import c_coeffs, d_coeffs, d_l, legendre_pair, table_reference
 
 
 def paper_c(config):
@@ -281,7 +283,9 @@ class TestHarmonicTable:
         for _ in range(64):
             cos_ref.append(cos_ref[-1] * ca - sin_ref[-1] * sa)
             sin_ref.append(sin_ref[-1] * ca + cos_ref[-2] * sa)
-        _, powers = _angle_multiples(config, 64)
+        _, units, rows = _angle_multiples(config)
+        _extend(rows, units, 64)
+        powers = np.array(rows)
         for got, want in ((powers.real, np.array(cos_ref)), (powers.imag, np.array(sin_ref))):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -309,11 +313,37 @@ class TestHarmonicTable:
         # the running product's first j + 1 rows do not depend on how far it runs
         config = self._SHARED[name]()
         tables = HarmonicTables(config, 64)
-        masses, r = config.masses(), np.hypot(*config.positions().T)
+        masses, r = config.masses().tolist(), np.hypot(*config.positions().T).tolist()
         for j in range(2, 65):
             self._assert_same_table(tables[j], harmonic_table(config, j))
-            assert tables[j].weight == float(masses @ r**j)
+            assert tables[j].weight == math.fsum([m * rk**j for m, rk in zip(masses, r)])
             assert tables[j] is tables[j]  # contracted once, then kept
+
+    #: the configurations the catalog measures
+    _CATALOG = {
+        "rp3bp-0.3": lambda: build_rp3bp(0.3),
+        "rp3bp-0.5": lambda: build_rp3bp(0.5),
+        "equilateral": lambda: build_equilateral(1.0 / 3.0, 1.0 / 3.0),
+        "rhomboid": lambda: build_rhomboid(1.0, 1.0),
+        "collinear8": lambda: solve_collinear_equal(7),
+        "collinear11": lambda: solve_collinear_equidistant(10),
+        "polygon-7": lambda: build_polygon(7),
+        "polygon-8": lambda: build_polygon(8),
+    }
+
+    @pytest.mark.parametrize("name", sorted({**_SHARED, **_CATALOG}))
+    def test_tables_match_the_array_reference(self, name):
+        # fsum per entry against numpy's products of the cumprod array: every
+        # entry within the table's own rounding bound
+        config = {**self._SHARED, **self._CATALOG}[name]()
+        tables = HarmonicTables(config, 64)
+        for j in range(2, 65):
+            got, want = tables[j], table_reference(config, j)
+            assert [m for m, _, _ in got.entries] == [m for m, _, _ in want.entries]
+            assert got.weight == pytest.approx(want.weight, rel=1e-15)
+            assert got.rounding == pytest.approx(want.rounding, rel=1e-15)
+            for (_, a, b), (_, a_ref, b_ref) in zip(got.entries, want.entries):
+                assert abs(a - a_ref) <= got.rounding and abs(b - b_ref) <= got.rounding
 
     @pytest.mark.parametrize("name", sorted(_SHARED))
     def test_tables_up_to_an_order_match_the_single_order_calls(self, name):
@@ -330,8 +360,10 @@ class TestHarmonicTable:
         with pytest.raises(ValueError, match="these tables stop at order 7, got 8"):
             HarmonicTables(rp3bp_03, 7)[8]
         tables = HarmonicTables(rp3bp_03, 64)
-        assert tables._multiples.shape[0] == 65
+        assert len(tables._multiples) == 1  # the product runs on as orders are read
+        assert tables[5].j == 5 and len(tables._multiples) == 6
         assert [tables[j].j for j in range(2, 65)] == list(range(2, 65))
+        assert len(tables._multiples) == 65
         with pytest.raises(ValueError, match="these tables stop at order 64, got 65"):
             tables[65]
         # an order past 64 is refused when the owner is built, naming the request

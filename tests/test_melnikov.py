@@ -33,7 +33,8 @@ from melsplit import harmonics
 from melsplit.config import rotate, scale
 from melsplit.melnikov import TransversalityVerdict, Witness
 from quadrature_oracles import eval_polynomial, f4_integrand, f61_integrand, f62_integrand
-from references import c_coeffs, classify_full_scan, d_coeffs, d_l, leading_splitting
+from references import (c_coeffs, classify_full_scan, d_coeffs, d_l, leading_splitting,
+                        symmetry_order_reference)
 
 
 def polygon_prefactor(n_total):
@@ -585,40 +586,35 @@ class TestClassifier:
             assert witness_margins == pytest.approx([witness_margins[1]] * 3, rel=1e-9)
 
     def test_tables_are_built_lazily_once(self, monkeypatch, rp3bp_03, rp3bp_half):
-        # one angle-multiple table per call; each order contracted from it at most once
-        built, multiples = [], []
+        # one angle-multiple product per call, run on only as far as the
+        # orders read; each order contracted from it at most once
+        built, rows, owners = [], [], []
         contract, angle_multiples = harmonics._contract, harmonics._angle_multiples
 
         def counting(masses, r, powers, j):
             built.append(j)
+            rows.append(len(powers))
             return contract(masses, r, powers, j)
 
-        def counting_multiples(config, m_max):
-            multiples.append(m_max)
-            return angle_multiples(config, m_max)
+        def counting_multiples(config):
+            owners.append(config)
+            return angle_multiples(config)
 
         monkeypatch.setattr(harmonics, "_contract", counting)
         monkeypatch.setattr(harmonics, "_angle_multiples", counting_multiples)
-        classify(rp3bp_03)
-        assert built == [3]
-        assert multiples == [17]  # max(j_max = 2N + 4 = 8, 2 l_max + 1 = 17)
-        built.clear()
-        multiples.clear()
-        # symmetry order 2 skips the k = 1 column, so the tables stop at j_max = 8
-        classify(rp3bp_half)
-        assert built == [2]
-        assert multiples == [8]
-        built.clear()
-        multiples.clear()
-        # order 11 allows no harmonic up to j_max = 8: no order is contracted
-        classify(build_polygon(12), j_max=8)
-        assert built == []
-        assert multiples == [8]
-        built.clear()
-        multiples.clear()
-        classify(build_polygon(16), j_max=64)
-        assert built == [15]
-        assert multiples == [64]
+        for config, j_max, want_built, want_rows in (
+                # rows m = 0..3, though the owner reaches max(j_max = 8, 2 l_max + 1 = 17)
+                (rp3bp_03, None, [3], [4]),
+                # symmetry order 2 skips the k = 1 column
+                (rp3bp_half, None, [2], [3]),
+                # order 11 allows no harmonic up to j_max = 8: no order is contracted
+                (build_polygon(12), 8, [], []),
+                (build_polygon(16), 64, [15], [16])):
+            built.clear()
+            rows.clear()
+            owners.clear()
+            classify(config, j_max=j_max)
+            assert (built, rows, owners) == (want_built, want_rows, [config])
 
     def test_lambda_of_handles_body_at_origin(self, collinear8):
         from melsplit import lambda_of
@@ -748,6 +744,26 @@ class TestSymmetryOrder:
         base = INVARIANCE_GROUPS[name]()
         variants = _variants(name, base, scales=(1e-6, 0.5, 2.0))
         assert [symmetry_order(c) for c in (base, *variants)] == [GROUP_ORDERS[name]] * 7
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_GROUPS))
+    def test_order_matches_the_array_reference(self, name):
+        base = INVARIANCE_GROUPS[name]()
+        for config in (base, *_variants(name, base, scales=(1e-6, 0.5, 2.0, 1e6))):
+            assert symmetry_order(config) == symmetry_order_reference(config)
+
+    def test_near_symmetric_cases_match_the_array_reference(self):
+        # a slightly skew rhombus, chains with a body at the origin, a square
+        # around one, and a square whose masses alternate
+        angles = (0.3, 0.3 + math.pi / 2, 0.3 + math.pi, 0.3 + 1.5 * math.pi)
+        square = [PrimaryBody(0.2, (math.cos(a), math.sin(a))) for a in angles]
+        alternating = [PrimaryBody(m, (math.cos(a), math.sin(a)))
+                       for m, a in zip((0.3, 0.2, 0.3, 0.2), angles)]
+        cases = [build_rhomboid(1.0 + 1e-6, 1.0), build_rhomboid(1.0 + 1e-12, 1.0),
+                 *(solve_collinear_equal(n) for n in (3, 5, 7)),
+                 CentralConfiguration((PrimaryBody(0.2, (0.0, 0.0)), *square)),
+                 CentralConfiguration(tuple(alternating))]
+        for config in cases:
+            assert symmetry_order(config) == symmetry_order_reference(config)
 
     def test_a_near_square_rhombus_keeps_order_two(self):
         # legs 1 + 1e-6 and 1 move the bodies and masses by about 1e-7
