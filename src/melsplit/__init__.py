@@ -44,8 +44,6 @@ _EXPORTS = {
         "CubicPhaseIntegrand",
         "QuadratureBudgetError",
         "QuadratureResult",
-        "eval_Ik",
-        "eval_Jk",
         "eval_oscillatory",
         "eval_oscillatory_list",
         "find_zeros",
@@ -67,16 +65,13 @@ _EXPORTS = {
         "FlowParams",
         "IntegrationError",
         "McGeheeState",
-        "PoincareReturnError",
         "hd_value",
         "homoclinic",
         "integrate",
         "integrate_mcgehee",
         "jacobi_constant",
-        "poincare_numeric",
         "rhs_mcgehee_t",
         "s_closed_form",
-        "theta_from_jacobi",
     ),
     "asymptotics": (
         "ik_asymptotic",

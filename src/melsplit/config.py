@@ -107,18 +107,6 @@ class CentralConfiguration:
     def n_bodies(self) -> int:
         return len(self.bodies)
 
-    def masses(self):
-        """The masses as a numpy array, for callers that work on arrays."""
-        import numpy as np
-
-        return np.array([b.mass for b in self.bodies])
-
-    def positions(self):
-        """The positions as a numpy array of rows (x, y), for callers that work on arrays."""
-        import numpy as np
-
-        return np.array([b.position for b in self.bodies])
-
 
 def _pull(pos) -> tuple[list, list[list[float]]]:
     """The pairwise pull per unit mass, and the inverse cubes it is made of.
@@ -133,9 +121,10 @@ def _pull(pos) -> tuple[list, list[list[float]]]:
     """
     n = len(pos)
     line = isinstance(pos[0], float)
-    px, py, q = ([[0.0] * n for _ in range(n)] for _ in range(3))
+    px, q = ([[0.0] * n for _ in range(n)] for _ in range(2))
+    py = None if line else [[0.0] * n for _ in range(n)]
     for k, ak in enumerate(pos):
-        pxk, pyk, qk = px[k], py[k], q[k]
+        pxk, qk = px[k], q[k]
         for j in range(k + 1, n):
             if line:
                 dx = pos[j] - ak
@@ -149,7 +138,7 @@ def _pull(pos) -> tuple[list, list[list[float]]]:
             pxk[j] = v = dx / r / r2
             px[j][k] = -v
             if not line:
-                pyk[j] = v = dy / r / r2
+                py[k][j] = v = dy / r / r2
                 py[j][k] = -v
     return (px if line else (px, py)), q
 

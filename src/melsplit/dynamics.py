@@ -10,15 +10,13 @@ oscillator x'' = x - Theta0^2 x^3 with the explicit separatrix
 
     x = sqrt(2)/|Theta0| sech(tau),   y = -sqrt(2)/|Theta0| tanh(tau) sech(tau).
 
-This module integrates the truncated equations of motion, checks the
-Jacobi-like first integral and realizes the numeric return map near
-x = y = 0.  Both runs use one stepper, the Dormand-Prince 5(4) pair with
-scipy RK45's controller, Hairer, Norsett & Wanner's first step and
-Shampine's quartic dense output, on lists of Python floats: it calls the
-right-hand side directly, for the flow the field behind an inline guard.
-Nothing here needs numpy: ``Trajectory`` builds its arrays ``t`` and
-``states`` only when they are read, and ``s_closed_form`` imports it for
-its array arguments.
+This module integrates the truncated equations of motion and checks the
+Jacobi-like first integral.  The runs use one stepper, the Dormand-Prince
+5(4) pair with scipy RK45's controller, Hairer, Norsett & Wanner's first
+step and Shampine's quartic dense output, on lists of Python floats: it
+calls the right-hand side directly, for the flow the field behind an
+inline guard.  Nothing here imports numpy, in any scope: a ``Trajectory``
+holds tuples and lists of floats, and the closed forms run on ``math``.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
@@ -36,10 +34,9 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .config import CentralConfiguration
 from .errors import NumericalFailure
@@ -59,10 +56,6 @@ class IntegrationError(NumericalFailure):
 
 class ConvergenceRegionError(ValueError):
     """State left the region where the perturbation series converges."""
-
-
-class PoincareReturnError(RuntimeError):
-    """Trajectory failed to return to the section within the allowed time."""
 
 
 @dataclass(frozen=True)
@@ -129,22 +122,18 @@ def hd_value(x: float, y: float, theta0: float) -> float:
     return 0.5 * y * y - 0.5 * x * x + 0.25 * theta0**2 * x**4
 
 
-def s_closed_form(tau: float, s0: float, theta0: float, epsilon: float):
+def s_closed_form(tau: float, s0: float, theta0: float, epsilon: float) -> float:
     """Fast angle along the separatrix, unreduced for differentiability checks.
 
     Upper signs for theta0 > 0:
         s = s0 -+ 4 arctan(tanh(tau/2)) +- (theta0^3/(24 eps^3)) (9 sinh tau + sinh 3 tau)
     """
-    import numpy as np
-
     if theta0 == 0.0:
         raise ValueError("fast angle undefined at zero angular momentum")
     sign = 1.0 if theta0 > 0.0 else -1.0
-    tau = np.asarray(tau, dtype=float)
-    slow = 4.0 * np.arctan(np.tanh(tau / 2.0))
-    fast = (theta0**3 / (24.0 * epsilon**3)) * (9.0 * np.sinh(tau) + np.sinh(3.0 * tau))
-    out = s0 - sign * slow + sign * fast
-    return float(out) if out.ndim == 0 else out
+    slow = 4.0 * math.atan(math.tanh(tau / 2.0))
+    fast = (theta0**3 / (24.0 * epsilon**3)) * (9.0 * math.sinh(tau) + math.sinh(3.0 * tau))
+    return s0 - sign * slow + sign * fast
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +233,6 @@ def jacobi_constant(state: McGeheeState, params: FlowParams) -> float:
     return truncated_hamiltonian(state, params) - state.theta
 
 
-def theta_from_jacobi(x: float, y: float, jacobi_c: float, epsilon: float) -> float:
-    """Angular momentum branch determined by the first-integral value.
-
-    Takes the branch that stays bounded as x -> 0 (value -C on the zero
-    set): (1 - sqrt(1 + 2 v g)) / v with v = eps^3 x^4, written as
-    -2 g / (1 + sqrt(1 + 2 v g)) so that nothing cancels for small v.
-    """
-    v = epsilon**3 * x**4
-    g = jacobi_c + epsilon**3 * (x * x - y * y)
-    radicand = 1.0 + 2.0 * v * g
-    if radicand < 0.0:
-        raise ValueError(f"negative radicand {radicand!r} in the angular momentum branch")
-    return -2.0 * g / (1.0 + math.sqrt(radicand))
-
-
 # ---------------------------------------------------------------------------
 # integration
 
@@ -268,7 +242,6 @@ def theta_from_jacobi(x: float, y: float, jacobi_c: float, epsilon: float) -> fl
 # fourth-order dense output.  The fractions are folded to constants when the
 # module is compiled.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EPS = sys.float_info.epsilon
 
 
 def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
@@ -298,8 +271,7 @@ def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
     return y_at
 
 
-def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
-                    max_step: float = math.inf):
+def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float):
     """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
 
     The state and the slopes are lists of floats; ``rhs(t, y)`` may return
@@ -326,13 +298,13 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
     f1 = rhs(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
     d2 = math.hypot(*[(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / root_n / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, interval, max_step)
+    h_abs = min(100 * h0, h1, interval)
     if not math.isfinite(h_abs):
         raise IntegrationError(f"first step size {h_abs!r} at t = {t!r} is not finite")
 
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -378,28 +350,16 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float,
         t, y, f = t_new, y_new, k7
 
 
-class Trajectory:
+class Trajectory(NamedTuple):
     """An accepted mesh, the states on it and ``sol(t)``, the dense output as a list.
 
-    ``t`` and ``states``, of shape (len(state0), len(t)), are numpy arrays
-    built the first time they are read.
+    ``t`` is the mesh, a tuple of floats, and ``states`` a tuple of one
+    state list per mesh point: ``states[i]`` is the state at ``t[i]``.
     """
 
-    def __init__(self, ts: Sequence[float], ys: Sequence[Sequence[float]],
-                 sol: Callable[[float], list[float]]):
-        self._ts, self._ys, self.sol = ts, ys, sol
-
-    @cached_property
-    def t(self):
-        import numpy as np
-
-        return np.array(self._ts)
-
-    @cached_property
-    def states(self):
-        import numpy as np
-
-        return np.array(self._ys).T
+    t: tuple[float, ...]
+    states: tuple[list[float], ...]
+    sol: Callable[[float], list[float]]
 
 
 def integrate(
@@ -466,51 +426,3 @@ def integrate_mcgehee(
         return field(x, y, s, theta)
 
     return integrate(rhs, (state0.x, state0.y, state0.s, state0.theta), t_span, tol)
-
-
-def poincare_numeric(
-    x0: float,
-    y0: float,
-    s0: float,
-    params: FlowParams,
-    jacobi_c: float,
-    tol: float = 1e-12,
-) -> tuple[float, float, float]:
-    """One turn of the return map of the reduced (x, y, s) flow.
-
-    The angular momentum is eliminated through the first integral, whose
-    value on the orbit is ``jacobi_c``; the section is the first upward
-    crossing of s = s0 + 2 pi, found by bisection on the interpolant of the
-    step that crosses it (steps of at most 0.5).  Returns (x1, y1,
-    return_time).
-    """
-    if x0 > 0.1:
-        raise ValueError("the return map is meant for small x (x0 <= 0.1)")
-    field, _ = params._flow
-    target = s0 + 2.0 * math.pi
-
-    def rhs(_t, v):
-        x, y, s = v
-        return field(x, y, s, theta_from_jacobi(x, y, jacobi_c, params.epsilon))[:3]
-
-    t_old, g_old = 0.0, s0 - target
-    for t, yv, y_at in _dormand_prince(rhs, 0.0, [float(x0), float(y0), float(s0)],
-                                       3.0 * math.pi, tol, max_step=0.5):
-        g = yv[2] - target
-        if g_old <= 0.0 <= g:
-            t1 = _section_time(lambda tt: y_at(tt)[2] - target, t_old, t)
-            x1, y1, _ = y_at(t1)
-            return x1, y1, t1
-        t_old, g_old = t, g
-    raise PoincareReturnError("no section crossing within 3 pi of time")
-
-
-def _section_time(g, a: float, b: float) -> float:
-    """Bisect g(a) < 0 <= g(b) to a bracket of 4 eps (1 + |b|); returns its upper end."""
-    while b - a > 4.0 * _EPS * (1.0 + abs(b)):
-        m = 0.5 * (a + b)
-        if g(m) < 0.0:
-            a = m
-        else:
-            b = m
-    return b

@@ -708,16 +708,6 @@ def jk_integrand(k: int, delta: float) -> CubicPhaseIntegrand:
     return CubicPhaseIntegrand(-1j, 0.0, k, k, delta)
 
 
-def eval_Ik(k: int, delta: float, tol: float = 1e-10) -> float:
-    """I_k(d) = integral of cos(d (z + z^3/3)) / (1+z^2)^k over [0, inf)."""
-    return 0.5 * eval_oscillatory(ik_integrand(k, delta), tol).value
-
-
-def eval_Jk(k: int, delta: float, tol: float = 1e-10) -> float:
-    """J_k(d) = integral of z sin(d (z + z^3/3)) / (1+z^2)^k over [0, inf)."""
-    return 0.5 * eval_oscillatory(jk_integrand(k, delta), tol).value
-
-
 # ---------------------------------------------------------------------------
 # root finding
 

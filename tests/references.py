@@ -16,7 +16,8 @@ field and stepper.  ``pull_reference``, ``balance_reference``,
 ``symmetry_order_reference``, ``table_reference`` and the two
 ``collinear_*_reference`` solvers are the configuration and table layers
 as numpy arrays, as they were before those layers went to lists, ``math``
-and ``cmath``: the oracles the list code is pinned against.
+and ``cmath``: the oracles the list code is pinned against.  They read a
+configuration through ``mass_array`` and ``position_array``.
 """
 
 import itertools
@@ -139,10 +140,20 @@ def classify_full_scan(
     return TransversalityVerdict("inconclusive", None, tuple(trace))
 
 
+def mass_array(config) -> np.ndarray:
+    """The masses as an array, for the oracles that work on arrays."""
+    return np.array([b.mass for b in config.bodies])
+
+
+def position_array(config) -> np.ndarray:
+    """The positions as an array of rows (x, y), for the oracles that work on arrays."""
+    return np.array([b.position for b in config.bodies])
+
+
 def c_coeffs(config) -> tuple[float, float, float]:
     """Quadrupole coefficients: c1 = sum m|a|^2, c2 = 3 sum m(x^2 - y^2), c3 = -6 sum m x y."""
-    m = config.masses()
-    pos = config.positions()
+    m = mass_array(config)
+    pos = position_array(config)
     x, y = pos[:, 0], pos[:, 1]
     c1 = float(np.dot(m, x * x + y * y))
     c2 = 3.0 * float(np.dot(m, x * x - y * y))
@@ -152,8 +163,8 @@ def c_coeffs(config) -> tuple[float, float, float]:
 
 def d_coeffs(config) -> tuple[float, float, float, float]:
     """Octupole coefficients d1..d4 of the cos s, sin s, cos 3s, sin 3s channels."""
-    m = config.masses()
-    pos = config.positions()
+    m = mass_array(config)
+    pos = position_array(config)
     x, y = pos[:, 0], pos[:, 1]
     r2 = x * x + y * y
     d1 = 3.0 * float(np.dot(m, x * r2))
@@ -167,8 +178,8 @@ def d_l(config, l: int) -> tuple[float, float]:
     """First-harmonic pair at radial weight |a|^(2l): (sum m x r^2l, -sum m y r^2l)."""
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
-    m = config.masses()
-    pos = config.positions()
+    m = mass_array(config)
+    pos = position_array(config)
     x, y = pos[:, 0], pos[:, 1]
     r2l = (x * x + y * y) ** l
     return float(np.dot(m, x * r2l)), -float(np.dot(m, y * r2l))
@@ -441,17 +452,17 @@ def _max_norm(v: np.ndarray) -> float:
 
 def balance_reference(config: CentralConfiguration) -> tuple[float, float, float]:
     """max_k |a_k + g_k|, the least-squares lambda and max_k |g_k + lambda a_k| / max_k |g_k|."""
-    pos = config.positions()
-    g = (pull_reference(pos)[0] @ config.masses()).T
+    pos = position_array(config)
+    g = (pull_reference(pos)[0] @ mass_array(config)).T
     lam = -float(np.sum(g * pos)) / float(np.sum(pos * pos))
     return _max_norm(pos + g), lam, _max_norm(g + lam * pos) / _max_norm(g)
 
 
 def symmetry_order_reference(config: CentralConfiguration) -> int:
     """The largest n whose turn by 2 pi/n permutes the bodies off the origin, masses kept."""
-    pos = config.positions()
+    pos = position_array(config)
     z = pos[:, 0] + 1j * pos[:, 1]
-    masses = config.masses()
+    masses = mass_array(config)
     r = np.abs(z)
     tol = SYMMETRY_TOL * float(r.max())
     off_origin = r > tol
@@ -469,8 +480,8 @@ def symmetry_order_reference(config: CentralConfiguration) -> int:
 
 def table_reference(config: CentralConfiguration, j: int) -> HarmonicTable:
     """The order-j table from one ``np.cumprod`` of angle multiples and one matrix product."""
-    pos = config.positions()
-    masses = config.masses()
+    pos = position_array(config)
+    masses = mass_array(config)
     r = np.hypot(pos[:, 0], pos[:, 1])
     off_origin = r > 0.0
     safe = np.where(off_origin, r, 1.0)  # a body at the origin has zero weight r**j

@@ -14,8 +14,6 @@ from melsplit import (
     build_rhomboid,
     build_rp3bp,
     classify,
-    eval_Ik,
-    eval_Jk,
     eval_oscillatory,
     find_zeros,
     harmonic_integrand,
@@ -25,7 +23,6 @@ from melsplit import (
     ik_asymptotic,
     jacobi_constant,
     legendre_cos_coeffs,
-    poincare_numeric,
     simple_zeros,
     solve_collinear_equal,
     solve_collinear_equidistant,
@@ -153,9 +150,10 @@ def test_criterion_4_dual_backend_oracle():
         # upper points are asserted against the reported error estimates
         for delta in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 30.0):
             for k in range(1, 7):
-                j = eval_Jk(k + 2, delta, 1e-13)
-                rec = delta / (2.0 * (k + 1)) * eval_Ik(k, delta, 1e-13)
-                assert j == pytest.approx(rec, rel=1e-8)
+                # both full-line integrals, twice J_(k+2) and I_k
+                j = eval_oscillatory(jk_integrand(k + 2, delta), 1e-13).value
+                ik = eval_oscillatory(ik_integrand(k, delta), 1e-13).value
+                assert j == pytest.approx(delta / (2.0 * (k + 1)) * ik, rel=1e-8)
         for delta in (40.0, 50.0):
             for k in range(1, 7):
                 res_j = eval_oscillatory(jk_integrand(k + 2, delta), 1e-13)
@@ -233,7 +231,8 @@ def test_criterion_7_asymptotics_validation():
     with Timer() as t:
         delta = 30.0
         for k in (2, 3, 4):
-            ratio = eval_Ik(k, delta, 1e-13) / ik_asymptotic(k, delta)
+            ik = 0.5 * eval_oscillatory(ik_integrand(k, delta), 1e-13).value
+            ratio = ik / ik_asymptotic(k, delta)
             assert abs(ratio - 1.0) <= 3.0 / math.sqrt(delta)
 
         cfg = build_rp3bp(0.5)
@@ -252,7 +251,8 @@ def test_criterion_7_asymptotics_validation():
 def test_criterion_7_asymptotics_beyond_double_precision():
     for delta in (100.0, 300.0):
         for k in (2, 3, 4):
-            ratio = eval_Ik(k, delta, 1e-13) / ik_asymptotic(k, delta)
+            ik = 0.5 * eval_oscillatory(ik_integrand(k, delta), 1e-13).value
+            ratio = ik / ik_asymptotic(k, delta)
             assert abs(ratio - 1.0) <= 3.0 / math.sqrt(delta)
 
 
@@ -287,20 +287,22 @@ def test_criterion_8_dynamics_property_suite():
         st0 = McGeheeState(0.4, 0.1, 0.0, 1.0)
         full = integrate_mcgehee(st0, params, (0.0, 50.0), tol=1e-11)
         c0 = jacobi_constant(st0, params)
-        for i in range(full.states.shape[1]):
-            st_i = McGeheeState(*(float(v) for v in full.states[:, i]))
-            assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
+        for y in full.states:
+            assert abs(jacobi_constant(McGeheeState(*y), params) - c0) <= 1e-8
 
-        # return-map leading terms
-        pmap, jacobi_c = FlowParams(epsilon=0.5, config=cfg, truncation_order=3), -1.0
+        # leading terms of one turn of the Kepler flow near x = y = 0:
+        # x' = eps^3 x^3 y / sqrt 2 and y' = eps^3 x^4 (1 - theta^2 x^2) / sqrt 2
+        kepler, theta = FlowParams(epsilon=0.5, config=cfg, truncation_order=3), 1.0
         x0, y0 = 0.02, 0.01
-        x1, y1, _ = poincare_numeric(x0, y0, 0.3, pmap, jacobi_c, tol=1e-12)
+        turn = integrate_mcgehee(McGeheeState(x0, y0, 0.3, theta), kepler, (0.0, 2 * math.pi),
+                                 tol=1e-12)
+        x1, y1, _, _ = turn.sol(2 * math.pi)
         e3 = 0.5**3
         assert (x1 - x0) / (math.sqrt(2) * math.pi * e3 * x0**3 * y0) == pytest.approx(
             1.0, abs=0.05
         )
         assert (y1 - y0) / (
-            math.sqrt(2) * math.pi * e3 * x0**4 * (1 - jacobi_c**2 * x0**2)
+            math.sqrt(2) * math.pi * e3 * x0**4 * (1 - theta**2 * x0**2)
         ) == pytest.approx(1.0, abs=0.05)
 
         # the splitting from the field's harmonic tables against the paper's

@@ -6,14 +6,13 @@ import pytest
 from melsplit import (
     CubicPhaseIntegrand,
     build_equilateral,
-    eval_Ik,
-    eval_Jk,
     eval_oscillatory,
     harmonic_integrand,
     ik_asymptotic,
     leading_term,
     splitting_terms,
 )
+from melsplit.quadrature import ik_integrand, jk_integrand
 from references import c_coeffs, d_coeffs, leading_splitting
 
 SQRT_PI = math.sqrt(math.pi)
@@ -41,14 +40,16 @@ class TestIkAsymptotic:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_quadrature_agreement_window(self, k):
         d = 30.0
-        ratio = eval_Ik(k, d, 1e-13) / ik_asymptotic(k, d)
+        # I_k over [0, inf), half the engine's integral over R
+        ratio = 0.5 * eval_oscillatory(ik_integrand(k, d), 1e-13).value / ik_asymptotic(k, d)
         assert abs(ratio - 1.0) <= 3.0 / math.sqrt(d)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_attainable_convergence_is_monotone(self, k):
         # deviation from the leading term shrinks with the phase scale over
         # the range where the integrals stay above the double-precision floor
-        devs = [abs(eval_Ik(k, d, 1e-13) / ik_asymptotic(k, d) - 1.0) for d in (20.0, 30.0, 60.0)]
+        devs = [abs(0.5 * eval_oscillatory(ik_integrand(k, d), 1e-13).value / ik_asymptotic(k, d)
+                    - 1.0) for d in (20.0, 30.0, 60.0)]
         assert devs[0] > devs[1] > devs[2]
 
     def test_domain(self):
@@ -68,29 +69,32 @@ class TestIkAsymptotic:
 
 
 class TestJkFromIk:
-    """The identity J_(k+2)(delta) = delta/(2(k+1)) I_k(delta)."""
+    """The identity J_(k+2)(delta) = delta/(2(k+1)) I_k(delta), on the integrals over R."""
 
     def test_matches_direct_quadrature(self):
-        assert 5.0 / 6.0 * eval_Ik(2, 5.0, 1e-12) == pytest.approx(
-            eval_Jk(4, 5.0, 1e-12), rel=1e-8
+        assert 5.0 / 6.0 * eval_oscillatory(ik_integrand(2, 5.0), 1e-12).value == pytest.approx(
+            eval_oscillatory(jk_integrand(4, 5.0), 1e-12).value, rel=1e-8
         )
 
     def test_zero(self):
-        assert eval_Jk(5, 0.0) == 0.0
+        assert eval_oscillatory(jk_integrand(5, 0.0), 1e-10).value == 0.0
 
     def test_odd_in_delta(self):
         # I_k is even, so the prefactor delta carries the odd symmetry of J_(k+2)
-        assert eval_Ik(2, -5.0, 1e-11) == pytest.approx(eval_Ik(2, 5.0, 1e-11), rel=1e-10)
-        assert eval_Jk(4, -5.0, 1e-11) == pytest.approx(-eval_Jk(4, 5.0, 1e-11), rel=1e-10)
-        assert -5.0 / 6.0 * eval_Ik(2, -5.0, 1e-11) == pytest.approx(
-            eval_Jk(4, -5.0, 1e-11), rel=1e-8
-        )
+        i_minus, i_plus, j_minus, j_plus = (
+            eval_oscillatory(f, 1e-11).value for f in (
+                ik_integrand(2, -5.0), ik_integrand(2, 5.0),
+                jk_integrand(4, -5.0), jk_integrand(4, 5.0)))
+        assert i_minus == pytest.approx(i_plus, rel=1e-10)
+        assert j_minus == pytest.approx(-j_plus, rel=1e-10)
+        assert -5.0 / 6.0 * i_minus == pytest.approx(j_minus, rel=1e-8)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("delta", [0.5, 2.0, 10.0, 30.0])
     def test_identity_across_grid(self, k, delta):
-        assert delta / (2.0 * (k + 1)) * eval_Ik(k, delta, 1e-13) == pytest.approx(
-            eval_Jk(k + 2, delta, 1e-13), rel=1e-8
+        ik = eval_oscillatory(ik_integrand(k, delta), 1e-13).value
+        assert delta / (2.0 * (k + 1)) * ik == pytest.approx(
+            eval_oscillatory(jk_integrand(k + 2, delta), 1e-13).value, rel=1e-8
         )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import io
 import json
@@ -1060,12 +1061,10 @@ def test_import_leaves_scipy_out(rp3bp_file):
     # the package integrates the flow with its own stepper; scipy is only the tests' oracle
     script = (
         "import contextlib, io, sys\n"
-        "from melsplit import FlowParams, build_rp3bp, cli, poincare_numeric\n"
+        "from melsplit import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['integrate', '--config', {rp3bp_file!r}, '--eps', '0.5',\n"
         "                     '--state', '0.3', '0.05', '0', '1', '--tspan', '0', '5'])\n"
-        "params = FlowParams(epsilon=0.5, config=build_rp3bp(0.3))\n"
-        "poincare_numeric(0.02, 0.01, 0.3, params, -1.0)\n"
         "print(code, 'scipy' in sys.modules)\n"
     )
     for source in ("import sys, melsplit.cli; print(0, 'scipy' in sys.modules)", script):
@@ -1114,6 +1113,29 @@ def test_each_command_imports_only_the_modules_it_runs(rp3bp_file, argv, modules
                              *(f"melsplit.{m}" for m in {"cli", "errors", *modules})})
 
 
+def _numpy_importers(package: Path) -> dict[str, list[int]]:
+    """The modules of ``package`` that import numpy, in any scope, with the lines that do."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                found.setdefault(path.stem, []).append(node.lineno)
+    return found
+
+
+def test_only_quadrature_imports_numpy():
+    # a function-level import loads numpy on whatever path first calls that
+    # function, which the per-command module sets above need not run
+    importers = _numpy_importers(Path(melsplit.__file__).parent)
+    assert set(importers) == {"quadrature"}, importers
+
+
 def test_package_names_load_on_first_use():
     script = (
         "import importlib, json, sys\n"
@@ -1136,7 +1158,7 @@ def test_package_names_load_on_first_use():
     assert got["before"] == ["melsplit"]  # no numpy and no submodule
     assert got["same"]  # every name is its module's object, cached in the package
     assert got["missing"] == "module 'melsplit' has no attribute 'no_such_name'"
-    assert len(got["all"]) == len(set(got["all"])) == 55
+    assert len(got["all"]) == len(set(got["all"])) == 50
     assert set(got["all"]) <= set(got["dir"]) and got["dir"] == sorted(got["dir"])
     assert got["star"] == sorted(got["all"])
 

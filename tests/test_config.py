@@ -27,7 +27,8 @@ from melsplit import (
 from melsplit.config import (_collinear_equal_system, _gravity, _pull, balance,
                              configuration_to_dict, rhomboid_parameters, rotate, scale)
 from references import (balance_reference, collinear_equal_reference,
-                        collinear_equidistant_reference, pull_reference)
+                        collinear_equidistant_reference, mass_array, position_array,
+                        pull_reference)
 
 
 def polygon_lambda(n: int) -> float:
@@ -159,7 +160,7 @@ class TestNormalizeOmega:
     def test_masses_and_barycenter_preserved(self, hexagon):
         out = normalize_omega(hexagon)
         assert [b.mass for b in out.bodies] == [b.mass for b in hexagon.bodies]
-        com = np.einsum("i,ij->j", out.masses(), out.positions())
+        com = np.einsum("i,ij->j", mass_array(out), position_array(out))
         assert np.hypot(*com) <= 1e-12
 
 
@@ -180,7 +181,7 @@ class TestBuilders:
             build_rp3bp(mu)
 
     def test_equilateral_unit_sides(self, equilateral_thirds):
-        pos = equilateral_thirds.positions()
+        pos = position_array(equilateral_thirds)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.hypot(*(pos[i] - pos[j])) == pytest.approx(1.0, abs=1e-14)
@@ -193,7 +194,7 @@ class TestBuilders:
 
     def test_equilateral_barycenter(self):
         c = build_equilateral(0.11, 0.57)
-        com = np.einsum("i,ij->j", c.masses(), c.positions())
+        com = np.einsum("i,ij->j", mass_array(c), position_array(c))
         assert np.hypot(*com) <= 1e-15
 
     def test_rhomboid_square_case(self, square_rhomboid):
@@ -366,6 +367,20 @@ class TestPull:
         np.testing.assert_allclose(np.array(p_line), want_p, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(np.array(q_line), want_q, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_a_line_pulls_as_the_plane_on_its_axis(self, n):
+        # on the axis hypot(dx, 0) is |dx|, so the line's p_x and q are the plane's
+        # bit for bit, and the plane's p_y, which a line leaves out, is all zeros
+        for chain in (solve_collinear_equal(n), solve_collinear_equidistant(max(n, 3))):
+            xs = [b.position[0] for b in chain.bodies]
+            p_line, q_line = _pull(xs)
+            (px, py), q = _pull([(x, 0.0) for x in xs])
+            assert [[v.hex() for v in row] for row in p_line] == \
+                [[v.hex() for v in row] for row in px]
+            assert [[v.hex() for v in row] for row in q_line] == \
+                [[v.hex() for v in row] for row in q]
+            assert all(v == 0.0 for row in py for v in row)
+
 
 #: every builder, and a builder's output turned, relabelled and scaled
 _BALANCED = {
@@ -432,7 +447,7 @@ class TestReflectionSymmetry:
     )
     def test_horizontal_axis_moments_vanish(self, maker):
         c = maker()
-        m, pos = c.masses(), c.positions()
+        m, pos = mass_array(c), position_array(c)
         r = np.hypot(pos[:, 0], pos[:, 1])
         for j in range(0, 9):
             assert abs(float(np.dot(m, pos[:, 1] * r**j))) <= 1e-13

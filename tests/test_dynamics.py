@@ -17,7 +17,6 @@ from melsplit import (
     FlowParams,
     IntegrationError,
     McGeheeState,
-    PoincareReturnError,
     build_equilateral,
     build_polygon,
     build_rhomboid,
@@ -27,13 +26,11 @@ from melsplit import (
     homoclinic,
     integrate,
     jacobi_constant,
-    poincare_numeric,
     rhs_mcgehee_t,
     s_closed_form,
     simple_zeros,
     solve_collinear_equal,
     splitting_terms,
-    theta_from_jacobi,
 )
 from melsplit import dynamics, melnikov, quadrature
 from melsplit.config import rotate
@@ -50,6 +47,8 @@ from references import (
     d_coeffs,
     duffing_rhs,
     hamiltonian,
+    mass_array,
+    position_array,
     rhs_array,
     rhs_mcgehee_tau,
 )
@@ -112,6 +111,21 @@ class TestFastAngle:
             )
             assert fd == pytest.approx(analytic, rel=1e-8)
 
+    @pytest.mark.parametrize("theta0", [1.0, -1.0, 0.6])
+    def test_matches_the_closed_form_at_40_digits(self, theta0):
+        # a Python float from the math library, within 2e-15 of the formula
+        eps, s0 = 0.5, 0.2
+        sign = 1 if theta0 > 0 else -1
+        for tau in np.linspace(-3.0, 3.0, 61).tolist():
+            got = s_closed_form(tau, s0, theta0, eps)
+            with mp.workdps(40):
+                t = mp.mpf(tau)
+                fast = mp.mpf(theta0) ** 3 / (24 * mp.mpf(eps) ** 3) * (9 * mp.sinh(t)
+                                                                        + mp.sinh(3 * t))
+                want = float(s0 - sign * 4 * mp.atan(mp.tanh(t / 2)) + sign * fast)
+            assert type(got) is float
+            assert abs(got - want) <= 2e-15 * max(1.0, abs(want))
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
@@ -122,47 +136,6 @@ class TestFastAngle:
         for theta0 in (1.0, -1.0):
             total = s_closed_form(tau, s0, theta0, 0.5) + s_closed_form(-tau, s0, theta0, 0.5)
             assert total == pytest.approx(2 * s0, abs=1e-9)
-
-
-class TestAngularMomentumBranch:
-    def test_zero_set_value(self):
-        assert theta_from_jacobi(0.0, 0.0, 2.0, 0.5) == -2.0
-
-    def test_quartic_approach(self):
-        # beyond the explicit -eps^3 (x^2 - y^2) drift the branch approaches
-        # -C like x^4: halving x cuts the remainder sixteenfold
-        c, eps = 1.5, 0.5
-        d1 = theta_from_jacobi(0.02, 0.0, c, eps) + c + eps**3 * 0.02**2
-        d2 = theta_from_jacobi(0.01, 0.0, c, eps) + c + eps**3 * 0.01**2
-        assert d1 / d2 == pytest.approx(16.0, rel=1e-3)
-
-    def test_series_matches_radical(self):
-        # v = 1.00001e-6, where the double-precision radical itself is 1e-10 off
-        c, eps = 1.2, 0.8
-        x = (1.00001e-6 / eps**3) ** 0.25
-        direct = theta_from_jacobi(x, 0.1, c, eps)
-        assert direct == pytest.approx(_theta_reference(x, 0.1, c, eps), rel=1e-13)
-
-    def test_negative_radicand(self):
-        with pytest.raises(ValueError):
-            theta_from_jacobi(1.5, 0.0, -40.0, 0.9)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(min_value=2.5e-3, max_value=0.05), st.floats(min_value=-1.0, max_value=1.0))
-    def test_series_continuity_property(self, x, y):
-        # the double-precision radical loses ~7 digits to cancellation here
-        c, eps = 1.0, 0.5
-        got = theta_from_jacobi(x, y, c, eps)
-        assert got == pytest.approx(_theta_reference(x, y, c, eps), rel=1e-13)
-
-
-def _theta_reference(x, y, c, eps):
-    """The branch (1 - sqrt(1 + 2 v g)) / v at 40 digits, v = eps^3 x^4."""
-    with mp.workdps(40):
-        x, y, c, eps = (mp.mpf(a) for a in (x, y, c, eps))
-        v = eps**3 * x**4
-        g = c + eps**3 * (x * x - y * y)
-        return float((1 - mp.sqrt(1 + 2 * v * g)) / v)
 
 
 def exact_potential_field(state, eps, config):
@@ -179,7 +152,7 @@ def exact_potential_field(state, eps, config):
         r = 1 / x**2
         radial, angular = (mp.cos(s), -mp.sin(s)), (-r * mp.sin(s), -r * mp.cos(s))
         u = du_dr = du_ds = mp.mpf(0)
-        for m, (ax, ay) in zip(config.masses(), config.positions()):
+        for m, (ax, ay) in zip(mass_array(config), position_array(config)):
             d = (r * radial[0] - eps**2 * float(ax), r * radial[1] - eps**2 * float(ay))
             dist = mp.hypot(*d)
             u -= float(m) / dist
@@ -273,7 +246,6 @@ class TestStatesAndFields:
         values = [(rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params),
                    jacobi_constant(state, params)) for _ in range(3)]
         integrate_mcgehee(state, params, (0.0, 1.0))
-        poincare_numeric(0.05, 0.0, 0.0, params, values[0][2])
         assert builds == [params] and values[1:] == values[:-1]
         # equal parameters are a separate object with their own field
         assert jacobi_constant(state, FlowParams(epsilon=0.5, config=rp3bp_03)) == values[0][2]
@@ -362,8 +334,7 @@ class TestIntegrate:
         traj = integrate_mcgehee(
             McGeheeState(0.0, 0.0, 0.25, 1.0), params, (0.0, 4 * math.pi), tol=1e-10
         )
-        assert np.max(np.abs(traj.states[0])) <= 1e-14
-        assert np.max(np.abs(traj.states[1])) <= 1e-14
+        assert max(abs(v) for y in traj.states for v in y[:2]) <= 1e-14
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
@@ -374,7 +345,7 @@ class TestIntegrate:
             return duffing_rhs(yv[0], yv[1], 0.8)
 
         forward = integrate(rhs, (0.9, 0.0), (0.0, 5.0), tol=1e-11)
-        back = integrate(rhs, forward.states[:, -1], (5.0, 0.0), tol=1e-11)
+        back = integrate(rhs, forward.states[-1], (5.0, 0.0), tol=1e-11)
         assert back.t[0] == 5.0 and back.t[-1] == 0.0 and np.all(np.diff(back.t) < 0)
         for t in np.linspace(0.0, 5.0, 11):
             assert np.max(np.abs(np.subtract(back.sol(float(t)), forward.sol(float(t))))) <= 1e-9
@@ -382,9 +353,27 @@ class TestIntegrate:
     def test_zero_length_span_is_the_initial_state(self):
         state0 = (0.3, 0.05, 1.0, 0.8)
         traj = integrate(lambda t, y: [-v for v in y], state0, (2.0, 2.0), tol=1e-10)
-        assert list(traj.t) == [2.0, 2.0]
-        assert np.array_equal(traj.states, np.column_stack([state0, state0]))
+        assert traj.t == (2.0, 2.0)
+        assert list(traj.states) == [list(state0)] * 2
         assert list(traj.sol(2.0)) == list(state0)
+
+    @pytest.mark.parametrize("t_span", [(0.0, 3.0), (3.0, 0.0), (2.0, 2.0)],
+                             ids=["forward", "backward", "zero-length"])
+    def test_trajectory_is_a_tuple_of_floats(self, t_span):
+        # (t, states, sol): the mesh as floats, one state list per mesh point, no arrays
+        state0 = (1.0, 0.0)
+        traj = integrate(lambda t, y: [y[1], -y[0]], state0, t_span, tol=1e-10)
+        assert isinstance(traj, dynamics.Trajectory) and isinstance(traj, tuple)
+        t, states, sol = traj
+        assert dynamics.Trajectory._fields == ("t", "states", "sol") and sol is traj.sol
+        assert isinstance(t, tuple) and all(type(v) is float for v in t)
+        assert (t[0], t[-1]) == t_span and len(states) == len(t) >= 2
+        assert all(type(y) is list and len(y) == 2 and all(type(v) is float for v in y)
+                   for y in states)
+        assert states[0] == list(state0) and sol(t[0]) == states[0]
+        for ti, y in zip(t, states):
+            assert sol(ti) == pytest.approx(y, rel=0.0, abs=1e-15)
+            assert y == pytest.approx([math.cos(ti - t[0]), -math.sin(ti - t[0])], abs=1e-8)
 
     @pytest.mark.parametrize("t_span, outside", [
         ((0.0, 1.0), (2.0, -5.0, 1.0 + 1e-15, -1e-300)),
@@ -455,9 +444,8 @@ class TestIntegrate:
                 st0 = McGeheeState(*state)
                 traj = integrate_mcgehee(st0, params, (0.0, t1), tol=1e-11)
                 c0 = jacobi_constant(st0, params)
-                for i in range(traj.states.shape[1]):
-                    st_i = McGeheeState(*(float(v) for v in traj.states[:, i]))
-                    assert abs(jacobi_constant(st_i, params) - c0) <= 1e-8
+                for y in traj.states:
+                    assert abs(jacobi_constant(McGeheeState(*y), params) - c0) <= 1e-8
 
     def test_time_rescaling_consistency(self, rp3bp_03):
         # the t-form and tau-form flows trace the same curve
@@ -472,7 +460,7 @@ class TestIntegrate:
             return d
 
         traj_t = integrate(rhs_t_aug, (*st0, 0.0), (0.0, 30.0), tol=1e-11)
-        tau_end = float(traj_t.states[4, -1])
+        tau_end = traj_t.states[-1][4]
 
         def rhs_tau(_tau, yv):
             return rhs_mcgehee_tau(yv, params)
@@ -492,32 +480,49 @@ class TestIntegrate:
         assert worst <= 1e-7
 
 
-class TestPoincare:
-    JACOBI_C = -1.0
+def _section_time(g, a: float, b: float) -> float:
+    """Bisect g(a) < 0 <= g(b) to a bracket of 4 eps (1 + |b|); returns its upper end."""
+    while b - a > 4.0 * sys.float_info.epsilon * (1.0 + abs(b)):
+        m = 0.5 * (a + b)
+        if g(m) < 0.0:
+            a = m
+        else:
+            b = m
+    return b
 
-    def params(self, config, trunc=3):
-        return FlowParams(epsilon=0.5, config=config, truncation_order=trunc)
 
-    def test_leading_term_ratios(self, rp3bp_03):
-        params = self.params(rp3bp_03)
-        x0, y0, s0 = 0.02, 0.01, 0.3
-        x1, y1, rt = poincare_numeric(x0, y0, s0, params, self.JACOBI_C, tol=1e-12)
+def _first_turn(traj, target: float) -> float:
+    """The time at which s first reaches ``target``, on the run's dense output."""
+    i = next(i for i, y in enumerate(traj.states) if y[2] >= target)
+    return _section_time(lambda t: traj.sol(t)[2] - target, traj.t[i - 1], traj.t[i])
+
+
+class TestOneTurn:
+    """One turn of s of the flow near x = y = 0, where s' = 1 - eps^3 theta x^4."""
+
+    @pytest.mark.parametrize("trunc", [3, 9])
+    def test_leading_term_ratios(self, rp3bp_03, trunc):
+        # x' = eps^3 x^3 y / sqrt 2 and y' = eps^3 x^4 (1 - theta^2 x^2) / sqrt 2
+        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=trunc)
+        x0, y0, s0, theta = 0.02, 0.01, 0.3, 1.0
+        traj = integrate_mcgehee(McGeheeState(x0, y0, s0, theta), params, (0.0, 3 * math.pi),
+                                 tol=1e-12)
+        x1, y1, _, _ = traj.sol(2 * math.pi)
         eps3 = 0.5**3
         lead_x = SQRT2 * math.pi * eps3 * x0**3 * y0
-        lead_y = SQRT2 * math.pi * eps3 * x0**4 * (1.0 - self.JACOBI_C**2 * x0**2)
+        lead_y = SQRT2 * math.pi * eps3 * x0**4 * (1.0 - theta**2 * x0**2)
         assert (x1 - x0) / lead_x == pytest.approx(1.0, abs=0.05)
         assert (y1 - y0) / lead_y == pytest.approx(1.0, abs=0.05)
-        assert rt == pytest.approx(2 * math.pi, abs=0.5)
+        assert _first_turn(traj, s0 + 2 * math.pi) == pytest.approx(2 * math.pi, abs=0.5)
 
     def test_fixed_point(self, rp3bp_03):
-        x1, y1, rt = poincare_numeric(0.0, 0.0, 0.7, self.params(rp3bp_03), self.JACOBI_C,
-                                      tol=1e-12)
-        assert x1 == 0.0 and y1 == 0.0
-        assert rt == pytest.approx(2 * math.pi, abs=1e-10)
-
-    def test_requires_small_x(self, rp3bp_03):
-        with pytest.raises(ValueError):
-            poincare_numeric(0.5, 0.0, 0.0, self.params(rp3bp_03), self.JACOBI_C)
+        params = FlowParams(epsilon=0.5, config=rp3bp_03)
+        traj = integrate_mcgehee(McGeheeState(0.0, 0.0, 0.7, 1.0), params, (0.0, 3 * math.pi),
+                                 tol=1e-12)
+        x1, y1, s1, theta1 = traj.sol(2 * math.pi)
+        assert x1 == 0.0 and y1 == 0.0 and theta1 == 1.0
+        assert s1 == pytest.approx(0.7 + 2 * math.pi, abs=1e-12)
+        assert _first_turn(traj, 0.7 + 2 * math.pi) == pytest.approx(2 * math.pi, abs=1e-10)
 
 
 class TestScipyOracle:
@@ -542,36 +547,38 @@ class TestScipyOracle:
             ref = solve_ivp(fields[-1], (0.0, 20.0), np.array(state), method="RK45",
                             rtol=1e-11, atol=1e-12, dense_output=True)
             assert len(traj.t) == len(ref.t)
-            assert np.max(np.abs(traj.t - ref.t)) <= 1e-7
-            for i, t in enumerate(traj.t):
-                assert np.max(np.abs(traj.states[:, i] - ref.sol(t))) <= 1e-13
+            assert np.max(np.abs(np.subtract(traj.t, ref.t))) <= 1e-7
+            for t, y in zip(traj.t, traj.states):
+                assert np.max(np.abs(np.subtract(y, ref.sol(t)))) <= 1e-13
             for t in np.linspace(0.0, 20.0, 41):
                 assert np.max(np.abs(traj.sol(float(t)) - ref.sol(float(t)))) <= 1e-13
 
     @pytest.mark.parametrize("trunc", [3, 9])
-    def test_return_map_matches_an_event_run(self, rp3bp_03, rotated_equilateral, trunc):
+    def test_one_turn_matches_an_event_run(self, rp3bp_03, rotated_equilateral, trunc):
+        # the section s = s0 + 2 pi, found on the dense output, against scipy's event
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-        rng, jacobi_c = np.random.default_rng(trunc), -1.0
+        rng = np.random.default_rng(trunc)
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(epsilon=0.5, config=cfg, truncation_order=trunc)
             for tol in (1e-12, 1e-10):
-                x0, y0 = rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02)
-                s0 = rng.uniform(0.0, 2.0 * math.pi)
-                target = s0 + 2.0 * math.pi
-
-                def rhs(_t, v):
-                    theta = theta_from_jacobi(v[0], v[1], jacobi_c, params.epsilon)
-                    return rhs_mcgehee_t(McGeheeState(v[0], v[1], v[2], theta), params)[:3]
+                state = (rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02),
+                         rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+                target = state[2] + 2.0 * math.pi
+                traj = integrate_mcgehee(McGeheeState(*state), params, (0.0, 3.0 * math.pi),
+                                         tol=tol)
+                t1 = _first_turn(traj, target)
+                x1, y1, _, theta1 = traj.sol(t1)
 
                 def crossing(_t, v):
                     return v[2] - target
 
                 crossing.terminal, crossing.direction = True, 1.0
-                ref = solve_ivp(rhs, (0.0, 3.0 * math.pi), [x0, y0, s0], method="RK45",
-                                rtol=tol, atol=tol / 10.0, events=crossing, max_step=0.5)
-                got = poincare_numeric(x0, y0, s0, params, jacobi_c, tol=tol)
-                want = (*ref.y_events[0][0][:2], ref.t_events[0][0])
-                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+                ref = solve_ivp(lambda _t, v: rhs_mcgehee_t(McGeheeState(*v), params),
+                                (0.0, 3.0 * math.pi), state, method="RK45", rtol=tol,
+                                atol=tol / 10.0, events=crossing)
+                at = ref.y_events[0][0]
+                want = (at[0], at[1], at[3], ref.t_events[0][0])
+                assert (x1, y1, theta1, t1) == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def _bits(values) -> list[str]:
@@ -579,7 +586,7 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def _steps_of_both(rhs, t0, y0, t1, tol, max_step=math.inf):
+def _steps_of_both(rhs, t0, y0, t1, tol):
     """Steps of today's stepper, after checking them against the oracle's bit for bit.
 
     Both steppers see the same rhs; each call's time and state, every accepted
@@ -593,7 +600,7 @@ def _steps_of_both(rhs, t0, y0, t1, tol, max_step=math.inf):
             calls.append(_bits([t, *y]))
             return rhs(t, y)
 
-        steps = list(stepper(counted, t0, [float(v) for v in y0], t1, tol, max_step))
+        steps = list(stepper(counted, t0, [float(v) for v in y0], t1, tol))
         runs.append((steps, calls))
     (new, new_calls), (old, old_calls) = runs
     assert len(new_calls) == len(old_calls) and new_calls == old_calls
@@ -625,8 +632,8 @@ class TestStepperOracle:
         steps, _ = _steps_of_both(fields[-1], t_span[0], state, t_span[1], 1e-11)
         # the trajectory is the oracle's mesh and states, and its dense output the oracle's
         assert _bits(traj.t) == _bits([t_span[0], *[t for t, _, _ in steps]])
-        assert _bits(traj.states.ravel()) == _bits(
-            np.array([state, *[y for _, y, _ in steps]]).T.ravel())
+        states = [state, *[y for _, y, _ in steps]]
+        assert [_bits(y) for y in traj.states] == [_bits(y) for y in states]
         mesh = [t_span[0], *[t for t, _, _ in steps]]
         for i, (t, _, piece) in enumerate(steps):
             for x in (0.125, 0.5, 0.875, 1.0):
@@ -655,10 +662,6 @@ class TestStepperOracle:
 
         steps, calls = _steps_of_both(rhs, 0.0, (2.0, 0.0), 10.0, 1e-8)
         assert len(calls) > 2 + 6 * len(steps)
-
-    def test_bounded_step_as_the_return_map_runs_it(self):
-        _steps_of_both(lambda t, y: [y[1], -y[0]], 0.0, (0.05, 0.0), 3.0 * math.pi, 1e-12,
-                       max_step=0.5)
 
     def test_zero_length_span(self):
         steps, calls = _steps_of_both(lambda t, y: [-v for v in y], 2.0, (0.3, 0.05), 2.0, 1e-10)

@@ -27,7 +27,8 @@ from melsplit.harmonics import (
     _cos_basis_fractions,
     _extend,
 )
-from references import c_coeffs, d_coeffs, d_l, legendre_pair, table_reference
+from references import (c_coeffs, d_coeffs, d_l, legendre_pair, mass_array, position_array,
+                        table_reference)
 
 
 def paper_c(config):
@@ -170,8 +171,9 @@ class TestNamedCoefficients:
         for config in (rp3bp_03, collinear8, hexagon, rotate(build_rhomboid(1.2, 1.0), 0.4)):
             c1 = paper_c(config)[0]
             assert c1 >= 0.0
-            pos = config.positions()
-            assert c1 == pytest.approx(float(config.masses() @ (pos**2).sum(axis=1)), rel=1e-14)
+            pos = position_array(config)
+            assert c1 == pytest.approx(float(mass_array(config) @ (pos**2).sum(axis=1)),
+                                       rel=1e-14)
 
 
 class TestHarmonicTable:
@@ -275,7 +277,7 @@ class TestHarmonicTable:
             "polygon7": lambda: build_polygon(7),
             "rotated": lambda: rotate(build_rhomboid(1.2, 1.0), 0.7),
         }[name]()
-        pos = config.positions()
+        pos = position_array(config)
         r = np.hypot(pos[:, 0], pos[:, 1])
         safe = np.where(r > 0.0, r, 1.0)
         ca, sa = pos[:, 0] / safe, np.where(r > 0.0, pos[:, 1] / safe, 0.0)
@@ -313,7 +315,7 @@ class TestHarmonicTable:
         # the running product's first j + 1 rows do not depend on how far it runs
         config = self._SHARED[name]()
         tables = HarmonicTables(config, 64)
-        masses, r = config.masses().tolist(), np.hypot(*config.positions().T).tolist()
+        masses, r = mass_array(config).tolist(), np.hypot(*position_array(config).T).tolist()
         for j in range(2, 65):
             self._assert_same_table(tables[j], harmonic_table(config, j))
             assert tables[j].weight == math.fsum([m * rk**j for m, rk in zip(masses, r)])
@@ -414,7 +416,7 @@ class TestRoundingBound:
             for c in (0.5, 1.0, 2.0, 3.0):
                 cfg = scale(base, c)
                 masses, radii, cos_m, sin_m = [], [], [], []
-                for m, (x, y) in zip(cfg.masses(), cfg.positions()):
+                for m, (x, y) in zip(mass_array(cfg), position_array(cfg)):
                     al = mp.atan2(float(y), float(x))
                     masses.append(mp.mpf(float(m)))
                     radii.append(mp.hypot(float(x), float(y)))

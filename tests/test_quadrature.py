@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from melsplit import (
     CubicPhaseIntegrand,
     QuadratureBudgetError,
-    eval_Ik,
-    eval_Jk,
     eval_oscillatory,
     eval_oscillatory_list,
     find_zeros,
@@ -67,13 +65,14 @@ class TestBasicContracts:
         assert res.value == pytest.approx(math.pi, abs=1e-12)
 
     def test_ik_zero_values(self):
-        # I_k(0) = pi/2 (2k-3)!!/(2k-2)!!
+        # I_k(0) = pi/2 (2k-3)!!/(2k-2)!!, half the integral over R
         for k in range(1, 5):
             ratio = math.prod(range(2 * k - 3, 0, -2)) / math.prod(range(2 * k - 2, 0, -2))
-            assert eval_Ik(k, 0.0) == pytest.approx(math.pi / 2 * ratio, abs=1e-13)
+            assert eval_oscillatory(ik_integrand(k, 0.0), 1e-10).value == pytest.approx(
+                math.pi * ratio, abs=2e-13)
 
     def test_jk_zero_is_zero(self):
-        assert eval_Jk(2, 0.0) == 0.0
+        assert eval_oscillatory(jk_integrand(2, 0.0), 1e-10).value == 0.0
 
     def test_degree_limit_enforced(self):
         with pytest.raises(ValueError, match="divergent"):
@@ -455,29 +454,30 @@ class TestSymmetries:
     @pytest.mark.parametrize("k", [1, 2, 4, 6])
     @pytest.mark.parametrize("delta", [0.7, 3.0, 12.0])
     def test_ik_even(self, k, delta):
-        assert eval_Ik(k, delta, 1e-11) == pytest.approx(
-            eval_Ik(k, -delta, 1e-11), abs=1e-10
+        assert eval_oscillatory(ik_integrand(k, delta), 1e-11).value == pytest.approx(
+            eval_oscillatory(ik_integrand(k, -delta), 1e-11).value, abs=2e-10
         )
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     @pytest.mark.parametrize("delta", [0.7, 3.0, 12.0])
     def test_jk_odd(self, k, delta):
-        assert eval_Jk(k, delta, 1e-11) == pytest.approx(
-            -eval_Jk(k, -delta, 1e-11), abs=1e-10
+        assert eval_oscillatory(jk_integrand(k, delta), 1e-11).value == pytest.approx(
+            -eval_oscillatory(jk_integrand(k, -delta), 1e-11).value, abs=2e-10
         )
 
     def test_j1_rejected(self):
         with pytest.raises(ValueError):
-            eval_Jk(1, 1.0)
+            quadrature.jk_integrand(1, 1.0)
 
 
 class TestRecurrence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("delta", [0.5, 2.0, 10.0])
     def test_identity_published_grid(self, k, delta):
-        j = eval_Jk(k + 2, delta, 1e-12)
-        rec = delta / (2.0 * (k + 1)) * eval_Ik(k, delta, 1e-12)
-        assert j == pytest.approx(rec, rel=1e-8)
+        # both full-line integrals, twice J_(k+2) and I_k
+        j = eval_oscillatory(jk_integrand(k + 2, delta), 1e-12).value
+        ik = eval_oscillatory(ik_integrand(k, delta), 1e-12).value
+        assert j == pytest.approx(delta / (2.0 * (k + 1)) * ik, rel=1e-8)
 
 
 class TestNamedFunctions:
@@ -810,7 +810,6 @@ class TestZeroPhaseResidue:
         for f in basis:
             res = _bits(eval_oscillatory(f, 1e-10))
             assert res == _bits(zero_phase_by_u_basis(expanded(f))) == _bits(_taylor_shift_value(f))
-        assert eval_Ik(k, 0.0) == 0.5 * zero_phase_by_u_basis(expanded(basis[0])).value
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[_coefficients()] * 4), st.integers(-6, 12), st.integers(-6, 12),
