@@ -153,22 +153,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# config build's builders: name -> the configuration, from the config module and the arguments
+_BUILDERS = {
+    "rp3bp": lambda cfg, args: cfg.build_rp3bp(args.mu),
+    "equilateral": lambda cfg, args: cfg.build_equilateral(args.m1, args.m2),
+    "rhomboid": lambda cfg, args: cfg.build_rhomboid(args.a, args.b),
+    "collinear-equal": lambda cfg, args: cfg.solve_collinear_equal(args.n),
+    "collinear-equidistant": lambda cfg, args: cfg.solve_collinear_equidistant(args.n),
+    "polygon": lambda cfg, args: cfg.build_polygon(args.n, normalize=args.normalize),
+}
+
+
+def _builder_parameters(p: _Parser) -> None:
+    """The builders' parameters, with their defaults: ``config build`` and ``catalog`` take them."""
+    p.add_argument("--mu", type=float, default=0.5)
+    p.add_argument("--m1", type=float, default=1.0 / 3.0)
+    p.add_argument("--m2", type=float, default=1.0 / 3.0)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=7)
+
+
 def _config_arguments(p: _Parser) -> None:
     csub = p.add_subparsers(dest="config_command", required=True)
     pv = csub.add_parser("validate", help="validate a configuration JSON file")
     pv.add_argument("path")
     pb = csub.add_parser("build", help="build a named configuration")
-    pb.add_argument(
-        "builder",
-        choices=["rp3bp", "equilateral", "rhomboid", "collinear-equal",
-                 "collinear-equidistant", "polygon"],
-    )
-    pb.add_argument("--mu", type=float, default=0.5)
-    pb.add_argument("--m1", type=float, default=1.0 / 3.0)
-    pb.add_argument("--m2", type=float, default=1.0 / 3.0)
-    pb.add_argument("--a", type=float, default=1.0)
-    pb.add_argument("--b", type=float, default=1.0)
-    pb.add_argument("--n", type=int, default=7)
+    pb.add_argument("builder", choices=list(_BUILDERS))
+    _builder_parameters(pb)
     pb.add_argument("--normalize", action="store_true")
     pb.add_argument("-o", "--output", default=None)
 
@@ -251,12 +263,7 @@ def _catalog_arguments(p: _Parser) -> None:
     from .catalog import CASES
 
     p.add_argument("case", help="|".join(CASES) + " | all")
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--m1", type=float, default=1.0 / 3.0)
-    p.add_argument("--m2", type=float, default=1.0 / 3.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=7)
+    _builder_parameters(p)
 
 
 def _cmd_config(args, out) -> int:
@@ -278,16 +285,7 @@ def _cmd_config(args, out) -> int:
             out,
         )
         return EXIT_OK if valid else EXIT_USAGE
-    builders = {
-        "rp3bp": lambda: cfg.build_rp3bp(args.mu),
-        "equilateral": lambda: cfg.build_equilateral(args.m1, args.m2),
-        "rhomboid": lambda: cfg.build_rhomboid(args.a, args.b),
-        "collinear-equal": lambda: cfg.solve_collinear_equal(args.n),
-        "collinear-equidistant": lambda: cfg.solve_collinear_equidistant(args.n),
-        "polygon": lambda: cfg.build_polygon(args.n, normalize=args.normalize),
-    }
-    c = builders[args.builder]()
-    payload = cfg.configuration_to_dict(c)
+    payload = cfg.configuration_to_dict(_BUILDERS[args.builder](cfg, args))
     if args.output:
         with open(args.output, "w") as fh:
             _emit_json(payload, fh)

@@ -65,7 +65,11 @@ the upper half plane, where the integrand neither oscillates nor cancels:
   exponential times the weight over the pole factors) must not be 0, else
   the call raises QuadratureBudgetError.  So no term is the NaN of inf / inf
   where a pole power overflows far out on the arm, and none is dropped that
-  is not shown negligible.
+  is not shown negligible.  ``_terms`` flags each row that breaks the rule,
+  and ``_kernel_calls``, through which every pass goes, applies it once,
+  beside the evaluation budget.  Each integral's row owns its outcome, a
+  result or the error its own call raises, set where the level rule
+  (``_Row.settles``) stops it or a rule fails it.
 
 ``error_estimate`` adds the difference of the last two levels, the end
 terms of the window standing for the truncated tails (past an end the
@@ -263,12 +267,13 @@ def _pole(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _terms(arm: _Arm, s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled terms G(z) dz/dv at z = ih + g s e^(i pi/6), and their rounding charges.
+def _terms(arm: _Arm, s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled terms G(z) dz/dv at z = ih + g s e^(i pi/6), their rounding charges, broken rows.
 
     ``s`` is exp(pi/2 sinh v) at the nodes v and ``ds`` its derivative in v.
-    With column fields there is one row of terms per integral.  A node
-    that breaks the rule below has a NaN term.
+    With column fields there is one row of terms per integral.  The third
+    is a flag per row, true where a node breaks the rule below; the terms
+    and charges of such a row are not to be read.
     """
     delta, alpha, beta, a, b, g, log_negligible = arm
     h = 1.0 - g
@@ -291,14 +296,11 @@ def _terms(arm: _Arm, s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.nda
     kept = (np.log(num_bound) + psi.real + np.log(ds)
             - b * np.log(np.abs(w)) - a * np.log(np.abs(zp))) > log_negligible
     abs_rest = np.abs(rest)
-    terms = np.where(kept, vals, 0.0)
-    broken = kept & ~(np.isfinite(vals) & (abs_rest > 0.0))
-    if np.logical_or.reduce(broken, axis=None):
-        terms[broken] = np.nan
+    broken = np.logical_or.reduce(kept & ~(np.isfinite(vals) & (abs_rest > 0.0)), axis=-1)
     # eps (2 (|a| + |b|) + 8 + 3 |psi|) |rest| num_bound, with eps, a power of
     # two, taken into the sum: the same bits in one product fewer
     charge = (_EPS * (2 * (abs(a) + abs(b)) + 8) + 3.0 * _EPS * np.abs(psi)) * abs_rest * num_bound
-    return terms, np.where(kept, charge, 0.0)
+    return np.where(kept, vals, 0.0), np.where(kept, charge, 0.0), broken
 
 
 def _exp_sinh(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,10 +317,14 @@ def _first_pass(reach: float, finest: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Row:
-    """One integral of a pass: its arm, scale and target, and the state of its levels."""
+    """One integral of a pass: its arm, scale and target, the state of its levels, its outcome.
+
+    ``outcome`` is None until the row settles, as its QuadratureResult, or
+    fails, as the error its own ``eval_oscillatory`` call raises.
+    """
 
     __slots__ = ("index", "arm", "log_phase", "log_scale", "log_g", "target", "evaluations",
-                 "tail", "previous", "rounding")
+                 "tail", "previous", "rounding", "outcome")
 
     def __init__(self, index: int, delta: float, alpha: complex, beta: complex, a: int, b: int,
                  tol: float):
@@ -333,10 +339,26 @@ class _Row:
         self.target = tol * math.exp(-max(self.log_scale, 0.0))
         # a scaled term is (|alpha| |z| + |beta|) |e^psi| g ds/dv g^b (2 - g)^a
         # / (|z - i|^b |z + i|^a) at most; it is negligible below eps target,
-        # which here is over the constant factor
+        # which here is over the constant factor.  That bound is a positive
+        # double, or math.log raises, so log_scale stays below about 702 and
+        # exp(log_scale) in ``result`` cannot overflow
         self.arm = _Arm(delta, alpha, beta, a, b, g,
                         math.log(_EPS * self.target) - (b + 1) * log_g - a * log_2g)
-        self.index, self.log_g, self.evaluations = index, log_g, 0
+        self.index, self.log_g, self.evaluations, self.outcome = index, log_g, 0, None
+
+    def settles(self, current: complex, rounding: float) -> bool:
+        """The level rule, for the sum ``current`` of the level after ``previous`` and its charge.
+
+        A row stops at the first level that agrees with the one before it,
+        or differs from it only by rounding: its outcome is set and the
+        rule returns True.  Otherwise that level becomes ``previous``.
+        """
+        change = abs(current - self.previous)
+        if change <= max(self.target / 8.0, rounding):
+            self.outcome = self.result(current, change, rounding)
+            return True
+        self.previous, self.rounding = current, rounding
+        return False
 
     def result(self, current: complex, change: float, rounding: float) -> QuadratureResult:
         scale = math.exp(self.log_scale)
@@ -352,20 +374,22 @@ def _arms(rows: list[_Row]) -> _Arm:
     return _Arm(*[np.array(field)[:, None] for field in zip(*[row.arm for row in rows])])
 
 
-def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray, outcomes: list) -> list:
+def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray) -> list:
     """(rows, terms, charges) of each kernel call that evaluates ``rows`` at the nodes.
 
     A call holds fewer than _ELISION nodes, or one row, whose nodes are
-    split over calls of _CHUNK.  A row that would pass the evaluation
-    budget is not evaluated, and gets the error its own call raises as its
-    outcome.
+    split over calls of _CHUNK.  Every pass evaluates through here, so here
+    the budget rule and the rule of ``_terms`` are applied, once: a row
+    that would pass the evaluation budget is not evaluated, and a row with
+    a term that breaks the rule has its terms and charges zeroed, out of
+    the call's sums, and None in its slot of the call's rows.  Either gets
+    the error its own call raises as its outcome.
     """
     n = len(s)
     going = []
     for row in rows:
         if row.evaluations + n > EVALUATION_BUDGET:
-            outcomes[row.index] = QuadratureBudgetError(
-                f"evaluation budget {EVALUATION_BUDGET} exhausted")
+            row.outcome = QuadratureBudgetError(f"evaluation budget {EVALUATION_BUDGET} exhausted")
         else:
             row.evaluations += n
             going.append(row)
@@ -375,30 +399,29 @@ def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray, outcomes: lis
         block = going[lo:lo + per_call]
         arm = block[0].arm if len(block) == 1 else _arms(block)
         if n <= _CHUNK:
-            vals, noise = _terms(arm, s, ds)
+            vals, noise, broken = _terms(arm, s, ds)
         else:
-            parts = [_terms(arm, s[i:i + _CHUNK], ds[i:i + _CHUNK]) for i in range(0, n, _CHUNK)]
-            vals, noise = (np.concatenate(part, axis=-1) for part in zip(*parts))
-        calls.append((block, vals.reshape(len(block), n), noise.reshape(len(block), n)))
+            vals, noise, broken = zip(*[_terms(arm, s[i:i + _CHUNK], ds[i:i + _CHUNK])
+                                        for i in range(0, n, _CHUNK)])
+            vals, noise = np.concatenate(vals, axis=-1), np.concatenate(noise, axis=-1)
+            broken = np.logical_or.reduce(broken)
+        vals, noise = vals.reshape(len(block), n), noise.reshape(len(block), n)
+        for r in itertools.compress(range(len(block)), broken.reshape(len(block)).tolist()):
+            block[r].outcome = QuadratureBudgetError(
+                "a term not shown below eps tol overflows or is dropped as underflowed")
+            block[r], vals[r], noise[r] = None, 0.0, 0.0
+        calls.append((block, vals, noise))
     return calls
 
 
-def _broken(row: _Row, outcomes: list) -> None:
-    """Set the outcome of a row with a NaN term, one that breaks the rule of ``_terms``."""
-    outcomes[row.index] = QuadratureBudgetError(
-        "a term not shown below eps tol overflows or is dropped as underflowed")
-
-
-def _first_levels(rows: list, vals: np.ndarray, noise: np.ndarray, outcomes: list) -> list[_Row]:
+def _first_levels(rows: list, vals: np.ndarray, noise: np.ndarray) -> list[_Row]:
     """The levels of the grid the rows are evaluated on; the rows that go on past them.
 
     ``rows[r]``, its ``tail`` set, has its terms and charges in row r of
     ``vals`` and ``noise``; it is None where that row is not to be read.
     Level l, of step _STEP / 2^l, is every 2^(finest - l)-th node, so its
     trapezoid sum is a strided sum, taken for all the rows when the first
-    of them reaches it.
-    The level rule: a row stops at the first level that agrees with the one
-    before it, or differs from it only by rounding.
+    of them reaches it; a row goes through them until ``_Row.settles`` stops it.
     """
     finest = _FIRST_LEVELS - 1
     coarsest = np.add.reduce(vals[:, ::1 << finest], axis=1).tolist()
@@ -407,34 +430,21 @@ def _first_levels(rows: list, vals: np.ndarray, noise: np.ndarray, outcomes: lis
     for r, row in enumerate(rows):
         if row is None:
             continue
-        bound, previous = row.target / 8.0, _STEP * coarsest[r]
+        row.previous = _STEP * coarsest[r]
         for level in range(1, finest + 1):
             if level > len(levels):
                 stride = 1 << (finest - level)
                 levels.append((_STEP / 2**level, np.add.reduce(vals[:, ::stride], axis=1).tolist(),
                                np.add.reduce(noise[:, ::stride], axis=1).tolist()))
             step, sums, noise_sums = levels[level - 1]
-            current, rounding = step * sums[r], step * noise_sums[r]
-            change = abs(current - previous)
-            if change <= max(bound, rounding):
-                _settle(row, current, change, rounding, outcomes)
+            if row.settles(step * sums[r], step * noise_sums[r]):
                 break
-            previous = current
         else:
-            row.previous, row.rounding = previous, rounding
             going.append(row)
     return going
 
 
-def _settle(row: _Row, current: complex, change: float, rounding: float, outcomes: list) -> None:
-    """Set the outcome of a row the level rule stops."""
-    try:
-        outcomes[row.index] = row.result(current, change, rounding)
-    except OverflowError as exc:  # the scale
-        outcomes[row.index] = exc.with_traceback(None)
-
-
-def _later_levels(rows: list[_Row], start: float, intervals: int, outcomes: list) -> None:
+def _later_levels(rows: list[_Row], start: float, intervals: int) -> None:
     """Levels past the evaluated grid, for rows whose grids start at v = ``start``.
 
     Each level evaluates the midpoints of the finest grid's ``intervals``,
@@ -446,25 +456,17 @@ def _later_levels(rows: list[_Row], start: float, intervals: int, outcomes: list
         step /= 2.0
         s, ds = _exp_sinh(start + step * (2 * np.arange(intervals) + 1))
         going = []
-        for block, more, more_noise in _kernel_calls(rows, s, ds, outcomes):
+        for block, more, more_noise in _kernel_calls(rows, s, ds):
             sums = np.add.reduce(more, axis=1).tolist()
             noise_sums = np.add.reduce(more_noise, axis=1).tolist()
             for r, row in enumerate(block):
-                if sums[r] != sums[r] and np.isnan(more[r]).any():  # a NaN sum: a NaN term?
-                    _broken(row, outcomes)
-                    continue
-                current = row.previous / 2.0 + step * sums[r]
-                rounding = row.rounding / 2.0 + step * noise_sums[r]
-                change = abs(current - row.previous)
-                if change <= max(row.target / 8.0, rounding):
-                    _settle(row, current, change, rounding, outcomes)
-                else:
-                    row.previous, row.rounding = current, rounding
+                if row is not None and not row.settles(row.previous / 2.0 + step * sums[r],
+                                                       row.rounding / 2.0 + step * noise_sums[r]):
                     going.append(row)
         rows, intervals = going, 2 * intervals
 
 
-def _widened(row: _Row, vals: np.ndarray, noise: np.ndarray, floor: float, outcomes: list) -> None:
+def _widened(row: _Row, vals: np.ndarray, noise: np.ndarray, floor: float) -> None:
     """A row with an end term above ``floor``: that end widened, then the row's levels alone.
 
     Ends are widened by whole coarse steps, with the grid's own nodes.  Past
@@ -482,22 +484,18 @@ def _widened(row: _Row, vals: np.ndarray, noise: np.ndarray, floor: float, outco
                                   + (math.log(abs(vals[side]) / floor) + 1.0) / _HALF_PI)
                 width = max(1, math.ceil((goal - reach) / _STEP))
             except OverflowError as exc:  # the end term over the floor overflows
-                outcomes[row.index] = exc.with_traceback(None)
+                row.outcome = exc.with_traceback(None)
                 return
             v = window[side] + sign * fine * np.arange(1, (width << finest) + 1)  # outermost last
-            calls = _kernel_calls([row], *_exp_sinh(v), outcomes)
-            if not calls:  # past the budget
+            calls = _kernel_calls([row], *_exp_sinh(v))
+            if row.outcome is not None:  # past the budget, or a term breaks the rule
                 return
-            _, more, more_noise = calls[0]
-            if np.isnan(more).any():
-                _broken(row, outcomes)
-                return
+            ((_, more, more_noise),) = calls
             vals, noise = (np.concatenate((old, new) if side else (new[::-1], old))
                            for old, new in zip((vals, noise), (more[0], more_noise[0])))
             window[side] = float(v[-1])
     row.tail = abs(vals[0]) + abs(vals[-1])
-    _later_levels(_first_levels([row], vals[None], noise[None], outcomes),
-                  window[0], len(vals) - 1, outcomes)
+    _later_levels(_first_levels([row], vals[None], noise[None]), window[0], len(vals) - 1)
 
 
 def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
@@ -513,7 +511,7 @@ def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
     """
     if integrands and not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-13, 1e-3], got {tol!r}")
-    outcomes: list = [None] * len(integrands)
+    outcomes: list = [None] * len(integrands)  # of the integrals without a row
     rows = []
     for i, integrand in enumerate(integrands):
         delta, alpha, beta, a, b = _normalized(integrand)
@@ -533,27 +531,26 @@ def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
     # step _STEP / 2^l, is every 2^(finest - l)-th node of it.  The first
     # pass evaluates the grid of the coarsest level and its first halvings
     # on v in [-_REACH, _REACH]
-    finest = _FIRST_LEVELS - 1
-    s, ds = _first_pass(_REACH, finest)
+    s, ds = _first_pass(_REACH, _FIRST_LEVELS - 1)
     shared = []
-    for block, vals, noise in _kernel_calls(rows, s, ds, outcomes):
+    for block, vals, noise in _kernel_calls(rows, s, ds):
         settle = [None] * len(block)  # the rows whose levels are read from this call's terms
         peaks = np.maximum.reduce(np.abs(vals), axis=1).tolist()
         ends = vals[:, ::len(s) - 1].tolist()
         for r, (row, peak, (first, last)) in enumerate(zip(block, peaks, ends)):
-            if peak != peak:  # NaN: a NaN term
-                _broken(row, outcomes)
-                vals[r] = noise[r] = 0.0  # out of the call's level sums
+            if row is None:
                 continue
             floor = max(row.target / 256.0, _EPS * peak)
             first, last = abs(first), abs(last)
             if first > floor or last > floor:
-                _widened(row, vals[r], noise[r], floor, outcomes)
+                _widened(row, vals[r], noise[r], floor)
             else:
                 row.tail, settle[r] = first + last, row
-        shared += _first_levels(settle, vals, noise, outcomes)
+        shared += _first_levels(settle, vals, noise)
     if shared:
-        _later_levels(shared, -_REACH, len(s) - 1, outcomes)
+        _later_levels(shared, -_REACH, len(s) - 1)
+    for row in rows:
+        outcomes[row.index] = row.outcome
     return outcomes
 
 
@@ -567,13 +564,10 @@ def eval_oscillatory(
     level change, the truncated tails and the rounding charges of the terms.
     A term shown below eps tol is 0, and every other must be finite (see
     the module docstring).  More than ``EVALUATION_BUDGET`` evaluations, or
-    a term that breaks that rule, raise QuadratureBudgetError.  This is the
-    one-integrand case of ``eval_oscillatory_list``.
+    a term that breaks that rule, raise QuadratureBudgetError.  This is
+    ``eval_oscillatory_list`` over a list of one.
     """
-    (outcome,) = _outcomes([integrand], tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return eval_oscillatory_list((integrand,), tol)[0]
 
 
 def eval_oscillatory_list(
@@ -589,7 +583,7 @@ def eval_oscillatory_list(
     integrand before it raised a ValueError or ArithmeticError, which is
     then raised instead.
     """
-    return tuple(_each(integrands, tol))
+    return tuple([*_each(integrands, tol)])
 
 
 def _each(integrands: Iterable[CubicPhaseIntegrand], tol: float) -> Iterator[QuadratureResult]:
@@ -598,6 +592,7 @@ def _each(integrands: Iterable[CubicPhaseIntegrand], tol: float) -> Iterator[Qua
     ``integrands`` is consumed until building one raises a ValueError or
     ArithmeticError.  A failed integral raises its error in its place, and
     the build error is raised after the results of the integrands built.
+    This is the one place where an outcome that is an error is raised.
     """
     built, failure = [], None
     try:

@@ -96,9 +96,15 @@ class TestBasicContracts:
             assert_contour_shift_agrees(F61(tt), 1e-11)
 
     def test_budget_error_reported(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "EVALUATION_BUDGET", 200)
-        with pytest.raises(QuadratureBudgetError):
-            eval_oscillatory(F4(9.0), 1e-13)  # the first call alone needs 257
+        for integrand, tol, budget, reach in (
+                (F4(9.0), 1e-13, 200, 4.0),  # the first call alone needs 257
+                (harmonic_integrand(30, 2, 4.0), 1e-10, 250, 3.75)):  # 241, then an end widened
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "EVALUATION_BUDGET", budget)
+                m.setattr(quadrature, "_REACH", reach)
+                with pytest.raises(QuadratureBudgetError,
+                                   match=f"^evaluation budget {budget} exhausted$"):
+                    eval_oscillatory(integrand, tol)
 
     @pytest.mark.parametrize("reach", [1.0, 2.0])
     def test_a_narrow_first_window_is_widened(self, monkeypatch, reach):
@@ -114,17 +120,27 @@ class TestBasicContracts:
             assert widened.error_estimate <= 1e-10
             assert abs(widened.value - default.value) <= widened.error_estimate + default.error_estimate
 
-    @pytest.mark.parametrize("integrand", [
-        CubicPhaseIntegrand(0.0, 1j, -200, 203, 1e-10), CubicPhaseIntegrand(0.0, 1j, -100, 103, 1e-10),
-        CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0)], ids=["a-200", "a-100", "overflow"])
-    def test_a_dropped_term_that_is_not_negligible_is_an_error(self, integrand):
+    @pytest.mark.parametrize("integrand, reach", [
+        (CubicPhaseIntegrand(0.0, 1j, -200, 203, 1e-10), 4.0),
+        (CubicPhaseIntegrand(0.0, 1j, -100, 103, 1e-10), 4.0),
+        (CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0), 4.0),
+        (CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0), 1.0)],
+        ids=["a-200", "a-100", "overflow", "overflow-widened"])
+    def test_a_dropped_term_that_is_not_negligible_is_an_error(self, monkeypatch, integrand, reach):
         # (z + i)^200 / (z - i)^203 falls like |z|^-3, but near |z| = 40,
         # where d = 1e-10 leaves the terms far from negligible, (z - i)^203
         # overflows and (z + i)^-200 underflows, so the pole factor is inf or
         # NaN and the rest 0 or NaN; with a numerator of 1e308 the kept terms
-        # themselves overflow
-        with pytest.raises(QuadratureBudgetError, match="dropped"):
+        # themselves overflow, in the first pass, or with the window
+        # narrowed to v in [-1, 1], on the stretch that widens it
+        widened, widen = [], quadrature._widened
+        monkeypatch.setattr(quadrature, "_REACH", reach)
+        monkeypatch.setattr(quadrature, "_widened",
+                            lambda row, *args: widened.append(row.index) or widen(row, *args))
+        with pytest.raises(QuadratureBudgetError, match="^a term not shown below eps tol "
+                                                        "overflows or is dropped as underflowed$"):
             eval_oscillatory(integrand, 1e-10)
+        assert widened == ([0] if reach == 1.0 else [])
 
     def test_truncation_honesty(self):
         # moving the tail cutoff changes the value by less than the estimate
@@ -246,7 +262,7 @@ def test_rounding_charge_covers_the_split_pole_powers(alpha, beta, a, b, d):
     arm = quadrature._Arm(d, alpha, beta, a, b, g, math.log(quadrature._EPS * target)
                           - (b + 1) * math.log(g) - a * math.log(2.0 - g))
     s, ds = quadrature._first_pass(quadrature._REACH, quadrature._FIRST_LEVELS - 1)
-    vals, charge = quadrature._terms(arm, s, ds)
+    vals, charge, _ = quadrature._terms(arm, s, ds)
     w0 = (g * quadrature._RAY) * s
     with np.errstate(over="ignore", invalid="ignore"):
         pole = (quadrature._power((w0 - 1j * g) / g, b)
@@ -321,13 +337,27 @@ def test_list_pass_on_the_fsweep_grids():
             _assert_list_is_single_calls([named_integrand(name)(tt) for tt in nodes], 1e-10)
 
 
-@pytest.mark.parametrize("tt", [1.0, 1.5, 2.5])
-def test_list_pass_on_the_j64_grid(tt):
+@pytest.mark.parametrize("tt, chunk", [(1.0, None), (1.5, None), (2.5, None), (1.5, 128),
+                                       (1.5, 64)],
+                         ids=["1.0", "1.5", "2.5", "1.5-chunk128", "1.5-chunk64"])
+def test_list_pass_on_the_j64_grid(monkeypatch, tt, chunk):
     # 1055 integrals over every (a, b); at these theta some go on past the
-    # first pass's levels, a kernel call per level over all of them
-    listed = _assert_list_is_single_calls([harmonic_integrand(j, k, tt) for j, k in J64_GRID],
-                                          1e-10)
-    assert len(listed) == 1055 and max(r.evaluations for r in listed) > 257
+    # first pass's levels, a kernel call per level over all of them.  A
+    # _CHUNK below the 257 nodes of the first pass splits every kernel call
+    # over several _terms calls: with I_k beside them, every result, listed
+    # or of a single call at tol 1e-13, is then that at the default
+    integrands = [harmonic_integrand(j, k, tt) for j, k in J64_GRID]
+    if chunk is not None:
+        integrands += [quadrature.ik_integrand(k, d) for k in range(1, 7)
+                       for d in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0)]
+        default_listed = [_hex(r) for r in eval_oscillatory_list(integrands, 1e-10)]
+        default_single = [_hex(eval_oscillatory(f, 1e-13)) for f in integrands]
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        assert [_hex(eval_oscillatory(f, 1e-13)) for f in integrands] == default_single
+    listed = _assert_list_is_single_calls(integrands, 1e-10)
+    assert len(listed) >= 1055 and max(r.evaluations for r in listed) > 257
+    if chunk is not None:
+        assert [_hex(r) for r in listed] == default_listed
 
 
 def test_list_pass_on_a_mixed_list(monkeypatch):
@@ -366,6 +396,14 @@ def test_the_first_failing_integrand_in_the_list_raises(monkeypatch):
         with pytest.raises(type(alone.value)) as listed:
             eval_oscillatory_list(integrands, 1e-10)
         assert str(listed.value) == str(alone.value)
+        # the results yielded before the raise are those of single calls,
+        # their rows evaluated beside the failing ones
+        for listing, settled_first in ((integrands, 1), (settled + list(order), 3)):
+            before = []
+            with pytest.raises(type(alone.value)):
+                for res in quadrature._each(listing, 1e-10):
+                    before.append(_hex(res))
+            assert before == [_hex(eval_oscillatory(f, 1e-10)) for f in settled[:settled_first]]
     assert eval_oscillatory_list([], 1.0) == ()  # no integral, so no tolerance to refuse
 
 
