@@ -123,10 +123,30 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     return nodes
 
 
-def _sampled(points: int, *polynomials: SplittingTerms) -> list[tuple[float, ...]]:
-    """Rows of s0 = 2 pi i / points, i < points, and each polynomial's value there."""
+def _sampled(points: int, factor: float, *polynomials: SplittingTerms) -> list[tuple[float, ...]]:
+    """Rows of s0 = 2 pi i / points, i < points, and ``factor`` (``_gauge``) times each value."""
     s0s = [2.0 * math.pi * i / points for i in range(points)]
-    return list(zip(s0s, *[[p.value(s0) for s0 in s0s] for p in polynomials]))
+    columns = [[factor * p.value(s0) for s0 in s0s] for p in polynomials]
+    if not all([math.isfinite(v) for column in columns for v in column]):
+        raise OverflowError(f"a value times the gauge factor {factor!r} overflows")
+    return list(zip(s0s, *columns))
+
+
+def _gauge(theta: float, eps: float, power: int) -> tuple[float, float]:
+    """(theta/eps, eps^-power) for 0 < eps <= 1: where the library computes, and back to eps.
+
+    The library computes at eps = 1 in the variables (eps x, eps y, s,
+    theta/eps), where eps^-(2j+2) takes the order 2j, and eps^-2 a sum of
+    orders weighted by eps^(2j), to the given eps.
+    """
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1], got {eps!r}")
+    if math.isinf(theta / eps) and math.isfinite(theta):
+        raise OverflowError(f"theta/eps overflows at theta = {theta!r}, eps = {eps!r}")
+    try:
+        return theta / eps, eps**-power
+    except OverflowError:
+        raise OverflowError(f"the gauge factor eps^-{power} overflows at eps = {eps!r}") from None
 
 
 def _count(text: str) -> int:
@@ -335,11 +355,12 @@ def _cmd_fplot(args, out) -> int:
 
 def _cmd_melnikov(args, out) -> int:
     from .config import load_configuration
-    from .melnikov import splitting_terms
+    from .melnikov import legendre_order, splitting_terms
 
     c = load_configuration(args.config) if args.config is not None else None
-    terms = splitting_terms(c, args.order, args.theta0, args.eps, tol=args.tol)
-    _write_csv(out, ["s0", "value"], _sampled(args.points, terms))
+    theta_tilde, factor = _gauge(args.theta0, args.eps, 2 * legendre_order(args.order) + 2)
+    terms = splitting_terms(c, args.order, theta_tilde, tol=args.tol)
+    _write_csv(out, ["s0", "value"], _sampled(args.points, factor, terms))
     return EXIT_OK
 
 
@@ -358,14 +379,18 @@ def _cmd_integrate(args, out) -> int:
     from .dynamics import FlowParams, McGeheeState, hd_value, integrate_mcgehee
 
     c = load_configuration(args.config)
-    params = FlowParams(epsilon=args.eps, config=c, truncation_order=args.truncation)
-    x, y, s, theta = args.state
-    state0 = McGeheeState(x=x, y=y, s=s, theta=theta)
-    traj = integrate_mcgehee(state0, params, tuple(args.tspan), tol=args.tol)
-    rows = []
-    for t in _linspace(args.tspan[0], args.tspan[1], args.samples):
-        xv, yv, sv, thv = traj.sol(t)
-        rows.append((t, xv, yv, sv % (2.0 * math.pi), thv, hd_value(xv, yv, thv)))
+    eps = args.eps
+    theta_tilde, _ = _gauge(args.state[3], eps, 0)
+    params = FlowParams(c, args.truncation)
+    st = McGeheeState(*args.state)
+    traj = integrate_mcgehee(McGeheeState(eps * st.x, eps * st.y, st.s, theta_tilde), params,
+                             tuple(args.tspan), tol=args.tol)
+    ts = _linspace(*args.tspan, args.samples)
+    # the input state, then the run mapped back as (X/eps, Y/eps, s, Theta eps)
+    states = [(st.x, st.y, st.s, st.theta)] + [(v[0] / eps, v[1] / eps, v[2], v[3] * eps)
+                                               for v in map(traj.sol, ts[1:])]
+    rows = [(t, xv, yv, sv % (2.0 * math.pi), thv, hd_value(xv, yv, thv))
+            for t, (xv, yv, sv, thv) in zip(ts, states)]
     _write_csv(out, ["t", "x", "y", "s", "theta", "H_D"], rows)
     return EXIT_OK
 
@@ -380,10 +405,10 @@ def _cmd_splitting(args, out) -> int:
     if args.compare:
         header.append("closed_form")
         tols.append(1e-10)
-    sums = [melnikov_sum([splitting_terms(c, order, args.theta0, args.eps, tol=tol)
-                          for order in (4, 6)], args.eps)
+    theta_tilde, factor = _gauge(args.theta0, args.eps, 2)
+    sums = [melnikov_sum([splitting_terms(c, order, theta_tilde, tol=tol) for order in (4, 6)])
             for tol in tols]
-    _write_csv(out, header, _sampled(args.points, *sums))
+    _write_csv(out, header, _sampled(args.points, factor, *sums))
     return EXIT_OK
 
 
@@ -420,14 +445,14 @@ def _cmd_asymp(args, out) -> int:
         _write_csv(out, ["delta", "jk_quadrature", "identity_value", "rel_error"], rows)
         return EXIT_OK
     from .config import ConfigError, load_configuration
-    from .melnikov import leading_terms, melnikov_sum
+    from .melnikov import leading_terms
 
     if args.config is None:
         raise ConfigError("the leading table needs --config")
     c = load_configuration(args.config)
-    leads = [melnikov_sum([leading_terms(c, order, args.theta0, args.eps)], args.eps)
-             for order in (4, 6)]
-    _write_csv(out, ["s0", "m4_leading", "m6_leading"], _sampled(args.points, *leads))
+    theta_tilde, factor = _gauge(args.theta0, args.eps, 2)
+    leads = [leading_terms(c, order, theta_tilde) for order in (4, 6)]
+    _write_csv(out, ["s0", "m4_leading", "m6_leading"], _sampled(args.points, factor, *leads))
     return EXIT_OK
 
 

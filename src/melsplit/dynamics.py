@@ -2,30 +2,33 @@
 the truncated equations of motion.
 
 The radial variable is x with r = x**-2, the scaled radial velocity is y
-with R = -sqrt(2) y, and s = t - theta is the fast angle.  On the zero set
-x = y = 0 the flow reduces to the 2 pi-periodic orbit s(t) = s0 + t whose
-stable and unstable sets are the parabolic manifolds.  In slow time
-(d tau/dt = eps^3 x^3 / sqrt(2)) the leading dynamics is the double-well
-oscillator x'' = x - Theta0^2 x^3 with the explicit separatrix
+with R = -sqrt(2) y, and s = t - theta is the fast angle.  The strength
+eps of the perturbation is a gauge, not a parameter: in the variables
+(X, Y, s, Theta) = (eps x, eps y, s, theta/eps) every eps of the truncated
+field cancels, so every state, angular momentum and energy here is in
+them (the energy is the unscaled one over eps).  On the zero set X = Y = 0
+the flow reduces to the 2 pi-periodic orbit s(t) = s0 + t whose stable and
+unstable sets are the parabolic manifolds.  In slow time (d tau/dt =
+X^3 / sqrt(2)) the leading dynamics is the double-well oscillator
+X'' = X - Theta^2 X^3 with the explicit separatrix
 
-    x = sqrt(2)/|Theta0| sech(tau),   y = -sqrt(2)/|Theta0| tanh(tau) sech(tau).
+    X = sqrt(2)/|Theta| sech(tau),   Y = -sqrt(2)/|Theta| tanh(tau) sech(tau).
 
-This module integrates the truncated equations of motion and checks the
-Jacobi-like first integral.  The runs use one stepper, the Dormand-Prince
-5(4) pair with scipy RK45's controller, Hairer, Norsett & Wanner's first
-step and Shampine's quartic dense output, on lists of Python floats: it
-calls the right-hand side directly, for the flow the field behind an
-inline guard.  Nothing here imports numpy, in any scope: a ``Trajectory``
-holds tuples and lists of floats, and the closed forms run on ``math``.
+This module integrates the truncated equations of motion with one
+Dormand-Prince 5(4) stepper on lists of Python floats (``integrate``) and
+checks the Jacobi-like first integral.  Nothing here imports numpy, in any
+scope: a ``Trajectory`` holds tuples and lists of floats, and the closed
+forms run on ``math``.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
-order T = 2J + 3 the row j enters the time-form field at eps^(2j+3).  With
-G_j = sum (a cos ks + b sin ks) over the row's entries (a, b),
+order T = 2J + 3 the row j is the eps^(2j+3) term of the unscaled
+time-form field.  With G_j = sum (a cos ks + b sin ks) over the row's
+entries (a, b), in the scaled variables
 
-    y'     += eps^(2j+3) (j+1)/sqrt(2) G_j x^(2j+4),
-    theta' += eps^(2j+3) sum k (a sin ks - b cos ks) x^(2j+2),
-    H      -= eps^(2j+3) x^(2j+2) G_j.
+    Y'     += (j+1)/sqrt(2) G_j X^(2j+4),
+    Theta' += sum k (a sin ks - b cos ks) X^(2j+2),
+    H      -= X^(2j+2) G_j.
 
 ``_field`` builds the time-form field and the truncated Hamiltonian from
 that table, once per ``FlowParams``.
@@ -60,7 +63,7 @@ class ConvergenceRegionError(ValueError):
 
 @dataclass(frozen=True)
 class McGeheeState:
-    """Phase point (x, y, s, theta) of the regularized near-infinity flow."""
+    """Phase point (x, y, s, theta) of the regularized near-infinity flow, in scaled variables."""
 
     x: float
     y: float
@@ -75,19 +78,16 @@ class McGeheeState:
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Perturbation strength 0 < epsilon <= 1, configuration, truncation order.
+    """Configuration and truncation order of the flow in the scaled variables.
 
     The truncation order is 3 (the Kepler part alone) or an odd 2J + 3 with
     2 <= J <= 64, which keeps the Legendre orders 2..J.
     """
 
-    epsilon: float
     config: CentralConfiguration
     truncation_order: int = 9
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
         t = self.truncation_order
         if not (t == 3 or (isinstance(t, int) and t % 2 and 7 <= t <= 2 * MAX_LEGENDRE_ORDER + 3)):
             raise ValueError(
@@ -96,7 +96,8 @@ class FlowParams:
 
     @cached_property
     def _reach(self) -> float:
-        return _series_reach(self)  # the convergence guard reads it before the field is built
+        """The largest body radius: the series converges while this times X^2 < 1."""
+        return max([math.hypot(*b.position) for b in self.config.bodies])
 
     @cached_property
     def _flow(self):
@@ -109,7 +110,7 @@ class FlowParams:
 
 
 def homoclinic(tau: float, theta0: float) -> tuple[float, float]:
-    """Separatrix of the reduced oscillator at angular momentum theta0."""
+    """Separatrix (X, Y) of the reduced oscillator at scaled angular momentum theta0."""
     if theta0 == 0.0:
         raise ValueError("separatrix undefined at zero angular momentum")
     amp = SQRT2 / abs(theta0)
@@ -122,27 +123,22 @@ def hd_value(x: float, y: float, theta0: float) -> float:
     return 0.5 * y * y - 0.5 * x * x + 0.25 * theta0**2 * x**4
 
 
-def s_closed_form(tau: float, s0: float, theta0: float, epsilon: float) -> float:
+def s_closed_form(tau: float, s0: float, theta_tilde: float) -> float:
     """Fast angle along the separatrix, unreduced for differentiability checks.
 
-    Upper signs for theta0 > 0:
-        s = s0 -+ 4 arctan(tanh(tau/2)) +- (theta0^3/(24 eps^3)) (9 sinh tau + sinh 3 tau)
+    Upper signs for theta_tilde > 0:
+        s = s0 -+ 4 arctan(tanh(tau/2)) +- (theta_tilde^3/24) (9 sinh tau + sinh 3 tau)
     """
-    if theta0 == 0.0:
+    if theta_tilde == 0.0:
         raise ValueError("fast angle undefined at zero angular momentum")
-    sign = 1.0 if theta0 > 0.0 else -1.0
+    sign = 1.0 if theta_tilde > 0.0 else -1.0
     slow = 4.0 * math.atan(math.tanh(tau / 2.0))
-    fast = (theta0**3 / (24.0 * epsilon**3)) * (9.0 * math.sinh(tau) + math.sinh(3.0 * tau))
+    fast = (theta_tilde**3 / 24.0) * (9.0 * math.sinh(tau) + math.sinh(3.0 * tau))
     return s0 - sign * slow + sign * fast
 
 
 # ---------------------------------------------------------------------------
 # vector fields
-
-
-def _series_reach(params: FlowParams) -> float:
-    """eps^2 times the largest body radius; the series converges while this times x^2 < 1."""
-    return params.epsilon**2 * max([math.hypot(*b.position) for b in params.config.bodies])
 
 
 def _convergence_guard(x: float, reach: float) -> None:
@@ -173,23 +169,22 @@ def _field(params: FlowParams):
     k > 0; both functions take cos ks and sin ks for each entry, in entry
     order.
     """
-    e, e3 = params.epsilon, params.epsilon**3
     rows = []
     for j, entries in _field_harmonics(params.config, params.truncation_order):
         g0 = 0.0 + entries[0][1] if entries[0][0] == 0 else 0.0
         harmonics = tuple([(float(k), a, b) for k, a, b in entries if k])
-        rows.append((e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, g0, harmonics))
+        rows.append(((j + 1) / SQRT2, g0, harmonics))
     cos, sin = math.cos, math.sin
 
     def field(x, y, s, theta):
         x2 = x * x
         x4 = x2 * x2
-        dx = e3 * (x2 * x) * y / SQRT2
-        dy = e3 * (1.0 - theta * theta * x * x) * x4 / SQRT2
-        ds = 1.0 - e3 * theta * x4
+        dx = (x2 * x) * y / SQRT2
+        dy = (1.0 - theta * theta * x * x) * x4 / SQRT2
+        ds = 1.0 - theta * x4
         dtheta = 0.0
         xp = x4  # x^(2j+2) once the row's factor x^2 is in
-        for scale, dy_scale, g, harmonics in rows:
+        for dy_scale, g, harmonics in rows:
             gp = 0.0
             for k, a, b in harmonics:
                 phase = k * s
@@ -198,18 +193,18 @@ def _field(params: FlowParams):
                 gp += k * (a * sn - b * c)
             xp *= x2
             dy += dy_scale * g * (xp * x2)
-            dtheta += scale * gp * xp
+            dtheta += gp * xp
         return dx, dy, ds, dtheta
 
     def energy(x, y, s, theta):
         x2 = x * x
         xp = x2 * x2
-        h = e3 * (y * y + 0.5 * theta * theta * xp - x2)
-        for scale, _, g, harmonics in rows:
+        h = y * y + 0.5 * theta * theta * xp - x2
+        for _, g, harmonics in rows:
             for k, a, b in harmonics:
                 g += a * cos(k * s) + b * sin(k * s)
             xp *= x2
-            h -= scale * xp * g
+            h -= xp * g
         return h
 
     return field, energy

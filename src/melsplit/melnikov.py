@@ -1,28 +1,27 @@
 """Splitting functions and the transversality decision tree.
 
 The first-order splitting of the parabolic manifolds is a trigonometric
-polynomial in the section angle s0.  Its epsilon^(2j) part has one term per
-harmonic k >= 1 of the order-j harmonic table, with entry (a_k, b_k):
+polynomial in the section angle s0.  The strength eps of the perturbation
+is a gauge: in the scaled variables of ``dynamics`` no order carries it,
+and the one parameter is theta = Theta0/eps.  Order 2j, eps^(2j+2) times
+the unscaled order at (Theta0, eps), has one term per harmonic k >= 1 of
+the order-j harmonic table, with entry (a_k, b_k):
 
-    +-(2^(j+1)/Theta0^(2j+2)) sum_k F_(j,k) (a_k sin k s0 - b_k cos k s0),
+    +-(2^(j+1)/theta^(2j+2)) sum_k F_(j,k) (a_k sin k s0 - b_k cos k s0),
 
-where F_(j,k) integrates ``quadrature.harmonic_integrand(j, k, theta)``,
-theta = Theta0/eps, and the upper sign goes with Theta0 > 0.  The paper's
-rows are special cases: order 4 is F4 = F_(2,2) with the entry (c2, c3),
-order 6 is F61 = -F_(3,1) and F62 = -F_(3,3) with the entries (d1, d2) and
-(d3, d4) (``HarmonicTables`` names the entries and holds the factors),
-and poly:N is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
+where F_(j,k) integrates ``quadrature.harmonic_integrand(j, k, theta)``
+and the upper sign goes with theta > 0.  The paper's rows are special
+cases: order 4 is F4 = F_(2,2) with the entry (c2, c3), order 6 is
+F61 = -F_(3,1) and F62 = -F_(3,3) with the entries (d1, d2) and (d3, d4)
+(``HarmonicTables`` names the entries and holds the factors), and poly:N
+is the (N-1, N-1) term with the entry (p_(N-1,N-1), 0) of
 ``build_polygon(N)``, whose 2^N p_(N-1,N-1) is the published constant K
 (``quadrature.f_name`` maps each name to its signed (j, k)).
-``splitting_terms`` returns one order as (k, A, B, error) terms, each F
-computed once per call, all of the order's in one pass of the quadrature
-over their list (``eval_oscillatory_list``); a term's error carries the
-quadrature's error estimate and the table's rounding bound, and summing
-cosines over s0 needs no further quadrature.  ``_order_terms`` builds one
-order from either source of F_(j,k): the quadrature (``splitting_terms``)
-or the leading asymptotic term (``leading_terms``).  ``melnikov_sum``
-weights orders by their epsilon^(2j) and merges them by harmonic k into the
-one trigonometric polynomial sum_j epsilon^(2j) M_2j.
+``_order_terms`` builds one order from either source of F_(j,k): the
+quadrature (``splitting_terms``, all of the order's F in one pass) or the
+leading asymptotic term (``leading_terms``).  ``melnikov_sum`` merges
+orders by harmonic k into sum_j M_2j, eps^2 times the unscaled sum_j
+eps^(2j) M_2j.
 
 A simple zero of the s0-factor forces a transversal intersection, so
 ``classify`` reads the harmonic table entries in dominance order (harmonic
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .config import CentralConfiguration, symmetry_order
+from .errors import NumericalFailure
 from .harmonics import MAX_LEGENDRE_ORDER, HarmonicTables, harmonic_table, legendre_cos_coeffs
 
 if TYPE_CHECKING:
@@ -63,34 +63,27 @@ class SplittingTerms:
     ``terms`` lists (harmonic k, cos amplitude A, sin amplitude B, error);
     the splitting function is sum_k [A cos(k s0) + B sin(k s0)], and a
     term's ``error`` bounds the quadrature error of its contribution at
-    every s0.  ``epsilon_order`` is the power of epsilon the amplitudes
-    still need: 2j for one order, 0 for a ``melnikov_sum``.
+    every s0.
     """
 
-    epsilon_order: int
     terms: tuple[tuple[int, float, float, float], ...]
 
     def value(self, s0: float) -> float:
         return math.fsum(a * math.cos(k * s0) + b * math.sin(k * s0) for k, a, b, _ in self.terms)
 
 
-def _order_rows(config: Optional[CentralConfiguration], order: int | str):
-    """Legendre order j, harmonics (k, a, b) with k >= 1 and their rounding bound."""
+def legendre_order(order: int | str) -> int:
+    """The Legendre order j of a splitting order: 2j, or poly:N, whose j is N - 1."""
     key = str(order)
     if key.startswith("poly:"):
         from .quadrature import f_name
 
         try:
-            j, _, _ = f_name(key)
+            return f_name(key)[0]
         except ValueError:
             pass
-        else:
-            return j, ((j, legendre_cos_coeffs(j)[j], 0.0),), 0.0
     elif key.isdigit() and not int(key) % 2 and 2 <= int(key) // 2 <= MAX_LEGENDRE_ORDER:
-        if config is None:
-            raise ValueError(f"order {key} needs a configuration")
-        table = harmonic_table(config, int(key) // 2)
-        return table.j, tuple([e for e in table.entries if e[0] >= 1]), table.rounding
+        return int(key) // 2
     raise ValueError(f"order must be 2j with 2 <= j <= {MAX_LEGENDRE_ORDER} or poly:N with "
                      f"4 <= N <= {MAX_LEGENDRE_ORDER + 1}, got {order!r}")
 
@@ -98,8 +91,7 @@ def _order_rows(config: Optional[CentralConfiguration], order: int | str):
 def _order_terms(
     config: Optional[CentralConfiguration],
     order: int | str,
-    theta0: float,
-    epsilon: float,
+    theta_tilde: float,
     integrals: Callable[[Iterable[CubicPhaseIntegrand]], Iterable[QuadratureResult]],
 ) -> SplittingTerms:
     """``splitting_terms`` with the F_(j,k)(theta) of all its harmonics from one ``integrals`` call.
@@ -109,94 +101,89 @@ def _order_terms(
     Each term is formed as its F arrives, so what fails raises as it would
     with the harmonics taken one at a time, each F before its term.
     """
-    if theta0 == 0.0 or not math.isfinite(theta0):
-        raise ValueError(f"need finite nonzero angular momentum, got {theta0!r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    if theta_tilde == 0.0 or not math.isfinite(theta_tilde):
+        raise ValueError(f"need finite nonzero angular momentum, got {theta_tilde!r}")
     from .quadrature import harmonic_integrand
 
-    j, harmonics, rounding = _order_rows(config, order)
-    try:
-        power = theta0 ** (2 * j + 2)
-    except OverflowError:
-        raise OverflowError(f"order {2 * j}: 2^(j+1)/theta0^(2j+2) underflows at theta0 = "
-                            f"{theta0!r}, where theta0^(2j+2) overflows") from None
-    if power == 0.0:
-        raise OverflowError(f"order {2 * j}: 2^(j+1)/theta0^(2j+2) overflows at theta0 = "
-                            f"{theta0!r}, where theta0^(2j+2) underflows to 0")
-    pref = 2.0 ** (j + 1) / power
-    sign = 1.0 if theta0 > 0.0 else -1.0
-    tt = theta0 / epsilon
-    fs = integrals(harmonic_integrand(j, k, tt) for k, _, _ in harmonics)
+    j = legendre_order(order)
+    if str(order).startswith("poly:"):  # harmonics (k, a, b) with k >= 1, their rounding bound
+        harmonics, rounding = ((j, legendre_cos_coeffs(j)[j], 0.0),), 0.0
+    elif config is None:
+        raise ValueError(f"order {order} needs a configuration")
+    else:
+        table = harmonic_table(config, j)
+        harmonics, rounding = tuple([e for e in table.entries if e[0] >= 1]), table.rounding
+    try:  # theta_tilde^(2j+2) overflows, or underflows to 0
+        pref = 2.0 ** (j + 1) / theta_tilde ** (2 * j + 2)
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError(f"order {2 * j}: 2^(j+1)/theta_tilde^(2j+2) leaves the double range "
+                            f"at theta_tilde = {theta_tilde!r}") from None
+    sign = 1.0 if theta_tilde > 0.0 else -1.0
+    fs = integrals(harmonic_integrand(j, k, theta_tilde) for k, _, _ in harmonics)
     terms = []
     for (k, a, b), f in zip(harmonics, fs):
         amp = sign * pref * f.value
         err = abs(pref) * (f.error_estimate * (abs(a) + abs(b)) + 2.0 * abs(f.value) * rounding)
         term = (k, -amp * b, amp * a, err)
         if not all(map(math.isfinite, term[1:])):  # an overflowing prefactor times 0 is NaN
-            raise OverflowError(f"order {2 * j}, harmonic {k}: not finite at theta0 = {theta0!r}, "
-                                f"where 2^(j+1)/theta0^(2j+2) = {pref!r}")
+            raise OverflowError(f"order {2 * j}, harmonic {k}: not finite at theta_tilde = "
+                                f"{theta_tilde!r}, where 2^(j+1)/theta_tilde^(2j+2) = {pref!r}")
+        if f.value and abs(amp) < 2.0**-1022:  # its digits would be rounding noise
+            raise NumericalFailure(f"order {2 * j}, harmonic {k}: 2^(j+1)/theta_tilde^(2j+2) F = "
+                                   f"{amp!r} lies below the normal double range at "
+                                   f"theta_tilde = {theta_tilde!r}")
         terms.append(term)
-    return SplittingTerms(2 * j, tuple(terms))
+    return SplittingTerms(tuple(terms))
 
 
 def splitting_terms(
     config: Optional[CentralConfiguration],
     order: int | str,
-    theta0: float,
-    epsilon: float,
+    theta_tilde: float,
     tol: float = 1e-10,
 ) -> SplittingTerms:
     """Harmonic amplitudes of one splitting order, each F evaluated once.
 
     ``order`` is 2j for 2 <= j <= 64, which needs ``config``, or the
-    configuration-free ``"poly:N"``.  ``theta0`` must be finite and nonzero,
-    its sign selects the branch, and 0 < ``epsilon`` <= 1.  A term's error
-    is |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table
-    entry (a, b) and the table's rounding bound.
+    configuration-free ``"poly:N"``.  ``theta_tilde`` must be finite and
+    nonzero, and its sign selects the branch.  A term's error is
+    |prefactor| (F-error (|a| + |b|) + 2 |F| rounding) for its table entry
+    (a, b) and the table's rounding bound.
     """
     from .quadrature import _each
 
-    return _order_terms(config, order, theta0, epsilon, lambda fs: _each(fs, tol))
+    return _order_terms(config, order, theta_tilde, lambda fs: _each(fs, tol))
 
 
 def leading_terms(
     config: Optional[CentralConfiguration],
     order: int | str,
-    theta0: float,
-    epsilon: float,
+    theta_tilde: float,
 ) -> SplittingTerms:
     """``splitting_terms`` with each F_(j,k) replaced by its leading asymptotic term.
 
     The leading term has no quadrature error, so a term's error is the
     table's rounding bound alone.  It leads only where the phase scale
-    k |theta0/epsilon|^3 / 2 is well above (j + k + 2)^2, roughly.
+    k |theta_tilde|^3 / 2 is well above (j + k + 2)^2, roughly.
     """
     from .asymptotics import leading_term
     from .quadrature import QuadratureResult
 
-    return _order_terms(config, order, theta0, epsilon,
+    return _order_terms(config, order, theta_tilde,
                         lambda fs: (QuadratureResult(leading_term(f), 0.0, 0) for f in fs))
 
 
-def melnikov_sum(parts: Iterable[SplittingTerms], epsilon: float) -> SplittingTerms:
-    """sum_j epsilon^(2j) M_2j over ``parts`` as one trigonometric polynomial.
+def melnikov_sum(parts: Iterable[SplittingTerms]) -> SplittingTerms:
+    """sum_j M_2j over ``parts`` as one trigonometric polynomial.
 
-    ``epsilon`` is the one the parts were built at.  Each part's amplitudes
-    and errors are weighted by epsilon^epsilon_order, then the terms of one
-    harmonic k are summed, k ascending.  The result's ``epsilon_order`` is 0,
-    so a sum of sums weights nothing twice.
+    The amplitudes and errors of one harmonic k are summed, k ascending.
     """
-    columns: dict[int, tuple[list[float], list[float], list[float]]] = {}
+    columns: dict[int, list[list[float]]] = {}
     for part in parts:
-        weight = epsilon**part.epsilon_order
-        for k, a, b, err in part.terms:
-            cos_amps, sin_amps, errors = columns.setdefault(k, ([], [], []))
-            cos_amps.append(weight * a)
-            sin_amps.append(weight * b)
-            errors.append(weight * err)
-    return SplittingTerms(0, tuple([(k, math.fsum(a), math.fsum(b), math.fsum(e))
-                                    for k, (a, b, e) in sorted(columns.items())]))
+        for k, *amplitudes in part.terms:
+            columns.setdefault(k, []).append(amplitudes)
+    return SplittingTerms(tuple([(k, *map(math.fsum, zip(*rows)))
+                                 for k, rows in sorted(columns.items())]))
 
 
 def simple_zeros(a: float, b: float, k: int) -> Optional[list[float]]:

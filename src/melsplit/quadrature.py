@@ -63,13 +63,16 @@ the upper half plane, where the integrand neither oscillates nor cancels:
   the logs of |z - i| and |z + i|, which cannot overflow, and a term below
   eps tol by it is 0.  Every other term must be finite and its rest (the
   exponential times the weight over the pole factors) must not be 0, else
-  the call raises QuadratureBudgetError.  So no term is the NaN of inf / inf
-  where a pole power overflows far out on the arm, and none is dropped that
-  is not shown negligible.  ``_terms`` flags each row that breaks the rule,
+  the call raises QuadratureBudgetError, as it does where a level or charge
+  sum is not finite.  So no term is the NaN of inf / inf where a pole power
+  overflows far out on the arm, and none is dropped that is not shown
+  negligible.  ``_terms`` flags each row that breaks the rule,
   and ``_kernel_calls``, through which every pass goes, applies it once,
   beside the evaluation budget.  Each integral's row owns its outcome, a
   result or the error its own call raises, set where the level rule
-  (``_Row.settles``) stops it or a rule fails it.
+  (``_Row.settles``) stops it or a rule fails it.  A result whose value,
+  or the scale of its terms, lies outside the normal double range is a
+  NumericalFailure, never an exact-looking 0.
 
 ``error_estimate`` adds the difference of the last two levels, the end
 terms of the window standing for the truncated tails (past an end the
@@ -138,6 +141,7 @@ _CHUNK = 2**16  # most nodes per kernel call, so that its arrays stay near 1 MB
 # integrals holds fewer nodes than that, and its terms are those of one
 # call per integral bit for bit
 _ELISION = 2**14
+_BROKEN = "a term not shown below eps tol overflows or is dropped as underflowed"
 
 
 class QuadratureBudgetError(NumericalFailure):
@@ -351,18 +355,32 @@ class _Row:
 
         A row stops at the first level that agrees with the one before it,
         or differs from it only by rounding: its outcome is set and the
-        rule returns True.  Otherwise that level becomes ``previous``.
+        rule returns True.  Otherwise that level becomes ``previous``.  A
+        level or charge sum that is not finite fails the row as a broken term.
         """
         change = abs(current - self.previous)
+        if not math.isfinite(change + rounding):  # a level or charge sum is not finite
+            self.outcome = QuadratureBudgetError(_BROKEN)
+            return True
         if change <= max(self.target / 8.0, rounding):
             self.outcome = self.result(current, change, rounding)
             return True
         self.previous, self.rounding = current, rounding
         return False
 
-    def result(self, current: complex, change: float, rounding: float) -> QuadratureResult:
+    def result(self, current: complex, change: float, rounding: float):
+        """The row's QuadratureResult, or a NumericalFailure outside the normal double range.
+
+        Far out, F_(j,k) ~ exp(-k theta^3/3) underflows: a scale below the
+        range, or a nonzero level sum whose value leaves it, would otherwise
+        read as 0.0 +- 0.0, which looks exact.
+        """
         scale = math.exp(self.log_scale)
         value = 2.0 * scale * float(current.real)
+        tiny = sys.float_info.min
+        if scale < tiny or (current.real != 0.0 and not tiny <= abs(value) < math.inf):
+            return NumericalFailure(f"the value {value!r}, at scale exp({self.log_scale!r}) of "
+                                    "its terms, lies outside the normal double range")
         error = 2.0 * scale * float(change + self.tail + rounding)
         a, b = self.arm.a, self.arm.b
         error += _EPS * (4.0 + abs(self.log_phase) + abs(b * self.log_g) + abs(a)) * abs(value)
@@ -407,8 +425,7 @@ def _kernel_calls(rows: list[_Row], s: np.ndarray, ds: np.ndarray) -> list:
             broken = np.logical_or.reduce(broken)
         vals, noise = vals.reshape(len(block), n), noise.reshape(len(block), n)
         for r in itertools.compress(range(len(block)), broken.reshape(len(block)).tolist()):
-            block[r].outcome = QuadratureBudgetError(
-                "a term not shown below eps tol overflows or is dropped as underflowed")
+            block[r].outcome = QuadratureBudgetError(_BROKEN)
             block[r], vals[r], noise[r] = None, 0.0, 0.0
         calls.append((block, vals, noise))
     return calls
@@ -498,6 +515,7 @@ def _widened(row: _Row, vals: np.ndarray, noise: np.ndarray, floor: float) -> No
     _later_levels(_first_levels([row], vals[None], noise[None]), window[0], len(vals) - 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a level sum that overflows fails its row
 def _outcomes(integrands: Sequence[CubicPhaseIntegrand], tol: float) -> list:
     """Each integrand's QuadratureResult, or the error its own ``eval_oscillatory`` call raises.
 

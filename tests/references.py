@@ -7,7 +7,9 @@ order, as ``classify`` did before it skipped the entries that rotational
 symmetry forces to vanish: the oracle for its witnesses and zeros.
 ``rhs_array`` and ``hamiltonian`` evaluate the time-form field and the
 truncated energy order by order, with cos ks and sin ks taken afresh for
-every entry and each power of x by ``**``: the oracle for ``dynamics._field``.
+every entry and each power of x by ``**``, in the unscaled variables at a
+given eps: at eps = 1 the oracle for ``dynamics._field``, and at other eps
+the flow that the scaled one must reproduce.
 ``_field`` below is the field as it was before each row was split into
 its k = 0 constant, the harmonics it reads back and those it meets first,
 and ``_dormand_prince`` with ``_step_interpolant`` the stepper as it was
@@ -39,7 +41,6 @@ from melsplit.dynamics import (
     McGeheeState,
     _convergence_guard,
     _field_harmonics,
-    _series_reach,
 )
 from melsplit.config import (
     MIN_SEPARATION,
@@ -78,15 +79,16 @@ def legendre_pair(j: int, w: float) -> tuple[float, float]:
 
 
 def leading_splitting(config, order: int, theta0: float, epsilon: float, s0: float) -> float:
-    """epsilon^order times one splitting order at s0, each F_(j,k) replaced by its leading term.
+    """epsilon^order times one unscaled splitting order at s0, each F_(j,k) its leading term.
 
-    The column that ``asymp leading`` prints for order 4 or 6, bit for bit
-    where epsilon is a power of two; the oracle for ``melnikov.leading_terms``.
+    That is epsilon^-2 times the order at theta_tilde = theta0/epsilon: the
+    column that ``asymp leading`` prints for order 4 or 6, bit for bit where
+    epsilon is a power of two; the oracle for ``melnikov.leading_terms``.
     """
-    terms = _order_terms(config, order, theta0, epsilon,
+    terms = _order_terms(config, order, theta0 / epsilon,
                          lambda integrands: (QuadratureResult(leading_term(f), 0.0, 0)
                                              for f in integrands))
-    return epsilon**order * terms.value(s0)
+    return epsilon**-2 * terms.value(s0)
 
 
 def classify_full_scan(
@@ -185,8 +187,8 @@ def d_l(config, l: int) -> tuple[float, float]:
     return float(np.dot(m, x * r2l)), -float(np.dot(m, y * r2l))
 
 
-def rhs_mcgehee_tau(state_vec, params: FlowParams):
-    """Slow-time derivative of (x, y, s, theta); needs x > 0.
+def rhs_mcgehee_tau(state_vec, params: FlowParams, epsilon: float = 1.0):
+    """Slow-time derivative of (x, y, s, theta), unscaled at ``epsilon``; needs x > 0.
 
     The reference the tests check the time-form field and the splitting
     integrands against, so it is written out term by term rather than built
@@ -196,10 +198,10 @@ def rhs_mcgehee_tau(state_vec, params: FlowParams):
     x, y, s, theta = state_vec
     if x <= 0.0:
         raise ConvergenceRegionError("slow-time field needs x > 0")
-    _convergence_guard(x, _series_reach(params))
+    _convergence_guard(x, epsilon**2 * params._reach)
     c1, c2, c3 = c_coeffs(params.config)
     d1, d2, d3, d4 = d_coeffs(params.config)
-    e = params.epsilon
+    e = epsilon
     dx = y
     dy = (1.0 - theta**2 * x * x) * x
     ds = SQRT2 * (e**-3 - theta * x**4) / x**3
@@ -252,10 +254,10 @@ def rhs_array(y_vec, epsilon: float, rows):
     return np.array([dx, dy, ds, dtheta])
 
 
-def hamiltonian(state: McGeheeState, params: FlowParams) -> float:
-    """Truncated energy at a regularized state, order by order."""
+def hamiltonian(state: McGeheeState, params: FlowParams, epsilon: float = 1.0) -> float:
+    """Truncated energy at a regularized state, unscaled at ``epsilon``, order by order."""
     x, y, s, theta = state.x, state.y, state.s, state.theta
-    e = params.epsilon
+    e = epsilon
     h = e**3 * (y * y + 0.5 * theta**2 * x**4 - x * x)
     for j, harmonics in _field_harmonics(params.config, params.truncation_order):
         g, _ = harmonic_sums(harmonics, s)
@@ -267,16 +269,16 @@ def hamiltonian(state: McGeheeState, params: FlowParams) -> float:
 # the field and the Dormand-Prince stepper as they were, verbatim
 
 
-def _field(params: FlowParams):
+def _field(params: FlowParams, epsilon: float = 1.0):
     """The time-form field and the truncated energy, from one read of the harmonic table.
 
     Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
     (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
-    Hamiltonian, both on Python floats.  Each call computes cos ks and
-    sin ks once for every k up to J and the powers of x as running products
-    of x^2; the rows are consecutive, j = 2..J.
+    Hamiltonian, both on Python floats, unscaled at ``epsilon``.  Each call
+    computes cos ks and sin ks once for every k up to J and the powers of x
+    as running products of x^2; the rows are consecutive, j = 2..J.
     """
-    e = params.epsilon
+    e = epsilon
     e3 = e**3
     rows = [(e ** (2 * j + 3), e ** (2 * j + 3) * (j + 1) / SQRT2, entries)
             for j, entries in _field_harmonics(params.config, params.truncation_order)]

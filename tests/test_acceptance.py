@@ -238,7 +238,7 @@ def test_criterion_7_asymptotics_validation():
         cfg = build_rp3bp(0.5)
         for tt3 in (60.0, 70.0):
             eps = tt3 ** (-1.0 / 3.0)  # theta0 = 1
-            quad = eps**4 * splitting_terms(cfg, 4, 1.0, eps, tol=1e-13).value(0.7)
+            quad = eps**-2 * splitting_terms(cfg, 4, 1.0 / eps, tol=1e-13).value(0.7)
             lead = leading_splitting(cfg, 4, 1.0, eps, 0.7)
             assert quad / lead == pytest.approx(1.0, abs=0.1)
     _report(
@@ -281,53 +281,51 @@ def test_criterion_8_dynamics_property_suite():
             xt, yt = (float(v) for v in traj.sol(float(tau)))
             assert abs(hd_value(xt, yt, theta0) - h0) <= 1e-9
 
-        # first-integral drift of the truncated flow
+        # first-integral drift of the truncated flow, from the scaled state
+        # (eps x, eps y, s, theta/eps) of (0.4, 0.1, 0, 1) at eps = 1/2
         cfg = build_rp3bp(0.3)
-        params = FlowParams(epsilon=0.5, config=cfg, truncation_order=9)
-        st0 = McGeheeState(0.4, 0.1, 0.0, 1.0)
+        params = FlowParams(cfg, truncation_order=9)
+        st0 = McGeheeState(0.2, 0.05, 0.0, 2.0)
         full = integrate_mcgehee(st0, params, (0.0, 50.0), tol=1e-11)
         c0 = jacobi_constant(st0, params)
         for y in full.states:
             assert abs(jacobi_constant(McGeheeState(*y), params) - c0) <= 1e-8
 
         # leading terms of one turn of the Kepler flow near x = y = 0:
-        # x' = eps^3 x^3 y / sqrt 2 and y' = eps^3 x^4 (1 - theta^2 x^2) / sqrt 2
-        kepler, theta = FlowParams(epsilon=0.5, config=cfg, truncation_order=3), 1.0
+        # x' = x^3 y / sqrt 2 and y' = x^4 (1 - theta^2 x^2) / sqrt 2
+        kepler, theta = FlowParams(cfg, truncation_order=3), 1.0
         x0, y0 = 0.02, 0.01
         turn = integrate_mcgehee(McGeheeState(x0, y0, 0.3, theta), kepler, (0.0, 2 * math.pi),
                                  tol=1e-12)
         x1, y1, _, _ = turn.sol(2 * math.pi)
-        e3 = 0.5**3
-        assert (x1 - x0) / (math.sqrt(2) * math.pi * e3 * x0**3 * y0) == pytest.approx(
-            1.0, abs=0.05
-        )
+        assert (x1 - x0) / (math.sqrt(2) * math.pi * x0**3 * y0) == pytest.approx(1.0, abs=0.05)
         assert (y1 - y0) / (
-            math.sqrt(2) * math.pi * e3 * x0**4 * (1 - theta**2 * x0**2)
+            math.sqrt(2) * math.pi * x0**4 * (1 - theta**2 * x0**2)
         ) == pytest.approx(1.0, abs=0.05)
 
         # the splitting from the field's harmonic tables against the paper's
-        # rows, term by term within the sum of both error bounds, on both branches
-        eps = 0.5
+        # rows, term by term within the sum of both error bounds, on both
+        # branches, at theta_tilde = theta0/eps = 2
         _, c2, c3 = c_coeffs(cfg)
         d1, d2, d3, d4 = d_coeffs(cfg)
         paper = {4: [(2, f4_integrand, -c3, c2)],
                  6: [(1, f61_integrand, d2, -d1), (3, f62_integrand, d4, -d3)]}
-        for th in (theta0, -theta0):
+        for th in (2.0, -2.0):
             for order, rows in paper.items():
-                terms = splitting_terms(cfg, order, th, eps, tol=1e-12).terms
+                terms = splitting_terms(cfg, order, th, tol=1e-12).terms
                 pref = math.copysign(2.0, th) / th ** (order + 2)
                 assert [k for k, *_ in terms] == [k for k, *_ in rows]
                 for (_, a, b, err), (_, builder, a_p, b_p) in zip(terms, rows):
-                    f = eval_polynomial(builder(th / eps), 1e-12)
+                    f = eval_polynomial(builder(th), 1e-12)
                     err_p = abs(pref) * f.error_estimate * (abs(a_p) + abs(b_p))
                     assert abs(a - pref * f.value * a_p) <= err + err_p
                     assert abs(b - pref * f.value * b_p) <= err + err_p
 
         # zero locations bracket the witness predictions within 1e-3
-        m4, m6 = (splitting_terms(cfg, order, theta0, eps, tol=1e-8) for order in (4, 6))
+        m4, m6 = (splitting_terms(cfg, order, 2.0, tol=1e-8) for order in (4, 6))
         d1, d2 = d_coeffs(cfg)[:2]
         for z in simple_zeros(d2, -d1, 1):
-            lo, hi = (eps**4 * m4.value(s) + eps**6 * m6.value(s) for s in (z - 1e-3, z + 1e-3))
+            lo, hi = (m4.value(s) + m6.value(s) for s in (z - 1e-3, z + 1e-3))
             assert lo * hi < 0.0
     assert t.elapsed < 120.0
     _report(8, f"flow properties, return map, and splitting agreement in {t.elapsed:.2f}s")

@@ -154,7 +154,7 @@ class TestLeadingSplitting:
         for tt3 in (60.0, 70.0):
             tt = tt3 ** (1.0 / 3.0)
             eps = 1.0 / tt  # theta0 = 1
-            quad = eps**4 * splitting_terms(rp3bp_half, 4, 1.0, eps, tol=1e-13).value(s0)
+            quad = eps**-2 * splitting_terms(rp3bp_half, 4, tt, tol=1e-13).value(s0)
             lead = leading_splitting(rp3bp_half, 4, 1.0, eps, s0)
             assert quad / lead == pytest.approx(1.0, abs=0.1)
 
@@ -198,7 +198,7 @@ class TestLeadingSplitting:
         gaps = []
         for tt in (4.0, 5.5, 7.0):
             eps = 1.0 / tt  # theta0 = -1
-            quad = eps**order * splitting_terms(config, order, -1.0, eps, tol=1e-13).value(s0)
+            quad = eps**-2 * splitting_terms(config, order, -tt, tol=1e-13).value(s0)
             gap = abs(quad / leading_splitting(config, order, -1.0, eps, s0) - 1.0)
             assert gap <= 3.0 / math.sqrt(tt**3 / 2.0)
             gaps.append(gap)
@@ -209,6 +209,6 @@ class TestLeadingSplitting:
             leading_splitting(rp3bp_03, 4, 0.0, 0.3, 0.0)
 
     def test_domain_is_that_of_the_splitting(self, rp3bp_03):
-        for theta0, eps in ((1.0, 0.0), (1.0, 1.5), (math.nan, 0.3)):
-            with pytest.raises(ValueError):
-                leading_splitting(rp3bp_03, 4, theta0, eps, 0.0)
+        for theta_tilde in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="need finite nonzero angular momentum"):
+                leading_splitting(rp3bp_03, 4, theta_tilde, 1.0, 0.0)

@@ -276,9 +276,10 @@ class TestSampling:
         code, out, _ = run(capsys, "melnikov", "--order", "8", "--config", rp3bp_file,
                            "--theta0", "1", "--eps", "0.5", "--points", "4")
         assert code == 0
-        terms = melsplit.splitting_terms(melsplit.load_configuration(rp3bp_file), 8, 1.0, 0.5)
+        # the order at theta_tilde = theta0/eps times eps^-10, which a power of two scales exactly
+        terms = melsplit.splitting_terms(melsplit.load_configuration(rp3bp_file), 8, 2.0)
         rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
-        assert [value for _, value in rows] == [terms.value(s0) for s0, _ in rows]
+        assert [value for _, value in rows] == [2.0**10 * terms.value(s0) for s0, _ in rows]
         assert len(rows) == 4
 
     def test_highest_orders_evaluate(self, capsys, rp3bp_file):
@@ -433,8 +434,6 @@ def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
 
 
 @pytest.mark.parametrize("argv, order", [
-    (("melnikov", "--order", "4", "--config", "{config}", "--theta0", "1e-80", "--eps", "1e-80"),
-     4),
     (("melnikov", "--order", "poly:4", "--theta0", "1e-100", "--eps", "1", "--points", "2"), 6),
     (("splitting", "--config", "{config}", "--theta0", "1e-100", "--eps", "1", "--points", "2"),
      4),
@@ -445,18 +444,39 @@ def test_out_of_range_magnitudes_are_numerical_failures(rp3bp_file, argv):
     (("melnikov", "--order", "6", "--config", "{config}", "--theta0", "1e50", "--eps", "1",
       "--points", "2"), 6),
     (("melnikov", "--order", "poly:4", "--theta0", "-1e300", "--eps", "1", "--points", "2"), 6),
-], ids=["melnikov-theta0-power-underflows", "melnikov-poly-theta0-power-underflows",
+], ids=["melnikov-poly-theta0-power-underflows",
         "splitting-theta0-power-underflows", "leading-theta0-power-underflows",
         "melnikov-subnormal-theta0-power", "melnikov-poly-subnormal-theta0-power",
         "melnikov-theta0-power-overflows", "melnikov-poly-theta0-power-overflows"])
 def test_a_prefactor_out_of_range_names_its_order(capsys, rp3bp_file, argv, order):
-    # 2^(j+1)/theta0^(2j+2) overflows, to inf or, where theta0^(2j+2)
-    # underflows to 0, as a division by zero; where theta0^(2j+2) overflows,
-    # it underflows: each an overflow that names the order and theta0
+    # 2^(j+1)/theta_tilde^(2j+2) overflows, to inf or, where theta_tilde^(2j+2)
+    # underflows to 0, as a division by zero; where theta_tilde^(2j+2)
+    # overflows, it underflows: each an overflow that names the order and
+    # theta_tilde, which is theta0 at eps = 1
     code, out, err = run(capsys, *(a.format(config=rp3bp_file) for a in argv))
     assert (code, out) == (cli.EXIT_NUMERICAL, "")
     assert err.startswith(f"numerical failure: order {order}") and err.count("\n") == 1
-    assert f"theta0 = {float(argv[argv.index('--theta0') + 1])!r}" in err
+    assert f"theta_tilde = {float(argv[argv.index('--theta0') + 1])!r}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("melnikov", "--order", "4", "--config", "{config}", "--theta0", "1e-80", "--eps", "1e-80"),
+     "the gauge factor eps^-6 overflows at eps = 1e-80"),
+    (("splitting", "--config", "{config}", "--theta0", "1e-200", "--eps", "1e-200"),
+     "the gauge factor eps^-2 overflows at eps = 1e-200"),
+    (("asymp", "leading", "--config", "{config}", "--theta0", "1e-300", "--eps", "1e-300"),
+     "the gauge factor eps^-2 overflows at eps = 1e-300"),
+    (("melnikov", "--order", "poly:4", "--theta0", "1e308", "--eps", "0.01"),
+     "theta/eps overflows at theta = 1e+308, eps = 0.01"),
+    (("integrate", "--config", "{config}", "--eps", "1e-10", "--state", "0.3", "0.05", "0",
+      "1e300", "--tspan", "0", "1"), "theta/eps overflows at theta = 1e+300, eps = 1e-10"),
+], ids=["melnikov", "splitting", "leading", "theta-tilde", "integrate-theta-tilde"])
+def test_a_gauge_out_of_range_is_named(capsys, rp3bp_file, argv, message):
+    # the library computes at theta_tilde = theta0/eps, where these values are
+    # O(1); the factor eps^-(2j+2) (eps^-2 for a sum) that takes them back to
+    # eps, or theta_tilde itself, leaves the double range
+    code, out, err = run(capsys, *(a.format(config=rp3bp_file) for a in argv))
+    assert (code, out, err) == (cli.EXIT_NUMERICAL, "", f"numerical failure: {message}\n")
 
 
 def _fplot_process(*bounds, points="3"):
@@ -474,6 +494,38 @@ def test_fplot_bounds_that_are_not_finite_are_usage_errors(lo, hi):
     proc = _fplot_process(lo, hi)
     message = f"error: --range needs finite bounds, got {float(lo)!r} and {float(hi)!r}\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_USAGE, "", message)
+
+
+def test_fplot_values_below_the_double_range_are_numerical_failures():
+    # F4 near exp(-1000) on [11, 12] once printed three rows of 0.0 +- 0.0 and exited 0
+    proc = _fplot_process("11", "12")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_NUMERICAL, "")
+    assert proc.stderr.startswith("numerical failure: the value ")
+    assert proc.stderr.endswith("lies outside the normal double range\n")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.3])
+def test_eps_is_a_gauge_of_the_splitting(capsys, rp3bp_file, eps):
+    # the order 2j at (theta0, eps) is eps^-(2j+2) times the order at
+    # (theta0/eps, 1), and the sums of splitting and asymp leading eps^-2 times theirs
+    def values(argv, theta0, e):
+        code, out, _ = run(capsys, *argv, "--theta0", repr(theta0), "--eps", repr(e))
+        assert code == 0
+        return [float(v) for line in out.splitlines()[1:] for v in line.split(",")[1:]]
+
+    config = ["--config", rp3bp_file]
+    cases = [(["melnikov", "--order", order, "--points", "16", *c],
+              2 * melnikov.legendre_order(order) + 2)
+             for order, c in (("4", config), ("6", config), ("poly:7", []))]
+    cases += [(["splitting", *config, "--points", "8"], 2),
+              (["asymp", "leading", *config, "--points", "8"], 2)]
+    for argv, power in cases:
+        for theta0 in (0.6, -0.45):
+            got, one = values(argv, theta0, eps), values(argv, theta0 / eps, 1.0)
+            size = max(map(abs, got))
+            assert len(got) == len(one) and size > 0.0
+            assert all(abs(a - eps**-power * b) <= 1e-13 * size for a, b in zip(got, one))
 
 
 @pytest.mark.parametrize("lo, hi, points", [
@@ -614,7 +666,7 @@ def test_counts_below_one_are_usage_errors(capsys, rp3bp_file, argv):
      ("-1E0",), ("-1.0",)),
     (("integrate", "--config", "{config}", "--eps", "0.5", "--tspan", "0", "1", "--samples", "3",
       "--state"), ("0.3", "-1e-3", "0", "1"), ("0.3", "-0.001", "0", "1")),
-    (("fplot", "F4", "--points", "3", "--range"), ("-1e6", "1e6"), ("-1000000", "1000000")),
+    (("fplot", "F4", "--points", "3", "--range"), ("-2.5e0", "1e0"), ("-2.5", "1")),
 ], ids=["melnikov", "splitting", "integrate", "fplot"])
 def test_negative_numbers_in_exponent_form_are_values(capsys, rp3bp_file, argv, exponent, plain):
     argv = [a.format(config=rp3bp_file) for a in argv]
@@ -762,14 +814,15 @@ class TestDynamicsCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "s0,splitting,closed_form"
         cfg = melsplit.load_configuration(rp3bp_file)
-        terms = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-7) for order in (4, 6)]
-        paper = [melsplit.splitting_terms(cfg, order, 1.0, 0.5, tol=1e-10) for order in (4, 6)]
-        sums = [melsplit.melnikov_sum(parts, 0.5) for parts in (terms, paper)]
-        bound = sum(0.5**m.epsilon_order * err for m in (*terms, *paper) for *_, err in m.terms)
-        # the merged sum rounds differently from the sum of the weighted orders
-        rounding = [4.0 * np.finfo(float).eps
-                    * sum(0.5**m.epsilon_order * (abs(a) + abs(b)) for m in parts
-                          for _, a, b, _ in m.terms)
+        # at theta_tilde = theta0/eps = 2; eps^-2 = 4 takes the library's sum
+        # of orders to the printed sum of eps^(2j) M_2j, and scales exactly
+        terms = [melsplit.splitting_terms(cfg, order, 2.0, tol=1e-7) for order in (4, 6)]
+        paper = [melsplit.splitting_terms(cfg, order, 2.0, tol=1e-10) for order in (4, 6)]
+        sums = [melsplit.melnikov_sum(parts) for parts in (terms, paper)]
+        bound = 4.0 * sum(err for m in (*terms, *paper) for *_, err in m.terms)
+        # the merged sum rounds differently from the sum of the orders
+        rounding = [4.0 * 4.0 * np.finfo(float).eps
+                    * sum(abs(a) + abs(b) for m in parts for _, a, b, _ in m.terms)
                     for parts in (terms, paper)]
         # the paper's rows written out: 2/Theta0^6 F4 (c2 sin 2s - c3 cos 2s) and
         # 2/Theta0^8 [F61 (d2 cos s - d1 sin s) + F62 (d4 cos 3s - d3 sin 3s)], Theta0 = 1
@@ -779,9 +832,9 @@ class TestDynamicsCommands:
         d1, d2, d3, d4 = d_coeffs(cfg)
         for line in lines[1:]:
             s0, value, closed_value = map(float, line.split(","))
-            assert (value, closed_value) == (sums[0].value(s0), sums[1].value(s0))
+            assert (value, closed_value) == (4.0 * sums[0].value(s0), 4.0 * sums[1].value(s0))
             for got, parts, slack in zip((value, closed_value), (terms, paper), rounding):
-                by_order = 0.5**4 * parts[0].value(s0) + 0.5**6 * parts[1].value(s0)
+                by_order = 4.0 * (parts[0].value(s0) + parts[1].value(s0))
                 assert abs(got - by_order) <= slack
             m4 = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
             m6 = 2.0 * (f61 * (d2 * math.cos(s0) - d1 * math.sin(s0))

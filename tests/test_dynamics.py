@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -33,7 +34,7 @@ from melsplit import (
     splitting_terms,
 )
 from melsplit import dynamics, melnikov, quadrature
-from melsplit.config import rotate
+from melsplit.config import rotate, scale
 from melsplit.dynamics import (
     SQRT2,
     _field_harmonics,
@@ -94,7 +95,7 @@ class TestClosedForms:
 
 class TestFastAngle:
     def test_initial_value(self):
-        assert s_closed_form(0.0, 0.37, 1.0, 0.5) == pytest.approx(0.37)
+        assert s_closed_form(0.0, 0.37, 2.0) == pytest.approx(0.37)
 
     @pytest.mark.parametrize("theta0", [1.0, -1.0, 0.6])
     def test_derivative_formula(self, theta0):
@@ -102,8 +103,8 @@ class TestFastAngle:
         h = 1e-6
         for tau in (0.3, 1.0, -0.7):
             fd = (
-                s_closed_form(tau + h, 0.2, theta0, eps)
-                - s_closed_form(tau - h, 0.2, theta0, eps)
+                s_closed_form(tau + h, 0.2, theta0 / eps)
+                - s_closed_form(tau - h, 0.2, theta0 / eps)
             ) / (2 * h)
             sign = 1.0 if theta0 > 0 else -1.0
             analytic = sign * (
@@ -117,7 +118,7 @@ class TestFastAngle:
         eps, s0 = 0.5, 0.2
         sign = 1 if theta0 > 0 else -1
         for tau in np.linspace(-3.0, 3.0, 61).tolist():
-            got = s_closed_form(tau, s0, theta0, eps)
+            got = s_closed_form(tau, s0, theta0 / eps)
             with mp.workdps(40):
                 t = mp.mpf(tau)
                 fast = mp.mpf(theta0) ** 3 / (24 * mp.mpf(eps) ** 3) * (9 * mp.sinh(t)
@@ -134,7 +135,7 @@ class TestFastAngle:
     def test_odd_in_tau(self, tau, s0):
         # the fast angle is centered at s0: s(tau) + s(-tau) = 2 s0 per branch
         for theta0 in (1.0, -1.0):
-            total = s_closed_form(tau, s0, theta0, 0.5) + s_closed_form(-tau, s0, theta0, 0.5)
+            total = s_closed_form(tau, s0, theta0) + s_closed_form(-tau, s0, theta0)
             assert total == pytest.approx(2 * s0, abs=1e-9)
 
 
@@ -165,17 +166,22 @@ def exact_potential_field(state, eps, config):
 
 def _term_sizes(state, params):
     """Bounds on the terms that x', y', s', theta' and the energy each sum."""
-    x, y, theta, e = state.x, state.y, state.theta, params.epsilon
-    size_dy = e**3 * (1.0 + theta * theta * x * x) * x**4 / SQRT2
+    x, y, theta = state.x, state.y, state.theta
+    size_dy = (1.0 + theta * theta * x * x) * x**4 / SQRT2
     size_dtheta = 0.0
-    size_h = e**3 * (y * y + 0.5 * theta**2 * x**4 + x * x)
+    size_h = y * y + 0.5 * theta**2 * x**4 + x * x
     for j, entries in _field_harmonics(params.config, params.truncation_order):
         amplitude = sum(abs(a) + abs(b) for _, a, b in entries)
-        size_dy += e ** (2 * j + 3) * (j + 1) / SQRT2 * amplitude * x ** (2 * j + 4)
-        size_dtheta += e ** (2 * j + 3) * j * amplitude * x ** (2 * j + 2)
-        size_h += e ** (2 * j + 3) * amplitude * x ** (2 * j + 2)
-    return (abs(e**3 * x**3 * y / SQRT2), size_dy, 1.0 + e**3 * abs(theta) * x**4,
-            size_dtheta, size_h)
+        size_dy += (j + 1) / SQRT2 * amplitude * x ** (2 * j + 4)
+        size_dtheta += j * amplitude * x ** (2 * j + 2)
+        size_h += amplitude * x ** (2 * j + 2)
+    return (abs(x**3 * y / SQRT2), size_dy, 1.0 + abs(theta) * x**4, size_dtheta, size_h)
+
+
+def scaled(state, eps=0.5):
+    """The unscaled state (x, y, s, theta) at ``eps`` as (eps x, eps y, s, theta/eps)."""
+    x, y, s, theta = state
+    return eps * x, eps * y, s, theta / eps
 
 
 class TestStatesAndFields:
@@ -188,67 +194,64 @@ class TestStatesAndFields:
             McGeheeState(-0.1, 0.0, 0.0, 1.0)
 
     def test_periodic_orbit_is_fixed_line(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
+        params = FlowParams(rp3bp_03, truncation_order=9)
         d = rhs_mcgehee_t(McGeheeState(0.0, 0.0, 1.2, 0.7), params)
         assert d == (0.0, 0.0, 1.0, 0.0)
 
     def test_truncation_three_is_kepler_form(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=3)
+        params = FlowParams(rp3bp_03, truncation_order=3)
         x, y, s, th = 0.4, 0.1, 0.9, 1.1
         dx, dy, ds, dth = rhs_mcgehee_t(McGeheeState(x, y, s, th), params)
-        e3 = 0.5**3
-        assert dx == pytest.approx(e3 * x**3 * y / SQRT2)
-        assert dy == pytest.approx(e3 * (x**4 - th**2 * x**6) / SQRT2)
-        assert ds == pytest.approx(1.0 - e3 * th * x**4)
+        assert dx == pytest.approx(x**3 * y / SQRT2)
+        assert dy == pytest.approx((x**4 - th**2 * x**6) / SQRT2)
+        assert ds == pytest.approx(1.0 - th * x**4)
         assert dth == 0.0
 
     def test_collinear_theta_dot_vanishes_at_zero_angle(self, collinear8):
-        params = FlowParams(epsilon=0.5, config=collinear8, truncation_order=9)
+        params = FlowParams(collinear8, truncation_order=9)
         d = rhs_mcgehee_t(McGeheeState(0.3, 0.1, 0.0, 1.0), params)
         assert d[3] == pytest.approx(0.0, abs=1e-18)
 
     def test_convergence_region_guard(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
+        params = FlowParams(rp3bp_03, truncation_order=9)
         with pytest.raises(ConvergenceRegionError):
             rhs_mcgehee_t(McGeheeState(3.0, 0.0, 0.0, 1.0), params)
 
     @pytest.mark.parametrize("order", [3, 7, 9])
     def test_time_form_is_the_rescaled_slow_time_form(self, rp3bp_03, rotated_equilateral, order):
-        # d tau/dt = eps^3 x^3 / sqrt(2) at random states; the rotated
-        # equilateral has every c and d coefficient nonzero, sine channels included
+        # d tau/dt = x^3 / sqrt(2) at random states; the rotated equilateral
+        # has every c and d coefficient nonzero, sine channels included
         rng = np.random.default_rng(5)
         for cfg in (rp3bp_03, rotated_equilateral):
+            params = FlowParams(cfg, truncation_order=order)
             for _ in range(150):
                 x, y, theta = rng.uniform(0.05, 0.6), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
-                s, eps = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.3, 1.0)
-                params = FlowParams(epsilon=eps, config=cfg, truncation_order=order)
+                s = rng.uniform(0.0, 2 * math.pi)
                 got = rhs_mcgehee_t(McGeheeState(x, y, s, theta), params)
-                want = rhs_mcgehee_tau((x, y, s, theta), params) * eps**3 * x**3 / SQRT2
+                want = rhs_mcgehee_tau((x, y, s, theta), params) * x**3 / SQRT2
                 assert got == pytest.approx(tuple(want), rel=1e-12, abs=0.0)
 
     def test_flow_params_validation(self, rp3bp_03):
         for order in (1, 5, 8, 10, 133, 7.0):
             with pytest.raises(ValueError):
-                FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
-        for eps in (-0.1, 0.0, 1.5, 1e300, math.nan):
-            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
-                FlowParams(epsilon=eps, config=rp3bp_03)
-        assert FlowParams(epsilon=1.0, config=rp3bp_03)
+                FlowParams(rp3bp_03, truncation_order=order)
         for order in (3, 7, 11, 131):
-            assert FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=order)
+            assert FlowParams(rp3bp_03, truncation_order=order)
+        # eps is a gauge, applied by the command line, not a parameter of the flow
+        assert [f.name for f in dataclasses.fields(FlowParams)] == ["config", "truncation_order"]
 
     def test_field_is_built_once_per_flow_params(self, monkeypatch, rp3bp_03):
         builds = []
         build = dynamics._field
         monkeypatch.setattr(dynamics, "_field", lambda p: builds.append(p) or build(p))
-        params = FlowParams(epsilon=0.5, config=rp3bp_03)
+        params = FlowParams(rp3bp_03)
         state = McGeheeState(0.3, 0.05, 0.5, 1.0)
         values = [(rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params),
                    jacobi_constant(state, params)) for _ in range(3)]
         integrate_mcgehee(state, params, (0.0, 1.0))
         assert builds == [params] and values[1:] == values[:-1]
         # equal parameters are a separate object with their own field
-        assert jacobi_constant(state, FlowParams(epsilon=0.5, config=rp3bp_03)) == values[0][2]
+        assert jacobi_constant(state, FlowParams(rp3bp_03)) == values[0][2]
         assert len(builds) == 2
 
     @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
@@ -262,13 +265,12 @@ class TestStatesAndFields:
         # of its own ulp.
         rng = np.random.default_rng(order)
         for cfg in (rp3bp_03, rotated_equilateral):
+            params = FlowParams(cfg, truncation_order=order)
             for _ in range(100):
                 x, y, theta = rng.uniform(0.05, 0.6), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
-                s, eps = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.3, 1.0)
-                params = FlowParams(epsilon=eps, config=cfg, truncation_order=order)
-                state = McGeheeState(x, y, s, theta)
+                state = McGeheeState(x, y, rng.uniform(0.0, 2 * math.pi), theta)
                 got = (*rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params))
-                want = (*rhs_array((x, y, state.s, theta), eps, _field_harmonics(cfg, order)),
+                want = (*rhs_array((x, y, state.s, theta), 1.0, _field_harmonics(cfg, order)),
                         hamiltonian(state, params))
                 for g, w, size in zip(got, want, _term_sizes(state, params)):
                     assert abs(g - w) <= 4 * np.finfo(float).eps * size
@@ -276,13 +278,15 @@ class TestStatesAndFields:
     @pytest.mark.parametrize("big_j", [2, 3, 4, 6])
     def test_generic_field_matches_the_exact_potential(self, rotated_equilateral, big_j):
         # the field truncated at 2J + 3 leaves the row J + 1 out: the remainder
-        # falls like x^(2J+6) in y' and x^(2J+4) in theta'
+        # falls like x^(2J+6) in y' and x^(2J+4) in theta'.  The field runs on
+        # the scaled state, and y' = Y'/eps and theta' = eps Theta'
         eps = 0.7
-        params = FlowParams(epsilon=eps, config=rotated_equilateral, truncation_order=2 * big_j + 3)
+        params = FlowParams(rotated_equilateral, truncation_order=2 * big_j + 3)
         gaps = []
         for x in (0.4, 0.2):
             state = (x, 0.13, 1.1, 0.9)
-            _, dy, _, dtheta = rhs_mcgehee_t(McGeheeState(*state), params)
+            _, dy, _, dtheta = rhs_mcgehee_t(McGeheeState(*scaled(state, eps)), params)
+            dy, dtheta = dy / eps, dtheta * eps
             want_dy, want_dtheta, _ = exact_potential_field(state, eps, rotated_equilateral)
             gaps.append((abs(dy - want_dy), abs(dtheta - want_dtheta)))
         slopes = [float(mp.log(a / b, 2)) for a, b in zip(*gaps)]
@@ -290,14 +294,16 @@ class TestStatesAndFields:
 
     @pytest.mark.parametrize("order", [7, 9, 11])
     def test_truncated_energy_is_the_exact_potential_energy(self, rotated_equilateral, order):
-        # the energy truncated at 2J + 3 misses the exact one by the row J + 1, of size x^(2J+4)
+        # the energy truncated at 2J + 3 misses the exact one by the row J + 1, of size
+        # x^(2J+4); the unscaled energy is eps times the scaled one
         eps, big_j = 0.7, (order - 3) // 2
-        params = FlowParams(epsilon=eps, config=rotated_equilateral, truncation_order=order)
+        params = FlowParams(rotated_equilateral, truncation_order=order)
         gaps = []
         for x in (0.4, 0.2):
             state = (x, 0.13, 1.1, 0.9)
             _, _, want = exact_potential_field(state, eps, rotated_equilateral)
-            gaps.append(abs(truncated_hamiltonian(McGeheeState(*state), params) - want))
+            got = eps * truncated_hamiltonian(McGeheeState(*scaled(state, eps)), params)
+            gaps.append(abs(got - want))
         assert float(mp.log(gaps[0] / gaps[1], 2)) == pytest.approx(2 * big_j + 4, abs=0.25)
 
 
@@ -330,7 +336,7 @@ class TestIntegrate:
             assert abs(hd_value(float(xt), float(yt), theta0) - h0) <= 1e-9
 
     def test_zero_set_invariant(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
+        params = FlowParams(rp3bp_03, truncation_order=9)
         traj = integrate_mcgehee(
             McGeheeState(0.0, 0.0, 0.25, 1.0), params, (0.0, 4 * math.pi), tol=1e-10
         )
@@ -394,10 +400,10 @@ class TestIntegrate:
 
     def test_dense_output_starts_at_the_initial_state_exactly(self, rp3bp_03):
         rng = np.random.default_rng(17)
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
+        params = FlowParams(rp3bp_03, truncation_order=9)
         for t_span in ((0.0, 20.0), (20.0, 0.0)):
-            state = McGeheeState(rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1),
-                                 rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+            state = McGeheeState(*scaled((rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1),
+                                          rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))))
             traj = integrate_mcgehee(state, params, t_span, tol=1e-11)
             assert list(traj.sol(t_span[0])) == [state.x, state.y, state.s, state.theta]
 
@@ -432,31 +438,32 @@ class TestIntegrate:
     def test_jacobi_drift(self, rp3bp_03, rotated_equilateral):
         # the rotated equilateral has every c and d coefficient nonzero; beside
         # one long run, the RK45 oracle's ten seeded starts, which draw x, t and
-        # the tolerance as the benchmark's integrate ops do and are held to the
-        # drift bound its check applies
+        # the tolerance as the benchmark's integrate ops do at eps = 1/2 and are
+        # held to the drift bound its check applies to the unscaled constant,
+        # eps times the scaled one
         rng = np.random.default_rng(2018)
         runs = [((0.4, 0.1, 0.0, 1.0), 50.0)] + [
             ((rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1), rng.uniform(0.0, 2.0 * math.pi),
               rng.uniform(0.5, 1.5)), 20.0) for _ in range(10)]
         for cfg in (rp3bp_03, rotated_equilateral):
-            params = FlowParams(epsilon=0.5, config=cfg, truncation_order=9)
+            params = FlowParams(cfg, truncation_order=9)
             for state, t1 in runs:
-                st0 = McGeheeState(*state)
+                st0 = McGeheeState(*scaled(state))
                 traj = integrate_mcgehee(st0, params, (0.0, t1), tol=1e-11)
                 c0 = jacobi_constant(st0, params)
                 for y in traj.states:
-                    assert abs(jacobi_constant(McGeheeState(*y), params) - c0) <= 1e-8
+                    assert 0.5 * abs(jacobi_constant(McGeheeState(*y), params) - c0) <= 1e-8
 
     def test_time_rescaling_consistency(self, rp3bp_03):
         # the t-form and tau-form flows trace the same curve
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=9)
-        st0 = (0.4, 0.05, 0.3, 1.0)
+        params = FlowParams(rp3bp_03, truncation_order=9)
+        st0 = scaled((0.4, 0.05, 0.3, 1.0))
 
         def rhs_t_aug(_t, yv):
             d = np.empty(5)
             state = McGeheeState(yv[0], yv[1], yv[2], yv[3])
             d[:4] = rhs_mcgehee_t(state, params)
-            d[4] = params.epsilon**3 * yv[0] ** 3 / SQRT2  # slow-time odometer
+            d[4] = yv[0] ** 3 / SQRT2  # slow-time odometer
             return d
 
         traj_t = integrate(rhs_t_aug, (*st0, 0.0), (0.0, 30.0), tol=1e-11)
@@ -498,25 +505,24 @@ def _first_turn(traj, target: float) -> float:
 
 
 class TestOneTurn:
-    """One turn of s of the flow near x = y = 0, where s' = 1 - eps^3 theta x^4."""
+    """One turn of s of the flow near x = y = 0, where s' = 1 - theta x^4."""
 
     @pytest.mark.parametrize("trunc", [3, 9])
     def test_leading_term_ratios(self, rp3bp_03, trunc):
-        # x' = eps^3 x^3 y / sqrt 2 and y' = eps^3 x^4 (1 - theta^2 x^2) / sqrt 2
-        params = FlowParams(epsilon=0.5, config=rp3bp_03, truncation_order=trunc)
+        # x' = x^3 y / sqrt 2 and y' = x^4 (1 - theta^2 x^2) / sqrt 2
+        params = FlowParams(rp3bp_03, truncation_order=trunc)
         x0, y0, s0, theta = 0.02, 0.01, 0.3, 1.0
         traj = integrate_mcgehee(McGeheeState(x0, y0, s0, theta), params, (0.0, 3 * math.pi),
                                  tol=1e-12)
         x1, y1, _, _ = traj.sol(2 * math.pi)
-        eps3 = 0.5**3
-        lead_x = SQRT2 * math.pi * eps3 * x0**3 * y0
-        lead_y = SQRT2 * math.pi * eps3 * x0**4 * (1.0 - theta**2 * x0**2)
+        lead_x = SQRT2 * math.pi * x0**3 * y0
+        lead_y = SQRT2 * math.pi * x0**4 * (1.0 - theta**2 * x0**2)
         assert (x1 - x0) / lead_x == pytest.approx(1.0, abs=0.05)
         assert (y1 - y0) / lead_y == pytest.approx(1.0, abs=0.05)
         assert _first_turn(traj, s0 + 2 * math.pi) == pytest.approx(2 * math.pi, abs=0.5)
 
     def test_fixed_point(self, rp3bp_03):
-        params = FlowParams(epsilon=0.5, config=rp3bp_03)
+        params = FlowParams(rp3bp_03)
         traj = integrate_mcgehee(McGeheeState(0.0, 0.0, 0.7, 1.0), params, (0.0, 3 * math.pi),
                                  tol=1e-12)
         x1, y1, s1, theta1 = traj.sol(2 * math.pi)
@@ -540,9 +546,9 @@ class TestScipyOracle:
                             lambda rhs, *args: fields.append(rhs) or integrate(rhs, *args))
         rng = np.random.default_rng(2018)
         for i in range(10):
-            params = FlowParams(epsilon=0.5, config=(rp3bp_03, rotated_equilateral)[i % 2])
-            state = (rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1),
-                     rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+            params = FlowParams((rp3bp_03, rotated_equilateral)[i % 2])
+            state = scaled((rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1),
+                            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5)))
             traj = integrate_mcgehee(McGeheeState(*state), params, (0.0, 20.0), tol=1e-11)
             ref = solve_ivp(fields[-1], (0.0, 20.0), np.array(state), method="RK45",
                             rtol=1e-11, atol=1e-12, dense_output=True)
@@ -559,10 +565,10 @@ class TestScipyOracle:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         rng = np.random.default_rng(trunc)
         for cfg in (rp3bp_03, rotated_equilateral):
-            params = FlowParams(epsilon=0.5, config=cfg, truncation_order=trunc)
+            params = FlowParams(cfg, truncation_order=trunc)
             for tol in (1e-12, 1e-10):
-                state = (rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02),
-                         rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5))
+                state = scaled((rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02),
+                                rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5)))
                 target = state[2] + 2.0 * math.pi
                 traj = integrate_mcgehee(McGeheeState(*state), params, (0.0, 3.0 * math.pi),
                                          tol=tol)
@@ -624,10 +630,10 @@ class TestStepperOracle:
         fields = []
         monkeypatch.setattr(dynamics, "integrate",
                             lambda rhs, *args: fields.append(rhs) or integrate(rhs, *args))
-        params = FlowParams(epsilon=0.5, config=rotated_equilateral, truncation_order=order)
+        params = FlowParams(rotated_equilateral, truncation_order=order)
         t1 = 5.0 if order == 131 else 20.0
         t_span = (0.0, t1) if direction == "forward" else (t1, 0.0)
-        state = (0.35, 0.03, 1.0, 1.1)
+        state = scaled((0.35, 0.03, 1.0, 1.1))
         traj = integrate_mcgehee(McGeheeState(*state), params, t_span, tol=1e-11)
         steps, _ = _steps_of_both(fields[-1], t_span[0], state, t_span[1], 1e-11)
         # the trajectory is the oracle's mesh and states, and its dense output the oracle's
@@ -669,14 +675,14 @@ class TestStepperOracle:
 
     @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
     def test_field_and_energy_match_the_oracle(self, rp3bp_03, rotated_equilateral, order):
-        # at eps = 1 and x up to the edge of the convergence region, the rows
-        # beyond the first two still reach the last bits of the sums
+        # x up to the edge of the convergence region, where the rows beyond the
+        # first two still reach the last bits of the sums; the oracle at eps = 1
         rng = np.random.default_rng(order)
         for cfg in (rp3bp_03, rotated_equilateral):
-            params = FlowParams(epsilon=1.0, config=cfg, truncation_order=order)
+            params = FlowParams(cfg, truncation_order=order)
             field, energy = dynamics._field(params)
             oracle_field, oracle_energy = references._field(params)
-            x_edge = dynamics._series_reach(params) ** -0.5
+            x_edge = params._reach ** -0.5
             for _ in range(50):
                 # s of either sign, as a backward run reaches it
                 state = (rng.uniform(0.0, x_edge), rng.uniform(-1.0, 1.0),
@@ -685,25 +691,67 @@ class TestStepperOracle:
                 assert _bits([energy(*state)]) == _bits([oracle_energy(*state)])
 
 
-def measure(cfg, theta0, eps, tol=1e-12):
+class TestGauge:
+    """eps is a gauge: the unscaled flow at any eps is the one flow in scaled variables."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
+    def test_unscaled_runs_rescaled_are_the_scaled_run(self, rotated_equilateral, eps):
+        # the unscaled field at eps, from the state (X/eps, Y/eps, s, Theta eps),
+        # traces (eps x, eps y, s, theta/eps) along the library's one run
+        rows = _field_harmonics(rotated_equilateral, 9)
+        start = (0.3, 0.05, 0.4, 1.2)
+        run = integrate_mcgehee(McGeheeState(*start), FlowParams(rotated_equilateral),
+                                (0.0, 3.0), tol=1e-12)
+        x, y, s, theta = start
+        unscaled = integrate(lambda _t, v: rhs_array(v, eps, rows),
+                             (x / eps, y / eps, s, theta * eps), (0.0, 3.0), tol=1e-12)
+        for t in np.linspace(0.0, 3.0, 13).tolist():
+            xt, yt, st_, tht = unscaled.sol(t)
+            assert [eps * xt, eps * yt, st_, tht / eps] == pytest.approx(run.sol(t), abs=1e-9)
+        # and the unscaled energy is eps times the scaled one
+        for state in run.states:
+            xs, ys, ss, ths = state
+            unscaled_state = McGeheeState(xs / eps, ys / eps, ss, ths * eps)
+            want = hamiltonian(unscaled_state, FlowParams(rotated_equilateral), eps)
+            got = eps * truncated_hamiltonian(McGeheeState(*state), FlowParams(rotated_equilateral))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 0.125])
+    def test_the_configuration_scale_separates_orders(self, rotated_equilateral, c):
+        # what eps cannot do, the configuration's scale does: at c times the
+        # positions, row j of the field and order 2j of the splitting are c^j
+        # times their values, exactly where c is a power of two, while the
+        # Kepler part and every F_(j,k) stay as they are
+        scaled_cfg = scale(rotated_equilateral, c)
+        rows = _field_harmonics(rotated_equilateral, 13)
+        assert _field_harmonics(scaled_cfg, 13) == tuple(
+            (j, tuple((k, c**j * a, c**j * b) for k, a, b in entries)) for j, entries in rows)
+        for j in (2, 3, 5):
+            want = splitting_terms(rotated_equilateral, 2 * j, 1.5).terms
+            assert splitting_terms(scaled_cfg, 2 * j, 1.5).terms == tuple(
+                (k, c**j * a, c**j * b, c**j * err) for k, a, b, err in want)
+
+
+def measure(cfg, theta_tilde, tol=1e-12):
     """Order-4 plus order-6 splitting as a function of s0."""
-    m4 = splitting_terms(cfg, 4, theta0, eps, tol)
-    m6 = splitting_terms(cfg, 6, theta0, eps, tol)
-    return lambda s0: eps**4 * m4.value(s0) + eps**6 * m6.value(s0)
+    m4 = splitting_terms(cfg, 4, theta_tilde, tol)
+    m6 = splitting_terms(cfg, 6, theta_tilde, tol)
+    return lambda s0: m4.value(s0) + m6.value(s0)
 
 
-def paper_terms(cfg, order, theta0, eps, tol=1e-10):
+def paper_terms(cfg, order, theta_tilde, tol=1e-10):
     """The paper's rows: the literal F4, F61, F62 with the c and d pairs, as (k, A, B, error)."""
     if order == 4:
         _, c2, c3 = c_coeffs(cfg)
-        pref, rows = 2.0 / theta0**6, [(2, f4_integrand, -c3, c2)]
+        pref, rows = 2.0 / theta_tilde**6, [(2, f4_integrand, -c3, c2)]
     else:
         d1, d2, d3, d4 = d_coeffs(cfg)
-        pref, rows = 2.0 / theta0**8, [(1, f61_integrand, d2, -d1), (3, f62_integrand, d4, -d3)]
-    sign = math.copysign(1.0, theta0)
+        pref = 2.0 / theta_tilde**8
+        rows = [(1, f61_integrand, d2, -d1), (3, f62_integrand, d4, -d3)]
+    sign = math.copysign(1.0, theta_tilde)
     terms = []
     for k, builder, a, b in rows:
-        f = eval_polynomial(builder(theta0 / eps), tol)
+        f = eval_polynomial(builder(theta_tilde), tol)
         amp = sign * pref * f.value
         terms.append((k, amp * a, amp * b, abs(pref) * f.error_estimate * (abs(a) + abs(b))))
     return terms
@@ -734,51 +782,49 @@ class TestSplittingMeasure:
 
     def test_matches_closed_forms_on_grid(self, rp3bp_03, rotated_equilateral):
         for cfg in (rp3bp_03, rotated_equilateral):
-            for theta0 in (1.0, -1.0):
+            for theta_tilde in (2.0, -2.0):
                 for order in (4, 6):
-                    terms = splitting_terms(cfg, order, theta0, 0.5, tol=1e-12)
-                    assert terms.epsilon_order == order
-                    assert_terms_agree(terms, paper_terms(cfg, order, theta0, 0.5, tol=1e-12))
+                    terms = splitting_terms(cfg, order, theta_tilde, tol=1e-12)
+                    assert_terms_agree(terms, paper_terms(cfg, order, theta_tilde, tol=1e-12))
 
-    @pytest.mark.parametrize("theta0", [1.0, -1.0, 0.7])
-    def test_paper_rows_on_symmetric_configurations(self, theta0):
+    @pytest.mark.parametrize("theta_tilde", [1.0, -1.0, 0.7])
+    def test_paper_rows_on_symmetric_configurations(self, theta_tilde):
         # the rhombus and the collinear chain have harmonics that vanish by
         # symmetry; they agree only with the tables' rounding bound in the error
         for cfg in (build_rp3bp(0.3), rotate(build_equilateral(0.2, 0.3), 0.7),
                     build_rhomboid(1.2, 1.0), solve_collinear_equal(7)):
             for order in (4, 6):
-                assert_terms_agree(splitting_terms(cfg, order, theta0, 0.5),
-                                   paper_terms(cfg, order, theta0, 0.5))
+                assert_terms_agree(splitting_terms(cfg, order, theta_tilde),
+                                   paper_terms(cfg, order, theta_tilde))
 
     def test_negative_branch(self, rp3bp_03):
         # default tolerances on both sides, on the branch where the amplitudes are small
         for order in (4, 6):
-            assert_terms_agree(splitting_terms(rp3bp_03, order, -1.0, 0.8),
-                               paper_terms(rp3bp_03, order, -1.0, 0.8))
+            assert_terms_agree(splitting_terms(rp3bp_03, order, -1.25),
+                               paper_terms(rp3bp_03, order, -1.25))
 
     def test_zeros_bracketed(self, rp3bp_03):
         d1, d2, _, _ = (0.252, 0.0, 0.0, 0.0)
         predicted = simple_zeros(d2, -d1, 1)
-        flow = measure(rp3bp_03, 1.0, 0.5, tol=1e-9)
+        flow = measure(rp3bp_03, 2.0, tol=1e-9)
         for z in predicted:
             assert flow(z - 1e-3) * flow(z + 1e-3) < 0.0
 
     def test_selection_rule_suppression(self):
         pentagon = build_polygon(6)
-        assert abs(measure(pentagon, 1.0, 0.5, tol=1e-9)(0.7)) <= 1e-12
+        assert abs(measure(pentagon, 2.0, tol=1e-9)(0.7)) <= 1e-12
 
     def test_domain(self, rp3bp_03):
-        for theta0, eps in ((0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
-                            (1.0, 0.0), (1.0, -0.5), (1.0, 1.5), (1.0, math.nan)):
-            with pytest.raises(ValueError):
-                splitting_terms(rp3bp_03, 4, theta0, eps)
+        for theta_tilde in (0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="need finite nonzero angular momentum"):
+                splitting_terms(rp3bp_03, 4, theta_tilde)
         for order in (5, 2, 130, "8.0", "-4"):
             with pytest.raises(ValueError):
-                splitting_terms(rp3bp_03, order, 1.0, 0.5)
+                splitting_terms(rp3bp_03, order, 2.0)
 
-    @pytest.mark.parametrize("theta0", [1.0, -1.0])
+    @pytest.mark.parametrize("theta_tilde", [2.0, -2.0])
     def test_integrands_are_the_energy_derivative(
-        self, monkeypatch, rp3bp_03, rotated_equilateral, theta0
+        self, monkeypatch, rp3bp_03, rotated_equilateral, theta_tilde
     ):
         # the integrands F_(j,k), weighted by the table entries and recombined
         # at a few s0, equal the sigma-even part of dH_D/dtau dtau/dsigma from
@@ -787,27 +833,27 @@ class TestSplittingMeasure:
         outcomes = quadrature._outcomes
         monkeypatch.setattr(quadrature, "_outcomes",
                             lambda fs, tol: integrands.extend(fs) or outcomes(fs, tol))
-        eps = 0.5
         sigmas = np.linspace(-2.5, 2.5, 21)
         for cfg in (rp3bp_03, rotated_equilateral):
-            params = FlowParams(epsilon=eps, config=cfg, truncation_order=9)
+            params = FlowParams(cfg, truncation_order=9)
             harmonics = []  # (weight, k, a, b, integrand)
             for order in (4, 6):
                 integrands.clear()
-                terms = splitting_terms(cfg, order, theta0, eps).terms
+                terms = splitting_terms(cfg, order, theta_tilde).terms
                 assert len(integrands) == len(terms)
                 j = order // 2
-                weight = math.copysign(2.0 ** (j + 1), theta0) / theta0**order * eps**order
+                weight = math.copysign(2.0 ** (j + 1), theta_tilde) / theta_tilde ** (order + 2)
                 table = harmonic_table(cfg, j)
                 harmonics += [(weight, k, *table.pair(k), f)
                               for (k, *_), f in zip(terms, integrands)]
 
             def dh(sigma, s0):
                 tau = math.asinh(sigma)
-                x, y = homoclinic(tau, theta0)
-                s = s_closed_form(tau, s0, theta0, eps)
-                _, dy, _, dtheta = rhs_mcgehee_tau((x, y, s, theta0), params)
-                return y * (dy - (1.0 - theta0**2 * x * x) * x) + 0.5 * theta0 * x**4 * dtheta
+                x, y = homoclinic(tau, theta_tilde)
+                s = s_closed_form(tau, s0, theta_tilde)
+                _, dy, _, dtheta = rhs_mcgehee_tau((x, y, s, theta_tilde), params)
+                return (y * (dy - (1.0 - theta_tilde**2 * x * x) * x)
+                        + 0.5 * theta_tilde * x**4 * dtheta)
 
             for s0 in (0.0, 0.9, 4.1):
                 got = sum(w * integrand_values(f, sigmas)

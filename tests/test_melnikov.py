@@ -31,7 +31,8 @@ from melsplit import (
 )
 from melsplit import harmonics
 from melsplit.config import rotate, scale
-from melsplit.melnikov import TransversalityVerdict, Witness
+from melsplit.errors import NumericalFailure
+from melsplit.melnikov import TransversalityVerdict, Witness, legendre_order
 from quadrature_oracles import eval_polynomial, f4_integrand, f61_integrand, f62_integrand
 from references import (c_coeffs, classify_full_scan, d_coeffs, d_l, leading_splitting,
                         symmetry_order_reference)
@@ -50,162 +51,162 @@ def refined_rhomboid_ratio(near: float) -> float:
 
 
 class TestSplittingFunctions:
+    # theta_tilde = 2 is theta0 = 1 at eps = 1/2; the library's order 2j is
+    # eps^(2j+2) times the unscaled one there, so each bound on a value that
+    # should vanish carries that factor
     def test_m4_vanishes_when_quadrupole_pair_vanishes(self):
         ratio = refined_rhomboid_ratio(1.32018439)
-        m4 = splitting_terms(build_rhomboid(ratio, 1.0), 4, 1.0, 0.5)
+        m4 = splitting_terms(build_rhomboid(ratio, 1.0), 4, 2.0)
         for s0 in np.linspace(0.0, 2 * math.pi, 9):
-            assert abs(m4.value(float(s0))) <= 1e-11
+            assert abs(m4.value(float(s0))) <= 1e-11 / 2**6
 
     def test_m4_zero_set_for_collinear(self, collinear8):
-        m4 = splitting_terms(collinear8, 4, 1.0, 0.5)
+        m4 = splitting_terms(collinear8, 4, 2.0)
         for s0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-            assert abs(m4.value(s0)) <= 1e-12
+            assert abs(m4.value(s0)) <= 1e-12 / 2**6
 
     def test_m4_derived_value(self, rp3bp_half):
-        got = splitting_terms(rp3bp_half, 4, 1.0, 0.5, tol=1e-12).value(math.pi / 4)
+        got = splitting_terms(rp3bp_half, 4, 2.0, tol=1e-12).value(math.pi / 4)
         f4 = eval_polynomial(f4_integrand(2.0), 1e-12).value
-        assert got == pytest.approx(2.0 * f4 * 0.75, rel=1e-9)
+        assert got == pytest.approx(2.0 / 2**6 * f4 * 0.75, rel=1e-9)
 
     def test_m4_requires_nonzero_theta0(self, rp3bp_half):
         with pytest.raises(ValueError):
-            splitting_terms(rp3bp_half, 4, 0.0, 0.5)
+            splitting_terms(rp3bp_half, 4, 0.0)
 
     def test_m6_equilateral_only_third_harmonic(self, equilateral_thirds):
-        theta0, eps = 1.0, 0.5
-        f62 = eval_polynomial(f62_integrand(theta0 / eps), 1e-12).value
-        amp = (2.0 / theta0**8) * f62 * 5.0 / (3 * math.sqrt(3.0))
-        m6 = splitting_terms(equilateral_thirds, 6, theta0, eps, tol=1e-12)
+        theta_tilde = 2.0
+        f62 = eval_polynomial(f62_integrand(theta_tilde), 1e-12).value
+        amp = (2.0 / theta_tilde**8) * f62 * 5.0 / (3 * math.sqrt(3.0))
+        m6 = splitting_terms(equilateral_thirds, 6, theta_tilde, tol=1e-12)
         for s0 in (0.2, 1.1, 2.9):
             assert m6.value(s0) == pytest.approx(amp * math.cos(3 * s0), rel=1e-9)
 
     def test_m6_rp3bp_sine_channels(self, rp3bp_03):
         # d2 = d4 = 0 leaves only the sine channels with d1 = 0.252, d3 = 0.42
-        theta0, eps = 1.0, 0.5
+        theta_tilde = 2.0
         d1, d2, d3, d4 = d_coeffs(rp3bp_03)
         assert (d1, d2, d4) == pytest.approx((0.252, 0.0, 0.0), abs=1e-14)
-        amp1 = -(2.0 / theta0**8) * eval_polynomial(f61_integrand(theta0 / eps), 1e-12).value * d1
-        amp3 = -(2.0 / theta0**8) * eval_polynomial(f62_integrand(theta0 / eps), 1e-12).value * d3
-        m6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12)
+        pref = 2.0 / theta_tilde**8
+        amp1 = -pref * eval_polynomial(f61_integrand(theta_tilde), 1e-12).value * d1
+        amp3 = -pref * eval_polynomial(f62_integrand(theta_tilde), 1e-12).value * d3
+        m6 = splitting_terms(rp3bp_03, 6, theta_tilde, tol=1e-12)
         for s0 in (0.3, 2.0):
             assert m6.value(s0) == pytest.approx(
                 amp1 * math.sin(s0) + amp3 * math.sin(3 * s0), rel=1e-9
             )
 
     def test_m6_collinear_is_odd_in_s0(self, collinear8):
-        m6 = splitting_terms(collinear8, 6, 1.0, 0.5, tol=1e-11)
+        m6 = splitting_terms(collinear8, 6, 2.0, tol=1e-11)
         for s0 in (0.4, 1.3):
             assert m6.value(s0) == pytest.approx(-m6.value(-s0), rel=1e-9)
 
     def test_m_poly_prefactors_and_harmonics(self):
-        theta0, eps = 1.0, 0.5
+        theta_tilde = 2.0
         for n_total in (7, 8):
             k = polygon_prefactor(n_total)
-            f = eval_oscillatory(harmonic_integrand(n_total - 1, n_total - 1, theta0 / eps),
+            f = eval_oscillatory(harmonic_integrand(n_total - 1, n_total - 1, theta_tilde),
                                  1e-11).value
-            m_poly = splitting_terms(None, f"poly:{n_total}", theta0, eps, tol=1e-11)
+            m_poly = splitting_terms(None, f"poly:{n_total}", theta_tilde, tol=1e-11)
             for s0 in (0.15, 0.8):
-                expected = k / theta0 ** (2 * n_total) * f * math.sin((n_total - 1) * s0)
+                expected = k / theta_tilde ** (2 * n_total) * f * math.sin((n_total - 1) * s0)
                 assert m_poly.value(s0) == pytest.approx(expected, rel=1e-9)
 
     def test_m_poly_vanishes_at_zero_section(self):
         for n_total in (4, 5, 7):
-            assert splitting_terms(None, f"poly:{n_total}", 1.0, 0.5).value(0.0) == 0.0
+            assert splitting_terms(None, f"poly:{n_total}", 2.0).value(0.0) == 0.0
 
     def test_m_poly_four_body_equals_m6_of_triangle(self):
         # the polygon with three vertices carries only the third harmonic
         cfg = build_polygon(4)
-        theta0, eps = 1.0, 0.4
-        m_poly = splitting_terms(None, "poly:4", theta0, eps, tol=1e-11)
-        m6 = splitting_terms(cfg, 6, theta0, eps, tol=1e-11)
+        m_poly = splitting_terms(None, "poly:4", 2.5, tol=1e-11)
+        m6 = splitting_terms(cfg, 6, 2.5, tol=1e-11)
         for s0 in (0.3, 1.7):
             assert m_poly.value(s0) == pytest.approx(m6.value(s0), rel=1e-8)
 
     def test_scale_consistency_m4_m6_through_tables(self, rp3bp_03):
         # table-normalized coefficients must reproduce the direct values
-        theta0, eps, s0 = 1.0, 0.5, 0.9
+        theta_tilde, s0 = 2.0, 0.9
         t2 = harmonic_table(rp3bp_03, 2)
         a2, b2 = t2.pair(2)
-        direct = splitting_terms(rp3bp_03, 4, theta0, eps, tol=1e-12).value(s0)
+        direct = splitting_terms(rp3bp_03, 4, theta_tilde, tol=1e-12).value(s0)
         via_table = (
-            (2.0 / theta0**6)
-            * eval_polynomial(f4_integrand(theta0 / eps), 1e-12).value
+            (2.0 / theta_tilde**6)
+            * eval_polynomial(f4_integrand(theta_tilde), 1e-12).value
             * (4 * a2 * math.sin(2 * s0) - 4 * b2 * math.cos(2 * s0))
         )
         assert via_table == pytest.approx(direct, rel=1e-10)
         t3 = harmonic_table(rp3bp_03, 3)
         a1, b1 = t3.pair(1)
         a3, b3 = t3.pair(3)
-        via_table6 = (2.0 / theta0**8) * (
-            eval_polynomial(f61_integrand(theta0 / eps), 1e-12).value
+        via_table6 = (2.0 / theta_tilde**8) * (
+            eval_polynomial(f61_integrand(theta_tilde), 1e-12).value
             * (8 * b1 * math.cos(s0) - 8 * a1 * math.sin(s0))
-            + eval_polynomial(f62_integrand(theta0 / eps), 1e-12).value
+            + eval_polynomial(f62_integrand(theta_tilde), 1e-12).value
             * (8 * b3 * math.cos(3 * s0) - 8 * a3 * math.sin(3 * s0))
         )
-        direct6 = splitting_terms(rp3bp_03, 6, theta0, eps, tol=1e-12).value(s0)
+        direct6 = splitting_terms(rp3bp_03, 6, theta_tilde, tol=1e-12).value(s0)
         assert via_table6 == pytest.approx(direct6, rel=1e-10)
 
 
-def _coefficient_rows(cfg, order, theta0):
+def _coefficient_rows(cfg, order, theta_tilde):
     """(k, (a, b), prefactor) per term, written out from the module docstring."""
     if order == 4:
         _, c2, c3 = c_coeffs(cfg)
-        return [(2, (-c3, c2), 2.0 / theta0**6)]
+        return [(2, (-c3, c2), 2.0 / theta_tilde**6)]
     if order == 6:
         d1, d2, d3, d4 = d_coeffs(cfg)
-        return [(1, (d2, -d1), 2.0 / theta0**8), (3, (d4, -d3), 2.0 / theta0**8)]
+        return [(1, (d2, -d1), 2.0 / theta_tilde**8), (3, (d4, -d3), 2.0 / theta_tilde**8)]
     n_total = int(order.split(":")[1])
-    return [(n_total - 1, (0.0, 1.0), polygon_prefactor(n_total) / theta0 ** (2 * n_total))]
+    return [(n_total - 1, (0.0, 1.0), polygon_prefactor(n_total) / theta_tilde ** (2 * n_total))]
 
 
 class TestAssembleMelnikov:
     def test_order4_consistency(self, rp3bp_half):
-        terms = splitting_terms(rp3bp_half, 4, 1.0, 0.5)
-        assert terms.epsilon_order == 4
+        terms = splitting_terms(rp3bp_half, 4, 2.0)
         ((k, _, _, _),) = terms.terms
         assert k == 2
         _, c2, c3 = c_coeffs(rp3bp_half)
         f4 = eval_polynomial(f4_integrand(2.0), 1e-10).value
         for i in range(8):
             s0 = 2.0 * math.pi * i / 8
-            want = 2.0 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
-            assert terms.value(s0) == pytest.approx(want, rel=1e-9, abs=1e-15)
+            want = 2.0 / 2**6 * f4 * (c2 * math.sin(2 * s0) - c3 * math.cos(2 * s0))
+            assert terms.value(s0) == pytest.approx(want, rel=1e-9, abs=1e-15 / 2**6)
 
     def test_sign_branch_from_theta0(self, rp3bp_half):
-        # the upper sign goes with theta0 > 0, the lower with theta0 < 0
+        # the upper sign goes with theta > 0, the lower with theta < 0
         _, c2, c3 = c_coeffs(rp3bp_half)
-        for theta0, sign in ((0.4, 1.0), (-0.4, -1.0)):
-            ((k, a, b, _),) = splitting_terms(rp3bp_half, 4, theta0, 0.5, 1e-12).terms
-            f4 = eval_polynomial(f4_integrand(theta0 / 0.5), 1e-12).value
-            amp = sign * (2.0 / theta0**6) * f4
+        for theta_tilde, sign in ((0.8, 1.0), (-0.8, -1.0)):
+            ((k, a, b, _),) = splitting_terms(rp3bp_half, 4, theta_tilde, 1e-12).terms
+            f4 = eval_polynomial(f4_integrand(theta_tilde), 1e-12).value
+            amp = sign * (2.0 / theta_tilde**6) * f4
             assert k == 2
             assert (a, b) == pytest.approx((-amp * c3, amp * c2), rel=1e-12, abs=1e-300)
 
     def test_polygon_order(self):
-        terms = splitting_terms(None, "poly:7", 1.0, 0.5)
-        assert terms.epsilon_order == 12
-        assert terms.terms[0][0] == 6
+        terms = splitting_terms(None, "poly:7", 2.0)
+        assert [k for k, *_ in terms.terms] == [6]
 
-    def test_epsilon_domain(self, rp3bp_half):
-        for eps in (1.5, 0.0, -0.5, -1e-300):
-            with pytest.raises(ValueError):
-                splitting_terms(rp3bp_half, 4, 1.0, eps)
-        # epsilon = 1 is the edge of the domain and stays valid
-        assert splitting_terms(rp3bp_half, 4, 1.0, 1.0).epsilon_order == 4
+    def test_legendre_order(self):
+        # the j whose 2^(j+1)/theta^(2j+2) an order carries; eps^-(2j+2) takes it to an eps
+        assert [legendre_order(o) for o in (4, "6", 128, "poly:4", "poly:65")] == [2, 3, 64, 3, 64]
+        for order in (5, 2, 130, "poly:3", "poly:x", "poly:66", "8.0", "-4", "x"):
+            with pytest.raises(ValueError, match="order must be 2j"):
+                legendre_order(order)
 
     def test_orders_need_their_inputs(self):
         # orders 4 and 6 without a configuration, then unknown orders
         for order in (4, "6", 5, "poly:3", "poly:x", "poly:66", 2, 130, "x"):
             with pytest.raises(ValueError):
-                splitting_terms(None, order, 1.0, 0.5)
+                splitting_terms(None, order, 2.0)
 
-    @pytest.mark.parametrize("theta0", [1.0, -1.0, 0.8, -0.8])
+    @pytest.mark.parametrize("theta_tilde", [1.0, -1.0, 0.8, -0.8])
     @pytest.mark.parametrize("n_total", range(4, 11))
-    def test_poly_alias_is_the_polygon_diagonal_term(self, n_total, theta0):
+    def test_poly_alias_is_the_polygon_diagonal_term(self, n_total, theta_tilde):
         # poly:N is the (N-1, N-1) term of the polygon's order 2N - 2; the
         # polygon's other harmonics at that order vanish by its symmetry
-        (alias,) = splitting_terms(None, f"poly:{n_total}", theta0, 0.5).terms
-        terms = splitting_terms(build_polygon(n_total), 2 * n_total - 2, theta0, 0.5)
-        assert terms.epsilon_order == 2 * n_total - 2
+        (alias,) = splitting_terms(None, f"poly:{n_total}", theta_tilde).terms
+        terms = splitting_terms(build_polygon(n_total), 2 * n_total - 2, theta_tilde)
         assert [k for k, *_ in terms.terms] == list(range(2 - (n_total - 1) % 2, n_total, 2))
         for k, a, b, err in terms.terms:
             if k == n_total - 1:
@@ -218,41 +219,41 @@ class TestAssembleMelnikov:
         # order 2j has the harmonics k = j, j - 2, ... >= 1 of the order-j table
         for j in (4, 5, 8):
             table = harmonic_table(rp3bp_03, j)
-            terms = splitting_terms(rp3bp_03, 2 * j, 1.0, 0.5)
-            assert terms.epsilon_order == 2 * j
+            terms = splitting_terms(rp3bp_03, 2 * j, 2.0)
             assert [k for k, *_ in terms.terms] == [k for k, *_ in table.entries if k >= 1]
+            pref = 2.0 ** (j + 1) / 2.0 ** (2 * j + 2)
             for (k, a, b, err), (_, ta, tb) in zip(terms.terms, table.entries[-len(terms.terms):]):
                 f = eval_oscillatory(harmonic_integrand(j, k, 2.0), 1e-10)
-                amp = 2.0 ** (j + 1) * f.value
+                amp = pref * f.value
                 assert a == pytest.approx(-amp * tb, abs=err)
                 assert b == pytest.approx(amp * ta, abs=err)
-                assert err >= 2.0 ** (j + 1) * 2.0 * abs(f.value) * table.rounding
+                assert err >= pref * 2.0 * abs(f.value) * table.rounding
 
     def test_highest_orders_are_finite(self, rp3bp_03):
         # from j = 51 on the pole factor overflows far out on the contour,
         # where the terms are far below the tolerance
         for j in (51, 52, 58, 64):
-            for theta0 in (1.0, -1.0):
-                terms = splitting_terms(rp3bp_03, 2 * j, theta0, 0.5).terms
+            for theta_tilde in (2.0, -2.0):
+                terms = splitting_terms(rp3bp_03, 2 * j, theta_tilde).terms
                 assert len(terms) == (j + 1) // 2
-                assert np.isfinite(terms).all(), (j, theta0)
+                assert np.isfinite(terms).all(), (j, theta_tilde)
 
     @pytest.mark.parametrize("order", [4, 6, "poly:5", "poly:9"])
-    @pytest.mark.parametrize("theta0", [0.75, -0.75])
-    def test_error_bounded_by_tolerance(self, order, theta0, rp3bp_03):
+    @pytest.mark.parametrize("theta_tilde", [0.75, -0.75])
+    def test_error_bounded_by_tolerance(self, order, theta_tilde, rp3bp_03):
         tol = 1e-10
-        got = splitting_terms(rp3bp_03, order, theta0, 0.5, tol).terms
-        rows = _coefficient_rows(rp3bp_03, order, theta0)
+        got = splitting_terms(rp3bp_03, order, theta_tilde, tol).terms
+        rows = _coefficient_rows(rp3bp_03, order, theta_tilde)
         assert len(got) == len(rows)
         for (k, _, _, err), (k_want, (a, b), pref) in zip(got, rows):
             assert k == k_want
             assert 0.0 <= err <= abs(pref) * tol * (abs(a) + abs(b))
 
     @pytest.mark.parametrize("order", [4, 6, "poly:7"])
-    @pytest.mark.parametrize("theta0", [1.0, -1.0])
-    def test_tolerances_agree_within_errors(self, order, theta0, rp3bp_03):
-        loose = splitting_terms(rp3bp_03, order, theta0, 0.5, 1e-10).terms
-        tight = splitting_terms(rp3bp_03, order, theta0, 0.5, 1e-13).terms
+    @pytest.mark.parametrize("theta_tilde", [1.0, -1.0])
+    def test_tolerances_agree_within_errors(self, order, theta_tilde, rp3bp_03):
+        loose = splitting_terms(rp3bp_03, order, theta_tilde, 1e-10).terms
+        tight = splitting_terms(rp3bp_03, order, theta_tilde, 1e-13).terms
         for (k, a1, b1, e1), (k2, a2, b2, e2) in zip(loose, tight, strict=True):
             assert k == k2
             assert abs(a1 - a2) <= e1 + e2
@@ -273,7 +274,7 @@ def test_an_order_fails_as_its_harmonics_would_one_at_a_time():
             yield QuadratureResult(math.inf, 0.0, 0)
 
     with pytest.raises(OverflowError, match="order 6, harmonic 1"):
-        _order_terms(build_equilateral(0.2, 0.3), 6, 1.0, 1.0, integrals)
+        _order_terms(build_equilateral(0.2, 0.3), 6, 1.0, integrals)
 
 
 def test_an_order_whose_second_harmonic_fails_runs_one_pass(monkeypatch):
@@ -291,16 +292,53 @@ def test_an_order_whose_second_harmonic_fails_runs_one_pass(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_outcomes", failing_second)
     with pytest.raises(QuadratureBudgetError, match=r"F_\(3,3\) fails"):
-        splitting_terms(build_equilateral(0.2, 0.3), 6, 1.0, 0.5)
+        splitting_terms(build_equilateral(0.2, 0.3), 6, 2.0)
     assert passes == [2]
+
+
+@pytest.mark.parametrize("j", [2, 3, 5, 16, 40, 64])
+def test_prefactors_stay_in_range_inside_the_domain(j):
+    # with r_max <= 1 and theta_tilde in [1e-2, 1e2], 2^(j+1)/theta_tilde^(2j+2)
+    # times any F the engine can return is finite: no OverflowError is left
+    # that such an input can reach (outside it, the gauge factor eps^-(2j+2)
+    # once overflowed inside the library)
+    from melsplit import QuadratureResult
+    from melsplit.melnikov import _order_terms
+
+    cfg = normalize_omega(build_polygon(17))
+    assert max(math.hypot(*b.position) for b in cfg.bodies) <= 1.0
+    for theta_tilde in (1e-2, -1e-2, 0.1, 1.0, 10.0, 1e2, -1e2):
+        for order in (2 * j, f"poly:{j + 1}") if j >= 3 else (2 * j,):
+            # |F_(j,k)| is at most the integral of its integrand's modulus on
+            # R, 14.1 at most for j, k <= 64: F = 16 +- 16 stands for them all
+            terms = _order_terms(cfg, order, theta_tilde,
+                                 lambda fs: (QuadratureResult(16.0, 16.0, 0) for _ in fs))
+            assert all(math.isfinite(v) for term in terms.terms for v in term[1:])
+    # with the engine's F: far out F, or its amplitude, falls below the normal
+    # double range, a NumericalFailure, never an OverflowError
+    for theta_tilde in (1e-2, -0.5, 6.5, 1e2):
+        try:
+            splitting_terms(cfg, 2 * j, theta_tilde)
+        except NumericalFailure:
+            assert abs(theta_tilde) > 1.0
+
+
+def test_an_amplitude_below_the_double_range_is_named():
+    # F_(8,8)(6.5) is near 6e-297, a normal double, but 2^9/6.5^18 times it is
+    # subnormal: once printed as digits of rounding noise, times the gauge factor
+    with pytest.raises(NumericalFailure, match=r"order 16, harmonic 8: .* lies below the normal "
+                                               r"double range at theta_tilde = 6\.5"):
+        splitting_terms(None, "poly:9", 6.5)
+    ((_, _, amplitude, _),) = splitting_terms(None, "poly:9", 5.5).terms
+    assert 2.0**-1022 <= abs(amplitude) < 1e-150
 
 
 @pytest.fixture(scope="module")
 def equilateral_orders():
-    """Orders 4, 6 and 8 of the (0.2, 0.3) equilateral, by epsilon: k = 2 is in 4 and 8."""
+    """Orders 4, 6 and 8 of the (0.2, 0.3) equilateral, by theta_tilde: k = 2 is in 4 and 8."""
     eq = build_equilateral(0.2, 0.3)
-    return {eps: [splitting_terms(eq, order, 1.0, eps) for order in (4, 6, 8)]
-            for eps in (0.25, 0.3, 0.5, 0.8)}
+    return {tt: [splitting_terms(eq, order, tt) for order in (4, 6, 8)]
+            for tt in (0.25, 0.3, 0.5, 0.8)}
 
 
 def _grid(points):
@@ -308,48 +346,45 @@ def _grid(points):
 
 
 class TestMelnikovSum:
-    @pytest.mark.parametrize("eps", [0.3, 0.5])
-    def test_orders_merge_by_harmonic(self, equilateral_orders, eps):
-        parts = equilateral_orders[eps]
-        total = melnikov_sum(parts, eps)
-        assert total.epsilon_order == 0
+    @pytest.mark.parametrize("theta_tilde", [0.3, 0.5])
+    def test_orders_merge_by_harmonic(self, equilateral_orders, theta_tilde):
+        parts = equilateral_orders[theta_tilde]
+        total = melnikov_sum(parts)
         assert [k for k, *_ in total.terms] == [1, 2, 3, 4]
         for k, a, b, err in total.terms:
-            rows = [(eps**m.epsilon_order, t) for m in parts for t in m.terms if t[0] == k]
+            rows = [t for m in parts for t in m.terms if t[0] == k]
             assert len(rows) == (2 if k == 2 else 1)
             for column, got in zip((1, 2, 3), (a, b, err)):
-                assert got == math.fsum([w * t[column] for w, t in rows])
+                assert got == math.fsum([t[column] for t in rows])
 
-    @pytest.mark.parametrize("eps", [0.5, 0.25])
-    def test_one_part_is_its_order_weighted_bit_for_bit(self, equilateral_orders, eps):
-        # a power-of-two weight scales every amplitude and product exactly
-        for part in equilateral_orders[eps]:
-            total = melnikov_sum([part], eps)
+    @pytest.mark.parametrize("theta_tilde", [0.5, 0.25])
+    def test_one_part_is_its_order_bit_for_bit(self, equilateral_orders, theta_tilde):
+        for part in equilateral_orders[theta_tilde]:
+            total = melnikov_sum([part])
             for s0 in _grid(64):
-                assert total.value(s0) == eps**part.epsilon_order * part.value(s0)
+                assert total.value(s0) == part.value(s0)
 
-    @pytest.mark.parametrize("eps", [0.3, 0.8])
-    def test_sum_within_rounding_of_the_per_order_sum(self, equilateral_orders, eps):
-        parts = equilateral_orders[eps]
-        total = melnikov_sum(parts, eps)
-        size = sum(eps**m.epsilon_order * (abs(a) + abs(b)) for m in parts for _, a, b, _ in m.terms)
+    @pytest.mark.parametrize("theta_tilde", [0.3, 0.8])
+    def test_sum_within_rounding_of_the_per_order_sum(self, equilateral_orders, theta_tilde):
+        parts = equilateral_orders[theta_tilde]
+        total = melnikov_sum(parts)
+        size = sum(abs(a) + abs(b) for m in parts for _, a, b, _ in m.terms)
         for s0 in _grid(64):
-            by_order = sum(eps**m.epsilon_order * m.value(s0) for m in parts)
+            by_order = sum(m.value(s0) for m in parts)
             assert abs(total.value(s0) - by_order) <= 4.0 * np.finfo(float).eps * size
 
     def test_a_sum_of_a_sum_is_the_sum(self, equilateral_orders):
-        merged = melnikov_sum(equilateral_orders[0.3], 0.3)
-        assert melnikov_sum([merged], 0.3) == merged
+        merged = melnikov_sum(equilateral_orders[0.3])
+        assert melnikov_sum([merged]) == merged
 
     @pytest.mark.parametrize("theta0", [2.5, -2.5, 1.0])
     @pytest.mark.parametrize("eps", [0.25, 0.3])
     def test_leading_terms_are_the_reference_leading_splitting(self, rp3bp_03, theta0, eps):
         for order in (4, 6):
-            terms = leading_terms(rp3bp_03, order, theta0, eps)
-            assert terms.epsilon_order == order
+            terms = leading_terms(rp3bp_03, order, theta0 / eps)
             for s0 in _grid(16):
                 want = leading_splitting(rp3bp_03, order, theta0, eps, s0)
-                assert eps**order * terms.value(s0) == want
+                assert eps**-2 * terms.value(s0) == want
 
 
 class TestSimpleZeros:
@@ -459,7 +494,7 @@ class TestClassifier:
             v = classify(cfg)
             zeros = v.witness.zero_locations
             assert len(zeros) == 2 * v.witness.harmonic
-            terms = splitting_terms(cfg, order, 1.0, 0.5, tol=1e-11)
+            terms = splitting_terms(cfg, order, 2.0, tol=1e-11)
             vals = np.array([terms.value(float(s)) for s in grid])
             for z in zeros:
                 i = int(np.searchsorted(grid, z) % len(grid))

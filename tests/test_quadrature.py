@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -25,6 +26,7 @@ from melsplit import (
     legendre_cos_coeffs,
 )
 from melsplit import quadrature
+from melsplit.errors import NumericalFailure
 from melsplit.quadrature import f_name, named_integrand
 from quadrature_oracles import (
     PAPER_INTEGRANDS,
@@ -86,10 +88,30 @@ class TestBasicContracts:
         with pytest.raises(ValueError):
             eval_oscillatory(F4(1.0), 1e-2)
 
-    def test_large_phase_scale_within_bound_of_zero(self):
-        res = eval_oscillatory(F4(12.0), 1e-10)  # phase scale 1728
-        assert math.isfinite(res.value)
-        assert abs(res.value) <= res.error_estimate <= 1e-10
+    def test_large_phase_scale_out_of_the_double_range_fails(self):
+        # F4(8), phase scale 512, is a normal double near 4e-142.  F4(12) and
+        # F_(16,16)(6), about exp(-1152) and exp(-1072), once came back as
+        # 0.0 +- 0.0 in 257 evaluations, which looked exact
+        res = eval_oscillatory(F4(8.0), 1e-10)
+        assert 0.0 < res.value <= 1e-100 and res.error_estimate <= 1e-10
+        for integrand in (F4(12.0), harmonic_integrand(16, 16, 6.0)):
+            with pytest.raises(NumericalFailure, match="outside the normal double range"):
+                eval_oscillatory(integrand, 1e-10)
+
+    def test_a_level_sum_that_overflows_fails_its_row(self):
+        # every term is finite, but their sums overflow: a broken-term failure,
+        # without the RuntimeWarning that numpy's sum once gave
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureBudgetError, match="overflows or is dropped"):
+                eval_oscillatory(CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0), 1e-3)
+            # in a list, the other rows keep their results
+            got = eval_oscillatory_list([F4(2.0)], 1e-10)
+            with pytest.raises(QuadratureBudgetError):
+                eval_oscillatory_list([F4(2.0), CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0)],
+                                      1e-10)
+            assert quadrature._outcomes([F4(2.0), CubicPhaseIntegrand(0.0, 1e308, 1, 1, 1.0)],
+                                        1e-10)[0] == got[0]
 
     def test_error_estimate_honest(self):
         for tt in (0.4, 1.1, 1.9):
@@ -553,9 +575,10 @@ class TestNamedFunctions:
             assert eval_oscillatory(F62(tt), 1e-11).value < 0.0
 
     def test_decay_at_large_argument(self):
+        # at 10, F62 (phase scale 1500) is below the normal double range
         for builder in (F4, F61, F62):
-            assert abs(eval_oscillatory(builder(10.0), 1e-6).value) <= 1e-4
-            assert abs(eval_oscillatory(builder(-10.0), 1e-6).value) <= 1e-4
+            assert abs(eval_oscillatory(builder(8.0), 1e-6).value) <= 1e-4
+            assert abs(eval_oscillatory(builder(-8.0), 1e-6).value) <= 1e-4
 
 
 class TestFindZeros:
