@@ -69,8 +69,6 @@ _EXPORTS = {
         "homoclinic",
         "integrate",
         "integrate_mcgehee",
-        "jacobi_constant",
-        "rhs_mcgehee_t",
         "s_closed_form",
     ),
     "asymptotics": (

@@ -21,12 +21,16 @@ normalizes it (d < 0 is d > 0 with the numerator conjugated and a, b
 swapped).  The dropped terms are a relative O(d^(-1/2)) whose coefficient
 grows with the pole powers, so the formula leads only where d >> (a + b)^2,
 roughly.  The half-line integrals I_k and every splitting integrand F_(j,k)
-are special cases.
+are special cases.  As in the quadrature, a nonzero term whose value leaves
+the normal double range raises ``NumericalFailure`` rather than reading as
+an exact-looking 0.0; the exact zeros (a zero numerator, 1/Gamma at odd
+negative p, a real part that cancels) stay 0.0.
 """
 from __future__ import annotations
 
 import math
 
+from .errors import NumericalFailure
 from .quadrature import CubicPhaseIntegrand, _normalized
 
 
@@ -49,7 +53,11 @@ def leading_term(integrand: CubicPhaseIntegrand) -> float:
     # the powers, 1/Gamma and the exponential in one exponent, so no factor overflows
     log_size = (math.log(math.pi) - n * math.log(2.0) + 0.5 * (p - 1) * math.log(delta)
                 - math.lgamma(x) - 2.0 * delta / 3.0)
-    return sign * lead.real * math.exp(log_size)
+    value = sign * lead.real * math.exp(log_size)
+    if lead.real and not 2.0**-1022 <= abs(value) < math.inf:
+        raise NumericalFailure(f"the leading term {value!r} at phase scale {delta!r} lies "
+                               "outside the normal double range")
+    return value
 
 
 def ik_asymptotic(k: int, delta: float) -> float:

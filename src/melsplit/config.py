@@ -511,9 +511,11 @@ def configuration_from_dict(data: dict) -> CentralConfiguration:
             PrimaryBody(_json_number(b["mass"], "mass"), _json_position(b["position"]))
             for b in data["bodies"]
         ])
-        label = str(data.get("label", ""))
+        label = data.get("label", "")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed configuration object: {exc}") from exc
+    if not isinstance(label, str):
+        raise ConfigError(f"label must be a JSON string, got {label!r}")
     return CentralConfiguration(bodies, label=label)
 
 

@@ -5,8 +5,8 @@ The radial variable is x with r = x**-2, the scaled radial velocity is y
 with R = -sqrt(2) y, and s = t - theta is the fast angle.  The strength
 eps of the perturbation is a gauge, not a parameter: in the variables
 (X, Y, s, Theta) = (eps x, eps y, s, theta/eps) every eps of the truncated
-field cancels, so every state, angular momentum and energy here is in
-them (the energy is the unscaled one over eps).  On the zero set X = Y = 0
+field cancels, so every state and angular momentum here, and the energy
+of the reduced oscillator, is in them.  On the zero set X = Y = 0
 the flow reduces to the 2 pi-periodic orbit s(t) = s0 + t whose stable and
 unstable sets are the parabolic manifolds.  In slow time (d tau/dt =
 X^3 / sqrt(2)) the leading dynamics is the double-well oscillator
@@ -15,10 +15,9 @@ X'' = X - Theta^2 X^3 with the explicit separatrix
     X = sqrt(2)/|Theta| sech(tau),   Y = -sqrt(2)/|Theta| tanh(tau) sech(tau).
 
 This module integrates the truncated equations of motion with one
-Dormand-Prince 5(4) stepper on lists of Python floats (``integrate``) and
-checks the Jacobi-like first integral.  Nothing here imports numpy, in any
-scope: a ``Trajectory`` holds tuples and lists of floats, and the closed
-forms run on ``math``.
+Dormand-Prince 5(4) stepper on lists of Python floats (``integrate``).
+Nothing here imports numpy, in any scope: a ``Trajectory`` holds tuples
+and lists of floats, and the closed forms run on ``math``.
 
 The perturbation is written once, as one table with a row per Legendre
 order j = 2..J, read from one ``harmonics.HarmonicTables``: at truncation
@@ -27,11 +26,10 @@ time-form field.  With G_j = sum (a cos ks + b sin ks) over the row's
 entries (a, b), in the scaled variables
 
     Y'     += (j+1)/sqrt(2) G_j X^(2j+4),
-    Theta' += sum k (a sin ks - b cos ks) X^(2j+2),
-    H      -= X^(2j+2) G_j.
+    Theta' += sum k (a sin ks - b cos ks) X^(2j+2).
 
-``_field`` builds the time-form field and the truncated Hamiltonian from
-that table, once per ``FlowParams``.
+``_field`` builds the time-form field from that table, once per
+``FlowParams``.
 """
 from __future__ import annotations
 
@@ -101,7 +99,7 @@ class FlowParams:
 
     @cached_property
     def _flow(self):
-        """(field, energy) from ``_field``, built on first use."""
+        """The time-form field from ``_field``, built on first use."""
         return _field(self)
 
 
@@ -159,21 +157,18 @@ def _field_harmonics(config: CentralConfiguration, truncation: int):
 
 
 def _field(params: FlowParams):
-    """The time-form field and the truncated energy, from one read of the harmonic table.
+    """The time-form field, from one read of the harmonic table.
 
-    Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
-    (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
-    Hamiltonian, both on Python floats.  The powers of x are running
-    products of x^2.  Row j holds its k = 0 entry (a, b) as the constant
-    0.0 + a, since cos 0 = 1 and sin 0 only adds b * +-0, and its entries
-    k > 0; both functions take cos ks and sin ks for each entry, in entry
-    order.
+    ``field(x, y, s, theta)`` is the tuple (x', y', s', theta') on Python
+    floats.  The powers of x are running products of x^2.  Row j holds its
+    k = 0 entry (a, b) as the constant 0.0 + a, since cos 0 = 1 and sin 0
+    only adds b * +-0, and its entries k > 0, for each of which the field
+    takes cos ks and sin ks, in entry order.
     """
     rows = []
     for j, entries in _field_harmonics(params.config, params.truncation_order):
         g0 = 0.0 + entries[0][1] if entries[0][0] == 0 else 0.0
-        harmonics = tuple([(float(k), a, b) for k, a, b in entries if k])
-        rows.append(((j + 1) / SQRT2, g0, harmonics))
+        rows.append(((j + 1) / SQRT2, g0, tuple([(float(k), a, b) for k, a, b in entries if k])))
     cos, sin = math.cos, math.sin
 
     def field(x, y, s, theta):
@@ -196,36 +191,7 @@ def _field(params: FlowParams):
             dtheta += gp * xp
         return dx, dy, ds, dtheta
 
-    def energy(x, y, s, theta):
-        x2 = x * x
-        xp = x2 * x2
-        h = y * y + 0.5 * theta * theta * xp - x2
-        for _, g, harmonics in rows:
-            for k, a, b in harmonics:
-                g += a * cos(k * s) + b * sin(k * s)
-            xp *= x2
-            h -= xp * g
-        return h
-
-    return field, energy
-
-
-def rhs_mcgehee_t(state: McGeheeState, params: FlowParams) -> tuple[float, float, float, float]:
-    """Time derivative of (x, y, s, theta) at the given truncation order."""
-    _convergence_guard(state.x, params._reach)
-    field, _ = params._flow
-    return field(state.x, state.y, state.s, state.theta)
-
-
-def truncated_hamiltonian(state: McGeheeState, params: FlowParams) -> float:
-    """Value of the truncated energy in the regularized variables."""
-    _, energy = params._flow
-    return energy(state.x, state.y, state.s, state.theta)
-
-
-def jacobi_constant(state: McGeheeState, params: FlowParams) -> float:
-    """First integral C = H_truncated - Theta, conserved by the truncated flow."""
-    return truncated_hamiltonian(state, params) - state.theta
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +377,7 @@ def integrate_mcgehee(
     """
     reach = params._reach
     _convergence_guard(state0.x, reach)
-    field, _ = params._flow
+    field = params._flow
 
     def rhs(t, v):
         x, y, s, theta = v

@@ -5,21 +5,24 @@ sums over the bodies: the oracle that ``HarmonicTables.paper`` is checked
 against.  ``classify_full_scan`` reads every table entry in dominance
 order, as ``classify`` did before it skipped the entries that rotational
 symmetry forces to vanish: the oracle for its witnesses and zeros.
-``rhs_array`` and ``hamiltonian`` evaluate the time-form field and the
-truncated energy order by order, with cos ks and sin ks taken afresh for
-every entry and each power of x by ``**``, in the unscaled variables at a
-given eps: at eps = 1 the oracle for ``dynamics._field``, and at other eps
-the flow that the scaled one must reproduce.
+``rhs_array`` evaluates the time-form field order by order, with cos ks
+and sin ks taken afresh for every entry and each power of x by ``**``, in
+the unscaled variables at a given eps: at eps = 1 the oracle for
+``dynamics._field``, and at other eps the flow that the scaled one must
+reproduce.  ``hamiltonian`` is the truncated energy, written the same way;
+the package keeps no energy of the truncated flow, so the tests read its
+first integral H - theta, and its drift along the package's runs, here.
 ``_field`` below is the field as it was before each row was split into
-its k = 0 constant, the harmonics it reads back and those it meets first,
-and ``_dormand_prince`` with ``_step_interpolant`` the stepper as it was
-before its per-call wrappers went: the bit-for-bit oracles for today's
-field and stepper.  ``pull_reference``, ``balance_reference``,
-``symmetry_order_reference``, ``table_reference`` and the two
-``collinear_*_reference`` solvers are the configuration and table layers
-as numpy arrays, as they were before those layers went to lists, ``math``
-and ``cmath``: the oracles the list code is pinned against.  They read a
-configuration through ``mass_array`` and ``position_array``.
+its k = 0 constant, the harmonics it reads back and those it meets first
+(without the energy it was built beside), and ``_dormand_prince`` with
+``_step_interpolant`` the stepper as it was before its per-call wrappers
+went: the bit-for-bit oracles for today's field and stepper.
+``pull_reference``, ``balance_reference``, ``symmetry_order_reference``,
+``table_reference`` and the two ``collinear_*_reference`` solvers are the
+configuration and table layers as numpy arrays, as they were before
+those layers went to lists, ``math`` and ``cmath``: the oracles the list
+code is pinned against.  They read a configuration through ``mass_array``
+and ``position_array``.
 """
 
 import itertools
@@ -270,13 +273,12 @@ def hamiltonian(state: McGeheeState, params: FlowParams, epsilon: float = 1.0) -
 
 
 def _field(params: FlowParams, epsilon: float = 1.0):
-    """The time-form field and the truncated energy, from one read of the harmonic table.
+    """The time-form field, from one read of the harmonic table.
 
-    Returns ``(field, energy)``: ``field(x, y, s, theta)`` is the tuple
-    (x', y', s', theta') and ``energy(x, y, s, theta)`` the truncated
-    Hamiltonian, both on Python floats, unscaled at ``epsilon``.  Each call
-    computes cos ks and sin ks once for every k up to J and the powers of x
-    as running products of x^2; the rows are consecutive, j = 2..J.
+    ``field(x, y, s, theta)`` is the tuple (x', y', s', theta') on Python
+    floats, unscaled at ``epsilon``.  Each call computes cos ks and sin ks
+    once for every k up to J and the powers of x as running products of
+    x^2; the rows are consecutive, j = 2..J.
     """
     e = epsilon
     e3 = e**3
@@ -306,18 +308,7 @@ def _field(params: FlowParams, epsilon: float = 1.0):
             dtheta += scale * gp * xp
         return dx, dy, ds, dtheta
 
-    def energy(x, y, s, theta):
-        cos_ks = [cos(k * s) for k in ks]
-        sin_ks = [sin(k * s) for k in ks]
-        x2 = x * x
-        xp = x2 * x2
-        h = e3 * (y * y + 0.5 * theta * theta * xp - x2)
-        for scale, _, entries in rows:
-            xp *= x2
-            h -= scale * xp * sum(a * cos_ks[k] + b * sin_ks[k] for k, a, b in entries)
-        return h
-
-    return field, energy
+    return field
 
 
 def _rms(v: Sequence[float]) -> float:

@@ -12,6 +12,7 @@ from melsplit import (
     leading_term,
     splitting_terms,
 )
+from melsplit.errors import NumericalFailure
 from melsplit.quadrature import ik_integrand, jk_integrand
 from references import c_coeffs, d_coeffs, leading_splitting
 
@@ -58,14 +59,20 @@ class TestIkAsymptotic:
         with pytest.raises(ValueError):
             ik_asymptotic(2, -1.0)
 
-    @pytest.mark.parametrize("k, delta", [(300, 10.0), (300, 1000.0), (60, 5000.0)])
+    @pytest.mark.parametrize("k, delta", [(300, 10.0), (300, 1000.0), (60, 1200.0)])
     def test_large_orders_do_not_overflow(self, k, delta):
-        # pi d^((k-1)/2) / (2^(k+1) Gamma((k+1)/2)) exp(-2d/3), in 50 digits
+        # pi d^((k-1)/2) / (2^(k+1) Gamma((k+1)/2)) exp(-2d/3), in 50 digits;
+        # (60, 1200) is about 1e-306, near the foot of the double range
         with mp.workdps(50):
             d = mp.mpf(delta)
             want = mp.pi * d ** (mp.mpf(k - 1) / 2) * mp.exp(-2 * d / 3) / (
                 2 ** (k + 1) * mp.gamma(mp.mpf(k + 1) / 2))
         assert ik_asymptotic(k, delta) == pytest.approx(float(want), rel=1e-12)
+
+    def test_an_order_below_the_double_range_fails(self):
+        # I_60(5000) is about exp(-3196): once an exact-looking 0.0
+        with pytest.raises(NumericalFailure, match="outside the normal double range"):
+            ik_asymptotic(60, 5000.0)
 
 
 class TestJkFromIk:
@@ -111,9 +118,10 @@ class TestLeadingTerm:
         assert gaps[1] < gaps[0] < 1.0
 
     def test_numerator_zero_of_odd_excess_gives_zero(self):
-        # (z - i)^4 over (1 + z^2)^3 is (z - i)/(z + i)^3: p = -1, 1/Gamma(0) = 0
-        f = CubicPhaseIntegrand(1.0, -1j, 3, 0, 20.0)
-        assert leading_term(f) == 0.0
+        # (z - i)^4 over (1 + z^2)^3 is (z - i)/(z + i)^3: p = -1, 1/Gamma(0) = 0,
+        # an exact zero also where exp(-2d/3) is below the double range
+        for delta in (20.0, 3000.0):
+            assert leading_term(CubicPhaseIntegrand(1.0, -1j, 3, 0, delta)) == 0.0
 
     def test_numerator_zero_of_even_excess(self):
         # (z - i)^6 over (1 + z^2)^4 is (z - i)(z - i)/(z + i)^4: p = -2, Gamma(-1/2) < 0
@@ -125,7 +133,17 @@ class TestLeadingTerm:
 
     def test_zero_numerator(self):
         # for a + b even only i Im alpha and Re beta are mirror-symmetric
-        assert leading_term(CubicPhaseIntegrand(1.0, 2j, 2, 2, 5.0)) == 0.0
+        for delta in (5.0, 3000.0):
+            assert leading_term(CubicPhaseIntegrand(1.0, 2j, 2, 2, delta)) == 0.0
+
+    @pytest.mark.parametrize("f", [harmonic_integrand(2, 2, 12.0),
+                                   CubicPhaseIntegrand(0.0, 1.0, 1, 1, 1072.0)],
+                             ids=["underflows-to-zero", "subnormal"])
+    def test_a_term_below_the_double_range_fails(self, f):
+        # F_(2,2)(12), about exp(-2304), read as an exact-looking 0.0, and
+        # pi/2 exp(-2d/3) at d = 1072, about 7e-311, kept only some of its digits
+        with pytest.raises(NumericalFailure, match="outside the normal double range"):
+            leading_term(f)
 
     @pytest.mark.parametrize("j, k, tt", [(2, 2, 3.0), (64, 64, 2.5), (1, 27, -4.0), (2, 28, -4.0),
                                           (30, 40, -2.5), (64, 30, -1.5)])

@@ -108,6 +108,14 @@ class TestConfigCommands:
         assert (code, out) == (1, "")
         assert "JSON" in err
 
+    @pytest.mark.parametrize("label", [None, 12, ["a"]], ids=["null", "number", "array"])
+    def test_validate_refuses_a_label_that_is_not_a_json_string(self, capsys, tmp_path,
+                                                               rp3bp_file, label):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(json.loads(Path(rp3bp_file).read_text()), label=label)))
+        code, out, err = run(capsys, "config", "validate", str(path))
+        assert (code, out, err) == (1, "", f"error: label must be a JSON string, got {label!r}\n")
+
     @pytest.mark.parametrize("command", ["config validate", "classify"])
     @pytest.mark.parametrize("body", ['{"mass": 1%s, "position": [0.5, 0.0]}' % ("0" * 400),
                                       '{"mass": 0.5, "position": [1%s, 0.0]}' % ("0" * 400)],
@@ -505,6 +513,20 @@ def test_fplot_values_below_the_double_range_are_numerical_failures():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, scale", [
+    (("asymp", "leading", "--config", "{config}", "--theta0", "12", "--eps", "1", "--points",
+      "3"), 1728.0),
+    (("asymp", "ik", "--k", "2", "--deltas", "2000"), 2000.0),
+], ids=["leading", "ik"])
+def test_leading_terms_below_the_double_range_are_numerical_failures(capsys, rp3bp_file, argv,
+                                                                     scale):
+    # at theta_tilde = 12 the order-4 column once read all 0.0 and the command exited 0
+    code, out, err = run(capsys, *(a.format(config=rp3bp_file) for a in argv))
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err == (f"numerical failure: the leading term 0.0 at phase scale {scale!r} lies "
+                   "outside the normal double range\n")
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.3])
 def test_eps_is_a_gauge_of_the_splitting(capsys, rp3bp_file, eps):
     # the order 2j at (theta0, eps) is eps^-(2j+2) times the order at
@@ -735,7 +757,7 @@ class TestDynamicsCommands:
     def test_integrate_blow_up_is_a_numerical_failure(self, capsys, monkeypatch, rp3bp_file):
         # y' = y^2 from y = 1 blows up at t = 1, with x (and the series guard) held fixed
         monkeypatch.setattr(dynamics, "_field",
-                            lambda _params: (lambda x, y, s, theta: (0.0, y * y, 0.0, 0.0), None))
+                            lambda _params: lambda x, y, s, theta: (0.0, y * y, 0.0, 0.0))
         code, out, err = run(capsys, "integrate", "--config", rp3bp_file, "--eps", "0.5",
                              "--state", "0.3", "1", "0", "1", "--tspan", "0", "2")
         assert code == 2 and out == ""
@@ -1211,7 +1233,7 @@ def test_package_names_load_on_first_use():
     assert got["before"] == ["melsplit"]  # no numpy and no submodule
     assert got["same"]  # every name is its module's object, cached in the package
     assert got["missing"] == "module 'melsplit' has no attribute 'no_such_name'"
-    assert len(got["all"]) == len(set(got["all"])) == 50
+    assert len(got["all"]) == len(set(got["all"])) == 48
     assert set(got["all"]) <= set(got["dir"]) and got["dir"] == sorted(got["dir"])
     assert got["star"] == sorted(got["all"])
 

@@ -491,6 +491,14 @@ class TestJsonInterface:
         with pytest.raises(ConfigError, match="beyond the range of a double"):
             load_configuration(data)
 
+    @pytest.mark.parametrize("label", [None, 12, ["a"]], ids=["null", "number", "array"])
+    def test_a_label_must_be_a_json_string(self, label):
+        # str() once read null as the label "None" and 12 as "12"
+        bodies = [{"mass": 0.5, "position": [0.5, 0.0]}, {"mass": 0.5, "position": [-0.5, 0.0]}]
+        with pytest.raises(ConfigError, match=r"label must be a JSON string, got "):
+            load_configuration({"label": label, "bodies": bodies})
+        assert load_configuration({"bodies": bodies}).label == ""
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"bodies": [{"mass": 1.0}]}))

@@ -26,8 +26,6 @@ from melsplit import (
     hd_value,
     homoclinic,
     integrate,
-    jacobi_constant,
-    rhs_mcgehee_t,
     s_closed_form,
     simple_zeros,
     solve_collinear_equal,
@@ -35,12 +33,7 @@ from melsplit import (
 )
 from melsplit import dynamics, melnikov, quadrature
 from melsplit.config import rotate, scale
-from melsplit.dynamics import (
-    SQRT2,
-    _field_harmonics,
-    integrate_mcgehee,
-    truncated_hamiltonian,
-)
+from melsplit.dynamics import SQRT2, _field_harmonics, integrate_mcgehee
 from quadrature_oracles import eval_polynomial, f4_integrand, f61_integrand, f62_integrand
 import references
 from references import (
@@ -165,17 +158,20 @@ def exact_potential_field(state, eps, config):
 
 
 def _term_sizes(state, params):
-    """Bounds on the terms that x', y', s', theta' and the energy each sum."""
+    """Bounds on the terms that x', y', s' and theta' each sum."""
     x, y, theta = state.x, state.y, state.theta
     size_dy = (1.0 + theta * theta * x * x) * x**4 / SQRT2
     size_dtheta = 0.0
-    size_h = y * y + 0.5 * theta**2 * x**4 + x * x
     for j, entries in _field_harmonics(params.config, params.truncation_order):
         amplitude = sum(abs(a) + abs(b) for _, a, b in entries)
         size_dy += (j + 1) / SQRT2 * amplitude * x ** (2 * j + 4)
         size_dtheta += j * amplitude * x ** (2 * j + 2)
-        size_h += amplitude * x ** (2 * j + 2)
-    return (abs(x**3 * y / SQRT2), size_dy, 1.0 + abs(theta) * x**4, size_dtheta, size_h)
+    return (abs(x**3 * y / SQRT2), size_dy, 1.0 + abs(theta) * x**4, size_dtheta)
+
+
+def _jacobi(state, params):
+    """The first integral H - theta of the truncated flow, H the oracle's truncated energy."""
+    return hamiltonian(state, params) - state.theta
 
 
 def scaled(state, eps=0.5):
@@ -195,13 +191,12 @@ class TestStatesAndFields:
 
     def test_periodic_orbit_is_fixed_line(self, rp3bp_03):
         params = FlowParams(rp3bp_03, truncation_order=9)
-        d = rhs_mcgehee_t(McGeheeState(0.0, 0.0, 1.2, 0.7), params)
-        assert d == (0.0, 0.0, 1.0, 0.0)
+        assert dynamics._field(params)(0.0, 0.0, 1.2, 0.7) == (0.0, 0.0, 1.0, 0.0)
 
     def test_truncation_three_is_kepler_form(self, rp3bp_03):
         params = FlowParams(rp3bp_03, truncation_order=3)
         x, y, s, th = 0.4, 0.1, 0.9, 1.1
-        dx, dy, ds, dth = rhs_mcgehee_t(McGeheeState(x, y, s, th), params)
+        dx, dy, ds, dth = dynamics._field(params)(x, y, s, th)
         assert dx == pytest.approx(x**3 * y / SQRT2)
         assert dy == pytest.approx((x**4 - th**2 * x**6) / SQRT2)
         assert ds == pytest.approx(1.0 - th * x**4)
@@ -209,13 +204,13 @@ class TestStatesAndFields:
 
     def test_collinear_theta_dot_vanishes_at_zero_angle(self, collinear8):
         params = FlowParams(collinear8, truncation_order=9)
-        d = rhs_mcgehee_t(McGeheeState(0.3, 0.1, 0.0, 1.0), params)
+        d = dynamics._field(params)(0.3, 0.1, 0.0, 1.0)
         assert d[3] == pytest.approx(0.0, abs=1e-18)
 
     def test_convergence_region_guard(self, rp3bp_03):
         params = FlowParams(rp3bp_03, truncation_order=9)
         with pytest.raises(ConvergenceRegionError):
-            rhs_mcgehee_t(McGeheeState(3.0, 0.0, 0.0, 1.0), params)
+            integrate_mcgehee(McGeheeState(3.0, 0.0, 0.0, 1.0), params, (0.0, 1.0))
 
     @pytest.mark.parametrize("order", [3, 7, 9])
     def test_time_form_is_the_rescaled_slow_time_form(self, rp3bp_03, rotated_equilateral, order):
@@ -224,10 +219,11 @@ class TestStatesAndFields:
         rng = np.random.default_rng(5)
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(cfg, truncation_order=order)
+            field = dynamics._field(params)
             for _ in range(150):
                 x, y, theta = rng.uniform(0.05, 0.6), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
                 s = rng.uniform(0.0, 2 * math.pi)
-                got = rhs_mcgehee_t(McGeheeState(x, y, s, theta), params)
+                got = field(x, y, s, theta)
                 want = rhs_mcgehee_tau((x, y, s, theta), params) * x**3 / SQRT2
                 assert got == pytest.approx(tuple(want), rel=1e-12, abs=0.0)
 
@@ -246,12 +242,10 @@ class TestStatesAndFields:
         monkeypatch.setattr(dynamics, "_field", lambda p: builds.append(p) or build(p))
         params = FlowParams(rp3bp_03)
         state = McGeheeState(0.3, 0.05, 0.5, 1.0)
-        values = [(rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params),
-                   jacobi_constant(state, params)) for _ in range(3)]
-        integrate_mcgehee(state, params, (0.0, 1.0))
-        assert builds == [params] and values[1:] == values[:-1]
+        runs = [integrate_mcgehee(state, params, (0.0, 1.0)).states for _ in range(3)]
+        assert builds == [params] and runs[1:] == runs[:-1]
         # equal parameters are a separate object with their own field
-        assert jacobi_constant(state, FlowParams(rp3bp_03)) == values[0][2]
+        assert integrate_mcgehee(state, FlowParams(rp3bp_03), (0.0, 1.0)).states == runs[0]
         assert len(builds) == 2
 
     @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
@@ -266,13 +260,13 @@ class TestStatesAndFields:
         rng = np.random.default_rng(order)
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(cfg, truncation_order=order)
+            field = dynamics._field(params)
             for _ in range(100):
                 x, y, theta = rng.uniform(0.05, 0.6), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
                 state = McGeheeState(x, y, rng.uniform(0.0, 2 * math.pi), theta)
-                got = (*rhs_mcgehee_t(state, params), truncated_hamiltonian(state, params))
-                want = (*rhs_array((x, y, state.s, theta), 1.0, _field_harmonics(cfg, order)),
-                        hamiltonian(state, params))
-                for g, w, size in zip(got, want, _term_sizes(state, params)):
+                got = field(x, y, state.s, theta)
+                want = rhs_array((x, y, state.s, theta), 1.0, _field_harmonics(cfg, order))
+                for g, w, size in zip(got, want, _term_sizes(state, params), strict=True):
                     assert abs(g - w) <= 4 * np.finfo(float).eps * size
 
     @pytest.mark.parametrize("big_j", [2, 3, 4, 6])
@@ -285,7 +279,7 @@ class TestStatesAndFields:
         gaps = []
         for x in (0.4, 0.2):
             state = (x, 0.13, 1.1, 0.9)
-            _, dy, _, dtheta = rhs_mcgehee_t(McGeheeState(*scaled(state, eps)), params)
+            _, dy, _, dtheta = dynamics._field(params)(*scaled(state, eps))
             dy, dtheta = dy / eps, dtheta * eps
             want_dy, want_dtheta, _ = exact_potential_field(state, eps, rotated_equilateral)
             gaps.append((abs(dy - want_dy), abs(dtheta - want_dtheta)))
@@ -294,15 +288,15 @@ class TestStatesAndFields:
 
     @pytest.mark.parametrize("order", [7, 9, 11])
     def test_truncated_energy_is_the_exact_potential_energy(self, rotated_equilateral, order):
-        # the energy truncated at 2J + 3 misses the exact one by the row J + 1, of size
-        # x^(2J+4); the unscaled energy is eps times the scaled one
+        # the oracle's energy truncated at 2J + 3 misses the exact one by the row
+        # J + 1, of size x^(2J+4); the unscaled energy is eps times the scaled one
         eps, big_j = 0.7, (order - 3) // 2
         params = FlowParams(rotated_equilateral, truncation_order=order)
         gaps = []
         for x in (0.4, 0.2):
             state = (x, 0.13, 1.1, 0.9)
             _, _, want = exact_potential_field(state, eps, rotated_equilateral)
-            got = eps * truncated_hamiltonian(McGeheeState(*scaled(state, eps)), params)
+            got = eps * hamiltonian(McGeheeState(*scaled(state, eps)), params)
             gaps.append(abs(got - want))
         assert float(mp.log(gaps[0] / gaps[1], 2)) == pytest.approx(2 * big_j + 4, abs=0.25)
 
@@ -450,19 +444,19 @@ class TestIntegrate:
             for state, t1 in runs:
                 st0 = McGeheeState(*scaled(state))
                 traj = integrate_mcgehee(st0, params, (0.0, t1), tol=1e-11)
-                c0 = jacobi_constant(st0, params)
+                c0 = _jacobi(st0, params)
                 for y in traj.states:
-                    assert 0.5 * abs(jacobi_constant(McGeheeState(*y), params) - c0) <= 1e-8
+                    assert 0.5 * abs(_jacobi(McGeheeState(*y), params) - c0) <= 1e-8
 
     def test_time_rescaling_consistency(self, rp3bp_03):
         # the t-form and tau-form flows trace the same curve
         params = FlowParams(rp3bp_03, truncation_order=9)
+        field = dynamics._field(params)
         st0 = scaled((0.4, 0.05, 0.3, 1.0))
 
         def rhs_t_aug(_t, yv):
             d = np.empty(5)
-            state = McGeheeState(yv[0], yv[1], yv[2], yv[3])
-            d[:4] = rhs_mcgehee_t(state, params)
+            d[:4] = field(*yv[:4])
             d[4] = yv[0] ** 3 / SQRT2  # slow-time odometer
             return d
 
@@ -566,6 +560,7 @@ class TestScipyOracle:
         rng = np.random.default_rng(trunc)
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(cfg, truncation_order=trunc)
+            field = dynamics._field(params)
             for tol in (1e-12, 1e-10):
                 state = scaled((rng.uniform(0.005, 0.08), rng.uniform(-0.02, 0.02),
                                 rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5)))
@@ -579,7 +574,7 @@ class TestScipyOracle:
                     return v[2] - target
 
                 crossing.terminal, crossing.direction = True, 1.0
-                ref = solve_ivp(lambda _t, v: rhs_mcgehee_t(McGeheeState(*v), params),
+                ref = solve_ivp(lambda _t, v: field(*v),
                                 (0.0, 3.0 * math.pi), state, method="RK45", rtol=tol,
                                 atol=tol / 10.0, events=crossing)
                 at = ref.y_events[0][0]
@@ -674,21 +669,20 @@ class TestStepperOracle:
         assert steps == [] and len(calls) == 1
 
     @pytest.mark.parametrize("order", [3, 7, 9, 13, 131])
-    def test_field_and_energy_match_the_oracle(self, rp3bp_03, rotated_equilateral, order):
+    def test_field_matches_the_oracle(self, rp3bp_03, rotated_equilateral, order):
         # x up to the edge of the convergence region, where the rows beyond the
         # first two still reach the last bits of the sums; the oracle at eps = 1
         rng = np.random.default_rng(order)
         for cfg in (rp3bp_03, rotated_equilateral):
             params = FlowParams(cfg, truncation_order=order)
-            field, energy = dynamics._field(params)
-            oracle_field, oracle_energy = references._field(params)
+            field = dynamics._field(params)
+            oracle_field = references._field(params)
             x_edge = params._reach ** -0.5
             for _ in range(50):
                 # s of either sign, as a backward run reaches it
                 state = (rng.uniform(0.0, x_edge), rng.uniform(-1.0, 1.0),
                          rng.uniform(-7.0, 7.0), rng.uniform(-2.0, 2.0))
                 assert _bits(field(*state)) == _bits(oracle_field(*state))
-                assert _bits([energy(*state)]) == _bits([oracle_energy(*state)])
 
 
 class TestGauge:
@@ -708,13 +702,6 @@ class TestGauge:
         for t in np.linspace(0.0, 3.0, 13).tolist():
             xt, yt, st_, tht = unscaled.sol(t)
             assert [eps * xt, eps * yt, st_, tht / eps] == pytest.approx(run.sol(t), abs=1e-9)
-        # and the unscaled energy is eps times the scaled one
-        for state in run.states:
-            xs, ys, ss, ths = state
-            unscaled_state = McGeheeState(xs / eps, ys / eps, ss, ths * eps)
-            want = hamiltonian(unscaled_state, FlowParams(rotated_equilateral), eps)
-            got = eps * truncated_hamiltonian(McGeheeState(*state), FlowParams(rotated_equilateral))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 0.125])
     def test_the_configuration_scale_separates_orders(self, rotated_equilateral, c):

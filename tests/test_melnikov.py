@@ -381,6 +381,11 @@ class TestMelnikovSum:
     @pytest.mark.parametrize("eps", [0.25, 0.3])
     def test_leading_terms_are_the_reference_leading_splitting(self, rp3bp_03, theta0, eps):
         for order in (4, 6):
+            if (order, abs(theta0 / eps)) == (6, 10.0):
+                # F_(3,3) at theta_tilde = 10, about exp(-1000), is below the double range
+                with pytest.raises(NumericalFailure, match="outside the normal double range"):
+                    leading_terms(rp3bp_03, order, theta0 / eps)
+                continue
             terms = leading_terms(rp3bp_03, order, theta0 / eps)
             for s0 in _grid(16):
                 want = leading_splitting(rp3bp_03, order, theta0, eps, s0)
