@@ -379,6 +379,10 @@ def _cmd_integrate(args, out) -> int:
     from .dynamics import FlowParams, McGeheeState, hd_value, integrate_mcgehee
 
     c = load_configuration(args.config)
+    # checked as given: scaling and s mod 2 pi would show an inf s as nan
+    if not all(map(math.isfinite, (*args.state, *args.tspan))):
+        raise ValueError(f"state and span must be finite, got state {args.state!r} "
+                         f"and span {tuple(args.tspan)!r}")
     eps = args.eps
     theta_tilde, _ = _gauge(args.state[3], eps, 0)
     params = FlowParams(c, args.truncation)

@@ -15,7 +15,10 @@ X'' = X - Theta^2 X^3 with the explicit separatrix
     X = sqrt(2)/|Theta| sech(tau),   Y = -sqrt(2)/|Theta| tanh(tau) sech(tau).
 
 This module integrates the truncated equations of motion with one
-Dormand-Prince 5(4) stepper on lists of Python floats (``integrate``).
+Dormand-Prince 5(4) stepper (``integrate``): a hand-written loop holds the
+step-size control, and the arithmetic of a step and of its dense output is
+straight-line code on the state's components as Python floats, generated
+from the one Butcher table once per state length.
 Nothing here imports numpy, in any scope: a ``Trajectory`` holds tuples
 and lists of floats, and the closed forms run on ``math``.
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .config import CentralConfiguration
@@ -197,58 +200,126 @@ def _field(params: FlowParams):
 # ---------------------------------------------------------------------------
 # integration
 
-# Dormand-Prince 5(4) pair (Dormand & Prince 1980), written out in the stages
-# below: nodes and stage weights, the fifth-order weights, the error weights
-# (fifth minus fourth order, with the FSAL stage last) and Shampine's
-# fourth-order dense output.  The fractions are folded to constants when the
-# module is compiled.
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980): the nodes c_s of
+# stages 2..7 and the weights a_sj of stages 2..6 on the earlier stages
+# (stage 7, the FSAL stage, is taken at y_new), the fifth-order weights b,
+# the error weights e (fifth minus fourth order) and Shampine's fourth-order
+# dense output: per stage, the coefficients of x, x^2, x^3, x^4 in its weight.
+# The fractions fold to the doubles the generated steps are written with.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DENSE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _step_interpolant(t_old: float, h: float, y_old, k1, k3, k4, k5, k6, k7):
-    """The step's quartic y_old + h sum_i w_i(x) k_i, x = (t - t_old)/h; exact at t_old.
+@lru_cache(maxsize=None)
+def _step_functions(n: int):
+    """(attempt, interpolant) on states of n components, generated from the table above.
 
-    The weights w_i are Shampine's quartics in x, each vanishing at x = 0
-    (the second stage has none).
+    ``attempt(rhs, t, h, y, k1, atol, rtol)`` takes one step of size h from
+    (t, y), whose slope is k1, and returns (y_new, err, slopes): the
+    fifth-order state, the RMS norm of the error against atol + max(|y|,
+    |y_new|) rtol, and the stage slopes that the dense output reads, the
+    FSAL slope at y_new last.  ``interpolant(t_old, h, y, slopes)`` returns
+    the step's quartic ``y_at(t)``, y + h sum_s w_s(x) k_s with x = (t -
+    t_old)/h, exact at t_old.  Both are straight-line code on the n
+    components, with every expression in the shape of the list stepper in
+    ``tests/references.py``, so that each double is the same: y + (sum a_sj
+    k_j) h for a stage, y + h (sum b_j k_j) for y_new, (sum e_j k_j) h /
+    scale for an error term and y + h (sum w_j k_j) for the dense output,
+    sums taken left to right and zero weights left out.
     """
 
-    def y_at(t: float) -> list[float]:
-        x = (t - t_old) / h
-        w1 = x * (1.0 + x * (-8048581381 / 2820520608 + x * (
-            8663915743 / 2820520608 + x * (-12715105075 / 11282082432))))
-        w3 = x * x * (131558114200 / 32700410799 + x * (
-            -68118460800 / 10900136933 + x * (87487479700 / 32700410799)))
-        w4 = x * x * (-1754552775 / 470086768 + x * (
-            14199869525 / 1410260304 + x * (-10690763975 / 1880347072)))
-        w5 = x * x * (127303824393 / 49829197408 + x * (
-            -318862633887 / 49829197408 + x * (701980252875 / 199316789632)))
-        w6 = x * x * (-282668133 / 205662961 + x * (
-            2019193451 / 616988883 + x * (-1453857185 / 822651844)))
-        w7 = x * x * (40617522 / 29380423 + x * (
-            -110615467 / 29380423 + x * (69997945 / 29380423)))
-        return [yi + h * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * f + w7 * g)
-                for yi, a, c, d, e, f, g in zip(y_old, k1, k3, k4, k5, k6, k7)]
+    def each(template: str) -> str:
+        """``template`` for every component, its ``{i}`` the component's index."""
+        return ", ".join([template.replace("{i}", str(i)) for i in range(n)])
 
-    return y_at
+    def dot(weights) -> str:
+        return " + ".join([f"{w!r} * k{s}_{{i}}" for s, w in enumerate(weights, 1) if w])
+
+    def at(c: float) -> str:
+        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+
+    def horner(coefs) -> str:
+        """c_1 x + ... + c_4 x^4 from its lowest nonzero power p: x^p (c_p + x (... + x c_4))."""
+        p = next(i for i, c in enumerate(coefs) if c)
+        poly = repr(coefs[-1])
+        for c in reversed(coefs[p:-1]):
+            poly = f"({c!r} + x * {poly})"
+        return "x * " * (p + 1) + poly
+
+    fsal = len(_C) + 1
+    dense = [s for s, w in enumerate(_DENSE, 1) if any(w)]
+    slopes = ", ".join([f"k{s}" for s in dense])
+    weighted = " + ".join([f"w{s} * k{s}_{{i}}" for s in dense])
+    lines = ["def attempt(rhs, t, h, y, k1, atol, rtol):",
+             f"    {each('y_{i}')}, = y",
+             f"    {each('k1_{i}')}, = k1"]
+    for s, (c, a) in enumerate(zip(_C, _A), 2):
+        lines += [f"    k{s} = rhs({at(c)}, [{each(f'y_{{i}} + ({dot(a)}) * h')}])",
+                  f"    {each(f'k{s}_{{i}}')}, = k{s}"]
+    lines += [f"    y_new = [{each(f'y_{{i}} + h * ({dot(_B)})')}]",
+              f"    {each('n_{i}')}, = y_new",
+              f"    k{fsal} = rhs({at(_C[-1])}, y_new)",
+              f"    {each(f'k{fsal}_{{i}}')}, = k{fsal}",
+              "    err = hypot(" + each(f"({dot(_E)}) * h / (atol + max(abs(y_{{i}}), "
+                                       "abs(n_{i})) * rtol)") + f") / {n ** 0.5!r}",
+              f"    return y_new, err, ({slopes})",
+              "def interpolant(t_old, h, y, slopes):",
+              "    def y_at(t):",
+              f"        {each('y_{i}')}, = y",
+              f"        {slopes} = slopes",
+              *[f"        {each(f'k{s}_{{i}}')}, = k{s}" for s in dense],
+              "        x = (t - t_old) / h",
+              *[f"        w{s} = {horner(_DENSE[s - 1])}" for s in dense],
+              f"        return [{each(f'y_{{i}} + h * ({weighted})')}]",
+              "    return y_at"]
+    namespace = {"hypot": math.hypot}
+    exec(compile("\n".join(lines), f"<Dormand-Prince step on {n} components>", "exec"),
+         namespace)
+    return namespace["attempt"], namespace["interpolant"]
 
 
 def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float):
     """Yield (t, y, interpolant) for each accepted step from (t0, y0) to t_bound.
 
-    The state and the slopes are lists of floats; ``rhs(t, y)`` may return
-    any sequence of floats.  The error of each step is measured in the RMS
-    norm against tol/10 + tol max(|y|, |y_new|), and the step size is scaled
-    by 0.9 err^(-1/5), clipped to [0.2, 10] (at most 1 right after a
-    rejection).  The first step follows Hairer, Norsett &
-    Wanner (Sec. II.4).  A step below 10 ulp of t, or a step size or error
-    norm that is not finite, raises ``IntegrationError``.  A zero-length
-    span yields nothing.
+    The state is a list of floats; ``rhs(t, y)`` may return any sequence of
+    floats of the state's length.  The arithmetic of each attempted step and
+    of its dense output is ``_step_functions(len(y0))``.  The error of each
+    step is measured in the RMS norm against tol/10 + tol max(|y|, |y_new|),
+    and the step size is scaled by 0.9 err^(-1/5), clipped to [0.2, 10] (at
+    most 1 right after a rejection).  The first step follows Hairer, Norsett
+    & Wanner (Sec. II.4).  A step below 10 ulp of t, a slope at the start or
+    at the first step's probe that is not finite, or an error norm that is
+    not finite, raises ``IntegrationError``; an empty state, or a first slope
+    of another length, raises ``ValueError``.  A zero-length span yields
+    nothing.
     """
     rtol, atol = tol, tol / 10.0
     t, y = t0, y0
     f = rhs(t, y)
+    if not len(f) == len(y) > 0:
+        raise ValueError(f"state and slope need one length of at least 1, got {len(y)} "
+                         f"and {len(f)}")
     if t == t_bound:
         return
+    attempt, interpolant = _step_functions(len(y))
     direction = 1.0 if t_bound > t0 else -1.0
     interval = abs(t_bound - t0)
     root_n = len(y) ** 0.5  # the RMS norm is hypot(...) / root_n
@@ -256,12 +327,17 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float)
     d0 = math.hypot(*[yi / sc for yi, sc in zip(y, scale)]) / root_n
     d1 = math.hypot(*[fi / sc for fi, sc in zip(f, scale)]) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = rhs(t + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
+    if not d1 < math.inf:  # h0 is 0 or NaN, or a probe along a slope that is not finite
+        raise IntegrationError(f"first step size {h0!r} at t = {t!r}: the slope's norm there "
+                               "is not finite")
+    t_probe = t + h0 * direction
+    f1 = rhs(t_probe, [yi + h0 * direction * fi for yi, fi in zip(y, f)])
     d2 = math.hypot(*[(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / root_n / h0
+    if math.isnan(d2):
+        raise IntegrationError(f"first step size at t = {t!r}: the slope at its probe "
+                               f"t = {t_probe!r} is not finite")
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval)
-    if not math.isfinite(h_abs):
-        raise IntegrationError(f"first step size {h_abs!r} at t = {t!r} is not finite")
 
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -275,29 +351,7 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float)
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            k1 = f
-            k2 = rhs(t + 1 / 5 * h, [yi + (1 / 5 * a) * h for yi, a in zip(y, k1)])
-            k3 = rhs(t + 3 / 10 * h, [yi + (3 / 40 * a + 9 / 40 * b) * h
-                                      for yi, a, b in zip(y, k1, k2)])
-            k4 = rhs(t + 4 / 5 * h, [yi + (44 / 45 * a + -56 / 15 * b + 32 / 9 * c) * h
-                                     for yi, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs(t + 8 / 9 * h,
-                     [yi + (19372 / 6561 * a + -25360 / 2187 * b + 64448 / 6561 * c
-                            + -212 / 729 * d) * h
-                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h,
-                     [yi + (9017 / 3168 * a + -355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d
-                            + -5103 / 18656 * e) * h
-                      for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [yi + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                               + -2187 / 6784 * e + 11 / 84 * f)
-                     for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(t + h, y_new)
-            err = math.hypot(*[(-71 / 57600 * a + 71 / 16695 * c + -71 / 1920 * d
-                                + 17253 / 339200 * e + -22 / 525 * f + 1 / 40 * g) * h
-                               / (atol + max(abs(yi), abs(yn)) * rtol)
-                               for yi, yn, a, c, d, e, f, g
-                               in zip(y, y_new, k1, k3, k4, k5, k6, k7)]) / root_n
+            y_new, err, slopes = attempt(rhs, t, h, y, f, atol, rtol)
             if not math.isfinite(err):
                 raise IntegrationError(f"error norm {err!r} of the step from t = {t!r} "
                                        "is not finite")
@@ -307,8 +361,8 @@ def _dormand_prince(rhs, t0: float, y0: list[float], t_bound: float, tol: float)
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             rejected = True
-        yield t_new, y_new, _step_interpolant(t, h, y, k1, k3, k4, k5, k6, k7)
-        t, y, f = t_new, y_new, k7
+        yield t_new, y_new, interpolant(t, h, y, slopes)
+        t, y, f = t_new, y_new, slopes[-1]
 
 
 class Trajectory(NamedTuple):
@@ -331,10 +385,11 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) run with fourth-order dense output.
 
-    ``rhs(t, y)`` receives the state as a sequence of floats and returns the
-    derivative as any sequence of floats, an ndarray included.  Tolerances
-    are split 10:1 relative:absolute around ``tol``; the step controller and
-    first step are those of ``_dormand_prince``.  ``t`` is the accepted mesh
+    ``rhs(t, y)`` receives the state as a list of floats and returns the
+    derivative as any sequence of floats of its length, an ndarray included.
+    The state needs at least one component.  Tolerances are split 10:1
+    relative:absolute around ``tol``; the step controller and first step
+    are those of ``_dormand_prince``.  ``t`` is the accepted mesh
     (two copies of t0 for a zero-length span) and ``states`` the solution on
     it.  ``sol(t)`` evaluates the quartic interpolant of the step that
     contains t, as a list (at a mesh point, the step that ends there;

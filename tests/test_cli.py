@@ -786,7 +786,13 @@ class TestDynamicsCommands:
         (("0.3", "0", "0", "1"), ("0", "nan"), 1, "error: state and span must be finite"),
         (("0.3", "0", "0", "1"), ("0", "inf"), 1, "error: state and span must be finite"),
         (("0.3", "0", "0", "1"), ("0", "1e300"), 2, "numerical failure: x = "),
-    ], ids=["nan-x", "inf-theta", "nan-end", "inf-end", "huge-end"])
+        # the state as given, not scaled, and not with s mod 2 pi turning inf to nan
+        (("0.3", "0.05", "inf", "1"), ("0", "1"), 1,
+         "error: state and span must be finite, got state [0.3, 0.05, inf, 1.0]"),
+        # theta^2 overflows in the field, so the first slope is infinite
+        (("0.3", "0.05", "0", "1e300"), ("0", "1"), 2,
+         "numerical failure: first step size 0.0 at t = 0.0: the slope's norm there is not finite"),
+    ], ids=["nan-x", "inf-theta", "nan-end", "inf-end", "huge-end", "inf-s", "huge-theta"])
     def test_integrate_non_finite_input(self, rp3bp_file, state, tspan, code, message):
         # a NaN start once gave a NaN first step that the retry loop never left;
         # in a subprocess, so that a hang fails the test instead of stalling it

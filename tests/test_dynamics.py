@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -411,7 +412,14 @@ class TestIntegrate:
          "ValueError: state and span must be finite"),
         ("integrate(lambda t, y: [math.nan], (1.0,), (0.0, 1.0), 1e-10)",
          "IntegrationError: first step size nan"),
-    ], ids=["nan-state", "nan-field"])
+        # an infinite slope made the probe step 0 and divided by it
+        ("integrate(lambda t, y: [math.inf], (1.0,), (0.0, 1.0), 1e-10)",
+         "IntegrationError: first step size 0.0 at t = 0.0: the slope's norm there is not finite"),
+        # a NaN slope at the probe alone: max(0.0, nan) is 0.0, and 0.01 was divided by it
+        ("integrate(lambda t, y: [0.0 if t == 0.0 else math.nan], (1.0,), (0.0, 1.0), 1e-10)",
+         "IntegrationError: first step size at t = 0.0: the slope at its probe t = 1e-06 "
+         "is not finite"),
+    ], ids=["nan-state", "nan-field", "inf-field", "nan-probe"])
     def test_non_finite_start_fails_at_once(self, call, message):
         # a NaN first step once kept the retry loop going forever; in a
         # subprocess, so that a hang fails the test instead of stalling it
@@ -422,6 +430,27 @@ class TestIntegrate:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.startswith(message), proc
+
+    @pytest.mark.parametrize("state, slope, lengths", [
+        ((1.0, 2.0), [1.0], "2 and 1"),  # zip once cut the state to the slope's length
+        ((), [], "0 and 0"),  # the RMS norm once divided by its root length 0
+    ], ids=["short-slope", "empty-state"])
+    def test_state_and_slope_need_one_positive_length(self, state, slope, lengths):
+        with pytest.raises(ValueError, match=f"one length of at least 1, got {lengths}"):
+            integrate(lambda t, y: slope, state, (0.0, 1.0), 1e-10)
+
+    def test_the_step_is_generated_once_per_length(self, monkeypatch, rp3bp_03):
+        builds = []
+        generate = dynamics._step_functions.__wrapped__
+        monkeypatch.setattr(dynamics, "_step_functions",
+                            functools.lru_cache(lambda n: builds.append(n) or generate(n)))
+        params = FlowParams(rp3bp_03)
+        for state in ((0.3, 0.05, 0.5, 1.0), (0.2, -0.05, 1.5, 1.2)):
+            integrate_mcgehee(McGeheeState(*state), params, (0.0, 1.0))
+        integrate(lambda t, y: [-v for v in y], (1.0, 2.0, 3.0, 4.0), (0.0, 1.0), 1e-10)
+        assert builds == [4]
+        integrate(lambda t, y: [-y[0]], (1.0,), (0.0, 1.0), 1e-10)
+        assert builds == [4, 1]
 
     def test_field_turning_nan_mid_run_fails_at_once(self):
         # not after shrinking the step down to 10 ulp
